@@ -40,6 +40,15 @@ def triple_list(n: int) -> list[tuple[int, int, int]]:
     return list(combinations(range(n), 3))
 
 
+def _pair_blocks(n: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """(i, j) -> (start, sign) for i != j: a(e_i, e_j)_k = sign * coordinate start + k."""
+    blocks = {}
+    for p, (i, j) in enumerate(pair_list(n)):
+        blocks[(i, j)] = (p * n, 1)
+        blocks[(j, i)] = (p * n, -1)
+    return blocks
+
+
 @dataclass(frozen=True)
 class OneCochain:
     """Linear map into the dual, as the matrix s[i][k] = sigma(e_i)(e_k)."""
@@ -110,8 +119,10 @@ class TwoCochain:
         n = self.dim
         for i in range(n):
             for j in range(i, n):
+                upper, lower = self.tensor[i][j], self.tensor[j][i]
                 for k in range(n):
-                    if self.tensor[i][j][k] != -self.tensor[j][i][k]:
+                    a, b = upper[k], lower[k]
+                    if (a or b) and a != -b:
                         raise ValueError("2-cochain tensor is not antisymmetric in (i, j)")
 
     @property
@@ -130,8 +141,9 @@ class TwoCochain:
             if not 0 <= i < j < n:
                 raise ValueError(f"bad pair ({i}, {j})")
             for k in range(n):
-                t[i][j][k] = Fraction(v[k])
-                t[j][i][k] = -Fraction(v[k])
+                x = v[k] if type(v[k]) is Fraction else Fraction(v[k])
+                t[i][j][k] = x
+                t[j][i][k] = -x if x else ZERO
         return TwoCochain(tuple(tuple(tuple(row) for row in plane) for plane in t))
 
     def value(self, i: int, j: int) -> Vector:
@@ -272,54 +284,103 @@ def symmetric_one_cochain_basis(n: int) -> list[OneCochain]:
     return basis
 
 
+def _coboundary_1_images(rep: DualRep, basis: list[OneCochain]) -> list[Vector]:
+    """Flattened d(sigma) for each sigma in basis, assembled from its nonzero entries.
+
+    An entry sigma(e_a)_b = v adds, for every x != a, v * rho(x)[t][b] to
+    (d sigma)(x, a)_t, and -v * c[i][j][a] to (d sigma)(e_i, e_j)_b: the
+    terms rho(x) sigma(y) - rho(y) sigma(x) - sigma([x, y]) of ``coboundary_1``.
+    """
+    n = rep.dim
+    pairs = pair_list(n)
+    blocks = _pair_blocks(n)
+    rho = [m.entries for m in rep.matrices]
+    c = rep.connection.base.bracket
+    # For each a, the nonzero c[i][j][a] over pairs i < j.
+    bracket_into = [
+        [(p * n, c[i][j][a]) for p, (i, j) in enumerate(pairs) if c[i][j][a]]
+        for a in range(n)
+    ]
+    images = []
+    for sigma in basis:
+        col = [ZERO] * (len(pairs) * n)
+        for a, row in enumerate(sigma.entries):
+            for b, v in enumerate(row):
+                if not v:
+                    continue
+                for x in range(n):
+                    if x == a:
+                        continue
+                    start, sign = blocks[(x, a)]
+                    for t in range(n):
+                        value = rho[x][t][b]
+                        if value:
+                            col[start + t] += sign * v * value
+                for start, coeff in bracket_into[a]:
+                    col[start + b] -= v * coeff
+        images.append(tuple(col))
+    return images
+
+
 def matrix_of_coboundary_1(rep: DualRep, basis: list[OneCochain] | None = None) -> RatMatrix:
     """Columns = flattened images of the given C^1 basis (default: matrix units)."""
     if basis is None:
         basis = one_cochain_basis(rep.dim)
-    cols = [coboundary_1(rep, s).flatten() for s in basis]
-    return RatMatrix(tuple(cols)).transpose()
+    return RatMatrix(tuple(_coboundary_1_images(rep, basis))).transpose()
 
 
 def matrix_of_coboundary_2(rep: DualRep) -> RatMatrix:
-    """Linearized degree-2 coboundary; columns follow the pair-then-k flattening."""
+    """Linearized degree-2 coboundary; columns follow the pair-then-k flattening.
+
+    Assembled directly from the formula that ``coboundary_2`` evaluates: on
+    the triple i < j < k, with (x, y, z) running over its cyclic rotations,
+
+        (d a)(x, y, z)_t = sum_cyc  sum_s rho(x)[t][s] a(y, z)_s
+                                  + sum_m c[y][z][m] a(x, e_m)_t.
+
+    So row (triple, t) gets +-rho(x)[t][s] in column s of the pair block of
+    (y, z), and +-c[y][z][m], for every nonzero one with m != x, in column t
+    of the pair block of (x, m); the sign is - where the pair is not in
+    ascending order.  Only nonzero entries of rho and the bracket are visited.
+    """
     n = rep.dim
+    triples = triple_list(n)
     width = len(pair_list(n)) * n
-    if not triple_list(n):
+    if not triples:
         # No triples to constrain (n < 3): a single zero row keeps the shape.
         return RatMatrix.zero(1, width)
-    rows_out: list[list[Fraction]] = [[] for _ in range(len(triple_list(n)) * n)]
-    for i, j in pair_list(n):
-        for k in range(n):
-            basis_cochain = TwoCochain.from_pairs(
-                n, {(i, j): tuple(Fraction(1) if t == k else ZERO for t in range(n))}
-            )
-            image = coboundary_2(rep, basis_cochain)
-            col = [x for v in image.values for x in v]
-            for r, x in enumerate(col):
-                rows_out[r].append(x)
-    return RatMatrix(tuple(tuple(r) for r in rows_out))
+    blocks = _pair_blocks(n)
+    rho = [m.entries for m in rep.matrices]
+    c = rep.connection.base.bracket
+    rows = [[ZERO] * width for _ in range(len(triples) * n)]
+    for r, (i, j, k) in enumerate(triples):
+        out = rows[r * n:(r + 1) * n]
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            start, sign = blocks[(y, z)]
+            for row, rho_row in zip(out, rho[x]):
+                for s, value in enumerate(rho_row):
+                    if value:
+                        row[start + s] += sign * value
+            for m, coeff in enumerate(c[y][z]):
+                if coeff and m != x:
+                    start, sign = blocks[(x, m)]
+                    for t, row in enumerate(out):
+                        row[start + t] += sign * coeff
+    return RatMatrix(tuple(tuple(row) for row in rows))
 
 
 def cyclic_sum_matrix(n: int) -> RatMatrix:
     """Rows: cyclic sums over lex triples, in flattened C^2 coordinates."""
-    pairs = pair_list(n)
-    pair_index = {p: idx for idx, p in enumerate(pairs)}
-    width = len(pairs) * n
-
-    def coord(i: int, j: int, k: int) -> tuple[int, Fraction]:
-        # a[i][j][k] as +/- a flattened coordinate
-        if i < j:
-            return pair_index[(i, j)] * n + k, Fraction(1)
-        return pair_index[(j, i)] * n + k, Fraction(-1)
-
+    width = len(pair_list(n)) * n
     if not triple_list(n):
         return RatMatrix.zero(1, width)
+    blocks = _pair_blocks(n)
     rows = []
     for i, j, k in triple_list(n):
         row = [ZERO] * width
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            idx, sign = coord(a, b, c)
-            row[idx] += sign
+            start, sign = blocks[(a, b)]
+            row[start + c] += sign
         rows.append(tuple(row))
     return RatMatrix(tuple(rows))
 
@@ -333,10 +394,10 @@ def cocycle_bases(rep: DualRep) -> tuple[Subspace, Subspace]:
 
 
 def coboundary_image(rep: DualRep, lagrangian: bool) -> Subspace:
+    """B^2 (or B^2_L): the span of the columns of ``matrix_of_coboundary_1``."""
     basis = symmetric_one_cochain_basis(rep.dim) if lagrangian else one_cochain_basis(rep.dim)
-    images = [coboundary_1(rep, s).flatten() for s in basis]
     width = len(pair_list(rep.dim)) * rep.dim
-    return Subspace.from_vectors(width, images)
+    return Subspace.from_vectors(width, _coboundary_1_images(rep, basis))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator).  Matrices are small and dense; every routine
-is pure and returns immutable values, so the whole module is safe to use
-from concurrent callers.
+terms, positive denominator).  Matrices are stored densely, but elimination
+works in place on private row lists and touches only the columns where the
+pivot row is nonzero: every other entry would see a - f * 0 = a.  The
+outputs are exactly those of eliminating every column.  Every routine is
+pure and returns immutable values, so the whole module is safe to use from
+concurrent callers.
 
 Echelon convention used throughout: reduced row echelon form with
 leftmost-pivot ordering, the pivot row chosen as the first remaining row
@@ -212,17 +215,25 @@ def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
+        prow = rows[r]
+        # Left of c the pivot row is zero: those columns are earlier pivots,
+        # already eliminated, or columns with no pivot in rows r and below.
+        support = [j for j in range(c, n_cols) if prow[j]]
+        inv = ONE / prow[c]
         if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
+            for j in support:
+                prow[j] *= inv
+        entries = [(j, prow[j]) for j in support]
         for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                for j, b in entries:
+                    row[j] -= f * b
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -273,9 +284,11 @@ class Subspace:
         """Eliminate this subspace's pivot coordinates from v."""
         w = list(v)
         for row, p in zip(self.basis, self.pivots):
-            if w[p] != 0:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
+            f = w[p]
+            if f:
+                for j, b in enumerate(row):
+                    if b:
+                        w[j] -= f * b
         return tuple(w)
 
     def contains(self, v: Vector) -> bool:
@@ -305,7 +318,8 @@ def kernel_basis(m: RatMatrix) -> Subspace:
     """Nullspace {v : Mv = 0}, echelon-reduced; dim = cols - rank."""
     n_cols = m.cols
     reduced, pivots = rref(m.entries)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(n_cols) if c not in pivot_set]
     vectors = []
     for fc in free_cols:
         v = [ZERO] * n_cols

@@ -1,24 +1,35 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 import sympy
 
-from lagext.catalog import connection_for
+from lagext.catalog import (
+    ConflictReport,
+    connection_for,
+    instantiate,
+    sample_parameters,
+    table1_entries,
+)
 from lagext.cohomology import (
     OneCochain,
     TwoCochain,
     coboundary_1,
     coboundary_2,
+    coboundary_image,
     cocycle_bases,
     cohomology,
-    cyclic_sum_matrix,
     matrix_of_coboundary_1,
     matrix_of_coboundary_2,
+    one_cochain_basis,
     solve_coboundary,
+    symmetric_one_cochain_basis,
     two_cochain_from_coefficients,
 )
-from lagext.connection import FlatConnection, dual_representation
+from lagext.connection import FlatConnection, check_flat_torsion_free, dual_representation
+from lagext.extension import ExtensionTriple, build_extension, canonical_connection
 from lagext.lie import LieAlgebra
+from lagext.linalg import Subspace
 from lagext.sampling import random_rational, rng_for
 
 
@@ -33,12 +44,6 @@ def random_one_cochain(rng, n, symmetric=False):
             for k in range(i):
                 rows[i][k] = rows[k][i]
     return OneCochain.from_rows(rows)
-
-
-def sympy_matrix(m):
-    return sympy.Matrix(
-        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries]
-    )
 
 
 def test_coboundary_1_vanishes_for_trivial_representation():
@@ -143,13 +148,61 @@ def test_l26_cohomology_golden_values():
     assert all(r.is_lagrangian for r in s.h2_lagrangian_representatives)
 
 
+def independent_coboundary_matrices(conn):
+    """d1, d2 and the cyclic-sum rows as sympy matrices, from gamma and the bracket alone.
+
+    rho(e_x) = -transpose(nabla_{e_x}), so rho(e_x)[t][s] = -gamma[x][t][s], and
+
+        (d sigma)(x, y) = rho(x) sigma(y) - rho(y) sigma(x) - sigma([x, y]),
+        (d a)(x, y, z) = sum_cyc rho(x) a(y, z) + a(x, [y, z]),
+
+    in the coordinates a(e_i, e_j)_k, i < j, and sigma(e_a)_b.
+    """
+    n = conn.dim
+    gamma, c = conn.gamma, conn.base.bracket
+    pairs = list(combinations(range(n), 2))
+    triples = list(combinations(range(n), 3))
+
+    def coord(i, j, k):  # column of a(e_i, e_j)_k and its sign
+        if i < j:
+            return pairs.index((i, j)) * n + k, 1
+        return pairs.index((j, i)) * n + k, -1
+
+    def rational(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    d1 = sympy.zeros(len(pairs) * n, n * n)
+    for p, (x, y) in enumerate(pairs):
+        for t in range(n):
+            row = p * n + t
+            for s in range(n):
+                d1[row, y * n + s] += rational(-gamma[x][t][s])
+                d1[row, x * n + s] -= rational(-gamma[y][t][s])
+            for m in range(n):
+                d1[row, m * n + t] -= rational(c[x][y][m])
+
+    d2 = sympy.zeros(len(triples) * n, len(pairs) * n)
+    cyclic = sympy.zeros(len(triples), len(pairs) * n)
+    for r, (i, j, k) in enumerate(triples):
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for t in range(n):
+                for s in range(n):
+                    col, sign = coord(y, z, s)
+                    d2[r * n + t, col] += sign * rational(-gamma[x][t][s])
+                for m in range(n):
+                    if m != x:
+                        col, sign = coord(x, m, t)
+                        d2[r * n + t, col] += sign * rational(c[y][z][m])
+            col, sign = coord(x, y, z)
+            cyclic[r, col] += sign
+    return d1, d2, cyclic
+
+
 @pytest.mark.parametrize("label", ["l_26", "l_38", "t_8", "a_3"])
 def test_dims_against_independent_sympy_ranks(label):
-    rep = dual_representation(connection_for(label))
-    s = cohomology(rep)
-    d2 = sympy_matrix(matrix_of_coboundary_2(rep))
-    d1 = sympy_matrix(matrix_of_coboundary_1(rep))
-    cyc = sympy_matrix(cyclic_sum_matrix(4))
+    conn = connection_for(label)
+    s = cohomology(dual_representation(conn))
+    d1, d2, cyc = independent_coboundary_matrices(conn)
     assert s.dim_z2 == 24 - d2.rank()
     assert s.dim_z2_lagrangian == 24 - d2.col_join(cyc).rank()
     assert s.dim_b2 == d1.rank()
@@ -209,9 +262,6 @@ def test_solve_coboundary_none_when_not_cohomologous():
 def test_quotient_representatives_of_l26_lagrangian_cohomology():
     # representatives joined with the coboundary image must span Z2_L
     rep = dual_representation(connection_for("l_26"))
-    from lagext.cohomology import coboundary_image
-    from lagext.linalg import Subspace
-
     _, z2l = cocycle_bases(rep)
     b2l = coboundary_image(rep, lagrangian=True)
     s = cohomology(rep)
@@ -227,3 +277,81 @@ def test_two_cochain_from_coefficients_roundtrip():
     coeffs = tuple(random_rational(rng) for _ in range(z2.dim))
     alpha = two_cochain_from_coefficients(z2, coeffs, 4)
     assert coboundary_2(rep, alpha).is_zero()
+
+
+def truncated_polynomial_connection(lambdas):
+    """b_i . b_j = l_i l_j / l_(i+j) b_(i+j) on abelian R^n: flat, torsion-free, complete."""
+    n = len(lambdas)
+    entries = {}
+    for i in range(1, n):
+        for j in range(1, n + 1 - i):
+            v = [F(0)] * n
+            v[i + j - 1] = lambdas[i - 1] * lambdas[j - 1] / lambdas[i + j - 1]
+            entries[(i - 1, j - 1)] = tuple(v)
+    return FlatConnection.from_entries(LieAlgebra.abelian(n), entries, label=f"trunc{n}")
+
+
+def canonical_rep(label):
+    """Dual representation of the canonical connection of the zero-cocycle extension."""
+    ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
+    return dual_representation(canonical_connection(ext))
+
+
+def flat_catalog_connections():
+    for entry in table1_entries():
+        if entry.suspect:
+            continue
+        conn = instantiate(entry, sample_parameters(entry, 1)[0])
+        assert not isinstance(conn, ConflictReport)
+        if check_flat_torsion_free(conn).ok:
+            yield conn
+
+
+def unit_columns_d2(rep):
+    """d2 column by column: coboundary_2 of every unit 2-cochain, in flattened order."""
+    n = rep.dim
+    columns = []
+    for i, j in combinations(range(n), 2):
+        for k in range(n):
+            alpha = TwoCochain.from_pairs(n, {(i, j): tuple(F(int(t == k)) for t in range(n))})
+            columns.append(tuple(x for v in coboundary_2(rep, alpha).values for x in v))
+    return tuple(zip(*columns))
+
+
+def assert_assembly_matches_cochain_maps(rep):
+    assert matrix_of_coboundary_2(rep).entries == unit_columns_d2(rep)
+    for lagrangian, basis in (
+        (False, one_cochain_basis(rep.dim)),
+        (True, symmetric_one_cochain_basis(rep.dim)),
+    ):
+        images = [coboundary_1(rep, sigma).flatten() for sigma in basis]
+        assert matrix_of_coboundary_1(rep, basis).entries == tuple(zip(*images))
+        assert coboundary_image(rep, lagrangian) == Subspace.from_vectors(len(images[0]), images)
+
+
+def test_assembled_coboundaries_match_cochain_maps_on_catalog_rows():
+    conns = list(flat_catalog_connections())
+    assert len(conns) == 64
+    for conn in conns:
+        assert_assembly_matches_cochain_maps(dual_representation(conn))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_assembled_coboundaries_match_cochain_maps_on_truncated_polynomials(n):
+    lambdas = [F(-2, 3), F(3), F(1, 2), F(-1), F(5, 2), F(2, 3)][:n]
+    assert_assembly_matches_cochain_maps(
+        dual_representation(truncated_polynomial_connection(lambdas))
+    )
+
+
+def test_assembled_coboundaries_match_cochain_maps_in_dimension_eight():
+    assert_assembly_matches_cochain_maps(canonical_rep("t_8"))
+
+
+@pytest.mark.parametrize(
+    "label,dims",
+    [("l_26", (123, 82, 30, 93, 65)), ("t_8", (88, 56, 42, 46, 28))],
+)
+def test_eight_dimensional_canonical_connection_cohomology(label, dims):
+    s = cohomology(canonical_rep(label))
+    assert (s.dim_z2, s.dim_z2_lagrangian, s.dim_b2, s.dim_h2, s.dim_h2_lagrangian) == dims
