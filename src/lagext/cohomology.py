@@ -22,11 +22,12 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    echelon_kernel,
     is_zero_vector,
     kernel_basis,
     quotient_basis,
+    rref,
     solve_linear,
-    stack,
     vec,
     zero_vector,
 )
@@ -386,10 +387,16 @@ def cyclic_sum_matrix(n: int) -> RatMatrix:
 
 
 def cocycle_bases(rep: DualRep) -> tuple[Subspace, Subspace]:
-    """(Z^2, Z^2_L) as echelon subspaces of flattened C^2 coordinates."""
+    """(Z^2, Z^2_L) as echelon subspaces of flattened C^2 coordinates.
+
+    d2 is row-reduced once.  Z^2_L is the kernel of its reduced rows stacked
+    on the cyclic-sum rows: they span the same row space as d2, and a
+    subspace has exactly one reduced echelon basis.
+    """
     d2 = matrix_of_coboundary_2(rep)
-    z2 = kernel_basis(d2)
-    z2l = kernel_basis(stack(d2, cyclic_sum_matrix(rep.dim)))
+    reduced, pivots = rref(d2.entries)
+    z2 = echelon_kernel(reduced, pivots, d2.cols)
+    z2l = kernel_basis(RatMatrix(tuple(reduced) + cyclic_sum_matrix(rep.dim).entries))
     return z2, z2l
 
 

@@ -5,12 +5,19 @@ sum_k gamma[i][j][k] e_k.  Torsion-freeness is the pre-Lie axiom
 x.y - y.x = [x, y]; flatness says x -> nabla_x is a representation.  The
 left-symmetric associator identity (x,y,z) = (y,x,z) is computed as an
 independent cross-validation of the curvature check.
+
+Each verdict on a connection (the sweep report, the completeness evidence
+and the dual representation) is computed once per ``FlatConnection`` and
+carried with it; the module functions below are accessors.  This is sound
+because a connection is immutable: its tensors are tuples of Fractions, and
+every constructor in this package freezes them through ``_freeze_tensor``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .lie import LieAlgebra, _freeze_tensor
@@ -33,7 +40,12 @@ RANDOM_DIRECTION_SEED = "flat-conn-directions"
 
 @dataclass(frozen=True)
 class FlatConnection:
-    """Connection tensor over a base Lie algebra, with any instantiated parameters."""
+    """Connection tensor over a base Lie algebra, with any instantiated parameters.
+
+    ``report``, ``completeness`` and ``dual`` are computed on first use and
+    kept on the instance, so each is computed once per connection.  A
+    verdict that raises is not kept: every access raises again.
+    """
 
     base: LieAlgebra
     gamma: GammaTensor
@@ -104,6 +116,25 @@ class FlatConnection:
     def product(self, x: Vector, y: Vector) -> Vector:
         return self.nabla_of(x).apply(y)
 
+    @cached_property
+    def report(self) -> "ConnectionReport":
+        """The torsion, curvature and associator sweep."""
+        return _sweep(self)
+
+    @cached_property
+    def completeness(self) -> "CompletenessEvidence":
+        """Trace criterion and nilpotency evidence; requires flat torsion-free."""
+        if not self.report.ok:
+            raise ValueError("connection is not flat and torsion-free")
+        return _completeness(self)
+
+    @cached_property
+    def dual(self) -> "DualRep":
+        """The dual representation rho(e_i) = -transpose(nabla_{e_i}); requires flatness."""
+        if not self.report.flat:
+            raise ValueError("connection is not flat; the dual action is not a representation")
+        return _dual(self)
+
 
 @dataclass(frozen=True)
 class ConnectionReport:
@@ -133,7 +164,21 @@ class ConnectionReport:
 
 
 def check_flat_torsion_free(conn: FlatConnection) -> ConnectionReport:
-    """Exact sweep of T = 0, R = 0 and the left-symmetric associator identity."""
+    """Exact sweep of T = 0, R = 0 and the left-symmetric associator identity.
+
+    Computed once per connection and kept as ``conn.report``.  Raises
+    RuntimeError when the curvature and associator verdicts disagree.
+    """
+    return conn.report
+
+
+def _residual_columns(i: int, j: int, m: RatMatrix) -> list:
+    """((i+1, j+1, s+1), column s) for every nonzero column s of m."""
+    columns = (((i + 1, j + 1, s + 1), m.col(s)) for s in range(m.cols))
+    return [(key, col) for key, col in columns if not is_zero_vector(col)]
+
+
+def _sweep(conn: FlatConnection) -> ConnectionReport:
     n = conn.dim
     c = conn.base.bracket
     torsion = []
@@ -146,25 +191,14 @@ def check_flat_torsion_free(conn: FlatConnection) -> ConnectionReport:
 
     nabla = [conn.nabla_matrix(i) for i in range(n)]
     curvature = []
-    for i, j in combinations(range(n), 2):
-        bracket_dir = c[i][j]
-        m = nabla[i] @ nabla[j] - nabla[j] @ nabla[i]
-        m = m - conn.nabla_of(bracket_dir)
-        for s in range(n):
-            col = m.col(s)
-            if not is_zero_vector(col):
-                curvature.append(((i + 1, j + 1, s + 1), col))
-
-    # KV2 in matrix form: the operator z -> (x,y,z) - (y,x,z) for x = e_i,
-    # y = e_j equals N(e_i.e_j) - N(e_j.e_i) - [N_i, N_j].
     associator = []
     for i, j in combinations(range(n), 2):
+        commutator = nabla[i] @ nabla[j] - nabla[j] @ nabla[i]
+        curvature += _residual_columns(i, j, commutator - conn.nabla_of(c[i][j]))
+        # KV2 in matrix form: the operator z -> (x,y,z) - (y,x,z) for x = e_i,
+        # y = e_j equals N(e_i.e_j) - N(e_j.e_i) - [N_i, N_j].
         m = conn.nabla_of(conn.gamma[i][j]) - conn.nabla_of(conn.gamma[j][i])
-        m = m - (nabla[i] @ nabla[j] - nabla[j] @ nabla[i])
-        for s in range(n):
-            col = m.col(s)
-            if not is_zero_vector(col):
-                associator.append(((i + 1, j + 1, s + 1), col))
+        associator += _residual_columns(i, j, m - commutator)
 
     report = ConnectionReport(tuple(torsion), tuple(curvature), tuple(associator))
     if not report.kv_consistent:
@@ -211,11 +245,13 @@ def is_geodesically_complete(conn: FlatConnection) -> CompletenessEvidence:
     """Completeness via tr(rho_x) = 0 on the basis (sufficient by linearity).
 
     Raises ValueError when the connection is not flat torsion-free, since the
-    criterion is only meaningful for flat Lie algebras.
+    criterion is only meaningful for flat Lie algebras.  Computed once per
+    connection and kept as ``conn.completeness``.
     """
-    report = check_flat_torsion_free(conn)
-    if not report.ok:
-        raise ValueError("connection is not flat and torsion-free")
+    return conn.completeness
+
+
+def _completeness(conn: FlatConnection) -> CompletenessEvidence:
     n = conn.dim
     right = [conn.right_mult_matrix(j) for j in range(n)]
     traces = tuple(m.trace() for m in right)
@@ -257,11 +293,13 @@ def dual_representation(conn: FlatConnection) -> DualRep:
 
     The representation law rho([x,y]) = [rho(x), rho(y)] is re-verified on
     all basis pairs; failure would mean the flatness check and the dual
-    construction disagree, which is an internal error.
+    construction disagree, which is an internal error.  Computed once per
+    connection and kept as ``conn.dual``.
     """
-    report = check_flat_torsion_free(conn)
-    if not report.flat:
-        raise ValueError("connection is not flat; the dual action is not a representation")
+    return conn.dual
+
+
+def _dual(conn: FlatConnection) -> DualRep:
     n = conn.dim
     mats = tuple(-conn.nabla_matrix(i).transpose() for i in range(n))
     rep = DualRep(conn, mats)

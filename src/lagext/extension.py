@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .cohomology import (
@@ -138,7 +139,15 @@ def dual_subspace(n: int) -> Subspace:
 
 @dataclass(frozen=True)
 class ExtensionTriple:
-    """Connection on the base plus a 2-cocycle for its dual representation."""
+    """Connection on the base plus a 2-cocycle for its dual representation.
+
+    The built extension (``extension``) is computed on first use and kept on
+    the instance, so it is built once per triple, as each verdict on the
+    connection is computed once per connection.  This is sound because a
+    triple is immutable: the tensors of its connection and its cocycle are
+    tuples of Fractions.  A build that raises is not kept: every access
+    raises again.
+    """
 
     connection: FlatConnection
     cocycle: TwoCochain
@@ -154,14 +163,29 @@ class ExtensionTriple:
     def dual_rep(self) -> DualRep:
         return dual_representation(self.connection)
 
+    @cached_property
+    def extension(self) -> "SymplecticLieAlgebra":
+        """The built extension, named ext(<connection label>)."""
+        return _build(self)
+
 
 def build_extension(triple: ExtensionTriple, name: str = "") -> SymplecticLieAlgebra:
     """The 2n-dimensional algebra of the triple, with the standard pairing form.
 
     Raises CocycleError when the cochain fails the cocycle condition (the
     Jacobi identity of the result is equivalent to it), and ValueError when
-    the connection is not flat torsion-free.
+    the connection is not flat torsion-free.  The algebra is named ``name``,
+    or ext(<connection label>) by default.
     """
+    extension = triple.extension
+    if not name:
+        return extension
+    return SymplecticLieAlgebra(
+        extension.algebra.rename(name), extension.omega, extension.lagrangian_ideal
+    )
+
+
+def _build(triple: ExtensionTriple) -> SymplecticLieAlgebra:
     conn = triple.connection
     report = check_flat_torsion_free(conn)
     if not report.ok:
@@ -190,7 +214,7 @@ def build_extension(triple: ExtensionTriple, name: str = "") -> SymplecticLieAlg
                 c[i][n + m][n + t] = col[t]
                 c[n + m][i][n + t] = -col[t]
     algebra = require_jacobi(
-        LieAlgebra(total, _freeze_tensor(c), name or f"ext({conn.label or 'conn'})")
+        LieAlgebra(total, _freeze_tensor(c), f"ext({conn.label or 'conn'})")
     )
     return SymplecticLieAlgebra(algebra, standard_omega(n), dual_subspace(n))
 
@@ -407,14 +431,50 @@ def _uniform_rho_nilindex(rep: DualRep) -> int | None:
     return None
 
 
+def _sampled_condition_sum(
+    conn: FlatConnection, rep: DualRep, alpha: TwoCochain, p: int
+) -> bool:
+    """Whether sum_j rho(x)^j alpha(x, ad_x^{p-1-j} y) vanishes for all y, on
+    the basis directions x and NILPOTENCY_DIRECTION_COUNT seeded random ones."""
+    n = conn.dim
+    directions = list(
+        random_vectors(
+            NILPOTENCY_DIRECTION_SEED,
+            conn.label or "conn",
+            n,
+            NILPOTENCY_DIRECTION_COUNT,
+        )
+    )
+    directions = [unit_vector(n, i) for i in range(n)] + directions
+    for x in directions:
+        ad_x = conn.base.ad_matrix(x)
+        rho_x = rep.rho_of(x)
+        # ad_x^{p-1-j} e_b precomputed for all powers 0..p-1
+        powers = [[unit_vector(n, b) for b in range(n)]]
+        for _ in range(p - 1):
+            powers.append([ad_x.apply(v) for v in powers[-1]])
+        for b in range(n):
+            total = [ZERO] * n
+            for jj in range(p):
+                term = alpha.value_at(x, powers[p - 1 - jj][b])
+                for _ in range(jj):
+                    term = rho_x.apply(term)
+                for t in range(n):
+                    total[t] += term[t]
+            if not is_zero_vector(tuple(total)):
+                return False
+    return True
+
+
 def extension_nilpotency(triple: ExtensionTriple) -> NilpotencyCertificate:
     """Nilpotency of the extension, certified two independent ways.
 
     Path (a): the lower central series of the built algebra (authoritative).
     Path (b): base nilpotent + connection complete + the vanishing of
-    sum_j rho(x)^j alpha(x, ad_x^{p-1-j} y), checked on basis directions and
-    seeded random x with p = class(h) + uniform nilindex of rho.  A
-    disagreement raises IntegrityError.
+    sum_j rho(x)^j alpha(x, ad_x^{p-1-j} y), with p = class(h) + uniform
+    nilindex of rho.  For alpha = 0 every term is alpha(x, .) = 0, so the sum
+    vanishes exactly; otherwise it is checked on basis directions and seeded
+    random x.  A disagreement raises IntegrityError.
     """
     extension = build_extension(triple)
     series = lower_central_series(extension.algebra)
@@ -434,36 +494,7 @@ def extension_nilpotency(triple: ExtensionTriple) -> NilpotencyCertificate:
         rho_index = _uniform_rho_nilindex(rep)
         p = max(1, base_class + (rho_index if rho_index is not None else n))
         alpha = triple.cocycle
-        directions = list(
-            random_vectors(
-                NILPOTENCY_DIRECTION_SEED,
-                conn.label or "conn",
-                n,
-                NILPOTENCY_DIRECTION_COUNT,
-            )
-        )
-        directions = [unit_vector(n, i) for i in range(n)] + directions
-        condition_ok = True
-        for x in directions:
-            ad_x = conn.base.ad_matrix(x)
-            rho_x = rep.rho_of(x)
-            # ad_x^{p-1-j} e_b precomputed for all powers 0..p-1
-            powers = [[unit_vector(n, b) for b in range(n)]]
-            for _ in range(p - 1):
-                powers.append([ad_x.apply(v) for v in powers[-1]])
-            for b in range(n):
-                total = [ZERO] * n
-                for jj in range(p):
-                    term = alpha.value_at(x, powers[p - 1 - jj][b])
-                    for _ in range(jj):
-                        term = rho_x.apply(term)
-                    for t in range(n):
-                        total[t] += term[t]
-                if not is_zero_vector(tuple(total)):
-                    condition_ok = False
-                    break
-            if not condition_ok:
-                break
+        condition_ok = alpha.is_zero() or _sampled_condition_sum(conn, rep, alpha, p)
 
     certificate = NilpotencyCertificate(
         nilpotent=verdict_a,

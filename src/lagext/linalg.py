@@ -316,8 +316,12 @@ class Subspace:
 
 def kernel_basis(m: RatMatrix) -> Subspace:
     """Nullspace {v : Mv = 0}, echelon-reduced; dim = cols - rank."""
-    n_cols = m.cols
     reduced, pivots = rref(m.entries)
+    return echelon_kernel(reduced, pivots, m.cols)
+
+
+def echelon_kernel(reduced, pivots, n_cols: int) -> Subspace:
+    """Nullspace of a matrix from its ``rref`` output (nonzero rows and pivots)."""
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
     vectors = []
@@ -381,8 +385,3 @@ def quotient_basis(w: Subspace, v: Subspace) -> tuple[Vector, ...]:
     assert len(reps) == w.dim - v.dim
     return tuple(reps)
 
-
-def stack(top: RatMatrix, bottom: RatMatrix) -> RatMatrix:
-    if top.cols != bottom.cols:
-        raise ValueError("column count mismatch")
-    return RatMatrix(top.entries + bottom.entries)

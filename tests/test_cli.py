@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from click.testing import CliRunner
 
@@ -37,6 +39,22 @@ def test_verify_catalog_suspect_entry_conflicts_exit_zero(runner):
     assert result.exit_code == 0
     rows = result.output.strip().splitlines()[1:]
     assert rows and all("\tconflict\t" in row for row in rows)
+
+
+def test_verify_catalog_output_bytes_are_pinned(runner):
+    # Two runs in one process (criterion 9) cannot see a change that both
+    # share; these digests are the output of the full catalog sweep.
+    tsv = runner.invoke(main, ["verify-catalog", "--samples", "3", "--format", "tsv"])
+    assert tsv.exit_code == 1
+    assert len(tsv.stdout_bytes.splitlines()) == 1 + 1062
+    assert hashlib.sha256(tsv.stdout_bytes).hexdigest() == (
+        "e92a19a4578509d5f00df531b03b2951d07ded3ff48ad4c8b60ab0e8470d83f5"
+    )
+    text = runner.invoke(main, ["verify-catalog"])
+    assert text.exit_code == 1
+    assert hashlib.sha256(text.stdout_bytes).hexdigest() == (
+        "8f8862b20d06196e070deec607f74dce123988fdee9c3b777909e4e4c85391f4"
+    )
 
 
 def test_verify_catalog_unknown_entry_errors(runner):

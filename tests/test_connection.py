@@ -139,3 +139,24 @@ def test_nabla_of_is_linear():
             conn.nabla_of(sum_xy).entries
             == (conn.nabla_of(x) + conn.nabla_of(y)).entries
         )
+
+
+def test_verdicts_are_computed_once_per_connection():
+    conn = connection_for("l_26")
+    assert check_flat_torsion_free(conn) is check_flat_torsion_free(conn)
+    assert is_geodesically_complete(conn) is is_geodesically_complete(conn)
+    assert dual_representation(conn) is dual_representation(conn)
+    assert conn.report is check_flat_torsion_free(conn)
+
+
+def test_failed_verdicts_raise_on_every_call():
+    conn = connection_for("t_6")  # neither torsion-free nor flat as shipped
+    for _ in range(3):
+        with pytest.raises(ValueError) as dual_error:
+            dual_representation(conn)
+        assert str(dual_error.value) == (
+            "connection is not flat; the dual action is not a representation"
+        )
+        with pytest.raises(ValueError) as complete_error:
+            is_geodesically_complete(conn)
+        assert str(complete_error.value) == "connection is not flat and torsion-free"

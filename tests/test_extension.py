@@ -2,10 +2,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from lagext.catalog import base_algebra, connection_for
+from lagext.catalog import (
+    base_algebra,
+    connection_for,
+    instantiate,
+    sample_parameters,
+    table1_entries,
+)
 from lagext.cohomology import OneCochain, TwoCochain, coboundary_1, cocycle_bases, two_cochain_from_coefficients
-from lagext.connection import FlatConnection, dual_representation
+from lagext.connection import (
+    FlatConnection,
+    check_flat_torsion_free,
+    dual_representation,
+    is_geodesically_complete,
+)
 from lagext.extension import (
+    NILPOTENCY_DIRECTION_COUNT,
+    NILPOTENCY_DIRECTION_SEED,
     CocycleError,
     ExtensionTriple,
     SymplecticLieAlgebra,
@@ -22,10 +35,12 @@ from lagext.extension import (
     standard_omega,
     symplectic_orthogonal,
     symplectic_reduction,
+    _sampled_condition_sum,
+    _uniform_rho_nilindex,
 )
-from lagext.lie import LieAlgebra, check_jacobi, lower_central_series
+from lagext.lie import LieAlgebra, check_jacobi, lower_central_series, nilpotency_class
 from lagext.linalg import RatMatrix, Subspace, unit_vector, vec
-from lagext.sampling import random_rational, rng_for
+from lagext.sampling import random_rational, random_vectors, rng_for
 
 
 def triple(label, alpha=None, **params):
@@ -94,6 +109,30 @@ def test_extension_rejects_non_cocycle():
     with pytest.raises(CocycleError) as excinfo:
         build_extension(ExtensionTriple(conn, alpha))
     assert excinfo.value.witnesses[0][0] == (1, 2, 4)
+
+
+def test_failed_build_raises_on_every_call():
+    conn = connection_for("t_8")
+    bad = ExtensionTriple(conn, TwoCochain.from_pairs(4, {(0, 1): (0, 1, 0, 0)}))
+    raised = []
+    for _ in range(3):
+        with pytest.raises(CocycleError) as excinfo:
+            build_extension(bad)
+        raised.append((str(excinfo.value), excinfo.value.witnesses))
+    assert raised[0] == raised[1] == raised[2]
+    assert raised[0][1][0][0] == (1, 2, 4)
+
+
+def test_build_is_kept_per_triple_and_renamed_on_request():
+    t = triple("l_26")
+    ext = build_extension(t)
+    assert build_extension(t) is ext
+    assert ext.algebra.name == "ext(l_26)"
+    named = build_extension(t, name="l_26_ext")
+    assert named.algebra.name == "l_26_ext"
+    assert named.algebra.bracket == ext.algebra.bracket
+    assert (named.omega, named.lagrangian_ideal) == (ext.omega, ext.lagrangian_ideal)
+    assert build_extension(t) is ext
 
 
 def test_extension_rejects_non_flat_connection():
@@ -408,6 +447,82 @@ def test_nilpotency_paths_agree_across_catalog_samples():
     for label in ("l_26", "a_10", "t_8", "t_18", "l_38"):
         cert = extension_nilpotency(triple(label))
         assert cert.nilpotent == cert.conditions_verdict == True  # noqa: E712
+
+
+def reference_condition_sum(conn, rep, alpha, p):
+    """Path (b) sampled on the basis and the seeded random directions, for
+    every cocycle, as extension_nilpotency did before its alpha = 0 case."""
+    n = conn.dim
+    directions = [unit_vector(n, i) for i in range(n)] + list(
+        random_vectors(
+            NILPOTENCY_DIRECTION_SEED, conn.label or "conn", n, NILPOTENCY_DIRECTION_COUNT
+        )
+    )
+    for x in directions:
+        ad_x = conn.base.ad_matrix(x)
+        rho_x = rep.rho_of(x)
+        powers = [[unit_vector(n, b) for b in range(n)]]
+        for _ in range(p - 1):
+            powers.append([ad_x.apply(v) for v in powers[-1]])
+        for b in range(n):
+            total = [F(0)] * n
+            for jj in range(p):
+                term = alpha.value_at(x, powers[p - 1 - jj][b])
+                for _ in range(jj):
+                    term = rho_x.apply(term)
+                for t in range(n):
+                    total[t] += term[t]
+            if any(total):
+                return False
+    return True
+
+
+def power_bound(conn, rep):
+    rho_index = _uniform_rho_nilindex(rep)
+    return max(1, nilpotency_class(conn.base) + (rho_index if rho_index is not None else conn.dim))
+
+
+def flat_catalog_samples():
+    for entry in table1_entries():
+        if entry.suspect:
+            continue
+        for sample in sample_parameters(entry, 3):
+            conn = instantiate(entry, sample)
+            if check_flat_torsion_free(conn).ok:
+                yield conn
+
+
+def test_zero_cocycle_certificate_matches_sampled_reference():
+    checked = 0
+    for conn in flat_catalog_samples():
+        t = ExtensionTriple.with_zero_cocycle(conn)
+        rep = dual_representation(conn)
+        p = power_bound(conn, rep)
+        assert reference_condition_sum(conn, rep, t.cocycle, p) is True
+        expected = (
+            tuple(s.dim for s in lower_central_series(build_extension(t).algebra)),
+            p,
+            is_geodesically_complete(conn).complete,
+            True,
+        )
+        cert = extension_nilpotency(t)
+        assert (cert.lcs_dims, cert.power_bound, cert.complete, cert.condition_sum_ok) == expected
+        checked += 1
+    assert checked == 108
+
+
+def test_sampled_condition_sum_matches_reference_on_nonzero_cocycles():
+    rng = rng_for(29, "condition-sum-reference")
+    for label in ("l_26", "a_3", "t_8", "a_10"):
+        conn = connection_for(label)
+        rep = dual_representation(conn)
+        p = power_bound(conn, rep)
+        for draw in (random_lagrangian_cocycle, random_cocycle):
+            alpha = draw(conn, rng)
+            assert not alpha.is_zero()
+            assert _sampled_condition_sum(conn, rep, alpha, p) == reference_condition_sum(
+                conn, rep, alpha, p
+            )
 
 
 # ---------------------------------------------------------------------------

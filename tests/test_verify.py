@@ -1,11 +1,15 @@
 """Report machinery: record structure, witnesses, skip cascades, formats."""
 
+from collections import Counter
+
 import pytest
 
-from lagext.catalog import entry_by_label
+from lagext import connection, extension
+from lagext.catalog import entry_by_label, instantiate, sample_parameters
 from lagext.verify import (
     CHECK_NAMES,
     ReportRecord,
+    _connection_records,
     format_text,
     format_tsv,
     run_verify_catalog,
@@ -86,3 +90,41 @@ def test_full_run_record_accounting():
     assert counts["fail"] == 3 * 3
     assert counts["skipped"] == 3 * 6
     assert exit_code == 1
+
+
+@pytest.fixture
+def verdict_counts(monkeypatch):
+    """Counts of the sweep, dual, completeness and build computations."""
+    counts = Counter()
+    for module, name in (
+        (connection, "_sweep"),
+        (connection, "_dual"),
+        (connection, "_completeness"),
+        (extension, "_build"),
+    ):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def _first_sample_records(label):
+    entry = entry_by_label(label)
+    conn = instantiate(entry, sample_parameters(entry, 1)[0])
+    return _connection_records(label, "s0", conn)
+
+
+@pytest.mark.parametrize("label", ["l_26", "a_3", "t_5"])
+def test_passing_row_computes_each_verdict_once(label, verdict_counts):
+    records = _first_sample_records(label)
+    assert [r.status for r in records] == ["pass"] * len(CHECK_NAMES)
+    # Two sweeps and two completeness checks: the row's connection and the
+    # one recovered from its extension.  One dual and one build.
+    assert verdict_counts == {"_sweep": 2, "_dual": 1, "_completeness": 2, "_build": 1}
+
+
+def test_defective_row_sweeps_once(verdict_counts):
+    _first_sample_records("t_6")
+    assert verdict_counts == {"_sweep": 1}
