@@ -279,13 +279,29 @@ class DualRep:
     def dim(self) -> int:
         return self.connection.dim
 
+    @cached_property
+    def nonzero_entries(self) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
+        """The (row, column, value) of each nonzero entry of each rho(e_i)."""
+        return tuple(
+            tuple(
+                (r, c, value)
+                for r, row in enumerate(m.entries)
+                for c, value in enumerate(row)
+                if value
+            )
+            for m in self.matrices
+        )
+
     def rho_of(self, x: Vector) -> RatMatrix:
+        """rho(x) = sum_i x_i rho(e_i), assembled from the nonzero entries."""
         n = self.dim
-        out = RatMatrix.zero(n, n)
-        for i in range(n):
-            if x[i] != 0:
-                out = out + self.matrices[i].scale(x[i])
-        return out
+        rows = [[ZERO] * n for _ in range(n)]
+        for i, entries in enumerate(self.nonzero_entries):
+            xi = x[i]
+            if xi:
+                for r, c, value in entries:
+                    rows[r][c] += xi * value
+        return RatMatrix(tuple(tuple(r) for r in rows))
 
 
 def dual_representation(conn: FlatConnection) -> DualRep:

@@ -48,8 +48,8 @@ from .linalg import (
     ZERO,
     is_zero_vector,
     kernel_basis,
-    solve_linear,
     unit_vector,
+    vec_dot,
     zero_vector,
 )
 from .sampling import random_vectors
@@ -76,7 +76,9 @@ class SymplecticLieAlgebra:
     """A Lie algebra with a candidate symplectic form.
 
     Construction does not assert closedness; use ``d_omega`` /
-    ``validate`` to check dw = 0 and non-degeneracy.
+    ``validate`` to check dw = 0 and non-degeneracy.  The classification of
+    ``lagrangian_ideal`` (``ideal_verdict``) is computed on first use and kept,
+    as the algebra and the form are immutable.
     """
 
     algebra: LieAlgebra
@@ -107,6 +109,11 @@ class SymplecticLieAlgebra:
             ),
             ZERO,
         )
+
+    @cached_property
+    def ideal_verdict(self) -> "IdealVerdict":
+        """The classification of ``lagrangian_ideal``, computed once per instance."""
+        return _classify_ideal(self, self.lagrangian_ideal)
 
     def validate(self) -> None:
         """Raise ValueError unless omega is invertible and closed."""
@@ -233,27 +240,32 @@ class DOmegaResult:
 
 
 def d_omega(s: SymplecticLieAlgebra, omega: RatMatrix | None = None) -> DOmegaResult:
-    """Chevalley-Eilenberg differential of omega on all basis triples."""
-    om = omega if omega is not None else s.omega
+    """Chevalley-Eilenberg differential of omega on all basis triples.
+
+    dw(e_i, e_j, e_k) = w(e_i, [e_j, e_k]) + w(e_j, [e_k, e_i]) + w(e_k, [e_i, e_j]),
+    each term summed over the nonzero structure constants of the bracket and
+    the nonzero entries of the row of omega.
+    """
     n = s.dim
-    algebra = s.algebra
-    e = [unit_vector(n, i) for i in range(n)]
-
-    def w(x: Vector, y: Vector) -> Fraction:
-        return sum(
-            (x[p] * om[p, q] * y[q] for p in range(n) if x[p] != 0 for q in range(n) if y[q] != 0),
-            ZERO,
-        )
-
+    table = s.algebra.nonzero_brackets
+    w = _omega_on_brackets(omega if omega is not None else s.omega)
     out = []
     for i, j, k in combinations(range(n), 3):
-        value = (
-            w(e[i], algebra.bracket_vectors(e[j], e[k]))
-            + w(e[j], algebra.bracket_vectors(e[k], e[i]))
-            + w(e[k], algebra.bracket_vectors(e[i], e[j]))
-        )
+        value = w(i, table[j][k]) + w(j, table[k][i]) + w(k, table[i][j])
         out.append(((i + 1, j + 1, k + 1), value))
     return DOmegaResult(tuple(out))
+
+
+def _omega_on_brackets(omega: RatMatrix):
+    """w(p, terms) = omega(e_p, v) for v the sum of c e_q over (q, c) in terms,
+    summed over the nonzero entries of row p of omega."""
+    rows = [{q: x for q, x in enumerate(row) if x} for row in omega.entries]
+
+    def w(p: int, terms) -> Fraction:
+        row = rows[p]
+        return sum((row[q] * c for q, c in terms if q in row), ZERO)
+
+    return w
 
 
 def check_bianchi(alpha: TwoCochain) -> bool:
@@ -283,8 +295,15 @@ def is_lagrangian_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
     """Classify J and report whether its symplectic orthogonal is an ideal.
 
     Isotropy is decided first; an isotropic subspace that is not an ideal
-    reports not_ideal.
+    reports not_ideal.  The verdict on ``s.lagrangian_ideal`` is computed once
+    per algebra and kept as ``s.ideal_verdict``.
     """
+    if j == s.lagrangian_ideal:
+        return s.ideal_verdict
+    return _classify_ideal(s, j)
+
+
+def _classify_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
     normal = s.algebra.is_ideal(symplectic_orthogonal(s, j))
     isotropic = all(
         s.omega_value(u, v) == 0 for u in j.basis for v in j.basis
@@ -345,23 +364,20 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
     quotient = quotient_algebra(s.algebra, j, name=f"{s.algebra.name}/ideal")
     keep = j.complement_coordinates()
     n = quotient.dim
-    lifts = [unit_vector(s.dim, t) for t in keep]
-    pairing = RatMatrix(
-        tuple(tuple(s.omega_value(lifts[a], u) for u in j.basis) for a in range(n))
-    )
-    if not pairing.is_invertible():
-        raise ValueError("pairing between quotient and ideal is degenerate")
-    pairing_t = pairing.transpose()
+    omega_rows = [s.omega.row(t) for t in keep]
+    pairing = RatMatrix(tuple(tuple(vec_dot(row, u) for u in j.basis) for row in omega_rows))
+    # The system for each gamma(a, b) is pairing^T x = rhs: invert it once.
+    try:
+        solver = pairing.transpose().inverse()
+    except ValueError:
+        raise ValueError("pairing between quotient and ideal is degenerate") from None
     gamma = [[None] * n for _ in range(n)]
     for a in range(n):
+        # [lift_a, u] for each u in J, shared by every b
+        brackets = [s.algebra.bracket_vectors(unit_vector(s.dim, keep[a]), u) for u in j.basis]
         for b in range(n):
-            rhs = tuple(
-                -s.omega_value(lifts[b], s.algebra.bracket_vectors(lifts[a], u))
-                for u in j.basis
-            )
-            coeffs = solve_linear(pairing_t, rhs)
-            assert coeffs is not None
-            gamma[a][b] = coeffs
+            rhs = tuple(-vec_dot(omega_rows[b], v) for v in brackets)
+            gamma[a][b] = solver.apply(rhs)
     conn = FlatConnection(quotient, _freeze_tensor(gamma), label=f"induced({s.algebra.name})")
     report = check_flat_torsion_free(conn)
     if not report.ok:
@@ -382,18 +398,17 @@ def canonical_connection(s: SymplecticLieAlgebra) -> FlatConnection:
     """
     s.validate()
     n = s.dim
-    omega_t = s.omega.transpose()
-    e = [unit_vector(n, i) for i in range(n)]
+    # Every gamma(i, j) solves omega^T w = rhs; validate() has checked omega
+    # invertible, so invert it once.
+    solver = s.omega.transpose().inverse()
+    table = s.algebra.nonzero_brackets
+    w = _omega_on_brackets(s.omega)
     gamma = [[None] * n for _ in range(n)]
     for i in range(n):
         for jj in range(n):
-            rhs = tuple(
-                -s.omega_value(e[jj], s.algebra.bracket_vectors(e[i], e[m]))
-                for m in range(n)
-            )
-            w = solve_linear(omega_t, rhs)
-            assert w is not None
-            gamma[i][jj] = w
+            # rhs_m = -omega(e_j, [e_i, e_m])
+            rhs = tuple(-w(jj, terms) for terms in table[i])
+            gamma[i][jj] = solver.apply(rhs)
     conn = FlatConnection(s.algebra, _freeze_tensor(gamma), label=f"canonical({s.algebra.name})")
     report = check_flat_torsion_free(conn)
     if not report.ok:

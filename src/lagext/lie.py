@@ -4,12 +4,20 @@ The bracket tensor c[i][j][k] encodes [e_i, e_j] = sum_k c[i][j][k] e_k with
 0-based indices.  Antisymmetry is enforced at construction; the Jacobi
 identity is checked either explicitly via ``check_jacobi`` or by the
 constructors of derived algebras (quotients, extensions).
+
+Each algebra keeps the table of its nonzero structure constants
+(``nonzero_brackets``) and its lower central series, both computed on first
+use; the bracket, ideal, adjoint, quotient and Jacobi routines loop over that
+table instead of the dense n^3 index set.  Keeping them is sound because an
+algebra is immutable: its bracket tensor is tuples of Fractions, and every
+constructor in this package freezes it through ``_freeze_tensor``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .linalg import (
@@ -17,17 +25,21 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
-    is_zero_vector,
     kernel_basis,
     unit_vector,
     zero_vector,
 )
 
 BracketTensor = tuple[tuple[Vector, ...], ...]
+# NonzeroTable[i][j] lists the (k, c) with c = c[i][j][k] != 0, k ascending.
+NonzeroTable = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
 
 
 def _freeze_tensor(c) -> BracketTensor:
-    return tuple(tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in c)
+    return tuple(
+        tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in plane)
+        for plane in c
+    )
 
 
 @dataclass(frozen=True)
@@ -47,8 +59,8 @@ class LieAlgebra:
             raise ValueError("bracket tensor shape does not match dim")
         for i in range(n):
             for j in range(i, n):
-                for k in range(n):
-                    if c[i][j][k] != -c[j][i][k]:
+                for k, (a, b) in enumerate(zip(c[i][j], c[j][i])):
+                    if (a or b) and a != -b:
                         raise ValueError(f"bracket not antisymmetric at ({i+1},{j+1},{k+1})")
 
     @staticmethod
@@ -67,38 +79,62 @@ class LieAlgebra:
     def abelian(dim: int, name: str = "") -> "LieAlgebra":
         return LieAlgebra.from_brackets(dim, {}, name)
 
+    @cached_property
+    def nonzero_brackets(self) -> NonzeroTable:
+        """The nonzero structure constants: [e_i, e_j] = sum of c e_k over (k, c) in [i][j]."""
+        return tuple(
+            tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
+            for plane in self.bracket
+        )
+
+    @cached_property
+    def central_series(self) -> tuple[Subspace, ...]:
+        """The lower central series, computed once per algebra."""
+        return _lower_central_series(self)
+
     def bracket_vectors(self, x: Vector, y: Vector) -> Vector:
         n = self.dim
         out = [ZERO] * n
+        table = self.nonzero_brackets
+        y_support = [(j, y[j]) for j in range(n) if y[j]]
         for i in range(n):
-            if x[i] == 0:
+            xi = x[i]
+            if not xi:
                 continue
-            for j in range(n):
-                if y[j] == 0:
-                    continue
-                coeff = x[i] * y[j]
-                row = self.bracket[i][j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] += coeff * row[k]
+            plane = table[i]
+            for j, yj in y_support:
+                terms = plane[j]
+                if terms:
+                    coeff = xi * yj
+                    for k, c in terms:
+                        out[k] += coeff * c
         return tuple(out)
 
     def ad_matrix(self, x: Vector) -> RatMatrix:
-        """Matrix of ad_x = [x, .] in the fixed basis."""
+        """Matrix of ad_x = [x, .] in the fixed basis (column j = [x, e_j])."""
         n = self.dim
-        cols = [self.bracket_vectors(x, unit_vector(n, j)) for j in range(n)]
-        return RatMatrix(tuple(cols)).transpose()
+        rows = [[ZERO] * n for _ in range(n)]
+        for i, plane in enumerate(self.nonzero_brackets):
+            xi = x[i]
+            if not xi:
+                continue
+            for j, terms in enumerate(plane):
+                for k, c in terms:
+                    rows[k][j] += xi * c
+        return RatMatrix(tuple(tuple(r) for r in rows))
 
     def is_ideal(self, sub: Subspace) -> bool:
-        n = self.dim
-        return all(
-            sub.contains(self.bracket_vectors(unit_vector(n, i), v))
-            for i in range(n)
-            for v in sub.basis
-        )
+        return all(sub.contains(col) for col in _ad_images(self, sub))
 
     def rename(self, name: str) -> "LieAlgebra":
         return LieAlgebra(self.dim, self.bracket, name)
+
+
+def _ad_images(algebra: LieAlgebra, sub: Subspace) -> list[Vector]:
+    """The nonzero brackets [v, e_j] for v in the basis of sub; they span [sub, g]."""
+    return [
+        col for v in sub.basis for col in zip(*algebra.ad_matrix(v).entries) if any(col)
+    ]
 
 
 @dataclass(frozen=True)
@@ -110,20 +146,17 @@ class JacobiViolation:
 def check_jacobi(algebra: LieAlgebra) -> tuple[JacobiViolation, ...]:
     """All basis triples i<j<k where the cyclic Jacobi sum is nonzero."""
     n = algebra.dim
-    c = algebra.bracket
+    table = algebra.nonzero_brackets
     violations = []
     for i, j, k in combinations(range(n), 3):
         r = [ZERO] * n
-        for a, inner_row in ((i, c[j][k]), (j, c[k][i]), (k, c[i][j])):
-            # contribution of [e_a, inner] with inner = the listed bracket row
-            for t in range(n):
-                coeff = inner_row[t]
-                if coeff:
-                    outer = c[a][t]
-                    for m in range(n):
-                        if outer[m]:
-                            r[m] += coeff * outer[m]
-        if not is_zero_vector(tuple(r)):
+        for a, inner in ((i, table[j][k]), (j, table[k][i]), (k, table[i][j])):
+            # contribution of [e_a, inner] with inner = the listed bracket's terms
+            outer = table[a]
+            for t, coeff in inner:
+                for m, x in outer[t]:
+                    r[m] += coeff * x
+        if any(r):
             violations.append(JacobiViolation((i + 1, j + 1, k + 1), tuple(r)))
     return tuple(violations)
 
@@ -147,11 +180,19 @@ def bracket_of_subspaces(algebra: LieAlgebra, a: Subspace, b: Subspace) -> Subsp
 
 
 def lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
-    """C^0 = g, C^{p+1} = [g, C^p], listed down to the first stable term."""
-    full = Subspace.full(algebra.dim)
-    series = [full]
+    """C^0 = g, C^{p+1} = [g, C^p], listed down to the first stable term.
+
+    Computed once per algebra and kept as ``algebra.central_series``.
+    """
+    return algebra.central_series
+
+
+def _lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
+    # [g, C] is spanned by the [v, e_j] = -[e_j, v], v in C; the reduced
+    # echelon basis of a span does not depend on the spanning set.
+    series = [Subspace.full(algebra.dim)]
     while True:
-        nxt = bracket_of_subspaces(algebra, full, series[-1])
+        nxt = Subspace.from_vectors(algebra.dim, _ad_images(algebra, series[-1]))
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
@@ -262,12 +303,14 @@ def quotient_algebra(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> Li
     keep = ideal.complement_coordinates()
     m = len(keep)
     n = algebra.dim
+    table = algebra.nonzero_brackets
+    e = [unit_vector(n, t) for t in range(n)]
     c = [[list(zero_vector(m)) for _ in range(m)] for _ in range(m)]
     for a in range(m):
         for b in range(m):
-            w = ideal.reduce(
-                algebra.bracket_vectors(unit_vector(n, keep[a]), unit_vector(n, keep[b]))
-            )
+            if not table[keep[a]][keep[b]]:
+                continue
+            w = ideal.reduce(algebra.bracket_vectors(e[keep[a]], e[keep[b]]))
             # Reduction against the ideal's echelon basis leaves support on
             # non-pivot coordinates only.
             for t in range(m):

@@ -56,11 +56,12 @@ def unit_vector(n: int, i: int) -> Vector:
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    # An entry whose partner is zero passes through: x + 0 = x, as a Fraction.
+    return tuple(x + y if y else x for x, y in zip(a, b, strict=True))
 
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
 
 
 def vec_scale(c: Fraction, a: Vector) -> Vector:

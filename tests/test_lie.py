@@ -23,7 +23,11 @@ E3 = (0, 0, 1, 0)
 def test_antisymmetry_enforced():
     c = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
     c[0][1][0] = F(1)  # missing the mirrored entry
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bracket not antisymmetric at \(1,2,1\)$"):
+        LieAlgebra(2, tuple(tuple(tuple(r) for r in p) for p in c))
+    c[0][1][0] = F(0)
+    c[1][1][1] = F(2)  # a nonzero diagonal bracket
+    with pytest.raises(ValueError, match=r"^bracket not antisymmetric at \(2,2,2\)$"):
         LieAlgebra(2, tuple(tuple(tuple(r) for r in p) for p in c))
 
 

@@ -1,0 +1,338 @@
+"""The sparse Lie and extension layers against frozen copies of the dense code.
+
+The ``dense_*`` functions below are the dense implementations that the
+nonzero-structure-constant loops replaced, kept unchanged as differential
+oracles; the gamma references solve each system with ``solve_linear`` as the
+dense code did.  Outputs must agree by value and by type.
+"""
+
+from fractions import Fraction as F
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lagext.catalog import connection_for, instantiate, sample_parameters, table1_entries
+from lagext.cohomology import cocycle_bases, two_cochain_from_coefficients
+from lagext.connection import check_flat_torsion_free, dual_representation
+from lagext.extension import (
+    ExtensionTriple,
+    SymplecticLieAlgebra,
+    build_extension,
+    canonical_connection,
+    d_omega,
+    induced_flat_connection,
+    is_lagrangian_ideal,
+    symplectic_orthogonal,
+)
+from lagext.lie import LieAlgebra, check_jacobi, lower_central_series, quotient_algebra
+from lagext.linalg import RatMatrix, Subspace, solve_linear, unit_vector, vec_add, vec_sub
+from lagext.sampling import random_rational, rng_for
+
+
+def typed(value):
+    """Nested tuples with each scalar paired with its type, so 0 != Fraction(0)."""
+    if isinstance(value, (tuple, list)):
+        return tuple(typed(x) for x in value)
+    if isinstance(value, Subspace):
+        return (value.ambient_dim, typed(value.basis), value.pivots)
+    if isinstance(value, RatMatrix):
+        return typed(value.entries)
+    return (type(value), value)
+
+
+# ---------------------------------------------------------------------------
+# frozen dense implementations
+# ---------------------------------------------------------------------------
+
+
+def dense_bracket_vectors(algebra, x, y):
+    n = algebra.dim
+    out = [F(0)] * n
+    for i in range(n):
+        if x[i] == 0:
+            continue
+        for j in range(n):
+            if y[j] == 0:
+                continue
+            coeff = x[i] * y[j]
+            row = algebra.bracket[i][j]
+            for k in range(n):
+                if row[k] != 0:
+                    out[k] += coeff * row[k]
+    return tuple(out)
+
+
+def dense_ad_matrix(algebra, x):
+    n = algebra.dim
+    cols = [dense_bracket_vectors(algebra, x, unit_vector(n, j)) for j in range(n)]
+    return RatMatrix(tuple(cols)).transpose()
+
+
+def dense_is_ideal(algebra, sub):
+    n = algebra.dim
+    return all(
+        sub.contains(dense_bracket_vectors(algebra, unit_vector(n, i), v))
+        for i in range(n)
+        for v in sub.basis
+    )
+
+
+def dense_check_jacobi(algebra):
+    """(1-based triple, residual) for every basis triple with a nonzero Jacobi sum."""
+    n = algebra.dim
+    c = algebra.bracket
+    violations = []
+    for i, j, k in combinations(range(n), 3):
+        r = [F(0)] * n
+        for a, inner_row in ((i, c[j][k]), (j, c[k][i]), (k, c[i][j])):
+            for t in range(n):
+                coeff = inner_row[t]
+                if coeff:
+                    outer = c[a][t]
+                    for m in range(n):
+                        if outer[m]:
+                            r[m] += coeff * outer[m]
+        if any(x != 0 for x in r):
+            violations.append(((i + 1, j + 1, k + 1), tuple(r)))
+    return tuple(violations)
+
+
+def dense_lower_central_series(algebra):
+    full = Subspace.full(algebra.dim)
+    series = [full]
+    while True:
+        vectors = [
+            dense_bracket_vectors(algebra, x, y) for x in full.basis for y in series[-1].basis
+        ]
+        nxt = Subspace.from_vectors(algebra.dim, vectors)
+        if nxt.dim == series[-1].dim:
+            break
+        series.append(nxt)
+        if nxt.dim == 0:
+            break
+    return tuple(series)
+
+
+def dense_d_omega(s, omega=None):
+    om = omega if omega is not None else s.omega
+    n = s.dim
+    e = [unit_vector(n, i) for i in range(n)]
+
+    def w(x, y):
+        return sum(
+            (x[p] * om[p, q] * y[q] for p in range(n) if x[p] != 0 for q in range(n) if y[q] != 0),
+            F(0),
+        )
+
+    out = []
+    for i, j, k in combinations(range(n), 3):
+        value = (
+            w(e[i], dense_bracket_vectors(s.algebra, e[j], e[k]))
+            + w(e[j], dense_bracket_vectors(s.algebra, e[k], e[i]))
+            + w(e[k], dense_bracket_vectors(s.algebra, e[i], e[j]))
+        )
+        out.append(((i + 1, j + 1, k + 1), value))
+    return tuple(out)
+
+
+def dense_rho_of(rep, x):
+    n = rep.dim
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        if x[i] != 0:
+            m = rep.matrices[i]
+            for r in range(n):
+                for c in range(n):
+                    rows[r][c] = rows[r][c] + m[r, c] * x[i]
+    return tuple(tuple(row) for row in rows)
+
+
+def solved_induced_gamma(s, j):
+    """gamma of induced_flat_connection, one solve_linear per (a, b)."""
+    keep = j.complement_coordinates()
+    n = len(keep)
+    lifts = [unit_vector(s.dim, t) for t in keep]
+    pairing_t = RatMatrix(
+        tuple(tuple(s.omega_value(lifts[a], u) for u in j.basis) for a in range(n))
+    ).transpose()
+    gamma = []
+    for a in range(n):
+        plane = []
+        for b in range(n):
+            rhs = tuple(
+                -s.omega_value(lifts[b], dense_bracket_vectors(s.algebra, lifts[a], u))
+                for u in j.basis
+            )
+            plane.append(solve_linear(pairing_t, rhs))
+        gamma.append(tuple(plane))
+    return tuple(gamma)
+
+
+def solved_canonical_gamma(s):
+    """gamma of canonical_connection, one solve_linear per (i, j)."""
+    n = s.dim
+    omega_t = s.omega.transpose()
+    e = [unit_vector(n, i) for i in range(n)]
+    return tuple(
+        tuple(
+            solve_linear(
+                omega_t,
+                tuple(
+                    -s.omega_value(e[jj], dense_bracket_vectors(s.algebra, e[i], e[m]))
+                    for m in range(n)
+                ),
+            )
+            for jj in range(n)
+        )
+        for i in range(n)
+    )
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+# ---------------------------------------------------------------------------
+
+
+def assert_lie_layer_matches_dense(algebra, vectors, subspaces):
+    n = algebra.dim
+    units = [unit_vector(n, i) for i in range(n)]
+    for x in units + vectors:
+        assert typed(algebra.ad_matrix(x)) == typed(dense_ad_matrix(algebra, x))
+        for y in units + vectors:
+            assert typed(algebra.bracket_vectors(x, y)) == typed(
+                dense_bracket_vectors(algebra, x, y)
+            )
+    jacobi = tuple((v.triple, v.residual) for v in check_jacobi(algebra))
+    assert typed(jacobi) == typed(dense_check_jacobi(algebra))
+    series = lower_central_series(algebra)
+    assert typed(series) == typed(dense_lower_central_series(algebra))
+    for sub in list(subspaces) + list(series):
+        assert algebra.is_ideal(sub) == dense_is_ideal(algebra, sub)
+
+
+def assert_extension_matches_dense(ext, rng):
+    n = ext.dim
+    vectors = [tuple(random_rational(rng) for _ in range(n)) for _ in range(2)]
+    j = ext.lagrangian_ideal
+    assert_lie_layer_matches_dense(ext.algebra, vectors, [j, symplectic_orthogonal(ext, j)])
+    assert typed(d_omega(ext).residuals) == typed(dense_d_omega(ext))
+    assert typed(induced_flat_connection(ext, j).gamma) == typed(solved_induced_gamma(ext, j))
+
+
+# Mostly zeros: seven entries in eight are zero.
+NONZERO_ENTRIES = [F(p, q) for p in range(-3, 4) if p for q in (1, 2, 3)]
+sparse_entries = st.sampled_from([F(0)] * (7 * len(NONZERO_ENTRIES)) + NONZERO_ENTRIES)
+
+
+def sparse_vector(n):
+    return st.lists(sparse_entries, min_size=n, max_size=n).map(tuple)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_lie_layer_matches_dense_code_on_sparse_tensors(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    entries = {
+        (i, j): data.draw(sparse_vector(n)) for i, j in combinations(range(n), 2)
+    }
+    algebra = LieAlgebra.from_brackets(n, entries, "sparse")
+    vectors = data.draw(st.lists(sparse_vector(n), min_size=1, max_size=3))
+    coordinates = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    subspaces = [
+        Subspace.from_vectors(n, vectors),
+        Subspace.from_vectors(n, [unit_vector(n, k) for k in sorted(coordinates)]),
+    ]
+    assert_lie_layer_matches_dense(algebra, vectors, subspaces)
+
+
+def flat_catalog_samples():
+    for entry in table1_entries():
+        if entry.suspect:
+            continue
+        for sample in sample_parameters(entry, 3):
+            conn = instantiate(entry, sample)
+            if check_flat_torsion_free(conn).ok:
+                yield conn
+
+
+def test_every_flat_catalog_extension_matches_dense_code():
+    rng = rng_for(41, "sparse-oracles")
+    checked = 0
+    for conn in flat_catalog_samples():
+        ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
+        assert_extension_matches_dense(ext, rng)
+        assert typed(quotient_algebra(ext.algebra, ext.lagrangian_ideal).bracket) == typed(
+            conn.base.bracket
+        )
+        rep = dual_representation(conn)
+        for x in [unit_vector(conn.dim, 0), tuple(random_rational(rng) for _ in range(conn.dim))]:
+            assert typed(rep.rho_of(x)) == typed(dense_rho_of(rep, x))
+        checked += 1
+    assert checked == 108
+
+
+def test_seeded_cocycle_extensions_match_dense_code():
+    rng = rng_for(43, "sparse-oracles-cocycles")
+    for label in ("l_26", "a_3", "t_8", "t_18", "a_10", "l_38"):
+        conn = connection_for(label)
+        z2, z2l = cocycle_bases(dual_representation(conn))
+        for basis in (z2l, z2):
+            coeffs = tuple(random_rational(rng) for _ in range(basis.dim))
+            alpha = two_cochain_from_coefficients(basis, coeffs, conn.dim)
+            ext = build_extension(ExtensionTriple(conn, alpha), name=f"{label}_ext")
+            assert_extension_matches_dense(ext, rng)
+            if basis is z2l:  # a Lagrangian cocycle keeps omega closed
+                assert typed(canonical_connection(ext).gamma) == typed(
+                    solved_canonical_gamma(ext)
+                )
+
+
+def test_eight_dimensional_canonical_connections_match_dense_code():
+    rng = rng_for(47, "sparse-oracles-canonical")
+    for label in ("l_26", "t_8"):
+        ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
+        canonical = canonical_connection(ext)
+        assert typed(canonical.gamma) == typed(solved_canonical_gamma(ext))
+        algebra = canonical.base
+        vectors = [tuple(random_rational(rng) for _ in range(8)) for _ in range(2)]
+        assert_lie_layer_matches_dense(algebra, vectors, [ext.lagrangian_ideal])
+        rep = dual_representation(canonical)
+        for x in vectors + [unit_vector(8, 3)]:
+            assert typed(rep.rho_of(x)) == typed(dense_rho_of(rep, x))
+
+
+def test_lagrangian_ideal_verdict_is_kept_and_matches_a_fresh_classification():
+    ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for("l_26")))
+    verdict = is_lagrangian_ideal(ext, ext.lagrangian_ideal)
+    assert verdict is is_lagrangian_ideal(ext, ext.lagrangian_ideal)
+    # An equal subspace built afresh gets the kept verdict; another subspace
+    # is classified on its own.
+    same = Subspace.from_vectors(8, [unit_vector(8, 4 + i) for i in range(4)])
+    assert is_lagrangian_ideal(ext, same) is verdict
+    other = Subspace.from_vectors(8, [unit_vector(8, 0)])
+    assert is_lagrangian_ideal(ext, other).status == "not_ideal"
+
+
+def test_induced_connection_rejects_a_degenerate_pairing():
+    # With omega = 0 every half-dimensional subspace of an abelian algebra is
+    # a Lagrangian ideal by the dimension count, and the pairing is singular.
+    s = SymplecticLieAlgebra(
+        LieAlgebra.abelian(2), RatMatrix.zero(2, 2), Subspace.from_vectors(2, [unit_vector(2, 1)])
+    )
+    with pytest.raises(ValueError, match="^pairing between quotient and ideal is degenerate$"):
+        induced_flat_connection(s, s.lagrangian_ideal)
+
+
+def test_lower_central_series_is_kept_per_algebra():
+    ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for("t_8")))
+    assert lower_central_series(ext.algebra) is lower_central_series(ext.algebra)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_vec_add_and_vec_sub_match_entrywise_arithmetic(data):
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    a, b = data.draw(sparse_vector(n)), data.draw(sparse_vector(n))
+    assert typed(vec_add(a, b)) == typed(tuple(x + y for x, y in zip(a, b)))
+    assert typed(vec_sub(a, b)) == typed(tuple(x - y for x, y in zip(a, b)))

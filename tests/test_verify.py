@@ -1,10 +1,11 @@
 """Report machinery: record structure, witnesses, skip cascades, formats."""
 
+import importlib
 from collections import Counter
 
 import pytest
 
-from lagext import connection, extension
+from lagext import connection, extension, lie, linalg
 from lagext.catalog import entry_by_label, instantiate, sample_parameters
 from lagext.verify import (
     CHECK_NAMES,
@@ -94,14 +95,26 @@ def test_full_run_record_accounting():
 
 @pytest.fixture
 def verdict_counts(monkeypatch):
-    """Counts of the sweep, dual, completeness and build computations."""
+    """Counts of the sweep, dual, completeness, build, lower-central-series and
+    ideal-classification computations, and of every ``solve_linear`` call."""
     counts = Counter()
-    for module, name in (
+    patched = [
         (connection, "_sweep"),
         (connection, "_dual"),
         (connection, "_completeness"),
         (extension, "_build"),
-    ):
+        (lie, "_lower_central_series"),
+        (extension, "_classify_ideal"),
+    ]
+    # solve_linear is imported by name, so rebind it wherever it is held
+    # (``lagext.cohomology`` the package attribute is the function, not the module).
+    cochains = importlib.import_module("lagext.cohomology")
+    patched += [
+        (module, "solve_linear")
+        for module in (linalg, lie, connection, cochains, extension)
+        if getattr(module, "solve_linear", None) is linalg.solve_linear
+    ]
+    for module, name in patched:
         def counted(*args, _name=name, _original=getattr(module, name)):
             counts[_name] += 1
             return _original(*args)
@@ -121,8 +134,20 @@ def test_passing_row_computes_each_verdict_once(label, verdict_counts):
     records = _first_sample_records(label)
     assert [r.status for r in records] == ["pass"] * len(CHECK_NAMES)
     # Two sweeps and two completeness checks: the row's connection and the
-    # one recovered from its extension.  One dual and one build.
-    assert verdict_counts == {"_sweep": 2, "_dual": 1, "_completeness": 2, "_build": 1}
+    # one recovered from its extension.  One dual and one build.  Two lower
+    # central series: the base's and the extension's, the latter shared by
+    # extension_nilpotency and induced_flat_connection.  One classification
+    # of the Lagrangian ideal, shared by the lagrangian-ideal check and
+    # induced_flat_connection.  No solve_linear call: the induced connection
+    # applies one inverse of the pairing.
+    assert verdict_counts == {
+        "_sweep": 2,
+        "_dual": 1,
+        "_completeness": 2,
+        "_build": 1,
+        "_lower_central_series": 2,
+        "_classify_ideal": 1,
+    }
 
 
 def test_defective_row_sweeps_once(verdict_counts):
