@@ -40,7 +40,6 @@ from .extension import (
     adjusted_symplectic_form,
     build_extension,
     canonical_connection,
-    check_bianchi,
     d_omega,
     equivalence_map_psi,
     extension_nilpotency,
@@ -61,7 +60,6 @@ from .lie import (
 )
 from .linalg import (
     RatMatrix,
-    Rational,
     Subspace,
     kernel_basis,
     quotient_basis,

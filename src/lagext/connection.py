@@ -6,6 +6,12 @@ x.y - y.x = [x, y]; flatness says x -> nabla_x is a representation.  The
 left-symmetric associator identity (x,y,z) = (y,x,z) is computed as an
 independent cross-validation of the curvature check.
 
+Completeness is decided by the trace criterion tr R_x = 0 (Helmstetter
+1979).  Nilpotency of every nabla_x is certified by one descending Engel
+flag on the matrices nabla_{e_1..e_n}: flatness makes their span a Lie
+algebra of operators, so by Engel's theorem the flag reaches 0 exactly when
+every nabla_x is nilpotent.  No verdict depends on a seed.
+
 Each verdict on a connection (the sweep report, the completeness evidence
 and the dual representation) is computed once per ``FlatConnection`` and
 carried with it; the module functions below are accessors.  This is sound
@@ -23,19 +29,14 @@ from itertools import combinations
 from .lie import LieAlgebra, _freeze_tensor
 from .linalg import (
     RatMatrix,
+    Subspace,
     Vector,
     ZERO,
     is_zero_vector,
     zero_vector,
 )
-from .sampling import random_vectors
 
 GammaTensor = tuple[tuple[Vector, ...], ...]
-
-# Number of seeded non-basis directions on which "for all x" statements are
-# spot-checked (the trace criterion stays the authoritative verdict).
-RANDOM_DIRECTION_COUNT = 8
-RANDOM_DIRECTION_SEED = "flat-conn-directions"
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class FlatConnection:
 
     @cached_property
     def completeness(self) -> "CompletenessEvidence":
-        """Trace criterion and nilpotency evidence; requires flat torsion-free."""
+        """Trace criterion and the Engel flag of nabla; requires flat torsion-free."""
         if not self.report.ok:
             raise ValueError("connection is not flat and torsion-free")
         return _completeness(self)
@@ -224,21 +225,16 @@ def induced_bracket(conn: FlatConnection, name: str = "") -> LieAlgebra:
 
 @dataclass(frozen=True)
 class CompletenessEvidence:
-    """Trace criterion verdict plus nilpotency spot checks."""
+    """Trace criterion verdict plus the exact nilpotency certificate of nabla."""
 
     complete: bool
-    traces: tuple[Fraction, ...]                 # tr of right multiplication by e_j
-    nabla_nilpotent: tuple[bool, ...]            # per basis direction
-    right_mult_nilpotent: tuple[bool, ...]       # per basis direction
-    random_directions_nilpotent: tuple[bool, ...]  # nabla_x for seeded random x
+    traces: tuple[Fraction, ...]            # tr of right multiplication by e_j
+    nabla_nilindex: int | None              # Engel flag index; None: some nabla_x not nilpotent
+    right_mult_nilpotent: tuple[bool, ...]  # per basis direction
 
     @property
     def all_nilpotent(self) -> bool:
-        return (
-            all(self.nabla_nilpotent)
-            and all(self.right_mult_nilpotent)
-            and all(self.random_directions_nilpotent)
-        )
+        return self.nabla_nilindex is not None and all(self.right_mult_nilpotent)
 
 
 def is_geodesically_complete(conn: FlatConnection) -> CompletenessEvidence:
@@ -251,20 +247,38 @@ def is_geodesically_complete(conn: FlatConnection) -> CompletenessEvidence:
     return conn.completeness
 
 
+def _uniform_nilindex(matrices: list[RatMatrix]) -> int | None:
+    """Smallest r with every r-fold product of the matrices zero (None if none).
+
+    The descending flag V_0 = k^n, V_{r+1} = span{M v : M in matrices, v in V_r}
+    spans the images of all r-fold products, so it reaches 0 exactly at r; once
+    a step does not shrink it, it never does.  When the matrices span a Lie
+    algebra of operators, Engel's theorem makes reaching 0 equivalent to every
+    matrix in the span being nilpotent.  On other sets it is not: {E12, E21}
+    are nilpotent, but E12 + E21 is not.
+    """
+    n = matrices[0].rows if matrices else 0
+    space = Subspace.full(n)
+    for r in range(n + 1):
+        if space.dim == 0:
+            return r
+        images = [m.apply(v) for m in matrices for v in space.basis]
+        nxt = Subspace.from_vectors(n, images)
+        if nxt.dim >= space.dim:
+            return None
+        space = nxt
+    return None
+
+
 def _completeness(conn: FlatConnection) -> CompletenessEvidence:
     n = conn.dim
     right = [conn.right_mult_matrix(j) for j in range(n)]
     traces = tuple(m.trace() for m in right)
-    nabla = [conn.nabla_matrix(i) for i in range(n)]
-    randoms = random_vectors(RANDOM_DIRECTION_SEED, conn.label or "conn", n, RANDOM_DIRECTION_COUNT)
     return CompletenessEvidence(
         complete=all(t == 0 for t in traces),
         traces=traces,
-        nabla_nilpotent=tuple(m.is_nilpotent() for m in nabla),
+        nabla_nilindex=_uniform_nilindex([conn.nabla_matrix(i) for i in range(n)]),
         right_mult_nilpotent=tuple(m.is_nilpotent() for m in right),
-        random_directions_nilpotent=tuple(
-            conn.nabla_of(x).is_nilpotent() for x in randoms
-        ),
     )
 
 

@@ -46,16 +46,11 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
-    is_zero_vector,
     kernel_basis,
     unit_vector,
     vec_dot,
     zero_vector,
 )
-from .sampling import random_vectors
-
-NILPOTENCY_DIRECTION_COUNT = 8
-NILPOTENCY_DIRECTION_SEED = "extension-nilpotency-directions"
 
 
 class CocycleError(ValueError):
@@ -268,11 +263,6 @@ def _omega_on_brackets(omega: RatMatrix):
     return w
 
 
-def check_bianchi(alpha: TwoCochain) -> bool:
-    """Cyclic-sum-zero condition; equivalent to closedness of the pairing form."""
-    return alpha.is_lagrangian
-
-
 @dataclass(frozen=True)
 class IdealVerdict:
     status: str  # not_ideal | not_isotropic | isotropic | lagrangian
@@ -431,65 +421,25 @@ class NilpotencyCertificate:
         return bool(self.base_nilpotent and self.complete and self.condition_sum_ok)
 
 
-def _uniform_rho_nilindex(rep: DualRep) -> int | None:
-    """Smallest r with every r-fold product of rho generators zero (None if none)."""
-    n = rep.dim
-    space = Subspace.full(n)
-    for r in range(n + 1):
-        if space.dim == 0:
-            return r
-        images = [m.apply(v) for m in rep.matrices for v in space.basis]
-        nxt = Subspace.from_vectors(n, images)
-        if nxt.dim >= space.dim:
-            return None
-        space = nxt
-    return None
-
-
-def _sampled_condition_sum(
-    conn: FlatConnection, rep: DualRep, alpha: TwoCochain, p: int
-) -> bool:
-    """Whether sum_j rho(x)^j alpha(x, ad_x^{p-1-j} y) vanishes for all y, on
-    the basis directions x and NILPOTENCY_DIRECTION_COUNT seeded random ones."""
-    n = conn.dim
-    directions = list(
-        random_vectors(
-            NILPOTENCY_DIRECTION_SEED,
-            conn.label or "conn",
-            n,
-            NILPOTENCY_DIRECTION_COUNT,
-        )
-    )
-    directions = [unit_vector(n, i) for i in range(n)] + directions
-    for x in directions:
-        ad_x = conn.base.ad_matrix(x)
-        rho_x = rep.rho_of(x)
-        # ad_x^{p-1-j} e_b precomputed for all powers 0..p-1
-        powers = [[unit_vector(n, b) for b in range(n)]]
-        for _ in range(p - 1):
-            powers.append([ad_x.apply(v) for v in powers[-1]])
-        for b in range(n):
-            total = [ZERO] * n
-            for jj in range(p):
-                term = alpha.value_at(x, powers[p - 1 - jj][b])
-                for _ in range(jj):
-                    term = rho_x.apply(term)
-                for t in range(n):
-                    total[t] += term[t]
-            if not is_zero_vector(tuple(total)):
-                return False
-    return True
-
-
 def extension_nilpotency(triple: ExtensionTriple) -> NilpotencyCertificate:
     """Nilpotency of the extension, certified two independent ways.
 
     Path (a): the lower central series of the built algebra (authoritative).
-    Path (b): base nilpotent + connection complete + the vanishing of
-    sum_j rho(x)^j alpha(x, ad_x^{p-1-j} y), with p = class(h) + uniform
-    nilindex of rho.  For alpha = 0 every term is alpha(x, .) = 0, so the sum
-    vanishes exactly; otherwise it is checked on basis directions and seeded
-    random x.  A disagreement raises IntegrityError.
+    Path (b): base nilpotent + connection complete + the vanishing of the
+    condition sum sum_j rho(x)^j alpha(x, ad_x^{p-1-j} y) for all x, y, with
+    p = class(h) + r and r the uniform nilindex of rho, read off the Engel
+    flag of nabla (rho = -nabla^T, and a product of transposes is the
+    transpose of the reversed product, so both have the same index).
+
+    The condition sum is the lower-left block of ad_(x,0)^p, as ad_(x,0) is
+    block lower-triangular on h + h*: [[ad_x, 0], [alpha(x, .), rho(x)]].
+    When the flag reaches 0 the sum is identically zero for every alpha: in
+    each term either j >= r, so rho(x)^j = 0, or p-1-j >= class(h), so
+    ad_x^{p-1-j} = 0.  When it does not, some rho(x) is not nilpotent; it is
+    a diagonal block of ad_(x,xi), so by Engel's theorem the extension is not
+    nilpotent.  Hence condition_sum_ok is exactly "the flag reaches 0", with
+    no sampled direction.  A disagreement between the paths raises
+    IntegrityError.
     """
     extension = build_extension(triple)
     series = lower_central_series(extension.algebra)
@@ -497,26 +447,23 @@ def extension_nilpotency(triple: ExtensionTriple) -> NilpotencyCertificate:
     verdict_a = lcs_dims[-1] == 0
 
     conn = triple.connection
-    n = conn.dim
     base_class = nilpotency_class(conn.base)
     base_nilpotent = base_class is not None
-    complete = is_geodesically_complete(conn).complete
-    rep = dual_representation(conn)
+    evidence = is_geodesically_complete(conn)
 
     condition_ok: bool | None = None
     p: int | None = None
     if base_nilpotent:
-        rho_index = _uniform_rho_nilindex(rep)
-        p = max(1, base_class + (rho_index if rho_index is not None else n))
-        alpha = triple.cocycle
-        condition_ok = alpha.is_zero() or _sampled_condition_sum(conn, rep, alpha, p)
+        rho_index = evidence.nabla_nilindex
+        p = max(1, base_class + (rho_index if rho_index is not None else conn.dim))
+        condition_ok = rho_index is not None
 
     certificate = NilpotencyCertificate(
         nilpotent=verdict_a,
         lcs_dims=lcs_dims,
         extension_class=len(lcs_dims) - 1 if verdict_a else None,
         base_nilpotent=base_nilpotent,
-        complete=complete,
+        complete=evidence.complete,
         condition_sum_ok=condition_ok,
         power_bound=p,
     )
@@ -586,7 +533,7 @@ def adjusted_symplectic_form(
     """
     if not sigma_l.is_symmetric:
         raise ValueError("sigma_l must be a symmetric (Lagrangian) 1-cochain")
-    if not check_bianchi(triple.cocycle):
+    if not triple.cocycle.is_lagrangian:
         raise ValueError("base cocycle must satisfy the cyclic-sum condition")
     rep = triple.dual_rep()
     alpha_bar = triple.cocycle - coboundary_1(rep, sigma)

@@ -331,11 +331,3 @@ def transform(algebra: LieAlgebra, p: RatMatrix, name: str = "") -> LieAlgebra:
         for a in range(n)
     ]
     return LieAlgebra(n, _freeze_tensor(c), name)
-
-
-def direct_sum_embedding(v: Vector, total: int, offset: int) -> Vector:
-    """v placed at coordinates [offset, offset + len(v)) of a zero vector."""
-    out = [ZERO] * total
-    for i, x in enumerate(v):
-        out[offset + i] = x
-    return tuple(out)

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-Rational = Fraction
-
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -358,17 +356,6 @@ def solve_linear(m: RatMatrix, b: Vector) -> Vector | None:
     if n_cols in pivots:
         return None
     return tuple(x)
-
-
-def solve_many(m: RatMatrix, rhs: RatMatrix) -> RatMatrix | None:
-    """Solve MX = RHS column by column (None if any column is inconsistent)."""
-    cols = []
-    for c in range(rhs.cols):
-        x = solve_linear(m, rhs.col(c))
-        if x is None:
-            return None
-        cols.append(x)
-    return RatMatrix(tuple(cols)).transpose()
 
 
 def quotient_basis(w: Subspace, v: Subspace) -> tuple[Vector, ...]:

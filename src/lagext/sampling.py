@@ -1,4 +1,4 @@
-"""Seeded rational sampling for cross-checks and property sweeps.
+"""Seeded rational sampling for random cocycles and property sweeps.
 
 All draws go through ``random.Random`` seeded with a string tag, which is
 deterministic across platforms and Python runs (string seeding hashes with
@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-
-from .linalg import Vector
 
 # Entries in {-2,...,2} scaled by 1, 1/2 or 1/3: small exact numbers keep
 # intermediate blowup bounded in long pipelines.
@@ -24,19 +22,3 @@ def rng_for(seed: int | str, *tags) -> random.Random:
 
 def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS))
-
-
-def random_vector(rng: random.Random, n: int) -> Vector:
-    return tuple(random_rational(rng) for _ in range(n))
-
-
-def random_nonzero_vector(rng: random.Random, n: int) -> Vector:
-    while True:
-        v = random_vector(rng, n)
-        if any(x != 0 for x in v):
-            return v
-
-
-def random_vectors(seed: int | str, tag: str, n: int, count: int) -> tuple[Vector, ...]:
-    rng = rng_for(seed, tag)
-    return tuple(random_nonzero_vector(rng, n) for _ in range(count))

@@ -109,8 +109,11 @@ def _connection_records(label: str, sample_id: str, conn: FlatConnection) -> lis
         if not evidence.complete:
             j = next(i for i, t in enumerate(evidence.traces) if t != 0)
             witness = f"tr rho(e{j+1}) = {format_rational(evidence.traces[j])}"
+        elif evidence.nabla_nilindex is None:
+            witness = "Engel flag of nabla stops above 0: some nabla_x is not nilpotent"
         else:
-            witness = "nilpotency evidence failed on a sampled direction"
+            j = evidence.right_mult_nilpotent.index(False)
+            witness = f"R(e{j+1}) is not nilpotent"
         records.append(ReportRecord(label, "completeness", sample_id, FAIL, witness))
 
     triple = ExtensionTriple.with_zero_cocycle(conn)

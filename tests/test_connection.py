@@ -1,17 +1,25 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
-from lagext.catalog import base_algebra, connection_for
+from lagext.catalog import (
+    base_algebra,
+    connection_for,
+    instantiate,
+    sample_parameters,
+    table1_entries,
+)
 from lagext.connection import (
     FlatConnection,
     check_flat_torsion_free,
     dual_representation,
     induced_bracket,
     is_geodesically_complete,
+    _uniform_nilindex,
 )
 from lagext.lie import LieAlgebra
-from lagext.linalg import vec
+from lagext.linalg import RatMatrix, vec
 from lagext.sampling import random_rational, rng_for
 
 
@@ -54,13 +62,75 @@ def test_l26_and_a10_complete_with_nilpotent_evidence():
         assert evidence.complete
         assert all(t == 0 for t in evidence.traces)
         assert evidence.all_nilpotent
+        assert evidence.nabla_nilindex == 2
 
 
 def test_one_dimensional_incomplete_example():
     conn = FlatConnection.from_entries(LieAlgebra.abelian(1), {(0, 0): (1,)})
     evidence = is_geodesically_complete(conn)
-    assert not evidence.complete
+    assert evidence.complete is False
     assert evidence.traces == (F(1),)
+    assert evidence.nabla_nilindex is None
+    assert not evidence.all_nilpotent
+
+
+def unit_matrix(n, r, c):
+    """E_rc: 1 in row r, column c (1-based), 0 elsewhere."""
+    return RatMatrix(
+        tuple(tuple(F(int((i, j) == (r - 1, c - 1))) for j in range(n)) for i in range(n))
+    )
+
+
+def test_engel_flag_needs_every_product_not_every_generator():
+    e12, e21 = unit_matrix(2, 1, 2), unit_matrix(2, 2, 1)
+    assert e12.is_nilpotent() and e21.is_nilpotent()
+    # Each generator is nilpotent, yet E12 E21 is a nonzero idempotent.
+    assert _uniform_nilindex([e12, e21]) is None
+
+
+def test_engel_flag_gives_the_exact_index_of_strictly_upper_triangular_sets():
+    e12, e23, e34, e13 = (unit_matrix(4, r, c) for r, c in ((1, 2), (2, 3), (3, 4), (1, 3)))
+    assert _uniform_nilindex([e12, e23, e34]) == 4  # E12 E23 E34 = E14
+    assert _uniform_nilindex([e12, e34]) == 2
+    assert _uniform_nilindex([e12, e23, e13]) == 3
+    assert _uniform_nilindex([e13]) == 2
+    assert _uniform_nilindex([RatMatrix.zero(4, 4)]) == 1
+    assert _uniform_nilindex([]) == 0
+
+
+def flat_catalog_samples():
+    for entry in table1_entries():
+        if entry.suspect:
+            continue
+        for sample in sample_parameters(entry, 3):
+            conn = instantiate(entry, sample)
+            if check_flat_torsion_free(conn).ok:
+                yield conn
+
+
+def sympy_nabla_is_nilpotent(conn):
+    """Whether (sum_i x_i nabla_{e_i})^n is the zero polynomial matrix."""
+    n = conn.dim
+    xs = sympy.symbols(f"x1:{n + 1}")
+    nabla_x = sympy.zeros(n, n)
+    for i, x in enumerate(xs):
+        entries = conn.nabla_matrix(i).entries
+        nabla_x += x * sympy.Matrix(
+            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in entries]
+        )
+    return all(sympy.expand(v) == 0 for v in nabla_x**n)
+
+
+def test_engel_flag_agrees_with_symbolic_nilpotency_of_nabla_x():
+    checked = 0
+    for conn in flat_catalog_samples():
+        index = is_geodesically_complete(conn).nabla_nilindex
+        assert sympy_nabla_is_nilpotent(conn) == (index is not None)
+        checked += 1
+    assert checked == 108
+    line = FlatConnection.from_entries(LieAlgebra.abelian(1), {(0, 0): (1,)})
+    assert not sympy_nabla_is_nilpotent(line)
+    assert is_geodesically_complete(line).nabla_nilindex is None
 
 
 def test_completeness_requires_flat_torsion_free():

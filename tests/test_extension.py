@@ -14,18 +14,14 @@ from lagext.connection import (
     FlatConnection,
     check_flat_torsion_free,
     dual_representation,
-    is_geodesically_complete,
 )
 from lagext.extension import (
-    NILPOTENCY_DIRECTION_COUNT,
-    NILPOTENCY_DIRECTION_SEED,
     CocycleError,
     ExtensionTriple,
     SymplecticLieAlgebra,
     adjusted_symplectic_form,
     build_extension,
     canonical_connection,
-    check_bianchi,
     d_omega,
     dual_subspace,
     equivalence_map_psi,
@@ -35,12 +31,15 @@ from lagext.extension import (
     standard_omega,
     symplectic_orthogonal,
     symplectic_reduction,
-    _sampled_condition_sum,
-    _uniform_rho_nilindex,
 )
-from lagext.lie import LieAlgebra, check_jacobi, lower_central_series, nilpotency_class
+from lagext.lie import LieAlgebra, check_jacobi, lower_central_series
 from lagext.linalg import RatMatrix, Subspace, unit_vector, vec
-from lagext.sampling import random_rational, random_vectors, rng_for
+from lagext.sampling import random_rational, rng_for
+from test_sparse_oracles import frozen_certificate, frozen_nonzero_directions
+
+# The seeded directions of the reference condition sum.
+NILPOTENCY_DIRECTION_COUNT = 8
+NILPOTENCY_DIRECTION_SEED = "extension-nilpotency-directions"
 
 
 def triple(label, alpha=None, **params):
@@ -160,15 +159,15 @@ def test_d_omega_abelian_standard_form():
 def test_d_omega_detects_bianchi_violation():
     conn = FlatConnection.zero(LieAlgebra.abelian(4))
     alpha = TwoCochain.from_pairs(4, {(0, 1): (0, 0, 1, 0)})
-    assert not check_bianchi(alpha)
+    assert not alpha.is_lagrangian
     ext = build_extension(ExtensionTriple(conn, alpha))
     witnesses = d_omega(ext).witnesses()
     assert witnesses == (((1, 2, 3), F(-1)),)
 
 
 def test_bianchi_examples():
-    assert check_bianchi(TwoCochain.zero(4))
-    assert not check_bianchi(TwoCochain.from_pairs(4, {(0, 1): (0, 0, 1, 0)}))
+    assert TwoCochain.zero(4).is_lagrangian
+    assert not TwoCochain.from_pairs(4, {(0, 1): (0, 0, 1, 0)}).is_lagrangian
     rng = rng_for(10, "bianchi-coboundary")
     rep = dual_representation(connection_for("l_26"))
     for _ in range(5):
@@ -177,7 +176,7 @@ def test_bianchi_examples():
             for k in range(i):
                 rows[i][k] = rows[k][i]
         sigma = OneCochain.from_rows(rows)
-        assert check_bianchi(coboundary_1(rep, sigma))
+        assert coboundary_1(rep, sigma).is_lagrangian
 
 
 def test_bianchi_iff_closed_on_sampled_cocycles():
@@ -187,7 +186,7 @@ def test_bianchi_iff_closed_on_sampled_cocycles():
         for _ in range(10):
             alpha = random_cocycle(conn, rng)
             ext = build_extension(ExtensionTriple(conn, alpha))
-            assert d_omega(ext).is_zero() == check_bianchi(alpha)
+            assert d_omega(ext).is_zero() == alpha.is_lagrangian
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +452,8 @@ def reference_condition_sum(conn, rep, alpha, p):
     """Path (b) sampled on the basis and the seeded random directions, for
     every cocycle, as extension_nilpotency did before its alpha = 0 case."""
     n = conn.dim
-    directions = [unit_vector(n, i) for i in range(n)] + list(
-        random_vectors(
-            NILPOTENCY_DIRECTION_SEED, conn.label or "conn", n, NILPOTENCY_DIRECTION_COUNT
-        )
+    directions = [unit_vector(n, i) for i in range(n)] + frozen_nonzero_directions(
+        NILPOTENCY_DIRECTION_SEED, conn.label or "conn", n, NILPOTENCY_DIRECTION_COUNT
     )
     for x in directions:
         ad_x = conn.base.ad_matrix(x)
@@ -477,11 +474,6 @@ def reference_condition_sum(conn, rep, alpha, p):
     return True
 
 
-def power_bound(conn, rep):
-    rho_index = _uniform_rho_nilindex(rep)
-    return max(1, nilpotency_class(conn.base) + (rho_index if rho_index is not None else conn.dim))
-
-
 def flat_catalog_samples():
     for entry in table1_entries():
         if entry.suspect:
@@ -496,33 +488,38 @@ def test_zero_cocycle_certificate_matches_sampled_reference():
     checked = 0
     for conn in flat_catalog_samples():
         t = ExtensionTriple.with_zero_cocycle(conn)
-        rep = dual_representation(conn)
-        p = power_bound(conn, rep)
-        assert reference_condition_sum(conn, rep, t.cocycle, p) is True
-        expected = (
-            tuple(s.dim for s in lower_central_series(build_extension(t).algebra)),
-            p,
-            is_geodesically_complete(conn).complete,
-            True,
-        )
         cert = extension_nilpotency(t)
-        assert (cert.lcs_dims, cert.power_bound, cert.complete, cert.condition_sum_ok) == expected
+        rep = dual_representation(conn)
+        assert reference_condition_sum(conn, rep, t.cocycle, cert.power_bound) is True
+        assert cert.condition_sum_ok is True
+        assert cert == frozen_certificate(t, reference_condition_sum)
         checked += 1
     assert checked == 108
 
 
-def test_sampled_condition_sum_matches_reference_on_nonzero_cocycles():
+def test_condition_sum_verdict_matches_reference_on_nonzero_cocycles():
     rng = rng_for(29, "condition-sum-reference")
     for label in ("l_26", "a_3", "t_8", "a_10"):
         conn = connection_for(label)
         rep = dual_representation(conn)
-        p = power_bound(conn, rep)
         for draw in (random_lagrangian_cocycle, random_cocycle):
             alpha = draw(conn, rng)
             assert not alpha.is_zero()
-            assert _sampled_condition_sum(conn, rep, alpha, p) == reference_condition_sum(
-                conn, rep, alpha, p
+            t = ExtensionTriple(conn, alpha)
+            cert = extension_nilpotency(t)
+            assert cert.condition_sum_ok == reference_condition_sum(
+                conn, rep, alpha, cert.power_bound
             )
+            assert cert == frozen_certificate(t, reference_condition_sum)
+
+
+def test_non_nilpotent_nabla_fails_both_paths():
+    # nabla_{e1} e1 = e1: flat and torsion-free on the line, rho(e1) = -1.
+    conn = FlatConnection.from_entries(LieAlgebra.abelian(1), {(0, 0): (1,)})
+    cert = extension_nilpotency(ExtensionTriple.with_zero_cocycle(conn))
+    assert cert.nilpotent is False and cert.lcs_dims == (2, 1)
+    assert cert.conditions_verdict is False and cert.complete is False
+    assert cert.condition_sum_ok is False and cert.power_bound == 2
 
 
 # ---------------------------------------------------------------------------

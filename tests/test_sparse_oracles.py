@@ -4,6 +4,11 @@ The ``dense_*`` functions below are the dense implementations that the
 nonzero-structure-constant loops replaced, kept unchanged as differential
 oracles; the gamma references solve each system with ``solve_linear`` as the
 dense code did.  Outputs must agree by value and by type.
+
+The ``frozen_*`` functions are the seeded nilpotency evidence that the Engel
+flag of nabla replaced: per-basis and seeded random-direction checks in the
+completeness evidence, and the uniform nilindex of rho with a sampled
+condition sum in the nilpotency certificate.
 """
 
 from fractions import Fraction as F
@@ -14,9 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from lagext.catalog import connection_for, instantiate, sample_parameters, table1_entries
 from lagext.cohomology import cocycle_bases, two_cochain_from_coefficients
-from lagext.connection import check_flat_torsion_free, dual_representation
+from lagext.connection import (
+    check_flat_torsion_free,
+    dual_representation,
+    is_geodesically_complete,
+)
 from lagext.extension import (
     ExtensionTriple,
+    NilpotencyCertificate,
     SymplecticLieAlgebra,
     build_extension,
     canonical_connection,
@@ -25,7 +35,13 @@ from lagext.extension import (
     is_lagrangian_ideal,
     symplectic_orthogonal,
 )
-from lagext.lie import LieAlgebra, check_jacobi, lower_central_series, quotient_algebra
+from lagext.lie import (
+    LieAlgebra,
+    check_jacobi,
+    lower_central_series,
+    nilpotency_class,
+    quotient_algebra,
+)
 from lagext.linalg import RatMatrix, Subspace, solve_linear, unit_vector, vec_add, vec_sub
 from lagext.sampling import random_rational, rng_for
 
@@ -189,6 +205,80 @@ def solved_canonical_gamma(s):
     )
 
 
+def frozen_nonzero_directions(seed, label, n, count):
+    """``count`` seeded nonzero vectors, drawn as the seeded evidence drew them."""
+    rng = rng_for(seed, label)
+    directions = []
+    while len(directions) < count:
+        v = tuple(random_rational(rng) for _ in range(n))
+        if any(x != 0 for x in v):
+            directions.append(v)
+    return directions
+
+
+def frozen_completeness(conn):
+    """(complete, traces, right_mult_nilpotent, all_nilpotent) as the seeded
+    evidence gave them: all_nilpotent also asked nabla_x to be nilpotent on the
+    basis and on eight seeded random directions."""
+    n = conn.dim
+    right = [conn.right_mult_matrix(j) for j in range(n)]
+    traces = tuple(m.trace() for m in right)
+    nabla = [conn.nabla_matrix(i) for i in range(n)]
+    randoms = frozen_nonzero_directions("flat-conn-directions", conn.label or "conn", n, 8)
+    right_mult_nilpotent = tuple(m.is_nilpotent() for m in right)
+    all_nilpotent = (
+        all(m.is_nilpotent() for m in nabla)
+        and all(right_mult_nilpotent)
+        and all(conn.nabla_of(x).is_nilpotent() for x in randoms)
+    )
+    return all(t == 0 for t in traces), traces, right_mult_nilpotent, all_nilpotent
+
+
+def frozen_uniform_rho_nilindex(rep):
+    """Smallest r with every r-fold product of rho generators zero (None if none)."""
+    n = rep.dim
+    space = Subspace.full(n)
+    for r in range(n + 1):
+        if space.dim == 0:
+            return r
+        images = [m.apply(v) for m in rep.matrices for v in space.basis]
+        nxt = Subspace.from_vectors(n, images)
+        if nxt.dim >= space.dim:
+            return None
+        space = nxt
+    return None
+
+
+def frozen_certificate(triple, sampled_condition_sum):
+    """The certificate as the seeded code built it, before its two-path check.
+
+    ``sampled_condition_sum(conn, rep, alpha, p)`` is the sampled path (b) for
+    a nonzero cocycle; for the zero cocycle it was not called.
+    """
+    lcs_dims = tuple(
+        s.dim for s in lower_central_series(build_extension(triple).algebra)
+    )
+    verdict_a = lcs_dims[-1] == 0
+    conn = triple.connection
+    base_class = nilpotency_class(conn.base)
+    rep = dual_representation(conn)
+    condition_ok = p = None
+    if base_class is not None:
+        rho_index = frozen_uniform_rho_nilindex(rep)
+        p = max(1, base_class + (rho_index if rho_index is not None else conn.dim))
+        alpha = triple.cocycle
+        condition_ok = alpha.is_zero() or sampled_condition_sum(conn, rep, alpha, p)
+    return NilpotencyCertificate(
+        nilpotent=verdict_a,
+        lcs_dims=lcs_dims,
+        extension_class=len(lcs_dims) - 1 if verdict_a else None,
+        base_nilpotent=base_class is not None,
+        complete=frozen_completeness(conn)[0],
+        condition_sum_ok=condition_ok,
+        power_bound=p,
+    )
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------
@@ -268,6 +358,22 @@ def test_every_flat_catalog_extension_matches_dense_code():
         rep = dual_representation(conn)
         for x in [unit_vector(conn.dim, 0), tuple(random_rational(rng) for _ in range(conn.dim))]:
             assert typed(rep.rho_of(x)) == typed(dense_rho_of(rep, x))
+        checked += 1
+    assert checked == 108
+
+
+def test_engel_flag_evidence_matches_frozen_seeded_evidence():
+    checked = 0
+    for conn in flat_catalog_samples():
+        evidence = is_geodesically_complete(conn)
+        assert (
+            evidence.complete,
+            evidence.traces,
+            evidence.right_mult_nilpotent,
+            evidence.all_nilpotent,
+        ) == frozen_completeness(conn)
+        # rho = -nabla^T has the same uniform index as nabla.
+        assert evidence.nabla_nilindex == frozen_uniform_rho_nilindex(dual_representation(conn))
         checked += 1
     assert checked == 108
 

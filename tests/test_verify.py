@@ -2,11 +2,14 @@
 
 import importlib
 from collections import Counter
+from fractions import Fraction as F
 
 import pytest
 
 from lagext import connection, extension, lie, linalg
 from lagext.catalog import entry_by_label, instantiate, sample_parameters
+from lagext.connection import CompletenessEvidence, FlatConnection
+from lagext.lie import LieAlgebra
 from lagext.verify import (
     CHECK_NAMES,
     ReportRecord,
@@ -153,3 +156,24 @@ def test_passing_row_computes_each_verdict_once(label, verdict_counts):
 def test_defective_row_sweeps_once(verdict_counts):
     _first_sample_records("t_6")
     assert verdict_counts == {"_sweep": 1}
+
+
+@pytest.mark.parametrize(
+    "nilindex, right_mult_nilpotent, witness",
+    [
+        (None, (True,), "Engel flag of nabla stops above 0: some nabla_x is not nilpotent"),
+        (1, (False,), "R(e1) is not nilpotent"),
+    ],
+)
+def test_completeness_witness_names_the_failed_nilpotency_condition(
+    nilindex, right_mult_nilpotent, witness
+):
+    # No catalog row has zero traces and a failed nilpotency condition, so the
+    # kept evidence of the line connection nabla_{e1} e1 = e1 is replaced.
+    conn = FlatConnection.from_entries(LieAlgebra.abelian(1), {(0, 0): (1,)})
+    conn.__dict__["completeness"] = CompletenessEvidence(
+        True, (F(0),), nilindex, right_mult_nilpotent
+    )
+    records = _connection_records("line", "s0", conn)
+    completeness = next(r for r in records if r.check == "completeness")
+    assert (completeness.status, completeness.witness) == ("fail", witness)
