@@ -22,11 +22,12 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
-    echelon_kernel,
+    _dense,
+    _eliminate,
+    _kernel,
+    _quotient_rows,
+    _subspace,
     is_zero_vector,
-    kernel_basis,
-    quotient_basis,
-    rref,
     solve_linear,
     vec,
     zero_vector,
@@ -96,10 +97,6 @@ class OneCochain:
 
     def flatten(self) -> Vector:
         return tuple(x for row in self.entries for x in row)
-
-    @staticmethod
-    def unflatten(n: int, v: Vector) -> "OneCochain":
-        return OneCochain(tuple(tuple(v[i * n + k] for k in range(n)) for i in range(n)))
 
     def __sub__(self, other: "OneCochain") -> "OneCochain":
         return OneCochain.from_rows(
@@ -285,8 +282,8 @@ def symmetric_one_cochain_basis(n: int) -> list[OneCochain]:
     return basis
 
 
-def _coboundary_1_images(rep: DualRep, basis: list[OneCochain]) -> list[Vector]:
-    """Flattened d(sigma) for each sigma in basis, assembled from its nonzero entries.
+def _coboundary_1_images(rep: DualRep, basis: list[OneCochain]) -> list[dict[int, Fraction]]:
+    """Flattened d(sigma) for each sigma in basis, as sparse rows, from its nonzero entries.
 
     An entry sigma(e_a)_b = v adds, for every x != a, v * rho(x)[t][b] to
     (d sigma)(x, a)_t, and -v * c[i][j][a] to (d sigma)(e_i, e_j)_b: the
@@ -295,7 +292,9 @@ def _coboundary_1_images(rep: DualRep, basis: list[OneCochain]) -> list[Vector]:
     n = rep.dim
     pairs = pair_list(n)
     blocks = _pair_blocks(n)
-    rho = [m.entries for m in rep.matrices]
+    # rho_cols[x][b]: the nonzero rho(x)[t][b] as (t, value).
+    rho_cols = [[[(t, v) for t, c, v in entries if c == b] for b in range(n)]
+                for entries in rep.nonzero_entries]
     c = rep.connection.base.bracket
     # For each a, the nonzero c[i][j][a] over pairs i < j.
     bracket_into = [
@@ -304,7 +303,7 @@ def _coboundary_1_images(rep: DualRep, basis: list[OneCochain]) -> list[Vector]:
     ]
     images = []
     for sigma in basis:
-        col = [ZERO] * (len(pairs) * n)
+        col: dict[int, Fraction] = {}
         for a, row in enumerate(sigma.entries):
             for b, v in enumerate(row):
                 if not v:
@@ -313,13 +312,11 @@ def _coboundary_1_images(rep: DualRep, basis: list[OneCochain]) -> list[Vector]:
                     if x == a:
                         continue
                     start, sign = blocks[(x, a)]
-                    for t in range(n):
-                        value = rho[x][t][b]
-                        if value:
-                            col[start + t] += sign * v * value
+                    for t, value in rho_cols[x][b]:
+                        col[start + t] = col.get(start + t, ZERO) + sign * v * value
                 for start, coeff in bracket_into[a]:
-                    col[start + b] -= v * coeff
-        images.append(tuple(col))
+                    col[start + b] = col.get(start + b, ZERO) - v * coeff
+        images.append({j: x for j, x in col.items() if x})
     return images
 
 
@@ -327,14 +324,37 @@ def matrix_of_coboundary_1(rep: DualRep, basis: list[OneCochain] | None = None) 
     """Columns = flattened images of the given C^1 basis (default: matrix units)."""
     if basis is None:
         basis = one_cochain_basis(rep.dim)
-    return RatMatrix(tuple(_coboundary_1_images(rep, basis))).transpose()
+    width = len(pair_list(rep.dim)) * rep.dim
+    return RatMatrix(tuple(_dense(r, width) for r in _coboundary_1_images(rep, basis))).transpose()
+
+
+def _coboundary_2_rows(rep: DualRep) -> list[dict[int, Fraction]]:
+    """The rows of d2 as sparse rows, one per (triple, t); see ``matrix_of_coboundary_2``."""
+    n = rep.dim
+    blocks = _pair_blocks(n)
+    table = rep.connection.base.nonzero_brackets
+    rows = []
+    for i, j, k in triple_list(n):
+        out: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            start, sign = blocks[(y, z)]
+            for t, s, value in rep.nonzero_entries[x]:
+                row = out[t]
+                row[start + s] = row.get(start + s, ZERO) + sign * value
+            for m, coeff in table[y][z]:
+                if m != x:
+                    start, sign = blocks[(x, m)]
+                    for t, row in enumerate(out):
+                        row[start + t] = row.get(start + t, ZERO) + sign * coeff
+        rows += ({col: v for col, v in row.items() if v} for row in out)
+    return rows
 
 
 def matrix_of_coboundary_2(rep: DualRep) -> RatMatrix:
     """Linearized degree-2 coboundary; columns follow the pair-then-k flattening.
 
-    Assembled directly from the formula that ``coboundary_2`` evaluates: on
-    the triple i < j < k, with (x, y, z) running over its cyclic rotations,
+    Assembled from the formula that ``coboundary_2`` evaluates: on the
+    triple i < j < k, with (x, y, z) running over its cyclic rotations,
 
         (d a)(x, y, z)_t = sum_cyc  sum_s rho(x)[t][s] a(y, z)_s
                                   + sum_m c[y][z][m] a(x, e_m)_t.
@@ -343,68 +363,57 @@ def matrix_of_coboundary_2(rep: DualRep) -> RatMatrix:
     (y, z), and +-c[y][z][m], for every nonzero one with m != x, in column t
     of the pair block of (x, m); the sign is - where the pair is not in
     ascending order.  Only nonzero entries of rho and the bracket are visited.
+    ``cocycle_bases`` eliminates these rows as built, sparse, by ``_coboundary_2_rows``.
     """
-    n = rep.dim
-    triples = triple_list(n)
-    width = len(pair_list(n)) * n
-    if not triples:
-        # No triples to constrain (n < 3): a single zero row keeps the shape.
-        return RatMatrix.zero(1, width)
+    width = len(pair_list(rep.dim)) * rep.dim
+    rows = _coboundary_2_rows(rep) or [{}]  # n < 3: no triples; one zero row keeps the shape
+    return RatMatrix(tuple(_dense(row, width) for row in rows))
+
+
+def _cyclic_sum_rows(n: int) -> list[dict[int, Fraction]]:
     blocks = _pair_blocks(n)
-    rho = [m.entries for m in rep.matrices]
-    c = rep.connection.base.bracket
-    rows = [[ZERO] * width for _ in range(len(triples) * n)]
-    for r, (i, j, k) in enumerate(triples):
-        out = rows[r * n:(r + 1) * n]
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            start, sign = blocks[(y, z)]
-            for row, rho_row in zip(out, rho[x]):
-                for s, value in enumerate(rho_row):
-                    if value:
-                        row[start + s] += sign * value
-            for m, coeff in enumerate(c[y][z]):
-                if coeff and m != x:
-                    start, sign = blocks[(x, m)]
-                    for t, row in enumerate(out):
-                        row[start + t] += sign * coeff
-    return RatMatrix(tuple(tuple(row) for row in rows))
+    return [
+        {blocks[a, b][0] + c: Fraction(blocks[a, b][1])
+         for a, b, c in ((i, j, k), (j, k, i), (k, i, j))}
+        for i, j, k in triple_list(n)
+    ]
 
 
 def cyclic_sum_matrix(n: int) -> RatMatrix:
     """Rows: cyclic sums over lex triples, in flattened C^2 coordinates."""
     width = len(pair_list(n)) * n
-    if not triple_list(n):
-        return RatMatrix.zero(1, width)
-    blocks = _pair_blocks(n)
-    rows = []
-    for i, j, k in triple_list(n):
-        row = [ZERO] * width
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            start, sign = blocks[(a, b)]
-            row[start + c] += sign
-        rows.append(tuple(row))
-    return RatMatrix(tuple(rows))
+    return RatMatrix(tuple(_dense(row, width) for row in _cyclic_sum_rows(n) or [{}]))
 
 
 def cocycle_bases(rep: DualRep) -> tuple[Subspace, Subspace]:
     """(Z^2, Z^2_L) as echelon subspaces of flattened C^2 coordinates.
 
-    d2 is row-reduced once.  Z^2_L is the kernel of its reduced rows stacked
-    on the cyclic-sum rows: they span the same row space as d2, and a
-    subspace has exactly one reduced echelon basis.
+    The sparse rows of d2 are row-reduced once; Z^2 is the kernel of the
+    result, and Z^2_L the kernel after the same elimination takes in the
+    cyclic-sum rows.  A subspace has one reduced echelon basis, so both are
+    those of the dense kernels.
     """
-    d2 = matrix_of_coboundary_2(rep)
-    reduced, pivots = rref(d2.entries)
-    z2 = echelon_kernel(reduced, pivots, d2.cols)
-    z2l = kernel_basis(RatMatrix(tuple(reduced) + cyclic_sum_matrix(rep.dim).entries))
-    return z2, z2l
+    n = rep.dim
+    width = len(pair_list(n)) * n
+    kept = _eliminate(_coboundary_2_rows(rep))
+    z2 = _kernel(kept, width)
+    return z2, _kernel(_eliminate(_cyclic_sum_rows(n), kept), width)
 
 
 def coboundary_image(rep: DualRep, lagrangian: bool) -> Subspace:
     """B^2 (or B^2_L): the span of the columns of ``matrix_of_coboundary_1``."""
     basis = symmetric_one_cochain_basis(rep.dim) if lagrangian else one_cochain_basis(rep.dim)
-    width = len(pair_list(rep.dim)) * rep.dim
-    return Subspace.from_vectors(width, _coboundary_1_images(rep, basis))
+    return _subspace(len(pair_list(rep.dim)) * rep.dim, _coboundary_1_images(rep, basis))
+
+
+def _two_cochain_from_row(n: int, row: dict[int, Fraction]) -> TwoCochain:
+    """``TwoCochain.unflatten`` of a sparse row."""
+    pairs = pair_list(n)
+    t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for col, x in row.items():
+        (i, j), k = pairs[col // n], col % n
+        t[i][j][k], t[j][i][k] = x, -x
+    return TwoCochain(tuple(tuple(tuple(r) for r in plane) for plane in t))
 
 
 @dataclass(frozen=True)
@@ -429,8 +438,8 @@ def cohomology(rep: DualRep) -> CohomologySummary:
     z2, z2l = cocycle_bases(rep)
     b2 = coboundary_image(rep, lagrangian=False)
     b2l = coboundary_image(rep, lagrangian=True)
-    h2_reps = quotient_basis(z2, b2)
-    h2l_reps = quotient_basis(z2l, b2l)
+    h2_reps = _quotient_rows(z2, b2)
+    h2l_reps = _quotient_rows(z2l, b2l)
     natural_rank = z2l.sum(b2).dim - b2.dim
     summary = CohomologySummary(
         dim_c1=n * n,
@@ -442,8 +451,8 @@ def cohomology(rep: DualRep) -> CohomologySummary:
         dim_h2=z2.dim - b2.dim,
         dim_h2_lagrangian=z2l.dim - b2l.dim,
         natural_map_rank=natural_rank,
-        h2_representatives=tuple(TwoCochain.unflatten(n, v) for v in h2_reps),
-        h2_lagrangian_representatives=tuple(TwoCochain.unflatten(n, v) for v in h2l_reps),
+        h2_representatives=tuple(_two_cochain_from_row(n, r) for r in h2_reps),
+        h2_lagrangian_representatives=tuple(_two_cochain_from_row(n, r) for r in h2l_reps),
     )
     assert summary.dim_h2 == len(summary.h2_representatives)
     assert summary.dim_h2_lagrangian == len(summary.h2_lagrangian_representatives)

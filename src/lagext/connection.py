@@ -24,14 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 from .lie import LieAlgebra, _freeze_tensor
 from .linalg import (
     RatMatrix,
-    Subspace,
     Vector,
     ZERO,
+    _eliminate,
+    _sparse,
+    _subtract,
     is_zero_vector,
     zero_vector,
 )
@@ -258,13 +260,20 @@ def _uniform_nilindex(matrices: list[RatMatrix]) -> int | None:
     are nilpotent, but E12 + E21 is not.
     """
     n = matrices[0].rows if matrices else 0
-    space = Subspace.full(n)
+    # Each step is a list of sparse rows; M v sums the sparse columns of M that v meets.
+    columns = [[_sparse(m.col(c)) for c in range(n)] for m in matrices]
+    space = [{i: Fraction(1)} for i in range(n)]
     for r in range(n + 1):
-        if space.dim == 0:
+        if not space:
             return r
-        images = [m.apply(v) for m in matrices for v in space.basis]
-        nxt = Subspace.from_vectors(n, images)
-        if nxt.dim >= space.dim:
+        images = []
+        for v, cols in product(space, columns):
+            image = {}
+            for c, y in v.items():
+                _subtract(image, -y, cols[c])
+            images.append(image)
+        nxt = list(_eliminate(images).values())
+        if len(nxt) >= len(space):
             return None
         space = nxt
     return None

@@ -1,23 +1,25 @@
 """Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator).  Matrices are stored densely, but elimination
-works in place on private row lists and touches only the columns where the
-pivot row is nonzero: every other entry would see a - f * 0 = a.  The
-outputs are exactly those of eliminating every column.  Every routine is
+terms, positive denominator).  Matrices and subspace bases are dense tuples,
+but every elimination runs through one kernel on sparse rows (dicts of the
+nonzero entries): incremental reduced row echelon form, which reduces each
+incoming row against the pivot rows kept so far, normalises its leading
+entry and clears that column from the earlier pivot rows.  Every routine is
 pure and returns immutable values, so the whole module is safe to use from
 concurrent callers.
 
-Echelon convention used throughout: reduced row echelon form with
-leftmost-pivot ordering, the pivot row chosen as the first remaining row
-with a nonzero entry in the pivot column.  This makes every basis produced
-here deterministic across platforms.
+Echelon convention used throughout: reduced row echelon form, pivots
+ascending.  A matrix has exactly one, so every basis, pivot list and
+solution here depends only on the input, not on the order in which pivot
+rows are found, and is the same on every platform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 Vector = tuple[Fraction, ...]
 
@@ -138,9 +140,6 @@ class RatMatrix:
     def __neg__(self) -> "RatMatrix":
         return RatMatrix(tuple(vec_scale(-ONE, row) for row in self.entries))
 
-    def scale(self, c: Fraction) -> "RatMatrix":
-        return RatMatrix(tuple(vec_scale(c, row) for row in self.entries))
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -190,7 +189,7 @@ class RatMatrix:
         return power.is_zero()
 
     def rank(self) -> int:
-        return len(rref(self.entries)[0])
+        return len(_eliminate([_sparse(row) for row in self.entries]))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -199,45 +198,86 @@ class RatMatrix:
         n = self.rows
         if n != self.cols:
             raise ValueError("inverse of non-square matrix")
-        aug = [list(self.entries[i]) + list(unit_vector(n, i)) for i in range(n)]
-        reduced, pivots = _rref_rows(aug)
-        if pivots != list(range(n)):
+        kept = _eliminate([{**_sparse(row), n + i: ONE} for i, row in enumerate(self.entries)])
+        if sorted(kept) != list(range(n)):
             raise ValueError("matrix is singular")
-        return RatMatrix(tuple(tuple(row[n:]) for row in reduced))
+        return RatMatrix(tuple(_dense(kept[i], 2 * n)[n:] for i in range(n)))
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot_row is None:
+def _sparse(values) -> dict[int, Fraction]:
+    """A dense vector as a sparse row {column: Fraction} of its nonzero entries."""
+    return {j: y for j, x in enumerate(values) if (y := x if type(x) is Fraction else rat(x))}
+
+
+def _dense(row: dict[int, Fraction], width: int) -> Vector:
+    out = [ZERO] * width
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
+def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
+    """row -= f * other in place, dropping the entries that cancel."""
+    for j, b in other.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -f * b
+        elif x := x - f * b:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _reduce(row: dict[int, Fraction], kept: dict) -> dict[int, Fraction]:
+    """Clear the kept pivot columns from row, in place; kept is only read."""
+    for p in [j for j in row if j in kept]:
+        _subtract(row, row[p], kept[p])
+    return row
+
+
+def _eliminate(rows, kept: dict | None = None) -> dict[int, dict[int, Fraction]]:
+    """Incremental RREF: add the rows (consumed in place) to kept, {pivot column: row}.
+
+    Each row is reduced against the kept rows (dropped if it reaches zero),
+    its leading entry normalised to 1, and that column cleared from the kept
+    rows, which so stay 1 at their own pivot and 0 at every other.
+    """
+    if kept is None:
+        kept = {}
+    for row in rows:
+        _reduce(row, kept)
+        if not row:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        # Left of c the pivot row is zero: those columns are earlier pivots,
-        # already eliminated, or columns with no pivot in rows r and below.
-        support = [j for j in range(c, n_cols) if prow[j]]
-        inv = ONE / prow[c]
-        if inv != 1:
-            for j in support:
-                prow[j] *= inv
-        entries = [(j, prow[j]) for j in support]
-        for i in range(n_rows):
-            row = rows[i]
-            f = row[c]
-            if f and i != r:
-                for j, b in entries:
-                    row[j] -= f * b
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
+        c = min(row)
+        if row[c] != 1:
+            inv = ONE / row[c]
+            for j in row:
+                row[j] *= inv
+        for prow in kept.values():
+            f = prow.get(c)
+            if f is not None:
+                _subtract(prow, f, row)
+        kept[c] = row
+    return kept
+
+
+def _kernel(kept: dict, width: int) -> "Subspace":
+    """Nullspace of the reduced rows in kept, which it leaves untouched."""
+    vectors = {c: {c: ONE} for c in range(width) if c not in kept}
+    for p, row in kept.items():
+        for j in row.keys() - {p}:
+            vectors[j][p] = -row[j]
+    return _subspace(width, vectors.values())
+
+
+def _subspace(ambient_dim: int, rows) -> "Subspace":
+    """The span of sparse rows (consumed), keeping its basis rows sparse too."""
+    kept = _eliminate(rows)
+    pivots = sorted(kept)
+    rows = tuple(kept[p] for p in pivots)
+    space = Subspace(ambient_dim, tuple(_dense(r, ambient_dim) for r in rows), tuple(pivots))
+    space.__dict__["_rows"] = rows
+    return space
 
 
 def rref(rows) -> tuple[list[Vector], list[int]]:
@@ -245,9 +285,10 @@ def rref(rows) -> tuple[list[Vector], list[int]]:
 
     Returns (nonzero rows as tuples, pivot columns ascending).
     """
-    work = [list(row) for row in rows]
-    reduced, pivots = _rref_rows(work)
-    return [tuple(reduced[i]) for i in range(len(pivots))], pivots
+    rows = list(rows)
+    kept = _eliminate([_sparse(row) for row in rows])
+    pivots = sorted(kept)
+    return [_dense(kept[p], len(rows[0])) for p in pivots], pivots
 
 
 @dataclass(frozen=True)
@@ -260,12 +301,11 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors) -> "Subspace":
-        vectors = [vec(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        basis, pivots = rref(vectors)
-        return Subspace(ambient_dim, tuple(basis), tuple(pivots))
+        vectors = [tuple(v) for v in vectors]
+        rows = [_sparse(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in vectors):
+            raise ValueError("vector length does not match ambient dimension")
+        return _subspace(ambient_dim, rows)
 
     @staticmethod
     def full(n: int) -> "Subspace":
@@ -279,22 +319,23 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _rows(self) -> tuple[dict[int, Fraction], ...]:
+        """The basis as sparse rows (set by ``_subspace``); only ever eliminate copies."""
+        return tuple(_sparse(v) for v in self.basis)
+
     def reduce(self, v: Vector) -> Vector:
         """Eliminate this subspace's pivot coordinates from v."""
         w = list(v)
-        for row, p in zip(self.basis, self.pivots):
+        for row, p in zip(self._rows, self.pivots):
             f = w[p]
             if f:
-                for j, b in enumerate(row):
-                    if b:
-                        w[j] -= f * b
+                for j, b in row.items():
+                    w[j] -= f * b
         return tuple(w)
 
     def contains(self, v: Vector) -> bool:
         return is_zero_vector(self.reduce(v))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
 
     def coordinates(self, v: Vector) -> Vector:
         """Coefficients of v in this basis; raises if v is outside the subspace."""
@@ -305,7 +346,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
+        return _subspace(self.ambient_dim, [dict(row) for row in self._rows + other._rows])
 
     def complement_coordinates(self) -> tuple[int, ...]:
         """Ambient coordinates not used as pivots, ascending."""
@@ -315,22 +356,7 @@ class Subspace:
 
 def kernel_basis(m: RatMatrix) -> Subspace:
     """Nullspace {v : Mv = 0}, echelon-reduced; dim = cols - rank."""
-    reduced, pivots = rref(m.entries)
-    return echelon_kernel(reduced, pivots, m.cols)
-
-
-def echelon_kernel(reduced, pivots, n_cols: int) -> Subspace:
-    """Nullspace of a matrix from its ``rref`` output (nonzero rows and pivots)."""
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    vectors = []
-    for fc in free_cols:
-        v = [ZERO] * n_cols
-        v[fc] = ONE
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[fc]
-        vectors.append(tuple(v))
-    return Subspace.from_vectors(n_cols, vectors)
+    return _kernel(_eliminate([_sparse(row) for row in m.entries]), m.cols)
 
 
 def solve_linear(m: RatMatrix, b: Vector) -> Vector | None:
@@ -341,21 +367,25 @@ def solve_linear(m: RatMatrix, b: Vector) -> Vector | None:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug = [list(row) + [bv] for row, bv in zip(m.entries, b)]
-    reduced, pivots = _rref_rows(aug)
     n_cols = m.cols
-    for row in reduced:
-        if all(x == 0 for x in row[:n_cols]) and row[n_cols] != 0:
-            return None
-    x = [ZERO] * n_cols
-    for row, p in zip(reduced, pivots):
-        if p < n_cols:
-            x[p] = row[n_cols]
-    # A pivot in the augmented column means inconsistency; caught above, but
-    # guard against it slipping through when the matrix has zero columns.
-    if n_cols in pivots:
+    kept = _eliminate([_sparse((*row, bv)) for row, bv in zip(m.entries, b)])
+    if n_cols in kept:
         return None
+    x = [ZERO] * n_cols
+    for p, row in kept.items():
+        x[p] = row.get(n_cols, ZERO)
     return tuple(x)
+
+
+def _quotient_rows(w: Subspace, v: Subspace) -> list[dict[int, Fraction]]:
+    """``quotient_basis`` as sparse rows; dim (W + V) / V = dim W - dim V iff V <= W."""
+    if w.ambient_dim != v.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    kept = dict(zip(v.pivots, v._rows))
+    reps = _eliminate([_reduce(dict(row), kept) for row in w._rows])
+    if len(reps) != w.dim - v.dim:
+        raise ValueError("V is not contained in W")
+    return [reps[p] for p in sorted(reps)]
 
 
 def quotient_basis(w: Subspace, v: Subspace) -> tuple[Vector, ...]:
@@ -364,12 +394,4 @@ def quotient_basis(w: Subspace, v: Subspace) -> tuple[Vector, ...]:
     Requires V <= W; raises ValueError otherwise.  Joined with V's basis the
     representatives span W, and len(result) = dim W - dim V.
     """
-    if w.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if not w.contains_subspace(v):
-        raise ValueError("V is not contained in W")
-    reduced = [v.reduce(b) for b in w.basis]
-    reps, _ = rref([r for r in reduced if not is_zero_vector(r)])
-    assert len(reps) == w.dim - v.dim
-    return tuple(reps)
-
+    return tuple(_dense(row, w.ambient_dim) for row in _quotient_rows(w, v))

@@ -1,0 +1,442 @@
+"""The sparse-row elimination kernel and the cohomology path built on it.
+
+Three kinds of check:
+
+- a differential test of the whole cohomology path against the dense
+  elimination it replaced: ``frozen_rref_rows`` is the old ``_rref_rows``
+  unchanged, and the other ``frozen_*`` functions are the old dense
+  subspace, kernel, cocycle, coboundary-image and quotient steps built on
+  it.  Results are compared by ``repr``, so values and scalar types must
+  both agree;
+- an independent oracle for the kernel: sympy's ``Matrix.rref`` on
+  mostly-zero matrices;
+- a guard that ``cohomology`` never builds the dense d2 matrix and that
+  ``cocycle_bases`` eliminates the d2 rows exactly once.
+"""
+
+import importlib
+from fractions import Fraction as F
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from lagext.catalog import connection_for, instantiate, sample_parameters, table1_entries
+from lagext.cohomology import (
+    CohomologySummary,
+    TwoCochain,
+    cocycle_bases,
+    cohomology,
+    cyclic_sum_matrix,
+    matrix_of_coboundary_1,
+    matrix_of_coboundary_2,
+    one_cochain_basis,
+    symmetric_one_cochain_basis,
+)
+from lagext.connection import FlatConnection, check_flat_torsion_free, dual_representation
+from lagext.extension import ExtensionTriple, build_extension, canonical_connection
+from lagext.lie import LieAlgebra
+from lagext.linalg import (
+    ONE,
+    ZERO,
+    RatMatrix,
+    Subspace,
+    kernel_basis,
+    rref,
+    solve_linear,
+    vec,
+)
+
+# ``lagext.cohomology`` the attribute is the function; these are the modules.
+cohomology_module = importlib.import_module("lagext.cohomology")
+linalg_module = importlib.import_module("lagext.linalg")
+
+# ---------------------------------------------------------------------------
+# frozen dense implementations
+# ---------------------------------------------------------------------------
+
+
+def frozen_rref_rows(rows):
+    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+    if not rows:
+        return rows, []
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        prow = rows[r]
+        support = [j for j in range(c, n_cols) if prow[j]]
+        inv = ONE / prow[c]
+        if inv != 1:
+            for j in support:
+                prow[j] *= inv
+        entries = [(j, prow[j]) for j in support]
+        for i in range(n_rows):
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                for j, b in entries:
+                    row[j] -= f * b
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def frozen_rref(rows):
+    work = [list(row) for row in rows]
+    reduced, pivots = frozen_rref_rows(work)
+    return [tuple(reduced[i]) for i in range(len(pivots))], pivots
+
+
+def frozen_from_vectors(ambient_dim, vectors):
+    basis, pivots = frozen_rref([vec(v) for v in vectors])
+    return Subspace(ambient_dim, tuple(basis), tuple(pivots))
+
+
+def frozen_echelon_kernel(reduced, pivots, n_cols):
+    pivot_set = set(pivots)
+    vectors = []
+    for fc in (c for c in range(n_cols) if c not in pivot_set):
+        v = [ZERO] * n_cols
+        v[fc] = ONE
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[fc]
+        vectors.append(tuple(v))
+    return frozen_from_vectors(n_cols, vectors)
+
+
+def frozen_kernel_basis(m):
+    reduced, pivots = frozen_rref(m.entries)
+    return frozen_echelon_kernel(reduced, pivots, m.cols)
+
+
+def frozen_reduce(space, v):
+    w = list(v)
+    for row, p in zip(space.basis, space.pivots):
+        f = w[p]
+        if f:
+            for j, b in enumerate(row):
+                if b:
+                    w[j] -= f * b
+    return tuple(w)
+
+
+def frozen_quotient_basis(w, v):
+    assert all(not any(frozen_reduce(w, b)) for b in v.basis)
+    reduced = [frozen_reduce(v, b) for b in w.basis]
+    reps, _ = frozen_rref([r for r in reduced if any(x != 0 for x in r)])
+    return tuple(reps)
+
+
+def frozen_cocycle_bases(rep):
+    d2 = matrix_of_coboundary_2(rep)
+    reduced, pivots = frozen_rref(d2.entries)
+    z2 = frozen_echelon_kernel(reduced, pivots, d2.cols)
+    z2l = frozen_kernel_basis(RatMatrix(tuple(reduced) + cyclic_sum_matrix(rep.dim).entries))
+    return z2, z2l
+
+
+def frozen_coboundary_image(rep, lagrangian):
+    basis = symmetric_one_cochain_basis(rep.dim) if lagrangian else one_cochain_basis(rep.dim)
+    images = matrix_of_coboundary_1(rep, basis).transpose().entries
+    width = (rep.dim * (rep.dim - 1) // 2) * rep.dim
+    return frozen_from_vectors(width, images)
+
+
+def frozen_cohomology(rep):
+    n = rep.dim
+    z2, z2l = frozen_cocycle_bases(rep)
+    b2 = frozen_coboundary_image(rep, lagrangian=False)
+    b2l = frozen_coboundary_image(rep, lagrangian=True)
+    h2_reps = frozen_quotient_basis(z2, b2)
+    h2l_reps = frozen_quotient_basis(z2l, b2l)
+    natural_rank = frozen_from_vectors(z2l.ambient_dim, z2l.basis + b2.basis).dim - b2.dim
+    return CohomologySummary(
+        dim_c1=n * n,
+        dim_c1_lagrangian=n * (n + 1) // 2,
+        dim_z2=z2.dim,
+        dim_b2=b2.dim,
+        dim_b2_lagrangian=b2l.dim,
+        dim_z2_lagrangian=z2l.dim,
+        dim_h2=z2.dim - b2.dim,
+        dim_h2_lagrangian=z2l.dim - b2l.dim,
+        natural_map_rank=natural_rank,
+        h2_representatives=tuple(TwoCochain.unflatten(n, v) for v in h2_reps),
+        h2_lagrangian_representatives=tuple(TwoCochain.unflatten(n, v) for v in h2l_reps),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the cohomology path against the frozen dense path
+# ---------------------------------------------------------------------------
+
+
+def truncated_polynomial_connection(lambdas):
+    """b_i . b_j = l_i l_j / l_(i+j) b_(i+j) on abelian R^n: flat, torsion-free, complete."""
+    n = len(lambdas)
+    entries = {}
+    for i in range(1, n):
+        for j in range(1, n + 1 - i):
+            v = [F(0)] * n
+            v[i + j - 1] = lambdas[i - 1] * lambdas[j - 1] / lambdas[i + j - 1]
+            entries[(i - 1, j - 1)] = tuple(v)
+    return FlatConnection.from_entries(LieAlgebra.abelian(n), entries, label=f"trunc{n}")
+
+
+def canonical_rep(label):
+    ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
+    return dual_representation(canonical_connection(ext))
+
+
+def assert_cohomology_matches_frozen(rep):
+    summary = cohomology(rep)
+    assert repr(summary) == repr(frozen_cohomology(rep))
+    z2, z2l = cocycle_bases(rep)
+    frozen_z2, frozen_z2l = frozen_cocycle_bases(rep)
+    assert repr(z2) == repr(frozen_z2)
+    assert repr(z2l) == repr(frozen_z2l)
+
+
+def test_cohomology_matches_frozen_dense_path_on_flat_catalog_rows():
+    rows = set()
+    checked = 0
+    for entry in table1_entries():
+        if entry.suspect:
+            continue
+        for sample in sample_parameters(entry, 2):
+            conn = instantiate(entry, sample)
+            if check_flat_torsion_free(conn).ok:
+                rows.add(entry.label)
+                assert_cohomology_matches_frozen(dual_representation(conn))
+                checked += 1
+    assert len(rows) == 64
+    assert checked > 64
+
+
+@pytest.mark.parametrize("label", ["l_26", "t_8"])
+def test_cohomology_matches_frozen_dense_path_in_dimension_eight(label):
+    assert_cohomology_matches_frozen(canonical_rep(label))
+
+
+@pytest.mark.parametrize(
+    "conn",
+    [
+        FlatConnection.zero(LieAlgebra.abelian(1)),  # C^2 has width 0
+        truncated_polynomial_connection([F(2, 3)]),
+        FlatConnection.zero(LieAlgebra.abelian(2)),  # no triples: d2 is one zero row
+        truncated_polynomial_connection([F(-2, 3), F(3)]),
+    ],
+    ids=["zero-1", "trunc-1", "zero-2", "trunc-2"],
+)
+def test_cohomology_matches_frozen_dense_path_below_three_dimensions(conn):
+    rep = dual_representation(conn)
+    assert_cohomology_matches_frozen(rep)
+    width = (conn.dim * (conn.dim - 1) // 2) * conn.dim
+    assert matrix_of_coboundary_2(rep).entries == ((ZERO,) * width,)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against sympy
+# ---------------------------------------------------------------------------
+
+
+def to_sympy(rows, cols):
+    return sympy.Matrix(len(rows), cols, [sympy.Rational(x.numerator, x.denominator)
+                                          for row in rows for x in row])
+
+
+def from_sympy(x):
+    return F(int(x.p), int(x.q))
+
+
+def sympy_rref(rows, cols):
+    """(nonzero rows, pivots) of the reduced row echelon form, by sympy."""
+    if not rows or cols == 0:
+        return [], []
+    reduced, pivots = to_sympy(rows, cols).rref()
+    return (
+        [tuple(from_sympy(reduced[i, j]) for j in range(cols)) for i in range(len(pivots))],
+        list(pivots),
+    )
+
+
+def assert_fractions(vectors):
+    assert all(type(x) is F for v in vectors for x in v)
+
+
+def assert_kernel_matches_sympy(rows, cols):
+    reduced, pivots = rref(rows)
+    assert (reduced, pivots) == sympy_rref(rows, cols)
+    assert_fractions(reduced)
+    # The kernel's echelon basis is the rref of any basis of it, here sympy's.
+    # (A matrix without rows has no columns either, so it is skipped.)
+    if rows:
+        kernel = kernel_basis(RatMatrix(tuple(rows)))
+        nullspace = [tuple(from_sympy(x) for x in v) for v in to_sympy(rows, cols).nullspace()]
+        assert list(kernel.basis) == sympy_rref(nullspace, cols)[0]
+        assert list(kernel.pivots) == sympy_rref(nullspace, cols)[1]
+        assert_fractions(kernel.basis)
+    space = Subspace.from_vectors(cols, rows)
+    assert (list(space.basis), list(space.pivots)) == sympy_rref(rows, cols)
+
+
+def assert_solve_matches_sympy(rows, b):
+    """Consistent iff the augmented column gets no pivot; then x is read off sympy's rref."""
+    m = RatMatrix(tuple(rows))
+    cols = m.cols  # a matrix without rows has no columns either
+    x = solve_linear(m, b)
+    augmented = [tuple(row) + (bv,) for row, bv in zip(rows, b)]
+    reduced, pivots = sympy_rref(augmented, cols + 1)
+    if cols in pivots:
+        assert x is None
+        return
+    expected = [F(0)] * cols
+    for row, p in zip(reduced, pivots):
+        expected[p] = row[cols]
+    assert x == tuple(expected)
+    assert_fractions([x])
+
+
+def assert_inverse_matches_sympy(rows):
+    m = RatMatrix(tuple(rows))
+    s = to_sympy(rows, len(rows))
+    if s.det() == 0:
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            m.inverse()
+        return
+    inverse = s.inv()
+    assert m.inverse().entries == tuple(
+        tuple(from_sympy(inverse[i, j]) for j in range(len(rows))) for i in range(len(rows))
+    )
+    assert_fractions(m.inverse().entries)
+
+
+# Mostly zeros: five entries in six are zero.
+NONZERO_ENTRIES = [F(p, q) for p in range(-3, 4) if p for q in (1, 2, 3)]
+sparse_entries = st.sampled_from([F(0)] * (5 * len(NONZERO_ENTRIES)) + NONZERO_ENTRIES)
+
+
+@st.composite
+def sparse_rows(draw, max_rows=8, max_cols=12):
+    """Mostly-zero rows, with some duplicated and some combinations of earlier rows.
+
+    A combination of earlier rows cancels to zero partway through the
+    elimination; a zero column appears wherever no row has an entry.
+    """
+    cols = draw(st.integers(min_value=0, max_value=max_cols))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_rows))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "duplicate", "combination"]))
+        if kind == "duplicate" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "combination" and len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f = draw(st.sampled_from(NONZERO_ENTRIES))
+            rows.append(tuple(x + f * y for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(draw(st.lists(sparse_entries, min_size=cols, max_size=cols))))
+    return rows, cols
+
+
+@given(sparse_rows(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_sympy_rref_on_mostly_zero_matrices(rows_cols, data):
+    rows, cols = rows_cols
+    assert_kernel_matches_sympy(rows, cols)
+    b = tuple(data.draw(st.lists(sparse_entries, min_size=len(rows), max_size=len(rows))))
+    assert_solve_matches_sympy(rows, b)
+    if rows and cols >= len(rows):
+        assert_inverse_matches_sympy([row[: len(rows)] for row in rows])
+
+
+EDGE_CASES = {
+    "no rows": ([], 3),
+    "no columns": ([(), ()], 0),
+    "zero columns": ([vec([0, 1, 0, 2]), vec([0, 3, 0, 1])], 4),
+    "zero matrix": ([vec([0, 0, 0])] * 2, 3),
+    "duplicate rows": ([vec([1, 2, 0]), vec([1, 2, 0]), vec([0, 0, 5])], 3),
+    # The third row is the first minus twice the second: it cancels to zero
+    # after the first two pivots, before the fourth row arrives.
+    "cancels midway": (
+        [vec([1, 0, 2, 0]), vec([0, 1, 1, 0]), vec([1, -2, 0, 0]), vec([0, 0, 1, 1])],
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_CASES))
+def test_kernel_matches_sympy_rref_on_edge_cases(name):
+    rows, cols = EDGE_CASES[name]
+    assert_kernel_matches_sympy(rows, cols)
+    assert_solve_matches_sympy(rows, vec([1] * len(rows)))
+
+
+def test_linalg_error_messages_are_unchanged():
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        RatMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(ValueError, match="^inverse of non-square matrix$"):
+        RatMatrix.from_rows([[1, 2]]).inverse()
+    with pytest.raises(ValueError, match="^right-hand side length does not match row count$"):
+        solve_linear(RatMatrix.identity(2), vec([1, 2, 3]))
+    with pytest.raises(ValueError, match="^vector length does not match ambient dimension$"):
+        Subspace.from_vectors(3, [vec([1, 2])])
+    with pytest.raises(TypeError, match=r"^cannot interpret 0\.5 as a rational$"):
+        Subspace.from_vectors(2, [(0.5, 0)])
+
+
+# ---------------------------------------------------------------------------
+# guard: no dense d2, and d2 eliminated once
+# ---------------------------------------------------------------------------
+
+
+def test_cohomology_never_builds_dense_d2_and_eliminates_its_rows_once(monkeypatch):
+    rep = canonical_rep("l_26")
+    dense_builds = []
+    fed = []  # every row given to the elimination kernel, as it arrived
+    emitted = []  # the sparse d2 rows, as emitted
+
+    def no_dense_d2(*args):
+        dense_builds.append(args)
+        return matrix_of_coboundary_2(*args)
+
+    real_eliminate = linalg_module._eliminate
+
+    def counting_eliminate(rows, kept=None):
+        rows = list(rows)
+        fed.extend(dict(row) for row in rows)
+        return real_eliminate(rows, kept)
+
+    real_d2_rows = cohomology_module._coboundary_2_rows
+
+    def recording_d2_rows(rep):
+        rows = real_d2_rows(rep)
+        emitted.extend(dict(row) for row in rows)
+        return rows
+
+    monkeypatch.setattr(cohomology_module, "matrix_of_coboundary_2", no_dense_d2)
+    monkeypatch.setattr(cohomology_module, "_coboundary_2_rows", recording_d2_rows)
+    monkeypatch.setattr(cohomology_module, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(linalg_module, "_eliminate", counting_eliminate)
+
+    z2, z2l = cocycle_bases(rep)
+    assert not dense_builds
+    assert len(emitted) == 56 * 8  # one row per (triple, t)
+    # The kernel took each d2 row once, then the 56 cyclic-sum rows once, and
+    # the kernel vectors of Z^2 and Z^2_L to put them in echelon form.
+    assert len(fed) == len(emitted) + 56 + z2.dim + z2l.dim
+    for row in emitted:
+        if row:
+            assert sum(other == row for other in fed) == emitted.count(row)
+
+    fed.clear()
+    emitted.clear()
+    summary = cohomology(rep)
+    assert not dense_builds
+    assert len(emitted) == 56 * 8
+    assert (summary.dim_z2, summary.dim_z2_lagrangian) == (123, 82)
