@@ -9,7 +9,7 @@ from fractions import Fraction
 import click
 
 from .catalog import table1_entries, TABLE4_RECORDS
-from .cohomology import TwoCochain, cohomology, cocycle_bases, coboundary_2, two_cochain_from_coefficients
+from .cohomology import TwoCochain, cohomology, cocycle_bases, two_cochain_from_coefficients
 from .connection import check_flat_torsion_free, dual_representation
 from .extension import (
     CocycleError,
@@ -21,7 +21,7 @@ from .extension import (
     is_lagrangian_ideal,
     symplectic_reduction,
 )
-from .linalg import Subspace, format_rational, unit_vector
+from .linalg import Subspace, unit_vector
 from .sampling import random_rational, rng_for
 from .specfile import (
     BasisToken,
@@ -36,15 +36,12 @@ from .specfile import (
     spec_from_symplectic,
 )
 from .verify import (
-    FAIL,
-    PASS,
-    ReportRecord,
-    SKIPPED,
+    AlgebraBlockError,
+    exit_code_for,
     format_text,
     format_tsv,
-    fmt_vector,
     run_verify_catalog,
-    verify_file_connection,
+    verify_spec,
 )
 
 
@@ -102,61 +99,12 @@ def check(file, assignments, fmt, out):
     spec = _load_spec(file)
     env = _parse_assignments(assignments)
     _require_env(spec, env)
-    records: list[ReportRecord] = []
-    label = spec.name
-
     try:
-        algebra = build_algebra(spec, env)
-        records.append(ReportRecord(label, "jacobi", "-", PASS))
-    except ValueError as exc:
+        records = verify_spec(spec, env)
+    except AlgebraBlockError as exc:
         raise click.ClickException(f"algebra block invalid: {exc}") from None
-
-    conn = None
-    if spec.connection:
-        try:
-            conn = build_connection(spec, algebra, env)
-            records.extend(verify_file_connection(label, conn))
-        except DuplicateCellError as exc:
-            records.append(ReportRecord(label, "connection", "-", "conflict", str(exc)))
-
-    if spec.omega:
-        omega = build_omega(spec, env)
-        sympl = SymplecticLieAlgebra(algebra, omega)
-        if not omega.is_invertible():
-            records.append(ReportRecord(label, "omega-nondegenerate", "-", FAIL, "omega is singular"))
-        else:
-            records.append(ReportRecord(label, "omega-nondegenerate", "-", PASS))
-        witnesses = d_omega(sympl).witnesses()
-        if witnesses:
-            (i, j, k), value = witnesses[0]
-            records.append(ReportRecord(label, "omega-closed", "-", FAIL,
-                                        f"d_omega({i},{j},{k}) = {format_rational(value)}"))
-        else:
-            records.append(ReportRecord(label, "omega-closed", "-", PASS))
-
-    if spec.cocycle:
-        if conn is None:
-            records.append(ReportRecord(label, "cocycle", "-", SKIPPED,
-                                        "cocycle checks need a connection block"))
-        else:
-            alpha = build_cocycle(spec, env)
-            rep = dual_representation(conn)
-            residual = coboundary_2(rep, alpha)
-            if residual.is_zero():
-                records.append(ReportRecord(label, "cocycle-closed", "-", PASS))
-            else:
-                (i, j, k), res = residual.witnesses()[0]
-                records.append(ReportRecord(label, "cocycle-closed", "-", FAIL,
-                                            f"d2 residual({i},{j},{k}) = {fmt_vector(res)}"))
-            records.append(ReportRecord(
-                label, "cocycle-bianchi", "-",
-                PASS if alpha.is_lagrangian else FAIL,
-                "" if alpha.is_lagrangian else "cyclic sum is nonzero",
-            ))
-
-    text = format_tsv(records) if fmt == "tsv" else format_text(records)
-    _emit(text, out)
-    sys.exit(1 if any(r.status == FAIL for r in records) else 0)
+    _emit(format_tsv(records) if fmt == "tsv" else format_text(records), out)
+    sys.exit(exit_code_for(records))
 
 
 @main.command("cohomology")

@@ -127,7 +127,16 @@ class LieAlgebra:
         return all(sub.contains(col) for col in _ad_images(self, sub))
 
     def rename(self, name: str) -> "LieAlgebra":
-        return LieAlgebra(self.dim, self.bracket, name)
+        """The same algebra under another name.
+
+        The copy keeps the nonzero table and lower central series already
+        computed for this algebra: both depend only on the bracket tensor.
+        """
+        renamed = LieAlgebra(self.dim, self.bracket, name)
+        for kept in ("nonzero_brackets", "central_series"):
+            if kept in self.__dict__:
+                renamed.__dict__[kept] = self.__dict__[kept]
+        return renamed
 
 
 def _ad_images(algebra: LieAlgebra, sub: Subspace) -> list[Vector]:

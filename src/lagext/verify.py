@@ -1,20 +1,31 @@
-"""Catalog-wide verification sweep producing deterministic report records."""
+"""Deterministic report records for catalog rows and spec files.
+
+``verify_entry`` checks each parameter sample of a catalog row and
+``verify_spec`` each block of a parsed spec file.  A connection from either
+source goes through the same nine checks (``CHECK_NAMES``), so a row written
+out by ``lagext catalog export`` and read back gets the records
+``verify-catalog`` gives it.  A check fails exactly when it has a witness,
+and a run exits 1 exactly when some record fails (``exit_code_for``).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .catalog import (
     CatalogEntry,
     ConflictReport,
-    base_algebra,
     instantiate,
     sample_parameters,
     table1_entries,
 )
+from .cohomology import coboundary_2
 from .connection import (
+    CompletenessEvidence,
     FlatConnection,
     check_flat_torsion_free,
+    dual_representation,
     induced_bracket,
     is_geodesically_complete,
 )
@@ -22,6 +33,7 @@ from .extension import (
     CocycleError,
     ExtensionTriple,
     IntegrityError,
+    SymplecticLieAlgebra,
     build_extension,
     d_omega,
     extension_nilpotency,
@@ -29,6 +41,14 @@ from .extension import (
     is_lagrangian_ideal,
 )
 from .linalg import Vector, format_rational
+from .specfile import (
+    DuplicateCellError,
+    SpecFile,
+    build_algebra,
+    build_cocycle,
+    build_connection,
+    build_omega,
+)
 
 CHECK_NAMES = (
     "torsion",
@@ -61,108 +81,109 @@ class ReportRecord:
             raise ValueError("fail records must carry a witness")
 
 
+class AlgebraBlockError(ValueError):
+    """The bracket block of a spec file does not define a Lie algebra."""
+
+
 def fmt_vector(v: Vector) -> str:
     return "(" + ", ".join(format_rational(x) for x in v) + ")"
 
 
+def _verdict(label: str, check: str, sample_id: str, witness: str) -> ReportRecord:
+    """The record of a check that ran: it fails exactly when it has a witness."""
+    return ReportRecord(label, check, sample_id, FAIL if witness else PASS, witness)
+
+
+def exit_code_for(records: list[ReportRecord]) -> int:
+    """1 when some record fails, else 0; conflicts and skips do not fail a run."""
+    return 1 if any(r.status == FAIL for r in records) else 0
+
+
+def _d_omega_witness(s: SymplecticLieAlgebra) -> str:
+    return next(
+        (f"d_omega({i},{j},{k}) = {format_rational(value)}"
+         for (i, j, k), value in d_omega(s).witnesses()),
+        "",
+    )
+
+
+def _completeness_witness(evidence: CompletenessEvidence) -> str:
+    if not evidence.complete:
+        j = next(i for i, t in enumerate(evidence.traces) if t != 0)
+        return f"tr rho(e{j+1}) = {format_rational(evidence.traces[j])}"
+    if evidence.nabla_nilindex is None:
+        return "Engel flag of nabla stops above 0: some nabla_x is not nilpotent"
+    if not evidence.all_nilpotent:
+        j = evidence.right_mult_nilpotent.index(False)
+        return f"R(e{j+1}) is not nilpotent"
+    return ""
+
+
 def _connection_records(label: str, sample_id: str, conn: FlatConnection) -> list[ReportRecord]:
     records: list[ReportRecord] = []
-    report = check_flat_torsion_free(conn)
 
-    if report.torsion:
-        (i, j), res = report.torsion[0]
-        records.append(ReportRecord(label, "torsion", sample_id, FAIL,
-                                    f"T(e{i},e{j}) = {fmt_vector(res)}"))
-    else:
-        records.append(ReportRecord(label, "torsion", sample_id, PASS))
+    def record(check: str, witness: str) -> None:
+        records.append(_verdict(label, check, sample_id, witness))
 
-    if report.curvature:
-        (i, j, s), res = report.curvature[0]
-        records.append(ReportRecord(label, "flatness", sample_id, FAIL,
-                                    f"R(e{i},e{j})e{s} = {fmt_vector(res)}"))
-    else:
-        records.append(ReportRecord(label, "flatness", sample_id, PASS))
-
-    induced = induced_bracket(conn)
-    if induced.bracket == conn.base.bracket:
-        records.append(ReportRecord(label, "base-bracket-match", sample_id, PASS))
-    else:
-        witness = next(
-            f"[e{i+1},e{j+1}] induced {fmt_vector(induced.bracket[i][j])} "
-            f"vs declared {fmt_vector(conn.base.bracket[i][j])}"
-            for i in range(conn.dim)
-            for j in range(conn.dim)
-            if induced.bracket[i][j] != conn.base.bracket[i][j]
+    def skip_the_rest(reason: str) -> list[ReportRecord]:
+        records.extend(
+            ReportRecord(label, name, sample_id, SKIPPED, reason)
+            for name in CHECK_NAMES[len(records):]
         )
-        records.append(ReportRecord(label, "base-bracket-match", sample_id, FAIL, witness))
-
-    blocked = "requires flat torsion-free connection"
-    if not report.ok:
-        for name in CHECK_NAMES[3:]:
-            records.append(ReportRecord(label, name, sample_id, SKIPPED, blocked))
         return records
 
-    evidence = is_geodesically_complete(conn)
-    if evidence.complete and evidence.all_nilpotent:
-        records.append(ReportRecord(label, "completeness", sample_id, PASS))
-    else:
-        if not evidence.complete:
-            j = next(i for i, t in enumerate(evidence.traces) if t != 0)
-            witness = f"tr rho(e{j+1}) = {format_rational(evidence.traces[j])}"
-        elif evidence.nabla_nilindex is None:
-            witness = "Engel flag of nabla stops above 0: some nabla_x is not nilpotent"
-        else:
-            j = evidence.right_mult_nilpotent.index(False)
-            witness = f"R(e{j+1}) is not nilpotent"
-        records.append(ReportRecord(label, "completeness", sample_id, FAIL, witness))
+    report = check_flat_torsion_free(conn)
+    record("torsion", next(
+        (f"T(e{i},e{j}) = {fmt_vector(res)}" for (i, j), res in report.torsion), ""
+    ))
+    record("flatness", next(
+        (f"R(e{i},e{j})e{s} = {fmt_vector(res)}" for (i, j, s), res in report.curvature), ""
+    ))
+    induced = induced_bracket(conn).bracket
+    declared = conn.base.bracket
+    record("base-bracket-match", next(
+        (f"[e{i+1},e{j+1}] induced {fmt_vector(induced[i][j])} "
+         f"vs declared {fmt_vector(declared[i][j])}"
+         for i in range(conn.dim)
+         for j in range(conn.dim)
+         if induced[i][j] != declared[i][j]),
+        "",
+    ))
+    if not report.ok:
+        return skip_the_rest("requires flat torsion-free connection")
+
+    record("completeness", _completeness_witness(is_geodesically_complete(conn)))
 
     triple = ExtensionTriple.with_zero_cocycle(conn)
     try:
         ext = build_extension(triple)
-        records.append(ReportRecord(label, "extension-jacobi", sample_id, PASS))
     except (CocycleError, ValueError) as exc:
-        records.append(ReportRecord(label, "extension-jacobi", sample_id, FAIL, str(exc)))
-        for name in CHECK_NAMES[5:]:
-            records.append(ReportRecord(label, name, sample_id, SKIPPED, "extension unbuildable"))
-        return records
+        record("extension-jacobi", str(exc))
+        return skip_the_rest("extension unbuildable")
+    record("extension-jacobi", "")
 
-    witnesses = d_omega(ext).witnesses()
-    if witnesses:
-        (i, j, k), value = witnesses[0]
-        records.append(ReportRecord(label, "extension-closed", sample_id, FAIL,
-                                    f"d_omega({i},{j},{k}) = {format_rational(value)}"))
-    else:
-        records.append(ReportRecord(label, "extension-closed", sample_id, PASS))
+    record("extension-closed", _d_omega_witness(ext))
 
     verdict = is_lagrangian_ideal(ext, ext.lagrangian_ideal)
-    if verdict.is_lagrangian and verdict.normal:
-        records.append(ReportRecord(label, "lagrangian-ideal", sample_id, PASS))
-    else:
-        records.append(ReportRecord(label, "lagrangian-ideal", sample_id, FAIL,
-                                    f"status={verdict.status} normal={verdict.normal}"))
+    record("lagrangian-ideal", "" if verdict.is_lagrangian and verdict.normal
+           else f"status={verdict.status} normal={verdict.normal}")
 
     try:
         cert = extension_nilpotency(triple)
-        if cert.nilpotent:
-            records.append(ReportRecord(label, "extension-nilpotent", sample_id, PASS))
-        else:
-            records.append(ReportRecord(label, "extension-nilpotent", sample_id, FAIL,
-                                        f"lcs dims {cert.lcs_dims}"))
     except IntegrityError as exc:
-        records.append(ReportRecord(label, "extension-nilpotent", sample_id, FAIL, str(exc)))
-
-    recovered = induced_flat_connection(ext, ext.lagrangian_ideal)
-    if recovered.gamma == conn.gamma:
-        records.append(ReportRecord(label, "round-trip", sample_id, PASS))
+        record("extension-nilpotent", str(exc))
     else:
-        witness = next(
-            f"gamma({i+1},{j+1}) recovered {fmt_vector(recovered.gamma[i][j])} "
-            f"vs {fmt_vector(conn.gamma[i][j])}"
-            for i in range(conn.dim)
-            for j in range(conn.dim)
-            if recovered.gamma[i][j] != conn.gamma[i][j]
-        )
-        records.append(ReportRecord(label, "round-trip", sample_id, FAIL, witness))
+        record("extension-nilpotent", "" if cert.nilpotent else f"lcs dims {cert.lcs_dims}")
+
+    recovered = induced_flat_connection(ext, ext.lagrangian_ideal).gamma
+    record("round-trip", next(
+        (f"gamma({i+1},{j+1}) recovered {fmt_vector(recovered[i][j])} "
+         f"vs {fmt_vector(conn.gamma[i][j])}"
+         for i in range(conn.dim)
+         for j in range(conn.dim)
+         if recovered[i][j] != conn.gamma[i][j]),
+        "",
+    ))
     return records
 
 
@@ -181,6 +202,56 @@ def verify_entry(entry: CatalogEntry, samples: int, seed: int) -> list[ReportRec
     return records
 
 
+def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
+    """Records for each block of a parsed spec file, in block order.
+
+    The algebra block gives ``jacobi``; a connection block the nine
+    ``CHECK_NAMES`` records, or one ``conflict`` record when it assigns a
+    cell twice; an omega block ``omega-nondegenerate`` and ``omega-closed``;
+    a cocycle block ``cocycle-closed`` and ``cocycle-bianchi``, or a skipped
+    ``cocycle`` record without a usable connection.  Raises
+    AlgebraBlockError when the bracket block is not a Lie algebra.
+    """
+    label = spec.name
+    try:
+        algebra = build_algebra(spec, env)
+    except ValueError as exc:
+        raise AlgebraBlockError(str(exc)) from exc
+    records = [_verdict(label, "jacobi", "-", "")]
+
+    conn = None
+    if spec.connection:
+        try:
+            conn = build_connection(spec, algebra, env)
+        except DuplicateCellError as exc:
+            records.append(ReportRecord(label, "connection", "-", CONFLICT, str(exc)))
+        else:
+            records.extend(_connection_records(label, "-", conn))
+
+    if spec.omega:
+        omega = build_omega(spec, env)
+        records.append(_verdict(label, "omega-nondegenerate", "-",
+                                "" if omega.is_invertible() else "omega is singular"))
+        records.append(_verdict(label, "omega-closed", "-",
+                                _d_omega_witness(SymplecticLieAlgebra(algebra, omega))))
+
+    if spec.cocycle:
+        if conn is None:
+            records.append(ReportRecord(label, "cocycle", "-", SKIPPED,
+                                        "cocycle checks need a connection block"))
+        else:
+            alpha = build_cocycle(spec, env)
+            residual = coboundary_2(dual_representation(conn), alpha)
+            records.append(_verdict(label, "cocycle-closed", "-", next(
+                (f"d2 residual({i},{j},{k}) = {fmt_vector(res)}"
+                 for (i, j, k), res in residual.witnesses()),
+                "",
+            )))
+            records.append(_verdict(label, "cocycle-bianchi", "-",
+                                    "" if alpha.is_lagrangian else "cyclic sum is nonzero"))
+    return records
+
+
 def run_verify_catalog(
     samples: int = 3, seed: int = 0, entry_label: str | None = None
 ) -> tuple[list[ReportRecord], int]:
@@ -192,8 +263,7 @@ def run_verify_catalog(
         records.extend(verify_entry(entry, samples, seed))
     if entry_label is not None and not records:
         raise ValueError(f"no catalog entry labeled {entry_label!r}")
-    exit_code = 1 if any(r.status == FAIL for r in records) else 0
-    return records, exit_code
+    return records, exit_code_for(records)
 
 
 def format_tsv(records: list[ReportRecord]) -> str:
@@ -220,43 +290,14 @@ def format_text(records: list[ReportRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def verify_file_connection(label: str, conn: FlatConnection) -> list[ReportRecord]:
-    """Connection axioms for a user-supplied file (no catalog base matching)."""
-    records: list[ReportRecord] = []
-    report = check_flat_torsion_free(conn)
-    if report.torsion:
-        (i, j), res = report.torsion[0]
-        records.append(ReportRecord(label, "torsion", "-", FAIL,
-                                    f"T(e{i},e{j}) = {fmt_vector(res)}"))
-    else:
-        records.append(ReportRecord(label, "torsion", "-", PASS))
-    if report.curvature:
-        (i, j, s), res = report.curvature[0]
-        records.append(ReportRecord(label, "flatness", "-", FAIL,
-                                    f"R(e{i},e{j})e{s} = {fmt_vector(res)}"))
-    else:
-        records.append(ReportRecord(label, "flatness", "-", PASS))
-    if report.ok:
-        evidence = is_geodesically_complete(conn)
-        if evidence.complete:
-            records.append(ReportRecord(label, "completeness", "-", PASS))
-        else:
-            j = next(i for i, t in enumerate(evidence.traces) if t != 0)
-            records.append(ReportRecord(label, "completeness", "-", FAIL,
-                                        f"tr rho(e{j+1}) = {format_rational(evidence.traces[j])}"))
-    else:
-        records.append(ReportRecord(label, "completeness", "-", SKIPPED,
-                                    "requires flat torsion-free connection"))
-    return records
-
-
 __all__ = [
+    "AlgebraBlockError",
     "CHECK_NAMES",
     "ReportRecord",
+    "exit_code_for",
     "run_verify_catalog",
     "verify_entry",
+    "verify_spec",
     "format_text",
     "format_tsv",
-    "verify_file_connection",
-    "base_algebra",
 ]

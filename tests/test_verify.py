@@ -7,8 +7,14 @@ from fractions import Fraction as F
 import pytest
 
 from lagext import connection, extension, lie, linalg
-from lagext.catalog import entry_by_label, instantiate, sample_parameters
+from lagext.catalog import connection_for, entry_by_label, instantiate, sample_parameters
 from lagext.connection import CompletenessEvidence, FlatConnection
+from lagext.extension import (
+    ExtensionTriple,
+    build_extension,
+    extension_nilpotency,
+    induced_flat_connection,
+)
 from lagext.lie import LieAlgebra
 from lagext.verify import (
     CHECK_NAMES,
@@ -151,6 +157,17 @@ def test_passing_row_computes_each_verdict_once(label, verdict_counts):
         "_lower_central_series": 2,
         "_classify_ideal": 1,
     }
+
+
+def test_named_extension_keeps_the_lower_central_series(verdict_counts):
+    # The nilpotency certificate computes the extension's series; the copy
+    # named afterwards carries it into the round trip.
+    triple = ExtensionTriple.with_zero_cocycle(connection_for("l_26"))
+    extension_nilpotency(triple)
+    named = build_extension(triple, name="l_26_ext")
+    induced_flat_connection(named, named.lagrangian_ideal)
+    # One series for the base and one for the extension, shared by its copy.
+    assert verdict_counts["_lower_central_series"] == 2
 
 
 def test_defective_row_sweeps_once(verdict_counts):
