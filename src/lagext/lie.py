@@ -79,9 +79,14 @@ class LieAlgebra:
     def abelian(dim: int, name: str = "") -> "LieAlgebra":
         return LieAlgebra.from_brackets(dim, {}, name)
 
+    # Set by ``rename``; a class attribute, so not a dataclass field.
+    _renamed_from = None
+
     @cached_property
     def nonzero_brackets(self) -> NonzeroTable:
         """The nonzero structure constants: [e_i, e_j] = sum of c e_k over (k, c) in [i][j]."""
+        if self._renamed_from is not None:
+            return self._renamed_from.nonzero_brackets
         return tuple(
             tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
             for plane in self.bracket
@@ -89,7 +94,9 @@ class LieAlgebra:
 
     @cached_property
     def central_series(self) -> tuple[Subspace, ...]:
-        """The lower central series, computed once per algebra."""
+        """The lower central series, computed once per algebra and its renamed copies."""
+        if self._renamed_from is not None:
+            return self._renamed_from.central_series
         return _lower_central_series(self)
 
     def bracket_vectors(self, x: Vector, y: Vector) -> Vector:
@@ -127,15 +134,10 @@ class LieAlgebra:
         return all(sub.contains(col) for col in _ad_images(self, sub))
 
     def rename(self, name: str) -> "LieAlgebra":
-        """The same algebra under another name.
-
-        The copy keeps the nonzero table and lower central series already
-        computed for this algebra: both depend only on the bracket tensor.
-        """
+        """The same algebra under another name, reading ``nonzero_brackets`` and
+        ``central_series`` through this one: both depend only on the bracket."""
         renamed = LieAlgebra(self.dim, self.bracket, name)
-        for kept in ("nonzero_brackets", "central_series"):
-            if kept in self.__dict__:
-                renamed.__dict__[kept] = self.__dict__[kept]
+        object.__setattr__(renamed, "_renamed_from", self)
         return renamed
 
 

@@ -158,7 +158,7 @@ def _connection_records(label: str, sample_id: str, conn: FlatConnection) -> lis
     try:
         ext = build_extension(triple)
     except (CocycleError, ValueError) as exc:
-        record("extension-jacobi", str(exc))
+        records.append(ReportRecord(label, "extension-jacobi", sample_id, FAIL, str(exc)))
         return skip_the_rest("extension unbuildable")
     record("extension-jacobi", "")
 
@@ -171,7 +171,7 @@ def _connection_records(label: str, sample_id: str, conn: FlatConnection) -> lis
     try:
         cert = extension_nilpotency(triple)
     except IntegrityError as exc:
-        record("extension-nilpotent", str(exc))
+        records.append(ReportRecord(label, "extension-nilpotent", sample_id, FAIL, str(exc)))
     else:
         record("extension-nilpotent", "" if cert.nilpotent else f"lcs dims {cert.lcs_dims}")
 
@@ -209,7 +209,7 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
     ``CHECK_NAMES`` records, or one ``conflict`` record when it assigns a
     cell twice; an omega block ``omega-nondegenerate`` and ``omega-closed``;
     a cocycle block ``cocycle-closed`` and ``cocycle-bianchi``, or a skipped
-    ``cocycle`` record without a usable connection.  Raises
+    ``cocycle`` record without a flat torsion-free connection.  Raises
     AlgebraBlockError when the bracket block is not a Lie algebra.
     """
     label = spec.name
@@ -239,6 +239,9 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
         if conn is None:
             records.append(ReportRecord(label, "cocycle", "-", SKIPPED,
                                         "cocycle checks need a connection block"))
+        elif not check_flat_torsion_free(conn).ok:
+            records.append(ReportRecord(label, "cocycle", "-", SKIPPED,
+                                        "requires flat torsion-free connection"))
         else:
             alpha = build_cocycle(spec, env)
             residual = coboundary_2(dual_representation(conn), alpha)

@@ -159,12 +159,13 @@ def test_passing_row_computes_each_verdict_once(label, verdict_counts):
     }
 
 
-def test_named_extension_keeps_the_lower_central_series(verdict_counts):
-    # The nilpotency certificate computes the extension's series; the copy
-    # named afterwards carries it into the round trip.
+def test_named_extension_shares_the_lower_central_series(verdict_counts):
+    # The order of `lagext extend` and the extend-cocycles workload: name the
+    # extension, certify its nilpotency on the triple's unnamed algebra, then
+    # recover the connection from the named copy.
     triple = ExtensionTriple.with_zero_cocycle(connection_for("l_26"))
-    extension_nilpotency(triple)
     named = build_extension(triple, name="l_26_ext")
+    extension_nilpotency(triple)
     induced_flat_connection(named, named.lagrangian_ideal)
     # One series for the base and one for the extension, shared by its copy.
     assert verdict_counts["_lower_central_series"] == 2
