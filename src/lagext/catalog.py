@@ -6,6 +6,11 @@ Seventy connection entries over three base algebras:
     l : [e1,e2] = e3          (Heisenberg + R)
     t : [e1,e4] = -e2, [e2,e4] = -e3
 
+Each row is a spec file: its base's bracket lines, its ``param`` lines and
+its ``connection`` lines.  A row instantiates through the spec-file
+builders, over a base algebra built once per code and shared, and
+``lagext catalog export`` writes it out with ``serialize_spec``.
+
 Rows are transcribed verbatim from the upstream classification table,
 including its typos.  Rows that assign the same nabla slot twice (l_29,
 l_30, t_17) are flagged ``suspect`` and instantiate to a conflict report
@@ -16,70 +21,77 @@ machine-readable, with R+ read as strictly positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count, product
 
 from .connection import FlatConnection
 from .exprs import Expr
 from .lie import LieAlgebra
-from .specfile import ParamSpec, Term, parse_rhs
+from .specfile import (
+    BasisToken,
+    CellLine,
+    DuplicateCellError,
+    ParamSpec,
+    SpecFile,
+    bind_params,
+    build_algebra,
+    build_connection,
+    duplicate_cells,
+    parse_rhs,
+    parse_spec,
+)
 
-BASE_CODES = ("a", "l", "t")
+BASE_BRACKETS = {
+    "a": (),
+    "l": ("e1 e2 -> e3",),
+    "t": ("e1 e4 -> -1 e2", "e2 e4 -> -1 e3"),
+}
+_BASE_SPECS = {
+    code: parse_spec("\n".join([f"algebra {code} dim 4", *(f"bracket {b}" for b in lines)]))
+    for code, lines in BASE_BRACKETS.items()
+}
+_BASES = {code: build_algebra(spec) for code, spec in _BASE_SPECS.items()}
 
 
 def base_algebra(code: str) -> LieAlgebra:
-    if code == "a":
-        return LieAlgebra.abelian(4, "a")
-    if code == "l":
-        return LieAlgebra.from_brackets(4, {(0, 1): (0, 0, 1, 0)}, "l")
-    if code == "t":
-        return LieAlgebra.from_brackets(
-            4, {(0, 3): (0, -1, 0, 0), (1, 3): (0, 0, -1, 0)}, "t"
-        )
-    raise ValueError(f"unknown base code {code!r}")
+    """The base algebra of code a, l or t.
 
-
-@dataclass(frozen=True)
-class CatalogCell:
-    """One printed table cell: nabla_{e_i} e_j = rhs (1-based indices)."""
-
-    i: int
-    j: int
-    rhs: str
-    terms: tuple[Term, ...]
+    Its bracket is built and checked once per code.  Each call gets a fresh
+    object, so the verdicts an algebra caches (its lower central series)
+    belong to one connection and no call sees another's.
+    """
+    if code not in _BASES:
+        raise ValueError(f"unknown base code {code!r}")
+    return replace(_BASES[code])
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    label: str
+    """One catalog row: the code of its base algebra and its spec file."""
+
     base: str
-    cells: tuple[CatalogCell, ...]
-    params: tuple[ParamSpec, ...] = ()
+    spec: SpecFile
+
+    @property
+    def label(self) -> str:
+        return self.spec.name
+
+    @property
+    def params(self) -> tuple[ParamSpec, ...]:
+        return self.spec.params
 
     @property
     def suspect(self) -> bool:
         return bool(self.duplicate_slots())
 
     def duplicate_slots(self) -> tuple[tuple[int, int], ...]:
-        seen: set[tuple[int, int]] = set()
-        dup = []
-        for cell in self.cells:
-            slot = (cell.i, cell.j)
-            if slot in seen and slot not in dup:
-                dup.append(slot)
-            seen.add(slot)
-        return tuple(dup)
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
+        return tuple((i, j) for i, j, _ in duplicate_cells(self.spec.connection, self.spec.dim))
 
 
 @dataclass(frozen=True)
 class ParameterSample:
     values: tuple[tuple[str, Fraction], ...]
-    seed: int = 0
 
     @property
     def env(self) -> dict[str, Fraction]:
@@ -107,10 +119,12 @@ class ConflictReport:
 
 
 def _entry(label: str, base: str, cells: list[tuple[int, int, str]], params=()) -> CatalogEntry:
-    parsed = tuple(
-        CatalogCell(i, j, rhs, parse_rhs(rhs)) for i, j, rhs in cells
+    connection = tuple(
+        CellLine(BasisToken.primal(i - 1), BasisToken.primal(j - 1), parse_rhs(rhs))
+        for i, j, rhs in cells
     )
-    return CatalogEntry(label, base, parsed, tuple(params))
+    spec = SpecFile(label, 4, _BASE_SPECS[base].brackets, connection, params=tuple(params))
+    return CatalogEntry(base, spec)
 
 
 def _p(name: str, kind: str = "free", gt=None, lt=None, exclude=()) -> ParamSpec:
@@ -247,8 +261,6 @@ _TABLE1: list[CatalogEntry] = [
            [_p("mu", "nonzero")]),
 ]
 
-SUSPECT_LABELS = ("l_29", "l_30", "t_17")
-
 
 def table1_entries() -> tuple[CatalogEntry, ...]:
     """All seventy catalog rows in printed order (l_32 is absent upstream)."""
@@ -281,8 +293,8 @@ def _candidate_pool():
         yield Fraction(n)
 
 
-def sample_parameters(entry: CatalogEntry, k: int, seed: int = 0) -> tuple[ParameterSample, ...]:
-    """k distinct constraint-satisfying assignments, deterministic per seed.
+def sample_parameters(entry: CatalogEntry, k: int) -> tuple[ParameterSample, ...]:
+    """k distinct constraint-satisfying assignments, always the same ones.
 
     Entries without parameters yield the single empty assignment regardless
     of k.  Cross-parameter exclusions (as in t_17) are honoured.
@@ -290,9 +302,9 @@ def sample_parameters(entry: CatalogEntry, k: int, seed: int = 0) -> tuple[Param
     if k < 1:
         raise ValueError("k must be at least 1")
     if not entry.params:
-        return (ParameterSample((), seed),)
+        return (ParameterSample(()),)
 
-    names = entry.param_names
+    names = tuple(p.name for p in entry.params)
     pool = []
     samples: list[ParameterSample] = []
     seen: set[tuple] = set()
@@ -322,7 +334,7 @@ def sample_parameters(entry: CatalogEntry, k: int, seed: int = 0) -> tuple[Param
                 continue
             if all(p.admits(env[p.name], env) for p in entry.params):
                 seen.add(combo)
-                samples.append(ParameterSample(tuple(zip(names, combo)), seed))
+                samples.append(ParameterSample(tuple(zip(names, combo))))
                 if len(samples) == k:
                     break
     return tuple(samples[:k])
@@ -340,31 +352,11 @@ def instantiate(entry: CatalogEntry, sample: ParameterSample) -> FlatConnection 
     Suspect rows return a ConflictReport (the normal outcome, not an error);
     a sample violating the entry's constraints raises ValueError.
     """
-    env = sample.env
-    missing = [n for n in entry.param_names if n not in env]
-    if missing:
-        raise ValueError(f"sample is missing parameters: {', '.join(missing)}")
-    for p in entry.params:
-        if not p.admits(env[p.name], env):
-            raise ValueError(f"sample violates constraint on {p.name}")
-
-    if entry.suspect:
-        duplicates = []
-        for i, j in entry.duplicate_slots():
-            rhs = tuple(c.rhs for c in entry.cells if (c.i, c.j) == (i, j))
-            duplicates.append((i, j, rhs))
-        return ConflictReport(entry.label, tuple(duplicates))
-
-    base = base_algebra(entry.base)
-    entries: dict[tuple[int, int], tuple] = {}
-    for cell in entry.cells:
-        value = [Fraction(0)] * 4
-        for term in cell.terms:
-            value[term.token.number - 1] += term.coeff.evaluate(env)
-        entries[(cell.i - 1, cell.j - 1)] = tuple(value)
-    return FlatConnection.from_entries(
-        base, entries, params=tuple(sample.values), label=entry.label
-    )
+    env = bind_params(entry.spec, sample.env)
+    try:
+        return build_connection(entry.spec, base_algebra(entry.base), env)
+    except DuplicateCellError as exc:
+        return ConflictReport(entry.label, exc.conflicts)
 
 
 def connection_for(label: str, **params) -> FlatConnection:

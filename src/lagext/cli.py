@@ -3,6 +3,7 @@ and the catalog verification sweep."""
 
 from __future__ import annotations
 
+import functools
 import sys
 from fractions import Fraction
 
@@ -25,9 +26,10 @@ from .linalg import Subspace, unit_vector
 from .sampling import random_rational, rng_for
 from .specfile import (
     BasisToken,
-    DuplicateCellError,
     SpecParseError,
+    bind_params,
     build_algebra,
+    build_block,
     build_cocycle,
     build_connection,
     build_omega,
@@ -36,7 +38,6 @@ from .specfile import (
     spec_from_symplectic,
 )
 from .verify import (
-    AlgebraBlockError,
     exit_code_for,
     format_text,
     format_tsv,
@@ -68,14 +69,6 @@ def _load_spec(path: str):
         raise click.ClickException(f"{path}: {exc}") from None
 
 
-def _require_env(spec, env):
-    missing = sorted(spec.param_names - set(env))
-    if missing:
-        raise click.ClickException(
-            f"file declares parameters {', '.join(missing)}; supply them with --set NAME=VALUE"
-        )
-
-
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -89,42 +82,54 @@ def main():
     """Exact verification of flat nilpotent Lie algebras and their Lagrangian extensions."""
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--set", "assignments", multiple=True, help="Parameter value NAME=VALUE.")
+def spec_command(name: str):
+    """Register a command on a spec FILE whose parameters come from --set.
+
+    The command body gets the parsed spec and its bound parameters.  A
+    ValueError from parsing, binding or building ends the command with a
+    one-line ``Error:`` and exit code 1.
+    """
+
+    def register(body):
+        @main.command(name)
+        @click.argument("file", type=click.Path(exists=True, dir_okay=False))
+        @click.option("--set", "assignments", multiple=True, help="Parameter value NAME=VALUE.")
+        @functools.wraps(body)
+        def command(file, assignments, **options):
+            spec = _load_spec(file)
+            try:
+                return body(spec, bind_params(spec, _parse_assignments(assignments)), **options)
+            except ValueError as exc:
+                raise click.ClickException(str(exc)) from None
+
+        return command
+
+    return register
+
+
+@spec_command("check")
 @click.option("--format", "fmt", type=click.Choice(["text", "tsv"]), default="text")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def check(file, assignments, fmt, out):
+def check(spec, env, fmt, out):
     """Run axiom checks for whatever blocks FILE contains."""
-    spec = _load_spec(file)
-    env = _parse_assignments(assignments)
-    _require_env(spec, env)
-    try:
-        records = verify_spec(spec, env)
-    except AlgebraBlockError as exc:
-        raise click.ClickException(f"algebra block invalid: {exc}") from None
+    records = verify_spec(spec, env)
     _emit(format_tsv(records) if fmt == "tsv" else format_text(records), out)
     sys.exit(exit_code_for(records))
 
 
-@main.command("cohomology")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--set", "assignments", multiple=True)
+def _flat_connection(spec, env):
+    algebra = build_block("algebra", build_algebra, spec, env)
+    conn = build_block("connection", build_connection, spec, algebra, env)
+    if not check_flat_torsion_free(conn).ok:
+        raise click.ClickException("connection is not flat torsion-free")
+    return conn
+
+
+@spec_command("cohomology")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cohomology_cmd(file, assignments, out):
+def cohomology_cmd(spec, env, out):
     """Cohomology dimensions of the flat structure in FILE."""
-    spec = _load_spec(file)
-    env = _parse_assignments(assignments)
-    _require_env(spec, env)
-    algebra = build_algebra(spec, env)
-    try:
-        conn = build_connection(spec, algebra, env)
-    except DuplicateCellError as exc:
-        raise click.ClickException(str(exc)) from None
-    report = check_flat_torsion_free(conn)
-    if not report.ok:
-        raise click.ClickException("connection is not flat torsion-free; cohomology undefined")
-    summary = cohomology(dual_representation(conn))
+    summary = cohomology(dual_representation(_flat_connection(spec, env)))
     lines = [
         f"algebra {spec.name} dim {spec.dim}",
         f"dim C1 = {summary.dim_c1}",
@@ -147,35 +152,25 @@ def _random_lagrangian_cocycle(conn, seed: int) -> TwoCochain:
     return two_cochain_from_coefficients(z2l, coeffs, conn.dim)
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@spec_command("extend")
 @click.option("--cocycle", "source", default="zero",
               help="Cocycle source: zero, spec, or random:SEED.")
 @click.option("--cohomology", "with_cohomology", is_flag=True, default=False)
-@click.option("--set", "assignments", multiple=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def extend(file, source, with_cohomology, assignments, out):
+def extend(spec, env, source, with_cohomology, out):
     """Build the Lagrangian extension of the flat structure in FILE."""
-    spec = _load_spec(file)
-    env = _parse_assignments(assignments)
-    _require_env(spec, env)
-    algebra = build_algebra(spec, env)
-    try:
-        conn = build_connection(spec, algebra, env)
-    except DuplicateCellError as exc:
-        raise click.ClickException(f"conflict: {exc}") from None
-    report = check_flat_torsion_free(conn)
-    if not report.ok:
-        raise click.ClickException("connection is not flat torsion-free")
-
+    conn = _flat_connection(spec, env)
+    kind, _, seed = source.partition(":")
     if source == "zero":
         alpha = TwoCochain.zero(spec.dim)
     elif source == "spec":
-        alpha = build_cocycle(spec, env)
-    elif source.startswith("random:"):
-        alpha = _random_lagrangian_cocycle(conn, int(source.split(":", 1)[1]))
+        alpha = build_block("cocycle", build_cocycle, spec, env)
+    elif kind == "random" and seed.lstrip("-").isdigit():
+        alpha = _random_lagrangian_cocycle(conn, int(seed))
     else:
-        raise click.ClickException(f"unknown cocycle source {source!r}")
+        raise click.ClickException(
+            f"unknown cocycle source {source!r}; use zero, spec or random:SEED"
+        )
 
     triple = ExtensionTriple(conn, alpha)
     try:
@@ -203,26 +198,21 @@ def extend(file, source, with_cohomology, assignments, out):
     _emit("\n".join(comments) + "\n" + body, out)
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@spec_command("reduce")
 @click.option("--ideal", required=True, help="Comma-separated basis tokens, e.g. e^1,e^2.")
-@click.option("--set", "assignments", multiple=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def reduce(file, ideal, assignments, out):
+def reduce(spec, env, ideal, out):
     """Symplectic reduction of FILE (algebra + omega) by the span of basis tokens."""
-    spec = _load_spec(file)
-    env = _parse_assignments(assignments)
-    _require_env(spec, env)
-    algebra = build_algebra(spec, env)
-    omega = build_omega(spec, env)
-    sympl = SymplecticLieAlgebra(algebra, omega)
+    sympl = SymplecticLieAlgebra(
+        build_block("algebra", build_algebra, spec, env),
+        build_block("omega", build_omega, spec, env),
+    )
     sympl.validate()
 
     tokens = [t.strip() for t in ideal.split(",") if t.strip()]
-    vectors = []
-    for t in tokens:
-        token = BasisToken.parse(t, 0)
-        vectors.append(unit_vector(spec.dim, token.resolve(spec.dim, 0)))
+    vectors = [
+        unit_vector(spec.dim, BasisToken.parse(t, None).resolve(spec.dim, None)) for t in tokens
+    ]
     j = Subspace.from_vectors(spec.dim, vectors)
 
     verdict = is_lagrangian_ideal(sympl, j)
@@ -246,14 +236,13 @@ def reduce(file, ideal, assignments, out):
 
 @main.command("verify-catalog")
 @click.option("--samples", default=3, show_default=True)
-@click.option("--seed", default=0, show_default=True)
 @click.option("--entry", "entry_label", default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "tsv"]), default="text")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def verify_catalog(samples, seed, entry_label, fmt, out):
+def verify_catalog(samples, entry_label, fmt, out):
     """Re-check every catalog row: connection axioms, extension properties, round trip."""
     try:
-        records, exit_code = run_verify_catalog(samples, seed, entry_label)
+        records, exit_code = run_verify_catalog(samples, entry_label)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from None
     text = format_tsv(records) if fmt == "tsv" else format_text(records)
@@ -276,23 +265,12 @@ def export(out):
         if entry.suspect:
             slots = ", ".join(f"({i},{j})" for i, j in entry.duplicate_slots())
             lines.append(f"# suspect: duplicate slots {slots}")
-        lines.append(f"algebra {entry.label} dim 4")
-        base = {
-            "a": [],
-            "l": ["bracket e1 e2 -> 1 e3"],
-            "t": ["bracket e1 e4 -> -1 e2", "bracket e2 e4 -> -1 e3"],
-        }[entry.base]
-        lines.extend(base)
-        for p in entry.params:
-            lines.append(f"param {p.describe()}")
-        for cell in entry.cells:
-            lines.append(f"connection e{cell.i} e{cell.j} -> {cell.rhs}")
-        blocks.append("\n".join(lines))
+        blocks.append("\n".join(lines) + "\n" + serialize_spec(entry.spec))
     footer = ["# reference records (no bracket data; nothing asserted):"]
     for record in TABLE4_RECORDS:
         footer.append(f"# {record.label}: {record.form}; {record.coefficients}; {record.remark}")
-    blocks.append("\n".join(footer))
-    _emit("\n\n".join(blocks) + "\n", out)
+    blocks.append("\n".join(footer) + "\n")
+    _emit("\n".join(blocks), out)
 
 
 if __name__ == "__main__":

@@ -20,16 +20,22 @@ parameters, written without internal whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
+from .cohomology import TwoCochain
+from .connection import FlatConnection
 from .exprs import Expr, ExprError
+from .lie import LieAlgebra, require_jacobi
+from .linalg import ZERO, RatMatrix
 
 
 class SpecParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
+    """A malformed line; ``line_no`` is None for text from outside a file."""
+
+    def __init__(self, line_no: int | None, message: str):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 _TOKEN_RE = re.compile(r"^e(\^?)(\d+)$")
@@ -50,12 +56,12 @@ class BasisToken:
         return int(m.group(2))
 
     @staticmethod
-    def parse(text: str, line_no: int) -> "BasisToken":
+    def parse(text: str, line_no: int | None) -> "BasisToken":
         if not _TOKEN_RE.match(text):
             raise SpecParseError(line_no, f"bad basis token {text!r}")
         return BasisToken(text)
 
-    def resolve(self, dim: int, line_no: int) -> int:
+    def resolve(self, dim: int, line_no: int | None) -> int:
         """0-based ambient index under the extension convention."""
         k = self.number
         if self.dual:
@@ -83,7 +89,7 @@ class Term:
     token: BasisToken
 
 
-def parse_rhs(text: str, line_no: int = 0) -> tuple[Term, ...]:
+def parse_rhs(text: str, line_no: int | None = None) -> tuple[Term, ...]:
     """Parse "EXPR eK + EXPR e^K + ..." (a missing EXPR means 1)."""
     terms = []
     for chunk in text.split(" + "):
@@ -201,12 +207,20 @@ class CellLine:
     right: BasisToken
     terms: tuple[Term, ...]
 
+    @property
+    def rhs(self) -> str:
+        return format_rhs(self.terms)
+
 
 @dataclass(frozen=True)
 class OmegaLine:
     left: BasisToken
     right: BasisToken
     value: Expr
+
+    @property
+    def rhs(self) -> str:
+        return str(self.value)
 
 
 @dataclass(frozen=True)
@@ -324,27 +338,21 @@ def _check_declared_params(spec: SpecFile):
             used |= expr.names - {p.name}
     undeclared = sorted(used - declared)
     if undeclared:
-        raise SpecParseError(0, f"undeclared parameters: {', '.join(undeclared)}")
+        raise SpecParseError(None, f"undeclared parameters: {', '.join(undeclared)}")
 
 
 def serialize_spec(spec: SpecFile) -> str:
     lines = [f"algebra {spec.name} dim {spec.dim}"]
     for cell in spec.brackets:
-        lines.append(
-            f"bracket {cell.left.text} {cell.right.text} -> {format_rhs(cell.terms)}"
-        )
+        lines.append(f"bracket {cell.left.text} {cell.right.text} -> {cell.rhs}")
     for p in spec.params:
         lines.append(f"param {p.describe()}")
     for cell in spec.connection:
-        lines.append(
-            f"connection {cell.left.text} {cell.right.text} -> {format_rhs(cell.terms)}"
-        )
+        lines.append(f"connection {cell.left.text} {cell.right.text} -> {cell.rhs}")
     for line in spec.omega:
-        lines.append(f"omega {line.left.text} {line.right.text} -> {line.value}")
+        lines.append(f"omega {line.left.text} {line.right.text} -> {line.rhs}")
     for cell in spec.cocycle:
-        lines.append(
-            f"cocycle {cell.left.text} {cell.right.text} -> {format_rhs(cell.terms)}"
-        )
+        lines.append(f"cocycle {cell.left.text} {cell.right.text} -> {cell.rhs}")
     return "\n".join(lines) + "\n"
 
 
@@ -353,129 +361,152 @@ def serialize_spec(spec: SpecFile) -> str:
 # ---------------------------------------------------------------------------
 
 
-class DuplicateCellError(ValueError):
-    """The same (i, j) slot is assigned twice; never resolved silently."""
+def bind_params(spec: SpecFile, values: dict[str, Fraction]) -> dict[str, Fraction]:
+    """The value of each declared parameter, checked against its ``param`` line.
 
-    def __init__(self, kind: str, duplicates):
+    Raises ValueError when a declared parameter has no value or a value its
+    constraint rules out; values of undeclared names are dropped.
+    """
+    missing = sorted(spec.param_names - set(values))
+    if missing:
+        raise ValueError(
+            f"file declares parameters {', '.join(missing)}; supply them with --set NAME=VALUE"
+        )
+    env = {p.name: values[p.name] for p in spec.params}
+    for p in spec.params:
+        if not p.admits(env[p.name], env):
+            raise ValueError(f"{p.name}={env[p.name]} violates 'param {p.describe()}'")
+    return env
+
+
+class DuplicateCellError(ValueError):
+    """The same (i, j) slot is assigned twice; never resolved silently.
+
+    ``conflicts`` holds one (i, j, rhs texts) per slot, 1-based, with every
+    claimed value; ``duplicates`` the slots alone.
+    """
+
+    def __init__(self, kind: str, conflicts):
         self.kind = kind
-        self.duplicates = duplicates
-        slots = ", ".join(f"({i},{j})" for i, j in duplicates)
+        self.conflicts = conflicts
+        self.duplicates = tuple((i, j) for i, j, _ in conflicts)
+        slots = ", ".join(f"({i},{j})" for i, j in self.duplicates)
         super().__init__(f"conflicting duplicate {kind} assignments at {slots}")
 
 
-def _evaluate_terms(terms, dim: int, env: dict[str, Fraction], dual_as_value: bool):
-    from .linalg import ZERO
+def duplicate_cells(lines, dim: int) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
+    """(i, j, rhs texts) of each slot that more than one line assigns, 1-based."""
+    slots: dict[tuple[int, int], list] = {}
+    for line in lines:
+        slot = (line.left.resolve(dim, None) + 1, line.right.resolve(dim, None) + 1)
+        slots.setdefault(slot, []).append(line)
+    return tuple(
+        (i, j, tuple(line.rhs for line in group))
+        for (i, j), group in slots.items()
+        if len(group) > 1
+    )
 
+
+def _cells(lines, dim: int, kind: str) -> dict[tuple[int, int], object]:
+    """Map the 0-based (i, j) slot of each line to it; a repeated slot raises."""
+    conflicts = duplicate_cells(lines, dim)
+    if conflicts:
+        raise DuplicateCellError(kind, conflicts)
+    return {(line.left.resolve(dim, None), line.right.resolve(dim, None)): line for line in lines}
+
+
+def _vector(terms, dim: int, env: dict[str, Fraction], dual_as_value: bool = False):
     out = [ZERO] * dim
     for term in terms:
-        if dual_as_value:
-            idx = term.token.number - 1
-        else:
-            idx = term.token.resolve(dim, 0)
+        idx = term.token.number - 1 if dual_as_value else term.token.resolve(dim, None)
         out[idx] += term.coeff.evaluate(env)
     return tuple(out)
 
 
-def _collect_cells(cells, dim: int, env: dict[str, Fraction], kind: str, dual_as_value=False):
-    """Map (i, j) -> value vector, raising DuplicateCellError on repeated slots."""
-    seen: dict[tuple[int, int], tuple] = {}
-    duplicates = []
-    for cell in cells:
-        i = cell.left.resolve(dim, 0)
-        j = cell.right.resolve(dim, 0)
-        if (i, j) in seen:
-            duplicates.append((i + 1, j + 1))
-            continue
-        seen[(i, j)] = _evaluate_terms(cell.terms, dim, env, dual_as_value)
-    if duplicates:
-        raise DuplicateCellError(kind, tuple(duplicates))
-    return seen
+def _antisymmetric_cells(lines, dim: int, kind: str, value) -> dict[tuple[int, int], tuple]:
+    """{(i, j): value(line)} over i < j from lines given either way round.
 
-
-def build_algebra(spec: SpecFile, env: dict[str, Fraction] | None = None):
-    """LieAlgebra from the bracket block; antisymmetric completion of given cells."""
-    from .lie import LieAlgebra, require_jacobi
-    from .linalg import vec_scale
-
-    env = env or {}
-    cells = _collect_cells(spec.brackets, spec.dim, env, "bracket")
-    entries: dict[tuple[int, int], tuple] = {}
-    for (i, j), v in cells.items():
+    A line on the diagonal must have a zero value, and a line and its mirror
+    must agree up to sign.
+    """
+    out: dict[tuple[int, int], tuple] = {}
+    given: dict[tuple[int, int], object] = {}
+    for (i, j), line in _cells(lines, dim, kind).items():
+        v = value(line)
         if i == j:
-            if any(x != 0 for x in v):
-                raise ValueError(f"bracket of e{i+1} with itself must vanish")
+            if any(v):
+                raise ValueError(f"{kind} cell ({i + 1},{j + 1}) on the diagonal must vanish")
             continue
-        key = (i, j) if i < j else (j, i)
-        value = v if i < j else vec_scale(Fraction(-1), v)
-        if key in entries and entries[key] != value:
-            raise DuplicateCellError("bracket", ((key[0] + 1, key[1] + 1),))
-        entries[key] = value
+        key = (min(i, j), max(i, j))
+        if i > j:
+            v = tuple(-x for x in v)
+        first = given.setdefault(key, line)
+        if out.setdefault(key, v) != v:
+            raise DuplicateCellError(kind, ((key[0] + 1, key[1] + 1, (first.rhs, line.rhs)),))
+    return out
+
+
+class BlockError(ValueError):
+    """A block of a spec file does not build; the message names the block."""
+
+
+def build_block(block: str, build, spec: SpecFile, *args):
+    """``build(spec, *args)``; a ValueError comes back as a BlockError naming the block."""
+    try:
+        return build(spec, *args)
+    except ValueError as exc:
+        raise BlockError(f"{block} block invalid: {exc}") from exc
+
+
+def build_algebra(spec: SpecFile, env: dict[str, Fraction] | None = None) -> LieAlgebra:
+    """LieAlgebra from the bracket block; antisymmetric completion of given cells."""
+    env = env or {}
+    entries = _antisymmetric_cells(
+        spec.brackets, spec.dim, "bracket", lambda line: _vector(line.terms, spec.dim, env)
+    )
     return require_jacobi(LieAlgebra.from_brackets(spec.dim, entries, spec.name))
 
 
-def build_connection(spec: SpecFile, algebra, env: dict[str, Fraction] | None = None):
+def build_connection(
+    spec: SpecFile, algebra: LieAlgebra, env: dict[str, Fraction] | None = None
+) -> FlatConnection:
     """FlatConnection tensor from the connection block (may still fail axioms)."""
-    from .connection import FlatConnection
-
     env = env or {}
     if not spec.connection:
         raise ValueError("spec file has no connection block")
-    cells = _collect_cells(spec.connection, spec.dim, env, "connection")
+    cells = _cells(spec.connection, spec.dim, "connection")
     return FlatConnection.from_entries(
         algebra,
-        cells,
+        {slot: _vector(line.terms, spec.dim, env) for slot, line in cells.items()},
         params=tuple(sorted(env.items())),
         label=spec.name,
     )
 
 
-def build_omega(spec: SpecFile, env: dict[str, Fraction] | None = None):
+def build_omega(spec: SpecFile, env: dict[str, Fraction] | None = None) -> RatMatrix:
     """Antisymmetric matrix from the omega block (entries mirrored with sign)."""
-    from .linalg import RatMatrix, ZERO
-
     env = env or {}
     if not spec.omega:
         raise ValueError("spec file has no omega block")
     n = spec.dim
+    cells = _antisymmetric_cells(
+        spec.omega, n, "omega", lambda line: (line.value.evaluate(env),)
+    )
     m = [[ZERO] * n for _ in range(n)]
-    assigned: set[tuple[int, int]] = set()
-    for line in spec.omega:
-        i = line.left.resolve(n, 0)
-        j = line.right.resolve(n, 0)
-        if i == j:
-            raise ValueError("omega entries on the diagonal must be omitted (they are zero)")
-        value = line.value.evaluate(env)
-        if (i, j) in assigned:
-            raise DuplicateCellError("omega", ((i + 1, j + 1),))
-        if (j, i) in assigned and m[i][j] != value:
-            raise DuplicateCellError("omega", ((i + 1, j + 1),))
-        m[i][j] = value
-        m[j][i] = -value
-        assigned.add((i, j))
+    for (i, j), (value,) in cells.items():
+        m[i][j], m[j][i] = value, -value
     return RatMatrix(tuple(tuple(row) for row in m))
 
 
-def build_cocycle(spec: SpecFile, env: dict[str, Fraction] | None = None):
+def build_cocycle(spec: SpecFile, env: dict[str, Fraction] | None = None) -> TwoCochain:
     """TwoCochain from the cocycle block (values in dual coordinates)."""
-    from .cohomology import TwoCochain
-    from .linalg import vec_scale
-
     env = env or {}
     if not spec.cocycle:
         raise ValueError("spec file has no cocycle block")
     n = spec.dim
-    cells = _collect_cells(spec.cocycle, n, env, "cocycle", dual_as_value=True)
-    values: dict[tuple[int, int], tuple] = {}
-    for (i, j), v in cells.items():
-        if i == j:
-            if any(x != 0 for x in v):
-                raise ValueError("cocycle entries on the diagonal must vanish")
-            continue
-        key = (i, j) if i < j else (j, i)
-        value = v if i < j else vec_scale(Fraction(-1), v)
-        if key in values and values[key] != value:
-            raise DuplicateCellError("cocycle", ((key[0] + 1, key[1] + 1),))
-        values[key] = value
+    values = _antisymmetric_cells(
+        spec.cocycle, n, "cocycle", lambda line: _vector(line.terms, n, env, dual_as_value=True)
+    )
     return TwoCochain.from_pairs(n, values)
 
 

@@ -45,6 +45,7 @@ from .specfile import (
     DuplicateCellError,
     SpecFile,
     build_algebra,
+    build_block,
     build_cocycle,
     build_connection,
     build_omega,
@@ -79,10 +80,6 @@ class ReportRecord:
     def __post_init__(self):
         if self.status == FAIL and not self.witness:
             raise ValueError("fail records must carry a witness")
-
-
-class AlgebraBlockError(ValueError):
-    """The bracket block of a spec file does not define a Lie algebra."""
 
 
 def fmt_vector(v: Vector) -> str:
@@ -187,9 +184,10 @@ def _connection_records(label: str, sample_id: str, conn: FlatConnection) -> lis
     return records
 
 
-def verify_entry(entry: CatalogEntry, samples: int, seed: int) -> list[ReportRecord]:
+def verify_entry(entry: CatalogEntry, samples: int, seed: int = 0) -> list[ReportRecord]:
+    """Records of ``samples`` parameter samples of a row; ``seed`` is ignored."""
     records: list[ReportRecord] = []
-    for idx, sample in enumerate(sample_parameters(entry, samples, seed)):
+    for idx, sample in enumerate(sample_parameters(entry, samples)):
         sample_id = f"s{idx}[{sample.describe()}]"
         result = instantiate(entry, sample)
         if isinstance(result, ConflictReport):
@@ -210,13 +208,10 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
     cell twice; an omega block ``omega-nondegenerate`` and ``omega-closed``;
     a cocycle block ``cocycle-closed`` and ``cocycle-bianchi``, or a skipped
     ``cocycle`` record without a flat torsion-free connection.  Raises
-    AlgebraBlockError when the bracket block is not a Lie algebra.
+    BlockError when the algebra, omega or cocycle block does not build.
     """
     label = spec.name
-    try:
-        algebra = build_algebra(spec, env)
-    except ValueError as exc:
-        raise AlgebraBlockError(str(exc)) from exc
+    algebra = build_block("algebra", build_algebra, spec, env)
     records = [_verdict(label, "jacobi", "-", "")]
 
     conn = None
@@ -229,7 +224,7 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
             records.extend(_connection_records(label, "-", conn))
 
     if spec.omega:
-        omega = build_omega(spec, env)
+        omega = build_block("omega", build_omega, spec, env)
         records.append(_verdict(label, "omega-nondegenerate", "-",
                                 "" if omega.is_invertible() else "omega is singular"))
         records.append(_verdict(label, "omega-closed", "-",
@@ -243,7 +238,7 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
             records.append(ReportRecord(label, "cocycle", "-", SKIPPED,
                                         "requires flat torsion-free connection"))
         else:
-            alpha = build_cocycle(spec, env)
+            alpha = build_block("cocycle", build_cocycle, spec, env)
             residual = coboundary_2(dual_representation(conn), alpha)
             records.append(_verdict(label, "cocycle-closed", "-", next(
                 (f"d2 residual({i},{j},{k}) = {fmt_vector(res)}"
@@ -256,14 +251,14 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
 
 
 def run_verify_catalog(
-    samples: int = 3, seed: int = 0, entry_label: str | None = None
+    samples: int = 3, entry_label: str | None = None
 ) -> tuple[list[ReportRecord], int]:
     """All records in catalog order plus the exit code (0 iff no fail)."""
     records: list[ReportRecord] = []
     for entry in table1_entries():
         if entry_label is not None and entry.label != entry_label:
             continue
-        records.extend(verify_entry(entry, samples, seed))
+        records.extend(verify_entry(entry, samples))
     if entry_label is not None and not records:
         raise ValueError(f"no catalog entry labeled {entry_label!r}")
     return records, exit_code_for(records)
@@ -294,7 +289,6 @@ def format_text(records: list[ReportRecord]) -> str:
 
 
 __all__ = [
-    "AlgebraBlockError",
     "CHECK_NAMES",
     "ReportRecord",
     "exit_code_for",

@@ -156,6 +156,27 @@ def test_omega_block_error_is_not_an_algebra_block_error(runner, tmp_path):
     assert "algebra block invalid" not in result.output
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("check", "algebra h dim 4\nbracket e1 e2 -> 1 e3\nomega e1 e2 -> 1\nomega e1 e2 -> 2\n"),
+        ("check", L26_TEXT + "cocycle e1 e2 -> 1 e^1\ncocycle e1 e2 -> 1 e^2\n"),
+        ("reduce", "algebra h dim 4\nbracket e1 e2 -> 1 e3\nomega e1 e2 -> 1\nomega e1 e2 -> 2\n"),
+    ],
+    ids=["check-omega", "check-cocycle", "reduce-omega"],
+)
+def test_duplicate_omega_or_cocycle_cell_names_its_block(runner, tmp_path, command, text):
+    block = "omega" if "omega" in text else "cocycle"
+    path = tmp_path / "dup.spec"
+    path.write_text(text)
+    args = [command, str(path)] + (["--ideal", "e3"] if command == "reduce" else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output == (
+        f"Error: {block} block invalid: conflicting duplicate {block} assignments at (1,2)\n"
+    )
+
+
 @pytest.fixture(scope="module")
 def exported_blocks():
     """The `catalog export` block of each row, by label."""

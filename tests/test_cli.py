@@ -73,7 +73,7 @@ def test_verify_catalog_parametrized_entry_samples(runner):
 
 
 def test_run_verify_catalog_library_contract():
-    records, exit_code = run_verify_catalog(samples=1, seed=0, entry_label="a_10")
+    records, exit_code = run_verify_catalog(samples=1, entry_label="a_10")
     assert exit_code == 0
     assert [r.check for r in records] == list(
         ("torsion", "flatness", "base-bracket-match", "completeness",
@@ -99,6 +99,50 @@ def test_check_command_flags_missing_parameters(runner, tmp_path):
     assert "--set" in result.output
     result = runner.invoke(main, ["check", str(path), "--set", "t=2"])
     assert result.exit_code == 0
+
+
+@pytest.mark.parametrize("command", ["check", "extend", "cohomology"])
+def test_declared_parameter_constraints_hold(runner, tmp_path, command):
+    path = tmp_path / "param.spec"
+    path.write_text("algebra p dim 4\nparam t positive\nconnection e1 e1 -> t e3\n")
+    result = runner.invoke(main, [command, str(path), "--set", "t=-1"])
+    assert result.exit_code == 1
+    assert result.output == "Error: t=-1 violates 'param t positive'\n"
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 1
+    assert "supply them with --set" in result.output
+
+
+NON_JACOBI_TEXT = (
+    "algebra j dim 4\nbracket e1 e2 -> 1 e3\nbracket e3 e4 -> 1 e1\nconnection e1 e1 -> 1 e1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, args",
+    [
+        ("algebra p dim 4\nparam mu\nconnection e1 e1 -> 1/(mu-1) e3\n", ["check", "--set", "mu=1"]),
+        (NON_JACOBI_TEXT, ["extend"]),
+        (NON_JACOBI_TEXT, ["cohomology"]),
+        (L26_TEXT, ["extend", "--cocycle", "random:x"]),
+        (L26_TEXT, ["extend", "--cocycle", "spec"]),
+        (None, ["reduce", "--ideal", "e9"]),
+    ],
+    ids=["pole", "non-jacobi-extend", "non-jacobi-cohomology", "random-seed-not-a-number",
+         "spec-without-cocycle", "ideal-out-of-range"],
+)
+def test_bad_input_ends_in_a_one_line_error(runner, l26_path, tmp_path, text, args):
+    path = tmp_path / "input.spec"
+    if text is None:
+        runner.invoke(main, ["extend", l26_path, "--out", str(path)])
+    else:
+        path.write_text(text)
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: ")
+    assert len(result.output.splitlines()) == 1
+    assert "Traceback" not in result.output and "line 0" not in result.output
+    assert not isinstance(result.exception, ValueError)
 
 
 def test_cohomology_command_outputs_dims(runner, l26_path):
