@@ -10,33 +10,30 @@ Completeness is decided by the trace criterion tr R_x = 0 (Helmstetter
 1979).  Nilpotency of every nabla_x is certified by one descending Engel
 flag on the matrices nabla_{e_1..e_n}: flatness makes their span a Lie
 algebra of operators, so by Engel's theorem the flag reaches 0 exactly when
-every nabla_x is nilpotent.  No verdict depends on a seed.
+every nabla_x is nilpotent.  The same flag on a single right multiplication
+R_{e_j} reaches 0 exactly when R_{e_j} is nilpotent.  No verdict depends on
+a seed.
 
 Each verdict on a connection (the sweep report, the completeness evidence
 and the dual representation) is computed once per ``FlatConnection`` and
-carried with it; the module functions below are accessors.  This is sound
-because a connection is immutable: its tensors are tuples of Fractions, and
-every constructor in this package freezes them through ``_freeze_tensor``.
+carried with it; the module functions below are accessors.  Every verdict
+is computed from the connection's table of nonzero coefficients
+(``nonzero_gamma``) and the base's ``nonzero_brackets``, never from dense
+matrix products: a residual column is densified only when it is nonzero.
+Keeping verdicts and the table is sound because a connection is immutable:
+its tensors are tuples of Fractions, and every constructor in this package
+freezes them through ``_freeze_tensor``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
-from .lie import LieAlgebra, _freeze_tensor
-from .linalg import (
-    RatMatrix,
-    Vector,
-    ZERO,
-    _eliminate,
-    _sparse,
-    _subtract,
-    is_zero_vector,
-    zero_vector,
-)
+from .lie import LieAlgebra, NonzeroTable, _freeze_tensor
+from .linalg import RatMatrix, Vector, ONE, ZERO, _dense, _eliminate, zero_vector
 
 GammaTensor = tuple[tuple[Vector, ...], ...]
 
@@ -45,9 +42,9 @@ GammaTensor = tuple[tuple[Vector, ...], ...]
 class FlatConnection:
     """Connection tensor over a base Lie algebra, with any instantiated parameters.
 
-    ``report``, ``completeness`` and ``dual`` are computed on first use and
-    kept on the instance, so each is computed once per connection.  A
-    verdict that raises is not kept: every access raises again.
+    ``nonzero_gamma``, ``report``, ``completeness`` and ``dual`` are computed
+    on first use and kept on the instance, so each is computed once per
+    connection.  A verdict that raises is not kept: every access raises again.
     """
 
     base: LieAlgebra
@@ -86,6 +83,14 @@ class FlatConnection:
     def dim(self) -> int:
         return self.base.dim
 
+    @cached_property
+    def nonzero_gamma(self) -> NonzeroTable:
+        """The nonzero coefficients: nabla_{e_i} e_s = sum of v e_k over (k, v) in [i][s]."""
+        return tuple(
+            tuple(tuple((k, v) for k, v in enumerate(col) if v) for col in plane)
+            for plane in self.gamma
+        )
+
     def nabla_matrix(self, i: int) -> RatMatrix:
         """Matrix of nabla_{e_i} (column j = image of e_j)."""
         n = self.dim
@@ -97,27 +102,13 @@ class FlatConnection:
         """Matrix of nabla_x for x = sum x_i e_i (the assignment is linear in x)."""
         n = self.dim
         rows = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
+        for i, plane in enumerate(self.nonzero_gamma):
             xi = x[i]
-            if not xi:
-                continue
-            plane = self.gamma[i]
-            for j in range(n):
-                row = plane[j]
-                for k in range(n):
-                    if row[k]:
-                        rows[k][j] += xi * row[k]
+            if xi:
+                for j, col in enumerate(plane):
+                    for k, v in col:
+                        rows[k][j] += xi * v
         return RatMatrix(tuple(tuple(r) for r in rows))
-
-    def right_mult_matrix(self, j: int) -> RatMatrix:
-        """Matrix of y -> y . e_j (column i = nabla_{e_i} e_j)."""
-        n = self.dim
-        return RatMatrix(
-            tuple(tuple(self.gamma[i][j][k] for i in range(n)) for k in range(n))
-        )
-
-    def product(self, x: Vector, y: Vector) -> Vector:
-        return self.nabla_of(x).apply(y)
 
     @cached_property
     def report(self) -> "ConnectionReport":
@@ -175,33 +166,64 @@ def check_flat_torsion_free(conn: FlatConnection) -> ConnectionReport:
     return conn.report
 
 
-def _residual_columns(i: int, j: int, m: RatMatrix) -> list:
-    """((i+1, j+1, s+1), column s) for every nonzero column s of m."""
-    columns = (((i + 1, j + 1, s + 1), m.col(s)) for s in range(m.cols))
-    return [(key, col) for key, col in columns if not is_zero_vector(col)]
+def _add(acc: dict, key, value: Fraction) -> None:
+    """acc[key] += value for a nonzero value, in place, dropping the entry that cancels."""
+    x = acc.get(key)
+    if x is None:
+        acc[key] = value
+    elif x := x + value:
+        acc[key] = x
+    else:
+        del acc[key]
+
+
+def _add_image(acc: dict, f: Fraction, terms, columns) -> None:
+    """acc += f * sum of x * columns[k] over (k, x) in terms, each column a tuple of (t, v)."""
+    for k, x in terms:
+        fx = f * x
+        for t, v in columns[k]:
+            _add(acc, t, fx * v)
 
 
 def _sweep(conn: FlatConnection) -> ConnectionReport:
     n = conn.dim
-    c = conn.base.bracket
+    cols = conn.nonzero_gamma
+    right = tuple(zip(*cols))  # right[s][k] = cols[k][s], so nabla_x e_s sums x_k right[s][k]
+    brackets = conn.base.nonzero_brackets
+    # support[k]: the s with nabla_{e_k} e_s != 0; a column s outside the
+    # supports of nabla_{e_i}, nabla_{e_j} and the nabla_{e_k} that the pair
+    # feeds in below has every residual zero.
+    support = [{s for s, col in enumerate(plane) if col} for plane in cols]
     torsion = []
-    for i, j in combinations(range(n), 2):
-        residual = tuple(
-            conn.gamma[i][j][k] - conn.gamma[j][i][k] - c[i][j][k] for k in range(n)
-        )
-        if not is_zero_vector(residual):
-            torsion.append(((i + 1, j + 1), residual))
-
-    nabla = [conn.nabla_matrix(i) for i in range(n)]
     curvature = []
     associator = []
     for i, j in combinations(range(n), 2):
-        commutator = nabla[i] @ nabla[j] - nabla[j] @ nabla[i]
-        curvature += _residual_columns(i, j, commutator - conn.nabla_of(c[i][j]))
-        # KV2 in matrix form: the operator z -> (x,y,z) - (y,x,z) for x = e_i,
-        # y = e_j equals N(e_i.e_j) - N(e_j.e_i) - [N_i, N_j].
-        m = conn.nabla_of(conn.gamma[i][j]) - conn.nabla_of(conn.gamma[j][i])
-        associator += _residual_columns(i, j, m - commutator)
+        skew = dict(cols[i][j])  # e_i.e_j - e_j.e_i
+        for k, v in cols[j][i]:
+            _add(skew, k, -v)
+        residual = dict(skew)
+        for k, c in brackets[i][j]:
+            _add(residual, k, -c)
+        if residual:
+            torsion.append(((i + 1, j + 1), _dense(residual, n)))
+        touched = support[i] | support[j]
+        for k in chain(skew, (k for k, _ in brackets[i][j])):
+            touched |= support[k]
+        for s in sorted(touched):
+            commutator = {}  # [nabla_i, nabla_j] e_s
+            _add_image(commutator, ONE, cols[j][s], cols[i])
+            _add_image(commutator, -ONE, cols[i][s], cols[j])
+            residual = dict(commutator)
+            _add_image(residual, -ONE, brackets[i][j], right[s])
+            if residual:
+                curvature.append(((i + 1, j + 1, s + 1), _dense(residual, n)))
+            # KV2 on e_s: (e_i,e_j,e_s) - (e_j,e_i,e_s) = nabla_{e_i.e_j - e_j.e_i} e_s
+            # - [nabla_i, nabla_j] e_s, from the products themselves and not from
+            # the curvature residual, so that the two verdicts cross-check.
+            residual = {k: -v for k, v in commutator.items()}
+            _add_image(residual, ONE, skew.items(), right[s])
+            if residual:
+                associator.append(((i + 1, j + 1, s + 1), _dense(residual, n)))
 
     report = ConnectionReport(tuple(torsion), tuple(curvature), tuple(associator))
     if not report.kv_consistent:
@@ -249,28 +271,28 @@ def is_geodesically_complete(conn: FlatConnection) -> CompletenessEvidence:
     return conn.completeness
 
 
-def _uniform_nilindex(matrices: list[RatMatrix]) -> int | None:
-    """Smallest r with every r-fold product of the matrices zero (None if none).
+def _uniform_nilindex(operators) -> int | None:
+    """Smallest r with every r-fold product of the operators zero (None if none).
 
-    The descending flag V_0 = k^n, V_{r+1} = span{M v : M in matrices, v in V_r}
-    spans the images of all r-fold products, so it reaches 0 exactly at r; once
-    a step does not shrink it, it never does.  When the matrices span a Lie
-    algebra of operators, Engel's theorem makes reaching 0 equivalent to every
-    matrix in the span being nilpotent.  On other sets it is not: {E12, E21}
-    are nilpotent, but E12 + E21 is not.
+    Each operator is the tuple of its columns, column c listing the nonzero
+    (k, v) of its image of e_c.  The descending flag V_0 = k^n, V_{r+1} =
+    span{M v : M in operators, v in V_r} spans the images of all r-fold
+    products, so it reaches 0 exactly at r; once a step does not shrink it, it
+    never does.  For a single operator, reaching 0 is its nilpotency.  When
+    the operators span a Lie algebra of operators, Engel's theorem makes
+    reaching 0 equivalent to every operator in the span being nilpotent.  On
+    other sets it is not: {E12, E21} are nilpotent, but E12 + E21 is not.
     """
-    n = matrices[0].rows if matrices else 0
-    # Each step is a list of sparse rows; M v sums the sparse columns of M that v meets.
-    columns = [[_sparse(m.col(c)) for c in range(n)] for m in matrices]
-    space = [{i: Fraction(1)} for i in range(n)]
+    n = len(operators[0]) if operators else 0
+    # Each step is a list of sparse rows; M v sums the columns of M that v meets.
+    space = [{i: ONE} for i in range(n)]
     for r in range(n + 1):
         if not space:
             return r
         images = []
-        for v, cols in product(space, columns):
+        for v, columns in product(space, operators):
             image = {}
-            for c, y in v.items():
-                _subtract(image, -y, cols[c])
+            _add_image(image, ONE, v.items(), columns)
             images.append(image)
         nxt = list(_eliminate(images).values())
         if len(nxt) >= len(space):
@@ -280,14 +302,16 @@ def _uniform_nilindex(matrices: list[RatMatrix]) -> int | None:
 
 
 def _completeness(conn: FlatConnection) -> CompletenessEvidence:
-    n = conn.dim
-    right = [conn.right_mult_matrix(j) for j in range(n)]
-    traces = tuple(m.trace() for m in right)
+    cols = conn.nonzero_gamma
+    right = tuple(zip(*cols))  # right[j][i] = nabla_{e_i} e_j: the columns of R_{e_j}
+    traces = tuple(
+        sum((v for i, col in enumerate(r) for k, v in col if k == i), ZERO) for r in right
+    )
     return CompletenessEvidence(
         complete=all(t == 0 for t in traces),
         traces=traces,
-        nabla_nilindex=_uniform_nilindex([conn.nabla_matrix(i) for i in range(n)]),
-        right_mult_nilpotent=tuple(m.is_nilpotent() for m in right),
+        nabla_nilindex=_uniform_nilindex(cols),
+        right_mult_nilpotent=tuple(_uniform_nilindex([r]) is not None for r in right),
     )
 
 
@@ -296,7 +320,6 @@ class DualRep:
     """Action of the base algebra on its dual: rho(x) xi = -xi o nabla_x."""
 
     connection: FlatConnection
-    matrices: tuple[RatMatrix, ...] = field(compare=False)
 
     @property
     def dim(self) -> int:
@@ -304,16 +327,26 @@ class DualRep:
 
     @cached_property
     def nonzero_entries(self) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
-        """The (row, column, value) of each nonzero entry of each rho(e_i)."""
+        """The (row, column, value) of each nonzero entry of each rho(e_i), row-major.
+
+        rho(e_i) = -transpose(nabla_{e_i}), so row j of rho(e_i) is -nabla_{e_i} e_j.
+        """
         return tuple(
-            tuple(
-                (r, c, value)
-                for r, row in enumerate(m.entries)
-                for c, value in enumerate(row)
-                if value
-            )
-            for m in self.matrices
+            tuple((j, k, -v) for j, col in enumerate(plane) for k, v in col)
+            for plane in self.connection.nonzero_gamma
         )
+
+    @cached_property
+    def matrices(self) -> tuple[RatMatrix, ...]:
+        """Each rho(e_i) as a dense matrix."""
+        n = self.dim
+        mats = []
+        for entries in self.nonzero_entries:
+            rows = [[ZERO] * n for _ in range(n)]
+            for r, c, value in entries:
+                rows[r][c] = value
+            mats.append(RatMatrix(tuple(tuple(r) for r in rows)))
+        return tuple(mats)
 
     def rho_of(self, x: Vector) -> RatMatrix:
         """rho(x) = sum_i x_i rho(e_i), assembled from the nonzero entries."""
@@ -340,12 +373,23 @@ def dual_representation(conn: FlatConnection) -> DualRep:
 
 def _dual(conn: FlatConnection) -> DualRep:
     n = conn.dim
-    mats = tuple(-conn.nabla_matrix(i).transpose() for i in range(n))
-    rep = DualRep(conn, mats)
-    c = conn.base.bracket
+    rep = DualRep(conn)
+    entries = rep.nonzero_entries
+    # rows[i][t]: the (column, value) of the nonzero entries in row t of rho(e_i)
+    rows = [[[] for _ in range(n)] for _ in range(n)]
+    for i, plane in enumerate(entries):
+        for r, c, value in plane:
+            rows[i][r].append((c, value))
+    brackets = conn.base.nonzero_brackets
     for i, j in combinations(range(n), 2):
-        lhs = rep.rho_of(c[i][j])
-        rhs = mats[i] @ mats[j] - mats[j] @ mats[i]
-        if not (lhs - rhs).is_zero():
+        residual = {}  # rho([e_i, e_j]) - rho(e_i) rho(e_j) + rho(e_j) rho(e_i), by (row, column)
+        for k, c in brackets[i][j]:
+            for r, col, value in entries[k]:
+                _add(residual, (r, col), c * value)
+        for a, b, sign in ((i, j, -ONE), (j, i, ONE)):
+            for r, t, x in entries[a]:
+                for col, y in rows[b][t]:
+                    _add(residual, (r, col), sign * x * y)
+        if residual:
             raise RuntimeError("dual representation law failed despite flatness")
     return rep

@@ -263,6 +263,23 @@ def _omega_on_brackets(omega: RatMatrix):
     return w
 
 
+def _sparse_solver(solver: RatMatrix):
+    """x -> solver x for x given as (index, value) pairs, summing the nonzero
+    entries of solver's columns; a zero value adds nothing."""
+    n = solver.rows
+    columns = [[(k, v) for k, v in enumerate(solver.col(c)) if v] for c in range(solver.cols)]
+
+    def solve(terms) -> Vector:
+        out = [ZERO] * n
+        for c, f in terms:
+            if f:
+                for k, v in columns[c]:
+                    out[k] += f * v
+        return tuple(out)
+
+    return solve
+
+
 @dataclass(frozen=True)
 class IdealVerdict:
     status: str  # not_ideal | not_isotropic | isotropic | lagrangian
@@ -361,13 +378,13 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
         solver = pairing.transpose().inverse()
     except ValueError:
         raise ValueError("pairing between quotient and ideal is degenerate") from None
+    solve = _sparse_solver(solver)
     gamma = [[None] * n for _ in range(n)]
     for a in range(n):
         # [lift_a, u] for each u in J, shared by every b
         brackets = [s.algebra.bracket_vectors(unit_vector(s.dim, keep[a]), u) for u in j.basis]
         for b in range(n):
-            rhs = tuple(-vec_dot(omega_rows[b], v) for v in brackets)
-            gamma[a][b] = solver.apply(rhs)
+            gamma[a][b] = solve(enumerate(-vec_dot(omega_rows[b], v) for v in brackets))
     conn = FlatConnection(quotient, _freeze_tensor(gamma), label=f"induced({s.algebra.name})")
     report = check_flat_torsion_free(conn)
     if not report.ok:
@@ -390,15 +407,14 @@ def canonical_connection(s: SymplecticLieAlgebra) -> FlatConnection:
     n = s.dim
     # Every gamma(i, j) solves omega^T w = rhs; validate() has checked omega
     # invertible, so invert it once.
-    solver = s.omega.transpose().inverse()
+    solve = _sparse_solver(s.omega.transpose().inverse())
     table = s.algebra.nonzero_brackets
     w = _omega_on_brackets(s.omega)
     gamma = [[None] * n for _ in range(n)]
     for i in range(n):
         for jj in range(n):
-            # rhs_m = -omega(e_j, [e_i, e_m])
-            rhs = tuple(-w(jj, terms) for terms in table[i])
-            gamma[i][jj] = solver.apply(rhs)
+            # rhs_m = -omega(e_j, [e_i, e_m]), zero where [e_i, e_m] is
+            gamma[i][jj] = solve((m, -w(jj, terms)) for m, terms in enumerate(table[i]) if terms)
     conn = FlatConnection(s.algebra, _freeze_tensor(gamma), label=f"canonical({s.algebra.name})")
     report = check_flat_torsion_free(conn)
     if not report.ok:

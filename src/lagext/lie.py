@@ -25,6 +25,7 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    fmt_vector,
     kernel_basis,
     unit_vector,
     zero_vector,
@@ -177,7 +178,7 @@ def require_jacobi(algebra: LieAlgebra) -> LieAlgebra:
     if violations:
         first = violations[0]
         raise ValueError(
-            f"Jacobi identity fails at {first.triple}: residual {first.residual}"
+            f"Jacobi identity fails at {first.triple}: residual {fmt_vector(first.residual)}"
         )
     return algebra
 

@@ -43,6 +43,11 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def fmt_vector(v: Vector) -> str:
+    """Serialize as "(x1, ..., xn)", each entry as ``format_rational`` writes it."""
+    return "(" + ", ".join(format_rational(x) for x in v) + ")"
+
+
 def vec(values) -> Vector:
     return tuple(rat(v) for v in values)
 

@@ -40,8 +40,9 @@ from .extension import (
     induced_flat_connection,
     is_lagrangian_ideal,
 )
-from .linalg import Vector, format_rational
+from .linalg import fmt_vector, format_rational
 from .specfile import (
+    BlockError,
     DuplicateCellError,
     SpecFile,
     build_algebra,
@@ -80,10 +81,6 @@ class ReportRecord:
     def __post_init__(self):
         if self.status == FAIL and not self.witness:
             raise ValueError("fail records must carry a witness")
-
-
-def fmt_vector(v: Vector) -> str:
-    return "(" + ", ".join(format_rational(x) for x in v) + ")"
 
 
 def _verdict(label: str, check: str, sample_id: str, witness: str) -> ReportRecord:
@@ -208,7 +205,8 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
     cell twice; an omega block ``omega-nondegenerate`` and ``omega-closed``;
     a cocycle block ``cocycle-closed`` and ``cocycle-bianchi``, or a skipped
     ``cocycle`` record without a flat torsion-free connection.  Raises
-    BlockError when the algebra, omega or cocycle block does not build.
+    BlockError when the algebra, omega or cocycle block, or the connection
+    block for any reason but a cell assigned twice, does not build.
     """
     label = spec.name
     algebra = build_block("algebra", build_algebra, spec, env)
@@ -217,9 +215,11 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
     conn = None
     if spec.connection:
         try:
-            conn = build_connection(spec, algebra, env)
-        except DuplicateCellError as exc:
-            records.append(ReportRecord(label, "connection", "-", CONFLICT, str(exc)))
+            conn = build_block("connection", build_connection, spec, algebra, env)
+        except BlockError as exc:
+            if not isinstance(exc.__cause__, DuplicateCellError):
+                raise
+            records.append(ReportRecord(label, "connection", "-", CONFLICT, str(exc.__cause__)))
         else:
             records.extend(_connection_records(label, "-", conn))
 

@@ -146,6 +146,31 @@ def test_duplicate_bracket_cell_is_an_invalid_algebra_block(runner, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "text, args, message",
+    [
+        (
+            "algebra j dim 4\nbracket e1 e2 -> 1 e3\nbracket e3 e4 -> 1 e1\n",
+            (),
+            "algebra block invalid: Jacobi identity fails at (1, 2, 4): residual (-1, 0, 0, 0)",
+        ),
+        (
+            "algebra a dim 4\nparam mu\nbracket e1 e2 -> 1 e3\nconnection e1 e1 -> 1/(mu-1) e3\n",
+            ("--set", "mu=1"),
+            "connection block invalid: division by zero while evaluating expression",
+        ),
+    ],
+    ids=["jacobi-residual", "connection-pole"],
+)
+def test_a_block_that_does_not_build_is_named_in_plain_numbers(
+    runner, tmp_path, text, args, message
+):
+    path = tmp_path / "bad.spec"
+    path.write_text(text)
+    result = runner.invoke(main, ["check", str(path), *args])
+    assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
+
+
 def test_omega_block_error_is_not_an_algebra_block_error(runner, tmp_path):
     path = tmp_path / "dup_omega.spec"
     path.write_text(

@@ -81,21 +81,29 @@ def unit_matrix(n, r, c):
     )
 
 
+def nilindex(matrices):
+    """``_uniform_nilindex`` of dense matrices, each passed as its sparse columns."""
+    return _uniform_nilindex([
+        tuple(tuple((k, x) for k, x in enumerate(m.col(c)) if x) for c in range(m.cols))
+        for m in matrices
+    ])
+
+
 def test_engel_flag_needs_every_product_not_every_generator():
     e12, e21 = unit_matrix(2, 1, 2), unit_matrix(2, 2, 1)
     assert e12.is_nilpotent() and e21.is_nilpotent()
     # Each generator is nilpotent, yet E12 E21 is a nonzero idempotent.
-    assert _uniform_nilindex([e12, e21]) is None
+    assert nilindex([e12, e21]) is None
 
 
 def test_engel_flag_gives_the_exact_index_of_strictly_upper_triangular_sets():
     e12, e23, e34, e13 = (unit_matrix(4, r, c) for r, c in ((1, 2), (2, 3), (3, 4), (1, 3)))
-    assert _uniform_nilindex([e12, e23, e34]) == 4  # E12 E23 E34 = E14
-    assert _uniform_nilindex([e12, e34]) == 2
-    assert _uniform_nilindex([e12, e23, e13]) == 3
-    assert _uniform_nilindex([e13]) == 2
-    assert _uniform_nilindex([RatMatrix.zero(4, 4)]) == 1
-    assert _uniform_nilindex([]) == 0
+    assert nilindex([e12, e23, e34]) == 4  # E12 E23 E34 = E14
+    assert nilindex([e12, e34]) == 2
+    assert nilindex([e12, e23, e13]) == 3
+    assert nilindex([e13]) == 2
+    assert nilindex([RatMatrix.zero(4, 4)]) == 1
+    assert nilindex([]) == 0
 
 
 def flat_catalog_samples():

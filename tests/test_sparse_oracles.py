@@ -9,6 +9,13 @@ The ``frozen_*`` functions are the seeded nilpotency evidence that the Engel
 flag of nabla replaced: per-basis and seeded random-direction checks in the
 completeness evidence, and the uniform nilindex of rho with a sampled
 condition sum in the nilpotency certificate.
+
+The ``dense_sweep``, ``dense_dual`` and ``dense_completeness`` functions are
+the connection layer as it was before it read the table of nonzero
+coefficients: the torsion, curvature and associator sweep from dense
+``RatMatrix`` products, the representation law of the dual from dense
+products and differences, and right-multiplication nilpotency from
+``RatMatrix.is_nilpotent``.
 """
 
 from fractions import Fraction as F
@@ -17,9 +24,20 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagext.catalog import connection_for, instantiate, sample_parameters, table1_entries
+from lagext.catalog import (
+    base_algebra,
+    connection_for,
+    instantiate,
+    sample_parameters,
+    table1_entries,
+)
 from lagext.cohomology import cocycle_bases, two_cochain_from_coefficients
 from lagext.connection import (
+    CompletenessEvidence,
+    ConnectionReport,
+    FlatConnection,
+    _completeness,
+    _dual,
     check_flat_torsion_free,
     dual_representation,
     is_geodesically_complete,
@@ -42,7 +60,17 @@ from lagext.lie import (
     nilpotency_class,
     quotient_algebra,
 )
-from lagext.linalg import RatMatrix, Subspace, solve_linear, unit_vector, vec_add, vec_sub
+from lagext.lie import _freeze_tensor
+from lagext.linalg import (
+    RatMatrix,
+    Subspace,
+    is_zero_vector,
+    solve_linear,
+    unit_vector,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 from lagext.sampling import random_rational, rng_for
 
 
@@ -205,6 +233,91 @@ def solved_canonical_gamma(s):
     )
 
 
+def dense_right_mult_matrix(conn, j):
+    """Matrix of y -> y . e_j (column i = nabla_{e_i} e_j)."""
+    n = conn.dim
+    return RatMatrix(
+        tuple(tuple(conn.gamma[i][j][k] for i in range(n)) for k in range(n))
+    )
+
+
+def dense_nabla_of(conn, x):
+    """Matrix of nabla_x, scanning every (j, k) cell of each plane x meets."""
+    n = conn.dim
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        xi = x[i]
+        if not xi:
+            continue
+        plane = conn.gamma[i]
+        for j in range(n):
+            row = plane[j]
+            for k in range(n):
+                if row[k]:
+                    rows[k][j] += xi * row[k]
+    return RatMatrix(tuple(tuple(r) for r in rows))
+
+
+def dense_residual_columns(i, j, m):
+    """((i+1, j+1, s+1), column s) for every nonzero column s of m."""
+    columns = (((i + 1, j + 1, s + 1), m.col(s)) for s in range(m.cols))
+    return [(key, col) for key, col in columns if not is_zero_vector(col)]
+
+
+def dense_sweep(conn):
+    """The torsion, curvature and associator witnesses from dense matrix products."""
+    n = conn.dim
+    c = conn.base.bracket
+    torsion = []
+    for i, j in combinations(range(n), 2):
+        residual = tuple(
+            conn.gamma[i][j][k] - conn.gamma[j][i][k] - c[i][j][k] for k in range(n)
+        )
+        if not is_zero_vector(residual):
+            torsion.append(((i + 1, j + 1), residual))
+    nabla = [conn.nabla_matrix(i) for i in range(n)]
+    curvature = []
+    associator = []
+    for i, j in combinations(range(n), 2):
+        commutator = nabla[i] @ nabla[j] - nabla[j] @ nabla[i]
+        curvature += dense_residual_columns(i, j, commutator - dense_nabla_of(conn, c[i][j]))
+        m = dense_nabla_of(conn, conn.gamma[i][j]) - dense_nabla_of(conn, conn.gamma[j][i])
+        associator += dense_residual_columns(i, j, m - commutator)
+    return ConnectionReport(tuple(torsion), tuple(curvature), tuple(associator))
+
+
+def dense_dual(conn):
+    """(rho matrices, whether rho([e_i,e_j]) = [rho_i, rho_j] holds), by dense products."""
+    n = conn.dim
+    mats = tuple(-conn.nabla_matrix(i).transpose() for i in range(n))
+
+    def rho_of(x):
+        total = RatMatrix.zero(n, n)
+        for i in range(n):
+            if x[i]:
+                total = total + RatMatrix(tuple(vec_scale(x[i], row) for row in mats[i].entries))
+        return total
+
+    holds = all(
+        (rho_of(conn.base.bracket[i][j]) - (mats[i] @ mats[j] - mats[j] @ mats[i])).is_zero()
+        for i, j in combinations(range(n), 2)
+    )
+    return mats, holds
+
+
+def dense_completeness(conn):
+    """Traces and the Engel flag of dense matrices; right multiplication by is_nilpotent."""
+    n = conn.dim
+    right = [dense_right_mult_matrix(conn, j) for j in range(n)]
+    traces = tuple(m.trace() for m in right)
+    return CompletenessEvidence(
+        complete=all(t == 0 for t in traces),
+        traces=traces,
+        nabla_nilindex=frozen_uniform_nilindex([conn.nabla_matrix(i) for i in range(n)]),
+        right_mult_nilpotent=tuple(m.is_nilpotent() for m in right),
+    )
+
+
 def frozen_nonzero_directions(seed, label, n, count):
     """``count`` seeded nonzero vectors, drawn as the seeded evidence drew them."""
     rng = rng_for(seed, label)
@@ -221,7 +334,7 @@ def frozen_completeness(conn):
     evidence gave them: all_nilpotent also asked nabla_x to be nilpotent on the
     basis and on eight seeded random directions."""
     n = conn.dim
-    right = [conn.right_mult_matrix(j) for j in range(n)]
+    right = [dense_right_mult_matrix(conn, j) for j in range(n)]
     traces = tuple(m.trace() for m in right)
     nabla = [conn.nabla_matrix(i) for i in range(n)]
     randoms = frozen_nonzero_directions("flat-conn-directions", conn.label or "conn", n, 8)
@@ -234,19 +347,24 @@ def frozen_completeness(conn):
     return all(t == 0 for t in traces), traces, right_mult_nilpotent, all_nilpotent
 
 
-def frozen_uniform_rho_nilindex(rep):
-    """Smallest r with every r-fold product of rho generators zero (None if none)."""
-    n = rep.dim
+def frozen_uniform_nilindex(matrices):
+    """Smallest r with every r-fold product of the n x n matrices zero (None if none)."""
+    n = matrices[0].rows
     space = Subspace.full(n)
     for r in range(n + 1):
         if space.dim == 0:
             return r
-        images = [m.apply(v) for m in rep.matrices for v in space.basis]
+        images = [m.apply(v) for m in matrices for v in space.basis]
         nxt = Subspace.from_vectors(n, images)
         if nxt.dim >= space.dim:
             return None
         space = nxt
     return None
+
+
+def frozen_uniform_rho_nilindex(rep):
+    """Smallest r with every r-fold product of rho generators zero (None if none)."""
+    return frozen_uniform_nilindex(rep.matrices)
 
 
 def frozen_certificate(triple, sampled_condition_sum):
@@ -308,6 +426,92 @@ def assert_extension_matches_dense(ext, rng):
     assert_lie_layer_matches_dense(ext.algebra, vectors, [j, symplectic_orthogonal(ext, j)])
     assert typed(d_omega(ext).residuals) == typed(dense_d_omega(ext))
     assert typed(induced_flat_connection(ext, j).gamma) == typed(solved_induced_gamma(ext, j))
+
+
+def assert_connection_layer_matches_dense(conn):
+    """The sweep, the dual's law check and the completeness evidence, any connection."""
+    report, dense = check_flat_torsion_free(conn), dense_sweep(conn)
+    assert typed((report.torsion, report.curvature, report.associator)) == typed(
+        (dense.torsion, dense.curvature, dense.associator)
+    )
+    evidence, dense = _completeness(conn), dense_completeness(conn)
+    assert evidence == dense and typed(evidence.traces) == typed(dense.traces)
+    mats, holds = dense_dual(conn)
+    if holds:
+        rep = _dual(conn)
+        assert typed(rep.matrices) == typed(mats)
+        assert rep.nonzero_entries == tuple(
+            tuple((r, c, x) for r, row in enumerate(m.entries) for c, x in enumerate(row) if x)
+            for m in mats
+        )
+    else:
+        with pytest.raises(RuntimeError, match="dual representation law failed"):
+            _dual(conn)
+    return report
+
+
+def perturbed(conn, rng):
+    """conn with one seeded cell gamma[i][j][k] moved by a nonzero rational."""
+    n = conn.dim
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    shift = F(0)
+    while not shift:
+        shift = random_rational(rng)
+    gamma = [[list(row) for row in plane] for plane in conn.gamma]
+    gamma[i][j][k] += shift
+    label = f"{conn.label}+{shift}@{i},{j},{k}"
+    return FlatConnection(conn.base, _freeze_tensor(gamma), label=label)
+
+
+def flat_row_extensions():
+    """The zero extension of each flat non-suspect catalog row, at its first sample."""
+    for entry in table1_entries():
+        if entry.suspect:
+            continue
+        conn = instantiate(entry, sample_parameters(entry, 1)[0])
+        if check_flat_torsion_free(conn).ok:
+            yield build_extension(ExtensionTriple.with_zero_cocycle(conn))
+
+
+def test_connection_layer_matches_dense_code_on_every_catalog_sample():
+    checked = flat = 0
+    for entry in table1_entries():
+        for sample in sample_parameters(entry, 3):
+            conn = instantiate(entry, sample)
+            if isinstance(conn, FlatConnection):
+                flat += assert_connection_layer_matches_dense(conn).ok
+                checked += 1
+    assert (checked, flat) == (113, 108)
+
+
+def test_connection_layer_matches_dense_code_on_canonical_and_induced_connections():
+    extensions = 0
+    for ext in flat_row_extensions():
+        canonical = canonical_connection(ext)
+        assert canonical.dim == 8
+        assert assert_connection_layer_matches_dense(canonical).ok
+        induced = induced_flat_connection(ext, ext.lagrangian_ideal)
+        assert assert_connection_layer_matches_dense(induced).ok
+        extensions += 1
+    assert extensions == 64
+
+
+def test_connection_layer_matches_dense_code_on_single_cell_perturbations():
+    rng = rng_for(53, "sparse-oracles-perturbations")
+    # Zero connections on the catalog bases give torsion whose bracket terms
+    # meet planes that neither nabla_{e_i} nor nabla_{e_j} reaches.
+    bases = [FlatConnection.zero(base_algebra(code)) for code in "alt"] * 4
+    bases += flat_catalog_samples()
+    bases += [canonical_connection(ext) for ext in list(flat_row_extensions())[::8]]
+    seen = {"torsion": 0, "curvature": 0, "associator": 0, "curvature only": 0}
+    for conn in bases:
+        for _ in range(2):
+            report = assert_connection_layer_matches_dense(perturbed(conn, rng))
+            seen["torsion"] += bool(report.torsion)
+            seen["curvature"] += bool(report.curvature)
+            seen["associator"] += bool(report.associator)
+            seen["curvature only"] += bool(report.curvature and not report.torsion)
+    assert all(seen.values()), seen
 
 
 # Mostly zeros: seven entries in eight are zero.
