@@ -8,6 +8,14 @@ consists of symmetric 1-cochains and cyclic-sum-zero 2-cochains.
 All kernel and image computations flatten cochains to coordinate vectors in
 a single canonical order: pairs (i, j) with i < j lexicographically, then
 the dual coordinate k.
+
+Each differential is written once, as sparse rows in those coordinates:
+``_coboundary_1_images`` for d1 and ``_coboundary_2_rows`` for d2, each
+read off the nonzero entries of rho and of the bracket.  The evaluators
+``coboundary_1`` and ``coboundary_2`` apply those rows to a cochain's
+nonzero coordinates, and ``cocycle_bases``, ``coboundary_image`` and
+``cohomology`` eliminate them.  A flattened 2-cochain is decoded in one
+place, ``_two_cochain_from_row``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ from .linalg import (
     _eliminate,
     _kernel,
     _quotient_rows,
+    _sparse,
     _subspace,
+    fmt_vector,
     is_zero_vector,
     solve_linear,
     vec,
@@ -78,15 +88,6 @@ class OneCochain:
     def value(self, i: int) -> Vector:
         """sigma(e_i) as a dual-coordinate vector."""
         return self.entries[i]
-
-    def value_at(self, x: Vector) -> Vector:
-        n = self.dim
-        out = [ZERO] * n
-        for i in range(n):
-            if x[i] != 0:
-                for k in range(n):
-                    out[k] += x[i] * self.entries[i][k]
-        return tuple(out)
 
     @property
     def is_symmetric(self) -> bool:
@@ -147,22 +148,6 @@ class TwoCochain:
     def value(self, i: int, j: int) -> Vector:
         return self.tensor[i][j]
 
-    def value_at(self, x: Vector, y: Vector) -> Vector:
-        n = self.dim
-        out = [ZERO] * n
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            for j in range(n):
-                if y[j] == 0:
-                    continue
-                coeff = x[i] * y[j]
-                row = self.tensor[i][j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] += coeff * row[k]
-        return tuple(out)
-
     def is_zero(self) -> bool:
         return all(
             is_zero_vector(row) for plane in self.tensor for row in plane
@@ -185,10 +170,9 @@ class TwoCochain:
 
     @staticmethod
     def unflatten(n: int, v: Vector) -> "TwoCochain":
-        values = {}
-        for p, (i, j) in enumerate(pair_list(n)):
-            values[(i, j)] = tuple(v[p * n + k] for k in range(n))
-        return TwoCochain.from_pairs(n, values)
+        if len(v) != len(pair_list(n)) * n:
+            raise ValueError("vector length does not match the 2-cochain coordinates")
+        return _two_cochain_from_row(n, _sparse(v))
 
     def __sub__(self, other: "TwoCochain") -> "TwoCochain":
         n = self.dim
@@ -203,6 +187,16 @@ class TwoCochain:
                 for i in range(n)
             )
         )
+
+
+def _two_cochain_from_row(n: int, row: dict[int, Fraction]) -> TwoCochain:
+    """The 2-cochain with flattened coordinates row, {column: nonzero Fraction}."""
+    pairs = pair_list(n)
+    t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for col, x in row.items():
+        (i, j), k = pairs[col // n], col % n
+        t[i][j][k], t[j][i][k] = x, -x
+    return TwoCochain(tuple(tuple(tuple(r) for r in plane) for plane in t))
 
 
 @dataclass(frozen=True)
@@ -222,47 +216,39 @@ class ThreeCochain:
                 out.append(((i + 1, j + 1, k + 1), v))
         return tuple(out)
 
+    def first_witness(self) -> str:
+        """The first nonzero residual as ``d2 residual(i,j,k) = (x, ...)``; "" if none."""
+        for (i, j, k), v in self.witnesses():
+            return f"d2 residual({i},{j},{k}) = {fmt_vector(v)}"
+        return ""
+
 
 def coboundary_1(rep: DualRep, sigma: OneCochain) -> TwoCochain:
-    """(d sigma)(x,y) = rho(x) sigma(y) - rho(y) sigma(x) - sigma([x,y])."""
-    n = rep.dim
-    if sigma.dim != n:
+    """(d sigma)(x,y) = rho(x) sigma(y) - rho(y) sigma(x) - sigma([x,y]).
+
+    The sparse row ``_coboundary_1_images`` gives for sigma, decoded.
+    """
+    if sigma.dim != rep.dim:
         raise ValueError("cochain dimension does not match the representation")
-    c = rep.connection.base.bracket
-    values = {}
-    for i, j in pair_list(n):
-        term = list(rep.matrices[i].apply(sigma.value(j)))
-        term2 = rep.matrices[j].apply(sigma.value(i))
-        term3 = sigma.value_at(c[i][j])
-        values[(i, j)] = tuple(a - b - d for a, b, d in zip(term, term2, term3))
-    return TwoCochain.from_pairs(n, values)
+    return _two_cochain_from_row(rep.dim, _coboundary_1_images(rep, [sigma])[0])
 
 
 def coboundary_2(rep: DualRep, alpha: TwoCochain) -> ThreeCochain:
     """Residual of the degree-2 coboundary on all lex triples.
 
-    alpha is a 2-cocycle iff the residual vanishes identically.
+    Each row of ``_coboundary_2_rows`` is applied to alpha's nonzero
+    coordinates; the n rows of a triple give its residual vector.  alpha is
+    a 2-cocycle iff the residual vanishes identically.
     """
     n = rep.dim
     if alpha.dim != n:
         raise ValueError("cochain dimension does not match the representation")
-    c = rep.connection.base.bracket
-    out = []
-    for i, j, k in triple_list(n):
-        v = list(rep.matrices[i].apply(alpha.value(j, k)))
-        for t, x in enumerate(rep.matrices[j].apply(alpha.value(k, i))):
-            v[t] += x
-        for t, x in enumerate(rep.matrices[k].apply(alpha.value(i, j))):
-            v[t] += x
-        ei, ej, ek = (tuple(1 if s == m else 0 for s in range(n)) for m in (i, j, k))
-        for t, x in enumerate(alpha.value_at(ei, c[j][k])):
-            v[t] += x
-        for t, x in enumerate(alpha.value_at(ek, c[i][j])):
-            v[t] += x
-        for t, x in enumerate(alpha.value_at(ej, c[k][i])):
-            v[t] += x
-        out.append(tuple(v))
-    return ThreeCochain(n, tuple(out))
+    coords = {col: x for col, x in enumerate(alpha.flatten()) if x}
+    values = [
+        sum((v * coords[col] for col, v in row.items() if col in coords), ZERO)
+        for row in _coboundary_2_rows(rep)
+    ]
+    return ThreeCochain(n, tuple(tuple(values[r:r + n]) for r in range(0, len(values), n)))
 
 
 def one_cochain_basis(n: int) -> list[OneCochain]:
@@ -285,9 +271,10 @@ def symmetric_one_cochain_basis(n: int) -> list[OneCochain]:
 def _coboundary_1_images(rep: DualRep, basis: list[OneCochain]) -> list[dict[int, Fraction]]:
     """Flattened d(sigma) for each sigma in basis, as sparse rows, from its nonzero entries.
 
-    An entry sigma(e_a)_b = v adds, for every x != a, v * rho(x)[t][b] to
-    (d sigma)(x, a)_t, and -v * c[i][j][a] to (d sigma)(e_i, e_j)_b: the
-    terms rho(x) sigma(y) - rho(y) sigma(x) - sigma([x, y]) of ``coboundary_1``.
+    This is the one formula for d1, (d sigma)(x, y) = rho(x) sigma(y) -
+    rho(y) sigma(x) - sigma([x, y]): an entry sigma(e_a)_b = v adds, for
+    every x != a, v * rho(x)[t][b] to (d sigma)(x, a)_t, and -v * c[i][j][a]
+    to (d sigma)(e_i, e_j)_b.
     """
     n = rep.dim
     pairs = pair_list(n)
@@ -329,7 +316,7 @@ def matrix_of_coboundary_1(rep: DualRep, basis: list[OneCochain] | None = None) 
 
 
 def _coboundary_2_rows(rep: DualRep) -> list[dict[int, Fraction]]:
-    """The rows of d2 as sparse rows, one per (triple, t); see ``matrix_of_coboundary_2``."""
+    """The one formula for d2: sparse rows, one per (triple, t); see ``matrix_of_coboundary_2``."""
     n = rep.dim
     blocks = _pair_blocks(n)
     table = rep.connection.base.nonzero_brackets
@@ -353,8 +340,9 @@ def _coboundary_2_rows(rep: DualRep) -> list[dict[int, Fraction]]:
 def matrix_of_coboundary_2(rep: DualRep) -> RatMatrix:
     """Linearized degree-2 coboundary; columns follow the pair-then-k flattening.
 
-    Assembled from the formula that ``coboundary_2`` evaluates: on the
-    triple i < j < k, with (x, y, z) running over its cyclic rotations,
+    The rows of ``_coboundary_2_rows``, densified; ``coboundary_2`` applies
+    the same rows.  On the triple i < j < k, with (x, y, z) running over its
+    cyclic rotations,
 
         (d a)(x, y, z)_t = sum_cyc  sum_s rho(x)[t][s] a(y, z)_s
                                   + sum_m c[y][z][m] a(x, e_m)_t.
@@ -363,7 +351,7 @@ def matrix_of_coboundary_2(rep: DualRep) -> RatMatrix:
     (y, z), and +-c[y][z][m], for every nonzero one with m != x, in column t
     of the pair block of (x, m); the sign is - where the pair is not in
     ascending order.  Only nonzero entries of rho and the bracket are visited.
-    ``cocycle_bases`` eliminates these rows as built, sparse, by ``_coboundary_2_rows``.
+    ``cocycle_bases`` eliminates the sparse rows themselves.
     """
     width = len(pair_list(rep.dim)) * rep.dim
     rows = _coboundary_2_rows(rep) or [{}]  # n < 3: no triples; one zero row keeps the shape
@@ -404,16 +392,6 @@ def coboundary_image(rep: DualRep, lagrangian: bool) -> Subspace:
     """B^2 (or B^2_L): the span of the columns of ``matrix_of_coboundary_1``."""
     basis = symmetric_one_cochain_basis(rep.dim) if lagrangian else one_cochain_basis(rep.dim)
     return _subspace(len(pair_list(rep.dim)) * rep.dim, _coboundary_1_images(rep, basis))
-
-
-def _two_cochain_from_row(n: int, row: dict[int, Fraction]) -> TwoCochain:
-    """``TwoCochain.unflatten`` of a sparse row."""
-    pairs = pair_list(n)
-    t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for col, x in row.items():
-        (i, j), k = pairs[col // n], col % n
-        t[i][j][k], t[j][i][k] = x, -x
-    return TwoCochain(tuple(tuple(tuple(r) for r in plane) for plane in t))
 
 
 @dataclass(frozen=True)
@@ -493,9 +471,9 @@ def two_cochain_from_coefficients(
     """Linear combination of a flattened-cochain subspace basis."""
     if len(coefficients) != space.dim:
         raise ValueError("coefficient count does not match basis size")
-    total = [ZERO] * space.ambient_dim
-    for coeff, basis_vec in zip(coefficients, space.basis):
-        if coeff != 0:
-            for t, x in enumerate(basis_vec):
-                total[t] += coeff * x
-    return TwoCochain.unflatten(n, tuple(total))
+    total: dict[int, Fraction] = {}
+    for coeff, row in zip(coefficients, space._rows):
+        if coeff:
+            for t, x in row.items():
+                total[t] = total.get(t, ZERO) + coeff * x
+    return _two_cochain_from_row(n, {t: x for t, x in total.items() if x})

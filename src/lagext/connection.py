@@ -336,18 +336,6 @@ class DualRep:
             for plane in self.connection.nonzero_gamma
         )
 
-    @cached_property
-    def matrices(self) -> tuple[RatMatrix, ...]:
-        """Each rho(e_i) as a dense matrix."""
-        n = self.dim
-        mats = []
-        for entries in self.nonzero_entries:
-            rows = [[ZERO] * n for _ in range(n)]
-            for r, c, value in entries:
-                rows[r][c] = value
-            mats.append(RatMatrix(tuple(tuple(r) for r in rows)))
-        return tuple(mats)
-
     def rho_of(self, x: Vector) -> RatMatrix:
         """rho(x) = sum_i x_i rho(e_i), assembled from the nonzero entries."""
         n = self.dim

@@ -22,6 +22,7 @@ from itertools import combinations
 
 from .cohomology import (
     OneCochain,
+    ThreeCochain,
     TwoCochain,
     coboundary_1,
     coboundary_2,
@@ -46,6 +47,7 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    format_rational,
     kernel_basis,
     unit_vector,
     vec_dot,
@@ -56,10 +58,9 @@ from .linalg import (
 class CocycleError(ValueError):
     """The supplied 2-cochain is not a cocycle; carries the residual witnesses."""
 
-    def __init__(self, witnesses):
-        self.witnesses = witnesses
-        first = witnesses[0] if witnesses else None
-        super().__init__(f"2-cochain is not a cocycle; first residual at {first}")
+    def __init__(self, residual: ThreeCochain):
+        self.witnesses = residual.witnesses()
+        super().__init__(f"2-cochain is not a cocycle: {residual.first_witness()}")
 
 
 class IntegrityError(RuntimeError):
@@ -71,9 +72,10 @@ class SymplecticLieAlgebra:
     """A Lie algebra with a candidate symplectic form.
 
     Construction does not assert closedness; use ``d_omega`` /
-    ``validate`` to check dw = 0 and non-degeneracy.  The classification of
-    ``lagrangian_ideal`` (``ideal_verdict``) is computed on first use and kept,
-    as the algebra and the form are immutable.
+    ``validate`` to check dw = 0 and non-degeneracy.  dw of the algebra's own
+    form (``d_omega_result``) and the classification of ``lagrangian_ideal``
+    (``ideal_verdict``) are computed on first use and kept, as the algebra and
+    the form are immutable.
     """
 
     algebra: LieAlgebra
@@ -106,6 +108,11 @@ class SymplecticLieAlgebra:
         )
 
     @cached_property
+    def d_omega_result(self) -> "DOmegaResult":
+        """dw of ``omega`` on every basis triple, computed once per instance."""
+        return _d_omega(self.algebra, self.omega)
+
+    @cached_property
     def ideal_verdict(self) -> "IdealVerdict":
         """The classification of ``lagrangian_ideal``, computed once per instance."""
         return _classify_ideal(self, self.lagrangian_ideal)
@@ -114,9 +121,9 @@ class SymplecticLieAlgebra:
         """Raise ValueError unless omega is invertible and closed."""
         if not self.omega.is_invertible():
             raise ValueError("omega is degenerate")
-        witnesses = d_omega(self).witnesses()
-        if witnesses:
-            raise ValueError(f"omega is not closed; first residual at {witnesses[0]}")
+        witness = self.d_omega_result.first_witness()
+        if witness:
+            raise ValueError(f"omega is not closed: {witness}")
 
 
 def standard_omega(n: int) -> RatMatrix:
@@ -195,7 +202,7 @@ def _build(triple: ExtensionTriple) -> SymplecticLieAlgebra:
     rep = dual_representation(conn)
     residual = coboundary_2(rep, triple.cocycle)
     if not residual.is_zero():
-        raise CocycleError(residual.witnesses())
+        raise CocycleError(residual)
 
     n = conn.dim
     total = 2 * n
@@ -208,13 +215,11 @@ def _build(triple: ExtensionTriple) -> SymplecticLieAlgebra:
             c[i][j][n + k] = alpha.tensor[i][j][k]
             c[j][i][k] = -base[i][j][k]
             c[j][i][n + k] = -alpha.tensor[i][j][k]
-    for i in range(n):
-        rho_i = rep.matrices[i]
-        for m in range(n):
-            col = rho_i.col(m)
-            for t in range(n):
-                c[i][n + m][n + t] = col[t]
-                c[n + m][i][n + t] = -col[t]
+    # [e_i, e^m] = rho(e_i) e^m = sum of rho(e_i)[t][m] e^t
+    for i, entries in enumerate(rep.nonzero_entries):
+        for t, m, value in entries:
+            c[i][n + m][n + t] = value
+            c[n + m][i][n + t] = -value
     algebra = require_jacobi(
         LieAlgebra(total, _freeze_tensor(c), f"ext({conn.label or 'conn'})")
     )
@@ -233,17 +238,31 @@ class DOmegaResult:
     def witnesses(self) -> tuple[tuple[tuple[int, int, int], Fraction], ...]:
         return tuple((t, v) for t, v in self.residuals if v != 0)
 
+    def first_witness(self) -> str:
+        """The first nonzero residual as ``d_omega(i,j,k) = x``; "" if none."""
+        for (i, j, k), value in self.witnesses():
+            return f"d_omega({i},{j},{k}) = {format_rational(value)}"
+        return ""
+
 
 def d_omega(s: SymplecticLieAlgebra, omega: RatMatrix | None = None) -> DOmegaResult:
     """Chevalley-Eilenberg differential of omega on all basis triples.
 
     dw(e_i, e_j, e_k) = w(e_i, [e_j, e_k]) + w(e_j, [e_k, e_i]) + w(e_k, [e_i, e_j]),
     each term summed over the nonzero structure constants of the bracket and
-    the nonzero entries of the row of omega.
+    the nonzero entries of the row of omega.  Without ``omega``, of the
+    algebra's own form: that one is computed once and kept as
+    ``s.d_omega_result``.  An explicit ``omega`` is computed afresh.
     """
-    n = s.dim
-    table = s.algebra.nonzero_brackets
-    w = _omega_on_brackets(omega if omega is not None else s.omega)
+    if omega is None:
+        return s.d_omega_result
+    return _d_omega(s.algebra, omega)
+
+
+def _d_omega(algebra: LieAlgebra, omega: RatMatrix) -> DOmegaResult:
+    n = algebra.dim
+    table = algebra.nonzero_brackets
+    w = _omega_on_brackets(omega)
     out = []
     for i, j, k in combinations(range(n), 3):
         value = w(i, table[j][k]) + w(j, table[k][i]) + w(k, table[i][j])
@@ -400,8 +419,9 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
 def canonical_connection(s: SymplecticLieAlgebra) -> FlatConnection:
     """The connection solving omega(nabla_x y, z) = -omega(y, [x, z]) for all z.
 
-    Requires a genuine symplectic structure (closed, non-degenerate); the
-    result is verified flat and torsion-free.
+    Requires a genuine symplectic structure (closed, non-degenerate), which
+    ``validate`` checks against the kept ``d_omega_result``; the result is
+    verified flat and torsion-free.
     """
     s.validate()
     n = s.dim
@@ -563,9 +583,7 @@ def adjusted_symplectic_form(
     if not adjusted.is_invertible():
         raise ValueError("adjusted form is degenerate")
     shifted = build_extension(t_bar)
-    witnesses = d_omega(shifted, adjusted).witnesses()
-    if witnesses:
-        raise IntegrityError(
-            f"adjusted form is not closed on the shifted extension: {witnesses[0]}"
-        )
+    witness = d_omega(shifted, adjusted).first_witness()
+    if witness:
+        raise IntegrityError(f"adjusted form is not closed on the shifted extension: {witness}")
     return adjusted

@@ -35,7 +35,6 @@ from .extension import (
     IntegrityError,
     SymplecticLieAlgebra,
     build_extension,
-    d_omega,
     extension_nilpotency,
     induced_flat_connection,
     is_lagrangian_ideal,
@@ -93,14 +92,6 @@ def exit_code_for(records: list[ReportRecord]) -> int:
     return 1 if any(r.status == FAIL for r in records) else 0
 
 
-def _d_omega_witness(s: SymplecticLieAlgebra) -> str:
-    return next(
-        (f"d_omega({i},{j},{k}) = {format_rational(value)}"
-         for (i, j, k), value in d_omega(s).witnesses()),
-        "",
-    )
-
-
 def _completeness_witness(evidence: CompletenessEvidence) -> str:
     if not evidence.complete:
         j = next(i for i, t in enumerate(evidence.traces) if t != 0)
@@ -156,7 +147,7 @@ def _connection_records(label: str, sample_id: str, conn: FlatConnection) -> lis
         return skip_the_rest("extension unbuildable")
     record("extension-jacobi", "")
 
-    record("extension-closed", _d_omega_witness(ext))
+    record("extension-closed", ext.d_omega_result.first_witness())
 
     verdict = is_lagrangian_ideal(ext, ext.lagrangian_ideal)
     record("lagrangian-ideal", "" if verdict.is_lagrangian and verdict.normal
@@ -227,8 +218,8 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
         omega = build_block("omega", build_omega, spec, env)
         records.append(_verdict(label, "omega-nondegenerate", "-",
                                 "" if omega.is_invertible() else "omega is singular"))
-        records.append(_verdict(label, "omega-closed", "-",
-                                _d_omega_witness(SymplecticLieAlgebra(algebra, omega))))
+        d_omega = SymplecticLieAlgebra(algebra, omega).d_omega_result
+        records.append(_verdict(label, "omega-closed", "-", d_omega.first_witness()))
 
     if spec.cocycle:
         if conn is None:
@@ -240,11 +231,7 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
         else:
             alpha = build_block("cocycle", build_cocycle, spec, env)
             residual = coboundary_2(dual_representation(conn), alpha)
-            records.append(_verdict(label, "cocycle-closed", "-", next(
-                (f"d2 residual({i},{j},{k}) = {fmt_vector(res)}"
-                 for (i, j, k), res in residual.witnesses()),
-                "",
-            )))
+            records.append(_verdict(label, "cocycle-closed", "-", residual.first_witness()))
             records.append(_verdict(label, "cocycle-bianchi", "-",
                                     "" if alpha.is_lagrangian else "cyclic sum is nonzero"))
     return records

@@ -97,6 +97,40 @@ def test_non_cocycle_fails_with_d2_residual(runner, tmp_path):
     ]
 
 
+H_CONNECTION = (
+    "algebra h dim 4\nbracket e1 e2 -> 1 e3\n"
+    "connection e1 e2 -> 1/2 e3\nconnection e2 e1 -> -1/2 e3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, command, message, record",
+    [
+        (
+            H_CONNECTION + "cocycle e3 e4 -> 1 e^3\n",
+            ["extend", "--cocycle", "spec"],
+            "cocycle is not closed: 2-cochain is not a cocycle: d2 residual(1,2,4) = (0, 0, -1, 0)",
+            ("h", "cocycle-closed", "-", "fail", "d2 residual(1,2,4) = (0, 0, -1, 0)"),
+        ),
+        (
+            "algebra h dim 4\nbracket e1 e2 -> 1 e3\nomega e1 e2 -> 1\nomega e3 e4 -> 1\n",
+            ["reduce", "--ideal", "e3"],
+            "omega is not closed: d_omega(1,2,4) = -1",
+            ("h", "omega-closed", "-", "fail", "d_omega(1,2,4) = -1"),
+        ),
+    ],
+    ids=["extend", "reduce"],
+)
+def test_extend_and_reduce_errors_name_the_witness_as_check_does(
+    runner, tmp_path, text, command, message, record
+):
+    path = tmp_path / "input.spec"
+    path.write_text(text)
+    result = runner.invoke(main, [command[0], str(path), *command[1:]])
+    assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
+    assert record in check_tsv(runner, tmp_path, text)[1]
+
+
 def test_cocycle_without_connection_is_skipped(runner, tmp_path):
     text = "algebra l dim 4\nbracket e1 e2 -> 1 e3\ncocycle e1 e2 -> 1 e^4\n"
     assert check_tsv(runner, tmp_path, text) == (0, [

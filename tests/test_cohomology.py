@@ -31,6 +31,7 @@ from lagext.extension import ExtensionTriple, build_extension, canonical_connect
 from lagext.lie import LieAlgebra
 from lagext.linalg import Subspace
 from lagext.sampling import random_rational, rng_for
+from test_sparse_oracles import dense_coboundary_1, dense_coboundary_2
 
 
 def zero_rep(n):
@@ -270,6 +271,12 @@ def test_quotient_representatives_of_l26_lagrangian_cohomology():
     assert joined.dim == z2l.dim
 
 
+@pytest.mark.parametrize("length", [0, 23, 25])
+def test_unflatten_rejects_a_vector_of_the_wrong_length(length):
+    with pytest.raises(ValueError, match="^vector length does not match the 2-cochain coordinates$"):
+        TwoCochain.unflatten(4, (F(1),) * length)
+
+
 def test_two_cochain_from_coefficients_roundtrip():
     rep = dual_representation(connection_for("l_26"))
     z2, _ = cocycle_bases(rep)
@@ -308,23 +315,24 @@ def flat_catalog_connections():
 
 
 def unit_columns_d2(rep):
-    """d2 column by column: coboundary_2 of every unit 2-cochain, in flattened order."""
+    """d2 column by column: the frozen dense d2 of every unit 2-cochain, in flattened order."""
     n = rep.dim
     columns = []
     for i, j in combinations(range(n), 2):
         for k in range(n):
             alpha = TwoCochain.from_pairs(n, {(i, j): tuple(F(int(t == k)) for t in range(n))})
-            columns.append(tuple(x for v in coboundary_2(rep, alpha).values for x in v))
+            columns.append(tuple(x for v in dense_coboundary_2(rep, alpha).values for x in v))
     return tuple(zip(*columns))
 
 
 def assert_assembly_matches_cochain_maps(rep):
+    """The sparse rows of d1 and d2, densified, against the frozen dense evaluators."""
     assert matrix_of_coboundary_2(rep).entries == unit_columns_d2(rep)
     for lagrangian, basis in (
         (False, one_cochain_basis(rep.dim)),
         (True, symmetric_one_cochain_basis(rep.dim)),
     ):
-        images = [coboundary_1(rep, sigma).flatten() for sigma in basis]
+        images = [dense_coboundary_1(rep, sigma).flatten() for sigma in basis]
         assert matrix_of_coboundary_1(rep, basis).entries == tuple(zip(*images))
         assert coboundary_image(rep, lagrangian) == Subspace.from_vectors(len(images[0]), images)
 

@@ -35,7 +35,7 @@ from lagext.extension import (
 from lagext.lie import LieAlgebra, check_jacobi, lower_central_series
 from lagext.linalg import RatMatrix, Subspace, unit_vector, vec
 from lagext.sampling import random_rational, rng_for
-from test_sparse_oracles import frozen_certificate, frozen_nonzero_directions
+from test_sparse_oracles import dense_value_at, frozen_certificate, frozen_nonzero_directions
 
 # The seeded directions of the reference condition sum.
 NILPOTENCY_DIRECTION_COUNT = 8
@@ -464,7 +464,7 @@ def reference_condition_sum(conn, rep, alpha, p):
         for b in range(n):
             total = [F(0)] * n
             for jj in range(p):
-                term = alpha.value_at(x, powers[p - 1 - jj][b])
+                term = dense_value_at(alpha, x, powers[p - 1 - jj][b])
                 for _ in range(jj):
                     term = rho_x.apply(term)
                 for t in range(n):

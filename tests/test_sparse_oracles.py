@@ -16,8 +16,17 @@ coefficients: the torsion, curvature and associator sweep from dense
 ``RatMatrix`` products, the representation law of the dual from dense
 products and differences, and right-multiplication nilpotency from
 ``RatMatrix.is_nilpotent``.
+
+``dense_rho_matrices``, ``dense_coboundary_1``, ``dense_coboundary_2``,
+``dense_unflatten`` and ``dense_extension_bracket`` are the cochain maps as
+they were before the sparse rows of d1 and d2 became their only formula:
+the dense rho matrices, the evaluators that applied them with
+``RatMatrix.apply`` and the dense ``value_at`` of a cochain, the decoding of
+flattened coordinates through ``TwoCochain.from_pairs``, and the extension's
+bracket tensor with its rho block read column by column off those matrices.
 """
 
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -31,7 +40,17 @@ from lagext.catalog import (
     sample_parameters,
     table1_entries,
 )
-from lagext.cohomology import cocycle_bases, two_cochain_from_coefficients
+from lagext.cohomology import (
+    OneCochain,
+    ThreeCochain,
+    TwoCochain,
+    coboundary_1,
+    coboundary_2,
+    cocycle_bases,
+    pair_list,
+    triple_list,
+    two_cochain_from_coefficients,
+)
 from lagext.connection import (
     CompletenessEvidence,
     ConnectionReport,
@@ -43,6 +62,7 @@ from lagext.connection import (
     is_geodesically_complete,
 )
 from lagext.extension import (
+    CocycleError,
     ExtensionTriple,
     NilpotencyCertificate,
     SymplecticLieAlgebra,
@@ -180,12 +200,122 @@ def dense_d_omega(s, omega=None):
     return tuple(out)
 
 
+def dense_rho_matrices(rep):
+    """Each rho(e_i) as a dense matrix, densified from the nonzero entries."""
+    n = rep.dim
+    mats = []
+    for entries in rep.nonzero_entries:
+        rows = [[F(0)] * n for _ in range(n)]
+        for r, c, value in entries:
+            rows[r][c] = value
+        mats.append(RatMatrix(tuple(tuple(r) for r in rows)))
+    return tuple(mats)
+
+
+def dense_one_cochain_value_at(sigma, x):
+    """sigma(x) for x = sum x_i e_i, summed over every entry of sigma."""
+    n = sigma.dim
+    out = [F(0)] * n
+    for i in range(n):
+        if x[i] != 0:
+            for k in range(n):
+                out[k] += x[i] * sigma.entries[i][k]
+    return tuple(out)
+
+
+def dense_value_at(alpha, x, y):
+    """alpha(x, y) for x, y given in the basis, summed over the nonzero coefficients."""
+    n = alpha.dim
+    out = [F(0)] * n
+    for i in range(n):
+        if x[i] == 0:
+            continue
+        for j in range(n):
+            if y[j] == 0:
+                continue
+            coeff = x[i] * y[j]
+            row = alpha.tensor[i][j]
+            for k in range(n):
+                if row[k] != 0:
+                    out[k] += coeff * row[k]
+    return tuple(out)
+
+
+def dense_coboundary_1(rep, sigma):
+    """(d sigma)(x,y) = rho(x) sigma(y) - rho(y) sigma(x) - sigma([x,y]), pair by pair."""
+    n = rep.dim
+    mats = dense_rho_matrices(rep)
+    c = rep.connection.base.bracket
+    values = {}
+    for i, j in pair_list(n):
+        term = list(mats[i].apply(sigma.value(j)))
+        term2 = mats[j].apply(sigma.value(i))
+        term3 = dense_one_cochain_value_at(sigma, c[i][j])
+        values[(i, j)] = tuple(a - b - d for a, b, d in zip(term, term2, term3))
+    return TwoCochain.from_pairs(n, values)
+
+
+def dense_coboundary_2(rep, alpha):
+    """Residual of the degree-2 coboundary on all lex triples, triple by triple."""
+    n = rep.dim
+    mats = dense_rho_matrices(rep)
+    c = rep.connection.base.bracket
+    out = []
+    for i, j, k in triple_list(n):
+        v = list(mats[i].apply(alpha.value(j, k)))
+        for t, x in enumerate(mats[j].apply(alpha.value(k, i))):
+            v[t] += x
+        for t, x in enumerate(mats[k].apply(alpha.value(i, j))):
+            v[t] += x
+        ei, ej, ek = (tuple(1 if s == m else 0 for s in range(n)) for m in (i, j, k))
+        for t, x in enumerate(dense_value_at(alpha, ei, c[j][k])):
+            v[t] += x
+        for t, x in enumerate(dense_value_at(alpha, ek, c[i][j])):
+            v[t] += x
+        for t, x in enumerate(dense_value_at(alpha, ej, c[k][i])):
+            v[t] += x
+        out.append(tuple(v))
+    return ThreeCochain(n, tuple(out))
+
+
+def dense_unflatten(n, v):
+    """The 2-cochain of flattened coordinates v, through ``TwoCochain.from_pairs``."""
+    values = {}
+    for p, (i, j) in enumerate(pair_list(n)):
+        values[(i, j)] = tuple(v[p * n + k] for k in range(n))
+    return TwoCochain.from_pairs(n, values)
+
+
+def dense_extension_bracket(triple):
+    """The bracket tensor of the extension: base and alpha blocks, then rho column by column."""
+    conn = triple.connection
+    n = conn.dim
+    total = 2 * n
+    c = [[[F(0)] * total for _ in range(total)] for _ in range(total)]
+    base = conn.base.bracket
+    alpha = triple.cocycle
+    for i, j in combinations(range(n), 2):
+        for k in range(n):
+            c[i][j][k] = base[i][j][k]
+            c[i][j][n + k] = alpha.tensor[i][j][k]
+            c[j][i][k] = -base[i][j][k]
+            c[j][i][n + k] = -alpha.tensor[i][j][k]
+    for i, rho_i in enumerate(dense_rho_matrices(dual_representation(conn))):
+        for m in range(n):
+            col = rho_i.col(m)
+            for t in range(n):
+                c[i][n + m][n + t] = col[t]
+                c[n + m][i][n + t] = -col[t]
+    return _freeze_tensor(c)
+
+
 def dense_rho_of(rep, x):
     n = rep.dim
+    mats = dense_rho_matrices(rep)
     rows = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         if x[i] != 0:
-            m = rep.matrices[i]
+            m = mats[i]
             for r in range(n):
                 for c in range(n):
                     rows[r][c] = rows[r][c] + m[r, c] * x[i]
@@ -364,7 +494,7 @@ def frozen_uniform_nilindex(matrices):
 
 def frozen_uniform_rho_nilindex(rep):
     """Smallest r with every r-fold product of rho generators zero (None if none)."""
-    return frozen_uniform_nilindex(rep.matrices)
+    return frozen_uniform_nilindex(dense_rho_matrices(rep))
 
 
 def frozen_certificate(triple, sampled_condition_sum):
@@ -439,7 +569,7 @@ def assert_connection_layer_matches_dense(conn):
     mats, holds = dense_dual(conn)
     if holds:
         rep = _dual(conn)
-        assert typed(rep.matrices) == typed(mats)
+        assert typed(dense_rho_matrices(rep)) == typed(mats)
         assert rep.nonzero_entries == tuple(
             tuple((r, c, x) for r, row in enumerate(m.entries) for c, x in enumerate(row) if x)
             for m in mats
@@ -646,3 +776,101 @@ def test_vec_add_and_vec_sub_match_entrywise_arithmetic(data):
     a, b = data.draw(sparse_vector(n)), data.draw(sparse_vector(n))
     assert typed(vec_add(a, b)) == typed(tuple(x + y for x, y in zip(a, b)))
     assert typed(vec_sub(a, b)) == typed(tuple(x - y for x, y in zip(a, b)))
+
+
+def dense_combination(space, coefficients):
+    """sum of c * b over the basis vectors b of space, dense."""
+    total = [F(0)] * space.ambient_dim
+    for coeff, basis_vec in zip(coefficients, space.basis):
+        if coeff != 0:
+            for t, x in enumerate(basis_vec):
+                total[t] += coeff * x
+    return tuple(total)
+
+
+def seeded_two_cochains(conn, z2, z2l, rng):
+    """Seeded cochains in Z2_L, in Z2, off Z2 along one coordinate, and dense random ones.
+
+    Each combination is checked against the dense decoding of its coordinates.
+    """
+    n = conn.dim
+    cochains = []
+    for space in (z2l, z2l, z2):
+        coeffs = tuple(random_rational(rng) for _ in range(space.dim))
+        alpha = two_cochain_from_coefficients(space, coeffs, n)
+        dense = dense_unflatten(n, dense_combination(space, coeffs))
+        assert typed(alpha.tensor) == typed(dense.tensor)
+        cochains.append(alpha)
+    width = len(pair_list(n)) * n
+    for alpha in cochains[:2]:
+        bump = [F(0)] * width
+        bump[rng.randrange(width)] = F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 5)))
+        moved = tuple(a + b for a, b in zip(alpha.flatten(), bump))
+        cochains.append(TwoCochain.unflatten(n, moved))
+    cochains.append(TwoCochain.from_pairs(
+        n, {pair: tuple(random_rational(rng) for _ in range(n)) for pair in pair_list(n)}
+    ))
+    return cochains
+
+
+def seeded_one_cochains(n, rng):
+    """A seeded 1-cochain, its symmetric part, and one matrix unit."""
+    rows = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+    symmetric = [[rows[i][k] + rows[k][i] for k in range(n)] for i in range(n)]
+    unit = OneCochain.unit(n, rng.randrange(n), rng.randrange(n))
+    return [OneCochain.from_rows(rows), OneCochain.from_rows(symmetric), unit]
+
+
+def assert_differentials_match_dense(conn, rng):
+    """coboundary_1, coboundary_2, CocycleError and the extension against the frozen copies.
+
+    Returns how many of the seeded cochains were closed, not closed, Lagrangian and not.
+    """
+    n = conn.dim
+    rep = dual_representation(conn)
+    z2, z2l = cocycle_bases(rep)
+    for sigma in seeded_one_cochains(n, rng):
+        d1, dense = coboundary_1(rep, sigma), dense_coboundary_1(rep, sigma)
+        assert typed(d1.tensor) == typed(dense.tensor)
+    buildable = check_flat_torsion_free(conn).ok
+    seen = Counter()
+    for alpha in seeded_two_cochains(conn, z2, z2l, rng):
+        residual, dense = coboundary_2(rep, alpha), dense_coboundary_2(rep, alpha)
+        assert typed(residual.values) == typed(dense.values)
+        closed = dense.is_zero()
+        seen["closed" if closed else "not closed"] += 1
+        seen["Lagrangian" if alpha.is_lagrangian else "not Lagrangian"] += 1
+        if buildable and not closed:
+            with pytest.raises(CocycleError) as excinfo:
+                build_extension(ExtensionTriple(conn, alpha))
+            assert typed(excinfo.value.witnesses) == typed(dense.witnesses())
+    if buildable:
+        for v in [(F(0),) * z2l.ambient_dim] + list(z2l.basis):
+            alpha = TwoCochain.unflatten(n, v)
+            assert typed(alpha.tensor) == typed(dense_unflatten(n, v).tensor)
+            triple = ExtensionTriple(conn, alpha)
+            assert typed(build_extension(triple).algebra.bracket) == typed(
+                dense_extension_bracket(triple)
+            )
+    return seen
+
+
+def test_differentials_match_frozen_dense_code_on_every_catalog_sample():
+    rng = rng_for(59, "sparse-oracles-differentials")
+    flat = 0
+    seen = Counter()
+    for entry in table1_entries():
+        for sample in sample_parameters(entry, 3):
+            conn = instantiate(entry, sample)
+            if isinstance(conn, FlatConnection) and check_flat_torsion_free(conn).flat:
+                seen += assert_differentials_match_dense(conn, rng)
+                flat += 1
+    assert flat == 108
+    assert len(seen) == 4, seen
+
+
+@pytest.mark.parametrize("label", ["l_26", "t_8"])
+def test_differentials_match_frozen_dense_code_on_eight_dimensional_canonical_connections(label):
+    ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
+    seen = assert_differentials_match_dense(canonical_connection(ext), rng_for(61, label))
+    assert len(seen) == 4, seen
