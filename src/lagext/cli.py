@@ -176,7 +176,7 @@ def extend(spec, env, source, with_cohomology, out):
     try:
         ext = build_extension(triple, name=f"{spec.name}_ext")
     except CocycleError as exc:
-        raise click.ClickException(f"cocycle is not closed: {exc}") from None
+        raise click.ClickException(f"cocycle is not closed: {exc._first_witness}") from None
     cert = extension_nilpotency(triple)
     closed = d_omega(ext).is_zero()
 

@@ -282,12 +282,12 @@ def _coboundary_1_images(rep: DualRep, basis: list[OneCochain]) -> list[dict[int
     # rho_cols[x][b]: the nonzero rho(x)[t][b] as (t, value).
     rho_cols = [[[(t, v) for t, c, v in entries if c == b] for b in range(n)]
                 for entries in rep.nonzero_entries]
-    c = rep.connection.base.bracket
-    # For each a, the nonzero c[i][j][a] over pairs i < j.
-    bracket_into = [
-        [(p * n, c[i][j][a]) for p, (i, j) in enumerate(pairs) if c[i][j][a]]
-        for a in range(n)
-    ]
+    # For each a, the nonzero c[i][j][a] over pairs i < j, in pair order.
+    bracket_into = [[] for _ in range(n)]
+    table = rep.connection.base.nonzero_brackets
+    for p, (i, j) in enumerate(pairs):
+        for a, coeff in table[i][j]:
+            bracket_into[a].append((p * n, coeff))
     images = []
     for sigma in basis:
         col: dict[int, Fraction] = {}

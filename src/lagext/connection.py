@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import chain, combinations, product
 
 from .lie import LieAlgebra, NonzeroTable, _freeze_tensor
-from .linalg import RatMatrix, Vector, ONE, ZERO, _dense, _eliminate, zero_vector
+from .linalg import RatMatrix, Vector, ONE, ZERO, _add, _dense, _eliminate, zero_vector
 
 GammaTensor = tuple[tuple[Vector, ...], ...]
 
@@ -164,17 +164,6 @@ def check_flat_torsion_free(conn: FlatConnection) -> ConnectionReport:
     RuntimeError when the curvature and associator verdicts disagree.
     """
     return conn.report
-
-
-def _add(acc: dict, key, value: Fraction) -> None:
-    """acc[key] += value for a nonzero value, in place, dropping the entry that cancels."""
-    x = acc.get(key)
-    if x is None:
-        acc[key] = value
-    elif x := x + value:
-        acc[key] = x
-    else:
-        del acc[key]
 
 
 def _add_image(acc: dict, f: Fraction, terms, columns) -> None:

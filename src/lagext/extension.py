@@ -43,14 +43,16 @@ from .lie import (
     require_jacobi,
 )
 from .linalg import (
+    ONE,
     RatMatrix,
     Subspace,
     Vector,
     ZERO,
+    _add,
+    _sparse,
     format_rational,
     kernel_basis,
     unit_vector,
-    vec_dot,
     zero_vector,
 )
 
@@ -60,7 +62,8 @@ class CocycleError(ValueError):
 
     def __init__(self, residual: ThreeCochain):
         self.witnesses = residual.witnesses()
-        super().__init__(f"2-cochain is not a cocycle: {residual.first_witness()}")
+        self._first_witness = residual.first_witness()
+        super().__init__(f"2-cochain is not a cocycle: {self._first_witness}")
 
 
 class IntegrityError(RuntimeError):
@@ -282,21 +285,37 @@ def _omega_on_brackets(omega: RatMatrix):
     return w
 
 
-def _sparse_solver(solver: RatMatrix):
-    """x -> solver x for x given as (index, value) pairs, summing the nonzero
-    entries of solver's columns; a zero value adds nothing."""
-    n = solver.rows
-    columns = [[(k, v) for k, v in enumerate(solver.col(c)) if v] for c in range(solver.cols)]
+def _omega_solve(s: SymplecticLieAlgebra, lifts, tests) -> tuple[tuple[Vector, ...], ...]:
+    """The connection omega(nabla_x y, u) = -omega(y, [x, u]) for the test vectors u.
 
-    def solve(terms) -> Vector:
-        out = [ZERO] * n
-        for c, f in terms:
-            if f:
-                for k, v in columns[c]:
-                    out[k] += f * v
-        return tuple(out)
-
-    return solve
+    ``lifts`` are m basis indices l_t and ``tests`` m vectors u as sparse rows
+    {index: nonzero value}: the unit vectors for ``canonical_connection``, the
+    basis of a Lagrangian ideal for ``induced_flat_connection``.  gamma[a][b]
+    is the x in Q^m of nabla_{e_{l_a}} e_{l_b} = sum_t x_t e_{l_t}, solving
+    sum_t x_t omega(e_{l_t}, u) = -omega(e_{l_b}, [e_{l_a}, u]) for every u.
+    The pairing omega(e_{l_t}, u) is inverted once (ValueError when singular);
+    each [e_{l_a}, u] is read off ``nonzero_brackets`` once per (a, u), and
+    each omega value through ``_omega_on_brackets``.
+    """
+    w = _omega_on_brackets(s.omega)
+    inverse = RatMatrix(tuple(tuple(w(t, u.items()) for t in lifts) for u in tests)).inverse()
+    # columns[u]: the nonzero (k, v) of column u of the inverse
+    columns = [[(k, v) for k, v in enumerate(col) if v] for col in zip(*inverse.entries)]
+    table = s.algebra.nonzero_brackets
+    gamma = []
+    for a in lifts:
+        # [e_a, u] for each test vector u as (k, value) terms, shared by every b
+        brackets = [[(k, y * c) for q, y in u.items() for k, c in table[a][q]] for u in tests]
+        plane = []
+        for b in lifts:
+            x = [ZERO] * len(tests)
+            for u, terms in enumerate(brackets):
+                if terms and (f := -w(b, terms)):
+                    for k, v in columns[u]:
+                        x[k] += f * v
+            plane.append(tuple(x))
+        gamma.append(tuple(plane))
+    return tuple(gamma)
 
 
 @dataclass(frozen=True)
@@ -388,23 +407,11 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
     if not verdict.is_lagrangian:
         raise ValueError(f"induced connection requires a Lagrangian ideal, got {verdict.status}")
     quotient = quotient_algebra(s.algebra, j, name=f"{s.algebra.name}/ideal")
-    keep = j.complement_coordinates()
-    n = quotient.dim
-    omega_rows = [s.omega.row(t) for t in keep]
-    pairing = RatMatrix(tuple(tuple(vec_dot(row, u) for u in j.basis) for row in omega_rows))
-    # The system for each gamma(a, b) is pairing^T x = rhs: invert it once.
     try:
-        solver = pairing.transpose().inverse()
+        gamma = _omega_solve(s, j.complement_coordinates(), j._rows)
     except ValueError:
         raise ValueError("pairing between quotient and ideal is degenerate") from None
-    solve = _sparse_solver(solver)
-    gamma = [[None] * n for _ in range(n)]
-    for a in range(n):
-        # [lift_a, u] for each u in J, shared by every b
-        brackets = [s.algebra.bracket_vectors(unit_vector(s.dim, keep[a]), u) for u in j.basis]
-        for b in range(n):
-            gamma[a][b] = solve(enumerate(-vec_dot(omega_rows[b], v) for v in brackets))
-    conn = FlatConnection(quotient, _freeze_tensor(gamma), label=f"induced({s.algebra.name})")
+    conn = FlatConnection(quotient, gamma, label=f"induced({s.algebra.name})")
     report = check_flat_torsion_free(conn)
     if not report.ok:
         raise IntegrityError("induced connection failed the flat torsion-free check")
@@ -424,18 +431,11 @@ def canonical_connection(s: SymplecticLieAlgebra) -> FlatConnection:
     verified flat and torsion-free.
     """
     s.validate()
-    n = s.dim
-    # Every gamma(i, j) solves omega^T w = rhs; validate() has checked omega
-    # invertible, so invert it once.
-    solve = _sparse_solver(s.omega.transpose().inverse())
-    table = s.algebra.nonzero_brackets
-    w = _omega_on_brackets(s.omega)
-    gamma = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for jj in range(n):
-            # rhs_m = -omega(e_j, [e_i, e_m]), zero where [e_i, e_m] is
-            gamma[i][jj] = solve((m, -w(jj, terms)) for m, terms in enumerate(table[i]) if terms)
-    conn = FlatConnection(s.algebra, _freeze_tensor(gamma), label=f"canonical({s.algebra.name})")
+    # validate() has checked omega invertible, so the pairing with the unit
+    # vectors, which is omega itself, is too.
+    units = [{m: ONE} for m in range(s.dim)]
+    gamma = _omega_solve(s, range(s.dim), units)
+    conn = FlatConnection(s.algebra, gamma, label=f"canonical({s.algebra.name})")
     report = check_flat_torsion_free(conn)
     if not report.ok:
         raise IntegrityError("canonical connection failed the flat torsion-free check")
@@ -530,25 +530,23 @@ def equivalence_map_psi(
 
     n = t1.connection.dim
     total = 2 * n
-    rows = []
-    for r in range(n):
-        rows.append(unit_vector(total, r))
-    for k in range(n):
-        row = [ZERO] * total
-        for i in range(n):
-            row[i] = sigma.entries[i][k]
-        row[n + k] = Fraction(1)
-        rows.append(tuple(row))
-    psi = RatMatrix(tuple(rows))
+    # column a < n is e_a + sigma(e_a) in the dual coordinates; column n + k is e^k
+    cols = [(*unit_vector(n, a), *sigma.entries[a]) for a in range(n)]
+    cols += [unit_vector(total, n + k) for k in range(n)]
+    psi = RatMatrix(tuple(cols)).transpose()
 
     g1 = build_extension(t1)
     g2 = build_extension(t2)
-    for a in range(total):
-        for b in range(a + 1, total):
-            lhs = psi.apply(g1.algebra.bracket_vectors(unit_vector(total, a), unit_vector(total, b)))
-            rhs = g2.algebra.bracket_vectors(psi.col(a), psi.col(b))
-            if lhs != rhs:
-                raise IntegrityError(f"bracket preservation fails at basis pair ({a+1},{b+1})")
+    table = g1.algebra.nonzero_brackets
+    nonzero_cols = [[(t, v) for t, v in enumerate(col) if v] for col in cols]
+    for a, b in combinations(range(total), 2):
+        # psi([e_a, e_b]_1), summed over the nonzero terms of the bracket and of psi's columns
+        image = {}
+        for k, c in table[a][b]:
+            for t, v in nonzero_cols[k]:
+                _add(image, t, c * v)
+        if image != _sparse(g2.algebra.bracket_vectors(cols[a], cols[b])):
+            raise IntegrityError(f"bracket preservation fails at basis pair ({a+1},{b+1})")
     if sigma.is_symmetric:
         pulled = psi.transpose() @ g2.omega @ psi
         if pulled != g1.omega:

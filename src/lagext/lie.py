@@ -7,10 +7,11 @@ constructors of derived algebras (quotients, extensions).
 
 Each algebra keeps the table of its nonzero structure constants
 (``nonzero_brackets``) and its lower central series, both computed on first
-use; the bracket, ideal, adjoint, quotient and Jacobi routines loop over that
-table instead of the dense n^3 index set.  Keeping them is sound because an
-algebra is immutable: its bracket tensor is tuples of Fractions, and every
-constructor in this package freezes it through ``_freeze_tensor``.
+use.  Every routine here reads brackets from that table, never from the
+dense n^3 tensor; the center, the derivations, ideals and the lower central
+series eliminate sparse rows built from it.  Keeping them is sound because
+an algebra is immutable: its bracket tensor is tuples of Fractions, and
+every constructor in this package freezes it through ``_freeze_tensor``.
 """
 
 from __future__ import annotations
@@ -25,9 +26,13 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    _add,
+    _dense,
+    _eliminate,
+    _kernel,
+    _reduce,
+    _subspace,
     fmt_vector,
-    kernel_basis,
-    unit_vector,
     zero_vector,
 )
 
@@ -118,21 +123,9 @@ class LieAlgebra:
                         out[k] += coeff * c
         return tuple(out)
 
-    def ad_matrix(self, x: Vector) -> RatMatrix:
-        """Matrix of ad_x = [x, .] in the fixed basis (column j = [x, e_j])."""
-        n = self.dim
-        rows = [[ZERO] * n for _ in range(n)]
-        for i, plane in enumerate(self.nonzero_brackets):
-            xi = x[i]
-            if not xi:
-                continue
-            for j, terms in enumerate(plane):
-                for k, c in terms:
-                    rows[k][j] += xi * c
-        return RatMatrix(tuple(tuple(r) for r in rows))
-
     def is_ideal(self, sub: Subspace) -> bool:
-        return all(sub.contains(col) for col in _ad_images(self, sub))
+        kept = dict(zip(sub.pivots, sub._rows))
+        return not any(_reduce(row, kept) for row in _ad_images(self, sub))
 
     def rename(self, name: str) -> "LieAlgebra":
         """The same algebra under another name, reading ``nonzero_brackets`` and
@@ -142,11 +135,18 @@ class LieAlgebra:
         return renamed
 
 
-def _ad_images(algebra: LieAlgebra, sub: Subspace) -> list[Vector]:
-    """The nonzero brackets [v, e_j] for v in the basis of sub; they span [sub, g]."""
-    return [
-        col for v in sub.basis for col in zip(*algebra.ad_matrix(v).entries) if any(col)
-    ]
+def _ad_images(algebra: LieAlgebra, sub: Subspace):
+    """The nonzero brackets [v, e_j] for v in the basis of sub, as fresh sparse
+    rows; they span [sub, g]."""
+    table = algebra.nonzero_brackets
+    for v in sub._rows:
+        for j in range(algebra.dim):
+            image = {}
+            for i, x in v.items():
+                for k, c in table[i][j]:
+                    _add(image, k, x * c)
+            if image:
+                yield image
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def _lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
     # echelon basis of a span does not depend on the spanning set.
     series = [Subspace.full(algebra.dim)]
     while True:
-        nxt = Subspace.from_vectors(algebra.dim, _ad_images(algebra, series[-1]))
+        nxt = _subspace(algebra.dim, _ad_images(algebra, series[-1]))
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
@@ -238,39 +238,34 @@ def nilpotency_class(algebra: LieAlgebra) -> int | None:
 
 
 def center(algebra: LieAlgebra) -> Subspace:
-    """{x : [x, e_i] = 0 for all i} as the kernel of the stacked ad action."""
+    """{x : [x, e_j] = 0 for all j}: the kernel of the rows x -> [x, e_j]_k."""
     n = algebra.dim
-    if n == 0:
-        return Subspace.zero(0)
-    rows = []
-    for j in range(n):
-        # row block: x -> [x, e_j], i.e. entry (k, i) = c[i][j][k]
-        for k in range(n):
-            rows.append(tuple(algebra.bracket[i][j][k] for i in range(n)))
-    return kernel_basis(RatMatrix(tuple(rows)))
+    rows = [{} for _ in range(n * n)]
+    for i, plane in enumerate(algebra.nonzero_brackets):
+        for j, terms in enumerate(plane):
+            for k, c in terms:
+                rows[j * n + k][i] = c  # x_i contributes c[i][j][k] to [x, e_j]_k
+    return _kernel(_eliminate(rows), n)
 
 
 def derivation_space(algebra: LieAlgebra) -> Subspace:
     """Kernel of D[x,y] = [Dx,y] + [x,Dy], D flattened row-major (n^2 unknowns)."""
     n = algebra.dim
-    if n == 0:
-        return Subspace.zero(0)
-    if n == 1:
-        # no bracket constraints: every endomorphism is a derivation
-        return Subspace.full(1)
-    c = algebra.bracket
+    table = algebra.nonzero_brackets
     rows = []
     for i, j in combinations(range(n), 2):
-        for k in range(n):
-            # coefficient of D[a][b] in (D[e_i,e_j] - [De_i,e_j] - [e_i,De_j])_k
-            row = [ZERO] * (n * n)
-            for b in range(n):
-                row[k * n + b] += c[i][j][b]          # (D [e_i,e_j])_k picks D[k][b]
-            for a in range(n):
-                row[a * n + i] -= c[a][j][k]          # [De_i, e_j]_k picks D[a][i]
-                row[a * n + j] -= c[i][a][k]          # [e_i, De_j]_k picks D[a][j]
-            rows.append(tuple(row))
-    return kernel_basis(RatMatrix(tuple(rows)))
+        # block[k]: coefficient of D[a][b] in (D[e_i,e_j] - [De_i,e_j] - [e_i,De_j])_k
+        block = [{} for _ in range(n)]
+        for b, c in table[i][j]:
+            for k, row in enumerate(block):
+                _add(row, k * n + b, c)           # (D [e_i,e_j])_k picks D[k][b]
+        for a in range(n):
+            for k, c in table[a][j]:
+                _add(block[k], a * n + i, -c)     # [De_i, e_j]_k picks D[a][i]
+            for k, c in table[i][a]:
+                _add(block[k], a * n + j, -c)     # [e_i, De_j]_k picks D[a][j]
+        rows += block
+    return _kernel(_eliminate(rows), n * n)
 
 
 @dataclass(frozen=True)
@@ -314,19 +309,17 @@ def quotient_algebra(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> Li
         raise ValueError("subspace is not an ideal")
     keep = ideal.complement_coordinates()
     m = len(keep)
-    n = algebra.dim
     table = algebra.nonzero_brackets
-    e = [unit_vector(n, t) for t in range(n)]
     c = [[list(zero_vector(m)) for _ in range(m)] for _ in range(m)]
     for a in range(m):
         for b in range(m):
-            if not table[keep[a]][keep[b]]:
-                continue
-            w = ideal.reduce(algebra.bracket_vectors(e[keep[a]], e[keep[b]]))
-            # Reduction against the ideal's echelon basis leaves support on
-            # non-pivot coordinates only.
-            for t in range(m):
-                c[a][b][t] = w[keep[t]]
+            terms = table[keep[a]][keep[b]]
+            if terms:
+                # Reduction against the ideal's echelon basis leaves support on
+                # non-pivot coordinates only.
+                w = ideal.reduce(_dense(dict(terms), algebra.dim))
+                for t in range(m):
+                    c[a][b][t] = w[keep[t]]
     quotient = LieAlgebra(m, _freeze_tensor(c), name)
     return require_jacobi(quotient)
 

@@ -233,6 +233,17 @@ def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction])
             del row[j]
 
 
+def _add(acc: dict, key, value: Fraction) -> None:
+    """acc[key] += value for a nonzero value, in place, dropping the entry that cancels."""
+    x = acc.get(key)
+    if x is None:
+        acc[key] = value
+    elif x := x + value:
+        acc[key] = x
+    else:
+        del acc[key]
+
+
 def _reduce(row: dict[int, Fraction], kept: dict) -> dict[int, Fraction]:
     """Clear the kept pivot columns from row, in place; kept is only read."""
     for p in [j for j in row if j in kept]:

@@ -407,12 +407,20 @@ def duplicate_cells(lines, dim: int) -> tuple[tuple[int, int, tuple[str, ...]], 
     )
 
 
-def _cells(lines, dim: int, kind: str) -> dict[tuple[int, int], object]:
-    """Map the 0-based (i, j) slot of each line to it; a repeated slot raises."""
+def _cells(lines, dim: int, kind: str, value) -> dict[tuple[int, int], tuple]:
+    """Map the 0-based (i, j) slot of each line to (line, value(line)); a repeated
+    slot raises, and so does a value that fails to evaluate, naming its cell."""
     conflicts = duplicate_cells(lines, dim)
     if conflicts:
         raise DuplicateCellError(kind, conflicts)
-    return {(line.left.resolve(dim, None), line.right.resolve(dim, None)): line for line in lines}
+    cells = {}
+    for line in lines:
+        try:
+            v = value(line)
+        except ExprError as exc:
+            raise ExprError(f"cell {line.left.text} {line.right.text}: {exc}") from None
+        cells[line.left.resolve(dim, None), line.right.resolve(dim, None)] = line, v
+    return cells
 
 
 def _vector(terms, dim: int, env: dict[str, Fraction], dual_as_value: bool = False):
@@ -431,8 +439,7 @@ def _antisymmetric_cells(lines, dim: int, kind: str, value) -> dict[tuple[int, i
     """
     out: dict[tuple[int, int], tuple] = {}
     given: dict[tuple[int, int], object] = {}
-    for (i, j), line in _cells(lines, dim, kind).items():
-        v = value(line)
+    for (i, j), (line, v) in _cells(lines, dim, kind, value).items():
         if i == j:
             if any(v):
                 raise ValueError(f"{kind} cell ({i + 1},{j + 1}) on the diagonal must vanish")
@@ -474,10 +481,11 @@ def build_connection(
     env = env or {}
     if not spec.connection:
         raise ValueError("spec file has no connection block")
-    cells = _cells(spec.connection, spec.dim, "connection")
+    cells = _cells(spec.connection, spec.dim, "connection",
+                   lambda line: _vector(line.terms, spec.dim, env))
     return FlatConnection.from_entries(
         algebra,
-        {slot: _vector(line.terms, spec.dim, env) for slot, line in cells.items()},
+        {slot: v for slot, (_, v) in cells.items()},
         params=tuple(sorted(env.items())),
         label=spec.name,
     )

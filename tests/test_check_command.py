@@ -109,7 +109,7 @@ H_CONNECTION = (
         (
             H_CONNECTION + "cocycle e3 e4 -> 1 e^3\n",
             ["extend", "--cocycle", "spec"],
-            "cocycle is not closed: 2-cochain is not a cocycle: d2 residual(1,2,4) = (0, 0, -1, 0)",
+            "cocycle is not closed: d2 residual(1,2,4) = (0, 0, -1, 0)",
             ("h", "cocycle-closed", "-", "fail", "d2 residual(1,2,4) = (0, 0, -1, 0)"),
         ),
         (
@@ -191,10 +191,26 @@ def test_duplicate_bracket_cell_is_an_invalid_algebra_block(runner, tmp_path):
         (
             "algebra a dim 4\nparam mu\nbracket e1 e2 -> 1 e3\nconnection e1 e1 -> 1/(mu-1) e3\n",
             ("--set", "mu=1"),
-            "connection block invalid: division by zero while evaluating expression",
+            "connection block invalid: cell e1 e1: division by zero while evaluating expression",
+        ),
+        (
+            "algebra h dim 4\nparam mu\nbracket e1 e2 -> 1 e3\nomega e1 e2 -> 1\n"
+            "omega e3 e4 -> 1/(mu-1)\n",
+            ("--set", "mu=1"),
+            "omega block invalid: cell e3 e4: division by zero while evaluating expression",
+        ),
+        (
+            L26_TEXT + "param mu\ncocycle e2 e1 -> 1/(mu-1) e^4\n",
+            ("--set", "mu=1"),
+            "cocycle block invalid: cell e2 e1: division by zero while evaluating expression",
+        ),
+        (
+            "algebra a dim 4\nparam mu\nbracket e1 e2 -> 1/mu e3\n",
+            ("--set", "mu=0"),
+            "algebra block invalid: cell e1 e2: division by zero while evaluating expression",
         ),
     ],
-    ids=["jacobi-residual", "connection-pole"],
+    ids=["jacobi-residual", "connection-pole", "omega-pole", "cocycle-pole", "bracket-pole"],
 )
 def test_a_block_that_does_not_build_is_named_in_plain_numbers(
     runner, tmp_path, text, args, message

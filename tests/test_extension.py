@@ -35,7 +35,12 @@ from lagext.extension import (
 from lagext.lie import LieAlgebra, check_jacobi, lower_central_series
 from lagext.linalg import RatMatrix, Subspace, unit_vector, vec
 from lagext.sampling import random_rational, rng_for
-from test_sparse_oracles import dense_value_at, frozen_certificate, frozen_nonzero_directions
+from test_sparse_oracles import (
+    dense_ad_matrix,
+    dense_value_at,
+    frozen_certificate,
+    frozen_nonzero_directions,
+)
 
 # The seeded directions of the reference condition sum.
 NILPOTENCY_DIRECTION_COUNT = 8
@@ -456,7 +461,7 @@ def reference_condition_sum(conn, rep, alpha, p):
         NILPOTENCY_DIRECTION_SEED, conn.label or "conn", n, NILPOTENCY_DIRECTION_COUNT
     )
     for x in directions:
-        ad_x = conn.base.ad_matrix(x)
+        ad_x = dense_ad_matrix(conn.base, x)
         rho_x = rep.rho_of(x)
         powers = [[unit_vector(n, b) for b in range(n)]]
         for _ in range(p - 1):

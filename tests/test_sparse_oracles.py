@@ -17,6 +17,13 @@ coefficients: the torsion, curvature and associator sweep from dense
 products and differences, and right-multiplication nilpotency from
 ``RatMatrix.is_nilpotent``.
 
+``frozen_center``, ``frozen_derivation_space``, ``frozen_canonical_gamma``,
+``frozen_induced_gamma`` and ``frozen_psi`` are the Lie and symplectic
+routines as they were before every bracket was read from the nonzero table:
+the center and the derivations from dense scans of the bracket tensor, the
+two connections each from its own copy of the omega solve, and psi checked
+with a ``psi.apply`` and two ``psi.col`` per basis pair.
+
 ``dense_rho_matrices``, ``dense_coboundary_1``, ``dense_coboundary_2``,
 ``dense_unflatten`` and ``dense_extension_bracket`` are the cochain maps as
 they were before the sparse rows of d1 and d2 became their only formula:
@@ -64,18 +71,22 @@ from lagext.connection import (
 from lagext.extension import (
     CocycleError,
     ExtensionTriple,
+    IntegrityError,
     NilpotencyCertificate,
     SymplecticLieAlgebra,
     build_extension,
     canonical_connection,
     d_omega,
+    equivalence_map_psi,
     induced_flat_connection,
     is_lagrangian_ideal,
     symplectic_orthogonal,
 )
 from lagext.lie import (
     LieAlgebra,
+    center,
     check_jacobi,
+    derivation_space,
     lower_central_series,
     nilpotency_class,
     quotient_algebra,
@@ -85,9 +96,11 @@ from lagext.linalg import (
     RatMatrix,
     Subspace,
     is_zero_vector,
+    kernel_basis,
     solve_linear,
     unit_vector,
     vec_add,
+    vec_dot,
     vec_scale,
     vec_sub,
 )
@@ -363,6 +376,132 @@ def solved_canonical_gamma(s):
     )
 
 
+def frozen_center(algebra):
+    """{x : [x, e_i] = 0 for all i} as the kernel of the stacked ad action."""
+    n = algebra.dim
+    if n == 0:
+        return Subspace.zero(0)
+    rows = []
+    for j in range(n):
+        # row block: x -> [x, e_j], i.e. entry (k, i) = c[i][j][k]
+        for k in range(n):
+            rows.append(tuple(algebra.bracket[i][j][k] for i in range(n)))
+    return kernel_basis(RatMatrix(tuple(rows)))
+
+
+def frozen_derivation_space(algebra):
+    """Kernel of D[x,y] = [Dx,y] + [x,Dy], D flattened row-major (n^2 unknowns)."""
+    n = algebra.dim
+    if n == 0:
+        return Subspace.zero(0)
+    if n == 1:
+        # no bracket constraints: every endomorphism is a derivation
+        return Subspace.full(1)
+    c = algebra.bracket
+    rows = []
+    for i, j in combinations(range(n), 2):
+        for k in range(n):
+            # coefficient of D[a][b] in (D[e_i,e_j] - [De_i,e_j] - [e_i,De_j])_k
+            row = [F(0)] * (n * n)
+            for b in range(n):
+                row[k * n + b] += c[i][j][b]          # (D [e_i,e_j])_k picks D[k][b]
+            for a in range(n):
+                row[a * n + i] -= c[a][j][k]          # [De_i, e_j]_k picks D[a][i]
+                row[a * n + j] -= c[i][a][k]          # [e_i, De_j]_k picks D[a][j]
+            rows.append(tuple(row))
+    return kernel_basis(RatMatrix(tuple(rows)))
+
+
+def frozen_omega_on_brackets(omega):
+    """w(p, terms) = omega(e_p, sum of c e_q over (q, c) in terms)."""
+    rows = [{q: x for q, x in enumerate(row) if x} for row in omega.entries]
+
+    def w(p, terms):
+        row = rows[p]
+        return sum((row[q] * c for q, c in terms if q in row), F(0))
+
+    return w
+
+
+def frozen_sparse_solver(solver):
+    """x -> solver x for x given as (index, value) pairs."""
+    n = solver.rows
+    columns = [[(k, v) for k, v in enumerate(solver.col(c)) if v] for c in range(solver.cols)]
+
+    def solve(terms):
+        out = [F(0)] * n
+        for c, f in terms:
+            if f:
+                for k, v in columns[c]:
+                    out[k] += f * v
+        return tuple(out)
+
+    return solve
+
+
+def frozen_induced_gamma(s, j):
+    """gamma of induced_flat_connection, from its own copy of the omega solve."""
+    keep = j.complement_coordinates()
+    n = len(keep)
+    omega_rows = [s.omega.row(t) for t in keep]
+    pairing = RatMatrix(tuple(tuple(vec_dot(row, u) for u in j.basis) for row in omega_rows))
+    solve = frozen_sparse_solver(pairing.transpose().inverse())
+    gamma = [[None] * n for _ in range(n)]
+    for a in range(n):
+        # [lift_a, u] for each u in J, shared by every b
+        brackets = [s.algebra.bracket_vectors(unit_vector(s.dim, keep[a]), u) for u in j.basis]
+        for b in range(n):
+            gamma[a][b] = solve(enumerate(-vec_dot(omega_rows[b], v) for v in brackets))
+    return _freeze_tensor(gamma)
+
+
+def frozen_canonical_gamma(s):
+    """gamma of canonical_connection, from its own copy of the omega solve."""
+    n = s.dim
+    solve = frozen_sparse_solver(s.omega.transpose().inverse())
+    table = s.algebra.nonzero_brackets
+    w = frozen_omega_on_brackets(s.omega)
+    gamma = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for jj in range(n):
+            # rhs_m = -omega(e_j, [e_i, e_m]), zero where [e_i, e_m] is
+            gamma[i][jj] = solve((m, -w(jj, terms)) for m, terms in enumerate(table[i]) if terms)
+    return _freeze_tensor(gamma)
+
+
+def frozen_psi(t1, t2, sigma):
+    """The matrix of equivalence_map_psi, with its bracket and pullback checks;
+    brackets are read by ``dense_bracket_vectors``."""
+    n = t1.connection.dim
+    total = 2 * n
+    rows = []
+    for r in range(n):
+        rows.append(unit_vector(total, r))
+    for k in range(n):
+        row = [F(0)] * total
+        for i in range(n):
+            row[i] = sigma.entries[i][k]
+        row[n + k] = F(1)
+        rows.append(tuple(row))
+    psi = RatMatrix(tuple(rows))
+
+    g1 = build_extension(t1)
+    g2 = build_extension(t2)
+    for a in range(total):
+        for b in range(a + 1, total):
+            lhs = psi.apply(
+                dense_bracket_vectors(g1.algebra, unit_vector(total, a), unit_vector(total, b))
+            )
+            rhs = dense_bracket_vectors(g2.algebra, psi.col(a), psi.col(b))
+            if lhs != rhs:
+                raise IntegrityError(f"bracket preservation fails at basis pair ({a+1},{b+1})")
+    if sigma.is_symmetric:
+        pulled = psi.transpose() @ g2.omega @ psi
+        if pulled != g1.omega:
+            raise IntegrityError("pullback of omega under a Lagrangian shift must be omega")
+    return psi
+
+
 def dense_right_mult_matrix(conn, j):
     """Matrix of y -> y . e_j (column i = nabla_{e_i} e_j)."""
     n = conn.dim
@@ -536,7 +675,6 @@ def assert_lie_layer_matches_dense(algebra, vectors, subspaces):
     n = algebra.dim
     units = [unit_vector(n, i) for i in range(n)]
     for x in units + vectors:
-        assert typed(algebra.ad_matrix(x)) == typed(dense_ad_matrix(algebra, x))
         for y in units + vectors:
             assert typed(algebra.bracket_vectors(x, y)) == typed(
                 dense_bracket_vectors(algebra, x, y)
@@ -668,13 +806,14 @@ def test_lie_layer_matches_dense_code_on_sparse_tensors(data):
         Subspace.from_vectors(n, [unit_vector(n, k) for k in sorted(coordinates)]),
     ]
     assert_lie_layer_matches_dense(algebra, vectors, subspaces)
+    assert_kernels_match_frozen(algebra)
 
 
-def flat_catalog_samples():
+def flat_catalog_samples(samples=3):
     for entry in table1_entries():
         if entry.suspect:
             continue
-        for sample in sample_parameters(entry, 3):
+        for sample in sample_parameters(entry, samples):
             conn = instantiate(entry, sample)
             if check_flat_torsion_free(conn).ok:
                 yield conn
@@ -874,3 +1013,55 @@ def test_differentials_match_frozen_dense_code_on_eight_dimensional_canonical_co
     ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
     seen = assert_differentials_match_dense(canonical_connection(ext), rng_for(61, label))
     assert len(seen) == 4, seen
+
+
+def assert_kernels_match_frozen(algebra):
+    """The center, the derivations and the lower central series: basis, pivots and types."""
+    assert typed(center(algebra)) == typed(frozen_center(algebra))
+    assert typed(derivation_space(algebra)) == typed(frozen_derivation_space(algebra))
+    assert typed(lower_central_series(algebra)) == typed(dense_lower_central_series(algebra))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_kernels_match_frozen_code_on_abelian_algebras(n):
+    algebra = LieAlgebra.abelian(n)
+    assert_kernels_match_frozen(algebra)
+    assert derivation_space(algebra).dim == n * n and center(algebra).dim == n
+
+
+def assert_psi_matches_frozen(triple, sigma):
+    rep = dual_representation(triple.connection)
+    shifted = ExtensionTriple(triple.connection, triple.cocycle - coboundary_1(rep, sigma))
+    psi = equivalence_map_psi(triple, shifted, sigma)
+    assert typed(psi) == typed(frozen_psi(triple, shifted, sigma))
+
+
+def test_nonzero_table_readers_match_frozen_code_on_every_flat_row():
+    """Bases and extensions of every flat row at two samples, for the zero class
+    and one seeded Z2_L class: kernels, both connections, and psi for a
+    symmetric and a non-symmetric sigma."""
+    rng = rng_for(67, "sparse-oracles-nonzero-table")
+    checked = Counter()
+    for conn in flat_catalog_samples(2):
+        assert_kernels_match_frozen(conn.base)
+        n = conn.dim
+        _, z2l = cocycle_bases(dual_representation(conn))
+        coeffs = tuple(random_rational(rng) for _ in range(z2l.dim))
+        seeded = two_cochain_from_coefficients(z2l, coeffs, n)
+        for alpha in (TwoCochain.zero(n), seeded):
+            triple = ExtensionTriple(conn, alpha)
+            ext = build_extension(triple)
+            assert_kernels_match_frozen(ext.algebra)
+            assert typed(canonical_connection(ext).gamma) == typed(frozen_canonical_gamma(ext))
+            j = ext.lagrangian_ideal
+            assert typed(induced_flat_connection(ext, j).gamma) == typed(
+                frozen_induced_gamma(ext, j)
+            )
+            checked["extensions"] += 1
+            checked["nonzero classes"] += not alpha.is_zero()
+        sigma, symmetric, _ = seeded_one_cochains(n, rng)
+        assert not sigma.is_symmetric and symmetric.is_symmetric
+        for s in (sigma, symmetric):
+            assert_psi_matches_frozen(ExtensionTriple(conn, seeded), s)
+        checked["rows"] += 1
+    assert checked == {"rows": 86, "extensions": 172, "nonzero classes": 86}
