@@ -1,21 +1,22 @@
 """Cochain complexes C^1 -> C^2 -> C^3 for a flat Lie algebra acting on its dual.
 
 Cochains take values in the dual space; a 1-cochain is an n x n matrix
-s[i][k] = sigma(e_i)(e_k), a 2-cochain the tensor a[i][j][k] =
-alpha(e_i, e_j)(e_k), antisymmetric in (i, j).  The Lagrangian subcomplex
-consists of symmetric 1-cochains and cyclic-sum-zero 2-cochains.
+s[i][k] = sigma(e_i)(e_k), a 2-cochain an alternating map with values
+alpha(e_i, e_j)(e_k).  The Lagrangian subcomplex consists of symmetric
+1-cochains and cyclic-sum-zero 2-cochains.
 
-All kernel and image computations flatten cochains to coordinate vectors in
-a single canonical order: pairs (i, j) with i < j lexicographically, then
-the dual coordinate k.
+All kernel and image computations work on coordinate vectors in a single
+canonical order: pairs (i, j) with i < j lexicographically, then the dual
+coordinate k.  A 2-cochain is stored as those coordinates; its tensor
+a[i][j][k], antisymmetric in (i, j), is a view decoded from them.
 
 Each differential is written once, as sparse rows in those coordinates:
 ``_coboundary_1_images`` for d1 and ``_coboundary_2_rows`` for d2, each
 read off the nonzero entries of rho and of the bracket.  The evaluators
 ``coboundary_1`` and ``coboundary_2`` apply those rows to a cochain's
 nonzero coordinates, and ``cocycle_bases``, ``coboundary_image`` and
-``cohomology`` eliminate them.  A flattened 2-cochain is decoded in one
-place, ``_two_cochain_from_row``.
+``cohomology`` eliminate them; ``_two_cochain_from_row`` turns a sparse
+row of coordinates into a 2-cochain.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from .linalg import (
     _dense,
     _eliminate,
     _kernel,
+    _pair_value,
     _quotient_rows,
-    _sparse,
     _subspace,
     fmt_vector,
     is_zero_vector,
     solve_linear,
     vec,
+    vec_sub,
     zero_vector,
 )
 
@@ -110,93 +112,78 @@ class OneCochain:
 
 @dataclass(frozen=True)
 class TwoCochain:
-    """Alternating bilinear map into the dual: a[i][j][k] = alpha(e_i,e_j)(e_k)."""
+    """Alternating bilinear map into the dual, stored as its coordinates.
 
-    tensor: tuple[tuple[Vector, ...], ...]
+    values[p * n + k] = alpha(e_i, e_j)(e_k) for the p-th pair i < j of
+    ``pair_list(n)``, so a 2-cochain is antisymmetric by construction; the
+    tensor a[i][j][k] = alpha(e_i, e_j)(e_k) is a view decoded from them.
+    """
+
+    dim: int
+    values: Vector
 
     def __post_init__(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(i, n):
-                upper, lower = self.tensor[i][j], self.tensor[j][i]
-                for k in range(n):
-                    a, b = upper[k], lower[k]
-                    if (a or b) and a != -b:
-                        raise ValueError("2-cochain tensor is not antisymmetric in (i, j)")
-
-    @property
-    def dim(self) -> int:
-        return len(self.tensor)
+        if len(self.values) != len(pair_list(self.dim)) * self.dim:
+            raise ValueError("vector length does not match the 2-cochain coordinates")
 
     @staticmethod
     def zero(n: int) -> "TwoCochain":
-        return TwoCochain(tuple(tuple(zero_vector(n) for _ in range(n)) for _ in range(n)))
+        return _two_cochain_from_row(n, {})
 
     @staticmethod
     def from_pairs(n: int, values: dict[tuple[int, int], Vector]) -> "TwoCochain":
         """Build from {(i, j): alpha(e_i, e_j)} with i < j, 0-based."""
-        t = [[list(zero_vector(n)) for _ in range(n)] for _ in range(n)]
+        blocks = _pair_blocks(n)
+        row = {}
         for (i, j), v in values.items():
             if not 0 <= i < j < n:
                 raise ValueError(f"bad pair ({i}, {j})")
-            for k in range(n):
-                x = v[k] if type(v[k]) is Fraction else Fraction(v[k])
-                t[i][j][k] = x
-                t[j][i][k] = -x if x else ZERO
-        return TwoCochain(tuple(tuple(tuple(row) for row in plane) for plane in t))
+            row.update(enumerate(_pair_value(i, j, v, n), blocks[i, j][0]))
+        return _two_cochain_from_row(n, row)
+
+    @property
+    def tensor(self) -> tuple[tuple[Vector, ...], ...]:
+        """a[i][j][k], decoded from the coordinates in one pass."""
+        n = self.dim
+        pairs = pair_list(n)
+        t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for col, x in enumerate(self.values):
+            if x:
+                (i, j), k = pairs[col // n], col % n
+                t[i][j][k], t[j][i][k] = x, -x
+        return tuple(tuple(tuple(r) for r in plane) for plane in t)
 
     def value(self, i: int, j: int) -> Vector:
-        return self.tensor[i][j]
+        """alpha(e_i, e_j), read off the block of the pair {i, j}."""
+        if i == j:
+            return zero_vector(self.dim)
+        start, sign = _pair_blocks(self.dim)[i, j]
+        block = self.values[start:start + self.dim]
+        return block if sign > 0 else tuple(-x for x in block)
 
     def is_zero(self) -> bool:
-        return all(
-            is_zero_vector(row) for plane in self.tensor for row in plane
-        )
-
-    def cyclic_sum(self, i: int, j: int, k: int) -> Fraction:
-        return self.tensor[i][j][k] + self.tensor[j][k][i] + self.tensor[k][i][j]
+        return is_zero_vector(self.values)
 
     @property
     def is_lagrangian(self) -> bool:
-        """Cyclic-sum-zero on all triples (the Bianchi condition)."""
-        n = self.dim
-        return all(self.cyclic_sum(i, j, k) == 0 for i, j, k in combinations(range(n), 3))
+        """Cyclic-sum-zero on all triples (the Bianchi condition), by ``_cyclic_sum_rows``."""
+        v = self.values
+        return all(sum(x * v[c] for c, x in row.items()) == 0 for row in _cyclic_sum_rows(self.dim))
 
     def flatten(self) -> Vector:
-        n = self.dim
-        return tuple(
-            self.tensor[i][j][k] for (i, j) in pair_list(n) for k in range(n)
-        )
+        return self.values
 
     @staticmethod
     def unflatten(n: int, v: Vector) -> "TwoCochain":
-        if len(v) != len(pair_list(n)) * n:
-            raise ValueError("vector length does not match the 2-cochain coordinates")
-        return _two_cochain_from_row(n, _sparse(v))
+        return TwoCochain(n, vec(v))
 
     def __sub__(self, other: "TwoCochain") -> "TwoCochain":
-        n = self.dim
-        return TwoCochain(
-            tuple(
-                tuple(
-                    tuple(
-                        self.tensor[i][j][k] - other.tensor[i][j][k] for k in range(n)
-                    )
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
+        return TwoCochain(self.dim, vec_sub(self.values, other.values))
 
 
 def _two_cochain_from_row(n: int, row: dict[int, Fraction]) -> TwoCochain:
-    """The 2-cochain with flattened coordinates row, {column: nonzero Fraction}."""
-    pairs = pair_list(n)
-    t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for col, x in row.items():
-        (i, j), k = pairs[col // n], col % n
-        t[i][j][k], t[j][i][k] = x, -x
-    return TwoCochain(tuple(tuple(tuple(r) for r in plane) for plane in t))
+    """The 2-cochain with flattened coordinates row, {column: Fraction}; the rest are zero."""
+    return TwoCochain(n, _dense(row, len(pair_list(n)) * n))
 
 
 @dataclass(frozen=True)
@@ -243,7 +230,7 @@ def coboundary_2(rep: DualRep, alpha: TwoCochain) -> ThreeCochain:
     n = rep.dim
     if alpha.dim != n:
         raise ValueError("cochain dimension does not match the representation")
-    coords = {col: x for col, x in enumerate(alpha.flatten()) if x}
+    coords = {col: x for col, x in enumerate(alpha.values) if x}
     values = [
         sum((v * coords[col] for col, v in row.items() if col in coords), ZERO)
         for row in _coboundary_2_rows(rep)

@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import chain, combinations, product
 
 from .lie import LieAlgebra, NonzeroTable, _freeze_tensor
-from .linalg import RatMatrix, Vector, ONE, ZERO, _add, _dense, _eliminate, zero_vector
+from .linalg import RatMatrix, Vector, ONE, ZERO, _add, _dense, _eliminate, _pair_value, zero_vector
 
 GammaTensor = tuple[tuple[Vector, ...], ...]
 
@@ -71,8 +71,9 @@ class FlatConnection:
         n = base.dim
         g = [[list(zero_vector(n)) for _ in range(n)] for _ in range(n)]
         for (i, j), v in entries.items():
-            for k in range(n):
-                g[i][j][k] = Fraction(v[k])
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"bad connection index pair ({i}, {j})")
+            g[i][j] = _pair_value(i, j, v, n)
         return FlatConnection(base, _freeze_tensor(g), params, label)
 
     @staticmethod

@@ -131,6 +131,8 @@ def _eval(node, env: dict[str, Fraction]) -> Fraction:
     if kind == "^":
         if b.denominator != 1:
             raise ExprError("exponent must be an integer")
+        if a == 0 and b < 0:
+            raise ExprError("division by zero while evaluating expression")
         return a ** int(b)
     raise AssertionError(kind)
 

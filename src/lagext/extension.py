@@ -211,13 +211,14 @@ def _build(triple: ExtensionTriple) -> SymplecticLieAlgebra:
     total = 2 * n
     c = [[list(zero_vector(total)) for _ in range(total)] for _ in range(total)]
     base = conn.base.bracket
-    alpha = triple.cocycle
-    for i, j in combinations(range(n), 2):
+    alpha = triple.cocycle.values
+    # pair p's block of alpha's coordinates is the h*-part of [e_i, e_j]
+    for p, (i, j) in enumerate(combinations(range(n), 2)):
         for k in range(n):
             c[i][j][k] = base[i][j][k]
-            c[i][j][n + k] = alpha.tensor[i][j][k]
+            c[i][j][n + k] = alpha[p * n + k]
             c[j][i][k] = -base[i][j][k]
-            c[j][i][n + k] = -alpha.tensor[i][j][k]
+            c[j][i][n + k] = -alpha[p * n + k]
     # [e_i, e^m] = rho(e_i) e^m = sum of rho(e_i)[t][m] e^t
     for i, entries in enumerate(rep.nonzero_entries):
         for t, m, value in entries:
@@ -525,7 +526,7 @@ def equivalence_map_psi(
         raise ValueError("triples must share the same connection")
     rep = dual_representation(t1.connection)
     expected = t1.cocycle - coboundary_1(rep, sigma)
-    if expected.tensor != t2.cocycle.tensor:
+    if expected != t2.cocycle:
         raise ValueError("cocycles are not related by the coboundary of sigma")
 
     n = t1.connection.dim

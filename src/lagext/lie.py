@@ -30,6 +30,7 @@ from .linalg import (
     _dense,
     _eliminate,
     _kernel,
+    _pair_value,
     _reduce,
     _subspace,
     fmt_vector,
@@ -76,9 +77,8 @@ class LieAlgebra:
         for (i, j), v in entries.items():
             if not 0 <= i < j < dim:
                 raise ValueError(f"bad bracket index pair ({i}, {j})")
-            for k in range(dim):
-                c[i][j][k] = Fraction(v[k])
-                c[j][i][k] = -Fraction(v[k])
+            c[i][j] = _pair_value(i, j, v, dim)
+            c[j][i] = [-x for x in c[i][j]]
         return LieAlgebra(dim, _freeze_tensor(c), name)
 
     @staticmethod

@@ -56,6 +56,13 @@ def zero_vector(n: int) -> Vector:
     return (ZERO,) * n
 
 
+def _pair_value(i: int, j: int, v, n: int) -> Vector:
+    """v, the value a builder was given for the index pair (i, j), as n Fractions."""
+    if len(v) != n:
+        raise ValueError(f"value of pair ({i}, {j}) has length {len(v)}, not {n}")
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
+
+
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 

@@ -209,8 +209,16 @@ def test_duplicate_bracket_cell_is_an_invalid_algebra_block(runner, tmp_path):
             ("--set", "mu=0"),
             "algebra block invalid: cell e1 e2: division by zero while evaluating expression",
         ),
+        (
+            "algebra a dim 4\nparam mu\nbracket e1 e2 -> mu^-1 e3\n",
+            ("--set", "mu=0"),
+            "algebra block invalid: cell e1 e2: division by zero while evaluating expression",
+        ),
     ],
-    ids=["jacobi-residual", "connection-pole", "omega-pole", "cocycle-pole", "bracket-pole"],
+    ids=[
+        "jacobi-residual", "connection-pole", "omega-pole", "cocycle-pole", "bracket-pole",
+        "bracket-pole-power",
+    ],
 )
 def test_a_block_that_does_not_build_is_named_in_plain_numbers(
     runner, tmp_path, text, args, message
@@ -219,6 +227,16 @@ def test_a_block_that_does_not_build_is_named_in_plain_numbers(
     path.write_text(text)
     result = runner.invoke(main, ["check", str(path), *args])
     assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
+
+
+@pytest.mark.parametrize("cell", ["1/0", "0^-1"], ids=["quotient", "power"])
+def test_a_literal_pole_is_named_by_its_line(runner, tmp_path, cell):
+    path = tmp_path / "bad.spec"
+    path.write_text(f"algebra a dim 4\nbracket e1 e2 -> {cell} e3\n")
+    result = runner.invoke(main, ["check", str(path)])
+    assert (result.exit_code, result.output) == (
+        1, f"Error: {path}: line 2: division by zero while evaluating expression\n"
+    )
 
 
 def test_omega_block_error_is_not_an_algebra_block_error(runner, tmp_path):

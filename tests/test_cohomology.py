@@ -31,7 +31,7 @@ from lagext.extension import ExtensionTriple, build_extension, canonical_connect
 from lagext.lie import LieAlgebra
 from lagext.linalg import Subspace
 from lagext.sampling import random_rational, rng_for
-from test_sparse_oracles import dense_coboundary_1, dense_coboundary_2
+from test_sparse_oracles import DenseTwoCochain, dense_coboundary_1, dense_coboundary_2
 
 
 def zero_rep(n):
@@ -320,7 +320,7 @@ def unit_columns_d2(rep):
     columns = []
     for i, j in combinations(range(n), 2):
         for k in range(n):
-            alpha = TwoCochain.from_pairs(n, {(i, j): tuple(F(int(t == k)) for t in range(n))})
+            alpha = DenseTwoCochain.from_pairs(n, {(i, j): tuple(F(int(t == k)) for t in range(n))})
             columns.append(tuple(x for v in dense_coboundary_2(rep, alpha).values for x in v))
     return tuple(zip(*columns))
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from lagext.catalog import (
     sample_parameters,
     table1_entries,
 )
+from lagext.cohomology import TwoCochain
 from lagext.connection import (
     FlatConnection,
     check_flat_torsion_free,
@@ -240,3 +242,39 @@ def test_failed_verdicts_raise_on_every_call():
         with pytest.raises(ValueError) as complete_error:
             is_geodesically_complete(conn)
         assert str(complete_error.value) == "connection is not flat and torsion-free"
+
+
+ABELIAN_3 = LieAlgebra.abelian(3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LieAlgebra.from_brackets(3, {(0, 1): (0, 0, 1, 5)}),
+         "value of pair (0, 1) has length 4, not 3"),
+        (lambda: LieAlgebra.from_brackets(3, {(0, 2): (0, 1)}),
+         "value of pair (0, 2) has length 2, not 3"),
+        (lambda: FlatConnection.from_entries(ABELIAN_3, {(1, 0): (0, 0, 1, 5)}),
+         "value of pair (1, 0) has length 4, not 3"),
+        (lambda: FlatConnection.from_entries(ABELIAN_3, {(2, 2): (1,)}),
+         "value of pair (2, 2) has length 1, not 3"),
+        (lambda: FlatConnection.from_entries(ABELIAN_3, {(-1, 0): (0, 0, 1)}),
+         "bad connection index pair (-1, 0)"),
+        (lambda: FlatConnection.from_entries(ABELIAN_3, {(0, 3): (0, 0, 1)}),
+         "bad connection index pair (0, 3)"),
+        (lambda: TwoCochain.from_pairs(3, {(0, 1): (0, 0, 1, 5)}),
+         "value of pair (0, 1) has length 4, not 3"),
+        (lambda: TwoCochain.from_pairs(3, {(1, 2): ()}),
+         "value of pair (1, 2) has length 0, not 3"),
+    ],
+    ids=[
+        "bracket-long", "bracket-short", "connection-long", "connection-short",
+        "connection-negative-index", "connection-index-past-dim", "cochain-long", "cochain-short",
+    ],
+)
+def test_builders_reject_a_bad_pair_by_name(build, message):
+    """A value longer or shorter than the dimension, or a connection index out
+    of range, is a ValueError naming the pair: not a silently dropped tail, a
+    bare IndexError, or a negative index that wraps round to another slot."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

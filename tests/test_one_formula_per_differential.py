@@ -6,6 +6,10 @@
 cohomology.py, would bring back a second copy of a differential whose sign
 and ordering conventions could drift from the rows'.  The dense evaluators
 live on only as oracles in tests/test_sparse_oracles.py.
+
+A 2-cochain is its coordinate vector, the order those rows use; its dense
+``.tensor`` is a view for tests and the benchmark, and no module of the
+package reads it, so every consumer works on the coordinates.
 """
 
 import ast
@@ -18,12 +22,13 @@ import lagext
 PACKAGE = Path(lagext.__file__).parent
 
 
-def dense_forms(source: str, calls: set[str]) -> list[str]:
-    """Each read of ``.matrices`` and each call of ``.name(...)`` for name in calls, line-tagged."""
+def dense_forms(source: str, calls: set[str], reads=frozenset({"matrices"})) -> list[str]:
+    """Each read of ``.name`` for name in reads and each call of ``.name(...)``
+    for name in calls, line-tagged."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "matrices":
-            found.append(f"line {node.lineno}: .matrices")
+        if isinstance(node, ast.Attribute) and node.attr in reads:
+            found.append(f"line {node.lineno}: .{node.attr}")
         elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in calls:
             found.append(f"line {node.lineno}: .{node.func.attr}(...)")
     return found
@@ -32,6 +37,11 @@ def dense_forms(source: str, calls: set[str]) -> list[str]:
 @pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_module_reads_dense_rho_matrices(name):
     assert dense_forms((PACKAGE / name).read_text(), set()) == []
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_reads_a_two_cochain_tensor(name):
+    assert dense_forms((PACKAGE / name).read_text(), set(), {"tensor"}) == []
 
 
 def test_cohomology_applies_no_dense_matrix():
@@ -47,3 +57,16 @@ def test_guard_sees_every_dense_form():
     ):
         assert dense_forms(line, {"apply"}), line
     assert dense_forms("matrices = ()\napply = None\nx = apply", {"apply"}) == []
+
+
+def test_guard_sees_every_tensor_read():
+    for line in (
+        "c[i][j][n + k] = alpha.tensor[i][j][k]",
+        "if expected.tensor != t2.cocycle.tensor:\n    raise ValueError",
+        "rows = [row for plane in self.tensor for row in plane]",
+        "key = (triple.cocycle.tensor,)",
+    ):
+        assert dense_forms(line, set(), {"tensor"}), line
+    assert dense_forms(
+        "tensor = ()\nc = _freeze_tensor(tensor)\nx = alpha.values", set(), {"tensor"}
+    ) == []

@@ -29,13 +29,19 @@ with a ``psi.apply`` and two ``psi.col`` per basis pair.
 they were before the sparse rows of d1 and d2 became their only formula:
 the dense rho matrices, the evaluators that applied them with
 ``RatMatrix.apply`` and the dense ``value_at`` of a cochain, the decoding of
-flattened coordinates through ``TwoCochain.from_pairs``, and the extension's
-bracket tensor with its rho block read column by column off those matrices.
+flattened coordinates through ``from_pairs``, and the extension's bracket
+tensor with its rho block read column by column off those matrices.
+
+``DenseTwoCochain``, ``dense_two_cochain_from_row`` and
+``dense_two_cochain_from_coefficients`` are the 2-cochain as it was before
+it was stored as its coordinates: the dense antisymmetric tensor, checked
+entry by entry on construction, and the decoders that filled it.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,7 +59,9 @@ from lagext.cohomology import (
     TwoCochain,
     coboundary_1,
     coboundary_2,
+    coboundary_image,
     cocycle_bases,
+    cohomology,
     pair_list,
     triple_list,
     two_cochain_from_coefficients,
@@ -93,8 +101,12 @@ from lagext.lie import (
 )
 from lagext.lie import _freeze_tensor
 from lagext.linalg import (
+    ZERO,
     RatMatrix,
     Subspace,
+    Vector,
+    _quotient_rows,
+    _sparse,
     is_zero_vector,
     kernel_basis,
     solve_linear,
@@ -103,6 +115,7 @@ from lagext.linalg import (
     vec_dot,
     vec_scale,
     vec_sub,
+    zero_vector,
 )
 from lagext.sampling import random_rational, rng_for
 
@@ -239,6 +252,7 @@ def dense_one_cochain_value_at(sigma, x):
 def dense_value_at(alpha, x, y):
     """alpha(x, y) for x, y given in the basis, summed over the nonzero coefficients."""
     n = alpha.dim
+    tensor = alpha.tensor
     out = [F(0)] * n
     for i in range(n):
         if x[i] == 0:
@@ -247,7 +261,7 @@ def dense_value_at(alpha, x, y):
             if y[j] == 0:
                 continue
             coeff = x[i] * y[j]
-            row = alpha.tensor[i][j]
+            row = tensor[i][j]
             for k in range(n):
                 if row[k] != 0:
                     out[k] += coeff * row[k]
@@ -265,7 +279,7 @@ def dense_coboundary_1(rep, sigma):
         term2 = mats[j].apply(sigma.value(i))
         term3 = dense_one_cochain_value_at(sigma, c[i][j])
         values[(i, j)] = tuple(a - b - d for a, b, d in zip(term, term2, term3))
-    return TwoCochain.from_pairs(n, values)
+    return DenseTwoCochain.from_pairs(n, values)
 
 
 def dense_coboundary_2(rep, alpha):
@@ -291,12 +305,115 @@ def dense_coboundary_2(rep, alpha):
     return ThreeCochain(n, tuple(out))
 
 
+@dataclass(frozen=True)
+class DenseTwoCochain:
+    """Alternating bilinear map into the dual: a[i][j][k] = alpha(e_i,e_j)(e_k)."""
+
+    tensor: tuple[tuple[Vector, ...], ...]
+
+    def __post_init__(self):
+        n = self.dim
+        for i in range(n):
+            for j in range(i, n):
+                upper, lower = self.tensor[i][j], self.tensor[j][i]
+                for k in range(n):
+                    a, b = upper[k], lower[k]
+                    if (a or b) and a != -b:
+                        raise ValueError("2-cochain tensor is not antisymmetric in (i, j)")
+
+    @property
+    def dim(self) -> int:
+        return len(self.tensor)
+
+    @staticmethod
+    def zero(n: int) -> "DenseTwoCochain":
+        return DenseTwoCochain(tuple(tuple(zero_vector(n) for _ in range(n)) for _ in range(n)))
+
+    @staticmethod
+    def from_pairs(n: int, values: dict[tuple[int, int], Vector]) -> "DenseTwoCochain":
+        """Build from {(i, j): alpha(e_i, e_j)} with i < j, 0-based."""
+        t = [[list(zero_vector(n)) for _ in range(n)] for _ in range(n)]
+        for (i, j), v in values.items():
+            if not 0 <= i < j < n:
+                raise ValueError(f"bad pair ({i}, {j})")
+            for k in range(n):
+                x = v[k] if type(v[k]) is F else F(v[k])
+                t[i][j][k] = x
+                t[j][i][k] = -x if x else ZERO
+        return DenseTwoCochain(tuple(tuple(tuple(row) for row in plane) for plane in t))
+
+    def value(self, i: int, j: int) -> Vector:
+        return self.tensor[i][j]
+
+    def is_zero(self) -> bool:
+        return all(
+            is_zero_vector(row) for plane in self.tensor for row in plane
+        )
+
+    def cyclic_sum(self, i: int, j: int, k: int) -> F:
+        return self.tensor[i][j][k] + self.tensor[j][k][i] + self.tensor[k][i][j]
+
+    @property
+    def is_lagrangian(self) -> bool:
+        """Cyclic-sum-zero on all triples (the Bianchi condition)."""
+        n = self.dim
+        return all(self.cyclic_sum(i, j, k) == 0 for i, j, k in combinations(range(n), 3))
+
+    def flatten(self) -> Vector:
+        n = self.dim
+        return tuple(
+            self.tensor[i][j][k] for (i, j) in pair_list(n) for k in range(n)
+        )
+
+    @staticmethod
+    def unflatten(n: int, v: Vector) -> "DenseTwoCochain":
+        if len(v) != len(pair_list(n)) * n:
+            raise ValueError("vector length does not match the 2-cochain coordinates")
+        return dense_two_cochain_from_row(n, _sparse(v))
+
+    def __sub__(self, other: "DenseTwoCochain") -> "DenseTwoCochain":
+        n = self.dim
+        return DenseTwoCochain(
+            tuple(
+                tuple(
+                    tuple(
+                        self.tensor[i][j][k] - other.tensor[i][j][k] for k in range(n)
+                    )
+                    for j in range(n)
+                )
+                for i in range(n)
+            )
+        )
+
+
+def dense_two_cochain_from_row(n, row):
+    """The dense 2-cochain with flattened coordinates row, {column: nonzero Fraction}."""
+    pairs = pair_list(n)
+    t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for col, x in row.items():
+        (i, j), k = pairs[col // n], col % n
+        t[i][j][k], t[j][i][k] = x, -x
+    return DenseTwoCochain(tuple(tuple(tuple(r) for r in plane) for plane in t))
+
+
+def dense_two_cochain_from_coefficients(space, coefficients, n):
+    """Linear combination of a flattened-cochain subspace basis, decoded densely."""
+    if len(coefficients) != space.dim:
+        raise ValueError("coefficient count does not match basis size")
+    total = {}
+    for coeff, row in zip(coefficients, space._rows):
+        if coeff:
+            for t, x in row.items():
+                total[t] = total.get(t, ZERO) + coeff * x
+    return dense_two_cochain_from_row(n, {t: x for t, x in total.items() if x})
+
+
 def dense_unflatten(n, v):
-    """The 2-cochain of flattened coordinates v, through ``TwoCochain.from_pairs``."""
+    """The dense 2-cochain of flattened coordinates v, through ``from_pairs``."""
     values = {}
     for p, (i, j) in enumerate(pair_list(n)):
         values[(i, j)] = tuple(v[p * n + k] for k in range(n))
-    return TwoCochain.from_pairs(n, values)
+    return DenseTwoCochain.from_pairs(n, values)
 
 
 def dense_extension_bracket(triple):
@@ -306,13 +423,13 @@ def dense_extension_bracket(triple):
     total = 2 * n
     c = [[[F(0)] * total for _ in range(total)] for _ in range(total)]
     base = conn.base.bracket
-    alpha = triple.cocycle
+    tensor = triple.cocycle.tensor
     for i, j in combinations(range(n), 2):
         for k in range(n):
             c[i][j][k] = base[i][j][k]
-            c[i][j][n + k] = alpha.tensor[i][j][k]
+            c[i][j][n + k] = tensor[i][j][k]
             c[j][i][k] = -base[i][j][k]
-            c[j][i][n + k] = -alpha.tensor[i][j][k]
+            c[j][i][n + k] = -tensor[i][j][k]
     for i, rho_i in enumerate(dense_rho_matrices(dual_representation(conn))):
         for m in range(n):
             col = rho_i.col(m)
@@ -930,26 +1047,27 @@ def dense_combination(space, coefficients):
 def seeded_two_cochains(conn, z2, z2l, rng):
     """Seeded cochains in Z2_L, in Z2, off Z2 along one coordinate, and dense random ones.
 
-    Each combination is checked against the dense decoding of its coordinates.
+    Each comes paired with the ``DenseTwoCochain`` that the frozen
+    constructors build from the same input, and each combination is checked
+    against the dense decoding of its coordinates.
     """
     n = conn.dim
-    cochains = []
+    twins = []
     for space in (z2l, z2l, z2):
         coeffs = tuple(random_rational(rng) for _ in range(space.dim))
         alpha = two_cochain_from_coefficients(space, coeffs, n)
         dense = dense_unflatten(n, dense_combination(space, coeffs))
         assert typed(alpha.tensor) == typed(dense.tensor)
-        cochains.append(alpha)
+        twins.append((alpha, dense_two_cochain_from_coefficients(space, coeffs, n)))
     width = len(pair_list(n)) * n
-    for alpha in cochains[:2]:
+    for alpha, _ in twins[:2]:
         bump = [F(0)] * width
         bump[rng.randrange(width)] = F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 5)))
         moved = tuple(a + b for a, b in zip(alpha.flatten(), bump))
-        cochains.append(TwoCochain.unflatten(n, moved))
-    cochains.append(TwoCochain.from_pairs(
-        n, {pair: tuple(random_rational(rng) for _ in range(n)) for pair in pair_list(n)}
-    ))
-    return cochains
+        twins.append((TwoCochain.unflatten(n, moved), DenseTwoCochain.unflatten(n, moved)))
+    pairs = {pair: tuple(random_rational(rng) for _ in range(n)) for pair in pair_list(n)}
+    twins.append((TwoCochain.from_pairs(n, pairs), DenseTwoCochain.from_pairs(n, pairs)))
+    return twins
 
 
 def seeded_one_cochains(n, rng):
@@ -973,7 +1091,7 @@ def assert_differentials_match_dense(conn, rng):
         assert typed(d1.tensor) == typed(dense.tensor)
     buildable = check_flat_torsion_free(conn).ok
     seen = Counter()
-    for alpha in seeded_two_cochains(conn, z2, z2l, rng):
+    for alpha, _ in seeded_two_cochains(conn, z2, z2l, rng):
         residual, dense = coboundary_2(rep, alpha), dense_coboundary_2(rep, alpha)
         assert typed(residual.values) == typed(dense.values)
         closed = dense.is_zero()
@@ -1065,3 +1183,84 @@ def test_nonzero_table_readers_match_frozen_code_on_every_flat_row():
             assert_psi_matches_frozen(ExtensionTriple(conn, seeded), s)
         checked["rows"] += 1
     assert checked == {"rows": 86, "extensions": 172, "nonzero classes": 86}
+
+
+def assert_two_cochains_match_dense(twins):
+    """Each TwoCochain against its DenseTwoCochain twin: the tensor, every value,
+    the coordinates, the predicates, differences and equality, with Fraction types."""
+    for alpha, dense in twins:
+        n = dense.dim
+        assert alpha.dim == n
+        assert typed(alpha.tensor) == typed(dense.tensor)
+        assert typed(alpha.flatten()) == typed(dense.flatten())
+        for i, j in product(range(n), repeat=2):
+            assert typed(alpha.value(i, j)) == typed(dense.value(i, j))
+        assert (alpha.is_lagrangian, alpha.is_zero()) == (dense.is_lagrangian, dense.is_zero())
+    # Each cochain against itself and its neighbour in the list.
+    for (a, da), (b, db) in zip(twins, twins[1:] + twins[:1]):
+        for (x, dx), (y, dy) in (((a, da), (a, da)), ((a, da), (b, db))):
+            assert (x == y) == (dx == dy)
+            assert typed((x - y).tensor) == typed((dx - dy).tensor)
+            assert typed((x - y).flatten()) == typed((dx - dy).flatten())
+
+
+def test_two_cochain_matches_frozen_dense_class_on_every_catalog_sample():
+    rng = rng_for(71, "sparse-oracles-two-cochains")
+    seen = Counter()
+    for conn in flat_catalog_samples():
+        z2, z2l = cocycle_bases(dual_representation(conn))
+        twins = seeded_two_cochains(conn, z2, z2l, rng)
+        assert_two_cochains_match_dense(twins)
+        seen.update("Lagrangian" if a.is_lagrangian else "not Lagrangian" for a, _ in twins)
+        seen["samples"] += 1
+    assert seen["samples"] == 108 and seen["Lagrangian"] and seen["not Lagrangian"]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_two_cochain_matches_frozen_dense_class_in_low_dimension(n):
+    """Zero cochains, and for n >= 2 seeded ones from Fractions and from ints;
+    n < 3 has no triples."""
+    rng = rng_for(73, f"two-cochains-{n}")
+    zeros = [F(0)] * (len(pair_list(n)) * n)
+    twins = [
+        (TwoCochain.zero(n), DenseTwoCochain.zero(n)),
+        (TwoCochain.from_pairs(n, {}), DenseTwoCochain.from_pairs(n, {})),
+        (TwoCochain.unflatten(n, zeros), DenseTwoCochain.unflatten(n, zeros)),
+    ]
+    if n >= 2:
+        pairs = {pair: tuple(random_rational(rng) for _ in range(n)) for pair in pair_list(n)}
+        twins.append((TwoCochain.from_pairs(n, pairs), DenseTwoCochain.from_pairs(n, pairs)))
+        ints = [rng.randint(-2, 2) for _ in zeros]
+        twins.append((TwoCochain.unflatten(n, ints), DenseTwoCochain.unflatten(n, ints)))
+        pairs = {pair: tuple(rng.randint(-2, 2) for _ in range(n)) for pair in pair_list(n)}
+        twins.append((TwoCochain.from_pairs(n, pairs), DenseTwoCochain.from_pairs(n, pairs)))
+    assert_two_cochains_match_dense(twins)
+    if n < 3:
+        assert all(alpha.is_lagrangian for alpha, _ in twins)
+
+
+@pytest.mark.parametrize("label", ["l_26", "t_8"])
+def test_cohomology_representatives_match_frozen_dense_decoding(label):
+    """two_cochain_from_coefficients and the H2 and H2_L representatives of an
+    8-dim rung against the dense decoding of the same coordinates."""
+    ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
+    rep = dual_representation(canonical_connection(ext))
+    n = rep.dim
+    summary = cohomology(rep)
+    z2, z2l = cocycle_bases(rep)
+    rng = rng_for(79, label)
+    for space in (z2, z2l):
+        coeffs = tuple(random_rational(rng) for _ in range(space.dim))
+        assert_two_cochains_match_dense([(
+            two_cochain_from_coefficients(space, coeffs, n),
+            dense_two_cochain_from_coefficients(space, coeffs, n),
+        )])
+    for reps, z, lagrangian in (
+        (summary.h2_representatives, z2, False),
+        (summary.h2_lagrangian_representatives, z2l, True),
+    ):
+        rows = _quotient_rows(z, coboundary_image(rep, lagrangian))
+        assert len(reps) == len(rows) > 0
+        assert_two_cochains_match_dense(
+            [(r, dense_two_cochain_from_row(n, row)) for r, row in zip(reps, rows)]
+        )
