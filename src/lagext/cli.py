@@ -54,7 +54,7 @@ def _parse_assignments(pairs) -> dict[str, Fraction]:
         name, _, value = pair.partition("=")
         try:
             env[name.strip()] = Fraction(value.strip())
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise click.ClickException(f"bad rational value in {pair!r}") from None
     return env
 
@@ -65,7 +65,7 @@ def _load_spec(path: str):
             return parse_spec(fh.read())
     except OSError as exc:
         raise click.ClickException(str(exc)) from None
-    except SpecParseError as exc:
+    except (SpecParseError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"{path}: {exc}") from None
 
 

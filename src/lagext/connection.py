@@ -227,14 +227,11 @@ def _sweep(conn: FlatConnection) -> ConnectionReport:
 def induced_bracket(conn: FlatConnection, name: str = "") -> LieAlgebra:
     """The algebra with bracket x.y - y.x (equals the base bracket iff torsion-free)."""
     n = conn.dim
-    c = [
-        [
-            [conn.gamma[i][j][k] - conn.gamma[j][i][k] for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return LieAlgebra(n, _freeze_tensor(c), name)
+    g = conn.gamma
+    entries = {
+        (i, j): [g[i][j][k] - g[j][i][k] for k in range(n)] for i, j in combinations(range(n), 2)
+    }
+    return LieAlgebra.from_brackets(n, entries, name)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .connection import (
 )
 from .lie import (
     LieAlgebra,
-    _freeze_tensor,
     lower_central_series,
     nilpotency_class,
     quotient_algebra,
@@ -53,7 +52,6 @@ from .linalg import (
     format_rational,
     kernel_basis,
     unit_vector,
-    zero_vector,
 )
 
 
@@ -208,24 +206,25 @@ def _build(triple: ExtensionTriple) -> SymplecticLieAlgebra:
         raise CocycleError(residual)
 
     n = conn.dim
-    total = 2 * n
-    c = [[list(zero_vector(total)) for _ in range(total)] for _ in range(total)]
-    base = conn.base.bracket
     alpha = triple.cocycle.values
-    # pair p's block of alpha's coordinates is the h*-part of [e_i, e_j]
-    for p, (i, j) in enumerate(combinations(range(n), 2)):
-        for k in range(n):
-            c[i][j][k] = base[i][j][k]
-            c[i][j][n + k] = alpha[p * n + k]
-            c[j][i][k] = -base[i][j][k]
-            c[j][i][n + k] = -alpha[p * n + k]
-    # [e_i, e^m] = rho(e_i) e^m = sum of rho(e_i)[t][m] e^t
+    # rho_terms[i][m]: [e_i, e^m] = rho(e_i) e^m = sum of rho(e_i)[t][m] e^t,
+    # t ascending since the entries of rho(e_i) are listed row-major
+    rho_terms = [[[] for _ in range(n)] for _ in range(n)]
     for i, entries in enumerate(rep.nonzero_entries):
         for t, m, value in entries:
-            c[i][n + m][n + t] = value
-            c[n + m][i][n + t] = -value
+            rho_terms[i][m].append((n + t, value))
+    pairs = []
+    p = 0
+    for i in range(n):
+        for _ in range(i + 1, n):
+            # pair p's block of alpha's coordinates is the h*-part of [e_i, e_j]
+            block = alpha[p * n:p * n + n]
+            pairs.append(conn.base.pairs[p] + tuple((n + k, x) for k, x in enumerate(block) if x))
+            p += 1
+        pairs.extend(map(tuple, rho_terms[i]))
+    pairs.extend(() for _ in range(p))  # [e^l, e^m] = 0
     algebra = require_jacobi(
-        LieAlgebra(total, _freeze_tensor(c), f"ext({conn.label or 'conn'})")
+        LieAlgebra(2 * n, tuple(pairs), f"ext({conn.label or 'conn'})")
     )
     return SymplecticLieAlgebra(algebra, standard_omega(n), dual_subspace(n))
 
@@ -377,12 +376,11 @@ def symplectic_reduction(s: SymplecticLieAlgebra, j: Subspace) -> SymplecticLieA
     perp = symplectic_orthogonal(s, j)
     r = perp.dim
     # Structure constants of the orthogonal as a subalgebra, in its echelon basis.
-    sub = [[None] * r for _ in range(r)]
-    for a in range(r):
-        for b in range(r):
-            w = s.algebra.bracket_vectors(perp.basis[a], perp.basis[b])
-            sub[a][b] = perp.coordinates(w)
-    perp_algebra = LieAlgebra(r, _freeze_tensor(sub), name=f"{s.algebra.name}|perp")
+    sub = {
+        (a, b): perp.coordinates(s.algebra.bracket_vectors(perp.basis[a], perp.basis[b]))
+        for a, b in combinations(range(r), 2)
+    }
+    perp_algebra = LieAlgebra.from_brackets(r, sub, name=f"{s.algebra.name}|perp")
     j_inside = Subspace.from_vectors(r, [perp.coordinates(u) for u in j.basis])
     reduced = quotient_algebra(perp_algebra, j_inside, name=f"{s.algebra.name}/red")
 

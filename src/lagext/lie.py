@@ -1,17 +1,18 @@
 """Lie algebras given by structure constants over Q.
 
-The bracket tensor c[i][j][k] encodes [e_i, e_j] = sum_k c[i][j][k] e_k with
-0-based indices.  Antisymmetry is enforced at construction; the Jacobi
+An algebra is its nonzero bracket table: ``pairs[p]`` lists the (k, c) of
+[e_i, e_j] = sum of c e_k, k ascending and c != 0, for the p-th pair i < j
+of ``combinations(range(dim), 2)`` (0-based), the order of a ``TwoCochain``'s
+coordinates.  So an algebra is antisymmetric by construction; the spec-file
+reader rejects a diagonal cell or a mirror that disagrees.  The Jacobi
 identity is checked either explicitly via ``check_jacobi`` or by the
 constructors of derived algebras (quotients, extensions).
 
-Each algebra keeps the table of its nonzero structure constants
-(``nonzero_brackets``) and its lower central series, both computed on first
-use.  Every routine here reads brackets from that table, never from the
-dense n^3 tensor; the center, the derivations, ideals and the lower central
-series eliminate sparse rows built from it.  Keeping them is sound because
-an algebra is immutable: its bracket tensor is tuples of Fractions, and
-every constructor in this package freezes it through ``_freeze_tensor``.
+Each algebra keeps the n x n view of its table (``nonzero_brackets``), which
+every routine here reads, and its lower central series, both computed on
+first use; the dense tensor ``bracket`` is a view for tests and the
+benchmark.  Keeping them is sound because an algebra is immutable, and every
+builder here writes Fractions and no zero c, so equal tables mean equal brackets.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from .linalg import (
     _reduce,
     _subspace,
     fmt_vector,
-    zero_vector,
 )
 
 BracketTensor = tuple[tuple[Vector, ...], ...]
-# NonzeroTable[i][j] lists the (k, c) with c = c[i][j][k] != 0, k ascending.
-NonzeroTable = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+# PairTable[p] lists the (k, c) of the p-th pair i < j; NonzeroTable[i][j] of any i, j.
+PairTable = tuple[tuple[tuple[int, Fraction], ...], ...]
+NonzeroTable = tuple[PairTable, ...]
 
 
 def _freeze_tensor(c) -> BracketTensor:
@@ -51,35 +52,28 @@ def _freeze_tensor(c) -> BracketTensor:
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Structure-constant Lie algebra with a fixed ordered basis."""
+    """Structure-constant Lie algebra with a fixed ordered basis, stored as ``pairs``."""
 
     dim: int
-    bracket: BracketTensor
+    pairs: PairTable
     name: str = ""
 
     def __post_init__(self):
-        n = self.dim
-        c = self.bracket
-        if len(c) != n or any(len(plane) != n for plane in c) or any(
-            len(row) != n for plane in c for row in plane
-        ):
-            raise ValueError("bracket tensor shape does not match dim")
-        for i in range(n):
-            for j in range(i, n):
-                for k, (a, b) in enumerate(zip(c[i][j], c[j][i])):
-                    if (a or b) and a != -b:
-                        raise ValueError(f"bracket not antisymmetric at ({i+1},{j+1},{k+1})")
+        expected = self.dim * (self.dim - 1) // 2
+        if len(self.pairs) != expected:
+            raise ValueError(f"bracket table has {len(self.pairs)} pairs, not {expected}")
 
     @staticmethod
     def from_brackets(dim: int, entries: dict[tuple[int, int], Vector], name: str = "") -> "LieAlgebra":
         """Build from 0-based {(i, j): [e_i, e_j]} with i < j; the rest by antisymmetry."""
-        c = [[list(zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
+        pairs = [()] * (dim * (dim - 1) // 2)
         for (i, j), v in entries.items():
             if not 0 <= i < j < dim:
                 raise ValueError(f"bad bracket index pair ({i}, {j})")
-            c[i][j] = _pair_value(i, j, v, dim)
-            c[j][i] = [-x for x in c[i][j]]
-        return LieAlgebra(dim, _freeze_tensor(c), name)
+            pairs[i * (2 * dim - i - 1) // 2 + j - i - 1] = tuple(
+                (k, x) for k, x in enumerate(_pair_value(i, j, v, dim)) if x
+            )
+        return LieAlgebra(dim, tuple(pairs), name)
 
     @staticmethod
     def abelian(dim: int, name: str = "") -> "LieAlgebra":
@@ -93,10 +87,19 @@ class LieAlgebra:
         """The nonzero structure constants: [e_i, e_j] = sum of c e_k over (k, c) in [i][j]."""
         if self._renamed_from is not None:
             return self._renamed_from.nonzero_brackets
-        return tuple(
-            tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
-            for plane in self.bracket
-        )
+        n = self.dim
+        table = [[()] * n for _ in range(n)]
+        for (i, j), terms in zip(combinations(range(n), 2), self.pairs):
+            if terms:
+                table[i][j] = terms
+                table[j][i] = tuple((k, -c) for k, c in terms)
+        return tuple(tuple(row) for row in table)
+
+    @cached_property
+    def bracket(self) -> BracketTensor:
+        """The dense tensor c[i][j][k], a read-only view decoded from the table once."""
+        n = self.dim
+        return tuple(tuple(_dense(dict(t), n) for t in plane) for plane in self.nonzero_brackets)
 
     @cached_property
     def central_series(self) -> tuple[Subspace, ...]:
@@ -130,7 +133,7 @@ class LieAlgebra:
     def rename(self, name: str) -> "LieAlgebra":
         """The same algebra under another name, reading ``nonzero_brackets`` and
         ``central_series`` through this one: both depend only on the bracket."""
-        renamed = LieAlgebra(self.dim, self.bracket, name)
+        renamed = LieAlgebra(self.dim, self.pairs, name)
         object.__setattr__(renamed, "_renamed_from", self)
         return renamed
 
@@ -308,20 +311,16 @@ def quotient_algebra(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> Li
     if not algebra.is_ideal(ideal):
         raise ValueError("subspace is not an ideal")
     keep = ideal.complement_coordinates()
-    m = len(keep)
     table = algebra.nonzero_brackets
-    c = [[list(zero_vector(m)) for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            terms = table[keep[a]][keep[b]]
-            if terms:
-                # Reduction against the ideal's echelon basis leaves support on
-                # non-pivot coordinates only.
-                w = ideal.reduce(_dense(dict(terms), algebra.dim))
-                for t in range(m):
-                    c[a][b][t] = w[keep[t]]
-    quotient = LieAlgebra(m, _freeze_tensor(c), name)
-    return require_jacobi(quotient)
+    entries = {}
+    for a, b in combinations(range(len(keep)), 2):
+        terms = table[keep[a]][keep[b]]
+        if terms:
+            # Reduction against the ideal's echelon basis leaves support on
+            # non-pivot coordinates only.
+            w = ideal.reduce(_dense(dict(terms), algebra.dim))
+            entries[a, b] = [w[k] for k in keep]
+    return require_jacobi(LieAlgebra.from_brackets(len(keep), entries, name))
 
 
 def transform(algebra: LieAlgebra, p: RatMatrix, name: str = "") -> LieAlgebra:
@@ -331,8 +330,8 @@ def transform(algebra: LieAlgebra, p: RatMatrix, name: str = "") -> LieAlgebra:
         raise ValueError("change of basis must be square of matching size")
     p_inv = p.inverse()
     cols = [p.col(j) for j in range(n)]
-    c = [
-        [list(p_inv.apply(algebra.bracket_vectors(cols[a], cols[b]))) for b in range(n)]
-        for a in range(n)
-    ]
-    return LieAlgebra(n, _freeze_tensor(c), name)
+    entries = {
+        (a, b): p_inv.apply(algebra.bracket_vectors(cols[a], cols[b]))
+        for a, b in combinations(range(n), 2)
+    }
+    return LieAlgebra.from_brackets(n, entries, name)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .cohomology import TwoCochain
 from .connection import FlatConnection
@@ -179,7 +180,7 @@ class ParamSpec:
                     raise SpecParseError(line_no, f"{word} needs a value")
                 try:
                     bound = Fraction(fields[idx + 1])
-                except ValueError:
+                except (ValueError, ZeroDivisionError):
                     raise SpecParseError(line_no, f"bad bound {fields[idx + 1]!r}") from None
                 if word == "gt":
                     gt = bound
@@ -528,15 +529,11 @@ def spec_from_symplectic(name: str, algebra, omega) -> SpecFile:
             return BasisToken.dual_token(k - half)
         return BasisToken.primal(k)
 
-    brackets = []
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            v = algebra.bracket[i][j]
-            terms = tuple(
-                Term(Expr.const(v[k]), token(k)) for k in range(n2) if v[k] != 0
-            )
-            if terms:
-                brackets.append(CellLine(token(i), token(j), terms))
+    brackets = [
+        CellLine(token(i), token(j), tuple(Term(Expr.const(c), token(k)) for k, c in terms))
+        for (i, j), terms in zip(combinations(range(n2), 2), algebra.pairs)
+        if terms
+    ]
     omega_lines = []
     for i in range(n2):
         for j in range(i + 1, n2):

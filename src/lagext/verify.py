@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .catalog import (
     CatalogEntry,
@@ -39,7 +40,7 @@ from .extension import (
     induced_flat_connection,
     is_lagrangian_ideal,
 )
-from .linalg import fmt_vector, format_rational
+from .linalg import _dense, fmt_vector, format_rational
 from .specfile import (
     BlockError,
     DuplicateCellError,
@@ -124,14 +125,14 @@ def _connection_records(label: str, sample_id: str, conn: FlatConnection) -> lis
     record("flatness", next(
         (f"R(e{i},e{j})e{s} = {fmt_vector(res)}" for (i, j, s), res in report.curvature), ""
     ))
-    induced = induced_bracket(conn).bracket
-    declared = conn.base.bracket
+    n = conn.dim
     record("base-bracket-match", next(
-        (f"[e{i+1},e{j+1}] induced {fmt_vector(induced[i][j])} "
-         f"vs declared {fmt_vector(declared[i][j])}"
-         for i in range(conn.dim)
-         for j in range(conn.dim)
-         if induced[i][j] != declared[i][j]),
+        (f"[e{i+1},e{j+1}] induced {fmt_vector(_dense(dict(induced), n))} "
+         f"vs declared {fmt_vector(_dense(dict(declared), n))}"
+         for (i, j), induced, declared in zip(
+             combinations(range(n), 2), induced_bracket(conn).pairs, conn.base.pairs
+         )
+         if induced != declared),
         "",
     ))
     if not report.ok:

@@ -119,22 +119,31 @@ NON_JACOBI_TEXT = (
 
 
 @pytest.mark.parametrize(
-    "text, args",
+    "text, args, message",
     [
-        ("algebra p dim 4\nparam mu\nconnection e1 e1 -> 1/(mu-1) e3\n", ["check", "--set", "mu=1"]),
-        (NON_JACOBI_TEXT, ["extend"]),
-        (NON_JACOBI_TEXT, ["cohomology"]),
-        (L26_TEXT, ["extend", "--cocycle", "random:x"]),
-        (L26_TEXT, ["extend", "--cocycle", "spec"]),
-        (None, ["reduce", "--ideal", "e9"]),
+        ("algebra p dim 4\nparam mu\nconnection e1 e1 -> 1/(mu-1) e3\n", ["check", "--set", "mu=1"],
+         None),
+        (NON_JACOBI_TEXT, ["extend"], None),
+        (NON_JACOBI_TEXT, ["cohomology"], None),
+        (L26_TEXT, ["extend", "--cocycle", "random:x"], None),
+        (L26_TEXT, ["extend", "--cocycle", "spec"], None),
+        (None, ["reduce", "--ideal", "e9"], None),
+        ("algebra p dim 4\nparam mu\nconnection e1 e1 -> mu e3\n", ["check", "--set", "mu=1/0"],
+         "Error: bad rational value in 'mu=1/0'"),
+        ("algebra p dim 4\nparam mu gt 1/0\nconnection e1 e1 -> mu e3\n", ["check"],
+         "Error: {path}: line 2: bad bound '1/0'"),
+        (b"algebra p dim 4\n# \xff\n", ["check"],
+         "Error: {path}: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
     ],
     ids=["pole", "non-jacobi-extend", "non-jacobi-cohomology", "random-seed-not-a-number",
-         "spec-without-cocycle", "ideal-out-of-range"],
+         "spec-without-cocycle", "ideal-out-of-range", "set-pole", "bound-pole", "not-utf-8"],
 )
-def test_bad_input_ends_in_a_one_line_error(runner, l26_path, tmp_path, text, args):
+def test_bad_input_ends_in_a_one_line_error(runner, l26_path, tmp_path, text, args, message):
     path = tmp_path / "input.spec"
     if text is None:
         runner.invoke(main, ["extend", l26_path, "--out", str(path)])
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
     else:
         path.write_text(text)
     result = runner.invoke(main, [args[0], str(path), *args[1:]])
@@ -143,6 +152,8 @@ def test_bad_input_ends_in_a_one_line_error(runner, l26_path, tmp_path, text, ar
     assert len(result.output.splitlines()) == 1
     assert "Traceback" not in result.output and "line 0" not in result.output
     assert not isinstance(result.exception, ValueError)
+    if message is not None:
+        assert result.output == message.format(path=path) + "\n"
 
 
 def test_cohomology_command_outputs_dims(runner, l26_path):

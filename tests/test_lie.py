@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
 
 from lagext.catalog import base_algebra
+from lagext.cli import main
 from lagext.lie import (
     LieAlgebra,
     check_jacobi,
@@ -16,19 +18,47 @@ from lagext.lie import (
 )
 from lagext.linalg import RatMatrix, Subspace, unit_vector, vec
 from lagext.sampling import random_rational, rng_for
+from lagext.specfile import build_algebra, parse_spec
 
 E3 = (0, 0, 1, 0)
 
 
-def test_antisymmetry_enforced():
-    c = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
-    c[0][1][0] = F(1)  # missing the mirrored entry
-    with pytest.raises(ValueError, match=r"^bracket not antisymmetric at \(1,2,1\)$"):
-        LieAlgebra(2, tuple(tuple(tuple(r) for r in p) for p in c))
-    c[0][1][0] = F(0)
-    c[1][1][1] = F(2)  # a nonzero diagonal bracket
-    with pytest.raises(ValueError, match=r"^bracket not antisymmetric at \(2,2,2\)$"):
-        LieAlgebra(2, tuple(tuple(tuple(r) for r in p) for p in c))
+def test_bracket_table_of_the_wrong_length_is_rejected():
+    # One entry per pair i < j: 3 pairs for dim 3, whatever the entries hold.
+    with pytest.raises(ValueError, match=r"^bracket table has 2 pairs, not 3$"):
+        LieAlgebra(3, ((), ((2, F(1)),)))
+    with pytest.raises(ValueError, match=r"^bracket table has 1 pairs, not 0$"):
+        LieAlgebra(1, ((),))
+    assert LieAlgebra(3, ((), (), ((0, F(1)),))) == LieAlgebra.from_brackets(3, {(1, 2): (1, 0, 0)})
+
+
+@pytest.mark.parametrize(
+    "brackets, message",
+    [
+        (
+            ("e1 e1 -> 1 e2",),
+            "algebra block invalid: bracket cell (1,1) on the diagonal must vanish",
+        ),
+        (
+            ("e1 e2 -> 1 e3", "e2 e1 -> 1 e3"),
+            "algebra block invalid: conflicting duplicate bracket assignments at (1,2)",
+        ),
+        (("e1 e2 -> 1 e3", "e2 e1 -> -1 e3"), None),
+    ],
+    ids=["diagonal", "conflicting-mirror", "consistent-mirror"],
+)
+def test_spec_file_boundary_carries_antisymmetry(tmp_path, brackets, message):
+    # An algebra stores only the pairs i < j, so a spec file's bracket block is
+    # where a diagonal cell or a mirror that disagrees in sign is caught.
+    text = "algebra h dim 4\n" + "".join(f"bracket {b}\n" for b in brackets)
+    path = tmp_path / "h.spec"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["check", str(path)])
+    if message is None:
+        assert result.exit_code == 0
+        assert build_algebra(parse_spec(text)) == LieAlgebra.from_brackets(4, {(0, 1): E3}, "h")
+    else:
+        assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
 
 
 def test_jacobi_abelian_and_heisenberg():

@@ -36,10 +36,16 @@ tensor with its rho block read column by column off those matrices.
 ``dense_two_cochain_from_coefficients`` are the 2-cochain as it was before
 it was stored as its coordinates: the dense antisymmetric tensor, checked
 entry by entry on construction, and the decoders that filled it.
+
+``DenseLieAlgebra``, ``frozen_extension_algebra``, ``frozen_quotient``,
+``frozen_induced_bracket`` and ``frozen_transform`` are the Lie algebra as
+it was before it was stored as its nonzero bracket table: the dense n^3
+tensor with its antisymmetry scan, the table derived back from it, and the
+builders that assembled a dense tensor by hand.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -74,6 +80,7 @@ from lagext.connection import (
     _dual,
     check_flat_torsion_free,
     dual_representation,
+    induced_bracket,
     is_geodesically_complete,
 )
 from lagext.extension import (
@@ -98,6 +105,7 @@ from lagext.lie import (
     lower_central_series,
     nilpotency_class,
     quotient_algebra,
+    transform,
 )
 from lagext.lie import _freeze_tensor
 from lagext.linalg import (
@@ -105,6 +113,8 @@ from lagext.linalg import (
     RatMatrix,
     Subspace,
     Vector,
+    _dense,
+    _pair_value,
     _quotient_rows,
     _sparse,
     is_zero_vector,
@@ -1264,3 +1274,206 @@ def test_cohomology_representatives_match_frozen_dense_decoding(label):
         assert_two_cochains_match_dense(
             [(r, dense_two_cochain_from_row(n, row)) for r, row in zip(reps, rows)]
         )
+
+
+@dataclass(frozen=True)
+class DenseLieAlgebra:
+    """Structure-constant Lie algebra stored as its dense bracket tensor."""
+
+    dim: int
+    bracket: tuple[tuple[Vector, ...], ...]
+    name: str = ""
+
+    def __post_init__(self):
+        n = self.dim
+        c = self.bracket
+        if len(c) != n or any(len(plane) != n for plane in c) or any(
+            len(row) != n for plane in c for row in plane
+        ):
+            raise ValueError("bracket tensor shape does not match dim")
+        for i in range(n):
+            for j in range(i, n):
+                for k, (a, b) in enumerate(zip(c[i][j], c[j][i])):
+                    if (a or b) and a != -b:
+                        raise ValueError(f"bracket not antisymmetric at ({i+1},{j+1},{k+1})")
+
+    @staticmethod
+    def from_brackets(dim, entries, name=""):
+        c = [[list(zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
+        for (i, j), v in entries.items():
+            if not 0 <= i < j < dim:
+                raise ValueError(f"bad bracket index pair ({i}, {j})")
+            c[i][j] = _pair_value(i, j, v, dim)
+            c[j][i] = [-x for x in c[i][j]]
+        return DenseLieAlgebra(dim, _freeze_tensor(c), name)
+
+    @property
+    def nonzero_brackets(self):
+        return tuple(
+            tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
+            for plane in self.bracket
+        )
+
+
+def frozen_extension_algebra(triple):
+    """The extension's bracket tensor as ``_build`` assembled it, unchecked."""
+    conn = triple.connection
+    rep = dual_representation(conn)
+    n = conn.dim
+    total = 2 * n
+    c = [[list(zero_vector(total)) for _ in range(total)] for _ in range(total)]
+    base = conn.base.bracket
+    alpha = triple.cocycle.values
+    for p, (i, j) in enumerate(combinations(range(n), 2)):
+        for k in range(n):
+            c[i][j][k] = base[i][j][k]
+            c[i][j][n + k] = alpha[p * n + k]
+            c[j][i][k] = -base[i][j][k]
+            c[j][i][n + k] = -alpha[p * n + k]
+    for i, entries in enumerate(rep.nonzero_entries):
+        for t, m, value in entries:
+            c[i][n + m][n + t] = value
+            c[n + m][i][n + t] = -value
+    return DenseLieAlgebra(total, _freeze_tensor(c), f"ext({conn.label or 'conn'})")
+
+
+def frozen_quotient(algebra, ideal, name=""):
+    keep = ideal.complement_coordinates()
+    m = len(keep)
+    table = algebra.nonzero_brackets
+    c = [[list(zero_vector(m)) for _ in range(m)] for _ in range(m)]
+    for a in range(m):
+        for b in range(m):
+            terms = table[keep[a]][keep[b]]
+            if terms:
+                w = ideal.reduce(_dense(dict(terms), algebra.dim))
+                for t in range(m):
+                    c[a][b][t] = w[keep[t]]
+    return DenseLieAlgebra(m, _freeze_tensor(c), name)
+
+
+def frozen_induced_bracket(conn, name=""):
+    n = conn.dim
+    c = [
+        [[conn.gamma[i][j][k] - conn.gamma[j][i][k] for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+    return DenseLieAlgebra(n, _freeze_tensor(c), name)
+
+
+def frozen_transform(algebra, p, name=""):
+    n = algebra.dim
+    p_inv = p.inverse()
+    cols = [p.col(j) for j in range(n)]
+    c = [
+        [list(p_inv.apply(algebra.bracket_vectors(cols[a], cols[b]))) for b in range(n)]
+        for a in range(n)
+    ]
+    return DenseLieAlgebra(n, _freeze_tensor(c), name)
+
+
+def seeded_unitriangular(n, rng):
+    """I plus seeded entries above the diagonal, one in three nonzero: invertible."""
+    return RatMatrix.from_rows([
+        [F(1) if a == b else F(rng.choice((0, 0, 0, 0, 1, -1))) / 2 if a < b else F(0)
+         for b in range(n)]
+        for a in range(n)
+    ])
+
+
+def assert_fraction_tensor(tensor):
+    assert all(type(x) is F for plane in tensor for row in plane for x in row)
+
+
+def assert_algebras_match_dense(twins):
+    """Each LieAlgebra against its DenseLieAlgebra twin: the dense view, the
+    n x n table and the name, with Fraction types; equality and hashes."""
+    for algebra, dense in twins:
+        assert (algebra.dim, algebra.name) == (dense.dim, dense.name)
+        assert algebra.bracket == dense.bracket
+        assert_fraction_tensor(algebra.bracket)
+        assert_fraction_tensor(dense.bracket)
+        assert typed(algebra.nonzero_brackets) == typed(dense.nonzero_brackets)
+        # A canonical table (k ascending, no zero c) makes table equality
+        # the same as tensor equality.
+        for terms in algebra.pairs:
+            ks = [k for k, _ in terms]
+            assert ks == sorted(set(ks)) and all(type(c) is F and c for _, c in terms)
+        for copy in (replace(algebra), algebra.rename(algebra.name)):
+            assert copy == algebra and hash(copy) == hash(algebra)
+            assert copy.bracket == algebra.bracket
+    for (a, da), (b, db) in zip(twins, twins[1:] + twins[:1]):
+        assert (a == b) == (da == db)
+        assert a != b or hash(a) == hash(b)
+
+
+def lie_twins(algebra, dense, rng):
+    """The pair itself and its seeded change of basis, each with its dense twin."""
+    p = seeded_unitriangular(algebra.dim, rng)
+    moved = (transform(algebra, p, "moved"), frozen_transform(algebra, p, "moved"))
+    return [(algebra, dense), moved]
+
+
+BASE_ENTRIES = {
+    "a": {},
+    "l": {(0, 1): (0, 0, 1, 0)},
+    "t": {(0, 3): (0, -1, 0, 0), (1, 3): (0, 0, -1, 0)},
+}
+
+
+def test_lie_algebra_matches_frozen_dense_class_on_every_flat_catalog_sample():
+    """The bases, the zero-class and one seeded-class extension of every flat
+    sample, their quotients by the Lagrangian ideal, the induced brackets, and
+    a seeded change of basis of the bases and of every eighth sample's extensions."""
+    rng = rng_for(83, "sparse-oracles-lie-algebra")
+    twins = []
+    for code, entries in BASE_ENTRIES.items():
+        dense = DenseLieAlgebra.from_brackets(4, entries, code)
+        twins += lie_twins(base_algebra(code), dense, rng)
+        assert base_algebra(code) == LieAlgebra.from_brackets(4, entries, code)
+    seen = Counter()
+    for conn in flat_catalog_samples():
+        n = conn.dim
+        twins.append((induced_bracket(conn, "induced"), frozen_induced_bracket(conn, "induced")))
+        _, z2l = cocycle_bases(dual_representation(conn))
+        coeffs = tuple(random_rational(rng) for _ in range(z2l.dim))
+        for alpha in (TwoCochain.zero(n), two_cochain_from_coefficients(z2l, coeffs, n)):
+            triple = ExtensionTriple(conn, alpha)
+            ext = build_extension(triple)
+            twin = (ext.algebra, frozen_extension_algebra(triple))
+            twins += lie_twins(*twin, rng) if seen["samples"] % 8 == 0 else [twin]
+            j = ext.lagrangian_ideal
+            quotient = quotient_algebra(ext.algebra, j, conn.base.name)
+            assert quotient == conn.base
+            twins.append((quotient, frozen_quotient(ext.algebra, j, conn.base.name)))
+            seen["nonzero classes"] += not alpha.is_zero()
+        seen["samples"] += 1
+    assert seen == {"samples": 108, "nonzero classes": 108}
+    assert_algebras_match_dense(twins)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_lie_algebra_matches_frozen_dense_class_in_low_dimension(n):
+    """Abelian algebras, seeded brackets from Fractions and from ints, their
+    induced brackets and changes of basis, and quotients by the center."""
+    rng = rng_for(89, f"lie-algebra-{n}")
+    pairs = list(combinations(range(n), 2))
+    inputs = [
+        {},
+        {pair: tuple(random_rational(rng) for _ in range(n)) for pair in pairs},
+        {pair: tuple(rng.randint(-1, 1) for _ in range(n)) for pair in pairs},
+    ]
+    twins = []
+    for entries in inputs:
+        algebra = LieAlgebra.from_brackets(n, entries, "low")
+        twins += lie_twins(algebra, DenseLieAlgebra.from_brackets(n, entries, "low"), rng)
+        gamma = {
+            pair: tuple(rng.randint(-1, 1) for _ in range(n)) for pair in product(range(n), repeat=2)
+        }
+        conn = FlatConnection.from_entries(algebra, gamma)
+        twins.append((induced_bracket(conn), frozen_induced_bracket(conn)))
+    for algebra in (LieAlgebra.abelian(n), LieAlgebra.from_brackets(n, inputs[1])):
+        if check_jacobi(algebra) == ():
+            z = center(algebra)
+            twins.append((quotient_algebra(algebra, z), frozen_quotient(algebra, z)))
+    assert_algebras_match_dense(twins)
