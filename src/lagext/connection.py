@@ -1,10 +1,11 @@
 """Flat torsion-free connections on a Lie algebra and their dual representation.
 
-A connection is the coefficient tensor gamma[i][j][k] of nabla_{e_i} e_j =
-sum_k gamma[i][j][k] e_k.  Torsion-freeness is the pre-Lie axiom
-x.y - y.x = [x, y]; flatness says x -> nabla_x is a representation.  The
-left-symmetric associator identity (x,y,z) = (y,x,z) is computed as an
-independent cross-validation of the curvature check.
+A connection is its table of nonzero coefficients: ``nonzero_gamma[i][j]``
+lists the (k, v) of nabla_{e_i} e_j = sum of v e_k, k ascending and v != 0.
+Torsion-freeness is the pre-Lie axiom x.y - y.x = [x, y]; flatness says
+x -> nabla_x is a representation.  The left-symmetric associator identity
+(x,y,z) = (y,x,z) is computed as an independent cross-validation of the
+curvature check.
 
 Completeness is decided by the trace criterion tr R_x = 0 (Helmstetter
 1979).  Nilpotency of every nabla_x is certified by one descending Engel
@@ -17,12 +18,11 @@ a seed.
 Each verdict on a connection (the sweep report, the completeness evidence
 and the dual representation) is computed once per ``FlatConnection`` and
 carried with it; the module functions below are accessors.  Every verdict
-is computed from the connection's table of nonzero coefficients
-(``nonzero_gamma``) and the base's ``nonzero_brackets``, never from dense
-matrix products: a residual column is densified only when it is nonzero.
-Keeping verdicts and the table is sound because a connection is immutable:
-its tensors are tuples of Fractions, and every constructor in this package
-freezes them through ``_freeze_tensor``.
+is computed from the table and the base's ``nonzero_brackets``, never from
+dense matrix products: a residual column is densified only when it is
+nonzero.  Keeping verdicts is sound because a connection is immutable, and
+the constructor rejects a table that is not canonical, so equal tables mean
+equal connections.
 """
 
 from __future__ import annotations
@@ -32,33 +32,34 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product
 
-from .lie import LieAlgebra, NonzeroTable, _freeze_tensor
-from .linalg import RatMatrix, Vector, ONE, ZERO, _add, _dense, _eliminate, _pair_value, zero_vector
+from .lie import LieAlgebra, NonzeroTable, _check_canonical
+from .linalg import Vector, ONE, ZERO, _add, _dense, _eliminate, _pair_value
 
 GammaTensor = tuple[tuple[Vector, ...], ...]
 
 
 @dataclass(frozen=True)
 class FlatConnection:
-    """Connection tensor over a base Lie algebra, with any instantiated parameters.
+    """A connection over a base Lie algebra, stored as its nonzero gamma table,
+    with any instantiated parameters.
 
-    ``nonzero_gamma``, ``report``, ``completeness`` and ``dual`` are computed
-    on first use and kept on the instance, so each is computed once per
-    connection.  A verdict that raises is not kept: every access raises again.
+    ``gamma``, ``report``, ``completeness`` and ``dual`` are computed on first
+    use and kept on the instance, so each is computed once per connection.  A
+    verdict that raises is not kept: every access raises again.
     """
 
     base: LieAlgebra
-    gamma: GammaTensor
+    nonzero_gamma: NonzeroTable
     params: tuple[tuple[str, Fraction], ...] = ()
     label: str = ""
 
     def __post_init__(self):
         n = self.base.dim
-        g = self.gamma
-        if len(g) != n or any(len(p) != n for p in g) or any(
-            len(row) != n for p in g for row in p
-        ):
-            raise ValueError("gamma tensor shape does not match base dimension")
+        table = self.nonzero_gamma
+        if len(table) != n or any(len(plane) != n for plane in table):
+            raise ValueError("gamma table shape does not match base dimension")
+        cells = (((i, j), t) for i, plane in enumerate(table) for j, t in enumerate(plane))
+        _check_canonical(cells, n, "gamma cell")
 
     @staticmethod
     def from_entries(
@@ -69,12 +70,12 @@ class FlatConnection:
     ) -> "FlatConnection":
         """Build from 0-based {(i, j): nabla_{e_i} e_j}; unlisted pairs are zero."""
         n = base.dim
-        g = [[list(zero_vector(n)) for _ in range(n)] for _ in range(n)]
+        table = [[()] * n for _ in range(n)]
         for (i, j), v in entries.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad connection index pair ({i}, {j})")
-            g[i][j] = _pair_value(i, j, v, n)
-        return FlatConnection(base, _freeze_tensor(g), params, label)
+            table[i][j] = tuple((k, x) for k, x in enumerate(_pair_value(i, j, v, n)) if x)
+        return FlatConnection(base, tuple(map(tuple, table)), params, label)
 
     @staticmethod
     def zero(base: LieAlgebra, label: str = "") -> "FlatConnection":
@@ -85,31 +86,10 @@ class FlatConnection:
         return self.base.dim
 
     @cached_property
-    def nonzero_gamma(self) -> NonzeroTable:
-        """The nonzero coefficients: nabla_{e_i} e_s = sum of v e_k over (k, v) in [i][s]."""
-        return tuple(
-            tuple(tuple((k, v) for k, v in enumerate(col) if v) for col in plane)
-            for plane in self.gamma
-        )
-
-    def nabla_matrix(self, i: int) -> RatMatrix:
-        """Matrix of nabla_{e_i} (column j = image of e_j)."""
+    def gamma(self) -> GammaTensor:
+        """The dense tensor gamma[i][j][k], a read-only view decoded from the table once."""
         n = self.dim
-        return RatMatrix(
-            tuple(tuple(self.gamma[i][j][k] for j in range(n)) for k in range(n))
-        )
-
-    def nabla_of(self, x: Vector) -> RatMatrix:
-        """Matrix of nabla_x for x = sum x_i e_i (the assignment is linear in x)."""
-        n = self.dim
-        rows = [[ZERO] * n for _ in range(n)]
-        for i, plane in enumerate(self.nonzero_gamma):
-            xi = x[i]
-            if xi:
-                for j, col in enumerate(plane):
-                    for k, v in col:
-                        rows[k][j] += xi * v
-        return RatMatrix(tuple(tuple(r) for r in rows))
+        return tuple(tuple(_dense(dict(t), n) for t in plane) for plane in self.nonzero_gamma)
 
     @cached_property
     def report(self) -> "ConnectionReport":
@@ -167,6 +147,14 @@ def check_flat_torsion_free(conn: FlatConnection) -> ConnectionReport:
     return conn.report
 
 
+def _skew(cols: NonzeroTable, i: int, j: int) -> dict:
+    """e_i.e_j - e_j.e_i as a sparse row."""
+    skew = dict(cols[i][j])
+    for k, v in cols[j][i]:
+        _add(skew, k, -v)
+    return skew
+
+
 def _add_image(acc: dict, f: Fraction, terms, columns) -> None:
     """acc += f * sum of x * columns[k] over (k, x) in terms, each column a tuple of (t, v)."""
     for k, x in terms:
@@ -188,9 +176,7 @@ def _sweep(conn: FlatConnection) -> ConnectionReport:
     curvature = []
     associator = []
     for i, j in combinations(range(n), 2):
-        skew = dict(cols[i][j])  # e_i.e_j - e_j.e_i
-        for k, v in cols[j][i]:
-            _add(skew, k, -v)
+        skew = _skew(cols, i, j)
         residual = dict(skew)
         for k, c in brackets[i][j]:
             _add(residual, k, -c)
@@ -226,12 +212,9 @@ def _sweep(conn: FlatConnection) -> ConnectionReport:
 
 def induced_bracket(conn: FlatConnection, name: str = "") -> LieAlgebra:
     """The algebra with bracket x.y - y.x (equals the base bracket iff torsion-free)."""
-    n = conn.dim
-    g = conn.gamma
-    entries = {
-        (i, j): [g[i][j][k] - g[j][i][k] for k in range(n)] for i, j in combinations(range(n), 2)
-    }
-    return LieAlgebra.from_brackets(n, entries, name)
+    cols = conn.nonzero_gamma
+    pairs = (tuple(sorted(_skew(cols, i, j).items())) for i, j in combinations(range(conn.dim), 2))
+    return LieAlgebra(conn.dim, tuple(pairs), name)
 
 
 @dataclass(frozen=True)
@@ -322,17 +305,6 @@ class DualRep:
             tuple((j, k, -v) for j, col in enumerate(plane) for k, v in col)
             for plane in self.connection.nonzero_gamma
         )
-
-    def rho_of(self, x: Vector) -> RatMatrix:
-        """rho(x) = sum_i x_i rho(e_i), assembled from the nonzero entries."""
-        n = self.dim
-        rows = [[ZERO] * n for _ in range(n)]
-        for i, entries in enumerate(self.nonzero_entries):
-            xi = x[i]
-            if xi:
-                for r, c, value in entries:
-                    rows[r][c] += xi * value
-        return RatMatrix(tuple(tuple(r) for r in rows))
 
 
 def dual_representation(conn: FlatConnection) -> DualRep:

@@ -36,6 +36,7 @@ from .connection import (
 )
 from .lie import (
     LieAlgebra,
+    NonzeroTable,
     lower_central_series,
     nilpotency_class,
     quotient_algebra,
@@ -154,9 +155,8 @@ class ExtensionTriple:
     The built extension (``extension``) is computed on first use and kept on
     the instance, so it is built once per triple, as each verdict on the
     connection is computed once per connection.  This is sound because a
-    triple is immutable: the tensors of its connection and its cocycle are
-    tuples of Fractions.  A build that raises is not kept: every access
-    raises again.
+    triple is immutable: its connection and its cocycle are stored as tuples
+    of Fractions.  A build that raises is not kept: every access raises again.
     """
 
     connection: FlatConnection
@@ -285,14 +285,15 @@ def _omega_on_brackets(omega: RatMatrix):
     return w
 
 
-def _omega_solve(s: SymplecticLieAlgebra, lifts, tests) -> tuple[tuple[Vector, ...], ...]:
+def _omega_solve(s: SymplecticLieAlgebra, lifts, tests) -> NonzeroTable:
     """The connection omega(nabla_x y, u) = -omega(y, [x, u]) for the test vectors u.
 
     ``lifts`` are m basis indices l_t and ``tests`` m vectors u as sparse rows
     {index: nonzero value}: the unit vectors for ``canonical_connection``, the
-    basis of a Lagrangian ideal for ``induced_flat_connection``.  gamma[a][b]
-    is the x in Q^m of nabla_{e_{l_a}} e_{l_b} = sum_t x_t e_{l_t}, solving
-    sum_t x_t omega(e_{l_t}, u) = -omega(e_{l_b}, [e_{l_a}, u]) for every u.
+    basis of a Lagrangian ideal for ``induced_flat_connection``.  Cell [a][b]
+    lists the nonzero (t, x_t) of nabla_{e_{l_a}} e_{l_b} = sum_t x_t e_{l_t},
+    solving sum_t x_t omega(e_{l_t}, u) = -omega(e_{l_b}, [e_{l_a}, u]) for
+    every u.
     The pairing omega(e_{l_t}, u) is inverted once (ValueError when singular);
     each [e_{l_a}, u] is read off ``nonzero_brackets`` once per (a, u), and
     each omega value through ``_omega_on_brackets``.
@@ -308,12 +309,12 @@ def _omega_solve(s: SymplecticLieAlgebra, lifts, tests) -> tuple[tuple[Vector, .
         brackets = [[(k, y * c) for q, y in u.items() for k, c in table[a][q]] for u in tests]
         plane = []
         for b in lifts:
-            x = [ZERO] * len(tests)
+            x = {}
             for u, terms in enumerate(brackets):
                 if terms and (f := -w(b, terms)):
                     for k, v in columns[u]:
-                        x[k] += f * v
-            plane.append(tuple(x))
+                        _add(x, k, f * v)
+            plane.append(tuple(sorted(x.items())))
         gamma.append(tuple(plane))
     return tuple(gamma)
 
@@ -520,7 +521,8 @@ def equivalence_map_psi(
     verified to preserve brackets on all basis pairs; for symmetric sigma
     the pullback identity Psi^T omega Psi = omega is verified as well.
     """
-    if t1.connection.gamma != t2.connection.gamma or t1.connection.base != t2.connection.base:
+    c1, c2 = t1.connection, t2.connection
+    if c1.nonzero_gamma != c2.nonzero_gamma or c1.base != c2.base:
         raise ValueError("triples must share the same connection")
     rep = dual_representation(t1.connection)
     expected = t1.cocycle - coboundary_1(rep, sigma)

@@ -11,8 +11,9 @@ constructors of derived algebras (quotients, extensions).
 Each algebra keeps the n x n view of its table (``nonzero_brackets``), which
 every routine here reads, and its lower central series, both computed on
 first use; the dense tensor ``bracket`` is a view for tests and the
-benchmark.  Keeping them is sound because an algebra is immutable, and every
-builder here writes Fractions and no zero c, so equal tables mean equal brackets.
+benchmark.  Keeping them is sound because an algebra is immutable.  The
+constructor rejects a table that is not canonical (k out of order, or a c that
+is zero or not a Fraction), so equal tables mean equal brackets.
 """
 
 from __future__ import annotations
@@ -43,11 +44,18 @@ PairTable = tuple[tuple[tuple[int, Fraction], ...], ...]
 NonzeroTable = tuple[PairTable, ...]
 
 
-def _freeze_tensor(c) -> BracketTensor:
-    return tuple(
-        tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in plane)
-        for plane in c
-    )
+def _check_canonical(rows, dim: int, what: str) -> None:
+    """Raise ValueError unless each ((i, j), terms) row lists its (k, c) with k
+    strictly ascending in range(dim) and every c a nonzero Fraction."""
+    for (i, j), terms in rows:
+        last = -1
+        for k, c in terms:
+            if not last < k < dim or type(c) is not Fraction or not c:
+                raise ValueError(
+                    f"{what} ({i}, {j}) lists {terms!r}; "
+                    f"need k ascending in range({dim}) and nonzero Fraction c"
+                )
+            last = k
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,8 @@ class LieAlgebra:
         expected = self.dim * (self.dim - 1) // 2
         if len(self.pairs) != expected:
             raise ValueError(f"bracket table has {len(self.pairs)} pairs, not {expected}")
+        rows = zip(combinations(range(self.dim), 2), self.pairs)
+        _check_canonical(rows, self.dim, "bracket pair")
 
     @staticmethod
     def from_brackets(dim: int, entries: dict[tuple[int, int], Vector], name: str = "") -> "LieAlgebra":

@@ -161,13 +161,13 @@ def _connection_records(label: str, sample_id: str, conn: FlatConnection) -> lis
     else:
         record("extension-nilpotent", "" if cert.nilpotent else f"lcs dims {cert.lcs_dims}")
 
-    recovered = induced_flat_connection(ext, ext.lagrangian_ideal).gamma
+    recovered = induced_flat_connection(ext, ext.lagrangian_ideal).nonzero_gamma
     record("round-trip", next(
-        (f"gamma({i+1},{j+1}) recovered {fmt_vector(recovered[i][j])} "
-         f"vs {fmt_vector(conn.gamma[i][j])}"
-         for i in range(conn.dim)
-         for j in range(conn.dim)
-         if recovered[i][j] != conn.gamma[i][j]),
+        (f"gamma({i+1},{j+1}) recovered {fmt_vector(_dense(dict(recovered[i][j]), n))} "
+         f"vs {fmt_vector(_dense(dict(terms), n))}"
+         for i, plane in enumerate(conn.nonzero_gamma)
+         for j, terms in enumerate(plane)
+         if recovered[i][j] != terms),
         "",
     ))
     return records

@@ -3,14 +3,24 @@
 A matrix product or a dense nilpotency power in connection.py would bring
 back the n x n products that the table of nonzero gamma entries replaced;
 the dense versions live on only as oracles in tests/test_sparse_oracles.py.
+
+A connection is stored as that table (``FlatConnection.nonzero_gamma``); the
+dense ``.gamma`` tensor is a view decoded for tests and the benchmark, and
+no module of the package reads it.
 """
 
 import ast
 from pathlib import Path
 
-import lagext
+import pytest
 
-CONNECTION = Path(lagext.__file__).parent / "connection.py"
+import lagext
+from test_lie_reads_nonzero_table import attribute_reads
+
+PACKAGE = Path(lagext.__file__).parent
+CONNECTION = PACKAGE / "connection.py"
+
+ALLOWED: set[str] = set()
 
 
 def dense_operations(source: str) -> list[str]:
@@ -37,3 +47,26 @@ def test_guard_sees_every_dense_form():
     ):
         assert dense_operations(line), line
     assert dense_operations("@dataclass(frozen=True)\nclass A:\n    is_nilpotent: bool") == []
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_reads_gamma_from_the_nonzero_table(name):
+    assert attribute_reads((PACKAGE / name).read_text(), "gamma", ALLOWED) == []
+
+
+def test_gamma_guard_sees_every_dense_read():
+    for line in (
+        "recovered = induced_flat_connection(ext, ext.lagrangian_ideal).gamma",
+        "if t1.connection.gamma != t2.connection.gamma:\n    raise ValueError",
+        "def _verdict(conn):\n    return fmt_vector(conn.gamma[i][j])",
+        "class FlatConnection:\n    def nabla_matrix(self, i):\n"
+        "        return self.gamma[i]",
+    ):
+        assert attribute_reads(line, "gamma", ALLOWED), line
+    allowed = (
+        "class FlatConnection:\n    nonzero_gamma: tuple\n"
+        "    def gamma(self):\n        return _dense(self.nonzero_gamma)\n"
+        "def _omega_solve(s):\n    gamma = []\n    return tuple(gamma)\n"
+        "def f(conn):\n    return conn.nonzero_gamma"
+    )
+    assert attribute_reads(allowed, "gamma", ALLOWED) == []

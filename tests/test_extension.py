@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -37,9 +38,11 @@ from lagext.linalg import RatMatrix, Subspace, unit_vector, vec
 from lagext.sampling import random_rational, rng_for
 from test_sparse_oracles import (
     dense_ad_matrix,
+    dense_rho_of,
     dense_value_at,
     frozen_certificate,
     frozen_nonzero_directions,
+    perturbed,
 )
 
 # The seeded directions of the reference condition sum.
@@ -462,7 +465,7 @@ def reference_condition_sum(conn, rep, alpha, p):
     )
     for x in directions:
         ad_x = dense_ad_matrix(conn.base, x)
-        rho_x = rep.rho_of(x)
+        rho_x = RatMatrix(dense_rho_of(rep, x))
         powers = [[unit_vector(n, b) for b in range(n)]]
         for _ in range(p - 1):
             powers.append([ad_x.apply(v) for v in powers[-1]])
@@ -579,6 +582,19 @@ def test_psi_rejects_unrelated_cocycles():
         pytest.skip("degenerate choice")
     with pytest.raises(ValueError):
         equivalence_map_psi(t1, t2, OneCochain.zero(4))
+
+
+def test_psi_compares_the_connection_tables_and_bases_only():
+    t1 = triple("l_26")
+    sigma = OneCochain.zero(4)
+    moved = perturbed(t1.connection, rng_for(17, "psi-one-cell"))
+    assert moved.base == t1.connection.base
+    with pytest.raises(ValueError, match=r"^triples must share the same connection$"):
+        equivalence_map_psi(t1, ExtensionTriple(moved, t1.cocycle), sigma)
+    # The label and the parameters are not part of the connection's value.
+    relabelled = replace(t1.connection, params=(("mu", F(2)),), label="relabelled")
+    psi = equivalence_map_psi(t1, ExtensionTriple(relabelled, t1.cocycle), sigma)
+    assert psi.entries == RatMatrix.identity(8).entries
 
 
 def test_adjusted_form_equals_standard_when_sigmas_match():

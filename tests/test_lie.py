@@ -33,6 +33,23 @@ def test_bracket_table_of_the_wrong_length_is_rejected():
 
 
 @pytest.mark.parametrize(
+    "dim, pairs, message",
+    [
+        (2, (((0, F(0)),),), r"^bracket pair \(0, 1\) lists \(\(0, Fraction\(0, 1\)\),\); "),
+        (3, (((2, F(1)), (1, F(1))), (), ()), r"^bracket pair \(0, 1\) lists "),
+        (3, ((), ((1, F(1)), (1, F(2))), ()), r"^bracket pair \(0, 2\) lists "),
+        (3, ((), (), ((3, F(1)),)), r"^bracket pair \(1, 2\) lists .*in range\(3\)"),
+        (2, (((1, 1),),), r"^bracket pair \(0, 1\) lists .*nonzero Fraction c$"),
+    ],
+    ids=["zero-c", "k-descending", "k-repeated", "k-out-of-range", "int-c"],
+)
+def test_bracket_table_that_is_not_canonical_is_rejected(dim, pairs, message):
+    # A zero c or an unsorted k would make == and hash disagree with the brackets.
+    with pytest.raises(ValueError, match=message):
+        LieAlgebra(dim, pairs)
+
+
+@pytest.mark.parametrize(
     "brackets, message",
     [
         (

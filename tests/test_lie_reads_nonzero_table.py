@@ -20,15 +20,15 @@ PACKAGE = Path(lagext.__file__).parent
 ALLOWED: set[str] = set()
 
 
-def bracket_reads(source: str, allowed: set[str]) -> list[str]:
-    """Each ``.bracket`` read outside the allowed functions, tagged with line and scope."""
+def attribute_reads(source: str, attr: str, allowed: set[str]) -> list[str]:
+    """Each ``.attr`` read outside the allowed functions, tagged with line and scope."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Attribute) and node.attr == "bracket" and scope not in allowed:
-            found.append(f"line {node.lineno} in {scope or '<module>'}: .bracket")
+        if isinstance(node, ast.Attribute) and node.attr == attr and scope not in allowed:
+            found.append(f"line {node.lineno} in {scope or '<module>'}: .{attr}")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -38,7 +38,7 @@ def bracket_reads(source: str, allowed: set[str]) -> list[str]:
 
 @pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_reads_brackets_from_the_nonzero_table(name):
-    assert bracket_reads((PACKAGE / name).read_text(), ALLOWED) == []
+    assert attribute_reads((PACKAGE / name).read_text(), "bracket", ALLOWED) == []
 
 
 def test_guard_sees_every_dense_read():
@@ -50,11 +50,11 @@ def test_guard_sees_every_dense_read():
         "        return LieAlgebra(self.dim, self.bracket, name)",
         "def spec_from_symplectic(name, algebra, omega):\n    v = algebra.bracket[i][j]",
     ):
-        assert bracket_reads(line, ALLOWED), line
+        assert attribute_reads(line, "bracket", ALLOWED), line
     allowed = (
         "class LieAlgebra:\n    pairs: tuple\n"
         "    def bracket(self):\n        return self.nonzero_brackets\n"
         "    def rename(self, name):\n        return LieAlgebra(self.dim, self.pairs, name)\n"
         "def f(algebra, x, y):\n    return algebra.bracket_vectors(x, y), algebra.nonzero_brackets"
     )
-    assert bracket_reads(allowed, ALLOWED) == []
+    assert attribute_reads(allowed, "bracket", ALLOWED) == []

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lagext import connection, extension, lie, linalg
+from lagext import connection, extension, lie, linalg, verify
 from lagext.catalog import connection_for, entry_by_label, instantiate, sample_parameters
 from lagext.connection import CompletenessEvidence, FlatConnection
 from lagext.extension import (
@@ -16,6 +16,7 @@ from lagext.extension import (
     induced_flat_connection,
 )
 from lagext.lie import LieAlgebra
+from lagext.sampling import rng_for
 from lagext.verify import (
     CHECK_NAMES,
     ReportRecord,
@@ -25,6 +26,7 @@ from lagext.verify import (
     run_verify_catalog,
     verify_entry,
 )
+from test_sparse_oracles import perturbed, shifted
 
 
 def test_fail_records_must_carry_witness():
@@ -66,6 +68,32 @@ def test_defective_row_fails_with_witness_and_skip_cascade():
     assert by_check["base-bracket-match"].status == "fail"
     for name in CHECK_NAMES[3:]:
         assert by_check[name].status == "skipped"
+
+
+@pytest.mark.parametrize(
+    "move, witness",
+    [
+        (lambda c: perturbed(c, rng_for(59, "round-trip-witness")),
+         "gamma(3,3) recovered (0, 0, 1/3, 0) vs (0, 0, 0, 0)"),
+        (lambda c: perturbed(c, rng_for(63, "round-trip-witness")),
+         "gamma(2,1) recovered (0, -2, -1/2, 0) vs (0, 0, -1/2, 0)"),
+        (lambda c: shifted(c, {(1, 0, 2): F(1, 2)}),
+         "gamma(2,1) recovered (0, 0, 0, 0) vs (0, 0, -1/2, 0)"),
+        (lambda c: shifted(c, {(3, 3, 0): F(1), (0, 1, 2): F(-1, 2)}),
+         "gamma(1,2) recovered (0, 0, 0, 0) vs (0, 0, 1/2, 0)"),
+    ],
+    ids=["seeded-empty-cell", "seeded-filled-cell", "cancelled-cell", "first-of-two-cells"],
+)
+def test_round_trip_failure_names_the_first_moved_cell(move, witness, monkeypatch):
+    # The recovered connection is replaced by one with moved cells; every
+    # other record of l_26 still passes.
+    conn = connection_for("l_26")
+    monkeypatch.setattr(verify, "induced_flat_connection", lambda ext, j: move(conn))
+    records = _connection_records("l_26", "s0", conn)
+    assert [r.check for r in records] == list(CHECK_NAMES)
+    assert [(r.check, r.status, r.witness) for r in records if r.status != "pass"] == [
+        ("round-trip", "fail", witness)
+    ]
 
 
 def test_exit_code_reflects_fail_records_only():
