@@ -6,16 +6,19 @@ alpha(e_i, e_j)(e_k).  The Lagrangian subcomplex consists of symmetric
 1-cochains and cyclic-sum-zero 2-cochains.
 
 All kernel and image computations work on coordinate vectors in a single
-canonical order: pairs (i, j) with i < j lexicographically, then the dual
-coordinate k.  A 2-cochain is stored as those coordinates; its tensor
-a[i][j][k], antisymmetric in (i, j), is a view decoded from them.
+canonical order.  A 1-cochain has s[a][b] at a * n + b, and the bases of
+C^1 and C^1_L are sparse rows in that order (``_one_cochain_rows``).  A
+2-cochain has pairs (i, j) with i < j lexicographically, then the dual
+coordinate k; it is stored as those coordinates, and its tensor a[i][j][k],
+antisymmetric in (i, j), is a view decoded from them.
 
 Each differential is written once, as sparse rows in those coordinates:
 ``_coboundary_1_images`` for d1 and ``_coboundary_2_rows`` for d2, each
 read off the nonzero entries of rho and of the bracket.  The evaluators
 ``coboundary_1`` and ``coboundary_2`` apply those rows to a cochain's
-nonzero coordinates, and ``cocycle_bases``, ``coboundary_image`` and
-``cohomology`` eliminate them; ``_two_cochain_from_row`` turns a sparse
+nonzero coordinates, and ``cocycle_bases``, ``coboundary_image``,
+``cohomology`` and ``solve_coboundary`` eliminate them; no dense d1 or d2
+matrix is built on those paths.  ``_two_cochain_from_row`` turns a sparse
 row of coordinates into a 2-cochain.
 """
 
@@ -27,6 +30,7 @@ from itertools import combinations
 
 from .connection import DualRep
 from .linalg import (
+    ONE,
     RatMatrix,
     Subspace,
     Vector,
@@ -36,10 +40,10 @@ from .linalg import (
     _kernel,
     _pair_value,
     _quotient_rows,
+    _sparse,
     _subspace,
     fmt_vector,
     is_zero_vector,
-    solve_linear,
     vec,
     vec_sub,
     zero_vector,
@@ -217,7 +221,8 @@ def coboundary_1(rep: DualRep, sigma: OneCochain) -> TwoCochain:
     """
     if sigma.dim != rep.dim:
         raise ValueError("cochain dimension does not match the representation")
-    return _two_cochain_from_row(rep.dim, _coboundary_1_images(rep, [sigma])[0])
+    image = _coboundary_1_images(rep, [_sparse(sigma.flatten())])[0]
+    return _two_cochain_from_row(rep.dim, image)
 
 
 def coboundary_2(rep: DualRep, alpha: TwoCochain) -> ThreeCochain:
@@ -238,30 +243,21 @@ def coboundary_2(rep: DualRep, alpha: TwoCochain) -> ThreeCochain:
     return ThreeCochain(n, tuple(tuple(values[r:r + n]) for r in range(0, len(values), n)))
 
 
-def one_cochain_basis(n: int) -> list[OneCochain]:
-    """Matrix units in row-major order (the canonical C^1 coordinates)."""
-    return [OneCochain.unit(n, i, k) for i in range(n) for k in range(n)]
+def _one_cochain_rows(n: int, lagrangian: bool) -> list[dict[int, Fraction]]:
+    """The basis of C^1 (matrix units, row-major) or of C^1_L (E_ii, then
+    E_ik + E_ki for i < k, lex order), as sparse rows of 1-cochain coordinates."""
+    if not lagrangian:
+        return [{c: ONE} for c in range(n * n)]
+    return [{i * n + k: ONE, k * n + i: ONE} for i in range(n) for k in range(i, n)]
 
 
-def symmetric_one_cochain_basis(n: int) -> list[OneCochain]:
-    """Basis of C^1_L: E_ii, then E_ik + E_ki for i < k, lex order."""
-    basis = []
-    for i in range(n):
-        for k in range(i, n):
-            rows = [[ZERO] * n for _ in range(n)]
-            rows[i][k] = Fraction(1)
-            rows[k][i] = Fraction(1)
-            basis.append(OneCochain.from_rows(rows))
-    return basis
-
-
-def _coboundary_1_images(rep: DualRep, basis: list[OneCochain]) -> list[dict[int, Fraction]]:
-    """Flattened d(sigma) for each sigma in basis, as sparse rows, from its nonzero entries.
+def _coboundary_1_images(rep: DualRep, rows: list[dict]) -> list[dict[int, Fraction]]:
+    """Sparse rows of d(sigma), for each sigma a sparse row of 1-cochain coordinates.
 
     This is the one formula for d1, (d sigma)(x, y) = rho(x) sigma(y) -
-    rho(y) sigma(x) - sigma([x, y]): an entry sigma(e_a)_b = v adds, for
-    every x != a, v * rho(x)[t][b] to (d sigma)(x, a)_t, and -v * c[i][j][a]
-    to (d sigma)(e_i, e_j)_b.
+    rho(y) sigma(x) - sigma([x, y]): an entry sigma(e_a)_b = v, coordinate
+    a * n + b, adds, for every x != a, v * rho(x)[t][b] to (d sigma)(x, a)_t,
+    and -v * c[i][j][a] to (d sigma)(e_i, e_j)_b.
     """
     n = rep.dim
     pairs = pair_list(n)
@@ -276,30 +272,20 @@ def _coboundary_1_images(rep: DualRep, basis: list[OneCochain]) -> list[dict[int
         for a, coeff in table[i][j]:
             bracket_into[a].append((p * n, coeff))
     images = []
-    for sigma in basis:
+    for sigma in rows:
         col: dict[int, Fraction] = {}
-        for a, row in enumerate(sigma.entries):
-            for b, v in enumerate(row):
-                if not v:
+        for ab, v in sigma.items():
+            a, b = divmod(ab, n)
+            for x in range(n):
+                if x == a:
                     continue
-                for x in range(n):
-                    if x == a:
-                        continue
-                    start, sign = blocks[(x, a)]
-                    for t, value in rho_cols[x][b]:
-                        col[start + t] = col.get(start + t, ZERO) + sign * v * value
-                for start, coeff in bracket_into[a]:
-                    col[start + b] = col.get(start + b, ZERO) - v * coeff
+                start, sign = blocks[(x, a)]
+                for t, value in rho_cols[x][b]:
+                    col[start + t] = col.get(start + t, ZERO) + sign * v * value
+            for start, coeff in bracket_into[a]:
+                col[start + b] = col.get(start + b, ZERO) - v * coeff
         images.append({j: x for j, x in col.items() if x})
     return images
-
-
-def matrix_of_coboundary_1(rep: DualRep, basis: list[OneCochain] | None = None) -> RatMatrix:
-    """Columns = flattened images of the given C^1 basis (default: matrix units)."""
-    if basis is None:
-        basis = one_cochain_basis(rep.dim)
-    width = len(pair_list(rep.dim)) * rep.dim
-    return RatMatrix(tuple(_dense(r, width) for r in _coboundary_1_images(rep, basis))).transpose()
 
 
 def _coboundary_2_rows(rep: DualRep) -> list[dict[int, Fraction]]:
@@ -376,9 +362,9 @@ def cocycle_bases(rep: DualRep) -> tuple[Subspace, Subspace]:
 
 
 def coboundary_image(rep: DualRep, lagrangian: bool) -> Subspace:
-    """B^2 (or B^2_L): the span of the columns of ``matrix_of_coboundary_1``."""
-    basis = symmetric_one_cochain_basis(rep.dim) if lagrangian else one_cochain_basis(rep.dim)
-    return _subspace(len(pair_list(rep.dim)) * rep.dim, _coboundary_1_images(rep, basis))
+    """B^2 (or B^2_L): the span of the images of the C^1 (or C^1_L) basis."""
+    rows = _one_cochain_rows(rep.dim, lagrangian)
+    return _subspace(len(pair_list(rep.dim)) * rep.dim, _coboundary_1_images(rep, rows))
 
 
 @dataclass(frozen=True)
@@ -433,22 +419,30 @@ def solve_coboundary(
     """A sigma with beta = alpha - d(sigma), restricted to C^1_L when asked.
 
     Returns None when the cocycles are not cohomologous (in the requested
-    complex).  The solution is echelon-minimal in the chosen basis
-    coordinates.
+    complex).  One elimination reduces the rows of the system, one per
+    2-cochain coordinate: the images of the basis read across, then alpha -
+    beta.  The free coefficients are set to zero, so sigma is the unique
+    pivot-supported solution in the chosen basis coordinates.
     """
     n = rep.dim
-    basis = symmetric_one_cochain_basis(n) if lagrangian_only else one_cochain_basis(n)
-    m = matrix_of_coboundary_1(rep, basis)
     target = (alpha - beta).flatten()
-    coeffs = solve_linear(m, target)
-    if coeffs is None:
+    if len(target) != len(pair_list(n)) * n:
+        raise ValueError("right-hand side length does not match row count")
+    basis = _one_cochain_rows(n, lagrangian_only)
+    rhs = len(basis)
+    system = [{rhs: x} if x else {} for x in target]
+    for j, image in enumerate(_coboundary_1_images(rep, basis)):
+        for r, x in image.items():
+            system[r][j] = x
+    kept = _eliminate(system)
+    if rhs in kept:
         return None
     rows = [[ZERO] * n for _ in range(n)]
-    for coeff, cochain in zip(coeffs, basis):
-        if coeff != 0:
-            for i in range(n):
-                for k in range(n):
-                    rows[i][k] += coeff * cochain.entries[i][k]
+    for p, row in kept.items():
+        coeff = row.get(rhs)
+        if coeff:
+            for c, v in basis[p].items():
+                rows[c // n][c % n] += coeff * v
     return OneCochain.from_rows(rows)
 
 

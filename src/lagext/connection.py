@@ -8,12 +8,12 @@ x -> nabla_x is a representation.  The left-symmetric associator identity
 curvature check.
 
 Completeness is decided by the trace criterion tr R_x = 0 (Helmstetter
-1979).  Nilpotency of every nabla_x is certified by one descending Engel
-flag on the matrices nabla_{e_1..e_n}: flatness makes their span a Lie
-algebra of operators, so by Engel's theorem the flag reaches 0 exactly when
-every nabla_x is nilpotent.  The same flag on a single right multiplication
-R_{e_j} reaches 0 exactly when R_{e_j} is nilpotent.  No verdict depends on
-a seed.
+1979).  Nilpotency of every nabla_x is certified by the descending Engel
+flag of nabla_{e_1..e_n} (``lie.descending_flag``, which also gives the lower
+central series): flatness makes their span a Lie algebra of operators, so by
+Engel's theorem the flag reaches 0 exactly when every nabla_x is nilpotent.
+The flag of a single right multiplication R_{e_j} reaches 0 exactly when
+R_{e_j} is nilpotent.  No verdict depends on a seed.
 
 Each verdict on a connection (the sweep report, the completeness evidence
 and the dual representation) is computed once per ``FlatConnection`` and
@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 
-from .lie import LieAlgebra, NonzeroTable, _check_canonical
-from .linalg import Vector, ONE, ZERO, _add, _dense, _eliminate, _pair_value
+from .lie import LieAlgebra, NonzeroTable, _check_canonical, descending_flag
+from .linalg import Vector, ONE, ZERO, _add, _dense, _pair_value
 
 GammaTensor = tuple[tuple[Vector, ...], ...]
 
@@ -245,30 +245,16 @@ def _uniform_nilindex(operators) -> int | None:
     """Smallest r with every r-fold product of the operators zero (None if none).
 
     Each operator is the tuple of its columns, column c listing the nonzero
-    (k, v) of its image of e_c.  The descending flag V_0 = k^n, V_{r+1} =
-    span{M v : M in operators, v in V_r} spans the images of all r-fold
-    products, so it reaches 0 exactly at r; once a step does not shrink it, it
-    never does.  For a single operator, reaching 0 is its nilpotency.  When
-    the operators span a Lie algebra of operators, Engel's theorem makes
-    reaching 0 equivalent to every operator in the span being nilpotent.  On
-    other sets it is not: {E12, E21} are nilpotent, but E12 + E21 is not.
+    (k, v) of its image of e_c.  The r-th term of their ``descending_flag``
+    spans the images of all r-fold products, so the index is the flag's
+    length when it reaches 0.  For a single operator, reaching 0 is its
+    nilpotency.  When the operators span a Lie algebra of operators, Engel's
+    theorem makes reaching 0 equivalent to every operator in the span being
+    nilpotent.  On other sets it is not: {E12, E21} are nilpotent, but
+    E12 + E21 is not.
     """
-    n = len(operators[0]) if operators else 0
-    # Each step is a list of sparse rows; M v sums the columns of M that v meets.
-    space = [{i: ONE} for i in range(n)]
-    for r in range(n + 1):
-        if not space:
-            return r
-        images = []
-        for v, columns in product(space, operators):
-            image = {}
-            _add_image(image, ONE, v.items(), columns)
-            images.append(image)
-        nxt = list(_eliminate(images).values())
-        if len(nxt) >= len(space):
-            return None
-        space = nxt
-    return None
+    flag = descending_flag(operators, len(operators[0]) if operators else 0)
+    return len(flag) - 1 if flag[-1].dim == 0 else None
 
 
 def _completeness(conn: FlatConnection) -> CompletenessEvidence:

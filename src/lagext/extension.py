@@ -98,16 +98,15 @@ class SymplecticLieAlgebra:
         return self.algebra.dim
 
     def omega_value(self, x: Vector, y: Vector) -> Fraction:
-        return sum(
-            (
-                x[p] * self.omega[p, q] * y[q]
-                for p in range(self.dim)
-                if x[p] != 0
-                for q in range(self.dim)
-                if y[q] != 0
-            ),
-            ZERO,
-        )
+        """omega(x, y), summed over the nonzero entries of x, y and omega."""
+        y_support = [(q, yq) for q, yq in enumerate(y) if yq]
+        total = ZERO
+        for xp, row in zip(x, self.omega.entries):
+            if xp:
+                for q, yq in y_support:
+                    if row[q]:
+                        total += xp * row[q] * yq
+        return total
 
     @cached_property
     def d_omega_result(self) -> "DOmegaResult":
@@ -548,10 +547,12 @@ def equivalence_map_psi(
                 _add(image, t, c * v)
         if image != _sparse(g2.algebra.bracket_vectors(cols[a], cols[b])):
             raise IntegrityError(f"bracket preservation fails at basis pair ({a+1},{b+1})")
-    if sigma.is_symmetric:
-        pulled = psi.transpose() @ g2.omega @ psi
-        if pulled != g1.omega:
-            raise IntegrityError("pullback of omega under a Lagrangian shift must be omega")
+    # (Psi^T omega Psi)[a][b] = omega(Psi e_a, Psi e_b): alternating, decided on a < b.
+    if sigma.is_symmetric and any(
+        g2.omega_value(cols[a], cols[b]) != g1.omega[a, b]
+        for a, b in combinations(range(total), 2)
+    ):
+        raise IntegrityError("pullback of omega under a Lagrangian shift must be omega")
     return psi
 
 
@@ -577,8 +578,11 @@ def adjusted_symplectic_form(
     t_hat = ExtensionTriple(triple.connection, alpha_hat)
     tau = sigma_l - sigma
     psi = equivalence_map_psi(t_bar, t_hat, tau)
-    base = standard_omega(triple.connection.dim)
-    adjusted = psi.transpose() @ base @ psi
+    # (Psi^T omega Psi)[a][b] = omega(Psi e_a, Psi e_b), omega the standard
+    # pairing form of the extension by alpha_hat.
+    g_hat = build_extension(t_hat)
+    cols = [psi.col(a) for a in range(psi.cols)]
+    adjusted = RatMatrix(tuple(tuple(g_hat.omega_value(x, y) for y in cols) for x in cols))
     if not adjusted.is_invertible():
         raise ValueError("adjusted form is degenerate")
     shifted = build_extension(t_bar)

@@ -14,6 +14,9 @@ first use; the dense tensor ``bracket`` is a view for tests and the
 benchmark.  Keeping them is sound because an algebra is immutable.  The
 constructor rejects a table that is not canonical (k out of order, or a c that
 is zero or not a Fraction), so equal tables mean equal brackets.
+
+The lower central series is the ``descending_flag`` of the ad_{e_j}, the
+planes of ``nonzero_brackets``; connection.py reads the flag of nabla's.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .linalg import (
+    ONE,
     RatMatrix,
     Subspace,
     Vector,
@@ -137,8 +141,9 @@ class LieAlgebra:
         return tuple(out)
 
     def is_ideal(self, sub: Subspace) -> bool:
+        """[g, sub] <= sub: every [e_j, v], v in the basis of sub, reduces to 0."""
         kept = dict(zip(sub.pivots, sub._rows))
-        return not any(_reduce(row, kept) for row in _ad_images(self, sub))
+        return not any(_reduce(row, kept) for row in _images(self.nonzero_brackets, sub._rows))
 
     def rename(self, name: str) -> "LieAlgebra":
         """The same algebra under another name, reading ``nonzero_brackets`` and
@@ -148,18 +153,35 @@ class LieAlgebra:
         return renamed
 
 
-def _ad_images(algebra: LieAlgebra, sub: Subspace):
-    """The nonzero brackets [v, e_j] for v in the basis of sub, as fresh sparse
-    rows; they span [sub, g]."""
-    table = algebra.nonzero_brackets
-    for v in sub._rows:
-        for j in range(algebra.dim):
+def _images(operators, rows):
+    """The nonzero M v for v in rows and M in operators (v outer), as fresh sparse
+    rows; M is the tuple of its columns, column c the nonzero (k, x) of M e_c."""
+    for v in rows:
+        for columns in operators:
             image = {}
-            for i, x in v.items():
-                for k, c in table[i][j]:
-                    _add(image, k, x * c)
+            for c, x in v.items():
+                for k, y in columns[c]:
+                    _add(image, k, x * y)
             if image:
                 yield image
+
+
+def descending_flag(operators, n: int) -> tuple[Subspace, ...]:
+    """V_0 = Q^n, V_{r+1} = span{M v : M in operators, v in V_r}, as echelon subspaces.
+
+    V_r spans the images of all r-fold products of the operators, so the flag
+    descends; it is listed down to 0, or to the last term before the first
+    step that does not shrink, after which it is constant.
+    """
+    flag = [Subspace.full(n)]
+    rows = [{c: ONE} for c in range(n)]
+    while rows:
+        nxt = _subspace(n, _images(operators, rows))
+        if nxt.dim == len(rows):
+            break
+        flag.append(nxt)
+        rows = nxt._rows
+    return tuple(flag)
 
 
 @dataclass(frozen=True)
@@ -213,28 +235,17 @@ def lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
 
 
 def _lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
-    # [g, C] is spanned by the [v, e_j] = -[e_j, v], v in C; the reduced
-    # echelon basis of a span does not depend on the spanning set.
-    series = [Subspace.full(algebra.dim)]
-    while True:
-        nxt = _subspace(algebra.dim, _ad_images(algebra, series[-1]))
-        if nxt.dim == series[-1].dim:
-            break
-        series.append(nxt)
-        if nxt.dim == 0:
-            break
-    return tuple(series)
+    # [g, C] is spanned by the [e_j, v], v in C: the flag of the ad_{e_j}.
+    return descending_flag(algebra.nonzero_brackets, algebra.dim)
 
 
 def derived_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
     series = [Subspace.full(algebra.dim)]
-    while True:
+    while series[-1].dim:
         nxt = bracket_of_subspaces(algebra, series[-1], series[-1])
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
-        if nxt.dim == 0:
-            break
     return tuple(series)
 
 

@@ -290,6 +290,10 @@ def _kernel(kept: dict, width: int) -> "Subspace":
     for p, row in kept.items():
         for j in row.keys() - {p}:
             vectors[j][p] = -row[j]
+    # These vectors are reduced on the free columns, not in echelon form with
+    # ascending pivots: for [[1, 1, 1]] they are (-1, 1, 0) and (-1, 0, 1),
+    # whose echelon basis is (1, 0, -1), (0, 1, -1).  So they are eliminated
+    # once more, to give the one reduced echelon basis of the kernel.
     return _subspace(width, vectors.values())
 
 

@@ -3,6 +3,8 @@
 A matrix product or a dense nilpotency power in connection.py would bring
 back the n x n products that the table of nonzero gamma entries replaced;
 the dense versions live on only as oracles in tests/test_sparse_oracles.py.
+extension.py has no matrix product either: it reads each entry of a pullback
+Psi^T omega Psi as omega(Psi e_a, Psi e_b).
 
 A connection is stored as that table (``FlatConnection.nonzero_gamma``); the
 dense ``.gamma`` tensor is a view decoded for tests and the benchmark, and
@@ -18,7 +20,6 @@ import lagext
 from test_lie_reads_nonzero_table import attribute_reads
 
 PACKAGE = Path(lagext.__file__).parent
-CONNECTION = PACKAGE / "connection.py"
 
 ALLOWED: set[str] = set()
 
@@ -35,7 +36,12 @@ def dense_operations(source: str) -> list[str]:
 
 
 def test_connection_module_has_no_matrix_products():
-    assert dense_operations(CONNECTION.read_text()) == []
+    assert dense_operations((PACKAGE / "connection.py").read_text()) == []
+
+
+def test_extension_module_has_no_matrix_products():
+    # Each entry of a pullback Psi^T omega Psi is read as omega(Psi e_a, Psi e_b).
+    assert dense_operations((PACKAGE / "extension.py").read_text()) == []
 
 
 def test_guard_sees_every_dense_form():
@@ -44,6 +50,7 @@ def test_guard_sees_every_dense_form():
         "power @= m",
         "nilpotent = tuple(m.is_nilpotent() for m in right)",
         "def f(m):\n    return m.right_mult().is_nilpotent()",
+        "pulled = psi.transpose() @ g2.omega @ psi",
     ):
         assert dense_operations(line), line
     assert dense_operations("@dataclass(frozen=True)\nclass A:\n    is_nilpotent: bool") == []

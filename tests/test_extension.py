@@ -16,9 +16,11 @@ from lagext.connection import (
     check_flat_torsion_free,
     dual_representation,
 )
+from lagext import extension
 from lagext.extension import (
     CocycleError,
     ExtensionTriple,
+    IntegrityError,
     SymplecticLieAlgebra,
     adjusted_symplectic_form,
     build_extension,
@@ -567,6 +569,35 @@ def test_psi_symmetric_sigma_preserves_omega():
     psi = equivalence_map_psi(t1, t2, sigma)
     omega = standard_omega(4)
     assert (psi.transpose() @ omega @ psi).entries == omega.entries
+
+
+def test_psi_rejects_a_shift_that_does_not_pull_omega_back(monkeypatch):
+    # The second extension carries 2 omega, so a symmetric sigma preserves the
+    # brackets but pulls 2 omega back to 2 omega, not omega.
+    t1 = triple("t_8")
+    t2 = ExtensionTriple(t1.connection, t1.cocycle)
+    targets = [t2]
+    built = extension.build_extension
+
+    def doubled(t, name=""):
+        s = built(t, name)
+        if not any(t is target for target in targets):
+            return s
+        omega = RatMatrix(tuple(tuple(2 * x for x in row) for row in s.omega.entries))
+        return SymplecticLieAlgebra(s.algebra, omega, s.lagrangian_ideal)
+
+    monkeypatch.setattr(extension, "build_extension", doubled)
+    symmetric = OneCochain.zero(4)
+    with pytest.raises(
+        IntegrityError, match="^pullback of omega under a Lagrangian shift must be omega$"
+    ):
+        equivalence_map_psi(t1, t2, symmetric)
+    # A sigma that is not symmetric is not held to the pullback identity.
+    rep = dual_representation(t1.connection)
+    sigma = OneCochain.unit(4, 0, 1)
+    shifted = ExtensionTriple(t1.connection, t1.cocycle - coboundary_1(rep, sigma))
+    targets.append(shifted)
+    assert equivalence_map_psi(t1, shifted, sigma).rows == 8
 
 
 def test_psi_rejects_unrelated_cocycles():

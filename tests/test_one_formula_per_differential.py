@@ -4,7 +4,10 @@
 ``_coboundary_1_images`` and ``_coboundary_2_rows``; a dense rho matrix
 (``.matrices``) anywhere in the package, or a ``RatMatrix.apply`` in
 cohomology.py, would bring back a second copy of a differential whose sign
-and ordering conventions could drift from the rows'.  The dense evaluators
+and ordering conventions could drift from the rows'.  So would a dense d1
+matrix: ``coboundary_image`` and ``solve_coboundary`` eliminate the d1 rows
+themselves, so cohomology.py calls neither ``solve_linear`` nor
+``.transpose()``.  The dense evaluators, the dense d1 matrix and its solve
 live on only as oracles in tests/test_sparse_oracles.py.
 
 A 2-cochain is its coordinate vector, the order those rows use; its dense
@@ -24,13 +27,15 @@ PACKAGE = Path(lagext.__file__).parent
 
 def dense_forms(source: str, calls: set[str], reads=frozenset({"matrices"})) -> list[str]:
     """Each read of ``.name`` for name in reads and each call of ``.name(...)``
-    for name in calls, line-tagged."""
+    or ``name(...)`` for name in calls, line-tagged."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in reads:
             found.append(f"line {node.lineno}: .{node.attr}")
-        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in calls:
-            found.append(f"line {node.lineno}: .{node.func.attr}(...)")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name in calls:
+                found.append(f"line {node.lineno}: {name}(...)")
     return found
 
 
@@ -46,6 +51,24 @@ def test_no_module_reads_a_two_cochain_tensor(name):
 
 def test_cohomology_applies_no_dense_matrix():
     assert dense_forms((PACKAGE / "cohomology.py").read_text(), {"apply"}) == []
+
+
+def test_cohomology_builds_no_dense_d1_matrix():
+    assert dense_forms((PACKAGE / "cohomology.py").read_text(), {"solve_linear", "transpose"}) == []
+
+
+def test_guard_sees_every_dense_d1_form():
+    for line in (
+        "coeffs = solve_linear(m, target)",
+        "coeffs = linalg.solve_linear(matrix_of_coboundary_1(rep, basis), target)",
+        "return RatMatrix(tuple(_dense(r, width) for r in images)).transpose()",
+        "images = matrix_of_coboundary_1(rep, basis).transpose().entries",
+    ):
+        assert dense_forms(line, {"solve_linear", "transpose"}), line
+    assert dense_forms(
+        "transpose = solve_linear = None\nkept = _eliminate(system)\nx = m.transpose",
+        {"solve_linear", "transpose"},
+    ) == []
 
 
 def test_guard_sees_every_dense_form():

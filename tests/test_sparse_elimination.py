@@ -28,10 +28,7 @@ from lagext.cohomology import (
     cocycle_bases,
     cohomology,
     cyclic_sum_matrix,
-    matrix_of_coboundary_1,
     matrix_of_coboundary_2,
-    one_cochain_basis,
-    symmetric_one_cochain_basis,
 )
 from lagext.connection import FlatConnection, check_flat_torsion_free, dual_representation
 from lagext.extension import ExtensionTriple, build_extension, canonical_connection
@@ -46,6 +43,7 @@ from lagext.linalg import (
     solve_linear,
     vec,
 )
+from test_sparse_oracles import frozen_d1_basis, frozen_matrix_of_coboundary_1
 
 # ``lagext.cohomology`` the attribute is the function; these are the modules.
 cohomology_module = importlib.import_module("lagext.cohomology")
@@ -143,8 +141,8 @@ def frozen_cocycle_bases(rep):
 
 
 def frozen_coboundary_image(rep, lagrangian):
-    basis = symmetric_one_cochain_basis(rep.dim) if lagrangian else one_cochain_basis(rep.dim)
-    images = matrix_of_coboundary_1(rep, basis).transpose().entries
+    basis = frozen_d1_basis(rep.dim, lagrangian)
+    images = frozen_matrix_of_coboundary_1(rep, basis).transpose().entries
     width = (rep.dim * (rep.dim - 1) // 2) * rep.dim
     return frozen_from_vectors(width, images)
 

@@ -48,8 +48,20 @@ connection as it was before it was stored as its nonzero gamma table: the
 dense n^3 tensor with its shape scan, built by ``from_entries`` through
 ``freeze_tensor``, the table derived back from it, and the induced bracket
 read off the dense tensor.
+
+``frozen_one_cochain_basis``, ``frozen_symmetric_one_cochain_basis``,
+``frozen_coboundary_1_images``, ``frozen_matrix_of_coboundary_1``,
+``frozen_coboundary_image`` and ``frozen_solve_coboundary`` are the d1 path
+as it was before the C^1 bases became sparse coordinate rows: dense
+``OneCochain`` bases, their images densified into the d1 matrix, and the
+coboundary solve by ``solve_linear`` on that matrix.  ``frozen_adjusted_form``
+is the adjusted symplectic form as the dense pullback psi^T omega psi.
+``dense_lower_central_series`` and ``frozen_uniform_nilindex`` are dense
+references for the two readings of ``lie.descending_flag``, the lower
+central series and the uniform nilindex.
 """
 
+import importlib
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction as F
@@ -70,12 +82,14 @@ from lagext.cohomology import (
     OneCochain,
     ThreeCochain,
     TwoCochain,
+    _one_cochain_rows,
     coboundary_1,
     coboundary_2,
     coboundary_image,
     cocycle_bases,
     cohomology,
     pair_list,
+    solve_coboundary,
     triple_list,
     two_cochain_from_coefficients,
 )
@@ -85,6 +99,7 @@ from lagext.connection import (
     FlatConnection,
     _completeness,
     _dual,
+    _uniform_nilindex,
     check_flat_torsion_free,
     dual_representation,
     induced_bracket,
@@ -96,12 +111,14 @@ from lagext.extension import (
     IntegrityError,
     NilpotencyCertificate,
     SymplecticLieAlgebra,
+    adjusted_symplectic_form,
     build_extension,
     canonical_connection,
     d_omega,
     equivalence_map_psi,
     induced_flat_connection,
     is_lagrangian_ideal,
+    standard_omega,
     symplectic_orthogonal,
 )
 from lagext.lie import (
@@ -109,6 +126,7 @@ from lagext.lie import (
     center,
     check_jacobi,
     derivation_space,
+    descending_flag,
     lower_central_series,
     nilpotency_class,
     quotient_algebra,
@@ -123,6 +141,7 @@ from lagext.linalg import (
     _pair_value,
     _quotient_rows,
     _sparse,
+    _subspace,
     is_zero_vector,
     kernel_basis,
     solve_linear,
@@ -134,6 +153,9 @@ from lagext.linalg import (
     zero_vector,
 )
 from lagext.sampling import random_rational, rng_for
+
+# ``lagext.cohomology`` the attribute is the function; this is the module.
+cohomology_module = importlib.import_module("lagext.cohomology")
 
 
 def typed(value):
@@ -1644,3 +1666,235 @@ def test_flat_connection_matches_frozen_dense_class_in_low_dimension(n):
             DenseFlatConnection.from_entries(base, entries, (("mu", F(n)),), "low"),
         ))
     assert_connections_match_dense(twins)
+
+
+# ---------------------------------------------------------------------------
+# the dense d1 path and the two flag loops
+# ---------------------------------------------------------------------------
+
+
+def frozen_one_cochain_basis(n):
+    """Matrix units in row-major order (the canonical C^1 coordinates)."""
+    return [OneCochain.unit(n, i, k) for i in range(n) for k in range(n)]
+
+
+def frozen_symmetric_one_cochain_basis(n):
+    """Basis of C^1_L: E_ii, then E_ik + E_ki for i < k, lex order."""
+    basis = []
+    for i in range(n):
+        for k in range(i, n):
+            rows = [[F(0)] * n for _ in range(n)]
+            rows[i][k] = F(1)
+            rows[k][i] = F(1)
+            basis.append(OneCochain.from_rows(rows))
+    return basis
+
+
+def frozen_coboundary_1_images(rep, basis):
+    """Flattened d(sigma) for each dense 1-cochain sigma in basis, as sparse rows."""
+    n = rep.dim
+    pairs = pair_list(n)
+    blocks = {}
+    for p, (i, j) in enumerate(pairs):
+        blocks[(i, j)] = (p * n, 1)
+        blocks[(j, i)] = (p * n, -1)
+    rho_cols = [[[(t, v) for t, c, v in entries if c == b] for b in range(n)]
+                for entries in rep.nonzero_entries]
+    bracket_into = [[] for _ in range(n)]
+    table = rep.connection.base.nonzero_brackets
+    for p, (i, j) in enumerate(pairs):
+        for a, coeff in table[i][j]:
+            bracket_into[a].append((p * n, coeff))
+    images = []
+    for sigma in basis:
+        col = {}
+        for a, row in enumerate(sigma.entries):
+            for b, v in enumerate(row):
+                if not v:
+                    continue
+                for x in range(n):
+                    if x == a:
+                        continue
+                    start, sign = blocks[(x, a)]
+                    for t, value in rho_cols[x][b]:
+                        col[start + t] = col.get(start + t, ZERO) + sign * v * value
+                for start, coeff in bracket_into[a]:
+                    col[start + b] = col.get(start + b, ZERO) - v * coeff
+        images.append({j: x for j, x in col.items() if x})
+    return images
+
+
+def frozen_matrix_of_coboundary_1(rep, basis=None):
+    """Columns = flattened images of the given C^1 basis (default: matrix units)."""
+    if basis is None:
+        basis = frozen_one_cochain_basis(rep.dim)
+    width = len(pair_list(rep.dim)) * rep.dim
+    return RatMatrix(
+        tuple(_dense(r, width) for r in frozen_coboundary_1_images(rep, basis))
+    ).transpose()
+
+
+def frozen_d1_basis(n, lagrangian):
+    return frozen_symmetric_one_cochain_basis(n) if lagrangian else frozen_one_cochain_basis(n)
+
+
+def frozen_coboundary_image(rep, lagrangian):
+    """B^2 (or B^2_L): the span of the columns of the dense d1 matrix."""
+    width = len(pair_list(rep.dim)) * rep.dim
+    return _subspace(width, frozen_coboundary_1_images(rep, frozen_d1_basis(rep.dim, lagrangian)))
+
+
+def frozen_solve_coboundary(rep, alpha, beta, lagrangian_only=False):
+    """sigma with beta = alpha - d(sigma), by ``solve_linear`` on the dense d1 matrix."""
+    n = rep.dim
+    basis = frozen_d1_basis(n, lagrangian_only)
+    m = frozen_matrix_of_coboundary_1(rep, basis)
+    target = (alpha - beta).flatten()
+    coeffs = solve_linear(m, target)
+    if coeffs is None:
+        return None
+    rows = [[ZERO] * n for _ in range(n)]
+    for coeff, cochain in zip(coeffs, basis):
+        if coeff != 0:
+            for i in range(n):
+                for k in range(n):
+                    rows[i][k] += coeff * cochain.entries[i][k]
+    return OneCochain.from_rows(rows)
+
+
+def typed_cochain(sigma):
+    return typed(None if sigma is None else sigma.entries)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_one_cochain_rows_are_the_frozen_bases(n):
+    for lagrangian in (False, True):
+        rows = _one_cochain_rows(n, lagrangian)
+        assert rows == [_sparse(s.flatten()) for s in frozen_d1_basis(n, lagrangian)]
+        assert all(type(x) is F for row in rows for x in row.values())
+
+
+def d1_targets(rep, rng):
+    """(alpha, beta) pairs: shifts by seeded sigmas of three Z2 classes, and
+    pairs that are not cohomologous (an H2 representative; a non-cocycle)."""
+    n = rep.dim
+    z2, z2l = cocycle_bases(rep)
+    alphas = [TwoCochain.zero(n)]
+    for space in (z2l, z2):
+        coeffs = tuple(random_rational(rng) for _ in range(space.dim))
+        alphas.append(two_cochain_from_coefficients(space, coeffs, n))
+    pairs = [
+        (alpha, alpha - coboundary_1(rep, sigma))
+        for alpha in alphas
+        for sigma in seeded_one_cochains(n, rng)
+    ]
+    summary = cohomology(rep)
+    for r in summary.h2_representatives[:1] + summary.h2_lagrangian_representatives[:1]:
+        pairs.append((r, TwoCochain.zero(n)))
+    off = {pair: tuple(random_rational(rng) for _ in range(n)) for pair in pair_list(n)}
+    pairs.append((TwoCochain.from_pairs(n, off), TwoCochain.zero(n)))
+    return pairs
+
+
+def assert_d1_matches_frozen(rep, rng, monkeypatch):
+    """B^2, B^2_L, the cohomology summary and every solve against the dense d1 path.
+
+    Returns how often each flag found a sigma and how often it found none.
+    """
+    for lagrangian in (False, True):
+        assert typed(coboundary_image(rep, lagrangian)) == typed(
+            frozen_coboundary_image(rep, lagrangian)
+        )
+    summary = cohomology(rep)
+    with monkeypatch.context() as m:
+        m.setattr(cohomology_module, "coboundary_image", frozen_coboundary_image)
+        assert repr(summary) == repr(cohomology(rep))
+    seen = Counter()
+    for alpha, beta in d1_targets(rep, rng):
+        for flag in (False, True):
+            sigma = solve_coboundary(rep, alpha, beta, flag)
+            assert typed_cochain(sigma) == typed_cochain(
+                frozen_solve_coboundary(rep, alpha, beta, flag)
+            )
+            seen[flag, sigma is None] += 1
+    return seen
+
+
+def test_d1_matches_frozen_dense_path_on_every_flat_sample_and_canonical_connection(monkeypatch):
+    rng = rng_for(103, "sparse-oracles-d1")
+    reps = [dual_representation(conn) for conn in flat_catalog_samples()]
+    for label in ("l_26", "t_8"):
+        ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
+        reps.append(dual_representation(canonical_connection(ext)))
+    seen = Counter()
+    for rep in reps:
+        seen += assert_d1_matches_frozen(rep, rng, monkeypatch)
+    assert len(reps) == 110
+    # Both flags find a sigma and find none.
+    assert len(seen) == 4, seen
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_solve_coboundary_matches_frozen_on_the_zero_representation(n):
+    rep = dual_representation(FlatConnection.zero(LieAlgebra.abelian(n)))
+    zero = TwoCochain.zero(n)
+    unit = TwoCochain.unflatten(n, [F(int(c == 0)) for c in range(len(pair_list(n)) * n)])
+    for alpha in [zero, unit] if n else [zero]:
+        for flag in (False, True):
+            assert typed_cochain(solve_coboundary(rep, alpha, zero, flag)) == typed_cochain(
+                frozen_solve_coboundary(rep, alpha, zero, flag)
+            )
+
+
+def test_solve_coboundary_raises_as_the_frozen_path_on_a_cochain_of_another_dimension():
+    rep = dual_representation(connection_for("l_26"))
+    alpha = TwoCochain.zero(3)
+    for solve in (solve_coboundary, frozen_solve_coboundary):
+        with pytest.raises(ValueError, match="^right-hand side length does not match row count$"):
+            solve(rep, alpha, alpha)
+
+
+def zero_columns(n):
+    """An operator on Q^n that is zero, as its n empty columns."""
+    return ((),) * n
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_descending_flag_on_no_operators_and_zero_operators(n):
+    """n = 0, no operators and zero operators: the flag is Q^n, then 0 if n > 0,
+    the series of the abelian algebra, and the index is that of a zero matrix."""
+    abelian = dense_lower_central_series(LieAlgebra.abelian(n))
+    for operators in ((), (zero_columns(n),), (zero_columns(n),) * 2):
+        flag = descending_flag(operators, n)
+        assert typed(flag) == typed(abelian)
+        assert len(flag) - 1 == frozen_uniform_nilindex([RatMatrix.zero(n, n)])
+    assert typed(descending_flag(LieAlgebra.abelian(n).nonzero_brackets, n)) == typed(abelian)
+    assert _uniform_nilindex([zero_columns(n)]) == frozen_uniform_nilindex([RatMatrix.zero(n, n)])
+    # No operators at all: the index of the empty set is 0, as n is read off them.
+    assert _uniform_nilindex([]) == 0
+
+
+def frozen_adjusted_form(triple, sigma, sigma_l):
+    """The adjusted form as the dense pullback psi^T omega psi of the standard form."""
+    rep = dual_representation(triple.connection)
+    t_bar = ExtensionTriple(triple.connection, triple.cocycle - coboundary_1(rep, sigma))
+    t_hat = ExtensionTriple(triple.connection, triple.cocycle - coboundary_1(rep, sigma_l))
+    psi = frozen_psi(t_bar, t_hat, sigma_l - sigma)
+    return psi.transpose() @ standard_omega(triple.connection.dim) @ psi
+
+
+def test_pullbacks_match_frozen_dense_products_on_every_flat_row():
+    """equivalence_map_psi with a symmetric and a non-symmetric sigma, and the
+    adjusted form, against the dense products, on every flat row's zero class."""
+    rng = rng_for(107, "sparse-oracles-pullback")
+    checked = 0
+    for conn in flat_catalog_samples(1):
+        triple = ExtensionTriple.with_zero_cocycle(conn)
+        sigma, symmetric, _ = seeded_one_cochains(conn.dim, rng)
+        for s in (sigma, symmetric):
+            assert_psi_matches_frozen(triple, s)
+        assert typed(adjusted_symplectic_form(triple, sigma, symmetric)) == typed(
+            frozen_adjusted_form(triple, sigma, symmetric)
+        )
+        checked += 1
+    assert checked == 64
