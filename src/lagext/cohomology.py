@@ -392,7 +392,7 @@ def cohomology(rep: DualRep) -> CohomologySummary:
     h2_reps = _quotient_rows(z2, b2)
     h2l_reps = _quotient_rows(z2l, b2l)
     natural_rank = z2l.sum(b2).dim - b2.dim
-    summary = CohomologySummary(
+    return CohomologySummary(
         dim_c1=n * n,
         dim_c1_lagrangian=n * (n + 1) // 2,
         dim_z2=z2.dim,
@@ -405,9 +405,6 @@ def cohomology(rep: DualRep) -> CohomologySummary:
         h2_representatives=tuple(_two_cochain_from_row(n, r) for r in h2_reps),
         h2_lagrangian_representatives=tuple(_two_cochain_from_row(n, r) for r in h2l_reps),
     )
-    assert summary.dim_h2 == len(summary.h2_representatives)
-    assert summary.dim_h2_lagrangian == len(summary.h2_lagrangian_representatives)
-    return summary
 
 
 def solve_coboundary(
@@ -425,9 +422,9 @@ def solve_coboundary(
     pivot-supported solution in the chosen basis coordinates.
     """
     n = rep.dim
+    if alpha.dim != n or beta.dim != n:
+        raise ValueError("cochain dimension does not match the representation")
     target = (alpha - beta).flatten()
-    if len(target) != len(pair_list(n)) * n:
-        raise ValueError("right-hand side length does not match row count")
     basis = _one_cochain_rows(n, lagrangian_only)
     rhs = len(basis)
     system = [{rhs: x} if x else {} for x in target]
@@ -453,7 +450,7 @@ def two_cochain_from_coefficients(
     if len(coefficients) != space.dim:
         raise ValueError("coefficient count does not match basis size")
     total: dict[int, Fraction] = {}
-    for coeff, row in zip(coefficients, space._rows):
+    for coeff, row in zip(coefficients, space.rows):
         if coeff:
             for t, x in row.items():
                 total[t] = total.get(t, ZERO) + coeff * x

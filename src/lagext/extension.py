@@ -11,6 +11,10 @@ in the ordered basis (e_1..e_n, e^1..e^n), and the pairing form
 omega(e_i, e^j) = -delta_ij, i.e. the block matrix [[0, -I], [I, 0]].
 The dual copy h* is always an abelian ideal; it is Lagrangian and normal,
 and quotienting by it recovers the connection exactly.
+
+A form is stored as its coordinates over the pairs i < j and read through
+its sparse rows; subspaces (J, its orthogonal) are read through their
+sparse echelon rows.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .connection import (
 from .lie import (
     LieAlgebra,
     NonzeroTable,
+    _images,
     lower_central_series,
     nilpotency_class,
     quotient_algebra,
@@ -49,9 +54,11 @@ from .linalg import (
     Vector,
     ZERO,
     _add,
+    _dense,
+    _eliminate,
+    _kernel,
     _sparse,
     format_rational,
-    kernel_basis,
     unit_vector,
 )
 
@@ -71,80 +78,97 @@ class IntegrityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SymplecticLieAlgebra:
-    """A Lie algebra with a candidate symplectic form.
+    """A Lie algebra with a candidate symplectic form, stored as ``form``.
 
+    ``form`` lists omega(e_i, e_j) for the pairs i < j of
+    ``combinations(range(dim), 2)``, the order of ``LieAlgebra.pairs``.
     Construction does not assert closedness; use ``d_omega`` /
-    ``validate`` to check dw = 0 and non-degeneracy.  dw of the algebra's own
+    ``validate`` to check dw = 0 and non-degeneracy.  The sparse rows of the
+    form (``omega_rows``), its dense matrix (``omega``, a view), dw of the
     form (``d_omega_result``) and the classification of ``lagrangian_ideal``
     (``ideal_verdict``) are computed on first use and kept, as the algebra and
     the form are immutable.
     """
 
     algebra: LieAlgebra
-    omega: RatMatrix
+    form: tuple[Fraction, ...]
     lagrangian_ideal: Subspace | None = None
 
     def __post_init__(self):
         n = self.algebra.dim
-        if self.omega.rows != n or self.omega.cols != n:
+        if len(self.form) != n * (n - 1) // 2:
             raise ValueError("omega shape does not match algebra dimension")
-        for i in range(n):
-            for j in range(i, n):
-                if self.omega[i, j] != -self.omega[j, i]:
-                    raise ValueError("omega is not antisymmetric")
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
 
+    @cached_property
+    def omega_rows(self) -> tuple[dict[int, Fraction], ...]:
+        """Row p of omega as {q: omega(e_p, e_q)} over its nonzero entries, q ascending."""
+        rows = [{} for _ in range(self.dim)]
+        for (i, j), x in zip(combinations(range(self.dim), 2), self.form):
+            if x:
+                rows[i][j] = x
+                rows[j][i] = -x
+        return tuple(rows)
+
+    @cached_property
+    def omega(self) -> RatMatrix:
+        """The dense matrix of the form, a read-only view decoded once."""
+        return RatMatrix(tuple(_dense(row, self.dim) for row in self.omega_rows))
+
     def omega_value(self, x: Vector, y: Vector) -> Fraction:
         """omega(x, y), summed over the nonzero entries of x, y and omega."""
-        y_support = [(q, yq) for q, yq in enumerate(y) if yq]
-        total = ZERO
-        for xp, row in zip(x, self.omega.entries):
-            if xp:
-                for q, yq in y_support:
-                    if row[q]:
-                        total += xp * row[q] * yq
-        return total
+        y_terms = [(q, yq) for q, yq in enumerate(y) if yq]
+        return sum((xp * self._omega_on(p, y_terms) for p, xp in enumerate(x) if xp), ZERO)
+
+    def _omega_on(self, p: int, terms) -> Fraction:
+        """omega(e_p, v) for v the sum of c e_q over (q, c) in terms."""
+        row = self.omega_rows[p]
+        return sum((row[q] * c for q, c in terms if q in row), ZERO)
 
     @cached_property
     def d_omega_result(self) -> "DOmegaResult":
-        """dw of ``omega`` on every basis triple, computed once per instance."""
-        return _d_omega(self.algebra, self.omega)
+        """dw of the form on every basis triple, computed once per instance.
+
+        dw(e_i, e_j, e_k) = w(e_i, [e_j, e_k]) + w(e_j, [e_k, e_i]) + w(e_k, [e_i, e_j]),
+        each term summed over the nonzero structure constants of the bracket
+        and the nonzero entries of the row of omega.
+        """
+        table = self.algebra.nonzero_brackets
+        w = self._omega_on
+        return DOmegaResult(tuple(
+            ((i + 1, j + 1, k + 1), w(i, table[j][k]) + w(j, table[k][i]) + w(k, table[i][j]))
+            for i, j, k in combinations(range(self.dim), 3)
+        ))
 
     @cached_property
     def ideal_verdict(self) -> "IdealVerdict":
         """The classification of ``lagrangian_ideal``, computed once per instance."""
         return _classify_ideal(self, self.lagrangian_ideal)
 
+    def is_nondegenerate(self) -> bool:
+        """omega has full rank, decided by one elimination of its sparse rows."""
+        return len(_eliminate([dict(row) for row in self.omega_rows])) == self.dim
+
     def validate(self) -> None:
         """Raise ValueError unless omega is invertible and closed."""
-        if not self.omega.is_invertible():
+        if not self.is_nondegenerate():
             raise ValueError("omega is degenerate")
         witness = self.d_omega_result.first_witness()
         if witness:
             raise ValueError(f"omega is not closed: {witness}")
 
 
-def standard_omega(n: int) -> RatMatrix:
-    """[[0, -I], [I, 0]] on (e_1..e_n, e^1..e^n)."""
-    one = Fraction(1)
-    rows = []
-    for i in range(n):
-        row = [ZERO] * (2 * n)
-        row[n + i] = -one
-        rows.append(tuple(row))
-    for i in range(n):
-        row = [ZERO] * (2 * n)
-        row[i] = one
-        rows.append(tuple(row))
-    return RatMatrix(tuple(rows))
+def standard_form(n: int) -> tuple[Fraction, ...]:
+    """[[0, -I], [I, 0]] on (e_1..e_n, e^1..e^n), as its pair coordinates."""
+    return tuple(-ONE if j == n + i else ZERO for i, j in combinations(range(2 * n), 2))
 
 
 def dual_subspace(n: int) -> Subspace:
     """span(e^1..e^n) inside the 2n-dimensional extension."""
-    return Subspace.from_vectors(2 * n, [unit_vector(2 * n, n + i) for i in range(n)])
+    return Subspace(2 * n, tuple({n + i: ONE} for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -190,7 +214,7 @@ def build_extension(triple: ExtensionTriple, name: str = "") -> SymplecticLieAlg
     if not name:
         return extension
     return SymplecticLieAlgebra(
-        extension.algebra.rename(name), extension.omega, extension.lagrangian_ideal
+        extension.algebra.rename(name), extension.form, extension.lagrangian_ideal
     )
 
 
@@ -225,7 +249,7 @@ def _build(triple: ExtensionTriple) -> SymplecticLieAlgebra:
     algebra = require_jacobi(
         LieAlgebra(2 * n, tuple(pairs), f"ext({conn.label or 'conn'})")
     )
-    return SymplecticLieAlgebra(algebra, standard_omega(n), dual_subspace(n))
+    return SymplecticLieAlgebra(algebra, standard_form(n), dual_subspace(n))
 
 
 @dataclass(frozen=True)
@@ -250,38 +274,24 @@ class DOmegaResult:
 def d_omega(s: SymplecticLieAlgebra, omega: RatMatrix | None = None) -> DOmegaResult:
     """Chevalley-Eilenberg differential of omega on all basis triples.
 
-    dw(e_i, e_j, e_k) = w(e_i, [e_j, e_k]) + w(e_j, [e_k, e_i]) + w(e_k, [e_i, e_j]),
-    each term summed over the nonzero structure constants of the bracket and
-    the nonzero entries of the row of omega.  Without ``omega``, of the
-    algebra's own form: that one is computed once and kept as
-    ``s.d_omega_result``.  An explicit ``omega`` is computed afresh.
+    Without ``omega``, of the algebra's own form: that one is computed once
+    and kept as ``s.d_omega_result``.  An explicit dense ``omega`` is checked
+    square of the algebra's size and antisymmetric, and computed afresh.
     """
     if omega is None:
         return s.d_omega_result
-    return _d_omega(s.algebra, omega)
+    return SymplecticLieAlgebra(s.algebra, _form_of(omega, s.dim)).d_omega_result
 
 
-def _d_omega(algebra: LieAlgebra, omega: RatMatrix) -> DOmegaResult:
-    n = algebra.dim
-    table = algebra.nonzero_brackets
-    w = _omega_on_brackets(omega)
-    out = []
-    for i, j, k in combinations(range(n), 3):
-        value = w(i, table[j][k]) + w(j, table[k][i]) + w(k, table[i][j])
-        out.append(((i + 1, j + 1, k + 1), value))
-    return DOmegaResult(tuple(out))
-
-
-def _omega_on_brackets(omega: RatMatrix):
-    """w(p, terms) = omega(e_p, v) for v the sum of c e_q over (q, c) in terms,
-    summed over the nonzero entries of row p of omega."""
-    rows = [{q: x for q, x in enumerate(row) if x} for row in omega.entries]
-
-    def w(p: int, terms) -> Fraction:
-        row = rows[p]
-        return sum((row[q] * c for q, c in terms if q in row), ZERO)
-
-    return w
+def _form_of(omega: RatMatrix, n: int) -> tuple[Fraction, ...]:
+    """The pair coordinates of a dense n x n antisymmetric omega."""
+    if omega.rows != n or omega.cols != n:
+        raise ValueError("omega shape does not match algebra dimension")
+    for i in range(n):
+        for j in range(i, n):
+            if omega[i, j] != -omega[j, i]:
+                raise ValueError("omega is not antisymmetric")
+    return tuple(omega[i, j] for i, j in combinations(range(n), 2))
 
 
 def _omega_solve(s: SymplecticLieAlgebra, lifts, tests) -> NonzeroTable:
@@ -295,9 +305,9 @@ def _omega_solve(s: SymplecticLieAlgebra, lifts, tests) -> NonzeroTable:
     every u.
     The pairing omega(e_{l_t}, u) is inverted once (ValueError when singular);
     each [e_{l_a}, u] is read off ``nonzero_brackets`` once per (a, u), and
-    each omega value through ``_omega_on_brackets``.
+    each omega value through ``SymplecticLieAlgebra._omega_on``.
     """
-    w = _omega_on_brackets(s.omega)
+    w = s._omega_on
     inverse = RatMatrix(tuple(tuple(w(t, u.items()) for t in lifts) for u in tests)).inverse()
     # columns[u]: the nonzero (k, v) of column u of the inverse
     columns = [[(k, v) for k, v in enumerate(col) if v] for col in zip(*inverse.entries)]
@@ -329,11 +339,13 @@ class IdealVerdict:
 
 
 def symplectic_orthogonal(s: SymplecticLieAlgebra, j: Subspace) -> Subspace:
-    """{v : omega(v, u) = 0 for all u in J}."""
-    if j.dim == 0:
-        return Subspace.full(s.dim)
-    rows = [s.omega.apply(u) for u in j.basis]
-    return kernel_basis(RatMatrix(tuple(rows)))
+    """{v : omega(u, v) = 0 for all u in J}: the kernel of the rows omega(u, .),
+    the images of J's echelon rows under the operator whose column p is row p
+    of omega.  A nonzero J of another ambient dimension raises."""
+    if j.dim and j.ambient_dim != s.dim:
+        raise ValueError("vector length does not match column count")
+    operator = tuple(row.items() for row in s.omega_rows)
+    return _kernel(_eliminate(_images((operator,), j.rows)), s.dim)
 
 
 def is_lagrangian_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
@@ -349,13 +361,13 @@ def is_lagrangian_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
 
 
 def _classify_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
-    normal = s.algebra.is_ideal(symplectic_orthogonal(s, j))
-    isotropic = all(
-        s.omega_value(u, v) == 0 for u in j.basis for v in j.basis
-    )
-    if not isotropic:
+    perp = symplectic_orthogonal(s, j)
+    normal = s.algebra.is_ideal(perp)
+    # J is isotropic iff it lies in its orthogonal.
+    if not all(perp.contains(u) for u in j.basis):
         return IdealVerdict("not_isotropic", normal)
-    if not s.algebra.is_ideal(j):
+    # A Lagrangian J is its own orthogonal, whose ideal check is just made.
+    if not (normal if perp == j else s.algebra.is_ideal(j)):
         return IdealVerdict("not_ideal", normal)
     if 2 * j.dim == s.dim:
         return IdealVerdict("lagrangian", normal)
@@ -383,14 +395,9 @@ def symplectic_reduction(s: SymplecticLieAlgebra, j: Subspace) -> SymplecticLieA
     perp_algebra = LieAlgebra.from_brackets(r, sub, name=f"{s.algebra.name}|perp")
     j_inside = Subspace.from_vectors(r, [perp.coordinates(u) for u in j.basis])
     reduced = quotient_algebra(perp_algebra, j_inside, name=f"{s.algebra.name}/red")
-
-    keep = j_inside.complement_coordinates()
-    lifts = [perp.basis[t] for t in keep]
-    omega_rows = [
-        tuple(s.omega_value(x, y) for y in lifts) for x in lifts
-    ]
-    reduced_omega = RatMatrix(tuple(omega_rows))
-    result = SymplecticLieAlgebra(reduced, reduced_omega)
+    lifts = [perp.basis[t] for t in j_inside.complement_coordinates()]
+    form = tuple(s.omega_value(lifts[a], lifts[b]) for a, b in combinations(range(len(lifts)), 2))
+    result = SymplecticLieAlgebra(reduced, form)
     if reduced.dim:
         result.validate()
     return result
@@ -407,7 +414,7 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
         raise ValueError(f"induced connection requires a Lagrangian ideal, got {verdict.status}")
     quotient = quotient_algebra(s.algebra, j, name=f"{s.algebra.name}/ideal")
     try:
-        gamma = _omega_solve(s, j.complement_coordinates(), j._rows)
+        gamma = _omega_solve(s, j.complement_coordinates(), j.rows)
     except ValueError:
         raise ValueError("pairing between quotient and ideal is degenerate") from None
     conn = FlatConnection(quotient, gamma, label=f"induced({s.algebra.name})")
@@ -549,8 +556,8 @@ def equivalence_map_psi(
             raise IntegrityError(f"bracket preservation fails at basis pair ({a+1},{b+1})")
     # (Psi^T omega Psi)[a][b] = omega(Psi e_a, Psi e_b): alternating, decided on a < b.
     if sigma.is_symmetric and any(
-        g2.omega_value(cols[a], cols[b]) != g1.omega[a, b]
-        for a, b in combinations(range(total), 2)
+        g2.omega_value(cols[a], cols[b]) != x
+        for (a, b), x in zip(combinations(range(total), 2), g1.form)
     ):
         raise IntegrityError("pullback of omega under a Lagrangian shift must be omega")
     return psi
@@ -579,14 +586,14 @@ def adjusted_symplectic_form(
     tau = sigma_l - sigma
     psi = equivalence_map_psi(t_bar, t_hat, tau)
     # (Psi^T omega Psi)[a][b] = omega(Psi e_a, Psi e_b), omega the standard
-    # pairing form of the extension by alpha_hat.
+    # pairing form of the extension by alpha_hat, read on the pairs a < b.
     g_hat = build_extension(t_hat)
     cols = [psi.col(a) for a in range(psi.cols)]
-    adjusted = RatMatrix(tuple(tuple(g_hat.omega_value(x, y) for y in cols) for x in cols))
-    if not adjusted.is_invertible():
+    form = tuple(g_hat.omega_value(cols[a], cols[b]) for a, b in combinations(range(len(cols)), 2))
+    adjusted = SymplecticLieAlgebra(build_extension(t_bar).algebra, form)
+    if not adjusted.is_nondegenerate():
         raise ValueError("adjusted form is degenerate")
-    shifted = build_extension(t_bar)
-    witness = d_omega(shifted, adjusted).first_witness()
+    witness = adjusted.d_omega_result.first_witness()
     if witness:
         raise IntegrityError(f"adjusted form is not closed on the shifted extension: {witness}")
-    return adjusted
+    return adjusted.omega

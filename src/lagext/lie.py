@@ -27,7 +27,6 @@ from functools import cached_property
 from itertools import combinations
 
 from .linalg import (
-    ONE,
     RatMatrix,
     Subspace,
     Vector,
@@ -142,8 +141,8 @@ class LieAlgebra:
 
     def is_ideal(self, sub: Subspace) -> bool:
         """[g, sub] <= sub: every [e_j, v], v in the basis of sub, reduces to 0."""
-        kept = dict(zip(sub.pivots, sub._rows))
-        return not any(_reduce(row, kept) for row in _images(self.nonzero_brackets, sub._rows))
+        kept = dict(zip(sub.pivots, sub.rows))
+        return not any(_reduce(row, kept) for row in _images(self.nonzero_brackets, sub.rows))
 
     def rename(self, name: str) -> "LieAlgebra":
         """The same algebra under another name, reading ``nonzero_brackets`` and
@@ -174,13 +173,11 @@ def descending_flag(operators, n: int) -> tuple[Subspace, ...]:
     step that does not shrink, after which it is constant.
     """
     flag = [Subspace.full(n)]
-    rows = [{c: ONE} for c in range(n)]
-    while rows:
-        nxt = _subspace(n, _images(operators, rows))
-        if nxt.dim == len(rows):
+    while flag[-1].dim:
+        nxt = _subspace(n, _images(operators, flag[-1].rows))
+        if nxt.dim == flag[-1].dim:
             break
         flag.append(nxt)
-        rows = nxt._rows
     return tuple(flag)
 
 
@@ -332,16 +329,16 @@ def quotient_algebra(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> Li
     if not algebra.is_ideal(ideal):
         raise ValueError("subspace is not an ideal")
     keep = ideal.complement_coordinates()
+    position = {k: t for t, k in enumerate(keep)}
+    kept = dict(zip(ideal.pivots, ideal.rows))
     table = algebra.nonzero_brackets
-    entries = {}
-    for a, b in combinations(range(len(keep)), 2):
-        terms = table[keep[a]][keep[b]]
-        if terms:
-            # Reduction against the ideal's echelon basis leaves support on
-            # non-pivot coordinates only.
-            w = ideal.reduce(_dense(dict(terms), algebra.dim))
-            entries[a, b] = [w[k] for k in keep]
-    return require_jacobi(LieAlgebra.from_brackets(len(keep), entries, name))
+    # Reduction against the ideal's echelon rows leaves support on the
+    # non-pivot coordinates only, and drops the terms that cancel.
+    pairs = tuple(
+        tuple(sorted((position[k], c) for k, c in _reduce(dict(table[a][b]), kept).items()))
+        for a, b in combinations(keep, 2)
+    )
+    return require_jacobi(LieAlgebra(len(keep), pairs, name))
 
 
 def transform(algebra: LieAlgebra, p: RatMatrix, name: str = "") -> LieAlgebra:

@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator).  Matrices and subspace bases are dense tuples,
-but every elimination runs through one kernel on sparse rows (dicts of the
-nonzero entries): incremental reduced row echelon form, which reduces each
-incoming row against the pivot rows kept so far, normalises its leading
-entry and clears that column from the earlier pivot rows.  Every routine is
-pure and returns immutable values, so the whole module is safe to use from
-concurrent callers.
+terms, positive denominator).  Matrices are dense tuples, and a subspace is
+its echelon basis as sparse rows (dicts of the nonzero entries).  Every
+elimination runs through one kernel on sparse rows: incremental reduced row
+echelon form, which reduces each incoming row against the pivot rows kept so
+far, normalises its leading entry and clears that column from the earlier
+pivot rows.  Every routine is pure and mutates only the rows it is handed to
+consume, so the whole module is safe to use from concurrent callers.
 
 Echelon convention used throughout: reduced row echelon form, pivots
 ascending.  A matrix has exactly one, so every basis, pivot list and
@@ -17,7 +17,7 @@ rows are found, and is the same on every platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -298,13 +298,9 @@ def _kernel(kept: dict, width: int) -> "Subspace":
 
 
 def _subspace(ambient_dim: int, rows) -> "Subspace":
-    """The span of sparse rows (consumed), keeping its basis rows sparse too."""
+    """The span of sparse rows (consumed)."""
     kept = _eliminate(rows)
-    pivots = sorted(kept)
-    rows = tuple(kept[p] for p in pivots)
-    space = Subspace(ambient_dim, tuple(_dense(r, ambient_dim) for r in rows), tuple(pivots))
-    space.__dict__["_rows"] = rows
-    return space
+    return Subspace(ambient_dim, tuple(kept[p] for p in sorted(kept)))
 
 
 def rref(rows) -> tuple[list[Vector], list[int]]:
@@ -320,11 +316,14 @@ def rref(rows) -> tuple[list[Vector], list[int]]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n, held as a reduced-echelon basis with ascending pivots."""
+    """A subspace of Q^n, stored as its reduced-echelon basis with ascending pivots:
+    ``rows``, sparse {column: Fraction} rows in pivot order, so equal subspaces
+    have equal rows.  ``pivots`` and the dense ``basis`` are views decoded once;
+    the rows are shared, so callers only ever eliminate copies of them.
+    """
 
     ambient_dim: int
-    basis: tuple[Vector, ...] = field(default=())
-    pivots: tuple[int, ...] = field(default=())
+    rows: tuple[dict[int, Fraction], ...] = ()
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors) -> "Subspace":
@@ -336,7 +335,7 @@ class Subspace:
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, tuple(unit_vector(n, i) for i in range(n)), tuple(range(n)))
+        return Subspace(n, tuple({i: ONE} for i in range(n)))
 
     @staticmethod
     def zero(n: int) -> "Subspace":
@@ -344,17 +343,21 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @cached_property
-    def _rows(self) -> tuple[dict[int, Fraction], ...]:
-        """The basis as sparse rows (set by ``_subspace``); only ever eliminate copies."""
-        return tuple(_sparse(v) for v in self.basis)
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(min(row) for row in self.rows)
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        """The basis as dense vectors, a read-only view decoded from ``rows``."""
+        return tuple(_dense(row, self.ambient_dim) for row in self.rows)
 
     def reduce(self, v: Vector) -> Vector:
         """Eliminate this subspace's pivot coordinates from v."""
         w = list(v)
-        for row, p in zip(self._rows, self.pivots):
+        for row, p in zip(self.rows, self.pivots):
             f = w[p]
             if f:
                 for j, b in row.items():
@@ -373,7 +376,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return _subspace(self.ambient_dim, [dict(row) for row in self._rows + other._rows])
+        return _subspace(self.ambient_dim, [dict(row) for row in self.rows + other.rows])
 
     def complement_coordinates(self) -> tuple[int, ...]:
         """Ambient coordinates not used as pivots, ascending."""
@@ -408,8 +411,8 @@ def _quotient_rows(w: Subspace, v: Subspace) -> list[dict[int, Fraction]]:
     """``quotient_basis`` as sparse rows; dim (W + V) / V = dim W - dim V iff V <= W."""
     if w.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    kept = dict(zip(v.pivots, v._rows))
-    reps = _eliminate([_reduce(dict(row), kept) for row in w._rows])
+    kept = dict(zip(v.pivots, v.rows))
+    reps = _eliminate([_reduce(dict(row), kept) for row in w.rows])
     if len(reps) != w.dim - v.dim:
         raise ValueError("V is not contained in W")
     return [reps[p] for p in sorted(reps)]

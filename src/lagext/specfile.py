@@ -28,7 +28,7 @@ from .cohomology import TwoCochain
 from .connection import FlatConnection
 from .exprs import Expr, ExprError
 from .lie import LieAlgebra, require_jacobi
-from .linalg import ZERO, RatMatrix
+from .linalg import ZERO
 
 
 class SpecParseError(ValueError):
@@ -492,19 +492,15 @@ def build_connection(
     )
 
 
-def build_omega(spec: SpecFile, env: dict[str, Fraction] | None = None) -> RatMatrix:
-    """Antisymmetric matrix from the omega block (entries mirrored with sign)."""
+def build_omega(spec: SpecFile, env: dict[str, Fraction] | None = None) -> tuple[Fraction, ...]:
+    """omega(e_i, e_j) over the pairs i < j, from the omega block (a mirrored line negated)."""
     env = env or {}
     if not spec.omega:
         raise ValueError("spec file has no omega block")
-    n = spec.dim
     cells = _antisymmetric_cells(
-        spec.omega, n, "omega", lambda line: (line.value.evaluate(env),)
+        spec.omega, spec.dim, "omega", lambda line: (line.value.evaluate(env),)
     )
-    m = [[ZERO] * n for _ in range(n)]
-    for (i, j), (value,) in cells.items():
-        m[i][j], m[j][i] = value, -value
-    return RatMatrix(tuple(tuple(row) for row in m))
+    return tuple(cells.get(pair, (ZERO,))[0] for pair in combinations(range(spec.dim), 2))
 
 
 def build_cocycle(spec: SpecFile, env: dict[str, Fraction] | None = None) -> TwoCochain:

@@ -216,11 +216,10 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
             records.extend(_connection_records(label, "-", conn))
 
     if spec.omega:
-        omega = build_block("omega", build_omega, spec, env)
+        sympl = SymplecticLieAlgebra(algebra, build_block("omega", build_omega, spec, env))
         records.append(_verdict(label, "omega-nondegenerate", "-",
-                                "" if omega.is_invertible() else "omega is singular"))
-        d_omega = SymplecticLieAlgebra(algebra, omega).d_omega_result
-        records.append(_verdict(label, "omega-closed", "-", d_omega.first_witness()))
+                                "" if sympl.is_nondegenerate() else "omega is singular"))
+        records.append(_verdict(label, "omega-closed", "-", sympl.d_omega_result.first_witness()))
 
     if spec.cocycle:
         if conn is None:

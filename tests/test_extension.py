@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -31,7 +32,7 @@ from lagext.extension import (
     extension_nilpotency,
     induced_flat_connection,
     is_lagrangian_ideal,
-    standard_omega,
+    standard_form,
     symplectic_orthogonal,
     symplectic_reduction,
 )
@@ -44,6 +45,7 @@ from test_sparse_oracles import (
     dense_value_at,
     frozen_certificate,
     frozen_nonzero_directions,
+    frozen_standard_omega,
     perturbed,
 )
 
@@ -97,7 +99,8 @@ def test_extension_of_zero_connection_is_abelian_with_standard_form():
         conn = FlatConnection.zero(LieAlgebra.abelian(n))
         ext = build_extension(ExtensionTriple(conn, TwoCochain.zero(n)))
         assert ext.algebra.bracket == LieAlgebra.abelian(2 * n).bracket
-        assert ext.omega.entries == standard_omega(n).entries
+        assert ext.form == standard_form(n)
+        assert ext.omega == frozen_standard_omega(n)
 
 
 def test_extension_of_a10_single_bracket():
@@ -162,7 +165,7 @@ def test_d_omega_zero_for_l26_cotangent_extension():
 
 
 def test_d_omega_abelian_standard_form():
-    sympl = SymplecticLieAlgebra(LieAlgebra.abelian(6), standard_omega(3))
+    sympl = SymplecticLieAlgebra(LieAlgebra.abelian(6), standard_form(3))
     assert d_omega(sympl).is_zero()
 
 
@@ -265,6 +268,28 @@ def test_reduction_rejects_non_isotropic():
         symplectic_reduction(ext, j)
 
 
+@pytest.mark.parametrize(
+    "function",
+    [symplectic_orthogonal, is_lagrangian_ideal, induced_flat_connection, symplectic_reduction],
+)
+@pytest.mark.parametrize("ambient", [4, 10])
+def test_a_subspace_of_another_ambient_dimension_is_rejected(function, ambient):
+    ext = build_extension(triple("l_26"))
+    j = Subspace.from_vectors(ambient, [unit_vector(ambient, 0)])
+    with pytest.raises(ValueError, match="^vector length does not match column count$"):
+        function(ext, j)
+
+
+@pytest.mark.parametrize("ambient", [0, 4, 10])
+def test_the_zero_subspace_of_any_ambient_dimension_has_the_full_orthogonal(ambient):
+    ext = build_extension(triple("l_26"))
+    zero = Subspace.zero(ambient)
+    assert symplectic_orthogonal(ext, zero) == Subspace.full(8)
+    verdict = is_lagrangian_ideal(ext, zero)
+    assert (verdict.status, verdict.normal) == ("isotropic", True)
+    assert symplectic_reduction(ext, zero).algebra.pairs == ext.algebra.pairs
+
+
 # ---------------------------------------------------------------------------
 # induced and canonical connections
 # ---------------------------------------------------------------------------
@@ -291,7 +316,7 @@ def test_round_trip_with_random_lagrangian_cocycles():
 
 def test_induced_connection_on_abelian_split_is_zero():
     sympl = SymplecticLieAlgebra(
-        LieAlgebra.abelian(8), standard_omega(4), dual_subspace(4)
+        LieAlgebra.abelian(8), standard_form(4), dual_subspace(4)
     )
     conn = induced_flat_connection(sympl, dual_subspace(4))
     assert all(
@@ -315,7 +340,7 @@ def test_induced_connection_requires_lagrangian():
 
 
 def test_canonical_connection_on_abelian_is_zero():
-    sympl = SymplecticLieAlgebra(LieAlgebra.abelian(4), standard_omega(2))
+    sympl = SymplecticLieAlgebra(LieAlgebra.abelian(4), standard_form(2))
     conn = canonical_connection(sympl)
     assert all(
         all(x == 0 for x in conn.gamma[i][j]) for i in range(4) for j in range(4)
@@ -363,7 +388,8 @@ def _transformed_extension(label, seed):
     omega = p.transpose() @ ext.omega @ p
     p_inv = p.inverse()
     ideal = Subspace.from_vectors(8, [p_inv.col(4 + k) for k in range(4)])
-    return SymplecticLieAlgebra(algebra, omega), ideal, p
+    form = tuple(omega[i, j] for i, j in combinations(range(8), 2))
+    return SymplecticLieAlgebra(algebra, form), ideal, p
 
 
 def test_skewed_lagrangian_ideal_detected_and_quotient_matches_base():
@@ -396,7 +422,7 @@ def test_skewed_reduction_by_isotropic_line():
 
 def test_graph_lagrangian_in_abelian_extension():
     # the graph of a symmetric matrix over the primal half is Lagrangian
-    sympl = SymplecticLieAlgebra(LieAlgebra.abelian(8), standard_omega(4))
+    sympl = SymplecticLieAlgebra(LieAlgebra.abelian(8), standard_form(4))
     rng = rng_for(23, "graph")
     s = _symmetric_matrix(rng)
     vectors = []
@@ -567,7 +593,7 @@ def test_psi_symmetric_sigma_preserves_omega():
     sigma = OneCochain.from_rows(rows)
     t2 = ExtensionTriple(t1.connection, t1.cocycle - coboundary_1(rep, sigma))
     psi = equivalence_map_psi(t1, t2, sigma)
-    omega = standard_omega(4)
+    omega = frozen_standard_omega(4)
     assert (psi.transpose() @ omega @ psi).entries == omega.entries
 
 
@@ -583,8 +609,7 @@ def test_psi_rejects_a_shift_that_does_not_pull_omega_back(monkeypatch):
         s = built(t, name)
         if not any(t is target for target in targets):
             return s
-        omega = RatMatrix(tuple(tuple(2 * x for x in row) for row in s.omega.entries))
-        return SymplecticLieAlgebra(s.algebra, omega, s.lagrangian_ideal)
+        return SymplecticLieAlgebra(s.algebra, tuple(2 * x for x in s.form), s.lagrangian_ideal)
 
     monkeypatch.setattr(extension, "build_extension", doubled)
     symmetric = OneCochain.zero(4)
@@ -637,7 +662,7 @@ def test_adjusted_form_equals_standard_when_sigmas_match():
             rows[i][k] = rows[k][i]
     sigma = OneCochain.from_rows(rows)  # symmetric, also usable as sigma_l
     omega = adjusted_symplectic_form(t, sigma, sigma)
-    assert omega.entries == standard_omega(4).entries
+    assert omega.entries == frozen_standard_omega(4).entries
 
 
 def test_adjusted_form_unit_block_on_zero_connection():

@@ -14,6 +14,7 @@ from lagext.linalg import (
     unit_vector,
     vec,
 )
+from test_sparse_oracles import DenseSubspace
 
 
 def test_rat_parsing_and_formatting():
@@ -194,7 +195,7 @@ def dense_rref(rows):
 
 def dense_subspace(ambient_dim, vectors):
     basis, pivots = dense_rref(vectors)
-    return Subspace(ambient_dim, tuple(basis), tuple(pivots))
+    return DenseSubspace(ambient_dim, tuple(basis), tuple(pivots))
 
 
 def dense_kernel_basis(m):
@@ -247,7 +248,7 @@ def typed(value):
     """Nested tuples with each scalar paired with its type, so 0 != Fraction(0)."""
     if isinstance(value, (tuple, list)):
         return tuple(typed(x) for x in value)
-    if isinstance(value, Subspace):
+    if isinstance(value, (Subspace, DenseSubspace)):
         return (value.ambient_dim, typed(value.basis), value.pivots)
     return (type(value), value)
 

@@ -59,6 +59,19 @@ is the adjusted symplectic form as the dense pullback psi^T omega psi.
 ``dense_lower_central_series`` and ``frozen_uniform_nilindex`` are dense
 references for the two readings of ``lie.descending_flag``, the lower
 central series and the uniform nilindex.
+
+``DenseSubspace``, ``frozen_subspace``, ``frozen_from_vectors`` and
+``frozen_full`` are the subspace as it was before it was stored as its
+sparse echelon rows: the dense basis and the pivots written out beside
+them.  ``frozen_standard_omega``, ``frozen_check_omega``,
+``frozen_d_omega``, ``frozen_omega_value``, ``frozen_symplectic_orthogonal``,
+``frozen_classify_ideal``, ``frozen_reduce_quotient``,
+``frozen_symplectic_reduction`` and ``frozen_build_omega`` are the
+symplectic layer as it was before omega was stored as its pair coordinates:
+the dense 2n x 2n form with its antisymmetry scan, the orthogonal by
+``kernel_basis`` of dense ``apply`` images, an ideal check on the orthogonal
+and another on J, the quotient reduced at ambient width, and the reduced
+and spec-file forms as dense matrices.
 """
 
 import importlib
@@ -117,9 +130,11 @@ from lagext.extension import (
     d_omega,
     equivalence_map_psi,
     induced_flat_connection,
+    dual_subspace,
     is_lagrangian_ideal,
-    standard_omega,
+    standard_form,
     symplectic_orthogonal,
+    symplectic_reduction,
 )
 from lagext.lie import (
     LieAlgebra,
@@ -138,6 +153,7 @@ from lagext.linalg import (
     Subspace,
     Vector,
     _dense,
+    _eliminate,
     _pair_value,
     _quotient_rows,
     _sparse,
@@ -162,7 +178,7 @@ def typed(value):
     """Nested tuples with each scalar paired with its type, so 0 != Fraction(0)."""
     if isinstance(value, (tuple, list)):
         return tuple(typed(x) for x in value)
-    if isinstance(value, Subspace):
+    if isinstance(value, (Subspace, DenseSubspace)):
         return (value.ambient_dim, typed(value.basis), value.pivots)
     if isinstance(value, RatMatrix):
         return typed(value.entries)
@@ -172,6 +188,51 @@ def typed(value):
 # ---------------------------------------------------------------------------
 # frozen dense implementations
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DenseSubspace:
+    """A subspace as it was before it was stored as its sparse echelon rows: the
+    dense reduced-echelon basis beside its pivots, both written out in full."""
+
+    ambient_dim: int
+    basis: tuple = ()
+    pivots: tuple = ()
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def reduce(self, v):
+        w = list(v)
+        for row, p in zip(self.basis, self.pivots):
+            f = w[p]
+            if f:
+                for j, b in enumerate(row):
+                    if b:
+                        w[j] -= f * b
+        return tuple(w)
+
+
+def frozen_subspace(ambient_dim, rows):
+    """The span of sparse rows (consumed), each basis row written out at ambient width."""
+    kept = _eliminate(rows)
+    pivots = sorted(kept)
+    return DenseSubspace(
+        ambient_dim, tuple(_dense(kept[p], ambient_dim) for p in pivots), tuple(pivots)
+    )
+
+
+def frozen_from_vectors(ambient_dim, vectors):
+    vectors = [tuple(v) for v in vectors]
+    if any(len(v) != ambient_dim for v in vectors):
+        raise ValueError("vector length does not match ambient dimension")
+    return frozen_subspace(ambient_dim, [_sparse(v) for v in vectors])
+
+
+def frozen_full(n):
+    return DenseSubspace(n, tuple(unit_vector(n, i) for i in range(n)), tuple(range(n)))
+
 
 
 def dense_bracket_vectors(algebra, x, y):
@@ -439,7 +500,7 @@ def dense_two_cochain_from_coefficients(space, coefficients, n):
     if len(coefficients) != space.dim:
         raise ValueError("coefficient count does not match basis size")
     total = {}
-    for coeff, row in zip(coefficients, space._rows):
+    for coeff, row in zip(coefficients, space.rows):
         if coeff:
             for t, x in row.items():
                 total[t] = total.get(t, ZERO) + coeff * x
@@ -1061,7 +1122,7 @@ def test_induced_connection_rejects_a_degenerate_pairing():
     # With omega = 0 every half-dimensional subspace of an abelian algebra is
     # a Lagrangian ideal by the dimension count, and the pairing is singular.
     s = SymplecticLieAlgebra(
-        LieAlgebra.abelian(2), RatMatrix.zero(2, 2), Subspace.from_vectors(2, [unit_vector(2, 1)])
+        LieAlgebra.abelian(2), (F(0),), Subspace.from_vectors(2, [unit_vector(2, 1)])
     )
     with pytest.raises(ValueError, match="^pairing between quotient and ideal is degenerate$"):
         induced_flat_connection(s, s.lagrangian_ideal)
@@ -1847,11 +1908,17 @@ def test_solve_coboundary_matches_frozen_on_the_zero_representation(n):
 
 
 def test_solve_coboundary_raises_as_the_frozen_path_on_a_cochain_of_another_dimension():
+    """The frozen path names the linear system it solves; the live one names the
+    cochain, as coboundary_1 and coboundary_2 do, for alpha and for beta."""
     rep = dual_representation(connection_for("l_26"))
-    alpha = TwoCochain.zero(3)
-    for solve in (solve_coboundary, frozen_solve_coboundary):
-        with pytest.raises(ValueError, match="^right-hand side length does not match row count$"):
-            solve(rep, alpha, alpha)
+    other, same = TwoCochain.zero(3), TwoCochain.zero(4)
+    with pytest.raises(ValueError, match="^right-hand side length does not match row count$"):
+        frozen_solve_coboundary(rep, other, other)
+    for alpha, beta in ((other, other), (other, same), (same, other)):
+        with pytest.raises(
+            ValueError, match="^cochain dimension does not match the representation$"
+        ):
+            solve_coboundary(rep, alpha, beta)
 
 
 def zero_columns(n):
@@ -1880,7 +1947,7 @@ def frozen_adjusted_form(triple, sigma, sigma_l):
     t_bar = ExtensionTriple(triple.connection, triple.cocycle - coboundary_1(rep, sigma))
     t_hat = ExtensionTriple(triple.connection, triple.cocycle - coboundary_1(rep, sigma_l))
     psi = frozen_psi(t_bar, t_hat, sigma_l - sigma)
-    return psi.transpose() @ standard_omega(triple.connection.dim) @ psi
+    return psi.transpose() @ frozen_standard_omega(triple.connection.dim) @ psi
 
 
 def test_pullbacks_match_frozen_dense_products_on_every_flat_row():
@@ -1898,3 +1965,350 @@ def test_pullbacks_match_frozen_dense_products_on_every_flat_row():
         )
         checked += 1
     assert checked == 64
+
+
+# ---------------------------------------------------------------------------
+# the subspace as its sparse rows, omega as its pair coordinates
+# ---------------------------------------------------------------------------
+
+
+def frozen_standard_omega(n):
+    """[[0, -I], [I, 0]] on (e_1..e_n, e^1..e^n)."""
+    one = F(1)
+    rows = []
+    for i in range(n):
+        row = [ZERO] * (2 * n)
+        row[n + i] = -one
+        rows.append(tuple(row))
+    for i in range(n):
+        row = [ZERO] * (2 * n)
+        row[i] = one
+        rows.append(tuple(row))
+    return RatMatrix(tuple(rows))
+
+
+def frozen_check_omega(algebra, omega):
+    """The shape and antisymmetry checks of the dense SymplecticLieAlgebra constructor."""
+    n = algebra.dim
+    if omega.rows != n or omega.cols != n:
+        raise ValueError("omega shape does not match algebra dimension")
+    for i in range(n):
+        for j in range(i, n):
+            if omega[i, j] != -omega[j, i]:
+                raise ValueError("omega is not antisymmetric")
+
+
+def frozen_d_omega(algebra, omega):
+    """dw on every basis triple, each value read off the dense rows of omega."""
+    n = algebra.dim
+    table = algebra.nonzero_brackets
+    w = frozen_omega_on_brackets(omega)
+    out = []
+    for i, j, k in combinations(range(n), 3):
+        value = w(i, table[j][k]) + w(j, table[k][i]) + w(k, table[i][j])
+        out.append(((i + 1, j + 1, k + 1), value))
+    return tuple(out)
+
+
+def frozen_omega_value(omega, x, y):
+    """omega(x, y) off the dense matrix, summed over the nonzero entries."""
+    y_support = [(q, yq) for q, yq in enumerate(y) if yq]
+    total = ZERO
+    for xp, row in zip(x, omega.entries):
+        if xp:
+            for q, yq in y_support:
+                if row[q]:
+                    total += xp * row[q] * yq
+    return total
+
+
+def frozen_symplectic_orthogonal(omega, j):
+    """{v : omega(v, u) = 0 for all u in J}: ``kernel_basis`` of the rows omega u."""
+    if j.dim == 0:
+        return Subspace.full(omega.rows)
+    return kernel_basis(RatMatrix(tuple(omega.apply(u) for u in j.basis)))
+
+
+def frozen_classify_ideal(algebra, omega, j):
+    """(status, normal), with one ideal check on the orthogonal and one on J."""
+    normal = algebra.is_ideal(frozen_symplectic_orthogonal(omega, j))
+    if not all(frozen_omega_value(omega, u, v) == 0 for u in j.basis for v in j.basis):
+        return "not_isotropic", normal
+    if not algebra.is_ideal(j):
+        return "not_ideal", normal
+    if 2 * j.dim == algebra.dim:
+        return "lagrangian", normal
+    return "isotropic", normal
+
+
+def frozen_reduce_quotient(algebra, ideal, name=""):
+    """quotient_algebra as it reduced each bracket at ambient width with
+    ``reduce`` and assembled the quotient through ``from_brackets``."""
+    if ideal.ambient_dim != algebra.dim:
+        raise ValueError("ambient dimension mismatch")
+    if not algebra.is_ideal(ideal):
+        raise ValueError("subspace is not an ideal")
+    keep = ideal.complement_coordinates()
+    table = algebra.nonzero_brackets
+    entries = {}
+    for a, b in combinations(range(len(keep)), 2):
+        terms = table[keep[a]][keep[b]]
+        if terms:
+            w = ideal.reduce(_dense(dict(terms), algebra.dim))
+            entries[a, b] = [w[k] for k in keep]
+    return LieAlgebra.from_brackets(len(keep), entries, name)
+
+
+def frozen_symplectic_reduction(algebra, omega, j):
+    """(reduced algebra, dense reduced omega) of orth(J)/J, with the checks and
+    messages of symplectic_reduction and of the validation of its result."""
+    status, normal = frozen_classify_ideal(algebra, omega, j)
+    if status in ("not_ideal", "not_isotropic"):
+        raise ValueError(f"reduction requires an isotropic ideal, got {status}")
+    if not normal:
+        raise ValueError("reduction requires a normal ideal (orthogonal must be an ideal)")
+    perp = frozen_symplectic_orthogonal(omega, j)
+    r = perp.dim
+    sub = {
+        (a, b): perp.coordinates(algebra.bracket_vectors(perp.basis[a], perp.basis[b]))
+        for a, b in combinations(range(r), 2)
+    }
+    perp_algebra = LieAlgebra.from_brackets(r, sub, name=f"{algebra.name}|perp")
+    j_inside = Subspace.from_vectors(r, [perp.coordinates(u) for u in j.basis])
+    reduced = frozen_reduce_quotient(perp_algebra, j_inside, name=f"{algebra.name}/red")
+    lifts = [perp.basis[t] for t in j_inside.complement_coordinates()]
+    reduced_omega = RatMatrix(
+        tuple(tuple(frozen_omega_value(omega, x, y) for y in lifts) for x in lifts)
+    )
+    if reduced.dim:
+        if not reduced_omega.is_invertible():
+            raise ValueError("omega is degenerate")
+        for (a, b, c), value in frozen_d_omega(reduced, reduced_omega):
+            if value:
+                raise ValueError(f"omega is not closed: d_omega({a},{b},{c}) = {value}")
+    return reduced, reduced_omega
+
+
+def frozen_build_omega(spec, env=None):
+    """The omega block as a dense antisymmetric matrix (entries mirrored with sign)."""
+    env = env or {}
+    if not spec.omega:
+        raise ValueError("spec file has no omega block")
+    n = spec.dim
+    cells = specfile._antisymmetric_cells(
+        spec.omega, n, "omega", lambda line: (line.value.evaluate(env),)
+    )
+    m = [[ZERO] * n for _ in range(n)]
+    for (i, j), (value,) in cells.items():
+        m[i][j], m[j][i] = value, -value
+    return RatMatrix(tuple(tuple(row) for row in m))
+
+
+def pair_coordinates(omega):
+    """The entries omega[i, j], i < j, of a dense matrix, in the order of a form."""
+    return tuple(omega[i, j] for i, j in combinations(range(omega.rows), 2))
+
+
+def outcome(call):
+    """call()'s value, or the type and message of the ValueError or
+    IntegrityError it raises."""
+    try:
+        return call()
+    except (ValueError, IntegrityError) as exc:
+        return type(exc), str(exc)
+
+
+def algebra_value(value):
+    """A Lie algebra as (dim, pairs, name); anything else as it is."""
+    if isinstance(value, LieAlgebra):
+        return value.dim, value.pairs, value.name
+    return value
+
+
+def subspace_battery(s, rng):
+    """Spanning sets of subspaces of s, of every verdict: 0, both halves, e^1,
+    e1, the plane they span, a seeded line, the lower central series and the
+    center."""
+    n2 = s.dim
+    n = n2 // 2
+    e = [unit_vector(n2, i) for i in range(n2)]
+    sets = [[], e[n:], e[:n], e[n:n + 1], e[:1], e[:1] + e[n:n + 1]]
+    sets.append([tuple(random_rational(rng) for _ in range(n2))])
+    sets += [list(space.basis) for space in lower_central_series(s.algebra)[1:]]
+    sets.append(list(center(s.algebra).basis))
+    return sets
+
+
+def malformed_omegas(omega):
+    """Dense matrices an algebra of omega's size must reject: one size too
+    large, and omega with its last row's first entry moved."""
+    n = omega.rows
+    bent = [list(row) for row in omega.entries]
+    if n:
+        bent[n - 1][0] += 1
+        yield RatMatrix(tuple(tuple(row) for row in bent))
+    yield RatMatrix.zero(n + 1, n + 1)
+
+
+def assert_symplectic_layer_matches_frozen(s, omega, sets, rng, seen):
+    """The form and its views, dw of the own and of explicit forms, and for each
+    spanning set: the echelon basis, the orthogonal, the verdict, the
+    quotient, the reduction and, for a Lagrangian ideal, the induced table."""
+    n = s.dim
+    assert typed(s.omega) == typed(omega)
+    assert typed(s.form) == typed(pair_coordinates(omega))
+    assert typed(d_omega(s).residuals) == typed(frozen_d_omega(s.algebra, omega))
+    seeded = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+    skew = RatMatrix(tuple(tuple(seeded[i][j] - seeded[j][i] for j in range(n)) for i in range(n)))
+    for m in (omega, RatMatrix(tuple(tuple(2 * x for x in row) for row in omega.entries)), skew):
+        assert typed(d_omega(s, m).residuals) == typed(frozen_d_omega(s.algebra, m))
+    for m in malformed_omegas(omega):
+        expected = outcome(lambda: frozen_check_omega(s.algebra, m))
+        assert expected is not None and outcome(lambda: d_omega(s, m)) == expected
+    for vectors in sets:
+        # The frozen routines get the same J, whose echelon basis is checked first.
+        j = Subspace.from_vectors(n, vectors)
+        assert typed(j) == typed(frozen_from_vectors(n, vectors))
+        assert typed(symplectic_orthogonal(s, j)) == typed(frozen_symplectic_orthogonal(omega, j))
+        verdict = is_lagrangian_ideal(s, j)
+        assert (verdict.status, verdict.normal) == frozen_classify_ideal(s.algebra, omega, j)
+        seen["verdict", verdict.status, verdict.normal] += 1
+        quotient = outcome(lambda: quotient_algebra(s.algebra, j, "q"))
+        frozen = outcome(lambda: frozen_reduce_quotient(s.algebra, j, "q"))
+        assert typed(algebra_value(quotient)) == typed(algebra_value(frozen))
+        reduced = outcome(lambda: symplectic_reduction(s, j))
+        frozen = outcome(lambda: frozen_symplectic_reduction(s.algebra, omega, j))
+        if isinstance(reduced, SymplecticLieAlgebra):
+            algebra, reduced_omega = frozen
+            assert typed(algebra_value(reduced.algebra)) == typed(algebra_value(algebra))
+            assert typed(reduced.omega) == typed(reduced_omega)
+            assert typed(reduced.form) == typed(pair_coordinates(reduced_omega))
+            seen["reduced", reduced.dim] += 1
+        else:
+            assert reduced == frozen
+        if verdict.is_lagrangian:
+            assert typed(induced_flat_connection(s, j).gamma) == typed(
+                frozen_induced_gamma(s, j)
+            )
+
+
+def assert_extension_forms_match_frozen(triple, rng, seen):
+    """The symplectic layer of the triple's extension, its canonical table, psi
+    for a symmetric and a non-symmetric sigma, and the adjusted form."""
+    ext = build_extension(triple)
+    omega = frozen_standard_omega(triple.connection.dim)
+    assert_symplectic_layer_matches_frozen(ext, omega, subspace_battery(ext, rng), rng, seen)
+    if triple.cocycle.is_lagrangian:
+        assert typed(canonical_connection(ext).gamma) == typed(frozen_canonical_gamma(ext))
+        sigma, symmetric, _ = seeded_one_cochains(triple.connection.dim, rng)
+        for s in (sigma, symmetric):
+            assert_psi_matches_frozen(triple, s)
+        assert typed(adjusted_symplectic_form(triple, sigma, symmetric)) == typed(
+            frozen_adjusted_form(triple, sigma, symmetric)
+        )
+        seen["lagrangian classes"] += 1
+
+
+def seeded_lagrangian_class(conn, rng):
+    _, z2l = cocycle_bases(dual_representation(conn))
+    coeffs = tuple(random_rational(rng) for _ in range(z2l.dim))
+    return two_cochain_from_coefficients(z2l, coeffs, conn.dim)
+
+
+def test_forms_and_subspaces_match_frozen_dense_code_on_every_flat_catalog_sample():
+    """Zero-class and seeded Z2_L-class extensions of every flat sample at 3 samples."""
+    rng = rng_for(113, "sparse-oracles-form")
+    seen = Counter()
+    for conn in flat_catalog_samples(3):
+        for alpha in (TwoCochain.zero(conn.dim), seeded_lagrangian_class(conn, rng)):
+            assert_extension_forms_match_frozen(ExtensionTriple(conn, alpha), rng, seen)
+    assert seen["lagrangian classes"] == 216
+    # Every status, with a normal and an abnormal orthogonal, and reductions
+    # to 0 and to dimension 6.
+    verdicts = {key[1:] for key in seen if key[0] == "verdict"}
+    assert {status for status, _ in verdicts} == {
+        "not_ideal", "not_isotropic", "isotropic", "lagrangian"
+    }
+    assert {normal for _, normal in verdicts} == {True, False}
+    assert seen["reduced", 0] and seen["reduced", 6]
+
+
+@pytest.mark.parametrize("label", ["l_26", "t_8"])
+def test_forms_and_subspaces_match_frozen_dense_code_on_eight_dimensional_canonical_connections(
+    label,
+):
+    rng = rng_for(127, "sparse-oracles-form-canonical", label)
+    ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
+    canonical = canonical_connection(ext)
+    seen = Counter()
+    for alpha in (TwoCochain.zero(8), seeded_lagrangian_class(canonical, rng)):
+        assert_extension_forms_match_frozen(ExtensionTriple(canonical, alpha), rng, seen)
+    assert seen["lagrangian classes"] == 2
+
+
+def test_forms_match_frozen_dense_code_in_a_seeded_basis():
+    """omega = P^T omega_0 P, not the standard form, and the Lagrangian ideal moved by P^-1."""
+    rng = rng_for(131, "sparse-oracles-form-basis")
+    seen = Counter()
+    for label in ("l_26", "a_3", "t_8", "t_18"):
+        ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
+        p = seeded_unitriangular(8, rng)
+        omega = p.transpose() @ frozen_standard_omega(4) @ p
+        s = SymplecticLieAlgebra(transform(ext.algebra, p), pair_coordinates(omega))
+        moved = [p.inverse().col(4 + k) for k in range(4)]
+        assert_symplectic_layer_matches_frozen(s, omega, subspace_battery(s, rng) + [moved], rng, seen)
+    assert seen["verdict", "lagrangian", True] >= 4
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_forms_and_subspaces_match_frozen_dense_code_in_low_dimension(n):
+    rng = rng_for(137, "sparse-oracles-form-low", str(n))
+    assert typed(standard_form(n)) == typed(pair_coordinates(frozen_standard_omega(n)))
+    assert standard_form(0) == ()
+    for space, frozen in (
+        (Subspace.full(n), frozen_full(n)),
+        (Subspace.zero(n), DenseSubspace(n)),
+        (dual_subspace(n), frozen_from_vectors(2 * n, [unit_vector(2 * n, n + i) for i in range(n)])),
+    ):
+        assert typed(space) == typed(frozen)
+    seen = Counter()
+    # The abelian algebra of dimension 2n with the standard form, n = 0 included;
+    # for n > 0 also the extension of the zero connection, which is that algebra.
+    s = SymplecticLieAlgebra(LieAlgebra.abelian(2 * n), standard_form(n), dual_subspace(n))
+    omega = frozen_standard_omega(n)
+    assert_symplectic_layer_matches_frozen(s, omega, subspace_battery(s, rng), rng, seen)
+    if n:
+        triple = ExtensionTriple.with_zero_cocycle(FlatConnection.zero(LieAlgebra.abelian(n)))
+        assert_extension_forms_match_frozen(triple, rng, seen)
+
+
+def test_build_omega_matches_the_frozen_dense_matrix():
+    """On each extension's spec file, by value and type, and without an omega block."""
+    checked = 0
+    for conn in flat_catalog_samples(1):
+        ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
+        text = specfile.serialize_spec(specfile.spec_from_symplectic("x", ext.algebra, ext.omega))
+        spec = specfile.parse_spec(text)
+        assert typed(specfile.build_omega(spec)) == typed(pair_coordinates(frozen_build_omega(spec)))
+        checked += 1
+    assert checked == 64
+    spec = specfile.parse_spec("algebra s dim 4\nomega e^1 e1 -> 2\nomega e2 e2 -> 0\n")
+    assert typed(specfile.build_omega(spec)) == typed(pair_coordinates(frozen_build_omega(spec)))
+    bare = specfile.parse_spec("algebra s dim 2\n")
+    assert outcome(lambda: specfile.build_omega(bare)) == outcome(lambda: frozen_build_omega(bare))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_subspaces_match_the_frozen_dense_construction(data):
+    """from_vectors, sum and reduce, by basis, pivots and type."""
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    vectors = data.draw(st.lists(sparse_vector(n), max_size=5))
+    others = data.draw(st.lists(sparse_vector(n), max_size=3))
+    space, frozen = Subspace.from_vectors(n, vectors), frozen_from_vectors(n, vectors)
+    assert typed(space) == typed(frozen) and space.dim == frozen.dim
+    assert typed(space.sum(Subspace.from_vectors(n, others))) == typed(
+        frozen_from_vectors(n, vectors + others)
+    )
+    for v in others:
+        assert typed(space.reduce(v)) == typed(frozen.reduce(v))

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from lagext.catalog import base_algebra
+from lagext.extension import SymplecticLieAlgebra
 from lagext.specfile import (
     DuplicateCellError,
     SpecParseError,
@@ -120,7 +121,9 @@ def test_omega_block_builds_antisymmetric_matrix():
         "omega e2 e^2 -> -1\n"
     )
     spec = parse_spec(text)
-    omega = build_omega(spec)
+    # omega(e_i, e_j) over the pairs (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
+    assert build_omega(spec) == (0, F(-1), 0, 0, F(-1), 0)
+    omega = SymplecticLieAlgebra(build_algebra(spec), build_omega(spec)).omega
     assert omega[0, 2] == F(-1) and omega[2, 0] == F(1)
     assert omega[1, 3] == F(-1) and omega[3, 1] == F(1)
 
@@ -159,8 +162,7 @@ def test_spec_from_symplectic_round_trips():
     assert reparsed == spec
     algebra = build_algebra(reparsed)
     assert algebra.bracket == ext.algebra.bracket
-    omega = build_omega(reparsed)
-    assert omega.entries == ext.omega.entries
+    assert build_omega(reparsed) == ext.form
 
 
 def test_comments_and_blank_lines_ignored():
