@@ -17,10 +17,9 @@ from .extension import (
     ExtensionTriple,
     SymplecticLieAlgebra,
     build_extension,
+    classify_and_reduce,
     d_omega,
     extension_nilpotency,
-    is_lagrangian_ideal,
-    symplectic_reduction,
 )
 from .linalg import Subspace, unit_vector
 from .sampling import random_rational, rng_for
@@ -215,13 +214,12 @@ def reduce(spec, env, ideal, out):
     ]
     j = Subspace.from_vectors(spec.dim, vectors)
 
-    verdict = is_lagrangian_ideal(sympl, j)
-    if verdict.status in ("not_ideal", "not_isotropic") or not verdict.normal:
+    verdict, reduced = classify_and_reduce(sympl, j)
+    if reduced is None:
         raise click.ClickException(
             f"span({ideal}) is not a normal isotropic ideal: "
             f"status={verdict.status} normal={verdict.normal}"
         )
-    reduced = symplectic_reduction(sympl, j)
     comments = [
         f"# reduction of {spec.name} by span({ideal})",
         f"# ideal status: {verdict.status}, normal: {verdict.normal}",

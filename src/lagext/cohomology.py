@@ -20,6 +20,12 @@ nonzero coordinates, and ``cocycle_bases``, ``coboundary_image``,
 ``cohomology`` and ``solve_coboundary`` eliminate them; no dense d1 or d2
 matrix is built on those paths.  ``_two_cochain_from_row`` turns a sparse
 row of coordinates into a 2-cochain.
+
+The d2 rows are built once per representation (``DualRep.coboundary_2_rows``)
+over rho and the bracket scaled by one D to ints, so they are D times the
+rational rows: they span the same row space, and ``coboundary_2``, bilinear
+in the rows and alpha's coordinates scaled to ints, divides each nonzero
+residual back once.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .linalg import (
     ZERO,
     _dense,
     _eliminate,
+    _integer_tables,
     _kernel,
     _pair_value,
     _quotient_rows,
@@ -228,19 +235,24 @@ def coboundary_1(rep: DualRep, sigma: OneCochain) -> TwoCochain:
 def coboundary_2(rep: DualRep, alpha: TwoCochain) -> ThreeCochain:
     """Residual of the degree-2 coboundary on all lex triples.
 
-    Each row of ``_coboundary_2_rows`` is applied to alpha's nonzero
-    coordinates; the n rows of a triple give its residual vector.  alpha is
-    a 2-cocycle iff the residual vanishes identically.
+    Each row of ``rep.coboundary_2_rows`` is applied to alpha's nonzero
+    coordinates, scaled to ints; the n rows of a triple give its residual
+    vector.  The residual is bilinear in the scaled rows and coordinates, so
+    each entry is divided back once.  alpha is a 2-cocycle iff the residual
+    vanishes identically.
     """
     n = rep.dim
     if alpha.dim != n:
         raise ValueError("cochain dimension does not match the representation")
-    coords = {col: x for col, x in enumerate(alpha.values) if x}
-    values = [
-        sum((v * coords[col] for col, v in row.items() if col in coords), ZERO)
-        for row in _coboundary_2_rows(rep)
-    ]
-    return ThreeCochain(n, tuple(tuple(values[r:r + n]) for r in range(0, len(values), n)))
+    d, (terms,) = _integer_tables(tuple((col, x) for col, x in enumerate(alpha.values) if x))
+    coords = dict(terms)
+    scale = rep.integer_tables[0] * d
+    values = []
+    for row in rep.coboundary_2_rows:
+        x = sum(v * coords[col] for col, v in row.items() if col in coords)
+        values.append(Fraction(x, scale) if x else ZERO)
+    # n consecutive values per triple; n = 0 has no triples
+    return ThreeCochain(n, tuple(zip(*[iter(values)] * n)))
 
 
 def _one_cochain_rows(n: int, lagrangian: bool) -> list[dict[int, Fraction]]:
@@ -288,24 +300,27 @@ def _coboundary_1_images(rep: DualRep, rows: list[dict]) -> list[dict[int, Fract
     return images
 
 
-def _coboundary_2_rows(rep: DualRep) -> list[dict[int, Fraction]]:
-    """The one formula for d2: sparse rows, one per (triple, t); see ``matrix_of_coboundary_2``."""
+def _coboundary_2_rows(rep: DualRep) -> list[dict[int, int]]:
+    """The one formula for d2: sparse rows, one per (triple, t), read off the
+    scaled ``rep.integer_tables``, so D times the rational rows; see
+    ``matrix_of_coboundary_2``.  Built once per representation, as
+    ``rep.coboundary_2_rows``."""
     n = rep.dim
     blocks = _pair_blocks(n)
-    table = rep.connection.base.nonzero_brackets
+    _, entries, table = rep.integer_tables
     rows = []
     for i, j, k in triple_list(n):
-        out: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        out: list[dict[int, int]] = [{} for _ in range(n)]
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
             start, sign = blocks[(y, z)]
-            for t, s, value in rep.nonzero_entries[x]:
+            for t, s, value in entries[x]:
                 row = out[t]
-                row[start + s] = row.get(start + s, ZERO) + sign * value
+                row[start + s] = row.get(start + s, 0) + sign * value
             for m, coeff in table[y][z]:
                 if m != x:
                     start, sign = blocks[(x, m)]
                     for t, row in enumerate(out):
-                        row[start + t] = row.get(start + t, ZERO) + sign * coeff
+                        row[start + t] = row.get(start + t, 0) + sign * coeff
         rows += ({col: v for col, v in row.items() if v} for row in out)
     return rows
 
@@ -313,9 +328,9 @@ def _coboundary_2_rows(rep: DualRep) -> list[dict[int, Fraction]]:
 def matrix_of_coboundary_2(rep: DualRep) -> RatMatrix:
     """Linearized degree-2 coboundary; columns follow the pair-then-k flattening.
 
-    The rows of ``_coboundary_2_rows``, densified; ``coboundary_2`` applies
-    the same rows.  On the triple i < j < k, with (x, y, z) running over its
-    cyclic rotations,
+    The rows of ``_coboundary_2_rows``, divided back by D and densified;
+    ``coboundary_2`` applies the same rows.  On the triple i < j < k, with
+    (x, y, z) running over its cyclic rotations,
 
         (d a)(x, y, z)_t = sum_cyc  sum_s rho(x)[t][s] a(y, z)_s
                                   + sum_m c[y][z][m] a(x, e_m)_t.
@@ -327,15 +342,18 @@ def matrix_of_coboundary_2(rep: DualRep) -> RatMatrix:
     ``cocycle_bases`` eliminates the sparse rows themselves.
     """
     width = len(pair_list(rep.dim)) * rep.dim
-    rows = _coboundary_2_rows(rep) or [{}]  # n < 3: no triples; one zero row keeps the shape
-    return RatMatrix(tuple(_dense(row, width) for row in rows))
+    d = rep.integer_tables[0]
+    rows = rep.coboundary_2_rows or [{}]  # n < 3: no triples; one zero row keeps the shape
+    return RatMatrix(tuple(
+        _dense({col: Fraction(v, d) for col, v in row.items()}, width) for row in rows
+    ))
 
 
-def _cyclic_sum_rows(n: int) -> list[dict[int, Fraction]]:
+def _cyclic_sum_rows(n: int) -> list[dict[int, int]]:
+    """The cyclic sum of each lex triple as a sparse row of +-1 ints."""
     blocks = _pair_blocks(n)
     return [
-        {blocks[a, b][0] + c: Fraction(blocks[a, b][1])
-         for a, b, c in ((i, j, k), (j, k, i), (k, i, j))}
+        {blocks[a, b][0] + c: blocks[a, b][1] for a, b, c in ((i, j, k), (j, k, i), (k, i, j))}
         for i, j, k in triple_list(n)
     ]
 
@@ -343,7 +361,9 @@ def _cyclic_sum_rows(n: int) -> list[dict[int, Fraction]]:
 def cyclic_sum_matrix(n: int) -> RatMatrix:
     """Rows: cyclic sums over lex triples, in flattened C^2 coordinates."""
     width = len(pair_list(n)) * n
-    return RatMatrix(tuple(_dense(row, width) for row in _cyclic_sum_rows(n) or [{}]))
+    return RatMatrix(tuple(
+        _dense({c: Fraction(x) for c, x in row.items()}, width) for row in _cyclic_sum_rows(n) or [{}]
+    ))
 
 
 def cocycle_bases(rep: DualRep) -> tuple[Subspace, Subspace]:
@@ -356,7 +376,7 @@ def cocycle_bases(rep: DualRep) -> tuple[Subspace, Subspace]:
     """
     n = rep.dim
     width = len(pair_list(n)) * n
-    kept = _eliminate(_coboundary_2_rows(rep))
+    kept = _eliminate([dict(row) for row in rep.coboundary_2_rows])
     z2 = _kernel(kept, width)
     return z2, _kernel(_eliminate(_cyclic_sum_rows(n), kept), width)
 

@@ -23,6 +23,14 @@ dense matrix products: a residual column is densified only when it is
 nonzero.  Keeping verdicts is sound because a connection is immutable, and
 the constructor rejects a table that is not canonical, so equal tables mean
 equal connections.
+
+The sweep and the representation law run on Python ints: gamma and the
+bracket (rho and the bracket for the law) are scaled by one D, the lcm of
+their denominators (``linalg._integer_tables``).  Torsion is of degree 1 in
+the scaled tables, and curvature, the associator and every term of the law
+of degree 2, so each scaled residual is D or D^2 times the rational one: it
+is zero exactly when that one is, and a nonzero witness is divided back to
+the same Fractions.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from functools import cached_property
 from itertools import chain, combinations
 
 from .lie import LieAlgebra, NonzeroTable, _check_canonical, descending_flag
-from .linalg import Vector, ONE, ZERO, _add, _dense, _pair_value
+from .linalg import Vector, ZERO, _add, _dense, _integer_tables, _pair_value
 
 GammaTensor = tuple[tuple[Vector, ...], ...]
 
@@ -155,7 +163,7 @@ def _skew(cols: NonzeroTable, i: int, j: int) -> dict:
     return skew
 
 
-def _add_image(acc: dict, f: Fraction, terms, columns) -> None:
+def _add_image(acc: dict, f: int, terms, columns) -> None:
     """acc += f * sum of x * columns[k] over (k, x) in terms, each column a tuple of (t, v)."""
     for k, x in terms:
         fx = f * x
@@ -163,11 +171,17 @@ def _add_image(acc: dict, f: Fraction, terms, columns) -> None:
             _add(acc, t, fx * v)
 
 
+def _witness(residual: dict, scale: int, n: int) -> Vector:
+    """A residual of the scaled tables, divided back by scale, as n Fractions."""
+    return _dense({k: Fraction(v, scale) for k, v in residual.items()}, n)
+
+
 def _sweep(conn: FlatConnection) -> ConnectionReport:
     n = conn.dim
-    cols = conn.nonzero_gamma
+    # gamma and the bracket scaled by one D to ints: torsion is of degree 1
+    # in them, curvature and the associator of degree 2.
+    d, (cols, brackets) = _integer_tables(conn.nonzero_gamma, conn.base.nonzero_brackets)
     right = tuple(zip(*cols))  # right[s][k] = cols[k][s], so nabla_x e_s sums x_k right[s][k]
-    brackets = conn.base.nonzero_brackets
     # support[k]: the s with nabla_{e_k} e_s != 0; a column s outside the
     # supports of nabla_{e_i}, nabla_{e_j} and the nabla_{e_k} that the pair
     # feeds in below has every residual zero.
@@ -181,25 +195,25 @@ def _sweep(conn: FlatConnection) -> ConnectionReport:
         for k, c in brackets[i][j]:
             _add(residual, k, -c)
         if residual:
-            torsion.append(((i + 1, j + 1), _dense(residual, n)))
+            torsion.append(((i + 1, j + 1), _witness(residual, d, n)))
         touched = support[i] | support[j]
         for k in chain(skew, (k for k, _ in brackets[i][j])):
             touched |= support[k]
         for s in sorted(touched):
             commutator = {}  # [nabla_i, nabla_j] e_s
-            _add_image(commutator, ONE, cols[j][s], cols[i])
-            _add_image(commutator, -ONE, cols[i][s], cols[j])
+            _add_image(commutator, 1, cols[j][s], cols[i])
+            _add_image(commutator, -1, cols[i][s], cols[j])
             residual = dict(commutator)
-            _add_image(residual, -ONE, brackets[i][j], right[s])
+            _add_image(residual, -1, brackets[i][j], right[s])
             if residual:
-                curvature.append(((i + 1, j + 1, s + 1), _dense(residual, n)))
+                curvature.append(((i + 1, j + 1, s + 1), _witness(residual, d * d, n)))
             # KV2 on e_s: (e_i,e_j,e_s) - (e_j,e_i,e_s) = nabla_{e_i.e_j - e_j.e_i} e_s
             # - [nabla_i, nabla_j] e_s, from the products themselves and not from
             # the curvature residual, so that the two verdicts cross-check.
             residual = {k: -v for k, v in commutator.items()}
-            _add_image(residual, ONE, skew.items(), right[s])
+            _add_image(residual, 1, skew.items(), right[s])
             if residual:
-                associator.append(((i + 1, j + 1, s + 1), _dense(residual, n)))
+                associator.append(((i + 1, j + 1, s + 1), _witness(residual, d * d, n)))
 
     report = ConnectionReport(tuple(torsion), tuple(curvature), tuple(associator))
     if not report.kv_consistent:
@@ -292,6 +306,23 @@ class DualRep:
             for plane in self.connection.nonzero_gamma
         )
 
+    @cached_property
+    def integer_tables(self) -> tuple[int, tuple, NonzeroTable]:
+        """(D, ``nonzero_entries``, the base's ``nonzero_brackets``), both tables
+        scaled by D, the lcm of their denominators, to ints."""
+        d, (entries, brackets) = _integer_tables(
+            self.nonzero_entries, self.connection.base.nonzero_brackets
+        )
+        return d, entries, brackets
+
+    @cached_property
+    def coboundary_2_rows(self) -> list[dict[int, int]]:
+        """The sparse rows of d2 over ``integer_tables``, D times the rational
+        rows, built once per representation; callers eliminate copies."""
+        from .cohomology import _coboundary_2_rows  # cohomology.py imports this module
+
+        return _coboundary_2_rows(self)
+
 
 def dual_representation(conn: FlatConnection) -> DualRep:
     """rho(e_i) = -transpose(nabla_{e_i}); requires flatness.
@@ -307,19 +338,19 @@ def dual_representation(conn: FlatConnection) -> DualRep:
 def _dual(conn: FlatConnection) -> DualRep:
     n = conn.dim
     rep = DualRep(conn)
-    entries = rep.nonzero_entries
+    # Every term of the residual is of degree 2 in the scaled rho and bracket.
+    _, entries, brackets = rep.integer_tables
     # rows[i][t]: the (column, value) of the nonzero entries in row t of rho(e_i)
     rows = [[[] for _ in range(n)] for _ in range(n)]
     for i, plane in enumerate(entries):
         for r, c, value in plane:
             rows[i][r].append((c, value))
-    brackets = conn.base.nonzero_brackets
     for i, j in combinations(range(n), 2):
         residual = {}  # rho([e_i, e_j]) - rho(e_i) rho(e_j) + rho(e_j) rho(e_i), by (row, column)
         for k, c in brackets[i][j]:
             for r, col, value in entries[k]:
                 _add(residual, (r, col), c * value)
-        for a, b, sign in ((i, j, -ONE), (j, i, ONE)):
+        for a, b, sign in ((i, j, -1), (j, i, 1)):
             for r, t, x in entries[a]:
                 for col, y in rows[b][t]:
                     _add(residual, (r, col), sign * x * y)

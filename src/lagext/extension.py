@@ -56,6 +56,7 @@ from .linalg import (
     _add,
     _dense,
     _eliminate,
+    _integer_tables,
     _kernel,
     _sparse,
     format_rational,
@@ -136,17 +137,28 @@ class SymplecticLieAlgebra:
         each term summed over the nonzero structure constants of the bracket
         and the nonzero entries of the row of omega.
         """
-        table = self.algebra.nonzero_brackets
-        w = self._omega_on
-        return DOmegaResult(tuple(
-            ((i + 1, j + 1, k + 1), w(i, table[j][k]) + w(j, table[k][i]) + w(k, table[i][j]))
-            for i, j, k in combinations(range(self.dim), 3)
-        ))
+        # Bilinear in omega and the bracket: summed over both scaled by D to
+        # ints, and a nonzero value is divided back by D^2.
+        d, (table, rows) = _integer_tables(
+            self.algebra.nonzero_brackets, tuple(tuple(row.items()) for row in self.omega_rows)
+        )
+        rows = [dict(row) for row in rows]
+
+        def w(p, terms):
+            row = rows[p]
+            return sum(row[q] * c for q, c in terms if q in row)
+
+        residuals = []
+        for i, j, k in combinations(range(self.dim), 3):
+            x = w(i, table[j][k]) + w(j, table[k][i]) + w(k, table[i][j])
+            residuals.append(((i + 1, j + 1, k + 1), Fraction(x, d * d) if x else ZERO))
+        return DOmegaResult(tuple(residuals))
 
     @cached_property
     def ideal_verdict(self) -> "IdealVerdict":
         """The classification of ``lagrangian_ideal``, computed once per instance."""
-        return _classify_ideal(self, self.lagrangian_ideal)
+        j = self.lagrangian_ideal
+        return _classify_ideal(self, j, symplectic_orthogonal(self, j))
 
     def is_nondegenerate(self) -> bool:
         """omega has full rank, decided by one elimination of its sparse rows."""
@@ -357,11 +369,11 @@ def is_lagrangian_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
     """
     if j == s.lagrangian_ideal:
         return s.ideal_verdict
-    return _classify_ideal(s, j)
+    return _classify_ideal(s, j, symplectic_orthogonal(s, j))
 
 
-def _classify_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
-    perp = symplectic_orthogonal(s, j)
+def _classify_ideal(s: SymplecticLieAlgebra, j: Subspace, perp: Subspace) -> IdealVerdict:
+    """The verdict on J, given its symplectic orthogonal."""
     normal = s.algebra.is_ideal(perp)
     # J is isotropic iff it lies in its orthogonal.
     if not all(perp.contains(u) for u in j.basis):
@@ -374,18 +386,20 @@ def _classify_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
     return IdealVerdict("isotropic", normal)
 
 
-def symplectic_reduction(s: SymplecticLieAlgebra, j: Subspace) -> SymplecticLieAlgebra:
-    """Quotient orth(J)/J with the induced form, for a normal isotropic ideal J.
+def classify_and_reduce(
+    s: SymplecticLieAlgebra, j: Subspace
+) -> tuple[IdealVerdict, SymplecticLieAlgebra | None]:
+    """The verdict on J and, when J is a normal isotropic ideal, the reduction
+    orth(J)/J with the induced form (None otherwise).
 
-    For Lagrangian J the result is the zero algebra; for J = 0 it is s itself.
+    The orthogonal of J is computed once and serves both the classification
+    and the quotient.  For Lagrangian J the reduction is the zero algebra;
+    for J = 0 it is s itself.
     """
-    verdict = is_lagrangian_ideal(s, j)
-    if verdict.status in ("not_ideal", "not_isotropic"):
-        raise ValueError(f"reduction requires an isotropic ideal, got {verdict.status}")
-    if not verdict.normal:
-        raise ValueError("reduction requires a normal ideal (orthogonal must be an ideal)")
-
     perp = symplectic_orthogonal(s, j)
+    verdict = _classify_ideal(s, j, perp)
+    if verdict.status in ("not_ideal", "not_isotropic") or not verdict.normal:
+        return verdict, None
     r = perp.dim
     # Structure constants of the orthogonal as a subalgebra, in its echelon basis.
     sub = {
@@ -400,6 +414,19 @@ def symplectic_reduction(s: SymplecticLieAlgebra, j: Subspace) -> SymplecticLieA
     result = SymplecticLieAlgebra(reduced, form)
     if reduced.dim:
         result.validate()
+    return verdict, result
+
+
+def symplectic_reduction(s: SymplecticLieAlgebra, j: Subspace) -> SymplecticLieAlgebra:
+    """Quotient orth(J)/J with the induced form, for a normal isotropic ideal J.
+
+    For Lagrangian J the result is the zero algebra; for J = 0 it is s itself.
+    """
+    verdict, result = classify_and_reduce(s, j)
+    if verdict.status in ("not_ideal", "not_isotropic"):
+        raise ValueError(f"reduction requires an isotropic ideal, got {verdict.status}")
+    if result is None:
+        raise ValueError("reduction requires a normal ideal (orthogonal must be an ideal)")
     return result
 
 

@@ -34,6 +34,7 @@ from .linalg import (
     _add,
     _dense,
     _eliminate,
+    _integer_tables,
     _kernel,
     _pair_value,
     _reduce,
@@ -188,12 +189,16 @@ class JacobiViolation:
 
 
 def check_jacobi(algebra: LieAlgebra) -> tuple[JacobiViolation, ...]:
-    """All basis triples i<j<k where the cyclic Jacobi sum is nonzero."""
+    """All basis triples i<j<k where the cyclic Jacobi sum is nonzero.
+
+    The sum is of degree 2 in the bracket table, so it is summed over the
+    table scaled by D to ints and a nonzero one is divided back by D^2.
+    """
     n = algebra.dim
-    table = algebra.nonzero_brackets
+    d, (table,) = _integer_tables(algebra.nonzero_brackets)
     violations = []
     for i, j, k in combinations(range(n), 3):
-        r = [ZERO] * n
+        r = [0] * n
         for a, inner in ((i, table[j][k]), (j, table[k][i]), (k, table[i][j])):
             # contribution of [e_a, inner] with inner = the listed bracket's terms
             outer = table[a]
@@ -201,7 +206,8 @@ def check_jacobi(algebra: LieAlgebra) -> tuple[JacobiViolation, ...]:
                 for m, x in outer[t]:
                     r[m] += coeff * x
         if any(r):
-            violations.append(JacobiViolation((i + 1, j + 1, k + 1), tuple(r)))
+            residual = tuple(Fraction(x, d * d) for x in r)
+            violations.append(JacobiViolation((i + 1, j + 1, k + 1), residual))
     return tuple(violations)
 
 

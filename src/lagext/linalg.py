@@ -1,13 +1,26 @@
 """Exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator).  Matrices are dense tuples, and a subspace is
-its echelon basis as sparse rows (dicts of the nonzero entries).  Every
-elimination runs through one kernel on sparse rows: incremental reduced row
-echelon form, which reduces each incoming row against the pivot rows kept so
-far, normalises its leading entry and clears that column from the earlier
+Scalars a caller sees are ``fractions.Fraction`` (arbitrary precision, always
+in lowest terms, positive denominator).  Matrices are dense tuples, and a
+subspace is its echelon basis as sparse rows (dicts of the nonzero entries).
+Every elimination runs through one kernel on sparse rows, ``_eliminate``:
+incremental reduced row echelon form, which reduces each incoming row against
+the pivot rows kept so far and clears its leading column from the earlier
 pivot rows.  Every routine is pure and mutates only the rows it is handed to
 consume, so the whole module is safe to use from concurrent callers.
+
+Inside the hot kernels the arithmetic runs on Python ints, and Fractions are
+made only where a result leaves them.  ``_eliminate`` is fraction-free: each
+incoming row is scaled by a positive rational to coprime ints, a row is
+reduced by r <- b r - a k and divided by its content (the gcd of its
+entries), and each pivot row is normalised to a Fraction row once, when the
+call writes it out.  A row and its positive multiples span the same line, so
+the reduced echelon form is the one over the rationals.  ``_integer_tables``
+scales the nonzero tables that the zero-residual sweeps read (connection,
+bracket, rho, omega) by the lcm D of their denominators: a residual that is
+homogeneous of degree k in those tables is D^k times the rational residual,
+so it is zero exactly when the rational one is, and a nonzero one is divided
+back as ``Fraction(v, D**k)``.  No float is used anywhere.
 
 Echelon convention used throughout: reduced row echelon form, pivots
 ascending.  A matrix has exactly one, so every basis, pivot list and
@@ -20,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
 
@@ -240,7 +254,7 @@ def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction])
             del row[j]
 
 
-def _add(acc: dict, key, value: Fraction) -> None:
+def _add(acc: dict, key, value) -> None:
     """acc[key] += value for a nonzero value, in place, dropping the entry that cancels."""
     x = acc.get(key)
     if x is None:
@@ -258,38 +272,124 @@ def _reduce(row: dict[int, Fraction], kept: dict) -> dict[int, Fraction]:
     return row
 
 
-def _eliminate(rows, kept: dict | None = None) -> dict[int, dict[int, Fraction]]:
-    """Incremental RREF: add the rows (consumed in place) to kept, {pivot column: row}.
+def _integer_tables(*tables) -> tuple[int, tuple]:
+    """D, the lcm of the denominators in the tables, and each table scaled by D to ints.
 
-    Each row is reduced against the kept rows (dropped if it reaches zero),
-    its leading entry normalised to 1, and that column cleared from the kept
-    rows, which so stay 1 at their own pivot and 0 at every other.
+    A table is nested tuples down to its cells, each cell a tuple of terms:
+    a term is indices (ints) followed by a nonzero value, a Fraction or an
+    int.  The nonzero tables of brackets, connections and rho have this
+    shape, and a tuple of (index, value) terms is a table that is one cell.
+    Only the values are scaled; empty tuples are kept as they are.
+    """
+
+    def is_cell(t):
+        return t[0] and type(t[0][0]) is int
+
+    cells = []
+    stack = [t for t in tables if t]
+    while stack:
+        t = stack.pop()
+        if is_cell(t):
+            cells.append(t)
+        else:
+            stack.extend([c for c in t if c])
+    dens = {u[-1].denominator for cell in cells for u in cell}
+    dens.discard(1)
+    d = lcm(*dens) if dens else 1
+
+    def scaled(t):
+        if is_cell(t):
+            return tuple([u[:-1] + (u[-1].numerator * (d // u[-1].denominator),) for u in t])
+        return tuple([scaled(c) if c else c for c in t])
+
+    return d, tuple([scaled(t) if t else t for t in tables])
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """row divided by its content, the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _integer_row(row: dict) -> dict[int, int]:
+    """A new row: row, of nonzero Fractions or ints, times the positive
+    rational that makes its entries coprime ints."""
+    ratios = [(j, *x.as_integer_ratio()) for j, x in row.items()]
+    dens = {q for _, _, q in ratios if q != 1}
+    if dens:
+        m = lcm(*dens)
+        out = {j: p * (m // q) for j, p, q in ratios}
+    else:
+        out = {j: p for j, p, _ in ratios}
+    return _primitive(out)
+
+
+def _cancel(row: dict[int, int], c: int, other: dict[int, int]) -> dict[int, int]:
+    """row's entry at c cancelled by other (nonzero at c): (b row - a other) / g
+    with a = row[c], b = other[c] and g the gcd of a and b; other is only read."""
+    a, b = row[c], other[c]
+    g = gcd(a, b)
+    if b != g:
+        f = b // g
+        row = {j: f * x for j, x in row.items()}
+    a //= g
+    for j, y in other.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -a * y
+        elif x := x - a * y:
+            row[j] = x
+        else:
+            del row[j]
+    return row
+
+
+def _eliminate(rows, kept: dict | None = None) -> dict[int, dict[int, Fraction]]:
+    """Incremental RREF: add the rows (consumed) to kept, {pivot column: row}.
+
+    The rows may hold Fractions, ints or both; kept holds Fraction rows, 1 at
+    their own pivot and 0 at every other, and is updated in place.  The
+    elimination runs on coprime int rows: each row is reduced against the
+    kept rows (dropped if it reaches zero), then its leading column is
+    cleared from the kept rows.  Each pivot row it added or changed is
+    written back to kept once, at the end, divided by its pivot entry.
     """
     if kept is None:
         kept = {}
+    ints = {p: _integer_row(row) for p, row in kept.items()}
+    changed = set()
     for row in rows:
-        _reduce(row, kept)
         if not row:
             continue
+        row = _integer_row(row)
+        for p in [j for j in row if j in ints]:
+            row = _cancel(row, p, ints[p])
+        if not row:
+            continue
+        row = _primitive(row)
         c = min(row)
-        if row[c] != 1:
-            inv = ONE / row[c]
-            for j in row:
-                row[j] *= inv
-        for prow in kept.values():
-            f = prow.get(c)
-            if f is not None:
-                _subtract(prow, f, row)
-        kept[c] = row
+        for p, prow in ints.items():
+            if c in prow:
+                ints[p] = _primitive(_cancel(prow, c, row))
+                changed.add(p)
+        ints[c] = row
+        changed.add(c)
+    for p in changed:
+        row = ints[p]
+        d = row[p]
+        kept[p] = {j: ONE if j == p else Fraction(x, d) for j, x in row.items()}
     return kept
 
 
 def _kernel(kept: dict, width: int) -> "Subspace":
     """Nullspace of the reduced rows in kept, which it leaves untouched."""
-    vectors = {c: {c: ONE} for c in range(width) if c not in kept}
+    # The kernel vector of a free column c is e_c - sum of kept[p][c] e_p over
+    # the pivots p; each is written negated, which spans the same line and
+    # makes no new Fraction.
+    vectors = {c: {c: -1} for c in range(width) if c not in kept}
     for p, row in kept.items():
         for j in row.keys() - {p}:
-            vectors[j][p] = -row[j]
+            vectors[j][p] = row[j]
     # These vectors are reduced on the free columns, not in echelon form with
     # ascending pivots: for [[1, 1, 1]] they are (-1, 1, 0) and (-1, 0, 1),
     # whose echelon basis is (1, 0, -1), (0, 1, -1).  So they are eliminated

@@ -3,9 +3,11 @@ import hashlib
 import pytest
 from click.testing import CliRunner
 
+from lagext import extension
 from lagext.cli import main
 from lagext.specfile import parse_spec
 from lagext.verify import run_verify_catalog
+from test_extension import counting
 
 L26_TEXT = """algebra l_26 dim 4
 bracket e1 e2 -> 1 e3
@@ -225,6 +227,20 @@ def test_reduce_by_central_line(runner, l26_path, tmp_path):
     result = runner.invoke(main, ["reduce", str(ext_path), "--ideal", "e^1"])
     assert result.exit_code == 0
     assert "# reduced dimension: 6" in result.output
+
+
+@pytest.mark.parametrize("ideal, code", [("e^1", 0), ("e1,e^1", 1)])
+def test_reduce_computes_one_orthogonal_and_one_classification(
+    runner, l26_path, tmp_path, monkeypatch, ideal, code
+):
+    ext_path = tmp_path / "ext.spec"
+    runner.invoke(main, ["extend", l26_path, "--out", str(ext_path)])
+    calls = counting(monkeypatch, extension, ["symplectic_orthogonal", "_classify_ideal"])
+    result = runner.invoke(main, ["reduce", str(ext_path), "--ideal", ideal])
+    assert result.exit_code == code, result.output
+    assert calls == {"symplectic_orthogonal": 1, "_classify_ideal": 1}
+    if code:
+        assert "is not a normal isotropic ideal: status=not_isotropic normal=False" in result.output
 
 
 def test_reduce_rejects_non_isotropic_ideal(runner, l26_path, tmp_path):

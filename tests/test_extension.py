@@ -11,7 +11,15 @@ from lagext.catalog import (
     sample_parameters,
     table1_entries,
 )
-from lagext.cohomology import OneCochain, TwoCochain, coboundary_1, cocycle_bases, two_cochain_from_coefficients
+from lagext.cohomology import (
+    OneCochain,
+    ThreeCochain,
+    TwoCochain,
+    coboundary_1,
+    coboundary_2,
+    cocycle_bases,
+    two_cochain_from_coefficients,
+)
 from lagext.connection import (
     FlatConnection,
     check_flat_torsion_free,
@@ -101,6 +109,15 @@ def test_extension_of_zero_connection_is_abelian_with_standard_form():
         assert ext.algebra.bracket == LieAlgebra.abelian(2 * n).bracket
         assert ext.form == standard_form(n)
         assert ext.omega == frozen_standard_omega(n)
+
+
+def test_extension_of_the_zero_dimensional_connection_is_the_zero_algebra():
+    conn = FlatConnection.zero(LieAlgebra.abelian(0))
+    assert coboundary_2(dual_representation(conn), TwoCochain.zero(0)) == ThreeCochain(0, ())
+    ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
+    assert (ext.dim, ext.algebra.pairs) == (0, ())
+    assert ext.form == standard_form(0) == ()
+    assert ext.lagrangian_ideal == Subspace.zero(0)
 
 
 def test_extension_of_a10_single_bracket():
@@ -266,6 +283,38 @@ def test_reduction_rejects_non_isotropic():
     j = Subspace.from_vectors(8, [unit_vector(8, 0), unit_vector(8, 4)])
     with pytest.raises(ValueError):
         symplectic_reduction(ext, j)
+
+
+def counting(monkeypatch, module, names):
+    """Count the calls of module.name for each name, made through the module."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, dim", [(0, 6), (3, 6), (None, 0)])  # span(e^1), span(e^4), the dual half
+def test_reduction_computes_one_orthogonal_and_one_classification(monkeypatch, k, dim):
+    ext = build_extension(triple("l_26"))
+    j = ext.lagrangian_ideal if k is None else Subspace.from_vectors(8, [unit_vector(8, 4 + k)])
+    calls = counting(monkeypatch, extension, ["symplectic_orthogonal", "_classify_ideal"])
+    assert symplectic_reduction(ext, j).dim == dim
+    assert calls == {"symplectic_orthogonal": 1, "_classify_ideal": 1}
+
+
+def test_a_refused_reduction_classifies_once_and_keeps_its_message(monkeypatch):
+    ext = build_extension(triple("l_26"))
+    calls = counting(monkeypatch, extension, ["symplectic_orthogonal", "_classify_ideal"])
+    j = Subspace.from_vectors(8, [unit_vector(8, 0), unit_vector(8, 4)])
+    with pytest.raises(ValueError, match="^reduction requires an isotropic ideal, got not_isotropic$"):
+        symplectic_reduction(ext, j)
+    assert calls == {"symplectic_orthogonal": 1, "_classify_ideal": 1}
 
 
 @pytest.mark.parametrize(

@@ -437,9 +437,15 @@ def test_cohomology_never_builds_dense_d2_and_eliminates_its_rows_once(monkeypat
         if row:
             assert sum(other == row for other in fed) == emitted.count(row)
 
+    # The d2 rows are built once per representation: a second pass over the
+    # same one emits none, and a fresh one emits them all again.
+    fresh = canonical_rep("l_26")
     fed.clear()
     emitted.clear()
-    summary = cohomology(rep)
+    assert cocycle_bases(rep) == (z2, z2l)
+    assert not emitted
+    assert len(fed) == 56 * 8 + 56 + z2.dim + z2l.dim
+    summary = cohomology(fresh)
     assert not dense_builds
     assert len(emitted) == 56 * 8
     assert (summary.dim_z2, summary.dim_z2_lagrangian) == (123, 82)

@@ -72,6 +72,12 @@ the dense 2n x 2n form with its antisymmetry scan, the orthogonal by
 ``kernel_basis`` of dense ``apply`` images, an ideal check on the orthogonal
 and another on J, the quotient reduced at ambient width, and the reduced
 and spec-file forms as dense matrices.
+
+``frozen_eliminate`` (with ``frozen_kernel``), ``frozen_sweep``,
+``frozen_check_jacobi`` and ``frozen_d_omega_result`` are the exact kernels
+as they were before they ran on Python ints: every inner product a
+``Fraction`` operation, the elimination normalising each pivot row as it
+goes, and each residual summed over the rational tables.
 """
 
 import importlib
@@ -145,6 +151,7 @@ from lagext.lie import (
     lower_central_series,
     nilpotency_class,
     quotient_algebra,
+    require_jacobi,
     transform,
 )
 from lagext.linalg import (
@@ -158,6 +165,7 @@ from lagext.linalg import (
     _quotient_rows,
     _sparse,
     _subspace,
+    fmt_vector,
     is_zero_vector,
     kernel_basis,
     solve_linear,
@@ -172,6 +180,7 @@ from lagext.sampling import random_rational, rng_for
 
 # ``lagext.cohomology`` the attribute is the function; this is the module.
 cohomology_module = importlib.import_module("lagext.cohomology")
+linalg_module = importlib.import_module("lagext.linalg")
 
 
 def typed(value):
@@ -2312,3 +2321,396 @@ def test_subspaces_match_the_frozen_dense_construction(data):
     )
     for v in others:
         assert typed(space.reduce(v)) == typed(frozen.reduce(v))
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction kernels they replaced
+# ---------------------------------------------------------------------------
+
+
+def frozen_add(acc, key, value):
+    x = acc.get(key)
+    if x is None:
+        acc[key] = value
+    elif x := x + value:
+        acc[key] = x
+    else:
+        del acc[key]
+
+
+def frozen_subtract(row, f, other):
+    for j, b in other.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -f * b
+        elif x := x - f * b:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def frozen_eliminate(rows, kept=None):
+    """Incremental RREF with every inner product a Fraction operation."""
+    if kept is None:
+        kept = {}
+    for row in rows:
+        for p in [j for j in row if j in kept]:
+            frozen_subtract(row, row[p], kept[p])
+        if not row:
+            continue
+        c = min(row)
+        if row[c] != 1:
+            inv = F(1) / row[c]
+            for j in row:
+                row[j] *= inv
+        for prow in kept.values():
+            f = prow.get(c)
+            if f is not None:
+                frozen_subtract(prow, f, row)
+        kept[c] = row
+    return kept
+
+
+def frozen_add_image(acc, f, terms, columns):
+    for k, x in terms:
+        fx = f * x
+        for t, v in columns[k]:
+            frozen_add(acc, t, fx * v)
+
+
+def frozen_skew(cols, i, j):
+    skew = dict(cols[i][j])
+    for k, v in cols[j][i]:
+        frozen_add(skew, k, -v)
+    return skew
+
+
+def frozen_sweep(conn):
+    """(torsion, curvature, associator) of the sweep over the Fraction tables."""
+    n = conn.dim
+    cols = conn.nonzero_gamma
+    right = tuple(zip(*cols))
+    brackets = conn.base.nonzero_brackets
+    support = [{s for s, col in enumerate(plane) if col} for plane in cols]
+    torsion, curvature, associator = [], [], []
+    one = F(1)
+    for i, j in combinations(range(n), 2):
+        skew = frozen_skew(cols, i, j)
+        residual = dict(skew)
+        for k, c in brackets[i][j]:
+            frozen_add(residual, k, -c)
+        if residual:
+            torsion.append(((i + 1, j + 1), _dense(residual, n)))
+        touched = support[i] | support[j]
+        for k in list(skew) + [k for k, _ in brackets[i][j]]:
+            touched |= support[k]
+        for s in sorted(touched):
+            commutator = {}
+            frozen_add_image(commutator, one, cols[j][s], cols[i])
+            frozen_add_image(commutator, -one, cols[i][s], cols[j])
+            residual = dict(commutator)
+            frozen_add_image(residual, -one, brackets[i][j], right[s])
+            if residual:
+                curvature.append(((i + 1, j + 1, s + 1), _dense(residual, n)))
+            residual = {k: -v for k, v in commutator.items()}
+            frozen_add_image(residual, one, skew.items(), right[s])
+            if residual:
+                associator.append(((i + 1, j + 1, s + 1), _dense(residual, n)))
+    return tuple(torsion), tuple(curvature), tuple(associator)
+
+
+def frozen_check_jacobi(algebra):
+    """((triple, residual), ...) of the Jacobi sums over the Fraction table."""
+    n = algebra.dim
+    table = algebra.nonzero_brackets
+    violations = []
+    for i, j, k in combinations(range(n), 3):
+        r = [ZERO] * n
+        for a, inner in ((i, table[j][k]), (j, table[k][i]), (k, table[i][j])):
+            outer = table[a]
+            for t, coeff in inner:
+                for m, x in outer[t]:
+                    r[m] += coeff * x
+        if any(r):
+            violations.append(((i + 1, j + 1, k + 1), tuple(r)))
+    return tuple(violations)
+
+
+def frozen_d_omega_result(s):
+    """The residuals of d(omega) over the Fraction bracket table and omega rows."""
+    table = s.algebra.nonzero_brackets
+
+    def w(p, terms):
+        row = s.omega_rows[p]
+        return sum((row[q] * c for q, c in terms if q in row), ZERO)
+
+    return tuple(
+        ((i + 1, j + 1, k + 1), w(i, table[j][k]) + w(j, table[k][i]) + w(k, table[i][j]))
+        for i, j, k in combinations(range(s.dim), 3)
+    )
+
+
+def sweep_lines(report):
+    """Every residual of a sweep as the verify records write the first one."""
+    torsion, curvature, associator = report
+    return (
+        [f"T(e{i},e{j}) = {fmt_vector(v)}" for (i, j), v in torsion]
+        + [f"R(e{i},e{j})e{s} = {fmt_vector(v)}" for (i, j, s), v in curvature]
+        + [f"A(e{i},e{j},e{s}) = {fmt_vector(v)}" for (i, j, s), v in associator]
+    )
+
+
+def assert_sweep_matches_frozen(conn):
+    report = check_flat_torsion_free(conn)
+    live = (report.torsion, report.curvature, report.associator)
+    frozen = frozen_sweep(conn)
+    assert typed(live) == typed(frozen)
+    assert sweep_lines(live) == sweep_lines(frozen)
+    return report
+
+
+def assert_jacobi_matches_frozen(algebra):
+    live = tuple((v.triple, v.residual) for v in check_jacobi(algebra))
+    frozen = frozen_check_jacobi(algebra)
+    assert typed(live) == typed(frozen)
+    if frozen:
+        (triple, residual), *_ = frozen
+        with pytest.raises(ValueError) as raised:
+            require_jacobi(algebra)
+        assert str(raised.value) == (
+            f"Jacobi identity fails at {triple}: residual {fmt_vector(residual)}"
+        )
+    return live
+
+
+def assert_d_omega_matches_frozen(s):
+    result = s.d_omega_result
+    frozen = frozen_d_omega_result(s)
+    assert typed(result.residuals) == typed(frozen)
+    first = [f"d_omega({i},{j},{k}) = {v}" for (i, j, k), v in frozen if v][:1]
+    assert result.first_witness() == "".join(first)
+    return result
+
+
+def with_bracket_shifted(algebra, p, k, shift):
+    """algebra with the coefficient of e_k in its p-th pair moved by shift."""
+    terms = dict(algebra.pairs[p])
+    terms[k] = terms.get(k, ZERO) + shift
+    pairs = list(algebra.pairs)
+    pairs[p] = tuple(sorted((t, c) for t, c in terms.items() if c))
+    return LieAlgebra(algebra.dim, tuple(pairs), algebra.name)
+
+
+def frozen_kernel(kept, width):
+    """The kernel of the reduced rows kept, by the frozen elimination."""
+    vectors = {c: {c: F(1)} for c in range(width) if c not in kept}
+    for p, row in kept.items():
+        for j in row.keys() - {p}:
+            vectors[j][p] = -row[j]
+    reduced = frozen_eliminate(vectors.values())
+    return Subspace(width, tuple(reduced[p] for p in sorted(reduced)))
+
+
+def frozen_cocycle_bases_by_fractions(rep):
+    """Z2 and Z2_L by the frozen Fraction elimination, fed the rational d2
+    rows (the dense d2 matrix, row by row) and then the cyclic sums."""
+    width = len(pair_list(rep.dim)) * rep.dim
+    d2 = cohomology_module.matrix_of_coboundary_2(rep)
+    kept = frozen_eliminate([_sparse(row) for row in d2.entries])
+    z2 = frozen_kernel(kept, width)
+    cyclic = cohomology_module.cyclic_sum_matrix(rep.dim)
+    return z2, frozen_kernel(frozen_eliminate([_sparse(row) for row in cyclic.entries], kept), width)
+
+
+def assert_elimination_matches_frozen(rep):
+    live = cocycle_bases(rep)
+    frozen = frozen_cocycle_bases_by_fractions(rep)
+    assert typed(live) == typed(frozen)
+    assert [typed_kept(dict(enumerate(space.rows))) for space in live] == [
+        typed_kept(dict(enumerate(space.rows))) for space in frozen
+    ]
+    return live
+
+
+def test_integer_kernels_match_the_fraction_kernels_on_every_catalog_sample():
+    """The sweep, with the witnesses of the defective rows byte for byte,
+    Jacobi on each base and on a seeded corruption of it, and Z2, Z2_L."""
+    rng = rng_for(151, "integer-kernels-catalog")
+    first_torsion = {}
+    checked = flat = 0
+    for entry in table1_entries():
+        for sample in sample_parameters(entry, 3):
+            conn = instantiate(entry, sample)
+            if not isinstance(conn, FlatConnection):
+                continue
+            report = assert_sweep_matches_frozen(conn)
+            checked += 1
+            if report.torsion:
+                first_torsion.setdefault(entry.label, []).append(sweep_lines(
+                    (report.torsion, report.curvature, report.associator))[0])
+            base = conn.base
+            assert_jacobi_matches_frozen(base)
+            if base.dim >= 3:
+                p = rng.randrange(len(base.pairs))
+                shifted_base = with_bracket_shifted(base, p, rng.randrange(base.dim), F(rng.choice([1, -2]), 3))
+                assert_jacobi_matches_frozen(shifted_base)
+            if report.flat:
+                flat += 1
+                assert_elimination_matches_frozen(conn.dual)
+    assert (checked, flat) == (113, 108)
+    assert first_torsion == {
+        "t_6": ["T(e2,e4) = (0, 0, -1/6, 0)"],
+        "t_7": ["T(e2,e4) = (0, 0, -1/6, 0)"],
+        "t_20": ["T(e2,e3) = (0, 0, -1, 0)", "T(e2,e3) = (0, 0, -2, 0)", "T(e2,e3) = (0, 0, -1/3, 0)"],
+    }
+
+
+def test_integer_kernels_match_the_fraction_kernels_on_perturbed_connections():
+    """Single-cell perturbations give torsion, curvature and associator witnesses."""
+    rng = rng_for(157, "integer-kernels-perturbed")
+    seen = Counter()
+    for conn in list(flat_catalog_samples(1)) + [
+        canonical_connection(ext) for ext in list(flat_row_extensions())[::16]
+    ]:
+        for _ in range(2):
+            report = assert_sweep_matches_frozen(perturbed(conn, rng))
+            seen.update(name for name in ("torsion", "curvature", "associator") if getattr(report, name))
+    assert set(seen) == {"torsion", "curvature", "associator"}, seen
+
+
+def seeded_class_extensions(conn, rng):
+    """The extensions of conn by a seeded Z2_L and a seeded Z2 cocycle; the
+    second leaves omega not closed unless it happens to be Lagrangian."""
+    z2, z2l = cocycle_bases(dual_representation(conn))
+    for basis in (z2l, z2):
+        coeffs = tuple(random_rational(rng) for _ in range(basis.dim))
+        alpha = two_cochain_from_coefficients(basis, coeffs, conn.dim)
+        yield build_extension(ExtensionTriple(conn, alpha))
+
+
+def test_integer_kernels_match_the_fraction_kernels_on_zero_and_seeded_extensions():
+    """Jacobi and d(omega) of the zero extension and of two seeded classes of
+    every flat row, the sweep of their canonical connections, and the
+    d(omega) witnesses of the classes that are not Lagrangian."""
+    rng = rng_for(163, "integer-kernels-extensions")
+    open_forms = checked = 0
+    for ext in flat_row_extensions():
+        conn = induced_flat_connection(ext, ext.lagrangian_ideal)
+        for s in (ext, *seeded_class_extensions(conn, rng)):
+            assert assert_jacobi_matches_frozen(s.algebra) == ()
+            result = assert_d_omega_matches_frozen(s)
+            if result.is_zero():
+                assert_sweep_matches_frozen(canonical_connection(s))
+            else:
+                open_forms += 1
+            broken = with_bracket_shifted(s.algebra, rng.randrange(len(s.algebra.pairs)),
+                                          rng.randrange(s.dim), F(1, 7))
+            assert_jacobi_matches_frozen(broken)
+            assert_d_omega_matches_frozen(SymplecticLieAlgebra(broken, s.form))
+            checked += 1
+    assert checked == 3 * 64
+    assert open_forms > 32
+
+
+@pytest.mark.parametrize("label", ["l_26", "t_8"])
+def test_integer_kernels_match_the_fraction_kernels_on_eight_dimensional_canonical_connections(label):
+    rng = rng_for(167, "integer-kernels-canonical", label)
+    ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
+    canonical = canonical_connection(ext)
+    assert assert_sweep_matches_frozen(canonical).ok
+    assert assert_sweep_matches_frozen(perturbed(canonical, rng)).torsion
+    assert assert_jacobi_matches_frozen(canonical.base) == ()
+    assert_d_omega_matches_frozen(ext)
+    z2, z2l = assert_elimination_matches_frozen(canonical.dual)
+    assert (z2.dim, z2l.dim) == {"l_26": (123, 82), "t_8": (88, 56)}[label]
+
+
+# Primes above 2^61, as denominators no product of small ones reaches.
+LARGE_PRIMES = (
+    2305843009213693967, 2305843009213693973, 2305843009213694009,
+    2305843009213694017, 2305843009213694087, 2305843009213694149,
+)
+
+
+def sympy_rref_rows(rows, width):
+    """{pivot: {column: Fraction}} of the reduced row echelon form, by sympy."""
+    import sympy
+
+    if not rows or not width:
+        return {}
+    matrix = sympy.Matrix(len(rows), width, lambda r, c: sympy.Rational(
+        rows[r].get(c, 0).numerator, rows[r].get(c, 0).denominator))
+    reduced, pivots = matrix.rref()
+    return {
+        p: {c: F(int(x.p), int(x.q)) for c in range(width) if (x := reduced[r, c]) != 0}
+        for r, p in enumerate(pivots)
+    }
+
+
+def typed_kept(kept):
+    return sorted((p, sorted((c, type(x), x) for c, x in row.items())) for p, row in kept.items())
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_elimination_gives_one_rref_for_fraction_int_and_mixed_rows(data):
+    """Each row is drawn as ints and scaled by a seeded nonzero rational, with
+    denominators among primes above 2^61, which leaves its span alone; the
+    rows are then given as Fractions, as ints, mixed, and in two batches
+    through kept.  Every form gives the frozen Fraction RREF and sympy's."""
+    width = data.draw(st.integers(min_value=0, max_value=7))
+    small = st.sampled_from([0] * 12 + [1, -1, 2, -3, 5, 7])
+    ints = data.draw(st.lists(st.lists(small, min_size=width, max_size=width), max_size=6))
+    ints = [{c: x for c, x in enumerate(row) if x} for row in ints]
+    scale = st.builds(
+        F,
+        st.sampled_from([1, -1, 3, -2, LARGE_PRIMES[0], -LARGE_PRIMES[1]]),
+        st.sampled_from((1, 6) + LARGE_PRIMES),
+    )
+    fractions = []
+    for row in ints:
+        f = data.draw(scale)
+        fractions.append({c: f * x for c, x in row.items()})
+    mixed = [
+        {c: (int(x) if x.denominator == 1 and data.draw(st.booleans()) else x) for c, x in row.items()}
+        for row in fractions
+    ]
+    expected = frozen_eliminate([dict(row) for row in fractions])
+    assert typed_kept(expected) == typed_kept(sympy_rref_rows(fractions, width))
+    alternating = [row if r % 2 else fractions[r] for r, row in enumerate(ints)]
+    for rows in (fractions, ints, mixed, alternating):
+        assert typed_kept(_eliminate([dict(row) for row in rows])) == typed_kept(expected)
+    cut = data.draw(st.integers(min_value=0, max_value=len(mixed)))
+    kept = _eliminate([dict(row) for row in fractions[:cut]])
+    assert typed_kept(_eliminate([dict(row) for row in mixed[cut:]], kept)) == typed_kept(expected)
+    assert typed_kept(kept) == typed_kept(expected)  # kept is updated in place
+
+
+def test_cocycle_bases_makes_a_fraction_only_for_each_entry_the_kernel_writes_out(monkeypatch):
+    """A Fraction inner loop in the kernel makes a Fraction per operation;
+    the integer kernel makes one per off-pivot entry of the rows it returns."""
+    ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for("l_26")))
+    rep = canonical_connection(ext).dual
+    written = []
+    real_eliminate = linalg_module._eliminate
+
+    def recording_eliminate(rows, kept=None):
+        kept = real_eliminate(rows, kept)
+        written.append(sum(len(row) - 1 for row in kept.values()))
+        return kept
+
+    made = [0]
+    real_new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(linalg_module, "_eliminate", recording_eliminate)
+    monkeypatch.setattr(cohomology_module, "_eliminate", recording_eliminate)
+    monkeypatch.setattr(F, "__new__", counting_new)
+    z2, z2l = cocycle_bases(rep)
+    monkeypatch.undo()
+    assert (z2.dim, z2l.dim) == (123, 82)
+    assert len(written) == 4  # d2, the kernel of Z2, the cyclic sums, the kernel of Z2_L
+    assert 0 < made[0] <= sum(written)
