@@ -14,7 +14,9 @@ and quotienting by it recovers the connection exactly.
 
 A form is stored as its coordinates over the pairs i < j and read through
 its sparse rows; subspaces (J, its orthogonal) are read through their
-sparse echelon rows.
+sparse echelon rows, and a linear map (psi, the lifts of a reduction) as its
+columns in sparse rows, with omega and brackets read by ``omega_row`` and
+``LieAlgebra.bracket_rows``: no dense vector is read here.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ from .connection import (
 from .lie import (
     LieAlgebra,
     NonzeroTable,
-    _images,
+    _quotient,
     lower_central_series,
     nilpotency_class,
-    quotient_algebra,
     require_jacobi,
 )
 from .linalg import (
@@ -59,8 +60,8 @@ from .linalg import (
     _integer_tables,
     _kernel,
     _sparse,
+    _subspace,
     format_rational,
-    unit_vector,
 )
 
 
@@ -119,15 +120,26 @@ class SymplecticLieAlgebra:
         """The dense matrix of the form, a read-only view decoded once."""
         return RatMatrix(tuple(_dense(row, self.dim) for row in self.omega_rows))
 
-    def omega_value(self, x: Vector, y: Vector) -> Fraction:
-        """omega(x, y), summed over the nonzero entries of x, y and omega."""
-        y_terms = [(q, yq) for q, yq in enumerate(y) if yq]
-        return sum((xp * self._omega_on(p, y_terms) for p, xp in enumerate(x) if xp), ZERO)
+    def omega_row(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
+        """omega(v, .) as a sparse row {q: omega(v, e_q)}, for a sparse row v."""
+        out = {}
+        for p, x in v.items():
+            for q, y in self.omega_rows[p].items():
+                _add(out, q, x * y)
+        return out
 
-    def _omega_on(self, p: int, terms) -> Fraction:
-        """omega(e_p, v) for v the sum of c e_q over (q, c) in terms."""
-        row = self.omega_rows[p]
-        return sum((row[q] * c for q, c in terms if q in row), ZERO)
+    def pullback(self, columns) -> tuple[Fraction, ...]:
+        """The pair coordinates of omega(c_a, c_b), a < b, for sparse rows c_a, each
+        omega(c_a, .) computed once: the form omega pulls back along the map."""
+        rows = [self.omega_row(c) for c in columns[:-1]]
+        return tuple(
+            sum((rows[a][q] * y for q, y in columns[b].items() if q in rows[a]), ZERO)
+            for a, b in combinations(range(len(columns)), 2)
+        )
+
+    def omega_value(self, x: Vector, y: Vector) -> Fraction:
+        """omega(x, y) of dense vectors: a dense wrapper over ``pullback``."""
+        return self.pullback([_sparse(x), _sparse(y)])[0]
 
     @cached_property
     def d_omega_result(self) -> "DOmegaResult":
@@ -137,11 +149,10 @@ class SymplecticLieAlgebra:
         each term summed over the nonzero structure constants of the bracket
         and the nonzero entries of the row of omega.
         """
-        # Bilinear in omega and the bracket: summed over both scaled by D to
-        # ints, and a nonzero value is divided back by D^2.
-        d, (table, rows) = _integer_tables(
-            self.algebra.nonzero_brackets, tuple(tuple(row.items()) for row in self.omega_rows)
-        )
+        # Bilinear in omega and the bracket: summed over the table scaled by
+        # its D and the rows by their own D', and divided back by D D'.
+        d, table = self.algebra.integer_brackets
+        d_rows, (rows,) = _integer_tables(tuple(tuple(row.items()) for row in self.omega_rows))
         rows = [dict(row) for row in rows]
 
         def w(p, terms):
@@ -151,7 +162,7 @@ class SymplecticLieAlgebra:
         residuals = []
         for i, j, k in combinations(range(self.dim), 3):
             x = w(i, table[j][k]) + w(j, table[k][i]) + w(k, table[i][j])
-            residuals.append(((i + 1, j + 1, k + 1), Fraction(x, d * d) if x else ZERO))
+            residuals.append(((i + 1, j + 1, k + 1), Fraction(x, d * d_rows) if x else ZERO))
         return DOmegaResult(tuple(residuals))
 
     @cached_property
@@ -313,26 +324,25 @@ def _omega_solve(s: SymplecticLieAlgebra, lifts, tests) -> NonzeroTable:
     {index: nonzero value}: the unit vectors for ``canonical_connection``, the
     basis of a Lagrangian ideal for ``induced_flat_connection``.  Cell [a][b]
     lists the nonzero (t, x_t) of nabla_{e_{l_a}} e_{l_b} = sum_t x_t e_{l_t},
-    solving sum_t x_t omega(e_{l_t}, u) = -omega(e_{l_b}, [e_{l_a}, u]) for
-    every u.
-    The pairing omega(e_{l_t}, u) is inverted once (ValueError when singular);
-    each [e_{l_a}, u] is read off ``nonzero_brackets`` once per (a, u), and
-    each omega value through ``SymplecticLieAlgebra._omega_on``.
+    solving sum_t x_t omega(u, e_{l_t}) = -omega([e_{l_a}, u], e_{l_b}) for
+    every u, the equation above by antisymmetry.
+    The pairing omega(u, e_{l_t}) is inverted once (ValueError when singular),
+    and omega([e_{l_a}, u], .) is read once per (a, u), for every b.
     """
-    w = s._omega_on
-    inverse = RatMatrix(tuple(tuple(w(t, u.items()) for t in lifts) for u in tests)).inverse()
-    # columns[u]: the nonzero (k, v) of column u of the inverse
-    columns = [[(k, v) for k, v in enumerate(col) if v] for col in zip(*inverse.entries)]
-    table = s.algebra.nonzero_brackets
+    pairing = [s.omega_row(u) for u in tests]
+    inverse = RatMatrix(tuple(tuple(row.get(t, ZERO) for t in lifts) for row in pairing)).inverse()
+    # columns[u]: the nonzero (k, -v) of column u of the inverse, which carries
+    # the sign of the right-hand side
+    columns = [[(k, -v) for k, v in enumerate(col) if v] for col in zip(*inverse.entries)]
     gamma = []
     for a in lifts:
-        # [e_a, u] for each test vector u as (k, value) terms, shared by every b
-        brackets = [[(k, y * c) for q, y in u.items() for k, c in table[a][q]] for u in tests]
+        # omega([e_a, u], .) for each test vector u, shared by every b
+        rows = [s.omega_row(s.algebra.bracket_rows({a: ONE}, u)) for u in tests]
         plane = []
         for b in lifts:
             x = {}
-            for u, terms in enumerate(brackets):
-                if terms and (f := -w(b, terms)):
+            for u, row in enumerate(rows):
+                if f := row.get(b):
                     for k, v in columns[u]:
                         _add(x, k, f * v)
             plane.append(tuple(sorted(x.items())))
@@ -351,13 +361,11 @@ class IdealVerdict:
 
 
 def symplectic_orthogonal(s: SymplecticLieAlgebra, j: Subspace) -> Subspace:
-    """{v : omega(u, v) = 0 for all u in J}: the kernel of the rows omega(u, .),
-    the images of J's echelon rows under the operator whose column p is row p
-    of omega.  A nonzero J of another ambient dimension raises."""
+    """{v : omega(u, v) = 0 for all u in J}: the kernel of the rows omega(u, .)
+    of J's echelon rows u.  A nonzero J of another ambient dimension raises."""
     if j.dim and j.ambient_dim != s.dim:
         raise ValueError("vector length does not match column count")
-    operator = tuple(row.items() for row in s.omega_rows)
-    return _kernel(_eliminate(_images((operator,), j.rows)), s.dim)
+    return _kernel(_eliminate([s.omega_row(u) for u in j.rows]), s.dim)
 
 
 def is_lagrangian_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
@@ -375,8 +383,8 @@ def is_lagrangian_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
 def _classify_ideal(s: SymplecticLieAlgebra, j: Subspace, perp: Subspace) -> IdealVerdict:
     """The verdict on J, given its symplectic orthogonal."""
     normal = s.algebra.is_ideal(perp)
-    # J is isotropic iff it lies in its orthogonal.
-    if not all(perp.contains(u) for u in j.basis):
+    # J is isotropic iff omega vanishes on every pair of its echelon rows.
+    if any(s.pullback(j.rows)):
         return IdealVerdict("not_isotropic", normal)
     # A Lagrangian J is its own orthogonal, whose ideal check is just made.
     if not (normal if perp == j else s.algebra.is_ideal(j)):
@@ -400,18 +408,19 @@ def classify_and_reduce(
     verdict = _classify_ideal(s, j, perp)
     if verdict.status in ("not_ideal", "not_isotropic") or not verdict.normal:
         return verdict, None
-    r = perp.dim
-    # Structure constants of the orthogonal as a subalgebra, in its echelon basis.
-    sub = {
-        (a, b): perp.coordinates(s.algebra.bracket_vectors(perp.basis[a], perp.basis[b]))
-        for a, b in combinations(range(r), 2)
-    }
-    perp_algebra = LieAlgebra.from_brackets(r, sub, name=f"{s.algebra.name}|perp")
-    j_inside = Subspace.from_vectors(r, [perp.coordinates(u) for u in j.basis])
-    reduced = quotient_algebra(perp_algebra, j_inside, name=f"{s.algebra.name}/red")
-    lifts = [perp.basis[t] for t in j_inside.complement_coordinates()]
-    form = tuple(s.omega_value(lifts[a], lifts[b]) for a, b in combinations(range(len(lifts)), 2))
-    result = SymplecticLieAlgebra(reduced, form)
+
+    def inside(row):  # a vector of the orthogonal in its echelon basis: its pivot entries
+        return tuple((t, row[p]) for t, p in enumerate(perp.pivots) if p in row)
+
+    rows, r = perp.rows, perp.dim
+    pairs = tuple(inside(s.algebra.bracket_rows(rows[a], rows[b])) for a, b in combinations(range(r), 2))
+    perp_algebra = LieAlgebra(r, pairs, f"{s.algebra.name}|perp")
+    j_inside = _subspace(r, [dict(inside(u)) for u in j.rows])
+    # J is an ideal of g inside the orthogonal, so it is one of the orthogonal.
+    reduced = _quotient(perp_algebra, j_inside, name=f"{s.algebra.name}/red")
+    result = SymplecticLieAlgebra(
+        reduced, s.pullback([rows[t] for t in j_inside.complement_coordinates()])
+    )
     if reduced.dim:
         result.validate()
     return verdict, result
@@ -439,7 +448,10 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
     verdict = is_lagrangian_ideal(s, j)
     if not verdict.is_lagrangian:
         raise ValueError(f"induced connection requires a Lagrangian ideal, got {verdict.status}")
-    quotient = quotient_algebra(s.algebra, j, name=f"{s.algebra.name}/ideal")
+    if j.ambient_dim != s.dim:  # a zero J of another size, Lagrangian when s is 0
+        raise ValueError("ambient dimension mismatch")
+    # The verdict has checked J an ideal.
+    quotient = _quotient(s.algebra, j, name=f"{s.algebra.name}/ideal")
     try:
         gamma = _omega_solve(s, j.complement_coordinates(), j.rows)
     except ValueError:
@@ -555,39 +567,36 @@ def equivalence_map_psi(
     the pullback identity Psi^T omega Psi = omega is verified as well.
     """
     c1, c2 = t1.connection, t2.connection
-    if c1.nonzero_gamma != c2.nonzero_gamma or c1.base != c2.base:
+    if c1.nonzero_gamma != c2.nonzero_gamma or c1.base.pairs != c2.base.pairs:
         raise ValueError("triples must share the same connection")
     rep = dual_representation(t1.connection)
     expected = t1.cocycle - coboundary_1(rep, sigma)
     if expected != t2.cocycle:
         raise ValueError("cocycles are not related by the coboundary of sigma")
 
-    n = t1.connection.dim
-    total = 2 * n
-    # column a < n is e_a + sigma(e_a) in the dual coordinates; column n + k is e^k
-    cols = [(*unit_vector(n, a), *sigma.entries[a]) for a in range(n)]
-    cols += [unit_vector(total, n + k) for k in range(n)]
-    psi = RatMatrix(tuple(cols)).transpose()
-
+    cols = _psi_columns(sigma)
     g1 = build_extension(t1)
     g2 = build_extension(t2)
     table = g1.algebra.nonzero_brackets
-    nonzero_cols = [[(t, v) for t, v in enumerate(col) if v] for col in cols]
-    for a, b in combinations(range(total), 2):
+    for a, b in combinations(range(len(cols)), 2):
         # psi([e_a, e_b]_1), summed over the nonzero terms of the bracket and of psi's columns
         image = {}
         for k, c in table[a][b]:
-            for t, v in nonzero_cols[k]:
+            for t, v in cols[k].items():
                 _add(image, t, c * v)
-        if image != _sparse(g2.algebra.bracket_vectors(cols[a], cols[b])):
+        if image != g2.algebra.bracket_rows(cols[a], cols[b]):
             raise IntegrityError(f"bracket preservation fails at basis pair ({a+1},{b+1})")
-    # (Psi^T omega Psi)[a][b] = omega(Psi e_a, Psi e_b): alternating, decided on a < b.
-    if sigma.is_symmetric and any(
-        g2.omega_value(cols[a], cols[b]) != x
-        for (a, b), x in zip(combinations(range(total), 2), g1.form)
-    ):
+    # Psi^T omega Psi is alternating, so it is decided on its pair coordinates.
+    if sigma.is_symmetric and g2.pullback(cols) != g1.form:
         raise IntegrityError("pullback of omega under a Lagrangian shift must be omega")
-    return psi
+    return RatMatrix(tuple(_dense(col, len(cols)) for col in cols)).transpose()
+
+
+def _psi_columns(sigma: OneCochain) -> list[dict[int, Fraction]]:
+    """psi's columns as sparse rows: e_a + sigma(e_a) for a < n, then the e^k."""
+    n = sigma.dim
+    cols = [{a: ONE, **{n + k: x for k, x in enumerate(sigma.entries[a]) if x}} for a in range(n)]
+    return cols + [{n + k: ONE} for k in range(n)]
 
 
 def adjusted_symplectic_form(
@@ -611,12 +620,9 @@ def adjusted_symplectic_form(
     t_bar = ExtensionTriple(triple.connection, alpha_bar)
     t_hat = ExtensionTriple(triple.connection, alpha_hat)
     tau = sigma_l - sigma
-    psi = equivalence_map_psi(t_bar, t_hat, tau)
-    # (Psi^T omega Psi)[a][b] = omega(Psi e_a, Psi e_b), omega the standard
-    # pairing form of the extension by alpha_hat, read on the pairs a < b.
-    g_hat = build_extension(t_hat)
-    cols = [psi.col(a) for a in range(psi.cols)]
-    form = tuple(g_hat.omega_value(cols[a], cols[b]) for a, b in combinations(range(len(cols)), 2))
+    equivalence_map_psi(t_bar, t_hat, tau)
+    # Psi^T omega Psi, omega the standard pairing form of the extension by alpha_hat.
+    form = build_extension(t_hat).pullback(_psi_columns(tau))
     adjusted = SymplecticLieAlgebra(build_extension(t_bar).algebra, form)
     if not adjusted.is_nondegenerate():
         raise ValueError("adjusted form is degenerate")

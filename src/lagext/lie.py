@@ -9,11 +9,13 @@ identity is checked either explicitly via ``check_jacobi`` or by the
 constructors of derived algebras (quotients, extensions).
 
 Each algebra keeps the n x n view of its table (``nonzero_brackets``), which
-every routine here reads, and its lower central series, both computed on
-first use; the dense tensor ``bracket`` is a view for tests and the
-benchmark.  Keeping them is sound because an algebra is immutable.  The
-constructor rejects a table that is not canonical (k out of order, or a c that
-is zero or not a Fraction), so equal tables mean equal brackets.
+every routine here reads, that view scaled to ints (``integer_brackets``)
+and its lower central series, all computed on first use; the dense tensor
+``bracket`` is a view for tests and the benchmark.  Keeping them is sound
+because an algebra is immutable.  The constructor rejects a table that is
+not canonical (k out of order, or a c that is zero or not a Fraction), so
+equal tables mean equal brackets.  Brackets of vectors are read on sparse
+rows, by ``bracket_rows``.
 
 The lower central series is the ``descending_flag`` of the ad_{e_j}, the
 planes of ``nonzero_brackets``; connection.py reads the flag of nabla's.
@@ -30,7 +32,6 @@ from .linalg import (
     RatMatrix,
     Subspace,
     Vector,
-    ZERO,
     _add,
     _dense,
     _eliminate,
@@ -38,6 +39,7 @@ from .linalg import (
     _kernel,
     _pair_value,
     _reduce,
+    _sparse,
     _subspace,
     fmt_vector,
 )
@@ -122,23 +124,29 @@ class LieAlgebra:
             return self._renamed_from.central_series
         return _lower_central_series(self)
 
+    @cached_property
+    def integer_brackets(self) -> tuple[int, NonzeroTable]:
+        """D, the lcm of the denominators of ``nonzero_brackets``, and the table
+        scaled by D to ints; computed once per algebra and its renamed copies."""
+        if self._renamed_from is not None:
+            return self._renamed_from.integer_brackets
+        d, (table,) = _integer_tables(self.nonzero_brackets)
+        return d, table
+
+    def bracket_rows(self, u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
+        """[u, v] as a sparse row, for sparse rows u and v, summed over the
+        nonzero structure constants."""
+        out = {}
+        for i, x in u.items():
+            plane = self.nonzero_brackets[i]
+            for j, y in v.items():
+                for k, c in plane[j]:
+                    _add(out, k, x * y * c)
+        return out
+
     def bracket_vectors(self, x: Vector, y: Vector) -> Vector:
-        n = self.dim
-        out = [ZERO] * n
-        table = self.nonzero_brackets
-        y_support = [(j, y[j]) for j in range(n) if y[j]]
-        for i in range(n):
-            xi = x[i]
-            if not xi:
-                continue
-            plane = table[i]
-            for j, yj in y_support:
-                terms = plane[j]
-                if terms:
-                    coeff = xi * yj
-                    for k, c in terms:
-                        out[k] += coeff * c
-        return tuple(out)
+        """[x, y] of dense vectors: a dense wrapper over ``bracket_rows``."""
+        return _dense(self.bracket_rows(_sparse(x), _sparse(y)), self.dim)
 
     def is_ideal(self, sub: Subspace) -> bool:
         """[g, sub] <= sub: every [e_j, v], v in the basis of sub, reduces to 0."""
@@ -146,8 +154,9 @@ class LieAlgebra:
         return not any(_reduce(row, kept) for row in _images(self.nonzero_brackets, sub.rows))
 
     def rename(self, name: str) -> "LieAlgebra":
-        """The same algebra under another name, reading ``nonzero_brackets`` and
-        ``central_series`` through this one: both depend only on the bracket."""
+        """The same algebra under another name, reading ``nonzero_brackets``,
+        ``integer_brackets`` and ``central_series`` through this one: each
+        depends only on the bracket."""
         renamed = LieAlgebra(self.dim, self.pairs, name)
         object.__setattr__(renamed, "_renamed_from", self)
         return renamed
@@ -195,7 +204,7 @@ def check_jacobi(algebra: LieAlgebra) -> tuple[JacobiViolation, ...]:
     table scaled by D to ints and a nonzero one is divided back by D^2.
     """
     n = algebra.dim
-    d, (table,) = _integer_tables(algebra.nonzero_brackets)
+    d, table = algebra.integer_brackets
     violations = []
     for i, j, k in combinations(range(n), 3):
         r = [0] * n
@@ -223,10 +232,7 @@ def require_jacobi(algebra: LieAlgebra) -> LieAlgebra:
 
 def bracket_of_subspaces(algebra: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """span{[x, y] : x in A, y in B}."""
-    vectors = [
-        algebra.bracket_vectors(x, y) for x in a.basis for y in b.basis
-    ]
-    return Subspace.from_vectors(algebra.dim, vectors)
+    return _subspace(algebra.dim, [algebra.bracket_rows(x, y) for x in a.rows for y in b.rows])
 
 
 def lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
@@ -334,6 +340,11 @@ def quotient_algebra(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> Li
         raise ValueError("ambient dimension mismatch")
     if not algebra.is_ideal(ideal):
         raise ValueError("subspace is not an ideal")
+    return _quotient(algebra, ideal, name)
+
+
+def _quotient(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> LieAlgebra:
+    """``quotient_algebra`` for a caller that has already verified the ideal."""
     keep = ideal.complement_coordinates()
     position = {k: t for t, k in enumerate(keep)}
     kept = dict(zip(ideal.pivots, ideal.rows))
@@ -353,9 +364,9 @@ def transform(algebra: LieAlgebra, p: RatMatrix, name: str = "") -> LieAlgebra:
     if p.rows != n or p.cols != n:
         raise ValueError("change of basis must be square of matching size")
     p_inv = p.inverse()
-    cols = [p.col(j) for j in range(n)]
+    cols = [_sparse(col) for col in zip(*p.entries)]
     entries = {
-        (a, b): p_inv.apply(algebra.bracket_vectors(cols[a], cols[b]))
+        (a, b): p_inv.apply(_dense(algebra.bracket_rows(cols[a], cols[b]), n))
         for a, b in combinations(range(n), 2)
     }
     return LieAlgebra.from_brackets(n, entries, name)

@@ -25,7 +25,7 @@ from lagext.connection import (
     check_flat_torsion_free,
     dual_representation,
 )
-from lagext import extension
+from lagext import extension, lie
 from lagext.extension import (
     CocycleError,
     ExtensionTriple,
@@ -317,6 +317,45 @@ def test_a_refused_reduction_classifies_once_and_keeps_its_message(monkeypatch):
     assert calls == {"symplectic_orthogonal": 1, "_classify_ideal": 1}
 
 
+def test_the_ideal_is_checked_once_per_round_trip_and_reduction(monkeypatch):
+    # The verdict has checked J an ideal (the Lagrangian J is its own
+    # orthogonal), so the quotient does not check it again; a reduction by
+    # span(e^4) checks its orthogonal and J, and not J inside the orthogonal.
+    calls = []
+    real = LieAlgebra.is_ideal
+
+    def counted(algebra, sub):
+        calls.append(sub.dim)
+        return real(algebra, sub)
+
+    monkeypatch.setattr(LieAlgebra, "is_ideal", counted)
+    t = triple("l_26")
+    ext = build_extension(t)
+    assert induced_flat_connection(ext, ext.lagrangian_ideal).nonzero_gamma == t.connection.nonzero_gamma
+    assert calls == [4]
+    calls.clear()
+    assert symplectic_reduction(ext, Subspace.from_vectors(8, [unit_vector(8, 7)])).dim == 6
+    assert calls == [7, 1]
+
+
+def test_each_bracket_table_is_scaled_once(monkeypatch):
+    # Jacobi in the build, d(omega) of the extension and of its named copy,
+    # and Jacobi of the copy all read one scaling of the extension's table.
+    scaled = []
+    for module in (lie, extension):
+        def recording(*tables, _real=module._integer_tables):
+            scaled.extend(tables)
+            return _real(*tables)
+
+        monkeypatch.setattr(module, "_integer_tables", recording)
+    t = triple("l_26")
+    ext = build_extension(t)
+    named = build_extension(t, name="l_26_ext")
+    assert ext.d_omega_result.is_zero() and named.d_omega_result.is_zero()
+    assert check_jacobi(named.algebra) == ()
+    assert sum(table is ext.algebra.nonzero_brackets for table in scaled) == 1
+
+
 @pytest.mark.parametrize(
     "function",
     [symplectic_orthogonal, is_lagrangian_ideal, induced_flat_connection, symplectic_reduction],
@@ -327,6 +366,13 @@ def test_a_subspace_of_another_ambient_dimension_is_rejected(function, ambient):
     j = Subspace.from_vectors(ambient, [unit_vector(ambient, 0)])
     with pytest.raises(ValueError, match="^vector length does not match column count$"):
         function(ext, j)
+
+
+def test_the_induced_connection_rejects_a_zero_ideal_of_another_size_on_the_zero_algebra():
+    s = SymplecticLieAlgebra(LieAlgebra.abelian(0), ())
+    assert induced_flat_connection(s, Subspace.zero(0)).dim == 0
+    with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+        induced_flat_connection(s, Subspace.zero(2))
 
 
 @pytest.mark.parametrize("ambient", [0, 4, 10])
@@ -696,10 +742,14 @@ def test_psi_compares_the_connection_tables_and_bases_only():
     assert moved.base == t1.connection.base
     with pytest.raises(ValueError, match=r"^triples must share the same connection$"):
         equivalence_map_psi(t1, ExtensionTriple(moved, t1.cocycle), sigma)
-    # The label and the parameters are not part of the connection's value.
+    # The label, the parameters and the base's name are not part of the
+    # connection's value.
     relabelled = replace(t1.connection, params=(("mu", F(2)),), label="relabelled")
-    psi = equivalence_map_psi(t1, ExtensionTriple(relabelled, t1.cocycle), sigma)
-    assert psi.entries == RatMatrix.identity(8).entries
+    renamed = replace(t1.connection, base=t1.connection.base.rename("other"))
+    assert renamed.base != t1.connection.base
+    for other in (relabelled, renamed):
+        psi = equivalence_map_psi(t1, ExtensionTriple(other, t1.cocycle), sigma)
+        assert psi.entries == RatMatrix.identity(8).entries
 
 
 def test_adjusted_form_equals_standard_when_sigmas_match():

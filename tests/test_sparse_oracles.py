@@ -78,6 +78,15 @@ and spec-file forms as dense matrices.
 as they were before they ran on Python ints: every inner product a
 ``Fraction`` operation, the elimination normalising each pivot row as it
 goes, and each residual summed over the rational tables.
+
+``frozen_vector_omega_solve``, ``frozen_vector_orthogonal``,
+``frozen_vector_classify``, ``frozen_vector_classify_and_reduce``,
+``frozen_vector_psi``, ``frozen_vector_adjusted_form`` and
+``frozen_vector_bracket_of_subspaces`` are the symplectic maps as they were
+before a linear map was read as its sparse columns: psi and the lifts of a
+reduction as dense columns, J and its orthogonal through their dense bases,
+and every omega value and bracket of vectors by its own loop, here the
+frozen ``frozen_omega_value`` and ``dense_bracket_vectors``.
 """
 
 import importlib
@@ -130,9 +139,11 @@ from lagext.extension import (
     IntegrityError,
     NilpotencyCertificate,
     SymplecticLieAlgebra,
+    _omega_solve,
     adjusted_symplectic_form,
     build_extension,
     canonical_connection,
+    classify_and_reduce,
     d_omega,
     equivalence_map_psi,
     induced_flat_connection,
@@ -144,6 +155,8 @@ from lagext.extension import (
 )
 from lagext.lie import (
     LieAlgebra,
+    _images,
+    bracket_of_subspaces,
     center,
     check_jacobi,
     derivation_space,
@@ -161,6 +174,7 @@ from lagext.linalg import (
     Vector,
     _dense,
     _eliminate,
+    _kernel,
     _pair_value,
     _quotient_rows,
     _sparse,
@@ -566,14 +580,14 @@ def solved_induced_gamma(s, j):
     n = len(keep)
     lifts = [unit_vector(s.dim, t) for t in keep]
     pairing_t = RatMatrix(
-        tuple(tuple(s.omega_value(lifts[a], u) for u in j.basis) for a in range(n))
+        tuple(tuple(frozen_omega_value(s.omega, lifts[a], u) for u in j.basis) for a in range(n))
     ).transpose()
     gamma = []
     for a in range(n):
         plane = []
         for b in range(n):
             rhs = tuple(
-                -s.omega_value(lifts[b], dense_bracket_vectors(s.algebra, lifts[a], u))
+                -frozen_omega_value(s.omega, lifts[b], dense_bracket_vectors(s.algebra, lifts[a], u))
                 for u in j.basis
             )
             plane.append(solve_linear(pairing_t, rhs))
@@ -591,7 +605,7 @@ def solved_canonical_gamma(s):
             solve_linear(
                 omega_t,
                 tuple(
-                    -s.omega_value(e[jj], dense_bracket_vectors(s.algebra, e[i], e[m]))
+                    -frozen_omega_value(s.omega, e[jj], dense_bracket_vectors(s.algebra, e[i], e[m]))
                     for m in range(n)
                 ),
             )
@@ -674,7 +688,7 @@ def frozen_induced_gamma(s, j):
     gamma = [[None] * n for _ in range(n)]
     for a in range(n):
         # [lift_a, u] for each u in J, shared by every b
-        brackets = [s.algebra.bracket_vectors(unit_vector(s.dim, keep[a]), u) for u in j.basis]
+        brackets = [dense_bracket_vectors(s.algebra, unit_vector(s.dim, keep[a]), u) for u in j.basis]
         for b in range(n):
             gamma[a][b] = solve(enumerate(-vec_dot(omega_rows[b], v) for v in brackets))
     return freeze_tensor(gamma)
@@ -1481,7 +1495,7 @@ def frozen_transform(algebra, p, name=""):
     p_inv = p.inverse()
     cols = [p.col(j) for j in range(n)]
     c = [
-        [list(p_inv.apply(algebra.bracket_vectors(cols[a], cols[b]))) for b in range(n)]
+        [list(p_inv.apply(dense_bracket_vectors(algebra, cols[a], cols[b]))) for b in range(n)]
         for a in range(n)
     ]
     return DenseLieAlgebra(n, freeze_tensor(c), name)
@@ -2079,7 +2093,7 @@ def frozen_symplectic_reduction(algebra, omega, j):
     perp = frozen_symplectic_orthogonal(omega, j)
     r = perp.dim
     sub = {
-        (a, b): perp.coordinates(algebra.bracket_vectors(perp.basis[a], perp.basis[b]))
+        (a, b): perp.coordinates(dense_bracket_vectors(algebra, perp.basis[a], perp.basis[b]))
         for a, b in combinations(range(r), 2)
     }
     perp_algebra = LieAlgebra.from_brackets(r, sub, name=f"{algebra.name}|perp")
@@ -2714,3 +2728,258 @@ def test_cocycle_bases_makes_a_fraction_only_for_each_entry_the_kernel_writes_ou
     assert (z2.dim, z2l.dim) == (123, 82)
     assert len(written) == 4  # d2, the kernel of Z2, the cyclic sums, the kernel of Z2_L
     assert 0 < made[0] <= sum(written)
+
+
+# ---------------------------------------------------------------------------
+# linear maps as sparse columns against the dense-vector code they replaced
+# ---------------------------------------------------------------------------
+
+
+def frozen_vector_omega_solve(s, lifts, tests):
+    """_omega_solve with omega(e_p, v) read off the dense omega for each b and
+    the brackets [e_a, u] as uncombined (k, value) terms."""
+    w = frozen_omega_on_brackets(s.omega)
+    inverse = RatMatrix(tuple(tuple(w(t, u.items()) for t in lifts) for u in tests)).inverse()
+    columns = [[(k, v) for k, v in enumerate(col) if v] for col in zip(*inverse.entries)]
+    table = s.algebra.nonzero_brackets
+    gamma = []
+    for a in lifts:
+        brackets = [[(k, y * c) for q, y in u.items() for k, c in table[a][q]] for u in tests]
+        plane = []
+        for b in lifts:
+            x = {}
+            for u, terms in enumerate(brackets):
+                if terms and (f := -w(b, terms)):
+                    for k, v in columns[u]:
+                        frozen_add(x, k, f * v)
+            plane.append(tuple(sorted(x.items())))
+        gamma.append(tuple(plane))
+    return tuple(gamma)
+
+
+def frozen_vector_orthogonal(s, j):
+    """The kernel of the images of J's rows under the operator whose column p
+    is row p of omega."""
+    if j.dim and j.ambient_dim != s.dim:
+        raise ValueError("vector length does not match column count")
+    operator = tuple(row.items() for row in s.omega_rows)
+    return _kernel(_eliminate(_images((operator,), j.rows)), s.dim)
+
+
+def frozen_vector_classify(s, j, perp):
+    """(status, normal), isotropy decided by ``contains`` on J's dense basis."""
+    normal = s.algebra.is_ideal(perp)
+    if not all(perp.contains(u) for u in j.basis):
+        return "not_isotropic", normal
+    if not (normal if perp == j else s.algebra.is_ideal(j)):
+        return "not_ideal", normal
+    if 2 * j.dim == s.dim:
+        return "lagrangian", normal
+    return "isotropic", normal
+
+
+def frozen_vector_classify_and_reduce(s, j):
+    """((status, normal), reduction or None), the orthogonal's brackets and
+    J's coordinates read off dense vectors, the form by dense omega values."""
+    perp = frozen_vector_orthogonal(s, j)
+    verdict = frozen_vector_classify(s, j, perp)
+    if verdict[0] in ("not_ideal", "not_isotropic") or not verdict[1]:
+        return verdict, None
+    r = perp.dim
+    sub = {
+        (a, b): perp.coordinates(dense_bracket_vectors(s.algebra, perp.basis[a], perp.basis[b]))
+        for a, b in combinations(range(r), 2)
+    }
+    perp_algebra = LieAlgebra.from_brackets(r, sub, name=f"{s.algebra.name}|perp")
+    j_inside = Subspace.from_vectors(r, [perp.coordinates(u) for u in j.basis])
+    reduced = quotient_algebra(perp_algebra, j_inside, name=f"{s.algebra.name}/red")
+    lifts = [perp.basis[t] for t in j_inside.complement_coordinates()]
+    form = tuple(
+        frozen_omega_value(s.omega, lifts[a], lifts[b]) for a, b in combinations(range(len(lifts)), 2)
+    )
+    result = SymplecticLieAlgebra(reduced, form)
+    if reduced.dim:
+        result.validate()
+    return verdict, result
+
+
+def frozen_vector_psi(t1, t2, sigma):
+    """equivalence_map_psi on dense columns, with their brackets by
+    ``dense_bracket_vectors`` and the pullback by dense omega values."""
+    c1, c2 = t1.connection, t2.connection
+    if c1.nonzero_gamma != c2.nonzero_gamma or c1.base != c2.base:
+        raise ValueError("triples must share the same connection")
+    if t1.cocycle - coboundary_1(dual_representation(c1), sigma) != t2.cocycle:
+        raise ValueError("cocycles are not related by the coboundary of sigma")
+    n = c1.dim
+    total = 2 * n
+    cols = [(*unit_vector(n, a), *sigma.entries[a]) for a in range(n)]
+    cols += [unit_vector(total, n + k) for k in range(n)]
+    psi = RatMatrix(tuple(cols)).transpose()
+    g1 = build_extension(t1)
+    g2 = build_extension(t2)
+    table = g1.algebra.nonzero_brackets
+    nonzero_cols = [[(t, v) for t, v in enumerate(col) if v] for col in cols]
+    for a, b in combinations(range(total), 2):
+        image = {}
+        for k, c in table[a][b]:
+            for t, v in nonzero_cols[k]:
+                frozen_add(image, t, c * v)
+        if image != _sparse(dense_bracket_vectors(g2.algebra, cols[a], cols[b])):
+            raise IntegrityError(f"bracket preservation fails at basis pair ({a+1},{b+1})")
+    if sigma.is_symmetric and any(
+        frozen_omega_value(g2.omega, cols[a], cols[b]) != x
+        for (a, b), x in zip(combinations(range(total), 2), g1.form)
+    ):
+        raise IntegrityError("pullback of omega under a Lagrangian shift must be omega")
+    return psi
+
+
+def frozen_vector_adjusted_form(triple, sigma, sigma_l):
+    """adjusted_symplectic_form with the form read by dense omega values on
+    the columns of the frozen psi."""
+    if not sigma_l.is_symmetric:
+        raise ValueError("sigma_l must be a symmetric (Lagrangian) 1-cochain")
+    if not triple.cocycle.is_lagrangian:
+        raise ValueError("base cocycle must satisfy the cyclic-sum condition")
+    rep = dual_representation(triple.connection)
+    t_bar = ExtensionTriple(triple.connection, triple.cocycle - coboundary_1(rep, sigma))
+    t_hat = ExtensionTriple(triple.connection, triple.cocycle - coboundary_1(rep, sigma_l))
+    psi = frozen_vector_psi(t_bar, t_hat, sigma_l - sigma)
+    g_hat = build_extension(t_hat)
+    cols = [psi.col(a) for a in range(psi.cols)]
+    form = tuple(
+        frozen_omega_value(g_hat.omega, cols[a], cols[b]) for a, b in combinations(range(len(cols)), 2)
+    )
+    adjusted = SymplecticLieAlgebra(build_extension(t_bar).algebra, form)
+    if not adjusted.is_nondegenerate():
+        raise ValueError("adjusted form is degenerate")
+    witness = adjusted.d_omega_result.first_witness()
+    if witness:
+        raise IntegrityError(f"adjusted form is not closed on the shifted extension: {witness}")
+    return adjusted.omega
+
+
+def frozen_vector_bracket_of_subspaces(algebra, a, b):
+    return Subspace.from_vectors(
+        algebra.dim, [dense_bracket_vectors(algebra, x, y) for x in a.basis for y in b.basis]
+    )
+
+
+def reduction_value(result):
+    """classify_and_reduce's (verdict, reduction) as plain typed values."""
+    verdict, reduced = result
+    if not isinstance(verdict, tuple):
+        verdict = (verdict.status, verdict.normal)
+    if reduced is None:
+        return verdict, None
+    return verdict, typed(algebra_value(reduced.algebra)), typed(reduced.form)
+
+
+def assert_sparse_maps_match_frozen(triple, rng, seen):
+    """Both omega solves, psi for three sigmas, the adjusted form, and for a
+    battery of subspaces the orthogonal, the verdict and reduction, and the
+    brackets with each half of the extension."""
+    ext = build_extension(triple)
+    n2 = ext.dim
+    j = ext.lagrangian_ideal
+    induced = (ext, j.complement_coordinates(), j.rows)
+    assert typed(_omega_solve(*induced)) == typed(frozen_vector_omega_solve(*induced))
+    if triple.cocycle.is_lagrangian:
+        canonical = (ext, range(n2), [{m: F(1)} for m in range(n2)])
+        assert typed(_omega_solve(*canonical)) == typed(frozen_vector_omega_solve(*canonical))
+        rep = dual_representation(triple.connection)
+        sigmas = seeded_one_cochains(triple.connection.dim, rng)
+        for sigma in sigmas:
+            shifted = ExtensionTriple(triple.connection, triple.cocycle - coboundary_1(rep, sigma))
+            assert typed(outcome(lambda: equivalence_map_psi(triple, shifted, sigma))) == typed(
+                outcome(lambda: frozen_vector_psi(triple, shifted, sigma))
+            )
+        for sigma_l in sigmas:
+            assert typed(outcome(lambda: adjusted_symplectic_form(triple, sigmas[0], sigma_l))) == typed(
+                outcome(lambda: frozen_vector_adjusted_form(triple, sigmas[0], sigma_l))
+            )
+        seen["lagrangian classes"] += 1
+    spaces = [Subspace.from_vectors(n2, vectors) for vectors in subspace_battery(ext, rng)]
+    for space in spaces:
+        assert typed(symplectic_orthogonal(ext, space)) == typed(frozen_vector_orthogonal(ext, space))
+        live = outcome(lambda: reduction_value(classify_and_reduce(ext, space)))
+        assert live == outcome(lambda: reduction_value(frozen_vector_classify_and_reduce(ext, space)))
+        if isinstance(live[0], type):
+            seen["raised", live] += 1
+        else:  # None, or the dimension of the reduction
+            seen["reduced", live[1] and live[1][0][1]] += 1
+        for half in spaces[1:3]:
+            assert typed(bracket_of_subspaces(ext.algebra, half, space)) == typed(
+                frozen_vector_bracket_of_subspaces(ext.algebra, half, space)
+            )
+
+
+def test_sparse_maps_match_the_dense_vector_code_on_every_flat_catalog_sample():
+    """The zero-class and a seeded Z2_L-class extension of every flat sample."""
+    rng = rng_for(173, "sparse-maps-catalog")
+    seen = Counter()
+    for conn in flat_catalog_samples(3):
+        for alpha in (TwoCochain.zero(conn.dim), seeded_lagrangian_class(conn, rng)):
+            assert_sparse_maps_match_frozen(ExtensionTriple(conn, alpha), rng, seen)
+    assert seen["lagrangian classes"] == 216
+    # Refused reductions, and reductions to 0, to 6 and to the whole algebra.
+    assert seen["reduced", None] and seen["reduced", 0] and seen["reduced", 6] and seen["reduced", 8]
+
+
+def test_sparse_maps_match_the_dense_vector_code_on_seeded_extensions():
+    """Seeded Z2 classes, whose omega is not closed: the induced solve, the
+    orthogonals and the refused or failing reductions."""
+    rng = rng_for(179, "sparse-maps-seeded")
+    seen = Counter()
+    for label in ("l_26", "a_3", "t_8", "t_18", "a_10", "l_38"):
+        conn = connection_for(label)
+        z2, _ = cocycle_bases(dual_representation(conn))
+        coeffs = tuple(random_rational(rng) for _ in range(z2.dim))
+        alpha = two_cochain_from_coefficients(z2, coeffs, conn.dim)
+        assert not alpha.is_lagrangian
+        assert_sparse_maps_match_frozen(ExtensionTriple(conn, alpha), rng, seen)
+    assert seen["lagrangian classes"] == 0
+    assert any(key[0] == "raised" for key in seen)  # reductions whose form is not closed
+
+
+@pytest.mark.parametrize("label", ["l_26", "t_8"])
+def test_sparse_maps_match_the_dense_vector_code_on_eight_dimensional_canonical_connections(label):
+    rng = rng_for(181, "sparse-maps-canonical", label)
+    canonical = canonical_connection(build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label))))
+    seen = Counter()
+    for alpha in (TwoCochain.zero(8), seeded_lagrangian_class(canonical, rng)):
+        assert_sparse_maps_match_frozen(ExtensionTriple(canonical, alpha), rng, seen)
+    assert seen["lagrangian classes"] == 2
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_bracket_rows_and_pullback_match_the_dense_formulas(data):
+    """On a random table and a random antisymmetric form, not Jacobi or closed:
+    bracket_rows, omega_row and pullback on sparse rows, and the dense
+    wrappers, against dense_bracket_vectors and frozen_omega_value."""
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    entries = {(i, j): data.draw(sparse_vector(n)) for i, j in combinations(range(n), 2)}
+    algebra = LieAlgebra.from_brackets(n, entries, "sparse")
+    form = data.draw(st.lists(sparse_entries, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    s = SymplecticLieAlgebra(algebra, tuple(form))
+    vectors = data.draw(st.lists(sparse_vector(n), max_size=4))
+    rows = [_sparse(v) for v in vectors]
+    for x, u in zip(vectors, rows):
+        row = s.omega_row(u)
+        assert all(row.values())
+        assert typed(_dense(row, n)) == typed(
+            tuple(frozen_omega_value(s.omega, x, unit_vector(n, q)) for q in range(n))
+        )
+        for y, v in zip(vectors, rows):
+            bracket = algebra.bracket_rows(u, v)
+            assert all(bracket.values())
+            assert typed(_dense(bracket, n)) == typed(dense_bracket_vectors(algebra, x, y))
+            assert typed(algebra.bracket_vectors(x, y)) == typed(dense_bracket_vectors(algebra, x, y))
+            assert typed(s.omega_value(x, y)) == typed(frozen_omega_value(s.omega, x, y))
+    assert typed(s.pullback(rows)) == typed(tuple(
+        frozen_omega_value(s.omega, vectors[a], vectors[b])
+        for a, b in combinations(range(len(vectors)), 2)
+    ))
+    assert rows == [_sparse(v) for v in vectors]  # the rows are only read
