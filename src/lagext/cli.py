@@ -239,6 +239,8 @@ def reduce(spec, env, ideal, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def verify_catalog(samples, entry_label, fmt, out):
     """Re-check every catalog row: connection axioms, extension properties, round trip."""
+    if samples < 1:
+        raise click.ClickException("--samples must be at least 1")
     try:
         records, exit_code = run_verify_catalog(samples, entry_label)
     except ValueError as exc:

@@ -239,11 +239,14 @@ def coboundary_2(rep: DualRep, alpha: TwoCochain) -> ThreeCochain:
     coordinates, scaled to ints; the n rows of a triple give its residual
     vector.  The residual is bilinear in the scaled rows and coordinates, so
     each entry is divided back once.  alpha is a 2-cocycle iff the residual
-    vanishes identically.
+    vanishes identically.  d2 is linear, so a zero alpha has the zero
+    residual, given without building the rows.
     """
     n = rep.dim
     if alpha.dim != n:
         raise ValueError("cochain dimension does not match the representation")
+    if not any(alpha.values):
+        return ThreeCochain(n, ((ZERO,) * n,) * len(triple_list(n)))
     d, (terms,) = _integer_tables(tuple((col, x) for col, x in enumerate(alpha.values) if x))
     coords = dict(terms)
     scale = rep.integer_tables[0] * d

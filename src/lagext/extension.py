@@ -101,6 +101,10 @@ class SymplecticLieAlgebra:
         if len(self.form) != n * (n - 1) // 2:
             raise ValueError("omega shape does not match algebra dimension")
 
+    # The connection the extension was built from, set by ``_build`` and
+    # ``build_extension``; a class attribute, so not a dataclass field.
+    _built_from = None
+
     @property
     def dim(self) -> int:
         return self.algebra.dim
@@ -236,9 +240,11 @@ def build_extension(triple: ExtensionTriple, name: str = "") -> SymplecticLieAlg
     extension = triple.extension
     if not name:
         return extension
-    return SymplecticLieAlgebra(
+    named = SymplecticLieAlgebra(
         extension.algebra.rename(name), extension.form, extension.lagrangian_ideal
     )
+    object.__setattr__(named, "_built_from", extension._built_from)
+    return named
 
 
 def _build(triple: ExtensionTriple) -> SymplecticLieAlgebra:
@@ -272,7 +278,9 @@ def _build(triple: ExtensionTriple) -> SymplecticLieAlgebra:
     algebra = require_jacobi(
         LieAlgebra(2 * n, tuple(pairs), f"ext({conn.label or 'conn'})")
     )
-    return SymplecticLieAlgebra(algebra, standard_form(n), dual_subspace(n))
+    extension = SymplecticLieAlgebra(algebra, standard_form(n), dual_subspace(n))
+    object.__setattr__(extension, "_built_from", conn)
+    return extension
 
 
 @dataclass(frozen=True)
@@ -444,6 +452,8 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
 
     J must be a Lagrangian ideal.  The result is verified flat torsion-free,
     and geodesically complete whenever the ambient algebra is nilpotent.
+    When the quotient's pairs and the solved gamma table equal those of the
+    connection s was built from, the result reads both verdicts through it.
     """
     verdict = is_lagrangian_ideal(s, j)
     if not verdict.is_lagrangian:
@@ -456,7 +466,9 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
         gamma = _omega_solve(s, j.complement_coordinates(), j.rows)
     except ValueError:
         raise ValueError("pairing between quotient and ideal is degenerate") from None
-    conn = FlatConnection(quotient, gamma, label=f"induced({s.algebra.name})")
+    conn = FlatConnection.recovered(
+        quotient, gamma, s._built_from, label=f"induced({s.algebra.name})"
+    )
     report = check_flat_torsion_free(conn)
     if not report.ok:
         raise IntegrityError("induced connection failed the flat torsion-free check")

@@ -64,6 +64,14 @@ def test_verify_catalog_unknown_entry_errors(runner):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_catalog_rejects_a_sample_count_below_one_by_its_option_name(runner, samples):
+    result = runner.invoke(main, ["verify-catalog", "--samples", samples])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "Error: --samples must be at least 1\n"
+
+
 def test_verify_catalog_parametrized_entry_samples(runner):
     result = runner.invoke(
         main, ["verify-catalog", "--entry", "l_3", "--samples", "2", "--format", "tsv"]

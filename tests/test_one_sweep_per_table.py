@@ -1,0 +1,136 @@
+"""Each connection table is verified once, and a zero cocycle skips d2.
+
+An extension keeps the connection it was built from.  When the round trip
+(``induced_flat_connection``) recovers the same base pairs and gamma table,
+the recovered connection reads ``report`` and ``completeness`` through that
+source; with any cell moved it sweeps on its own and the same
+``IntegrityError`` is raised.  The shared verdicts are checked here against
+``_sweep`` and ``_completeness`` recomputed on a fresh connection of the
+recovered table.  ``coboundary_2`` of the zero 2-cochain is the zero
+residual, given without the d2 rows, and is checked against the frozen dense
+d2 of tests/test_sparse_oracles.py.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from lagext import connection, extension
+from lagext.catalog import instantiate, sample_parameters, table1_entries
+from lagext.cohomology import TwoCochain, coboundary_2
+from lagext.connection import FlatConnection, check_flat_torsion_free, dual_representation
+from lagext.extension import (
+    ExtensionTriple,
+    IntegrityError,
+    build_extension,
+    extension_nilpotency,
+    induced_flat_connection,
+)
+from lagext.lie import LieAlgebra
+from lagext.sampling import rng_for
+from test_extension import random_lagrangian_cocycle
+from test_sparse_oracles import dense_coboundary_2, typed
+
+
+def flat_samples(samples):
+    """Each flat torsion-free non-suspect catalog sample, as a fresh connection."""
+    for entry in table1_entries():
+        if entry.suspect:
+            continue
+        for sample in sample_parameters(entry, samples):
+            conn = instantiate(entry, sample)
+            if check_flat_torsion_free(conn).ok:
+                yield entry.label, conn
+
+
+def assert_shares_the_recomputed_verdicts(recovered, source):
+    assert recovered.nonzero_gamma == source.nonzero_gamma
+    assert recovered._verdicts_from is source
+    fresh = FlatConnection(recovered.base, recovered.nonzero_gamma, label="fresh")
+    assert fresh._verdicts_from is None
+    assert recovered.report == connection._sweep(fresh)
+    assert recovered.completeness == connection._completeness(fresh)
+    # The dual is the recovered connection's own.
+    assert recovered.dual.connection is recovered
+
+
+def test_zero_extension_never_builds_the_d2_rows():
+    checked = 0
+    for _, conn in flat_samples(3):
+        ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
+        rep = conn.dual
+        assert "coboundary_2_rows" not in rep.__dict__
+        zero = TwoCochain.zero(conn.dim)
+        assert typed(coboundary_2(rep, zero).values) == typed(dense_coboundary_2(rep, zero).values)
+        assert "coboundary_2_rows" not in rep.__dict__
+        assert ext._built_from is conn
+        checked += 1
+    assert checked == 108
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_zero_cochain_residual_on_the_zero_connection_is_the_frozen_one(n):
+    rep = dual_representation(FlatConnection.zero(LieAlgebra.abelian(n)))
+    zero = TwoCochain.zero(n)
+    assert typed(coboundary_2(rep, zero).values) == typed(dense_coboundary_2(rep, zero).values)
+    assert "coboundary_2_rows" not in rep.__dict__
+
+
+def test_recovered_zero_class_shares_the_recomputed_verdicts_on_every_flat_sample():
+    checked = 0
+    for _, conn in flat_samples(3):
+        ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
+        assert_shares_the_recomputed_verdicts(
+            induced_flat_connection(ext, ext.lagrangian_ideal), conn
+        )
+        checked += 1
+    assert checked == 108
+
+
+def test_named_extension_of_a_seeded_lagrangian_class_shares_the_recomputed_verdicts():
+    checked = 0
+    for label, conn in flat_samples(1):
+        alpha = random_lagrangian_cocycle(conn, rng_for(97, "one-sweep-per-table", label))
+        assert any(alpha.values)
+        triple = ExtensionTriple(conn, alpha)
+        named = build_extension(triple, name=f"{label}_ext")
+        assert named._built_from is conn
+        extension_nilpotency(triple)
+        assert_shares_the_recomputed_verdicts(
+            induced_flat_connection(named, named.lagrangian_ideal), conn
+        )
+        checked += 1
+    assert checked == 64
+
+
+def moved_cell(gamma, i, j, k, shift):
+    """gamma with the coefficient of e_k in cell (i, j) moved by shift."""
+    cell = dict(gamma[i][j])
+    cell[k] = cell.get(k, F(0)) + shift
+    cell = tuple(sorted((t, v) for t, v in cell.items() if v))
+    plane = gamma[i][:j] + (cell,) + gamma[i][j + 1:]
+    return gamma[:i] + (plane,) + gamma[i + 1:]
+
+
+def test_a_moved_cell_is_swept_on_its_own_and_raises(monkeypatch):
+    solve = extension._omega_solve
+    monkeypatch.setattr(
+        extension, "_omega_solve", lambda *args: moved_cell(solve(*args), 0, 1, 0, F(1))
+    )
+    swept = []
+    sweep = connection._sweep
+    monkeypatch.setattr(connection, "_sweep", lambda conn: swept.append(conn) or sweep(conn))
+    checked = 0
+    for _, conn in flat_samples(1):
+        ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
+        assert ext._built_from is conn
+        del swept[:]
+        with pytest.raises(IntegrityError, match="failed the flat torsion-free check"):
+            induced_flat_connection(ext, ext.lagrangian_ideal)
+        # One sweep, on the moved table, whose verdicts are its own.
+        [recovered] = swept
+        assert recovered.nonzero_gamma == moved_cell(conn.nonzero_gamma, 0, 1, 0, F(1))
+        assert recovered._verdicts_from is None
+        assert not recovered.report.torsion_free
+        checked += 1
+    assert checked == 64

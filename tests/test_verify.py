@@ -26,6 +26,7 @@ from lagext.verify import (
     run_verify_catalog,
     verify_entry,
 )
+from test_extension import random_lagrangian_cocycle
 from test_sparse_oracles import perturbed, shifted
 
 
@@ -170,17 +171,18 @@ def _first_sample_records(label):
 def test_passing_row_computes_each_verdict_once(label, verdict_counts):
     records = _first_sample_records(label)
     assert [r.status for r in records] == ["pass"] * len(CHECK_NAMES)
-    # Two sweeps and two completeness checks: the row's connection and the
-    # one recovered from its extension.  One dual and one build.  Two lower
-    # central series: the base's and the extension's, the latter shared by
-    # extension_nilpotency and induced_flat_connection.  One classification
-    # of the Lagrangian ideal, shared by the lagrangian-ideal check and
-    # induced_flat_connection.  No solve_linear call: the induced connection
-    # applies one inverse of the pairing.
+    # One sweep and one completeness check: the connection recovered from the
+    # extension has the row's table and reads both through the row's
+    # connection.  One dual and one build.  Two lower central series: the
+    # base's and the extension's, the latter shared by extension_nilpotency
+    # and induced_flat_connection.  One classification of the Lagrangian
+    # ideal, shared by the lagrangian-ideal check and induced_flat_connection.
+    # No solve_linear call: the induced connection applies one inverse of the
+    # pairing.
     assert verdict_counts == {
-        "_sweep": 2,
+        "_sweep": 1,
         "_dual": 1,
-        "_completeness": 2,
+        "_completeness": 1,
         "_build": 1,
         "_lower_central_series": 2,
         "_classify_ideal": 1,
@@ -197,6 +199,31 @@ def test_named_extension_shares_the_lower_central_series(verdict_counts):
     induced_flat_connection(named, named.lagrangian_ideal)
     # One series for the base and one for the extension, shared by its copy.
     assert verdict_counts["_lower_central_series"] == 2
+
+
+def test_named_extension_of_a_nonzero_class_computes_each_verdict_once(verdict_counts):
+    # The order of the extend-cocycles workload, with a seeded nonzero class of
+    # Z2_L drawn on another instance of the row, so that only the pipeline is
+    # counted: name the extension, certify its nilpotency, recover the
+    # connection from the named copy.
+    alpha = random_lagrangian_cocycle(connection_for("l_26"), rng_for(83, "named-nonzero-class"))
+    assert any(alpha.values)
+    conn = connection_for("l_26")
+    verdict_counts.clear()
+    triple = ExtensionTriple(conn, alpha)
+    named = build_extension(triple, name="l_26_ext")
+    extension_nilpotency(triple)
+    recovered = induced_flat_connection(named, named.lagrangian_ideal)
+    assert recovered.nonzero_gamma == conn.nonzero_gamma
+    assert recovered.completeness.complete
+    assert verdict_counts == {
+        "_sweep": 1,
+        "_dual": 1,
+        "_completeness": 1,
+        "_build": 1,
+        "_lower_central_series": 2,
+        "_classify_ideal": 1,
+    }
 
 
 def test_defective_row_sweeps_once(verdict_counts):
