@@ -21,11 +21,20 @@ nonzero coordinates, and ``cocycle_bases``, ``coboundary_image``,
 matrix is built on those paths.  ``_two_cochain_from_row`` turns a sparse
 row of coordinates into a 2-cochain.
 
-The d2 rows are built once per representation (``DualRep.coboundary_2_rows``)
-over rho and the bracket scaled by one D to ints, so they are D times the
-rational rows: they span the same row space, and ``coboundary_2``, bilinear
-in the rows and alpha's coordinates scaled to ints, divides each nonzero
-residual back once.
+Both differentials read rho and the bracket scaled by one D to ints
+(``DualRep.integer_tables``), so their rows are D times the rational rows
+and span the same row space.  The d2 rows are built once per
+representation (``DualRep.coboundary_2_rows``); d1 is evaluated once per
+representation, on the n^2 unit 1-cochains (``DualRep.coboundary_1_units``),
+and the image of a C^1_L basis element E_ik + E_ki is the sum of two of
+those.  ``coboundary_1`` and ``coboundary_2`` scale the cochain to ints as
+well and divide each nonzero entry back once; ``solve_coboundary``
+multiplies the coefficients it finds by D.
+
+Z^2 and Z^2_L are read off one elimination of the d2 rows, continued with
+the cyclic-sum rows (``linalg._kernel``), and the H^2 and H^2_L
+representatives off the echelon rows of Z^2 and Z^2_L
+(``linalg._quotient_rows``).
 """
 
 from __future__ import annotations
@@ -41,13 +50,15 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    _add,
     _dense,
+    _echelon,
     _eliminate,
+    _int_rows,
     _integer_tables,
     _kernel,
     _pair_value,
     _quotient_rows,
-    _sparse,
     _subspace,
     fmt_vector,
     is_zero_vector,
@@ -224,12 +235,16 @@ class ThreeCochain:
 def coboundary_1(rep: DualRep, sigma: OneCochain) -> TwoCochain:
     """(d sigma)(x,y) = rho(x) sigma(y) - rho(y) sigma(x) - sigma([x,y]).
 
-    The sparse row ``_coboundary_1_images`` gives for sigma, decoded.
+    The sparse row ``_coboundary_1_images`` gives for sigma's coordinates,
+    scaled to ints.  The image is linear in the scaled tables and in those
+    coordinates, so each entry is divided back once.
     """
     if sigma.dim != rep.dim:
         raise ValueError("cochain dimension does not match the representation")
-    image = _coboundary_1_images(rep, [_sparse(sigma.flatten())])[0]
-    return _two_cochain_from_row(rep.dim, image)
+    d, (terms,) = _integer_tables(tuple((c, x) for c, x in enumerate(sigma.flatten()) if x))
+    image = _coboundary_1_images(rep, [dict(terms)])[0]
+    scale = rep.integer_tables[0] * d
+    return _two_cochain_from_row(rep.dim, {c: Fraction(x, scale) for c, x in image.items()})
 
 
 def coboundary_2(rep: DualRep, alpha: TwoCochain) -> ThreeCochain:
@@ -266,29 +281,31 @@ def _one_cochain_rows(n: int, lagrangian: bool) -> list[dict[int, Fraction]]:
     return [{i * n + k: ONE, k * n + i: ONE} for i in range(n) for k in range(i, n)]
 
 
-def _coboundary_1_images(rep: DualRep, rows: list[dict]) -> list[dict[int, Fraction]]:
-    """Sparse rows of d(sigma), for each sigma a sparse row of 1-cochain coordinates.
+def _coboundary_1_images(rep: DualRep, rows: list[dict]) -> list[dict]:
+    """Sparse rows of D d(sigma), for each sigma a sparse row of 1-cochain
+    coordinates (ints or Fractions), read off the scaled ``rep.integer_tables``.
 
     This is the one formula for d1, (d sigma)(x, y) = rho(x) sigma(y) -
     rho(y) sigma(x) - sigma([x, y]): an entry sigma(e_a)_b = v, coordinate
     a * n + b, adds, for every x != a, v * rho(x)[t][b] to (d sigma)(x, a)_t,
-    and -v * c[i][j][a] to (d sigma)(e_i, e_j)_b.
+    and -v * c[i][j][a] to (d sigma)(e_i, e_j)_b.  It is of degree 1 in rho
+    and the bracket, so over the tables scaled by D it gives D times the
+    rational image, in ints when sigma's coordinates are ints.
     """
     n = rep.dim
     pairs = pair_list(n)
     blocks = _pair_blocks(n)
+    _, entries, table = rep.integer_tables
     # rho_cols[x][b]: the nonzero rho(x)[t][b] as (t, value).
-    rho_cols = [[[(t, v) for t, c, v in entries if c == b] for b in range(n)]
-                for entries in rep.nonzero_entries]
+    rho_cols = [[[(t, v) for t, c, v in plane if c == b] for b in range(n)] for plane in entries]
     # For each a, the nonzero c[i][j][a] over pairs i < j, in pair order.
     bracket_into = [[] for _ in range(n)]
-    table = rep.connection.base.nonzero_brackets
     for p, (i, j) in enumerate(pairs):
         for a, coeff in table[i][j]:
             bracket_into[a].append((p * n, coeff))
     images = []
     for sigma in rows:
-        col: dict[int, Fraction] = {}
+        col = {}
         for ab, v in sigma.items():
             a, b = divmod(ab, n)
             for x in range(n):
@@ -296,10 +313,25 @@ def _coboundary_1_images(rep: DualRep, rows: list[dict]) -> list[dict[int, Fract
                     continue
                 start, sign = blocks[(x, a)]
                 for t, value in rho_cols[x][b]:
-                    col[start + t] = col.get(start + t, ZERO) + sign * v * value
+                    col[start + t] = col.get(start + t, 0) + sign * v * value
             for start, coeff in bracket_into[a]:
-                col[start + b] = col.get(start + b, ZERO) - v * coeff
+                col[start + b] = col.get(start + b, 0) - v * coeff
         images.append({j: x for j, x in col.items() if x})
+    return images
+
+
+def _basis_images(rep: DualRep, basis: list[dict]) -> list[dict[int, int]]:
+    """D d(sigma) for each sigma a row of ``_one_cochain_rows``: the sum of
+    the unit images ``rep.coboundary_1_units`` at its coordinates, as every
+    coefficient of those rows is 1."""
+    units = rep.coboundary_1_units
+    images = []
+    for sigma in basis:
+        image = {}
+        for c in sigma:
+            for j, x in units[c].items():
+                _add(image, j, x)
+        images.append(image)
     return images
 
 
@@ -372,22 +404,22 @@ def cyclic_sum_matrix(n: int) -> RatMatrix:
 def cocycle_bases(rep: DualRep) -> tuple[Subspace, Subspace]:
     """(Z^2, Z^2_L) as echelon subspaces of flattened C^2 coordinates.
 
-    The sparse rows of d2 are row-reduced once; Z^2 is the kernel of the
-    result, and Z^2_L the kernel after the same elimination takes in the
-    cyclic-sum rows.  A subspace has one reduced echelon basis, so both are
-    those of the dense kernels.
+    The sparse rows of d2 are row-reduced once and Z^2 is read off the
+    result; the same elimination then takes in the cyclic-sum rows, and
+    Z^2_L is read off that.  A subspace has one reduced echelon basis, so
+    both are those of the dense kernels.
     """
     n = rep.dim
     width = len(pair_list(n)) * n
-    kept = _eliminate([dict(row) for row in rep.coboundary_2_rows])
-    z2 = _kernel(kept, width)
-    return z2, _kernel(_eliminate(_cyclic_sum_rows(n), kept), width)
+    ints = {}
+    z2 = _kernel(rep.coboundary_2_rows, width, ints)
+    return z2, _kernel(_cyclic_sum_rows(n), width, ints)
 
 
 def coboundary_image(rep: DualRep, lagrangian: bool) -> Subspace:
     """B^2 (or B^2_L): the span of the images of the C^1 (or C^1_L) basis."""
-    rows = _one_cochain_rows(rep.dim, lagrangian)
-    return _subspace(len(pair_list(rep.dim)) * rep.dim, _coboundary_1_images(rep, rows))
+    rows = _basis_images(rep, _one_cochain_rows(rep.dim, lagrangian))
+    return _subspace(len(pair_list(rep.dim)) * rep.dim, rows)
 
 
 @dataclass(frozen=True)
@@ -414,7 +446,10 @@ def cohomology(rep: DualRep) -> CohomologySummary:
     b2l = coboundary_image(rep, lagrangian=True)
     h2_reps = _quotient_rows(z2, b2)
     h2l_reps = _quotient_rows(z2l, b2l)
-    natural_rank = z2l.sum(b2).dim - b2.dim
+    # dim (Z^2_L + B^2): Z^2_L's echelon rows as ints, extended by B^2's rows
+    total = _int_rows(dict(zip(z2l.pivots, z2l.rows)))
+    _echelon(b2.rows, total)
+    natural_rank = len(total) - b2.dim
     return CohomologySummary(
         dim_c1=n * n,
         dim_c1_lagrangian=n * (n + 1) // 2,
@@ -442,7 +477,8 @@ def solve_coboundary(
     complex).  One elimination reduces the rows of the system, one per
     2-cochain coordinate: the images of the basis read across, then alpha -
     beta.  The free coefficients are set to zero, so sigma is the unique
-    pivot-supported solution in the chosen basis coordinates.
+    pivot-supported solution in the chosen basis coordinates.  The images
+    are D times d1's, so each coefficient found is multiplied by D.
     """
     n = rep.dim
     if alpha.dim != n or beta.dim != n:
@@ -451,16 +487,18 @@ def solve_coboundary(
     basis = _one_cochain_rows(n, lagrangian_only)
     rhs = len(basis)
     system = [{rhs: x} if x else {} for x in target]
-    for j, image in enumerate(_coboundary_1_images(rep, basis)):
+    for j, image in enumerate(_basis_images(rep, basis)):
         for r, x in image.items():
             system[r][j] = x
     kept = _eliminate(system)
     if rhs in kept:
         return None
+    d = rep.integer_tables[0]
     rows = [[ZERO] * n for _ in range(n)]
     for p, row in kept.items():
         coeff = row.get(rhs)
         if coeff:
+            coeff *= d
             for c, v in basis[p].items():
                 rows[c // n][c % n] += coeff * v
     return OneCochain.from_rows(rows)

@@ -344,9 +344,17 @@ class DualRep:
         return d, entries, brackets
 
     @cached_property
+    def coboundary_1_units(self) -> list[dict[int, int]]:
+        """d1 of the n^2 unit 1-cochains over ``integer_tables``, D times the
+        rational images, evaluated once per representation; callers only read them."""
+        from .cohomology import _coboundary_1_images  # cohomology.py imports this module
+
+        return _coboundary_1_images(self, [{c: 1} for c in range(self.dim ** 2)])
+
+    @cached_property
     def coboundary_2_rows(self) -> list[dict[int, int]]:
         """The sparse rows of d2 over ``integer_tables``, D times the rational
-        rows, built once per representation; callers eliminate copies."""
+        rows, built once per representation; callers only read them."""
         from .cohomology import _coboundary_2_rows  # cohomology.py imports this module
 
         return _coboundary_2_rows(self)

@@ -373,7 +373,7 @@ def symplectic_orthogonal(s: SymplecticLieAlgebra, j: Subspace) -> Subspace:
     of J's echelon rows u.  A nonzero J of another ambient dimension raises."""
     if j.dim and j.ambient_dim != s.dim:
         raise ValueError("vector length does not match column count")
-    return _kernel(_eliminate([s.omega_row(u) for u in j.rows]), s.dim)
+    return _kernel([s.omega_row(u) for u in j.rows], s.dim)
 
 
 def is_lagrangian_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:

@@ -34,7 +34,6 @@ from .linalg import (
     Vector,
     _add,
     _dense,
-    _eliminate,
     _integer_tables,
     _kernel,
     _pair_value,
@@ -278,7 +277,7 @@ def center(algebra: LieAlgebra) -> Subspace:
         for j, terms in enumerate(plane):
             for k, c in terms:
                 rows[j * n + k][i] = c  # x_i contributes c[i][j][k] to [x, e_j]_k
-    return _kernel(_eliminate(rows), n)
+    return _kernel(rows, n)
 
 
 def derivation_space(algebra: LieAlgebra) -> Subspace:
@@ -298,7 +297,7 @@ def derivation_space(algebra: LieAlgebra) -> Subspace:
             for k, c in table[i][a]:
                 _add(block[k], a * n + j, -c)     # [e_i, De_j]_k picks D[a][j]
         rows += block
-    return _kernel(_eliminate(rows), n * n)
+    return _kernel(rows, n * n)
 
 
 @dataclass(frozen=True)

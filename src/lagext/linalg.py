@@ -3,24 +3,32 @@
 Scalars a caller sees are ``fractions.Fraction`` (arbitrary precision, always
 in lowest terms, positive denominator).  Matrices are dense tuples, and a
 subspace is its echelon basis as sparse rows (dicts of the nonzero entries).
-Every elimination runs through one kernel on sparse rows, ``_eliminate``:
+Every elimination runs through one kernel on sparse rows, ``_echelon``:
 incremental reduced row echelon form, which reduces each incoming row against
 the pivot rows kept so far and clears its leading column from the earlier
 pivot rows.  Every routine is pure and mutates only the rows it is handed to
 consume, so the whole module is safe to use from concurrent callers.
 
 Inside the hot kernels the arithmetic runs on Python ints, and Fractions are
-made only where a result leaves them.  ``_eliminate`` is fraction-free: each
+made only where a result leaves them.  ``_echelon`` is fraction-free: each
 incoming row is scaled by a positive rational to coprime ints, a row is
 reduced by r <- b r - a k and divided by its content (the gcd of its
-entries), and each pivot row is normalised to a Fraction row once, when the
-call writes it out.  A row and its positive multiples span the same line, so
-the reduced echelon form is the one over the rationals.  ``_integer_tables``
-scales the nonzero tables that the zero-residual sweeps read (connection,
-bracket, rho, omega) by the lcm D of their denominators: a residual that is
-homogeneous of degree k in those tables is D^k times the rational residual,
-so it is zero exactly when the rational one is, and a nonzero one is divided
-back as ``Fraction(v, D**k)``.  No float is used anywhere.
+entries).  A row and its positive multiples span the same line, so the
+reduced echelon form is the one over the rationals.  ``_eliminate``
+normalises each pivot row to a Fraction row once, when it writes it out.
+``_kernel`` writes no pivot row: it eliminates with the column order
+reversed, so each pivot is its row's highest column, and the kernel vector
+of each free column, read straight off the int rows, is already a row of
+the reduced echelon basis of the kernel; each of its entries is made as one
+Fraction.  ``_quotient_rows`` checks V <= W exactly and then reads W/V off
+W's echelon rows, with no elimination.
+
+``_integer_tables`` scales the nonzero tables that the zero-residual sweeps
+read (connection, bracket, rho, omega) by the lcm D of their denominators:
+a residual that is homogeneous of degree k in those tables is D^k times the
+rational residual, so it is zero exactly when the rational one is, and a
+nonzero one is divided back as ``Fraction(v, D**k)``.  No float is used
+anywhere.
 
 Echelon convention used throughout: reduced row echelon form, pivots
 ascending.  A matrix has exactly one, so every basis, pivot list and
@@ -314,13 +322,12 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 def _integer_row(row: dict) -> dict[int, int]:
     """A new row: row, of nonzero Fractions or ints, times the positive
     rational that makes its entries coprime ints."""
-    ratios = [(j, *x.as_integer_ratio()) for j, x in row.items()]
-    dens = {q for _, _, q in ratios if q != 1}
-    if dens:
+    dens = {x.denominator for x in row.values()}
+    if len(dens) > 1 or 1 not in dens:
         m = lcm(*dens)
-        out = {j: p * (m // q) for j, p, q in ratios}
+        out = {j: x.numerator * (m // x.denominator) for j, x in row.items()}
     else:
-        out = {j: p for j, p, _ in ratios}
+        out = {j: x.numerator for j, x in row.items()}
     return _primitive(out)
 
 
@@ -344,19 +351,15 @@ def _cancel(row: dict[int, int], c: int, other: dict[int, int]) -> dict[int, int
     return row
 
 
-def _eliminate(rows, kept: dict | None = None) -> dict[int, dict[int, Fraction]]:
-    """Incremental RREF: add the rows (consumed) to kept, {pivot column: row}.
+def _echelon(rows, ints: dict) -> set[int]:
+    """Add the rows (consumed) to ints, {pivot column: coprime int row}, in place.
 
-    The rows may hold Fractions, ints or both; kept holds Fraction rows, 1 at
-    their own pivot and 0 at every other, and is updated in place.  The
-    elimination runs on coprime int rows: each row is reduced against the
-    kept rows (dropped if it reaches zero), then its leading column is
-    cleared from the kept rows.  Each pivot row it added or changed is
-    written back to kept once, at the end, divided by its pivot entry.
+    The rows may hold Fractions, ints or both.  Each is scaled to coprime
+    ints, reduced against the kept rows (dropped if it reaches zero), and
+    its leading column is then cleared from the kept rows, so each kept row
+    is nonzero at its own pivot, its lowest column, and zero at every other
+    pivot.  Returns the pivots of the rows it added or changed.
     """
-    if kept is None:
-        kept = {}
-    ints = {p: _integer_row(row) for p, row in kept.items()}
     changed = set()
     for row in rows:
         if not row:
@@ -374,27 +377,56 @@ def _eliminate(rows, kept: dict | None = None) -> dict[int, dict[int, Fraction]]
                 changed.add(p)
         ints[c] = row
         changed.add(c)
-    for p in changed:
+    return changed
+
+
+def _int_rows(kept: dict) -> dict[int, dict[int, int]]:
+    """Echelon rows {pivot: row} as the coprime int rows ``_echelon`` extends."""
+    return {p: _integer_row(row) for p, row in kept.items()}
+
+
+def _eliminate(rows, kept: dict | None = None) -> dict[int, dict[int, Fraction]]:
+    """Incremental RREF: add the rows (consumed) to kept, {pivot column: row}.
+
+    kept holds Fraction rows, 1 at their own pivot and 0 at every other, and
+    is updated in place.  The elimination runs on coprime int rows
+    (``_echelon``); each pivot row it added or changed is written back to
+    kept once, at the end, divided by its pivot entry.
+    """
+    if kept is None:
+        kept = {}
+    ints = _int_rows(kept)
+    for p in _echelon(rows, ints):
         row = ints[p]
         d = row[p]
         kept[p] = {j: ONE if j == p else Fraction(x, d) for j, x in row.items()}
     return kept
 
 
-def _kernel(kept: dict, width: int) -> "Subspace":
-    """Nullspace of the reduced rows in kept, which it leaves untouched."""
-    # The kernel vector of a free column c is e_c - sum of kept[p][c] e_p over
-    # the pivots p; each is written negated, which spans the same line and
-    # makes no new Fraction.
-    vectors = {c: {c: -1} for c in range(width) if c not in kept}
-    for p, row in kept.items():
-        for j in row.keys() - {p}:
-            vectors[j][p] = row[j]
-    # These vectors are reduced on the free columns, not in echelon form with
-    # ascending pivots: for [[1, 1, 1]] they are (-1, 1, 0) and (-1, 0, 1),
-    # whose echelon basis is (1, 0, -1), (0, 1, -1).  So they are eliminated
-    # once more, to give the one reduced echelon basis of the kernel.
-    return _subspace(width, vectors.values())
+def _kernel(rows, width: int, ints: dict | None = None) -> "Subspace":
+    """Nullspace in Q^width of the rows (consumed), read off one elimination.
+
+    The rows are eliminated with their columns relabelled c -> width - 1 - c,
+    so each pivot row's pivot is its highest original column.  For a free
+    column c the kernel vector is e_c minus column c of the pivot rows: it is
+    nonzero only at c and at pivots above c, so its lowest column is c, and
+    it is zero at every other free column.  These vectors are therefore the
+    one reduced echelon basis of the kernel, with no second elimination;
+    each entry is written as one Fraction off the int rows.  A caller that
+    passes ints, the relabelled int rows of an earlier call, continues that
+    elimination in place.
+    """
+    last = width - 1
+    if ints is None:
+        ints = {}
+    _echelon(({last - j: x for j, x in row.items()} for row in rows), ints)
+    vectors = {c: {c: ONE} for c in range(width) if last - c not in ints}
+    for q, row in ints.items():
+        p, d = last - q, row[q]
+        for j, x in row.items():
+            if j != q:
+                vectors[last - j][p] = Fraction(-x, d)
+    return Subspace(width, tuple(vectors.values()))
 
 
 def _subspace(ambient_dim: int, rows) -> "Subspace":
@@ -486,7 +518,7 @@ class Subspace:
 
 def kernel_basis(m: RatMatrix) -> Subspace:
     """Nullspace {v : Mv = 0}, echelon-reduced; dim = cols - rank."""
-    return _kernel(_eliminate([_sparse(row) for row in m.entries]), m.cols)
+    return _kernel([_sparse(row) for row in m.entries], m.cols)
 
 
 def solve_linear(m: RatMatrix, b: Vector) -> Vector | None:
@@ -508,18 +540,27 @@ def solve_linear(m: RatMatrix, b: Vector) -> Vector | None:
 
 
 def _quotient_rows(w: Subspace, v: Subspace) -> list[dict[int, Fraction]]:
-    """``quotient_basis`` as sparse rows; dim (W + V) / V = dim W - dim V iff V <= W."""
+    """``quotient_basis`` as sparse rows, W's echelon rows at the pivots V lacks.
+
+    Every echelon row of V is first reduced against W's rows, on ints; one
+    that does not reach zero adds a pivot, and is outside W.  Each nonzero
+    vector of W leads at one of W's pivots, so V <= W puts V's pivots among
+    W's.  W's rows at the other pivots are then dim W - dim V independent
+    vectors of W that vanish at V's pivots (each row of W is zero at every
+    pivot but its own): the one reduced echelon basis of that complement.
+    """
     if w.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    kept = dict(zip(v.pivots, v.rows))
-    reps = _eliminate([_reduce(dict(row), kept) for row in w.rows])
-    if len(reps) != w.dim - v.dim:
+    kept = dict(zip(w.pivots, w.rows))
+    if _echelon(v.rows, _int_rows(kept)):
         raise ValueError("V is not contained in W")
-    return [reps[p] for p in sorted(reps)]
+    own = set(v.pivots)
+    return [row for p, row in kept.items() if p not in own]
 
 
 def quotient_basis(w: Subspace, v: Subspace) -> tuple[Vector, ...]:
-    """Representatives of a basis of W/V, reduced against V's echelon basis.
+    """Representatives of a basis of W/V: the reduced echelon basis of
+    {w in W : w vanishes at V's pivots}, read off W's echelon rows.
 
     Requires V <= W; raises ValueError otherwise.  Joined with V's basis the
     representatives span W, and len(result) = dim W - dim V.

@@ -336,8 +336,10 @@ def assert_assembly_matches_cochain_maps(rep):
     for lagrangian in (False, True):
         basis = frozen_d1_basis(rep.dim, lagrangian)
         images = [dense_coboundary_1(rep, sigma).flatten() for sigma in basis]
+        # The rows are read off the tables scaled by D, so they are D times the images.
+        d = rep.integer_tables[0]
         rows = _coboundary_1_images(rep, _one_cochain_rows(rep.dim, lagrangian))
-        assert [_dense(row, len(images[0])) for row in rows] == images
+        assert [_dense({c: x / d for c, x in row.items()}, len(images[0])) for row in rows] == images
         assert frozen_matrix_of_coboundary_1(rep, basis).entries == tuple(zip(*images))
         assert coboundary_image(rep, lagrangian) == Subspace.from_vectors(len(images[0]), images)
 

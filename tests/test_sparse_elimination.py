@@ -11,7 +11,8 @@ Three kinds of check:
 - an independent oracle for the kernel: sympy's ``Matrix.rref`` on
   mostly-zero matrices;
 - a guard that ``cohomology`` never builds the dense d2 matrix and that
-  ``cocycle_bases`` eliminates the d2 rows exactly once.
+  ``cocycle_bases`` eliminates the d2 rows exactly once, then the
+  cyclic-sum rows once, and reads both kernels off that one elimination.
 """
 
 import importlib
@@ -25,6 +26,7 @@ from lagext.catalog import connection_for, instantiate, sample_parameters, table
 from lagext.cohomology import (
     CohomologySummary,
     TwoCochain,
+    _cyclic_sum_rows,
     cocycle_bases,
     cohomology,
     cyclic_sum_matrix,
@@ -401,19 +403,21 @@ def test_linalg_error_messages_are_unchanged():
 def test_cohomology_never_builds_dense_d2_and_eliminates_its_rows_once(monkeypatch):
     rep = canonical_rep("l_26")
     dense_builds = []
-    fed = []  # every row given to the elimination kernel, as it arrived
+    fed = []  # every row given to the elimination kernel, in original columns
     emitted = []  # the sparse d2 rows, as emitted
 
     def no_dense_d2(*args):
         dense_builds.append(args)
         return matrix_of_coboundary_2(*args)
 
-    real_eliminate = linalg_module._eliminate
+    width = 28 * 8
+    real_echelon = linalg_module._echelon
 
-    def counting_eliminate(rows, kept=None):
+    def counting_echelon(rows, ints):
         rows = list(rows)
-        fed.extend(dict(row) for row in rows)
-        return real_eliminate(rows, kept)
+        # ``_kernel`` relabels column c as width - 1 - c; read each row back.
+        fed.extend({width - 1 - c: x for c, x in row.items()} for row in rows)
+        return real_echelon(rows, ints)
 
     real_d2_rows = cohomology_module._coboundary_2_rows
 
@@ -424,18 +428,16 @@ def test_cohomology_never_builds_dense_d2_and_eliminates_its_rows_once(monkeypat
 
     monkeypatch.setattr(cohomology_module, "matrix_of_coboundary_2", no_dense_d2)
     monkeypatch.setattr(cohomology_module, "_coboundary_2_rows", recording_d2_rows)
-    monkeypatch.setattr(cohomology_module, "_eliminate", counting_eliminate)
-    monkeypatch.setattr(linalg_module, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(linalg_module, "_echelon", counting_echelon)
 
     z2, z2l = cocycle_bases(rep)
     assert not dense_builds
     assert len(emitted) == 56 * 8  # one row per (triple, t)
-    # The kernel took each d2 row once, then the 56 cyclic-sum rows once, and
-    # the kernel vectors of Z^2 and Z^2_L to put them in echelon form.
-    assert len(fed) == len(emitted) + 56 + z2.dim + z2l.dim
-    for row in emitted:
-        if row:
-            assert sum(other == row for other in fed) == emitted.count(row)
+    # The kernel took each d2 row once, then the 56 cyclic-sum rows once; Z^2
+    # and Z^2_L are read off that one elimination, so no kernel vector is fed.
+    assert len(fed) == len(emitted) + 56
+    assert fed[:len(emitted)] == emitted
+    assert fed[len(emitted):] == _cyclic_sum_rows(8)
 
     # The d2 rows are built once per representation: a second pass over the
     # same one emits none, and a fresh one emits them all again.
@@ -444,7 +446,7 @@ def test_cohomology_never_builds_dense_d2_and_eliminates_its_rows_once(monkeypat
     emitted.clear()
     assert cocycle_bases(rep) == (z2, z2l)
     assert not emitted
-    assert len(fed) == 56 * 8 + 56 + z2.dim + z2l.dim
+    assert len(fed) == 56 * 8 + 56
     summary = cohomology(fresh)
     assert not dense_builds
     assert len(emitted) == 56 * 8
