@@ -99,7 +99,7 @@ class _Parser:
             self.expect(")")
             return node
         if tok.isdigit():
-            return ("num", Fraction(tok))
+            return ("num", Fraction(int(tok)))
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
             return ("var", tok)
         raise ExprError(f"unexpected token {tok!r} in {self.source!r}")

@@ -15,8 +15,19 @@ and quotienting by it recovers the connection exactly.
 A form is stored as its coordinates over the pairs i < j and read through
 its sparse rows; subspaces (J, its orthogonal) are read through their
 sparse echelon rows, and a linear map (psi, the lifts of a reduction) as its
-columns in sparse rows, with omega and brackets read by ``omega_row`` and
-``LieAlgebra.bracket_rows``: no dense vector is read here.
+columns in sparse rows: no dense vector is read here.
+
+The omega identities run on ints.  Each form keeps one copy of its rows
+scaled by the lcm D' of its denominators (``integer_omega``) and, built once
+from that copy and the bracket's ``integer_brackets``, one table
+W[a][u] = D omega([e_a, e_u], .) of sparse int rows
+(``integer_omega_brackets``).  dw is the cyclic sums of W; both omega solves
+(the canonical and the induced connection) read their right-hand sides off
+W and invert their pairing by one int elimination; ``omega_row``, the
+pullback and the orthogonal read the scaled rows on vectors scaled to ints;
+and psi's bracket check reads the two extensions' ``integer_brackets``.
+Each value that leaves these kernels is made as one Fraction, divided back
+by its scale.
 """
 
 from __future__ import annotations
@@ -57,7 +68,9 @@ from .linalg import (
     _add,
     _dense,
     _eliminate,
+    _integer_row,
     _integer_tables,
+    _inverse_rows,
     _kernel,
     _sparse,
     _subspace,
@@ -86,10 +99,11 @@ class SymplecticLieAlgebra:
     ``combinations(range(dim), 2)``, the order of ``LieAlgebra.pairs``.
     Construction does not assert closedness; use ``d_omega`` /
     ``validate`` to check dw = 0 and non-degeneracy.  The sparse rows of the
-    form (``omega_rows``), its dense matrix (``omega``, a view), dw of the
-    form (``d_omega_result``) and the classification of ``lagrangian_ideal``
-    (``ideal_verdict``) are computed on first use and kept, as the algebra and
-    the form are immutable.
+    form (``omega_rows``), its dense matrix (``omega``, a view), the rows
+    scaled to ints (``integer_omega``), the table W of omega on brackets
+    (``integer_omega_brackets``), dw of the form (``d_omega_result``) and the
+    classification of ``lagrangian_ideal`` (``ideal_verdict``) are computed on
+    first use and kept, as the algebra and the form are immutable.
     """
 
     algebra: LieAlgebra
@@ -124,22 +138,43 @@ class SymplecticLieAlgebra:
         """The dense matrix of the form, a read-only view decoded once."""
         return RatMatrix(tuple(_dense(row, self.dim) for row in self.omega_rows))
 
+    @cached_property
+    def integer_omega(self) -> tuple[int, tuple[dict[int, int], ...]]:
+        """D', the lcm of the denominators of the form, and ``omega_rows``
+        scaled by D' to ints: the one scaled copy every omega identity reads."""
+        d, (rows,) = _integer_tables(tuple(tuple(row.items()) for row in self.omega_rows))
+        return d, tuple(dict(row) for row in rows)
+
+    @cached_property
+    def integer_omega_brackets(self) -> tuple[int, tuple[tuple[dict[int, int], ...], ...]]:
+        """D and W, W[a][u] = D omega([e_a, e_u], .) as sparse int rows, with D
+        the bracket's D times the form's D'; built once per form from
+        ``algebra.integer_brackets`` and ``integer_omega``."""
+        return _omega_table(self)
+
     def omega_row(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
         """omega(v, .) as a sparse row {q: omega(v, e_q)}, for a sparse row v."""
-        out = {}
-        for p, x in v.items():
-            for q, y in self.omega_rows[p].items():
-                _add(out, q, x * y)
-        return out
+        d, (row,) = _integer_tables(tuple(v.items()))
+        out = _int_omega_row(self, row)
+        d *= self.integer_omega[0]
+        return {q: Fraction(x, d) for q, x in out.items()}
 
     def pullback(self, columns) -> tuple[Fraction, ...]:
-        """The pair coordinates of omega(c_a, c_b), a < b, for sparse rows c_a, each
-        omega(c_a, .) computed once: the form omega pulls back along the map."""
-        rows = [self.omega_row(c) for c in columns[:-1]]
-        return tuple(
-            sum((rows[a][q] * y for q, y in columns[b].items() if q in rows[a]), ZERO)
-            for a, b in combinations(range(len(columns)), 2)
-        )
+        """The pair coordinates of omega(c_a, c_b), a < b, for sparse rows c_a.
+
+        The columns are scaled by the lcm D'' of their denominators to ints;
+        omega(c_a, .) is read once per column on the scaled rows of omega, and
+        each coordinate is one Fraction, divided back by D' D''^2.
+        """
+        d, (cols,) = _integer_tables(tuple(tuple(c.items()) for c in columns))
+        d = d * d * self.integer_omega[0]
+        out = []
+        for a, b in combinations(range(len(cols)), 2):
+            if b == a + 1:
+                row = _int_omega_row(self, cols[a])
+            x = sum([row[q] * y for q, y in cols[b] if q in row])
+            out.append(Fraction(x, d) if x else ZERO)
+        return tuple(out)
 
     def omega_value(self, x: Vector, y: Vector) -> Fraction:
         """omega(x, y) of dense vectors: a dense wrapper over ``pullback``."""
@@ -149,24 +184,15 @@ class SymplecticLieAlgebra:
     def d_omega_result(self) -> "DOmegaResult":
         """dw of the form on every basis triple, computed once per instance.
 
-        dw(e_i, e_j, e_k) = w(e_i, [e_j, e_k]) + w(e_j, [e_k, e_i]) + w(e_k, [e_i, e_j]),
-        each term summed over the nonzero structure constants of the bracket
-        and the nonzero entries of the row of omega.
+        dw(e_i, e_j, e_k) = w(e_i, [e_j, e_k]) + w(e_j, [e_k, e_i]) + w(e_k, [e_i, e_j])
+        = -(W[j][k][i] + W[k][i][j] + W[i][j][k]) / D, three reads of the
+        kept ``integer_omega_brackets`` per triple.
         """
-        # Bilinear in omega and the bracket: summed over the table scaled by
-        # its D and the rows by their own D', and divided back by D D'.
-        d, table = self.algebra.integer_brackets
-        d_rows, (rows,) = _integer_tables(tuple(tuple(row.items()) for row in self.omega_rows))
-        rows = [dict(row) for row in rows]
-
-        def w(p, terms):
-            row = rows[p]
-            return sum(row[q] * c for q, c in terms if q in row)
-
+        d, w = self.integer_omega_brackets
         residuals = []
         for i, j, k in combinations(range(self.dim), 3):
-            x = w(i, table[j][k]) + w(j, table[k][i]) + w(k, table[i][j])
-            residuals.append(((i + 1, j + 1, k + 1), Fraction(x, d * d_rows) if x else ZERO))
+            x = w[j][k].get(i, 0) + w[k][i].get(j, 0) + w[i][j].get(k, 0)
+            residuals.append(((i + 1, j + 1, k + 1), Fraction(-x, d) if x else ZERO))
         return DOmegaResult(tuple(residuals))
 
     @cached_property
@@ -325,6 +351,30 @@ def _form_of(omega: RatMatrix, n: int) -> tuple[Fraction, ...]:
     return tuple(omega[i, j] for i, j in combinations(range(n), 2))
 
 
+def _int_omega_row(s: SymplecticLieAlgebra, terms) -> dict[int, int]:
+    """D' omega(v, .) as a sparse int row, for v the sum of x e_p over the
+    (p, x) in terms, read on the scaled rows ``s.integer_omega``."""
+    rows = s.integer_omega[1]
+    out = {}
+    for p, x in terms:
+        for q, y in rows[p].items():
+            _add(out, q, x * y)
+    return out
+
+
+def _omega_table(s: SymplecticLieAlgebra):
+    """``s.integer_omega_brackets``: D = D_bracket D' and the n x n table
+    W[a][u] = D' omega(D_bracket [e_a, e_u], .), antisymmetric in (a, u)."""
+    d, table = s.algebra.integer_brackets
+    n = s.dim
+    w = [[{} for _ in range(n)] for _ in range(n)]
+    for a, u in combinations(range(n), 2):
+        if row := _int_omega_row(s, table[a][u]):
+            w[a][u] = row
+            w[u][a] = {q: -x for q, x in row.items()}
+    return d * s.integer_omega[0], tuple(map(tuple, w))
+
+
 def _omega_solve(s: SymplecticLieAlgebra, lifts, tests) -> NonzeroTable:
     """The connection omega(nabla_x y, u) = -omega(y, [x, u]) for the test vectors u.
 
@@ -334,27 +384,44 @@ def _omega_solve(s: SymplecticLieAlgebra, lifts, tests) -> NonzeroTable:
     lists the nonzero (t, x_t) of nabla_{e_{l_a}} e_{l_b} = sum_t x_t e_{l_t},
     solving sum_t x_t omega(u, e_{l_t}) = -omega([e_{l_a}, u], e_{l_b}) for
     every u, the equation above by antisymmetry.
-    The pairing omega(u, e_{l_t}) is inverted once (ValueError when singular),
-    and omega([e_{l_a}, u], .) is read once per (a, u), for every b.
+
+    It runs on ints.  Each equation is linear in u, so u is scaled to coprime
+    ints, which leaves the solution as it is.  The pairing P[u][t] =
+    D' omega(u, e_{l_t}) is inverted once, by one int elimination of [P | I]
+    (ValueError when singular), and the right-hand sides D omega([e_a, u], .)
+    are sums of rows of the kept table W.  So
+    x_t = -sum_u P^-1[t][u] D omega([e_a, u], e_b) / D_bracket, summed over the
+    nonzero entries only, and each x_t is made as one Fraction.
     """
-    pairing = [s.omega_row(u) for u in tests]
-    inverse = RatMatrix(tuple(tuple(row.get(t, ZERO) for t in lifts) for row in pairing)).inverse()
-    # columns[u]: the nonzero (k, -v) of column u of the inverse, which carries
-    # the sign of the right-hand side
-    columns = [[(k, -v) for k, v in enumerate(col) if v] for col in zip(*inverse.entries)]
+    d, w = s.algebra.integer_brackets[0], s.integer_omega_brackets[1]
+    position = {l: t for t, l in enumerate(lifts)}
+    m = len(position)
+    tests = [_integer_row(u) for u in tests]
+    inverse = _inverse_rows([
+        {position[q]: x for q, x in _int_omega_row(s, u.items()).items() if q in position}
+        for u in tests
+    ], m)
+    # P^-1[t][u] = inverse[t][m + u] / inverse[t][t]; columns[u] lists the
+    # nonzero (t, numerator), and x_t is divided by -inverse[t][t] D_bracket.
+    columns = [[] for _ in tests]
+    for t, row in enumerate(inverse):
+        for j, x in row.items():
+            if j >= m:
+                columns[j - m].append((t, x))
+    scale = [-row[t] * d for t, row in enumerate(inverse)]
     gamma = []
-    for a in lifts:
-        # omega([e_a, u], .) for each test vector u, shared by every b
-        rows = [s.omega_row(s.algebra.bracket_rows({a: ONE}, u)) for u in tests]
-        plane = []
-        for b in lifts:
-            x = {}
-            for u, row in enumerate(rows):
-                if f := row.get(b):
-                    for k, v in columns[u]:
-                        _add(x, k, f * v)
-            plane.append(tuple(sorted(x.items())))
-        gamma.append(tuple(plane))
+    for a in position:
+        cells = [{} for _ in range(m)]
+        for u, column in zip(tests, columns):
+            # D omega([e_a, u], e_q) sums x W[a][p][q] over the entries x of u
+            for p, x in u.items():
+                for q, y in w[a][p].items():
+                    if (b := position.get(q)) is not None:
+                        for t, v in column:
+                            _add(cells[b], t, x * y * v)
+        gamma.append(tuple(
+            tuple((t, Fraction(x, scale[t])) for t, x in sorted(cell.items())) for cell in cells
+        ))
     return tuple(gamma)
 
 
@@ -370,10 +437,12 @@ class IdealVerdict:
 
 def symplectic_orthogonal(s: SymplecticLieAlgebra, j: Subspace) -> Subspace:
     """{v : omega(u, v) = 0 for all u in J}: the kernel of the rows omega(u, .)
-    of J's echelon rows u.  A nonzero J of another ambient dimension raises."""
+    of J's echelon rows u, each scaled to coprime ints and read on ints, as a
+    positive multiple of a row spans the same line.  A nonzero J of another
+    ambient dimension raises."""
     if j.dim and j.ambient_dim != s.dim:
         raise ValueError("vector length does not match column count")
-    return _kernel([s.omega_row(u) for u in j.rows], s.dim)
+    return _kernel([_int_omega_row(s, _integer_row(u).items()) for u in j.rows], s.dim)
 
 
 def is_lagrangian_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
@@ -575,8 +644,11 @@ def equivalence_map_psi(
 
     Requires both triples to share the connection and the cocycles to be
     related by alpha_2 = alpha_1 - d(sigma).  The returned 2n x 2n matrix is
-    verified to preserve brackets on all basis pairs; for symmetric sigma
-    the pullback identity Psi^T omega Psi = omega is verified as well.
+    verified to preserve brackets on all basis pairs, on ints: psi's columns
+    scaled by the lcm of sigma's denominators, read against both extensions'
+    ``integer_brackets``, with each side multiplied by the other's scales.
+    For symmetric sigma the pullback identity Psi^T omega Psi = omega is
+    verified as well, by ``pullback``.
     """
     c1, c2 = t1.connection, t2.connection
     if c1.nonzero_gamma != c2.nonzero_gamma or c1.base.pairs != c2.base.pairs:
@@ -589,14 +661,26 @@ def equivalence_map_psi(
     cols = _psi_columns(sigma)
     g1 = build_extension(t1)
     g2 = build_extension(t2)
-    table = g1.algebra.nonzero_brackets
+    # C = D_sigma psi and T_i = D_i [., .]_i, so sum_k T_1[a][b][k] C_k is
+    # D_1 D_sigma psi([e_a, e_b]_1) and sum T_2[p][q] C_a[p] C_b[q] is
+    # D_2 D_sigma^2 [psi e_a, psi e_b]_2; f1 and f2 bring both to one scale.
+    d_sigma, (ints,) = _integer_tables(tuple(tuple(col.items()) for col in cols))
+    d1, table1 = g1.algebra.integer_brackets
+    d2, table2 = g2.algebra.integer_brackets
+    f1, f2 = d2 * d_sigma, d1
     for a, b in combinations(range(len(cols)), 2):
-        # psi([e_a, e_b]_1), summed over the nonzero terms of the bracket and of psi's columns
         image = {}
-        for k, c in table[a][b]:
-            for t, v in cols[k].items():
+        for k, c in table1[a][b]:
+            c *= f1
+            for t, v in ints[k]:
                 _add(image, t, c * v)
-        if image != g2.algebra.bracket_rows(cols[a], cols[b]):
+        bracket = {}
+        for p, x in ints[a]:
+            plane, x = table2[p], f2 * x
+            for q, y in ints[b]:
+                for k, c in plane[q]:
+                    _add(bracket, k, x * y * c)
+        if image != bracket:
             raise IntegrityError(f"bracket preservation fails at basis pair ({a+1},{b+1})")
     # Psi^T omega Psi is alternating, so it is decided on its pair coordinates.
     if sigma.is_symmetric and g2.pullback(cols) != g1.form:

@@ -21,7 +21,10 @@ reversed, so each pivot is its row's highest column, and the kernel vector
 of each free column, read straight off the int rows, is already a row of
 the reduced echelon basis of the kernel; each of its entries is made as one
 Fraction.  ``_quotient_rows`` checks V <= W exactly and then reads W/V off
-W's echelon rows, with no elimination.
+W's echelon rows, with no elimination.  ``_inverse_rows`` inverts P by one
+elimination of [P | I] and hands back its int rows, so a caller reads each
+entry of P^-1 as a numerator over its row's pivot entry (``RatMatrix.inverse``
+makes those Fractions; the omega solves of extension.py keep the ints).
 
 ``_integer_tables`` scales the nonzero tables that the zero-residual sweeps
 read (connection, bracket, rho, omega) by the lcm D of their denominators:
@@ -232,10 +235,11 @@ class RatMatrix:
         n = self.rows
         if n != self.cols:
             raise ValueError("inverse of non-square matrix")
-        kept = _eliminate([{**_sparse(row), n + i: ONE} for i, row in enumerate(self.entries)])
-        if sorted(kept) != list(range(n)):
-            raise ValueError("matrix is singular")
-        return RatMatrix(tuple(_dense(kept[i], 2 * n)[n:] for i in range(n)))
+        rows = _inverse_rows([_sparse(row) for row in self.entries], n)
+        return RatMatrix(tuple(
+            _dense({j - n: Fraction(x, row[k]) for j, x in row.items() if j >= n}, n)
+            for k, row in enumerate(rows)
+        ))
 
 
 def _sparse(values) -> dict[int, Fraction]:
@@ -380,6 +384,23 @@ def _echelon(rows, ints: dict) -> set[int]:
     return changed
 
 
+def _inverse_rows(rows, m: int) -> list[dict[int, int]]:
+    """A matrix P, given as sparse rows (consumed) over the columns 0..m-1,
+    inverted by one int elimination of [P | I].
+
+    Row k of the result is the coprime int row of [P | I]'s echelon form with
+    pivot k: nonzero at column k, zero at every other column below m, and
+    P^-1[k][i] is its entry at m + i divided by its entry at k.  Raises
+    ValueError unless P is m x m and invertible, that is, unless the pivots
+    are exactly 0..m-1 ([P | I] has rank the number of rows).
+    """
+    ints = {}
+    _echelon([{**row, m + i: 1} for i, row in enumerate(rows)], ints)
+    if sorted(ints) != list(range(m)):
+        raise ValueError("matrix is singular")
+    return [ints[k] for k in range(m)]
+
+
 def _int_rows(kept: dict) -> dict[int, dict[int, int]]:
     """Echelon rows {pivot: row} as the coprime int rows ``_echelon`` extends."""
     return {p: _integer_row(row) for p, row in kept.items()}
@@ -504,11 +525,6 @@ class Subspace:
         if not self.contains(v):
             raise ValueError("vector not in subspace")
         return tuple(v[p] for p in self.pivots)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return _subspace(self.ambient_dim, [dict(row) for row in self.rows + other.rows])
 
     def complement_coordinates(self) -> tuple[int, ...]:
         """Ambient coordinates not used as pivots, ascending."""

@@ -40,6 +40,8 @@ class SpecParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"^e(\^?)(\d+)$")
+# The coefficient a term without one stands for, and that ``format_rhs`` omits.
+_UNIT = Expr.const(1)
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ def parse_rhs(text: str, line_no: int | None = None) -> tuple[Term, ...]:
             raise SpecParseError(line_no, "empty term")
         token = BasisToken.parse(fields[-1], line_no)
         if len(fields) == 1:
-            coeff = Expr.const(1)
+            coeff = _UNIT
         elif len(fields) == 2:
             try:
                 coeff = Expr.parse(fields[0])
@@ -114,7 +116,7 @@ def parse_rhs(text: str, line_no: int | None = None) -> tuple[Term, ...]:
 def format_rhs(terms) -> str:
     parts = []
     for term in terms:
-        if term.coeff == Expr.const(1):
+        if term.coeff == _UNIT:
             parts.append(term.token.text)
         else:
             parts.append(f"{term.coeff} {term.token.text}")

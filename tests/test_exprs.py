@@ -66,3 +66,35 @@ def test_division_by_zero_and_fractional_power():
         Expr.parse("1/(mu-1)").evaluate({"mu": F(1)})
     with pytest.raises(ExprError):
         Expr.parse("2^(1/2)").evaluate({})
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty expression"),
+        ("1+", "unexpected end of expression in '1+'"),
+        ("(t", "unexpected end of expression in '(t'"),
+        ("t**2", "unexpected token '*' in 't**2'"),
+        ("£3", "bad character in expression '£3' at offset 0"),
+        ("²", "bad character in expression '²' at offset 0"),
+        ("1 2", "trailing tokens in expression '1 2'"),
+        ("3)", "trailing tokens in expression '3)'"),
+        (")", "unexpected token ')' in ')'"),
+        ("1/0", "division by zero while evaluating expression"),
+        ("2^(1/2)", "exponent must be an integer"),
+    ],
+)
+def test_error_messages_are_pinned(text, message):
+    with pytest.raises(ExprError) as caught:
+        Expr.parse(text).evaluate({})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,value", [("007", F(7)), ("٣", F(3)), ("12/08", F(3, 2)), ("0", F(0)), ("3^2", F(9))]
+)
+def test_digit_tokens_read_as_fraction_literals(text, value):
+    # Every token of decimal digits, leading zeros and non-ASCII digits too.
+    expr = Expr.parse(text)
+    assert expr.ast == ("num", value) and type(expr.ast[1]) is F
+    assert type(expr.evaluate()) is F

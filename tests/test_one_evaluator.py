@@ -1,5 +1,10 @@
-"""omega on vectors has one evaluator, ``omega_row``, and brackets of vectors
-one, ``bracket_rows``; extension.py reads no dense vector.
+"""omega on vectors is read through one scaled copy of the form,
+``SymplecticLieAlgebra.integer_omega`` (its rows times the lcm of their
+denominators, as ints), and the table W of omega on brackets built once from
+it; ``omega_row`` and ``pullback`` read that copy and write Fractions.
+Brackets of vectors have one evaluator, ``bracket_rows``, beside the integer
+table ``integer_brackets`` that psi's check reads.  extension.py reads no
+dense vector; tests/test_omega_table.py counts the reads.
 
 extension.py reads a linear map (psi, the lifts of a reduction) as its
 columns in sparse rows and a subspace as its sparse echelon rows.  So it

@@ -170,3 +170,15 @@ def test_comments_and_blank_lines_ignored():
     spec = parse_spec(text)
     assert spec.name == "x"
     assert len(spec.brackets) == 1
+
+
+def test_a_term_without_coefficient_reads_and_writes_as_one():
+    from lagext.exprs import Expr
+    from lagext.specfile import format_rhs, parse_rhs
+
+    terms = parse_rhs("e3 + 1 e^1 + 1/2 e2 + -1 e4")
+    assert [term.coeff for term in terms] == [Expr.const(1), Expr.const(1), Expr.const(F(1, 2)), Expr.const(-1)]
+    assert [type(term.coeff.evaluate()) for term in terms] == [F] * 4
+    # A coefficient equal to 1 is left out, however it was written.
+    assert format_rhs(terms) == "e3 + e^1 + 1/2 e2 + -1 e4"
+    assert format_rhs(parse_rhs("2/2 e1 + (1) e2 + t e3")) == "e1 + e2 + t e3"
