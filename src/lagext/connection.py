@@ -13,7 +13,8 @@ flag of nabla_{e_1..e_n} (``lie.descending_flag``, which also gives the lower
 central series): flatness makes their span a Lie algebra of operators, so by
 Engel's theorem the flag reaches 0 exactly when every nabla_x is nilpotent.
 The flag of a single right multiplication R_{e_j} reaches 0 exactly when
-R_{e_j} is nilpotent.  No verdict depends on a seed.
+R_{e_j} is nilpotent.  Both flags run on the int gamma table of the sweep
+and only their lengths are read.  No verdict depends on a seed.
 
 Each verdict on a connection (the sweep report, the completeness evidence
 and the dual representation) is computed once per ``FlatConnection`` and
@@ -27,13 +28,17 @@ on the base's pairs and the gamma table, so they are computed once per
 table: a connection recovered with the tables of its source
 (``FlatConnection.recovered``) reads them through it.
 
-The sweep and the representation law run on Python ints: gamma and the
-bracket (rho and the bracket for the law) are scaled by one D, the lcm of
-their denominators (``linalg._integer_tables``).  Torsion is of degree 1 in
-the scaled tables, and curvature, the associator and every term of the law
-of degree 2, so each scaled residual is D or D^2 times the rational one: it
-is zero exactly when that one is, and a nonzero witness is divided back to
-the same Fractions.
+The sweep, the Engel flags and the representation law run on Python ints:
+gamma and the bracket are scaled once per connection by one D, the lcm of
+their denominators (``FlatConnection.integer_tables``), and rho = -gamma^T
+is read off the scaled gamma.  Torsion is of degree 1 in the scaled tables,
+and curvature, the associator and every term of the law of degree 2, so
+each scaled residual is D or D^2 times the rational one: it is zero exactly
+when that one is, and a nonzero witness is divided back to the same
+Fractions.  D is positive, so a flag step of the scaled nabla spans the
+same subspace as the rational one, and an r-fold product of scaled
+operators, D^r times the rational product, is zero exactly when that one
+is: the flag stops at the same step, with the same dimensions.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from functools import cached_property
 from itertools import chain, combinations
 
 from .lie import LieAlgebra, NonzeroTable, _check_canonical, descending_flag
-from .linalg import Vector, ZERO, _add, _dense, _integer_tables, _pair_value
+from .linalg import Vector, _add, _dense, _integer_tables, _pair_value
 
 GammaTensor = tuple[tuple[Vector, ...], ...]
 
@@ -54,10 +59,10 @@ class FlatConnection:
     """A connection over a base Lie algebra, stored as its nonzero gamma table,
     with any instantiated parameters.
 
-    ``gamma``, ``report``, ``completeness`` and ``dual`` are computed on first
-    use and kept on the instance (``report`` and ``completeness`` may be read
-    through a source, see ``recovered``).  A verdict that raises is not kept:
-    every access raises again.
+    ``gamma``, ``integer_tables``, ``report``, ``completeness`` and ``dual``
+    are computed on first use and kept on the instance (``report`` and
+    ``completeness`` may be read through a source, see ``recovered``).  A
+    verdict that raises is not kept: every access raises again.
     """
 
     base: LieAlgebra
@@ -122,6 +127,13 @@ class FlatConnection:
         """The dense tensor gamma[i][j][k], a read-only view decoded from the table once."""
         n = self.dim
         return tuple(tuple(_dense(dict(t), n) for t in plane) for plane in self.nonzero_gamma)
+
+    @cached_property
+    def integer_tables(self) -> tuple[int, NonzeroTable, NonzeroTable]:
+        """(D, ``nonzero_gamma``, the base's ``nonzero_brackets``), both tables
+        scaled by D, the lcm of their denominators, to ints."""
+        d, (cols, brackets) = _integer_tables(self.nonzero_gamma, self.base.nonzero_brackets)
+        return d, cols, brackets
 
     @cached_property
     def report(self) -> "ConnectionReport":
@@ -208,7 +220,7 @@ def _sweep(conn: FlatConnection) -> ConnectionReport:
     n = conn.dim
     # gamma and the bracket scaled by one D to ints: torsion is of degree 1
     # in them, curvature and the associator of degree 2.
-    d, (cols, brackets) = _integer_tables(conn.nonzero_gamma, conn.base.nonzero_brackets)
+    d, cols, brackets = conn.integer_tables
     right = tuple(zip(*cols))  # right[s][k] = cols[k][s], so nabla_x e_s sums x_k right[s][k]
     # support[k]: the s with nabla_{e_k} e_s != 0; a column s outside the
     # supports of nabla_{e_i}, nabla_{e_j} and the nabla_{e_k} that the pair
@@ -287,23 +299,25 @@ def _uniform_nilindex(operators) -> int | None:
     """Smallest r with every r-fold product of the operators zero (None if none).
 
     Each operator is the tuple of its columns, column c listing the nonzero
-    (k, v) of its image of e_c.  The r-th term of their ``descending_flag``
+    (k, v) of its image of e_c, v an int: a rational operator scaled by a
+    positive D, whose r-fold products are D^r times the rational ones, so
+    the index is the same.  The r-th term of their ``descending_flag``
     spans the images of all r-fold products, so the index is the flag's
-    length when it reaches 0.  For a single operator, reaching 0 is its
-    nilpotency.  When the operators span a Lie algebra of operators, Engel's
-    theorem makes reaching 0 equivalent to every operator in the span being
-    nilpotent.  On other sets it is not: {E12, E21} are nilpotent, but
-    E12 + E21 is not.
+    length when it reaches 0; only the length is read.  For a single
+    operator, reaching 0 is its nilpotency.  When the operators span a Lie
+    algebra of operators, Engel's theorem makes reaching 0 equivalent to
+    every operator in the span being nilpotent.  On other sets it is not:
+    {E12, E21} are nilpotent, but E12 + E21 is not.
     """
     flag = descending_flag(operators, len(operators[0]) if operators else 0)
-    return len(flag) - 1 if flag[-1].dim == 0 else None
+    return None if flag[-1] else len(flag) - 1
 
 
 def _completeness(conn: FlatConnection) -> CompletenessEvidence:
-    cols = conn.nonzero_gamma
+    d, cols, _ = conn.integer_tables
     right = tuple(zip(*cols))  # right[j][i] = nabla_{e_i} e_j: the columns of R_{e_j}
     traces = tuple(
-        sum((v for i, col in enumerate(r) for k, v in col if k == i), ZERO) for r in right
+        Fraction(sum(v for i, col in enumerate(r) for k, v in col if k == i), d) for r in right
     )
     return CompletenessEvidence(
         complete=all(t == 0 for t in traces),
@@ -337,9 +351,12 @@ class DualRep:
     @cached_property
     def integer_tables(self) -> tuple[int, tuple, NonzeroTable]:
         """(D, ``nonzero_entries``, the base's ``nonzero_brackets``), both tables
-        scaled by D, the lcm of their denominators, to ints."""
-        d, (entries, brackets) = _integer_tables(
-            self.nonzero_entries, self.connection.base.nonzero_brackets
+        scaled by D, the lcm of their denominators, to ints: read off the
+        connection's ``integer_tables``, as rho = -gamma^T has gamma's
+        denominators."""
+        d, cols, brackets = self.connection.integer_tables
+        entries = tuple(
+            tuple((j, k, -v) for j, col in enumerate(plane) for k, v in col) for plane in cols
         )
         return d, entries, brackets
 

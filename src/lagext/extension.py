@@ -54,8 +54,9 @@ from .connection import (
 from .lie import (
     LieAlgebra,
     NonzeroTable,
+    _lcs_dims,
     _quotient,
-    lower_central_series,
+    is_nilpotent,
     nilpotency_class,
     require_jacobi,
 )
@@ -541,7 +542,7 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
     report = check_flat_torsion_free(conn)
     if not report.ok:
         raise IntegrityError("induced connection failed the flat torsion-free check")
-    if lower_central_series(s.algebra)[-1].dim == 0:
+    if is_nilpotent(s.algebra):
         if not is_geodesically_complete(conn).complete:
             raise IntegrityError(
                 "induced connection of a nilpotent symplectic algebra must be complete"
@@ -586,7 +587,12 @@ class NilpotencyCertificate:
 def extension_nilpotency(triple: ExtensionTriple) -> NilpotencyCertificate:
     """Nilpotency of the extension, certified two independent ways.
 
-    Path (a): the lower central series of the built algebra (authoritative).
+    Path (a): the lower central series of the built algebra (authoritative),
+    the descending flag of its ad_{e_j} run on the algebra's int bracket
+    table; the certificate reads only its dimensions, so no term of the
+    series is written as Fractions.  The table is scaled by a positive D,
+    and D [e_j, v] spans the line of [e_j, v], so the dimensions are those
+    of the rational series.
     Path (b): base nilpotent + connection complete + the vanishing of the
     condition sum sum_j rho(x)^j alpha(x, ad_x^{p-1-j} y) for all x, y, with
     p = class(h) + r and r the uniform nilindex of rho, read off the Engel
@@ -604,8 +610,7 @@ def extension_nilpotency(triple: ExtensionTriple) -> NilpotencyCertificate:
     IntegrityError.
     """
     extension = build_extension(triple)
-    series = lower_central_series(extension.algebra)
-    lcs_dims = tuple(sp.dim for sp in series)
+    lcs_dims = _lcs_dims(extension.algebra)
     verdict_a = lcs_dims[-1] == 0
 
     conn = triple.connection

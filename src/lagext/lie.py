@@ -10,7 +10,8 @@ constructors of derived algebras (quotients, extensions).
 
 Each algebra keeps the n x n view of its table (``nonzero_brackets``), which
 every routine here reads, that view scaled to ints (``integer_brackets``)
-and its lower central series, all computed on first use; the dense tensor
+and its lower central series as int echelon rows
+(``integer_central_series``), all computed on first use; the dense tensor
 ``bracket`` is a view for tests and the benchmark.  Keeping them is sound
 because an algebra is immutable.  The constructor rejects a table that is
 not canonical (k out of order, or a c that is zero or not a Fraction), so
@@ -18,7 +19,12 @@ equal tables mean equal brackets.  Brackets of vectors are read on sparse
 rows, by ``bracket_rows``.
 
 The lower central series is the ``descending_flag`` of the ad_{e_j}, the
-planes of ``nonzero_brackets``; connection.py reads the flag of nabla's.
+planes of ``integer_brackets``; connection.py reads the flag of nabla's.
+The flag runs on tables scaled by a positive D to ints: D M v spans the
+same line as M v, so each step spans the same subspace as over the
+rationals.  Every verdict (nilpotency, class, fingerprint) reads only the
+step dimensions; ``lower_central_series`` writes the steps as Fraction
+``Subspace``s when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -34,12 +40,14 @@ from .linalg import (
     Vector,
     _add,
     _dense,
+    _echelon,
     _integer_tables,
     _kernel,
     _pair_value,
     _reduce,
     _sparse,
     _subspace,
+    _written,
     fmt_vector,
 )
 
@@ -117,11 +125,20 @@ class LieAlgebra:
         return tuple(tuple(_dense(dict(t), n) for t in plane) for plane in self.nonzero_brackets)
 
     @cached_property
+    def integer_central_series(self) -> tuple[dict[int, dict[int, int]], ...]:
+        """The lower central series as int echelon rows, one {pivot: row} per
+        term, computed once per algebra and its renamed copies."""
+        if self._renamed_from is not None:
+            return self._renamed_from.integer_central_series
+        return _lower_central_series(self)
+
+    @cached_property
     def central_series(self) -> tuple[Subspace, ...]:
-        """The lower central series, computed once per algebra and its renamed copies."""
+        """The lower central series as Fraction subspaces, written once from
+        ``integer_central_series``."""
         if self._renamed_from is not None:
             return self._renamed_from.central_series
-        return _lower_central_series(self)
+        return tuple(_written(self.dim, step) for step in self.integer_central_series)
 
     @cached_property
     def integer_brackets(self) -> tuple[int, NonzeroTable]:
@@ -154,8 +171,8 @@ class LieAlgebra:
 
     def rename(self, name: str) -> "LieAlgebra":
         """The same algebra under another name, reading ``nonzero_brackets``,
-        ``integer_brackets`` and ``central_series`` through this one: each
-        depends only on the bracket."""
+        ``integer_brackets`` and both lower central series through this one:
+        each depends only on the bracket."""
         renamed = LieAlgebra(self.dim, self.pairs, name)
         object.__setattr__(renamed, "_renamed_from", self)
         return renamed
@@ -174,17 +191,23 @@ def _images(operators, rows):
                 yield image
 
 
-def descending_flag(operators, n: int) -> tuple[Subspace, ...]:
-    """V_0 = Q^n, V_{r+1} = span{M v : M in operators, v in V_r}, as echelon subspaces.
+def descending_flag(operators, n: int) -> tuple[dict[int, dict[int, int]], ...]:
+    """V_0 = Q^n, V_{r+1} = span{M v : M in operators, v in V_r}, each term
+    as the coprime int echelon rows {pivot: row} of ``_echelon``.
 
-    V_r spans the images of all r-fold products of the operators, so the flag
-    descends; it is listed down to 0, or to the last term before the first
-    step that does not shrink, after which it is constant.
+    The operators are int tables, each a rational operator scaled by one
+    positive D.  D M v spans the same line as M v, so each term is the
+    rational one, and an r-fold product of the scaled operators, D^r times
+    the rational product, is zero exactly when that one is.  V_r spans the
+    images of all r-fold products, so the flag descends; it is listed down
+    to 0, or to the last term before the first step that does not shrink,
+    after which it is constant.
     """
-    flag = [Subspace.full(n)]
-    while flag[-1].dim:
-        nxt = _subspace(n, _images(operators, flag[-1].rows))
-        if nxt.dim == flag[-1].dim:
+    flag = [{i: {i: 1} for i in range(n)}]
+    while flag[-1]:
+        nxt = {}
+        _echelon(_images(operators, flag[-1].values()), nxt)
+        if len(nxt) == len(flag[-1]):
             break
         flag.append(nxt)
     return tuple(flag)
@@ -237,14 +260,20 @@ def bracket_of_subspaces(algebra: LieAlgebra, a: Subspace, b: Subspace) -> Subsp
 def lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
     """C^0 = g, C^{p+1} = [g, C^p], listed down to the first stable term.
 
-    Computed once per algebra and kept as ``algebra.central_series``.
+    Written as Fraction subspaces from the int flag on first request and
+    kept as ``algebra.central_series``; verdicts read ``_lcs_dims``.
     """
     return algebra.central_series
 
 
-def _lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
+def _lower_central_series(algebra: LieAlgebra) -> tuple[dict[int, dict[int, int]], ...]:
     # [g, C] is spanned by the [e_j, v], v in C: the flag of the ad_{e_j}.
-    return descending_flag(algebra.nonzero_brackets, algebra.dim)
+    return descending_flag(algebra.integer_brackets[1], algebra.dim)
+
+
+def _lcs_dims(algebra: LieAlgebra) -> tuple[int, ...]:
+    """The dimensions of the lower central series, read off the int flag."""
+    return tuple(map(len, algebra.integer_central_series))
 
 
 def derived_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
@@ -258,13 +287,13 @@ def derived_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
 
 
 def is_nilpotent(algebra: LieAlgebra) -> bool:
-    return lower_central_series(algebra)[-1].dim == 0
+    return not algebra.integer_central_series[-1]
 
 
 def nilpotency_class(algebra: LieAlgebra) -> int | None:
     """Steps until the lower central series hits 0; None if it never does."""
-    series = lower_central_series(algebra)
-    if series[-1].dim != 0:
+    series = algebra.integer_central_series
+    if series[-1]:
         return None
     return len(series) - 1
 
@@ -314,7 +343,7 @@ class Fingerprint:
 
 
 def fingerprint(algebra: LieAlgebra) -> Fingerprint:
-    lcs = tuple(s.dim for s in lower_central_series(algebra))
+    lcs = _lcs_dims(algebra)
     ds = tuple(s.dim for s in derived_series(algebra))
     cls = nilpotency_class(algebra)
     # Filiform means maximal class n-1; the notion starts at dim 3.

@@ -15,7 +15,9 @@ incoming row is scaled by a positive rational to coprime ints, a row is
 reduced by r <- b r - a k and divided by its content (the gcd of its
 entries).  A row and its positive multiples span the same line, so the
 reduced echelon form is the one over the rationals.  ``_eliminate``
-normalises each pivot row to a Fraction row once, when it writes it out.
+normalises each pivot row to a Fraction row once, when it writes it out;
+``_written`` does the same for int echelon rows that a caller kept, such as
+the terms of ``lie.descending_flag``.
 ``_kernel`` writes no pivot row: it eliminates with the column order
 reversed, so each pivot is its row's highest column, and the kernel vector
 of each free column, read straight off the int rows, is already a row of
@@ -418,10 +420,19 @@ def _eliminate(rows, kept: dict | None = None) -> dict[int, dict[int, Fraction]]
         kept = {}
     ints = _int_rows(kept)
     for p in _echelon(rows, ints):
-        row = ints[p]
-        d = row[p]
-        kept[p] = {j: ONE if j == p else Fraction(x, d) for j, x in row.items()}
+        kept[p] = _normalised(ints[p], p)
     return kept
+
+
+def _normalised(row: dict[int, int], p: int) -> dict[int, Fraction]:
+    """An int echelon row divided by its entry at its pivot p, as Fractions."""
+    d = row[p]
+    return {j: ONE if j == p else Fraction(x, d) for j, x in row.items()}
+
+
+def _written(ambient_dim: int, ints: dict) -> "Subspace":
+    """The subspace of int echelon rows {pivot: row}, written as Fraction rows."""
+    return Subspace(ambient_dim, tuple(_normalised(ints[p], p) for p in sorted(ints)))
 
 
 def _kernel(rows, width: int, ints: dict | None = None) -> "Subspace":
@@ -452,8 +463,9 @@ def _kernel(rows, width: int, ints: dict | None = None) -> "Subspace":
 
 def _subspace(ambient_dim: int, rows) -> "Subspace":
     """The span of sparse rows (consumed)."""
-    kept = _eliminate(rows)
-    return Subspace(ambient_dim, tuple(kept[p] for p in sorted(kept)))
+    ints = {}
+    _echelon(rows, ints)
+    return _written(ambient_dim, ints)
 
 
 def rref(rows) -> tuple[list[Vector], list[int]]:

@@ -21,7 +21,7 @@ from lagext.connection import (
     _uniform_nilindex,
 )
 from lagext.lie import LieAlgebra
-from lagext.linalg import RatMatrix, vec
+from lagext.linalg import RatMatrix, _integer_tables, vec
 from lagext.sampling import random_rational, rng_for
 from test_sparse_oracles import dense_nabla_matrix, dense_rho_matrices, dense_rho_of
 
@@ -85,11 +85,13 @@ def unit_matrix(n, r, c):
 
 
 def nilindex(matrices):
-    """``_uniform_nilindex`` of dense matrices, each passed as its sparse columns."""
-    return _uniform_nilindex([
+    """``_uniform_nilindex`` of dense matrices, each passed as its sparse
+    columns, scaled to ints as the connection's tables are."""
+    _, operators = _integer_tables(*(
         tuple(tuple((k, x) for k, x in enumerate(m.col(c)) if x) for c in range(m.cols))
         for m in matrices
-    ])
+    ))
+    return _uniform_nilindex(operators)
 
 
 def test_engel_flag_needs_every_product_not_every_generator():

@@ -13,12 +13,13 @@ from pathlib import Path
 import lagext
 
 PACKAGE = Path(lagext.__file__).parent
-ELIMINATIONS = {"_subspace", "_eliminate", "from_vectors"}
+ELIMINATIONS = {"_subspace", "_eliminate", "_echelon", "from_vectors"}
 
 
 def flag_loops(source: str) -> list[str]:
     """Each outermost for or while loop whose body calls ``_subspace``,
-    ``_eliminate`` or ``.from_vectors``, tagged with the enclosing function."""
+    ``_eliminate``, ``_echelon`` or ``.from_vectors``, tagged with the
+    enclosing function."""
     found = []
 
     def eliminates(node):
@@ -64,6 +65,13 @@ def test_guard_sees_every_flag_loop():
         "        nxt = list(_eliminate(images).values())\n"
         "        space = nxt",
         "def flag(ms, n):\n    for m in ms:\n        space = Subspace.from_vectors(n, [m.apply(v)])",
+        # the int flag with its own loop
+        "def _uniform_nilindex(operators, n):\n"
+        "    step = {i: {i: 1} for i in range(n)}\n"
+        "    while step:\n"
+        "        nxt = {}\n"
+        "        _echelon(_images(operators, step.values()), nxt)\n"
+        "        step = nxt",
     ):
         assert flag_loops(source), source
     # An elimination outside a loop, and a loop that eliminates nothing, pass.

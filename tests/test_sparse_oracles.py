@@ -179,6 +179,7 @@ from lagext.linalg import (
     _quotient_rows,
     _sparse,
     _subspace,
+    _written,
     fmt_vector,
     is_zero_vector,
     kernel_basis,
@@ -1952,13 +1953,15 @@ def zero_columns(n):
 @pytest.mark.parametrize("n", range(4))
 def test_descending_flag_on_no_operators_and_zero_operators(n):
     """n = 0, no operators and zero operators: the flag is Q^n, then 0 if n > 0,
-    the series of the abelian algebra, and the index is that of a zero matrix."""
+    the series of the abelian algebra, and the index is that of a zero matrix.
+    The flag's int steps are compared written out as Fraction subspaces."""
     abelian = dense_lower_central_series(LieAlgebra.abelian(n))
     for operators in ((), (zero_columns(n),), (zero_columns(n),) * 2):
         flag = descending_flag(operators, n)
-        assert typed(flag) == typed(abelian)
+        assert typed(tuple(_written(n, step) for step in flag)) == typed(abelian)
         assert len(flag) - 1 == frozen_uniform_nilindex([RatMatrix.zero(n, n)])
-    assert typed(descending_flag(LieAlgebra.abelian(n).nonzero_brackets, n)) == typed(abelian)
+    flag = descending_flag(LieAlgebra.abelian(n).integer_brackets[1], n)
+    assert typed(tuple(_written(n, step) for step in flag)) == typed(abelian)
     assert _uniform_nilindex([zero_columns(n)]) == frozen_uniform_nilindex([RatMatrix.zero(n, n)])
     # No operators at all: the index of the empty set is 0, as n is read off them.
     assert _uniform_nilindex([]) == 0

@@ -161,15 +161,61 @@ def verdict_counts(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def flag_counts(monkeypatch):
+    """The descending flags run, the Fractions made inside them, the Fraction
+    write-outs of a lower central series, and each gamma table scaled to ints."""
+    counts = {"flags": 0, "fractions_in_flags": 0, "written": 0, "scaled_gamma": []}
+    inside = [False]
+    real_new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        counts["fractions_in_flags"] += inside[0]
+        return real_new(cls, *args, **kwargs)
+
+    def flag(*args, _real=lie.descending_flag):
+        counts["flags"] += 1
+        inside[0] = True
+        try:
+            return _real(*args)
+        finally:
+            inside[0] = False
+
+    def written(*args, _real=lie._written):
+        counts["written"] += 1
+        return _real(*args)
+
+    def scaled(*tables, _real=connection._integer_tables):
+        counts["scaled_gamma"].append(tables[0])
+        return _real(*tables)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    for module in (lie, connection):
+        monkeypatch.setattr(module, "descending_flag", flag)
+    monkeypatch.setattr(lie, "_written", written)
+    monkeypatch.setattr(connection, "_integer_tables", scaled)
+    return counts
+
+
+def assert_flags_on_ints(flag_counts, conn):
+    """Two series (base and extension), the Engel flag of nabla and one flag per
+    R_{e_j}, none making a Fraction or writing one out; gamma scaled once."""
+    assert flag_counts["flags"] == 2 + 1 + conn.dim
+    assert flag_counts["fractions_in_flags"] == 0
+    assert flag_counts["written"] == 0
+    assert len(flag_counts["scaled_gamma"]) == 1
+    assert flag_counts["scaled_gamma"][0] is conn.nonzero_gamma
+
+
 def _first_sample_records(label):
     entry = entry_by_label(label)
     conn = instantiate(entry, sample_parameters(entry, 1)[0])
-    return _connection_records(label, "s0", conn)
+    return _connection_records(label, "s0", conn), conn
 
 
 @pytest.mark.parametrize("label", ["l_26", "a_3", "t_5"])
-def test_passing_row_computes_each_verdict_once(label, verdict_counts):
-    records = _first_sample_records(label)
+def test_passing_row_computes_each_verdict_once(label, verdict_counts, flag_counts):
+    records, conn = _first_sample_records(label)
     assert [r.status for r in records] == ["pass"] * len(CHECK_NAMES)
     # One sweep and one completeness check: the connection recovered from the
     # extension has the row's table and reads both through the row's
@@ -187,6 +233,9 @@ def test_passing_row_computes_each_verdict_once(label, verdict_counts):
         "_lower_central_series": 2,
         "_classify_ideal": 1,
     }
+    # The series and the Engel flags run on ints and are read by their
+    # dimensions only; gamma is scaled once, for the sweep, the flags and rho.
+    assert_flags_on_ints(flag_counts, conn)
 
 
 def test_named_extension_shares_the_lower_central_series(verdict_counts):
@@ -201,7 +250,9 @@ def test_named_extension_shares_the_lower_central_series(verdict_counts):
     assert verdict_counts["_lower_central_series"] == 2
 
 
-def test_named_extension_of_a_nonzero_class_computes_each_verdict_once(verdict_counts):
+def test_named_extension_of_a_nonzero_class_computes_each_verdict_once(
+    verdict_counts, flag_counts
+):
     # The order of the extend-cocycles workload, with a seeded nonzero class of
     # Z2_L drawn on another instance of the row, so that only the pipeline is
     # counted: name the extension, certify its nilpotency, recover the
@@ -210,6 +261,7 @@ def test_named_extension_of_a_nonzero_class_computes_each_verdict_once(verdict_c
     assert any(alpha.values)
     conn = connection_for("l_26")
     verdict_counts.clear()
+    flag_counts.update(flags=0, fractions_in_flags=0, written=0, scaled_gamma=[])
     triple = ExtensionTriple(conn, alpha)
     named = build_extension(triple, name="l_26_ext")
     extension_nilpotency(triple)
@@ -224,6 +276,7 @@ def test_named_extension_of_a_nonzero_class_computes_each_verdict_once(verdict_c
         "_lower_central_series": 2,
         "_classify_ideal": 1,
     }
+    assert_flags_on_ints(flag_counts, conn)
 
 
 def test_defective_row_sweeps_once(verdict_counts):
