@@ -32,9 +32,15 @@ well and divide each nonzero entry back once; ``solve_coboundary``
 multiplies the coefficients it finds by D.
 
 Z^2 and Z^2_L are read off one elimination of the d2 rows, continued with
-the cyclic-sum rows (``linalg._kernel``), and the H^2 and H^2_L
-representatives off the echelon rows of Z^2 and Z^2_L
-(``linalg._quotient_rows``).
+the cyclic-sum rows (``_cocycle_columns``, through
+``linalg._free_columns``); B^2_L is one elimination of the C^1_L images,
+and B^2 continues a copy of it with the unit images d(E_ik), i < k.
+``cohomology`` keeps all four as coprime int echelon rows: the exact checks
+B^2 <= Z^2 and B^2_L <= Z^2_L and the rank of H^2_L -> H^2 reduce copies of
+them, and Fractions are written only for the H^2 and H^2_L representatives,
+the rows of Z^2 and Z^2_L at the pivots B^2 and B^2_L lack
+(``linalg._quotient_pivots``).  ``cocycle_bases`` and ``coboundary_image``
+write their Fraction subspaces from the same read-off and eliminations.
 """
 
 from __future__ import annotations
@@ -51,15 +57,18 @@ from .linalg import (
     Vector,
     ZERO,
     _add,
+    _copied,
     _dense,
     _echelon,
     _eliminate,
-    _int_rows,
+    _free_columns,
     _integer_tables,
-    _kernel,
+    _kernel_fractions,
+    _kernel_ints,
+    _normalised,
     _pair_value,
-    _quotient_rows,
-    _subspace,
+    _quotient_pivots,
+    _written,
     fmt_vector,
     is_zero_vector,
     vec,
@@ -76,6 +85,11 @@ def triple_list(n: int) -> list[tuple[int, int, int]]:
     return list(combinations(range(n), 3))
 
 
+def _two_cochain_width(n: int) -> int:
+    """The number of 2-cochain coordinates, len(pair_list(n)) * n."""
+    return n * n * (n - 1) // 2
+
+
 def _pair_blocks(n: int) -> dict[tuple[int, int], tuple[int, int]]:
     """(i, j) -> (start, sign) for i != j: a(e_i, e_j)_k = sign * coordinate start + k."""
     blocks = {}
@@ -90,6 +104,12 @@ class OneCochain:
     """Linear map into the dual, as the matrix s[i][k] = sigma(e_i)(e_k)."""
 
     entries: tuple[Vector, ...]
+
+    def __post_init__(self):
+        n = len(self.entries)
+        if any(len(row) != n for row in self.entries):
+            raise ValueError(f"a 1-cochain is an n x n matrix; rows of lengths "
+                             f"{[len(row) for row in self.entries]} for n = {n}")
 
     @property
     def dim(self) -> int:
@@ -145,7 +165,7 @@ class TwoCochain:
     values: Vector
 
     def __post_init__(self):
-        if len(self.values) != len(pair_list(self.dim)) * self.dim:
+        if len(self.values) != _two_cochain_width(self.dim):
             raise ValueError("vector length does not match the 2-cochain coordinates")
 
     @staticmethod
@@ -205,7 +225,7 @@ class TwoCochain:
 
 def _two_cochain_from_row(n: int, row: dict[int, Fraction]) -> TwoCochain:
     """The 2-cochain with flattened coordinates row, {column: Fraction}; the rest are zero."""
-    return TwoCochain(n, _dense(row, len(pair_list(n)) * n))
+    return TwoCochain(n, _dense(row, _two_cochain_width(n)))
 
 
 @dataclass(frozen=True)
@@ -376,7 +396,7 @@ def matrix_of_coboundary_2(rep: DualRep) -> RatMatrix:
     ascending order.  Only nonzero entries of rho and the bracket are visited.
     ``cocycle_bases`` eliminates the sparse rows themselves.
     """
-    width = len(pair_list(rep.dim)) * rep.dim
+    width = _two_cochain_width(rep.dim)
     d = rep.integer_tables[0]
     rows = rep.coboundary_2_rows or [{}]  # n < 3: no triples; one zero row keeps the shape
     return RatMatrix(tuple(
@@ -395,31 +415,51 @@ def _cyclic_sum_rows(n: int) -> list[dict[int, int]]:
 
 def cyclic_sum_matrix(n: int) -> RatMatrix:
     """Rows: cyclic sums over lex triples, in flattened C^2 coordinates."""
-    width = len(pair_list(n)) * n
+    width = _two_cochain_width(n)
     return RatMatrix(tuple(
         _dense({c: Fraction(x) for c, x in row.items()}, width) for row in _cyclic_sum_rows(n) or [{}]
     ))
 
 
+def _cocycle_columns(rep: DualRep) -> tuple[dict, dict]:
+    """Z^2 and Z^2_L as ``linalg._free_columns`` read-offs: the sparse rows
+    of d2 are row-reduced once and Z^2 is read off the result; the same
+    elimination then takes in the cyclic-sum rows, and Z^2_L is read off that."""
+    n = rep.dim
+    width = _two_cochain_width(n)
+    ints = {}
+    z2 = _free_columns(rep.coboundary_2_rows, width, ints)
+    return z2, _free_columns(_cyclic_sum_rows(n), width, ints)
+
+
 def cocycle_bases(rep: DualRep) -> tuple[Subspace, Subspace]:
     """(Z^2, Z^2_L) as echelon subspaces of flattened C^2 coordinates.
 
-    The sparse rows of d2 are row-reduced once and Z^2 is read off the
-    result; the same elimination then takes in the cyclic-sum rows, and
-    Z^2_L is read off that.  A subspace has one reduced echelon basis, so
-    both are those of the dense kernels.
+    Both are read off one elimination (``_cocycle_columns``).  A subspace
+    has one reduced echelon basis, so both are those of the dense kernels.
     """
+    width = _two_cochain_width(rep.dim)
+    z2, z2l = _cocycle_columns(rep)
+    return _kernel_fractions(width, z2), _kernel_fractions(width, z2l)
+
+
+def _coboundaries(rep: DualRep) -> tuple[dict, dict]:
+    """(B^2_L, B^2) as int echelon rows: the images of the C^1_L basis,
+    eliminated, then a copy of those rows continued with the unit images
+    d(E_ik), i < k, as span{E_ii, E_ik + E_ki, E_ik} = C^1."""
     n = rep.dim
-    width = len(pair_list(n)) * n
-    ints = {}
-    z2 = _kernel(rep.coboundary_2_rows, width, ints)
-    return z2, _kernel(_cyclic_sum_rows(n), width, ints)
+    b2l = {}
+    _echelon(_basis_images(rep, _one_cochain_rows(n, lagrangian=True)), b2l)
+    b2 = _copied(b2l)
+    units = rep.coboundary_1_units
+    _echelon((units[i * n + k] for i in range(n) for k in range(i + 1, n)), b2)
+    return b2l, b2
 
 
 def coboundary_image(rep: DualRep, lagrangian: bool) -> Subspace:
     """B^2 (or B^2_L): the span of the images of the C^1 (or C^1_L) basis."""
-    rows = _basis_images(rep, _one_cochain_rows(rep.dim, lagrangian))
-    return _subspace(len(pair_list(rep.dim)) * rep.dim, rows)
+    b2l, b2 = _coboundaries(rep)
+    return _written(_two_cochain_width(rep.dim), b2l if lagrangian else b2)
 
 
 @dataclass(frozen=True)
@@ -440,28 +480,40 @@ class CohomologySummary:
 
 
 def cohomology(rep: DualRep) -> CohomologySummary:
+    """H^2 and H^2_L of the representation: their dimensions, the rank of
+    the natural map H^2_L -> H^2, and a representative of each basis class.
+
+    Everything runs on the coprime int echelon rows of ``linalg._echelon``:
+    Z^2 and Z^2_L are read off one elimination (``_cocycle_columns``), B^2_L
+    is one elimination of the C^1_L images, and B^2 continues a copy of it
+    (``_coboundaries``).  B^2 <= Z^2 and B^2_L <= Z^2_L are checked exactly,
+    as the certificates d o d = 0 and d(C^1_L) <= Z^2_L
+    (``linalg._quotient_pivots``, which raises ValueError when one fails).
+    The rank is dim (Z^2_L + B^2) - dim B^2.  Fractions are made only for
+    the representatives: the reduced echelon rows of Z^2 (or Z^2_L) at the
+    pivots B^2 (or B^2_L) lacks.
+    """
     n = rep.dim
-    z2, z2l = cocycle_bases(rep)
-    b2 = coboundary_image(rep, lagrangian=False)
-    b2l = coboundary_image(rep, lagrangian=True)
-    h2_reps = _quotient_rows(z2, b2)
-    h2l_reps = _quotient_rows(z2l, b2l)
-    # dim (Z^2_L + B^2): Z^2_L's echelon rows as ints, extended by B^2's rows
-    total = _int_rows(dict(zip(z2l.pivots, z2l.rows)))
-    _echelon(b2.rows, total)
-    natural_rank = len(total) - b2.dim
+    z2, z2l = map(_kernel_ints, _cocycle_columns(rep))
+    b2l, b2 = _coboundaries(rep)
+    h2 = _quotient_pivots(z2, b2)
+    h2l = _quotient_pivots(z2l, b2l)
+    total = _copied(z2l)  # extended by B^2's rows to Z^2_L + B^2
+    _echelon(b2.values(), total)
     return CohomologySummary(
         dim_c1=n * n,
         dim_c1_lagrangian=n * (n + 1) // 2,
-        dim_z2=z2.dim,
-        dim_b2=b2.dim,
-        dim_b2_lagrangian=b2l.dim,
-        dim_z2_lagrangian=z2l.dim,
-        dim_h2=z2.dim - b2.dim,
-        dim_h2_lagrangian=z2l.dim - b2l.dim,
-        natural_map_rank=natural_rank,
-        h2_representatives=tuple(_two_cochain_from_row(n, r) for r in h2_reps),
-        h2_lagrangian_representatives=tuple(_two_cochain_from_row(n, r) for r in h2l_reps),
+        dim_z2=len(z2),
+        dim_b2=len(b2),
+        dim_b2_lagrangian=len(b2l),
+        dim_z2_lagrangian=len(z2l),
+        dim_h2=len(h2),
+        dim_h2_lagrangian=len(h2l),
+        natural_map_rank=len(total) - len(b2),
+        h2_representatives=tuple(_two_cochain_from_row(n, _normalised(z2[p], p)) for p in h2),
+        h2_lagrangian_representatives=tuple(
+            _two_cochain_from_row(n, _normalised(z2l[p], p)) for p in h2l
+        ),
     )
 
 
@@ -507,7 +559,13 @@ def solve_coboundary(
 def two_cochain_from_coefficients(
     space: Subspace, coefficients: Vector, n: int
 ) -> TwoCochain:
-    """Linear combination of a flattened-cochain subspace basis."""
+    """Linear combination of a flattened-cochain subspace basis; the
+    subspace must lie in the 2-cochain coordinates for n."""
+    if space.ambient_dim != _two_cochain_width(n):
+        raise ValueError(
+            f"subspace of ambient dimension {space.ambient_dim} does not lie in the"
+            f" {_two_cochain_width(n)} 2-cochain coordinates for n = {n}"
+        )
     if len(coefficients) != space.dim:
         raise ValueError("coefficient count does not match basis size")
     total: dict[int, Fraction] = {}

@@ -18,15 +18,20 @@ reduced echelon form is the one over the rationals.  ``_eliminate``
 normalises each pivot row to a Fraction row once, when it writes it out;
 ``_written`` does the same for int echelon rows that a caller kept, such as
 the terms of ``lie.descending_flag``.
-``_kernel`` writes no pivot row: it eliminates with the column order
-reversed, so each pivot is its row's highest column, and the kernel vector
-of each free column, read straight off the int rows, is already a row of
-the reduced echelon basis of the kernel; each of its entries is made as one
-Fraction.  ``_quotient_rows`` checks V <= W exactly and then reads W/V off
-W's echelon rows, with no elimination.  ``_inverse_rows`` inverts P by one
-elimination of [P | I] and hands back its int rows, so a caller reads each
-entry of P^-1 as a numerator over its row's pivot entry (``RatMatrix.inverse``
-makes those Fractions; the omega solves of extension.py keep the ints).
+``_free_columns`` writes no pivot row: it eliminates with the column
+order reversed, so each pivot is its row's highest column, and the kernel
+vector of each free column, read straight off the int rows, is already a
+row of the reduced echelon basis of the kernel.  Two thin writers take that
+one read-off: ``_kernel_fractions`` makes each entry as one Fraction (for
+``_kernel``), and ``_kernel_ints`` writes each vector as a coprime int row,
+so a kernel is itself a valid ``_echelon`` form that a caller can check and
+extend on ints.  ``_quotient_pivots`` checks V <= W exactly on int rows
+(V's rows reduced against a copy of W's) and then reads W/V off W's pivots,
+with no further elimination; ``_quotient_rows`` and ``quotient_basis`` go
+through it.  ``_inverse_rows`` inverts P by one elimination of [P | I] and
+hands back its int rows, so a caller reads each entry of P^-1 as a
+numerator over its row's pivot entry (``RatMatrix.inverse`` makes those
+Fractions; the omega solves of extension.py keep the ints).
 
 ``_integer_tables`` scales the nonzero tables that the zero-residual sweeps
 read (connection, bracket, rho, omega) by the lcm D of their denominators:
@@ -408,6 +413,11 @@ def _int_rows(kept: dict) -> dict[int, dict[int, int]]:
     return {p: _integer_row(row) for p, row in kept.items()}
 
 
+def _copied(ints: dict) -> dict[int, dict[int, int]]:
+    """A copy of int echelon rows that ``_echelon`` may extend: it changes kept rows in place."""
+    return {p: dict(row) for p, row in ints.items()}
+
+
 def _eliminate(rows, kept: dict | None = None) -> dict[int, dict[int, Fraction]]:
     """Incremental RREF: add the rows (consumed) to kept, {pivot column: row}.
 
@@ -435,30 +445,63 @@ def _written(ambient_dim: int, ints: dict) -> "Subspace":
     return Subspace(ambient_dim, tuple(_normalised(ints[p], p) for p in sorted(ints)))
 
 
-def _kernel(rows, width: int, ints: dict | None = None) -> "Subspace":
-    """Nullspace in Q^width of the rows (consumed), read off one elimination.
+def _free_columns(rows, width: int, ints: dict) -> dict[int, list[tuple[int, int, int]]]:
+    """Nullspace in Q^width of the rows (consumed), read off one elimination
+    that continues ints in place: {free column c: the terms (p, x, d) of c's
+    kernel vector}.
 
     The rows are eliminated with their columns relabelled c -> width - 1 - c,
     so each pivot row's pivot is its highest original column.  For a free
-    column c the kernel vector is e_c minus column c of the pivot rows: it is
-    nonzero only at c and at pivots above c, so its lowest column is c, and
-    it is zero at every other free column.  These vectors are therefore the
-    one reduced echelon basis of the kernel, with no second elimination;
-    each entry is written as one Fraction off the int rows.  A caller that
-    passes ints, the relabelled int rows of an earlier call, continues that
-    elimination in place.
+    column c the kernel vector is e_c minus column c of the pivot rows, so
+    e_c - sum x/d e_p over the terms, with p the original pivot of a row, d
+    its entry there and x its entry at c: it is nonzero only at c and at
+    pivots above c, so its lowest column is c, and it is zero at every other
+    free column.  These vectors are therefore the one reduced echelon basis
+    of the kernel, with no second elimination; ``_kernel_fractions`` writes
+    them as Fractions and ``_kernel_ints`` as coprime int rows.  ints is the
+    relabelled int rows of an earlier call, or {}.
     """
     last = width - 1
-    if ints is None:
-        ints = {}
     _echelon(({last - j: x for j, x in row.items()} for row in rows), ints)
-    vectors = {c: {c: ONE} for c in range(width) if last - c not in ints}
+    columns = {c: [] for c in range(width) if last - c not in ints}
     for q, row in ints.items():
         p, d = last - q, row[q]
         for j, x in row.items():
             if j != q:
-                vectors[last - j][p] = Fraction(-x, d)
-    return Subspace(width, tuple(vectors.values()))
+                columns[last - j].append((p, x, d))
+    return columns
+
+
+def _kernel_fractions(width: int, columns: dict) -> "Subspace":
+    """The kernel read off by ``_free_columns``, each entry made as one Fraction."""
+    vectors = []
+    for c, terms in columns.items():
+        vector = {c: ONE}
+        for p, x, d in terms:
+            vector[p] = Fraction(-x, d)
+        vectors.append(vector)
+    return Subspace(width, tuple(vectors))
+
+
+def _kernel_ints(columns: dict) -> dict[int, dict[int, int]]:
+    """The kernel read off by ``_free_columns`` as ``_echelon``'s int rows:
+    each vector times the lcm m of its d's, divided by its content, so the
+    row of column c is positive at c, its pivot."""
+    kernel = {}
+    for c, terms in columns.items():
+        m = lcm(*[d for _, _, d in terms])
+        row = {c: m}
+        for p, x, d in terms:
+            row[p] = -x * (m // d)
+        kernel[c] = _primitive(row)
+    return kernel
+
+
+def _kernel(rows, width: int, ints: dict | None = None) -> "Subspace":
+    """Nullspace in Q^width of the rows (consumed), as its reduced echelon
+    basis of Fraction rows (``_free_columns``).  A caller that passes ints,
+    the relabelled int rows of an earlier call, continues that elimination."""
+    return _kernel_fractions(width, _free_columns(rows, width, {} if ints is None else ints))
 
 
 def _subspace(ambient_dim: int, rows) -> "Subspace":
@@ -567,23 +610,29 @@ def solve_linear(m: RatMatrix, b: Vector) -> Vector | None:
     return tuple(x)
 
 
-def _quotient_rows(w: Subspace, v: Subspace) -> list[dict[int, Fraction]]:
-    """``quotient_basis`` as sparse rows, W's echelon rows at the pivots V lacks.
+def _quotient_pivots(w: dict, v: dict) -> list[int]:
+    """W's pivots that V lacks, ascending, once V <= W is checked exactly.
 
-    Every echelon row of V is first reduced against W's rows, on ints; one
-    that does not reach zero adds a pivot, and is outside W.  Each nonzero
-    vector of W leads at one of W's pivots, so V <= W puts V's pivots among
-    W's.  W's rows at the other pivots are then dim W - dim V independent
-    vectors of W that vanish at V's pivots (each row of W is zero at every
-    pivot but its own): the one reduced echelon basis of that complement.
+    w holds W's echelon rows as ``_echelon``'s int rows {pivot: row}, and v
+    V's, as int or Fraction rows; both are only read.  Each row of V is
+    reduced against a copy of W's rows; one that does not reach zero adds a
+    pivot, and is outside W.  Each nonzero vector of W leads at one of W's
+    pivots, so V <= W puts V's pivots among W's.  W's rows at the other pivots
+    are then dim W - dim V independent vectors of W that vanish at V's pivots
+    (each row of W is zero at every pivot but its own): the one reduced
+    echelon basis of that complement, once each is divided by its pivot entry.
     """
+    if _echelon(v.values(), _copied(w)):
+        raise ValueError("V is not contained in W")
+    return sorted(p for p in w if p not in v)
+
+
+def _quotient_rows(w: Subspace, v: Subspace) -> list[dict[int, Fraction]]:
+    """``quotient_basis`` as sparse rows: W's echelon rows at ``_quotient_pivots``."""
     if w.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     kept = dict(zip(w.pivots, w.rows))
-    if _echelon(v.rows, _int_rows(kept)):
-        raise ValueError("V is not contained in W")
-    own = set(v.pivots)
-    return [row for p, row in kept.items() if p not in own]
+    return [kept[p] for p in _quotient_pivots(_int_rows(kept), dict(zip(v.pivots, v.rows)))]
 
 
 def quotient_basis(w: Subspace, v: Subspace) -> tuple[Vector, ...]:

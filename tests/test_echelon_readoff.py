@@ -2,7 +2,8 @@
 
 ``_kernel`` eliminates its rows once, with the columns relabelled so each
 pivot is its row's highest column, and reads the reduced echelon basis of
-the kernel straight off the result; ``_quotient_rows`` checks V <= W exactly
+the kernel straight off the result, as Fractions (``_kernel``) or as coprime
+int rows (``_kernel_ints``); ``_quotient_rows`` checks V <= W exactly
 and then returns W's echelon rows at the pivots V lacks.  Each is checked
 here against sympy, which shares no code with lagext: the kernel against
 ``nullspace`` reduced to echelon form, the quotient against the echelon
@@ -14,6 +15,7 @@ connection with D > 1 against the Fraction evaluators they replaced.
 import importlib
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +37,18 @@ from lagext.cohomology import (
 from lagext.connection import FlatConnection, dual_representation
 from lagext.extension import ExtensionTriple, build_extension, symplectic_orthogonal
 from lagext.lie import LieAlgebra, center, derivation_space
-from lagext.linalg import RatMatrix, Subspace, _kernel, kernel_basis, quotient_basis, vec
+from lagext.linalg import (
+    RatMatrix,
+    Subspace,
+    _dense,
+    _free_columns,
+    _kernel,
+    _kernel_ints,
+    _normalised,
+    kernel_basis,
+    quotient_basis,
+    vec,
+)
 from lagext.sampling import random_rational, rng_for
 from test_sparse_oracles import (
     dense_coboundary_1,
@@ -164,6 +177,35 @@ def test_kernel_continues_an_earlier_elimination(first, second):
     assert as_pair(_kernel(sparse_more, width, ints)) == sympy_kernel(rows + more, width)
 
 
+def assert_int_kernel_is_the_kernel_on_coprime_ints(rows, width):
+    """``_kernel_ints`` of the rows: a valid ``_echelon`` form (each row coprime,
+    positive at its pivot, its lowest column, zero at every other pivot) whose
+    rows divided by their pivot entries are sympy's kernel basis."""
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    kernel = _kernel_ints(_free_columns(sparse, width, {}))
+    for c, row in kernel.items():
+        assert all(type(x) is int for x in row.values())
+        assert gcd(*row.values()) == 1 and min(row) == c and row[c] > 0
+        assert not any(p in row for p in kernel if p != c)
+    basis = tuple(_dense(_normalised(kernel[c], c), width) for c in sorted(kernel))
+    assert (basis, tuple(sorted(kernel))) == sympy_kernel(rows, width)
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_int_kernel_matches_sympy_nullspace(rows_width):
+    assert_int_kernel_is_the_kernel_on_coprime_ints(*rows_width)
+
+
+def test_int_kernel_divides_each_row_by_its_content():
+    """(2, 3, 2) pivots at column 2 with entry 2: the vector of free column 0
+    is e_0 - e_2, twice that before the division, (2, 0, -2)."""
+    rows = [vec([2, 3, 2])]
+    assert_int_kernel_is_the_kernel_on_coprime_ints(rows, 3)
+    assert _kernel_ints(_free_columns([{0: 2, 1: 3, 2: 2}], 3, {})) == {0: {0: 1, 2: -1},
+                                                                        1: {1: 2, 2: -3}}
+
+
 KERNEL_EDGES = {
     "width 0, no rows": ([], 0),
     "width 0, two rows": ([(), ()], 0),
@@ -177,6 +219,7 @@ KERNEL_EDGES = {
 @pytest.mark.parametrize("name", list(KERNEL_EDGES))
 def test_kernel_matches_sympy_on_edge_cases(name):
     assert_kernel_matches_sympy(*KERNEL_EDGES[name])
+    assert_int_kernel_is_the_kernel_on_coprime_ints(*KERNEL_EDGES[name])
 
 
 def test_kernel_of_a_row_of_ones_is_read_off_in_echelon_form():
