@@ -10,7 +10,10 @@ Grammar (whitespace-free in catalog and spec-file coefficients):
 
 Rationals are written with '/', e.g. "1/2"; "t^2", "(mu+9)", "mu*(2*mu+1)/3"
 are all valid.  Parsed expressions keep their source text so serialization
-round-trips verbatim.
+round-trips verbatim.  A plain rational literal "p", "-p", "p/q" or "-p/q"
+with q nonzero, as nearly every catalog and spec-file coefficient is, is read
+directly into the one-number AST the grammar folds it to; any other text,
+including every malformed one, goes through the parser.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ class ExprError(ValueError):
 
 
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^]")
+_LITERAL = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -182,6 +186,9 @@ class Expr:
         text = text.strip()
         if not text:
             raise ExprError("empty expression")
+        m = _LITERAL.fullmatch(text)
+        if m and (q := int(m[2] or 1)):  # "p/0" goes on to the parser's error
+            return Expr(text, ("num", Fraction(int(m[1]), q)))
         parser = _Parser(_tokenize(text), text)
         ast = parser.parse_sum()
         if parser.peek() is not None:
@@ -190,7 +197,8 @@ class Expr:
 
     @staticmethod
     def const(value: Fraction | int) -> "Expr":
-        value = Fraction(value)
+        if type(value) is not Fraction:
+            value = Fraction(value)
         return Expr(str(value), ("num", value))
 
     def evaluate(self, env: dict[str, Fraction] | None = None) -> Fraction:

@@ -11,13 +11,14 @@ consume, so the whole module is safe to use from concurrent callers.
 
 Inside the hot kernels the arithmetic runs on Python ints, and Fractions are
 made only where a result leaves them.  ``_echelon`` is fraction-free: each
-incoming row is scaled by a positive rational to coprime ints, a row is
-reduced by r <- b r - a k and divided by its content (the gcd of its
-entries).  A row and its positive multiples span the same line, so the
-reduced echelon form is the one over the rationals.  ``_eliminate``
-normalises each pivot row to a Fraction row once, when it writes it out;
-``_written`` does the same for int echelon rows that a caller kept, such as
-the terms of ``lie.descending_flag``.
+incoming row is copied as coprime ints, scaled by a positive rational (a row
+that is already all ints, as most rows handed to it are, is only divided by
+its content, the gcd of its entries); a row is reduced by r <- b r - a k and
+divided by its content.  A row and its positive multiples span the same
+line, so the reduced echelon form is the one over the rationals.
+``_eliminate`` normalises each pivot row to a Fraction row once, when it
+writes it out; ``_written`` does the same for int echelon rows that a caller
+kept, such as the terms of ``lie.descending_flag``.
 ``_free_columns`` writes no pivot row: it eliminates with the column
 order reversed, so each pivot is its row's highest column, and the kernel
 vector of each free column, read straight off the int rows, is already a
@@ -34,11 +35,13 @@ numerator over its row's pivot entry (``RatMatrix.inverse`` makes those
 Fractions; the omega solves of extension.py keep the ints).
 
 ``_integer_tables`` scales the nonzero tables that the zero-residual sweeps
-read (connection, bracket, rho, omega) by the lcm D of their denominators:
-a residual that is homogeneous of degree k in those tables is D^k times the
-rational residual, so it is zero exactly when the rational one is, and a
-nonzero one is divided back as ``Fraction(v, D**k)``.  No float is used
-anywhere.
+read (connection, bracket, omega, and the sparse rows and columns of
+cochains, pullbacks and psi) by the lcm D of their denominators, in one
+pass over their cells of (index, value) terms that gathers the denominators
+and one that rebuilds the cells.  A residual that is homogeneous of degree k
+in those tables is D^k times the rational residual, so it is zero exactly
+when the rational one is, and a nonzero one is divided back as
+``Fraction(v, D**k)``.  No float is used anywhere.
 
 Echelon convention used throughout: reduced row echelon form, pivots
 ascending.  A matrix has exactly one, so every basis, pivot list and
@@ -294,34 +297,34 @@ def _reduce(row: dict[int, Fraction], kept: dict) -> dict[int, Fraction]:
 def _integer_tables(*tables) -> tuple[int, tuple]:
     """D, the lcm of the denominators in the tables, and each table scaled by D to ints.
 
-    A table is nested tuples down to its cells, each cell a tuple of terms:
-    a term is indices (ints) followed by a nonzero value, a Fraction or an
-    int.  The nonzero tables of brackets, connections and rho have this
-    shape, and a tuple of (index, value) terms is a table that is one cell.
+    A cell is a tuple of (index, value) terms, each value a nonzero Fraction
+    or int.  A table is one cell (a sparse row), a tuple of cells (sparse rows
+    or columns), or a tuple of planes of cells (the nonzero tables of
+    brackets and connections).  Its shape is read off its first non-empty
+    entry: its first entry may be an empty cell or a plane of empty cells.
     Only the values are scaled; empty tuples are kept as they are.
     """
-
-    def is_cell(t):
-        return t[0] and type(t[0][0]) is int
-
-    cells = []
-    stack = [t for t in tables if t]
-    while stack:
-        t = stack.pop()
-        if is_cell(t):
-            cells.append(t)
-        else:
-            stack.extend([c for c in t if c])
-    dens = {u[-1].denominator for cell in cells for u in cell}
+    shapes, cells = [], []
+    for t in tables:
+        # t's first index if t is a cell; else the first entry of t's first
+        # non-empty entry: a term for a tuple of cells, a cell for planes.
+        head = next((c for c in t if c), ((),))[0]
+        shape = 1 if type(head) is int else 2 if head and type(head[0]) is int else 3
+        shapes.append(shape)
+        cells.extend((t,) if shape == 1 else t if shape == 2 else [c for p in t for c in p])
+    dens = {x.denominator for cell in cells for _, x in cell}
     dens.discard(1)
     d = lcm(*dens) if dens else 1
 
-    def scaled(t):
-        if is_cell(t):
-            return tuple([u[:-1] + (u[-1].numerator * (d // u[-1].denominator),) for u in t])
-        return tuple([scaled(c) if c else c for c in t])
+    def scaled(cell):
+        return tuple([(j, x.numerator * (d // x.denominator)) for j, x in cell])
 
-    return d, tuple([scaled(t) if t else t for t in tables])
+    return d, tuple([
+        scaled(t) if shape == 1
+        else tuple([scaled(c) if c else c for c in t]) if shape == 2
+        else tuple([tuple([scaled(c) if c else c for c in plane]) for plane in t])
+        for t, shape in zip(tables, shapes)
+    ])
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -332,7 +335,10 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 def _integer_row(row: dict) -> dict[int, int]:
     """A new row: row, of nonzero Fractions or ints, times the positive
-    rational that makes its entries coprime ints."""
+    rational that makes its entries coprime ints.  An int row is only
+    divided by its content, into a copy: callers may still hold row."""
+    if all(type(x) is int for x in row.values()):
+        return _primitive(dict(row))
     dens = {x.denominator for x in row.values()}
     if len(dens) > 1 or 1 not in dens:
         m = lcm(*dens)
@@ -363,13 +369,14 @@ def _cancel(row: dict[int, int], c: int, other: dict[int, int]) -> dict[int, int
 
 
 def _echelon(rows, ints: dict) -> set[int]:
-    """Add the rows (consumed) to ints, {pivot column: coprime int row}, in place.
+    """Add the rows to ints, {pivot column: coprime int row}, in place.
 
-    The rows may hold Fractions, ints or both.  Each is scaled to coprime
-    ints, reduced against the kept rows (dropped if it reaches zero), and
-    its leading column is then cleared from the kept rows, so each kept row
-    is nonzero at its own pivot, its lowest column, and zero at every other
-    pivot.  Returns the pivots of the rows it added or changed.
+    The rows may hold Fractions, ints or both, and are only read.  Each is
+    copied as coprime ints (``_integer_row``), reduced against the kept rows
+    (dropped if it reaches zero), and its leading column is then cleared
+    from the kept rows, so each kept row is nonzero at its own pivot, its
+    lowest column, and zero at every other pivot.  Returns the pivots of the
+    rows it added or changed.
     """
     changed = set()
     for row in rows:

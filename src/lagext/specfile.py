@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .cohomology import TwoCochain
@@ -44,6 +45,15 @@ _TOKEN_RE = re.compile(r"^e(\^?)(\d+)$")
 _UNIT = Expr.const(1)
 
 
+@lru_cache(maxsize=1024)
+def _token_number(text: str) -> int:
+    """The number k of a basis token "ek" or "e^k", read off its text once:
+    a spec names few distinct tokens, and each is resolved many times."""
+    m = _TOKEN_RE.match(text)
+    assert m is not None
+    return int(m.group(2))
+
+
 @dataclass(frozen=True)
 class BasisToken:
     text: str
@@ -54,9 +64,7 @@ class BasisToken:
 
     @property
     def number(self) -> int:
-        m = _TOKEN_RE.match(self.text)
-        assert m is not None
-        return int(m.group(2))
+        return _token_number(self.text)
 
     @staticmethod
     def parse(text: str, line_no: int | None) -> "BasisToken":

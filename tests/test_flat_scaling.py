@@ -1,0 +1,329 @@
+"""The flat table scaler and the int-row intake of ``_echelon``, against their definitions.
+
+``linalg._integer_tables`` scales tables of (index, value) terms by D, the
+lcm of all their denominators, in one flat pass per shape.  Here every call
+the package makes while checking, extending and reducing the flat
+``--samples 3`` catalog samples is recorded and compared with the
+definition read straight off the nested tuples, on Fractions: D = lcm of
+the denominators and each value ``int(x * D)``, each entry an ``int``, and
+empty tuples (empty cells, all-empty planes, an all-empty first plane as in
+``a_3``) kept as they are.  Hypothesis-made tables of every shape cover the
+rest.
+
+``_echelon`` copies each incoming row as coprime ints; an all-int row is
+only divided by its content.  Int, Fraction and mixed rows must give the
+echelon rows of a frozen copy of the general intake, and rows a caller
+keeps (V's rows in ``_quotient_pivots``, a ``Subspace``'s shared rows) must
+be unchanged.
+"""
+
+import importlib
+from copy import deepcopy
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lagext.catalog import connection_for, entry_by_label, instantiate, sample_parameters
+from lagext.cohomology import OneCochain, coboundary_1, coboundary_2
+from lagext.connection import dual_representation
+from lagext.extension import (
+    ExtensionTriple,
+    build_extension,
+    canonical_connection,
+    equivalence_map_psi,
+    extension_nilpotency,
+    induced_flat_connection,
+    is_lagrangian_ideal,
+)
+from lagext.linalg import (
+    RatMatrix,
+    Subspace,
+    _cancel,
+    _echelon,
+    _integer_row,
+    _integer_tables,
+    _inverse_rows,
+    _primitive,
+    _quotient_pivots,
+    quotient_basis,
+)
+from lagext.sampling import random_rational, rng_for
+from test_extension import random_lagrangian_cocycle
+from test_int_flag import flat_catalog_samples
+from test_sparse_oracles import typed
+
+# The modules that call the scaler; ``lagext.cohomology`` the attribute is the function.
+SCALING_MODULES = [
+    importlib.import_module(f"lagext.{name}")
+    for name in ("lie", "connection", "extension", "cohomology")
+]
+
+# ---------------------------------------------------------------------------
+# the scaler
+# ---------------------------------------------------------------------------
+
+
+def is_term(node):
+    """An (index, value) term; every other node is a tuple of nodes."""
+    return bool(node) and type(node[0]) is int
+
+
+def terms(node):
+    if is_term(node):
+        yield node
+    else:
+        for child in node:
+            yield from terms(child)
+
+
+def defined_scaling(tables):
+    """(D, tables) from the definition: D the lcm of every denominator and
+    each value x replaced by int(x * D), whatever the nesting."""
+    d = lcm(*(F(x).denominator for t in tables for _, x in terms(t)))
+
+    def scaled(node):
+        if is_term(node):
+            return (node[0], int(node[1] * d))
+        return tuple(scaled(child) for child in node)
+
+    return d, tuple(scaled(t) for t in tables)
+
+
+def assert_scaled_by_definition(tables, result):
+    d, out = result
+    expected_d, expected = defined_scaling(tables)
+    assert d == expected_d
+    assert typed(out) == typed(expected)
+    assert all(type(x) is int for t in out for _, x in terms(t))
+
+
+@pytest.fixture
+def recorded_scalings(monkeypatch):
+    """Every (tables, result) of ``_integer_tables`` called from the package."""
+    calls = []
+    for module in SCALING_MODULES:
+        def recording(*tables, _real=module._integer_tables):
+            result = _real(*tables)
+            calls.append((tables, result))
+            return result
+
+        monkeypatch.setattr(module, "_integer_tables", recording)
+    return calls
+
+
+def shape(table):
+    """1 for a cell, 2 for a tuple of cells, 3 for a tuple of planes; read
+    off the nesting depth of the table's first term."""
+    depth, node = 0, table
+    while not is_term(node):
+        node = next(child for child in node if any(True for _ in terms(child)))
+        depth += 1
+    return depth
+
+
+def exercise_extension(triple, rep, sigma):
+    ext = build_extension(triple)
+    assert ext.d_omega_result.is_zero()
+    assert is_lagrangian_ideal(ext, ext.lagrangian_ideal).is_lagrangian
+    for row in ext.lagrangian_ideal.rows:
+        ext.omega_row(row)
+    ext.pullback(list(ext.lagrangian_ideal.rows))
+    extension_nilpotency(triple)
+    induced_flat_connection(ext, ext.lagrangian_ideal)
+    shifted = ExtensionTriple(triple.connection, triple.cocycle - coboundary_1(rep, sigma))
+    equivalence_map_psi(triple, shifted, sigma)
+    return ext
+
+
+def test_every_scaling_of_the_flat_samples_matches_its_definition(recorded_scalings):
+    rng = rng_for(251, "flat-scaling")
+    checked = 0
+    for conn in flat_catalog_samples():
+        rep = dual_representation(conn)
+        alpha = random_lagrangian_cocycle(conn, rng)
+        sigma = OneCochain.from_rows(
+            [[random_rational(rng) for _ in range(4)] for _ in range(4)]
+        )
+        coboundary_2(rep, alpha)
+        for triple in (ExtensionTriple.with_zero_cocycle(conn), ExtensionTriple(conn, alpha)):
+            exercise_extension(triple, rep, sigma)
+        checked += 1
+    assert checked == 108
+    for label in ("l_26", "t_8"):
+        ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
+        canonical_connection(ext).integer_tables
+    shapes = set()
+    for tables, result in recorded_scalings:
+        assert_scaled_by_definition(tables, result)
+        shapes.update(shape(t) for t in tables if any(True for _ in terms(t)))
+    assert shapes == {1, 2, 3}
+    # a_3's gamma, first plane all empty, went through a recorded call.
+    a_3 = entry_by_label("a_3")
+    gamma = instantiate(a_3, sample_parameters(a_3, 1)[0]).nonzero_gamma
+    assert gamma[0] == ((),) * 4
+    assert any(gamma in tables for tables, _ in recorded_scalings)
+
+
+def test_a_table_with_an_all_empty_first_plane_is_scaled():
+    """a_3 has nabla_{e1} = 0: gamma's first plane is four empty cells."""
+    conn = connection_for("a_3")
+    gamma = tuple(
+        tuple(tuple((k, x / 3) for k, x in cell) for cell in plane)
+        for plane in conn.nonzero_gamma
+    )
+    assert gamma[0] == ((),) * 4
+    result = _integer_tables(gamma, conn.base.nonzero_brackets)
+    assert result[0] == 3
+    assert_scaled_by_definition((gamma, conn.base.nonzero_brackets), result)
+
+
+nonzero = st.one_of(
+    st.integers(-5, 5).filter(bool),
+    st.builds(F, st.integers(-7, 7).filter(bool), st.integers(1, 12)),
+)
+cells = st.lists(st.tuples(st.integers(0, 5), nonzero), max_size=3).map(tuple)
+cell_tuples = st.lists(cells, max_size=4).map(tuple)
+plane_tuples = st.lists(cell_tuples, max_size=4).map(tuple)
+empty_planes = st.lists(st.just(()), min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def tables(draw):
+    """A cell, a tuple of cells, or a tuple of planes, some with empty first planes."""
+    kind = draw(st.sampled_from(["cell", "cells", "planes", "empty-first-plane", "empty"]))
+    if kind == "cell":
+        return draw(cells)
+    if kind == "cells":
+        return draw(cell_tuples)
+    if kind == "planes":
+        return draw(plane_tuples)
+    if kind == "empty-first-plane":
+        return (draw(empty_planes), *draw(plane_tuples))
+    return ()
+
+
+@given(st.lists(tables(), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_scaled_tables_match_their_definition(drawn):
+    assert_scaled_by_definition(tuple(drawn), _integer_tables(*drawn))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [(), ((), ()), (((), ()), ((), ())), ((), ((), ((1, F(1, 2)),)))],
+)
+def test_empty_tuples_come_back_as_they_went_in(table):
+    d, (out,) = _integer_tables(table)
+    assert typed(out) == typed(defined_scaling((table,))[1][0])
+    assert d == (2 if any(True for _ in terms(table)) else 1)
+
+
+# ---------------------------------------------------------------------------
+# the int-row intake of _echelon
+# ---------------------------------------------------------------------------
+
+
+def frozen_integer_row(row):
+    """A frozen copy of the general intake, which the int rows now skip:
+    every row through its set of denominators and a new numerator dict."""
+    dens = {x.denominator for x in row.values()}
+    if len(dens) > 1 or 1 not in dens:
+        m = lcm(*dens)
+        out = {j: x.numerator * (m // x.denominator) for j, x in row.items()}
+    else:
+        out = {j: x.numerator for j, x in row.items()}
+    return _primitive(out)
+
+
+def frozen_echelon(rows, ints):
+    changed = set()
+    for row in rows:
+        if not row:
+            continue
+        row = frozen_integer_row(row)
+        for p in [j for j in row if j in ints]:
+            row = _cancel(row, p, ints[p])
+        if not row:
+            continue
+        row = _primitive(row)
+        c = min(row)
+        for p, prow in ints.items():
+            if c in prow:
+                ints[p] = _primitive(_cancel(prow, c, row))
+                changed.add(p)
+        ints[c] = row
+        changed.add(c)
+    return changed
+
+
+def typed_rows(ints):
+    """Echelon rows {pivot: row} with each entry paired with its type."""
+    return sorted((p, sorted((j, type(x), x) for j, x in row.items())) for p, row in ints.items())
+
+
+int_entries = st.integers(-12, 12).filter(bool)
+fraction_entries = st.builds(F, st.integers(-12, 12).filter(bool), st.integers(1, 6))
+
+
+def rows_of(entries):
+    return st.lists(st.dictionaries(st.integers(0, 6), entries, max_size=5), max_size=7)
+
+
+@given(st.one_of(
+    rows_of(int_entries),
+    rows_of(fraction_entries),
+    rows_of(st.one_of(int_entries, fraction_entries)),
+))
+@settings(max_examples=300, deadline=None)
+def test_int_fraction_and_mixed_rows_give_the_frozen_echelon_rows(rows):
+    kept = deepcopy(rows)
+    ints, expected = {}, {}
+    assert _echelon(rows, ints) == frozen_echelon(deepcopy(rows), expected)
+    assert typed_rows(ints) == typed_rows(expected)
+    assert typed(rows) == typed(kept)
+    for row in rows:
+        if row:
+            assert _integer_row(row) == frozen_integer_row(row)
+            assert _integer_row(row) is not row
+
+
+@given(st.lists(st.lists(fraction_entries, min_size=4, max_size=4), min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_inverse_rows_of_mixed_rows_match_the_frozen_intake(entries):
+    """[P | I] has Fraction entries in P and int 1s in I."""
+    p = RatMatrix(tuple(tuple(row) for row in entries))
+    rows = [{j: x for j, x in enumerate(row) if x} for row in p.entries]
+    expected = {}
+    frozen_echelon([{**row, 4 + i: 1} for i, row in enumerate(rows)], expected)
+    if sorted(expected) != list(range(4)):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            _inverse_rows(rows, 4)
+        return
+    inverse = _inverse_rows(rows, 4)
+    assert typed_rows(dict(enumerate(inverse))) == typed_rows(expected)
+    assert (p @ p.inverse()).entries == RatMatrix.identity(4).entries
+
+
+def test_rows_a_caller_keeps_are_not_changed():
+    # Unit pivots make _cancel reduce in place (b == gcd(a, b)), so a row
+    # that was not copied would be changed under its caller.
+    w = {0: {0: 1, 2: 3}, 1: {1: 1, 2: 1}}
+    v = {0: {0: 1, 1: 1, 2: 4}}
+    kept_w, kept_v = deepcopy(w), deepcopy(v)
+    assert _quotient_pivots(w, v) == [1]
+    assert (w, v) == (kept_w, kept_v)
+    first, second = {0: 1, 1: 1}, {1: 1}
+    ints = {}
+    _echelon([first, second], ints)
+    assert (first, second) == ({0: 1, 1: 1}, {1: 1})
+    assert ints == {0: {0: 1}, 1: {1: 1}}
+
+
+def test_a_subspace_keeps_its_shared_rows_through_a_quotient():
+    w = Subspace.from_vectors(3, [(1, 0, 3), (0, 1, 1)])
+    v = Subspace.from_vectors(3, [(1, 1, 4)])
+    kept_w, kept_v = deepcopy(w.rows), deepcopy(v.rows)
+    assert len(quotient_basis(w, v)) == 1
+    assert typed(w.rows) == typed(kept_w) and typed(v.rows) == typed(kept_v)
