@@ -40,7 +40,8 @@ B^2 <= Z^2 and B^2_L <= Z^2_L and the rank of H^2_L -> H^2 reduce copies of
 them, and Fractions are written only for the H^2 and H^2_L representatives,
 the rows of Z^2 and Z^2_L at the pivots B^2 and B^2_L lack
 (``linalg._quotient_pivots``).  ``cocycle_bases`` and ``coboundary_image``
-write their Fraction subspaces from the same read-off and eliminations.
+store the same int rows as ``Subspace``s, which write Fractions only when a
+caller reads their ``rows``.
 """
 
 from __future__ import annotations
@@ -60,15 +61,12 @@ from .linalg import (
     _copied,
     _dense,
     _echelon,
-    _eliminate,
     _free_columns,
     _integer_tables,
-    _kernel_fractions,
     _kernel_ints,
     _normalised,
     _pair_value,
     _quotient_pivots,
-    _written,
     fmt_vector,
     is_zero_vector,
     vec,
@@ -439,8 +437,7 @@ def cocycle_bases(rep: DualRep) -> tuple[Subspace, Subspace]:
     has one reduced echelon basis, so both are those of the dense kernels.
     """
     width = _two_cochain_width(rep.dim)
-    z2, z2l = _cocycle_columns(rep)
-    return _kernel_fractions(width, z2), _kernel_fractions(width, z2l)
+    return tuple(Subspace.of(width, _kernel_ints(z)) for z in _cocycle_columns(rep))
 
 
 def _coboundaries(rep: DualRep) -> tuple[dict, dict]:
@@ -450,7 +447,7 @@ def _coboundaries(rep: DualRep) -> tuple[dict, dict]:
     n = rep.dim
     b2l = {}
     _echelon(_basis_images(rep, _one_cochain_rows(n, lagrangian=True)), b2l)
-    b2 = _copied(b2l)
+    b2 = _copied(b2l.items())
     units = rep.coboundary_1_units
     _echelon((units[i * n + k] for i in range(n) for k in range(i + 1, n)), b2)
     return b2l, b2
@@ -459,7 +456,7 @@ def _coboundaries(rep: DualRep) -> tuple[dict, dict]:
 def coboundary_image(rep: DualRep, lagrangian: bool) -> Subspace:
     """B^2 (or B^2_L): the span of the images of the C^1 (or C^1_L) basis."""
     b2l, b2 = _coboundaries(rep)
-    return _written(_two_cochain_width(rep.dim), b2l if lagrangian else b2)
+    return Subspace.of(_two_cochain_width(rep.dim), b2l if lagrangian else b2)
 
 
 @dataclass(frozen=True)
@@ -498,7 +495,7 @@ def cohomology(rep: DualRep) -> CohomologySummary:
     b2l, b2 = _coboundaries(rep)
     h2 = _quotient_pivots(z2, b2)
     h2l = _quotient_pivots(z2l, b2l)
-    total = _copied(z2l)  # extended by B^2's rows to Z^2_L + B^2
+    total = _copied(z2l.items())  # extended by B^2's rows to Z^2_L + B^2
     _echelon(b2.values(), total)
     return CohomologySummary(
         dim_c1=n * n,
@@ -542,15 +539,15 @@ def solve_coboundary(
     for j, image in enumerate(_basis_images(rep, basis)):
         for r, x in image.items():
             system[r][j] = x
-    kept = _eliminate(system)
+    kept = {}
+    _echelon(system, kept)
     if rhs in kept:
         return None
     d = rep.integer_tables[0]
     rows = [[ZERO] * n for _ in range(n)]
     for p, row in kept.items():
-        coeff = row.get(rhs)
-        if coeff:
-            coeff *= d
+        if rhs in row:
+            coeff = Fraction(row[rhs] * d, row[p])
             for c, v in basis[p].items():
                 rows[c // n][c % n] += coeff * v
     return OneCochain.from_rows(rows)

@@ -13,9 +13,10 @@ The dual copy h* is always an abelian ideal; it is Lagrangian and normal,
 and quotienting by it recovers the connection exactly.
 
 A form is stored as its coordinates over the pairs i < j and read through
-its sparse rows; subspaces (J, its orthogonal) are read through their
-sparse echelon rows, and a linear map (psi, the lifts of a reduction) as its
-columns in sparse rows: no dense vector is read here.
+its sparse rows; subspaces (J, its orthogonal) are read through their int
+echelon rows, and the orthogonal's Fraction rows only where they become the
+basis of a reduction; a linear map (psi, the lifts of a reduction) is read
+as its columns in sparse rows: no dense vector is read here.
 
 The omega identities run on ints.  Each form keeps one copy of its rows
 scaled by the lcm D' of its denominators (``integer_omega``) and, built once
@@ -68,7 +69,7 @@ from .linalg import (
     ZERO,
     _add,
     _dense,
-    _eliminate,
+    _echelon,
     _integer_row,
     _integer_tables,
     _inverse_rows,
@@ -203,8 +204,10 @@ class SymplecticLieAlgebra:
         return _classify_ideal(self, j, symplectic_orthogonal(self, j))
 
     def is_nondegenerate(self) -> bool:
-        """omega has full rank, decided by one elimination of its sparse rows."""
-        return len(_eliminate([dict(row) for row in self.omega_rows])) == self.dim
+        """omega has full rank, decided by one elimination of its int rows."""
+        ints = {}
+        _echelon(self.integer_omega[1], ints)
+        return len(ints) == self.dim
 
     def validate(self) -> None:
         """Raise ValueError unless omega is invertible and closed."""
@@ -222,7 +225,7 @@ def standard_form(n: int) -> tuple[Fraction, ...]:
 
 def dual_subspace(n: int) -> Subspace:
     """span(e^1..e^n) inside the 2n-dimensional extension."""
-    return Subspace(2 * n, tuple({n + i: ONE} for i in range(n)))
+    return Subspace(2 * n, tuple({n + i: 1} for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -387,7 +390,8 @@ def _omega_solve(s: SymplecticLieAlgebra, lifts, tests) -> NonzeroTable:
     every u, the equation above by antisymmetry.
 
     It runs on ints.  Each equation is linear in u, so u is scaled to coprime
-    ints, which leaves the solution as it is.  The pairing P[u][t] =
+    ints (the rows of a ``Subspace`` already are), which leaves the solution
+    as it is.  The pairing P[u][t] =
     D' omega(u, e_{l_t}) is inverted once, by one int elimination of [P | I]
     (ValueError when singular), and the right-hand sides D omega([e_a, u], .)
     are sums of rows of the kept table W.  So
@@ -438,12 +442,11 @@ class IdealVerdict:
 
 def symplectic_orthogonal(s: SymplecticLieAlgebra, j: Subspace) -> Subspace:
     """{v : omega(u, v) = 0 for all u in J}: the kernel of the rows omega(u, .)
-    of J's echelon rows u, each scaled to coprime ints and read on ints, as a
-    positive multiple of a row spans the same line.  A nonzero J of another
-    ambient dimension raises."""
+    of J's int echelon rows u, read on ints.  A nonzero J of another ambient
+    dimension raises."""
     if j.dim and j.ambient_dim != s.dim:
         raise ValueError("vector length does not match column count")
-    return _kernel([_int_omega_row(s, _integer_row(u).items()) for u in j.rows], s.dim)
+    return _kernel([_int_omega_row(s, u.items()) for u in j.ints], s.dim)
 
 
 def is_lagrangian_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
@@ -462,7 +465,7 @@ def _classify_ideal(s: SymplecticLieAlgebra, j: Subspace, perp: Subspace) -> Ide
     """The verdict on J, given its symplectic orthogonal."""
     normal = s.algebra.is_ideal(perp)
     # J is isotropic iff omega vanishes on every pair of its echelon rows.
-    if any(s.pullback(j.rows)):
+    if any(s.pullback(j.ints)):
         return IdealVerdict("not_isotropic", normal)
     # A Lagrangian J is its own orthogonal, whose ideal check is just made.
     if not (normal if perp == j else s.algebra.is_ideal(j)):
@@ -493,7 +496,7 @@ def classify_and_reduce(
     rows, r = perp.rows, perp.dim
     pairs = tuple(inside(s.algebra.bracket_rows(rows[a], rows[b])) for a, b in combinations(range(r), 2))
     perp_algebra = LieAlgebra(r, pairs, f"{s.algebra.name}|perp")
-    j_inside = _subspace(r, [dict(inside(u)) for u in j.rows])
+    j_inside = _subspace(r, [dict(inside(u)) for u in j.ints])
     # J is an ideal of g inside the orthogonal, so it is one of the orthogonal.
     reduced = _quotient(perp_algebra, j_inside, name=f"{s.algebra.name}/red")
     result = SymplecticLieAlgebra(
@@ -533,7 +536,7 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
     # The verdict has checked J an ideal.
     quotient = _quotient(s.algebra, j, name=f"{s.algebra.name}/ideal")
     try:
-        gamma = _omega_solve(s, j.complement_coordinates(), j.rows)
+        gamma = _omega_solve(s, j.complement_coordinates(), j.ints)
     except ValueError:
         raise ValueError("pairing between quotient and ideal is degenerate") from None
     conn = FlatConnection.recovered(
@@ -560,7 +563,7 @@ def canonical_connection(s: SymplecticLieAlgebra) -> FlatConnection:
     s.validate()
     # validate() has checked omega invertible, so the pairing with the unit
     # vectors, which is omega itself, is too.
-    units = [{m: ONE} for m in range(s.dim)]
+    units = [{m: 1} for m in range(s.dim)]
     gamma = _omega_solve(s, range(s.dim), units)
     conn = FlatConnection(s.algebra, gamma, label=f"canonical({s.algebra.name})")
     report = check_flat_torsion_free(conn)

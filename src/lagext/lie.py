@@ -23,8 +23,9 @@ planes of ``integer_brackets``; connection.py reads the flag of nabla's.
 The flag runs on tables scaled by a positive D to ints: D M v spans the
 same line as M v, so each step spans the same subspace as over the
 rationals.  Every verdict (nilpotency, class, fingerprint) reads only the
-step dimensions; ``lower_central_series`` writes the steps as Fraction
-``Subspace``s when a caller asks for them.
+step dimensions; ``lower_central_series`` stores the steps as ``Subspace``s
+when a caller asks for them.  ``is_ideal`` is one ``_echelon`` of the int
+images [e_j, v] against a copy of the subspace's int rows.
 """
 
 from __future__ import annotations
@@ -39,15 +40,14 @@ from .linalg import (
     Subspace,
     Vector,
     _add,
+    _copied,
     _dense,
     _echelon,
     _integer_tables,
     _kernel,
     _pair_value,
-    _reduce,
     _sparse,
     _subspace,
-    _written,
     fmt_vector,
 )
 
@@ -134,11 +134,11 @@ class LieAlgebra:
 
     @cached_property
     def central_series(self) -> tuple[Subspace, ...]:
-        """The lower central series as Fraction subspaces, written once from
+        """The lower central series as subspaces, made once from
         ``integer_central_series``."""
         if self._renamed_from is not None:
             return self._renamed_from.central_series
-        return tuple(_written(self.dim, step) for step in self.integer_central_series)
+        return tuple(Subspace.of(self.dim, step) for step in self.integer_central_series)
 
     @cached_property
     def integer_brackets(self) -> tuple[int, NonzeroTable]:
@@ -165,9 +165,10 @@ class LieAlgebra:
         return _dense(self.bracket_rows(_sparse(x), _sparse(y)), self.dim)
 
     def is_ideal(self, sub: Subspace) -> bool:
-        """[g, sub] <= sub: every [e_j, v], v in the basis of sub, reduces to 0."""
-        kept = dict(zip(sub.pivots, sub.rows))
-        return not any(_reduce(row, kept) for row in _images(self.nonzero_brackets, sub.rows))
+        """[g, sub] <= sub: every D [e_j, v], v in the basis of sub, reduces to 0
+        against a copy of sub's int rows, adding no pivot."""
+        kept = _copied(zip(sub.pivots, sub.ints))
+        return not _echelon(_images(self.integer_brackets[1], sub.ints), kept)
 
     def rename(self, name: str) -> "LieAlgebra":
         """The same algebra under another name, reading ``nonzero_brackets``,
@@ -254,14 +255,14 @@ def require_jacobi(algebra: LieAlgebra) -> LieAlgebra:
 
 def bracket_of_subspaces(algebra: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """span{[x, y] : x in A, y in B}."""
-    return _subspace(algebra.dim, [algebra.bracket_rows(x, y) for x in a.rows for y in b.rows])
+    return _subspace(algebra.dim, [algebra.bracket_rows(x, y) for x in a.ints for y in b.ints])
 
 
 def lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
     """C^0 = g, C^{p+1} = [g, C^p], listed down to the first stable term.
 
-    Written as Fraction subspaces from the int flag on first request and
-    kept as ``algebra.central_series``; verdicts read ``_lcs_dims``.
+    Made as subspaces from the int flag on first request and kept as
+    ``algebra.central_series``; verdicts read ``_lcs_dims``.
     """
     return algebra.central_series
 
@@ -377,13 +378,16 @@ def _quotient(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> LieAlgebr
     position = {k: t for t, k in enumerate(keep)}
     kept = dict(zip(ideal.pivots, ideal.rows))
     table = algebra.nonzero_brackets
-    # Reduction against the ideal's echelon rows leaves support on the
-    # non-pivot coordinates only, and drops the terms that cancel.
-    pairs = tuple(
-        tuple(sorted((position[k], c) for k, c in _reduce(dict(table[a][b]), kept).items()))
-        for a, b in combinations(keep, 2)
-    )
-    return require_jacobi(LieAlgebra(len(keep), pairs, name))
+    pairs = []
+    for a, b in combinations(keep, 2):
+        # The ideal's rows are 1 at their pivot and 0 at the others, so one
+        # pass over the cell's pivot entries leaves only non-pivot support.
+        cell = dict(table[a][b])
+        for p, x in table[a][b]:
+            for k, y in kept.get(p, {}).items():
+                _add(cell, k, -x * y)
+        pairs.append(tuple(sorted((position[k], c) for k, c in cell.items())))
+    return require_jacobi(LieAlgebra(len(keep), tuple(pairs), name))
 
 
 def transform(algebra: LieAlgebra, p: RatMatrix, name: str = "") -> LieAlgebra:

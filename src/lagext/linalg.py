@@ -2,8 +2,9 @@
 
 Scalars a caller sees are ``fractions.Fraction`` (arbitrary precision, always
 in lowest terms, positive denominator).  Matrices are dense tuples, and a
-subspace is its echelon basis as sparse rows (dicts of the nonzero entries).
-Every elimination runs through one kernel on sparse rows, ``_echelon``:
+``Subspace`` is its reduced echelon basis as sparse int rows (dicts of the
+nonzero entries).  Every elimination runs through one kernel on sparse rows,
+``_echelon``:
 incremental reduced row echelon form, which reduces each incoming row against
 the pivot rows kept so far and clears its leading column from the earlier
 pivot rows.  Every routine is pure and mutates only the rows it is handed to
@@ -16,17 +17,17 @@ that is already all ints, as most rows handed to it are, is only divided by
 its content, the gcd of its entries); a row is reduced by r <- b r - a k and
 divided by its content.  A row and its positive multiples span the same
 line, so the reduced echelon form is the one over the rationals.
-``_eliminate`` normalises each pivot row to a Fraction row once, when it
-writes it out; ``_written`` does the same for int echelon rows that a caller
-kept, such as the terms of ``lie.descending_flag``.
+A ``Subspace`` stores the kept rows, each made positive at its pivot
+(``Subspace.of``); ``_normalised`` divides a row by its pivot entry where a
+caller reads Fractions (``Subspace.rows``, ``rref``, cohomology.py's H^2
+representatives).
 ``_free_columns`` writes no pivot row: it eliminates with the column
 order reversed, so each pivot is its row's highest column, and the kernel
 vector of each free column, read straight off the int rows, is already a
-row of the reduced echelon basis of the kernel.  Two thin writers take that
-one read-off: ``_kernel_fractions`` makes each entry as one Fraction (for
-``_kernel``), and ``_kernel_ints`` writes each vector as a coprime int row,
-so a kernel is itself a valid ``_echelon`` form that a caller can check and
-extend on ints.  ``_quotient_pivots`` checks V <= W exactly on int rows
+row of the reduced echelon basis of the kernel.  ``_kernel_ints`` writes
+each vector as a coprime int row, so a kernel is itself a valid ``_echelon``
+form that a caller can check, extend, or store as a ``Subspace``
+(``_kernel``).  ``_quotient_pivots`` checks V <= W exactly on int rows
 (V's rows reduced against a copy of W's) and then reads W/V off W's pivots,
 with no further elimination; ``_quotient_rows`` and ``quotient_basis`` go
 through it.  ``_inverse_rows`` inverts P by one elimination of [P | I] and
@@ -51,7 +52,7 @@ rows are found, and is the same on every platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -236,7 +237,9 @@ class RatMatrix:
         return power.is_zero()
 
     def rank(self) -> int:
-        return len(_eliminate([_sparse(row) for row in self.entries]))
+        ints = {}
+        _echelon([_sparse(row) for row in self.entries], ints)
+        return len(ints)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -264,18 +267,6 @@ def _dense(row: dict[int, Fraction], width: int) -> Vector:
     return tuple(out)
 
 
-def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
-    """row -= f * other in place, dropping the entries that cancel."""
-    for j, b in other.items():
-        x = row.get(j)
-        if x is None:
-            row[j] = -f * b
-        elif x := x - f * b:
-            row[j] = x
-        else:
-            del row[j]
-
-
 def _add(acc: dict, key, value) -> None:
     """acc[key] += value for a nonzero value, in place, dropping the entry that cancels."""
     x = acc.get(key)
@@ -285,13 +276,6 @@ def _add(acc: dict, key, value) -> None:
         acc[key] = x
     else:
         del acc[key]
-
-
-def _reduce(row: dict[int, Fraction], kept: dict) -> dict[int, Fraction]:
-    """Clear the kept pivot columns from row, in place; kept is only read."""
-    for p in [j for j in row if j in kept]:
-        _subtract(row, row[p], kept[p])
-    return row
 
 
 def _integer_tables(*tables) -> tuple[int, tuple]:
@@ -415,41 +399,16 @@ def _inverse_rows(rows, m: int) -> list[dict[int, int]]:
     return [ints[k] for k in range(m)]
 
 
-def _int_rows(kept: dict) -> dict[int, dict[int, int]]:
-    """Echelon rows {pivot: row} as the coprime int rows ``_echelon`` extends."""
-    return {p: _integer_row(row) for p, row in kept.items()}
-
-
-def _copied(ints: dict) -> dict[int, dict[int, int]]:
-    """A copy of int echelon rows that ``_echelon`` may extend: it changes kept rows in place."""
-    return {p: dict(row) for p, row in ints.items()}
-
-
-def _eliminate(rows, kept: dict | None = None) -> dict[int, dict[int, Fraction]]:
-    """Incremental RREF: add the rows (consumed) to kept, {pivot column: row}.
-
-    kept holds Fraction rows, 1 at their own pivot and 0 at every other, and
-    is updated in place.  The elimination runs on coprime int rows
-    (``_echelon``); each pivot row it added or changed is written back to
-    kept once, at the end, divided by its pivot entry.
-    """
-    if kept is None:
-        kept = {}
-    ints = _int_rows(kept)
-    for p in _echelon(rows, ints):
-        kept[p] = _normalised(ints[p], p)
-    return kept
+def _copied(rows) -> dict[int, dict[int, int]]:
+    """A copy {pivot: row} of int echelon rows, given as (pivot, row) pairs,
+    that ``_echelon`` may extend: it changes kept rows in place."""
+    return {p: dict(row) for p, row in rows}
 
 
 def _normalised(row: dict[int, int], p: int) -> dict[int, Fraction]:
     """An int echelon row divided by its entry at its pivot p, as Fractions."""
     d = row[p]
     return {j: ONE if j == p else Fraction(x, d) for j, x in row.items()}
-
-
-def _written(ambient_dim: int, ints: dict) -> "Subspace":
-    """The subspace of int echelon rows {pivot: row}, written as Fraction rows."""
-    return Subspace(ambient_dim, tuple(_normalised(ints[p], p) for p in sorted(ints)))
 
 
 def _free_columns(rows, width: int, ints: dict) -> dict[int, list[tuple[int, int, int]]]:
@@ -464,9 +423,9 @@ def _free_columns(rows, width: int, ints: dict) -> dict[int, list[tuple[int, int
     its entry there and x its entry at c: it is nonzero only at c and at
     pivots above c, so its lowest column is c, and it is zero at every other
     free column.  These vectors are therefore the one reduced echelon basis
-    of the kernel, with no second elimination; ``_kernel_fractions`` writes
-    them as Fractions and ``_kernel_ints`` as coprime int rows.  ints is the
-    relabelled int rows of an earlier call, or {}.
+    of the kernel, with no second elimination; ``_kernel_ints`` writes them
+    as coprime int rows.  ints is the relabelled int rows of an earlier
+    call, or {}.
     """
     last = width - 1
     _echelon(({last - j: x for j, x in row.items()} for row in rows), ints)
@@ -477,17 +436,6 @@ def _free_columns(rows, width: int, ints: dict) -> dict[int, list[tuple[int, int
             if j != q:
                 columns[last - j].append((p, x, d))
     return columns
-
-
-def _kernel_fractions(width: int, columns: dict) -> "Subspace":
-    """The kernel read off by ``_free_columns``, each entry made as one Fraction."""
-    vectors = []
-    for c, terms in columns.items():
-        vector = {c: ONE}
-        for p, x, d in terms:
-            vector[p] = Fraction(-x, d)
-        vectors.append(vector)
-    return Subspace(width, tuple(vectors))
 
 
 def _kernel_ints(columns: dict) -> dict[int, dict[int, int]]:
@@ -505,17 +453,18 @@ def _kernel_ints(columns: dict) -> dict[int, dict[int, int]]:
 
 
 def _kernel(rows, width: int, ints: dict | None = None) -> "Subspace":
-    """Nullspace in Q^width of the rows (consumed), as its reduced echelon
-    basis of Fraction rows (``_free_columns``).  A caller that passes ints,
-    the relabelled int rows of an earlier call, continues that elimination."""
-    return _kernel_fractions(width, _free_columns(rows, width, {} if ints is None else ints))
+    """Nullspace in Q^width of the sparse rows (only read), read off by
+    ``_free_columns``.  A caller that passes ints, the relabelled int rows of
+    an earlier call, continues that elimination."""
+    columns = _free_columns(rows, width, {} if ints is None else ints)
+    return Subspace.of(width, _kernel_ints(columns))
 
 
 def _subspace(ambient_dim: int, rows) -> "Subspace":
-    """The span of sparse rows (consumed)."""
+    """The span of sparse rows (only read)."""
     ints = {}
     _echelon(rows, ints)
-    return _written(ambient_dim, ints)
+    return Subspace.of(ambient_dim, ints)
 
 
 def rref(rows) -> tuple[list[Vector], list[int]]:
@@ -524,21 +473,57 @@ def rref(rows) -> tuple[list[Vector], list[int]]:
     Returns (nonzero rows as tuples, pivot columns ascending).
     """
     rows = list(rows)
-    kept = _eliminate([_sparse(row) for row in rows])
-    pivots = sorted(kept)
-    return [_dense(kept[p], len(rows[0])) for p in pivots], pivots
+    ints = {}
+    _echelon([_sparse(row) for row in rows], ints)
+    pivots = sorted(ints)
+    return [_dense(_normalised(ints[p], p), len(rows[0])) for p in pivots], pivots
+
+
+def _echelon_pivots(rows, n: int) -> tuple[int, ...]:
+    """The pivots of the rows, each row's lowest column; raises ValueError
+    unless the rows are a reduced echelon basis of coprime int rows over
+    range(n): each row positive at its pivot, the pivots ascending, and each
+    row zero at every other pivot."""
+    pivots = [min(row, default=-1) for row in rows]
+    used = set(pivots)
+    for last, row, p in zip([-1, *pivots], rows, pivots):
+        values = row.values()
+        if not (last < p and max(row) < n and set(map(type, values)) == {int} and 0 not in values
+                and row[p] > 0 and gcd(*values) == 1 and len(used.intersection(row)) == 1):
+            raise ValueError(
+                f"echelon row {row!r} of a subspace of Q^{n}; need coprime nonzero ints"
+                " in range, positive at ascending pivots and zero at the other pivots"
+            )
+    return tuple(pivots)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n, stored as its reduced-echelon basis with ascending pivots:
-    ``rows``, sparse {column: Fraction} rows in pivot order, so equal subspaces
-    have equal rows.  ``pivots`` and the dense ``basis`` are views decoded once;
-    the rows are shared, so callers only ever eliminate copies of them.
+    """A subspace of Q^n, stored as its reduced echelon basis with ascending
+    pivots: ``ints``, sparse {column: int} rows in pivot order, each the
+    coprime int row ``_echelon`` keeps, positive at its pivot.  A subspace has
+    one such basis, so equal subspaces have equal ``ints``; the constructor
+    rejects rows that are not in this form, and keeps their ``pivots``.  The
+    Fraction ``rows`` (1 at their pivot) and the dense ``basis`` are views
+    decoded once.  The int rows are shared, so callers only ever eliminate
+    copies of them (``_copied``).
     """
 
     ambient_dim: int
-    rows: tuple[dict[int, Fraction], ...] = ()
+    ints: tuple[dict[int, int], ...] = ()
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pivots", _echelon_pivots(self.ints, self.ambient_dim))
+
+    @staticmethod
+    def of(ambient_dim: int, ints: dict) -> "Subspace":
+        """The subspace of ``_echelon``'s int rows {pivot: row}.  ``_echelon``
+        keeps a row's sign, so a row negative at its pivot is negated."""
+        return Subspace(ambient_dim, tuple(
+            row if row[p] > 0 else {j: -x for j, x in row.items()}
+            for p, row in sorted(ints.items())
+        ))
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors) -> "Subspace":
@@ -550,7 +535,7 @@ class Subspace:
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, tuple({i: ONE} for i in range(n)))
+        return Subspace(n, tuple({i: 1} for i in range(n)))
 
     @staticmethod
     def zero(n: int) -> "Subspace":
@@ -558,11 +543,12 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(min(row) for row in self.rows)
+    def rows(self) -> tuple[dict[int, Fraction], ...]:
+        """The basis as sparse Fraction rows, 1 at their pivot, decoded from ``ints``."""
+        return tuple(map(_normalised, self.ints, self.pivots))
 
     @cached_property
     def basis(self) -> tuple[Vector, ...]:
@@ -608,12 +594,14 @@ def solve_linear(m: RatMatrix, b: Vector) -> Vector | None:
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     n_cols = m.cols
-    kept = _eliminate([_sparse((*row, bv)) for row, bv in zip(m.entries, b)])
-    if n_cols in kept:
+    ints = {}
+    _echelon([_sparse((*row, bv)) for row, bv in zip(m.entries, b)], ints)
+    if n_cols in ints:
         return None
     x = [ZERO] * n_cols
-    for p, row in kept.items():
-        x[p] = row.get(n_cols, ZERO)
+    for p, row in ints.items():
+        if n_cols in row:
+            x[p] = Fraction(row[n_cols], row[p])
     return tuple(x)
 
 
@@ -629,7 +617,7 @@ def _quotient_pivots(w: dict, v: dict) -> list[int]:
     (each row of W is zero at every pivot but its own): the one reduced
     echelon basis of that complement, once each is divided by its pivot entry.
     """
-    if _echelon(v.values(), _copied(w)):
+    if _echelon(v.values(), _copied(w.items())):
         raise ValueError("V is not contained in W")
     return sorted(p for p in w if p not in v)
 
@@ -638,8 +626,8 @@ def _quotient_rows(w: Subspace, v: Subspace) -> list[dict[int, Fraction]]:
     """``quotient_basis`` as sparse rows: W's echelon rows at ``_quotient_pivots``."""
     if w.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    kept = dict(zip(w.pivots, w.rows))
-    return [kept[p] for p in _quotient_pivots(_int_rows(kept), dict(zip(v.pivots, v.rows)))]
+    kept = dict(zip(w.pivots, w.ints))
+    return [_normalised(kept[p], p) for p in _quotient_pivots(kept, dict(zip(v.pivots, v.ints)))]
 
 
 def quotient_basis(w: Subspace, v: Subspace) -> tuple[Vector, ...]:

@@ -38,7 +38,7 @@ from lagext.lie import (
     lower_central_series,
     nilpotency_class,
 )
-from lagext.linalg import RatMatrix, Subspace, _integer_tables, _written
+from lagext.linalg import RatMatrix, Subspace, _integer_tables
 from lagext.sampling import rng_for
 from test_extension import random_lagrangian_cocycle
 from test_sparse_oracles import (
@@ -65,7 +65,7 @@ def dense_flag(matrices, n):
 
 
 def written(flag, n):
-    return tuple(_written(n, step) for step in flag)
+    return tuple(Subspace.of(n, step) for step in flag)
 
 
 def assert_reduced(flag, n):

@@ -173,13 +173,12 @@ from lagext.linalg import (
     Subspace,
     Vector,
     _dense,
-    _eliminate,
+    _echelon,
     _kernel,
     _pair_value,
     _quotient_rows,
     _sparse,
     _subspace,
-    _written,
     fmt_vector,
     is_zero_vector,
     kernel_basis,
@@ -240,7 +239,7 @@ class DenseSubspace:
 
 def frozen_subspace(ambient_dim, rows):
     """The span of sparse rows (consumed), each basis row written out at ambient width."""
-    kept = _eliminate(rows)
+    kept = frozen_eliminate(rows)
     pivots = sorted(kept)
     return DenseSubspace(
         ambient_dim, tuple(_dense(kept[p], ambient_dim) for p in pivots), tuple(pivots)
@@ -1954,14 +1953,14 @@ def zero_columns(n):
 def test_descending_flag_on_no_operators_and_zero_operators(n):
     """n = 0, no operators and zero operators: the flag is Q^n, then 0 if n > 0,
     the series of the abelian algebra, and the index is that of a zero matrix.
-    The flag's int steps are compared written out as Fraction subspaces."""
+    The flag's int steps are compared as the subspaces they span."""
     abelian = dense_lower_central_series(LieAlgebra.abelian(n))
     for operators in ((), (zero_columns(n),), (zero_columns(n),) * 2):
         flag = descending_flag(operators, n)
-        assert typed(tuple(_written(n, step) for step in flag)) == typed(abelian)
+        assert typed(tuple(Subspace.of(n, step) for step in flag)) == typed(abelian)
         assert len(flag) - 1 == frozen_uniform_nilindex([RatMatrix.zero(n, n)])
     flag = descending_flag(LieAlgebra.abelian(n).integer_brackets[1], n)
-    assert typed(tuple(_written(n, step) for step in flag)) == typed(abelian)
+    assert typed(tuple(Subspace.of(n, step) for step in flag)) == typed(abelian)
     assert _uniform_nilindex([zero_columns(n)]) == frozen_uniform_nilindex([RatMatrix.zero(n, n)])
     # No operators at all: the index of the empty set is 0, as n is read off them.
     assert _uniform_nilindex([]) == 0
@@ -2522,7 +2521,8 @@ def frozen_kernel(kept, width):
         for j in row.keys() - {p}:
             vectors[j][p] = -row[j]
     reduced = frozen_eliminate(vectors.values())
-    return Subspace(width, tuple(reduced[p] for p in sorted(reduced)))
+    pivots = sorted(reduced)
+    return DenseSubspace(width, tuple(_dense(reduced[p], width) for p in pivots), tuple(pivots))
 
 
 def frozen_cocycle_bases_by_fractions(rep):
@@ -2541,7 +2541,8 @@ def assert_elimination_matches_frozen(rep):
     frozen = frozen_cocycle_bases_by_fractions(rep)
     assert typed(live) == typed(frozen)
     assert [typed_kept(dict(enumerate(space.rows))) for space in live] == [
-        typed_kept(dict(enumerate(space.rows))) for space in frozen
+        typed_kept(dict(enumerate({j: x for j, x in enumerate(v) if x} for v in space.basis)))
+        for space in frozen
     ]
     return live
 
@@ -2671,7 +2672,8 @@ def test_elimination_gives_one_rref_for_fraction_int_and_mixed_rows(data):
     """Each row is drawn as ints and scaled by a seeded nonzero rational, with
     denominators among primes above 2^61, which leaves its span alone; the
     rows are then given as Fractions, as ints, mixed, and in two batches
-    through kept.  Every form gives the frozen Fraction RREF and sympy's."""
+    through one ``_echelon`` store.  Every form, written out as the Fraction
+    rows of ``Subspace.of``, gives the frozen Fraction RREF and sympy's."""
     width = data.draw(st.integers(min_value=0, max_value=7))
     small = st.sampled_from([0] * 12 + [1, -1, 2, -3, 5, 7])
     ints = data.draw(st.lists(st.lists(small, min_size=width, max_size=width), max_size=6))
@@ -2691,19 +2693,28 @@ def test_elimination_gives_one_rref_for_fraction_int_and_mixed_rows(data):
     ]
     expected = frozen_eliminate([dict(row) for row in fractions])
     assert typed_kept(expected) == typed_kept(sympy_rref_rows(fractions, width))
+
+    def written(store):
+        space = Subspace.of(width, store)
+        return dict(zip(space.pivots, space.rows))
+
     alternating = [row if r % 2 else fractions[r] for r, row in enumerate(ints)]
     for rows in (fractions, ints, mixed, alternating):
-        assert typed_kept(_eliminate([dict(row) for row in rows])) == typed_kept(expected)
+        kept = {}
+        _echelon(rows, kept)
+        assert typed_kept(written(kept)) == typed_kept(expected)
     cut = data.draw(st.integers(min_value=0, max_value=len(mixed)))
-    kept = _eliminate([dict(row) for row in fractions[:cut]])
-    assert typed_kept(_eliminate([dict(row) for row in mixed[cut:]], kept)) == typed_kept(expected)
-    assert typed_kept(kept) == typed_kept(expected)  # kept is updated in place
+    kept = {}
+    _echelon(fractions[:cut], kept)
+    _echelon(mixed[cut:], kept)  # continues the first batch's int rows in place
+    assert typed_kept(written(kept)) == typed_kept(expected)
 
 
 def test_cocycle_bases_makes_a_fraction_only_for_each_entry_the_kernel_writes_out(monkeypatch):
     """A Fraction inner loop in the kernel makes a Fraction per operation;
-    the integer kernel makes one per off-pivot entry of the vectors it returns,
-    and it eliminates twice: the d2 rows, then the cyclic sums."""
+    the integer kernel makes none, as a subspace stores int rows, and reading
+    its Fraction ``rows`` makes one per off-pivot entry at most.  It
+    eliminates twice: the d2 rows, then the cyclic sums."""
     ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for("l_26")))
     rep = canonical_connection(ext).dual
     eliminations = [0]
@@ -2723,11 +2734,13 @@ def test_cocycle_bases_makes_a_fraction_only_for_each_entry_the_kernel_writes_ou
     monkeypatch.setattr(linalg_module, "_echelon", counting_echelon)
     monkeypatch.setattr(F, "__new__", counting_new)
     z2, z2l = cocycle_bases(rep)
+    made_by_kernel = made[0]
+    rows = [row for space in (z2, z2l) for row in space.rows]
     monkeypatch.undo()
     assert (z2.dim, z2l.dim) == (123, 82)
     assert eliminations[0] == 2
-    written = sum(len(row) - 1 for space in (z2, z2l) for row in space.rows)
-    assert 0 < made[0] <= written
+    assert made_by_kernel == 0
+    assert 0 < made[0] <= sum(len(row) - 1 for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,9 @@ def verdict_counts(monkeypatch):
 
 @pytest.fixture
 def flag_counts(monkeypatch):
-    """The descending flags run, the Fractions made inside them, the Fraction
-    write-outs of a lower central series, and each gamma table scaled to ints."""
+    """The descending flags run, the Fractions made inside them, the write-outs
+    of a lower central series as subspaces (whose ``rows`` are Fractions),
+    and each gamma table scaled to ints."""
     counts = {"flags": 0, "fractions_in_flags": 0, "written": 0, "scaled_gamma": []}
     inside = [False]
     real_new = F.__new__
@@ -181,7 +182,7 @@ def flag_counts(monkeypatch):
         finally:
             inside[0] = False
 
-    def written(*args, _real=lie._written):
+    def written(*args, _real=lie.Subspace.of):
         counts["written"] += 1
         return _real(*args)
 
@@ -192,7 +193,9 @@ def flag_counts(monkeypatch):
     monkeypatch.setattr(F, "__new__", counting_new)
     for module in (lie, connection):
         monkeypatch.setattr(module, "descending_flag", flag)
-    monkeypatch.setattr(lie, "_written", written)
+    # lie makes a Subspace with ``of`` only to write out a lower central series.
+    counted = type("Subspace", (lie.Subspace,), {"of": staticmethod(written)})
+    monkeypatch.setattr(lie, "Subspace", counted)
     monkeypatch.setattr(connection, "_integer_tables", scaled)
     return counts
 
