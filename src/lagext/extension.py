@@ -65,7 +65,6 @@ from .linalg import (
     ONE,
     RatMatrix,
     Subspace,
-    Vector,
     ZERO,
     _add,
     _dense,
@@ -74,7 +73,6 @@ from .linalg import (
     _integer_tables,
     _inverse_rows,
     _kernel,
-    _sparse,
     _subspace,
     format_rational,
 )
@@ -177,10 +175,6 @@ class SymplecticLieAlgebra:
             x = sum([row[q] * y for q, y in cols[b] if q in row])
             out.append(Fraction(x, d) if x else ZERO)
         return tuple(out)
-
-    def omega_value(self, x: Vector, y: Vector) -> Fraction:
-        """omega(x, y) of dense vectors: a dense wrapper over ``pullback``."""
-        return self.pullback([_sparse(x), _sparse(y)])[0]
 
     @cached_property
     def d_omega_result(self) -> "DOmegaResult":

@@ -160,13 +160,12 @@ class LieAlgebra:
                     _add(out, k, x * y * c)
         return out
 
-    def bracket_vectors(self, x: Vector, y: Vector) -> Vector:
-        """[x, y] of dense vectors: a dense wrapper over ``bracket_rows``."""
-        return _dense(self.bracket_rows(_sparse(x), _sparse(y)), self.dim)
-
     def is_ideal(self, sub: Subspace) -> bool:
         """[g, sub] <= sub: every D [e_j, v], v in the basis of sub, reduces to 0
-        against a copy of sub's int rows, adding no pivot."""
+        against a copy of sub's int rows, adding no pivot.  A nonzero sub of
+        another ambient dimension raises."""
+        if sub.dim and sub.ambient_dim != self.dim:
+            raise ValueError("ambient dimension mismatch")
         kept = _copied(zip(sub.pivots, sub.ints))
         return not _echelon(_images(self.integer_brackets[1], sub.ints), kept)
 
@@ -254,7 +253,10 @@ def require_jacobi(algebra: LieAlgebra) -> LieAlgebra:
 
 
 def bracket_of_subspaces(algebra: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    """span{[x, y] : x in A, y in B}."""
+    """span{[x, y] : x in A, y in B}; a nonzero A or B of another ambient
+    dimension raises."""
+    if any(s.dim and s.ambient_dim != algebra.dim for s in (a, b)):
+        raise ValueError("ambient dimension mismatch")
     return _subspace(algebra.dim, [algebra.bracket_rows(x, y) for x in a.ints for y in b.ints])
 
 

@@ -103,27 +103,9 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    # An entry whose partner is zero passes through: x + 0 = x, as a Fraction.
-    return tuple(x + y if y else x for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: Vector, b: Vector) -> Vector:
+    # An entry whose partner is zero passes through: x - 0 = x, as a Fraction.
     return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
-def vec_dot(a: Vector, b: Vector) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    total = ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            total += x * y
-    return total
 
 
 def is_zero_vector(a: Vector) -> bool:
@@ -146,14 +128,6 @@ class RatMatrix:
     def from_rows(rows) -> "RatMatrix":
         return RatMatrix(tuple(vec(row) for row in rows))
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(tuple(zero_vector(cols) for _ in range(rows)))
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix(tuple(unit_vector(n, i) for i in range(n)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -166,27 +140,8 @@ class RatMatrix:
         r, c = rc
         return self.entries[r][c]
 
-    def row(self, r: int) -> Vector:
-        return self.entries[r]
-
-    def col(self, c: int) -> Vector:
-        return tuple(row[c] for row in self.entries)
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(
-            tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries, strict=True))
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(
-            tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries, strict=True))
-        )
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(tuple(vec_scale(-ONE, row) for row in self.entries))
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -216,25 +171,6 @@ class RatMatrix:
                     total += x * y
             out.append(total)
         return tuple(out)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vector(row) for row in self.entries)
-
-    def is_nilpotent(self) -> bool:
-        """Square matrix M with M^n = 0, n the size (sufficient and necessary)."""
-        if self.rows != self.cols:
-            raise ValueError("nilpotency of non-square matrix")
-        power = self
-        for _ in range(self.rows):
-            if power.is_zero():
-                return True
-            power = power @ self
-        return power.is_zero()
 
     def rank(self) -> int:
         ints = {}

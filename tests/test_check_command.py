@@ -11,9 +11,8 @@ from click.testing import CliRunner
 from lagext.catalog import entry_by_label, sample_parameters, table1_entries
 from lagext.cli import main
 from lagext.specfile import parse_spec
+from inputs import L26_TEXT
 from lagext.verify import CHECK_NAMES
-
-from test_cli import L26_TEXT
 
 T8_NON_COCYCLE = (
     "algebra t_8 dim 4\nbracket e1 e4 -> -1 e2\nbracket e2 e4 -> -1 e3\n"

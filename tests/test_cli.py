@@ -7,13 +7,7 @@ from lagext import extension
 from lagext.cli import main
 from lagext.specfile import parse_spec
 from lagext.verify import run_verify_catalog
-from test_extension import counting
-
-L26_TEXT = """algebra l_26 dim 4
-bracket e1 e2 -> 1 e3
-connection e1 e2 -> 1/2 e3
-connection e2 e1 -> -1/2 e3
-"""
+from inputs import L26_TEXT, counting
 
 
 @pytest.fixture

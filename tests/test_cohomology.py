@@ -4,13 +4,9 @@ from itertools import combinations
 import pytest
 import sympy
 
-from lagext.catalog import (
-    ConflictReport,
-    connection_for,
-    instantiate,
-    sample_parameters,
-    table1_entries,
-)
+import reference
+from inputs import brackets, flat_samples, rho
+from lagext.catalog import connection_for
 from lagext.cohomology import (
     OneCochain,
     TwoCochain,
@@ -25,18 +21,11 @@ from lagext.cohomology import (
     solve_coboundary,
     two_cochain_from_coefficients,
 )
-from lagext.connection import FlatConnection, check_flat_torsion_free, dual_representation
+from lagext.connection import FlatConnection, dual_representation
 from lagext.extension import ExtensionTriple, build_extension, canonical_connection
 from lagext.lie import LieAlgebra
 from lagext.linalg import Subspace, _dense
 from lagext.sampling import random_rational, rng_for
-from test_sparse_oracles import (
-    DenseTwoCochain,
-    dense_coboundary_1,
-    dense_coboundary_2,
-    frozen_d1_basis,
-    frozen_matrix_of_coboundary_1,
-)
 
 
 def zero_rep(n):
@@ -309,43 +298,28 @@ def canonical_rep(label):
     return dual_representation(canonical_connection(ext))
 
 
-def flat_catalog_connections():
-    for entry in table1_entries():
-        if entry.suspect:
-            continue
-        conn = instantiate(entry, sample_parameters(entry, 1)[0])
-        assert not isinstance(conn, ConflictReport)
-        if check_flat_torsion_free(conn).ok:
-            yield conn
-
-
 def unit_columns_d2(rep):
-    """d2 column by column: the frozen dense d2 of every unit 2-cochain, in flattened order."""
-    n = rep.dim
-    columns = []
-    for i, j in combinations(range(n), 2):
-        for k in range(n):
-            alpha = DenseTwoCochain.from_pairs(n, {(i, j): tuple(F(int(t == k)) for t in range(n))})
-            columns.append(tuple(x for v in dense_coboundary_2(rep, alpha).values for x in v))
-    return tuple(zip(*columns))
+    """d2 column by column: the reference's d2 of every unit 2-cochain, in flattened order."""
+    c, rhos = brackets(rep.connection.base), rho(rep.connection)
+    width = reference.cochain_width(rep.dim)
+    return tuple(zip(*(sum(reference.d2(c, rhos, reference.unit(width, q)), ()) for q in range(width))))
 
 
 def assert_assembly_matches_cochain_maps(rep):
-    """The sparse rows of d1 and d2, densified, against the frozen dense evaluators."""
+    """The sparse rows of d1 and d2, densified, against the reference's evaluators."""
     assert matrix_of_coboundary_2(rep).entries == unit_columns_d2(rep)
+    c, rhos = brackets(rep.connection.base), rho(rep.connection)
     for lagrangian in (False, True):
-        basis = frozen_d1_basis(rep.dim, lagrangian)
-        images = [dense_coboundary_1(rep, sigma).flatten() for sigma in basis]
+        images = [reference.d1(c, rhos, s) for s in reference.one_cochain_basis(rep.dim, lagrangian)]
         # The rows are read off the tables scaled by D, so they are D times the images.
         d = rep.integer_tables[0]
         rows = _coboundary_1_images(rep, _one_cochain_rows(rep.dim, lagrangian))
-        assert [_dense({c: x / d for c, x in row.items()}, len(images[0])) for row in rows] == images
-        assert frozen_matrix_of_coboundary_1(rep, basis).entries == tuple(zip(*images))
+        assert [_dense({j: x / d for j, x in row.items()}, len(images[0])) for row in rows] == images
         assert coboundary_image(rep, lagrangian) == Subspace.from_vectors(len(images[0]), images)
 
 
 def test_assembled_coboundaries_match_cochain_maps_on_catalog_rows():
-    conns = list(flat_catalog_connections())
+    conns = list(flat_samples(1))
     assert len(conns) == 64
     for conn in conns:
         assert_assembly_matches_cochain_maps(dual_representation(conn))

@@ -2,7 +2,7 @@
 
 A matrix product or a dense nilpotency power in connection.py would bring
 back the n x n products that the table of nonzero gamma entries replaced;
-the dense versions live on only as oracles in tests/test_sparse_oracles.py.
+the definitions are computed densely only in tests/reference.py.
 extension.py has no matrix product either: it reads each entry of a pullback
 Psi^T omega Psi as omega(Psi e_a, Psi e_b).
 
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import lagext
-from test_lie_reads_nonzero_table import attribute_reads
+from inputs import attribute_reads
 
 PACKAGE = Path(lagext.__file__).parent
 

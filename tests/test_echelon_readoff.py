@@ -9,12 +9,11 @@ here against sympy, which shares no code with lagext: the kernel against
 ``nullspace`` reduced to echelon form, the quotient against the echelon
 basis of {w in W : w vanishes at V's pivots}.  d1 is evaluated over the
 tables scaled by D, so the evaluators that return values are checked on a
-connection with D > 1 against the Fraction evaluators they replaced.
+connection with D > 1 against tests/reference.py.
 """
 
 import importlib
 from fractions import Fraction as F
-from itertools import combinations
 from math import gcd
 
 import pytest
@@ -22,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+import reference
+from inputs import brackets, flat_samples, rho, seeded_one_cochains, typed
 from lagext.catalog import connection_for
 from lagext.cohomology import (
     CohomologySummary,
@@ -50,14 +51,6 @@ from lagext.linalg import (
     vec,
 )
 from lagext.sampling import random_rational, rng_for
-from test_sparse_oracles import (
-    dense_coboundary_1,
-    flat_catalog_samples,
-    frozen_coboundary_image,
-    frozen_solve_coboundary,
-    seeded_one_cochains,
-    typed,
-)
 
 linalg_module = importlib.import_module("lagext.linalg")
 
@@ -246,38 +239,14 @@ def test_kernel_eliminates_once(monkeypatch):
     assert kernel.dim == 2
 
 
-def center_rows(algebra):
-    """[x, e_j]_k as a linear form in x, one row per (j, k), from the dense bracket."""
-    n = algebra.dim
-    c = algebra.bracket
-    return [tuple(c[i][j][k] for i in range(n)) for j in range(n) for k in range(n)]
-
-
-def derivation_rows(algebra):
-    """D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j] = 0 as linear forms in D's
-    n^2 entries D[a][b] (row-major), one row per (i < j, k), from the dense bracket."""
-    n = algebra.dim
-    c = algebra.bracket
-    rows = []
-    for i, j in combinations(range(n), 2):
-        for k in range(n):
-            row = [F(0)] * (n * n)
-            for b in range(n):
-                row[k * n + b] += c[i][j][b]        # (D [e_i, e_j])_k
-            for a in range(n):
-                row[a * n + i] -= c[a][j][k]        # [D e_i, e_j]_k, D e_i = sum_a D[a][i] e_a
-                row[a * n + j] -= c[i][a][k]        # [e_i, D e_j]_k
-            rows.append(tuple(row))
-    return rows
-
-
 def test_lie_and_extension_kernels_match_sympy_on_every_flat_catalog_sample():
     checked = 0
-    for conn in flat_catalog_samples():
+    for conn in flat_samples():
         algebra = conn.base
         n = algebra.dim
-        assert as_pair(center(algebra)) == sympy_kernel(center_rows(algebra), n)
-        assert as_pair(derivation_space(algebra)) == sympy_kernel(derivation_rows(algebra), n * n)
+        c = brackets(algebra)
+        assert as_pair(center(algebra)) == sympy_kernel(reference.center_rows(c), n)
+        assert as_pair(derivation_space(algebra)) == sympy_kernel(reference.derivation_rows(c), n * n)
         ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
         omega = ext.omega.entries
         for j in (ext.lagrangian_ideal, Subspace.zero(ext.dim), Subspace.full(ext.dim)):
@@ -338,7 +307,7 @@ def test_quotient_basis_matches_sympy(wv):
 
 def test_h2_representatives_match_sympy_on_every_flat_catalog_sample():
     checked = 0
-    for conn in flat_catalog_samples():
+    for conn in flat_samples():
         rep = dual_representation(conn)
         summary = cohomology(rep)
         z2, z2l = cocycle_bases(rep)
@@ -376,28 +345,28 @@ def test_d1_evaluators_divide_the_scale_back_when_d_exceeds_one():
     rep = dual_representation(connection_for("l_17", t=F(1, 3)))
     assert rep.integer_tables[0] == 9
     n = rep.dim
+    c, rhos = brackets(rep.connection.base), rho(rep.connection)
     rng = rng_for(83, "d1-scale")
     for lagrangian in (False, True):
-        assert typed(coboundary_image(rep, lagrangian)) == typed(frozen_coboundary_image(rep, lagrangian))
+        assert typed(coboundary_image(rep, lagrangian)) == typed(reference.coboundaries(c, rhos, lagrangian))
     z2, z2l = cocycle_bases(rep)
     summary = cohomology(rep)
     solved = 0
     for sigma in seeded_one_cochains(n, rng) + [OneCochain.zero(n)]:
         image = coboundary_1(rep, sigma)
-        assert typed(image.values) == typed(dense_coboundary_1(rep, sigma).flatten())
+        assert typed(image.values) == typed(reference.d1(c, rhos, sigma.entries))
         for space in (z2l, z2):
             coeffs = tuple(random_rational(rng) for _ in range(space.dim))
             alpha = two_cochain_from_coefficients(space, coeffs, n)
             beta = alpha - image
             for flag in (False, True):
                 sigma_found = solve_coboundary(rep, alpha, beta, flag)
-                expected = frozen_solve_coboundary(rep, alpha, beta, flag)
-                assert typed(None if sigma_found is None else sigma_found.entries) == typed(
-                    None if expected is None else expected.entries)
+                expected = reference.solve_coboundary(c, rhos, alpha.values, beta.values, flag)
+                assert typed(None if sigma_found is None else sigma_found.entries) == typed(expected)
                 solved += sigma_found is not None
     for r in summary.h2_representatives + summary.h2_lagrangian_representatives:
         assert solve_coboundary(rep, r, TwoCochain.zero(n)) is None
-        assert frozen_solve_coboundary(rep, r, TwoCochain.zero(n)) is None
+        assert reference.solve_coboundary(c, rhos, r.values, TwoCochain.zero(n).values, False) is None
     assert solved > 0
     # Pinned, as the Fraction evaluator gave it: d(E_01), nonzero coordinates.
     values = coboundary_1(rep, OneCochain.unit(n, 0, 1)).values

@@ -4,13 +4,19 @@ from itertools import combinations
 
 import pytest
 
-from lagext.catalog import (
-    base_algebra,
-    connection_for,
-    instantiate,
-    sample_parameters,
-    table1_entries,
+import reference
+from inputs import (
+    brackets,
+    counting,
+    flat_samples,
+    gamma,
+    perturbed,
+    random_cocycle,
+    random_lagrangian_cocycle,
+    rho,
+    seeded_directions,
 )
+from lagext.catalog import base_algebra, connection_for
 from lagext.cohomology import (
     OneCochain,
     ThreeCochain,
@@ -18,18 +24,14 @@ from lagext.cohomology import (
     coboundary_1,
     coboundary_2,
     cocycle_bases,
-    two_cochain_from_coefficients,
 )
-from lagext.connection import (
-    FlatConnection,
-    check_flat_torsion_free,
-    dual_representation,
-)
+from lagext.connection import FlatConnection, dual_representation
 from lagext import extension, lie
 from lagext.extension import (
     CocycleError,
     ExtensionTriple,
     IntegrityError,
+    NilpotencyCertificate,
     SymplecticLieAlgebra,
     adjusted_symplectic_form,
     build_extension,
@@ -47,15 +49,6 @@ from lagext.extension import (
 from lagext.lie import LieAlgebra, check_jacobi, lower_central_series
 from lagext.linalg import RatMatrix, Subspace, unit_vector, vec
 from lagext.sampling import random_rational, rng_for
-from test_sparse_oracles import (
-    dense_ad_matrix,
-    dense_rho_of,
-    dense_value_at,
-    frozen_certificate,
-    frozen_nonzero_directions,
-    frozen_standard_omega,
-    perturbed,
-)
 
 # The seeded directions of the reference condition sum.
 NILPOTENCY_DIRECTION_COUNT = 8
@@ -67,18 +60,6 @@ def triple(label, alpha=None, **params):
     if alpha is None:
         alpha = TwoCochain.zero(4)
     return ExtensionTriple(conn, alpha)
-
-
-def random_lagrangian_cocycle(conn, rng):
-    _, z2l = cocycle_bases(dual_representation(conn))
-    coeffs = tuple(random_rational(rng) for _ in range(z2l.dim))
-    return two_cochain_from_coefficients(z2l, coeffs, conn.dim)
-
-
-def random_cocycle(conn, rng):
-    z2, _ = cocycle_bases(dual_representation(conn))
-    coeffs = tuple(random_rational(rng) for _ in range(z2.dim))
-    return two_cochain_from_coefficients(z2, coeffs, conn.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +89,7 @@ def test_extension_of_zero_connection_is_abelian_with_standard_form():
         ext = build_extension(ExtensionTriple(conn, TwoCochain.zero(n)))
         assert ext.algebra.bracket == LieAlgebra.abelian(2 * n).bracket
         assert ext.form == standard_form(n)
-        assert ext.omega == frozen_standard_omega(n)
+        assert ext.omega.entries == reference.standard_omega(n)
 
 
 def test_extension_of_the_zero_dimensional_connection_is_the_zero_algebra():
@@ -283,20 +264,6 @@ def test_reduction_rejects_non_isotropic():
     j = Subspace.from_vectors(8, [unit_vector(8, 0), unit_vector(8, 4)])
     with pytest.raises(ValueError):
         symplectic_reduction(ext, j)
-
-
-def counting(monkeypatch, module, names):
-    """Count the calls of module.name for each name, made through the module."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        real = getattr(module, name)
-
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 @pytest.mark.parametrize("k, dim", [(0, 6), (3, 6), (None, 0)])  # span(e^1), span(e^4), the dual half
@@ -482,7 +449,7 @@ def _transformed_extension(label, seed):
     algebra = transform(ext.algebra, p)
     omega = p.transpose() @ ext.omega @ p
     p_inv = p.inverse()
-    ideal = Subspace.from_vectors(8, [p_inv.col(4 + k) for k in range(4)])
+    ideal = Subspace.from_vectors(8, list(zip(*p_inv.entries))[4:])
     form = tuple(omega[i, j] for i, j in combinations(range(8), 2))
     return SymplecticLieAlgebra(algebra, form), ideal, p
 
@@ -507,7 +474,7 @@ def test_skewed_lagrangian_ideal_detected_and_quotient_matches_base():
 def test_skewed_reduction_by_isotropic_line():
     sympl, ideal, p = _transformed_extension("l_26", 22)
     p_inv = p.inverse()
-    line = Subspace.from_vectors(8, [p_inv.col(4)])  # image of e^1, central
+    line = Subspace.from_vectors(8, list(zip(*p_inv.entries))[4:5])  # image of e^1, central
     verdict = is_lagrangian_ideal(sympl, line)
     assert verdict.status == "isotropic" and verdict.normal
     reduced = symplectic_reduction(sympl, line)
@@ -579,51 +546,74 @@ def test_nilpotency_paths_agree_across_catalog_samples():
         assert cert.nilpotent == cert.conditions_verdict == True  # noqa: E712
 
 
-def reference_condition_sum(conn, rep, alpha, p):
+def reference_condition_sum(conn, alpha, p):
     """Path (b) sampled on the basis and the seeded random directions, for
-    every cocycle, as extension_nilpotency did before its alpha = 0 case."""
+    every cocycle, as extension_nilpotency did before its alpha = 0 case:
+    sum_j rho(x)^j alpha(x, ad_x^{p-1-j} e_b) = 0 for every direction x and b."""
     n = conn.dim
-    directions = [unit_vector(n, i) for i in range(n)] + frozen_nonzero_directions(
+    c, rhos = brackets(conn.base), rho(conn)
+    a = reference.cochain_tensor(n, alpha.values)
+    directions = [unit_vector(n, i) for i in range(n)] + seeded_directions(
         NILPOTENCY_DIRECTION_SEED, conn.label or "conn", n, NILPOTENCY_DIRECTION_COUNT
     )
     for x in directions:
-        ad_x = dense_ad_matrix(conn.base, x)
-        rho_x = RatMatrix(dense_rho_of(rep, x))
-        powers = [[unit_vector(n, b) for b in range(n)]]
+        ad_x, rho_x = reference.ad(c, x), reference.rho_of(rhos, x)
+        powers = [reference.units(n)]
         for _ in range(p - 1):
-            powers.append([ad_x.apply(v) for v in powers[-1]])
+            powers.append([reference.apply(ad_x, v) for v in powers[-1]])
         for b in range(n):
-            total = [F(0)] * n
+            total = (F(0),) * n
             for jj in range(p):
-                term = dense_value_at(alpha, x, powers[p - 1 - jj][b])
+                term = reference.bilinear(a, x, powers[p - 1 - jj][b])
                 for _ in range(jj):
-                    term = rho_x.apply(term)
-                for t in range(n):
-                    total[t] += term[t]
+                    term = reference.apply(rho_x, term)
+                total = reference.add(total, term)
             if any(total):
                 return False
     return True
 
 
-def flat_catalog_samples():
-    for entry in table1_entries():
-        if entry.suspect:
-            continue
-        for sample in sample_parameters(entry, 3):
-            conn = instantiate(entry, sample)
-            if check_flat_torsion_free(conn).ok:
-                yield conn
+def expected_certificate(triple, sampled_condition_sum):
+    """The certificate from the reference: the lower central series of the
+    extension's bracket, the class of the base, the uniform nilindex of rho,
+    the trace criterion, and the sampled path (b) for a nonzero cocycle."""
+    conn = triple.connection
+    n = conn.dim
+    c, g = brackets(conn.base), gamma(conn)
+    rhos = reference.rho(g)
+    lcs_dims = tuple(
+        s.dim for s in reference.lower_central_series(
+            reference.extension_tensor(c, rhos, triple.cocycle.values)
+        )
+    )
+    verdict_a = lcs_dims[-1] == 0
+    base = reference.lower_central_series(c)
+    base_class = len(base) - 1 if base[-1].dim == 0 else None
+    condition_ok = p = None
+    if base_class is not None:
+        rho_index = reference.nilindex(rhos, n)
+        p = max(1, base_class + (rho_index if rho_index is not None else n))
+        alpha = triple.cocycle
+        condition_ok = alpha.is_zero() or sampled_condition_sum(conn, alpha, p)
+    return NilpotencyCertificate(
+        nilpotent=verdict_a,
+        lcs_dims=lcs_dims,
+        extension_class=len(lcs_dims) - 1 if verdict_a else None,
+        base_nilpotent=base_class is not None,
+        complete=reference.completeness(g)[0],
+        condition_sum_ok=condition_ok,
+        power_bound=p,
+    )
 
 
 def test_zero_cocycle_certificate_matches_sampled_reference():
     checked = 0
-    for conn in flat_catalog_samples():
+    for conn in flat_samples():
         t = ExtensionTriple.with_zero_cocycle(conn)
         cert = extension_nilpotency(t)
-        rep = dual_representation(conn)
-        assert reference_condition_sum(conn, rep, t.cocycle, cert.power_bound) is True
+        assert reference_condition_sum(conn, t.cocycle, cert.power_bound) is True
         assert cert.condition_sum_ok is True
-        assert cert == frozen_certificate(t, reference_condition_sum)
+        assert cert == expected_certificate(t, reference_condition_sum)
         checked += 1
     assert checked == 108
 
@@ -632,16 +622,13 @@ def test_condition_sum_verdict_matches_reference_on_nonzero_cocycles():
     rng = rng_for(29, "condition-sum-reference")
     for label in ("l_26", "a_3", "t_8", "a_10"):
         conn = connection_for(label)
-        rep = dual_representation(conn)
         for draw in (random_lagrangian_cocycle, random_cocycle):
             alpha = draw(conn, rng)
             assert not alpha.is_zero()
             t = ExtensionTriple(conn, alpha)
             cert = extension_nilpotency(t)
-            assert cert.condition_sum_ok == reference_condition_sum(
-                conn, rep, alpha, cert.power_bound
-            )
-            assert cert == frozen_certificate(t, reference_condition_sum)
+            assert cert.condition_sum_ok == reference_condition_sum(conn, alpha, cert.power_bound)
+            assert cert == expected_certificate(t, reference_condition_sum)
 
 
 def test_non_nilpotent_nabla_fails_both_paths():
@@ -661,7 +648,7 @@ def test_non_nilpotent_nabla_fails_both_paths():
 def test_psi_identity_for_zero_sigma():
     t1 = triple("l_26")
     psi = equivalence_map_psi(t1, t1, OneCochain.zero(4))
-    assert psi.entries == RatMatrix.identity(8).entries
+    assert psi.entries == tuple(reference.units(8))
 
 
 def test_psi_random_sigma_is_bracket_isomorphism():
@@ -688,7 +675,7 @@ def test_psi_symmetric_sigma_preserves_omega():
     sigma = OneCochain.from_rows(rows)
     t2 = ExtensionTriple(t1.connection, t1.cocycle - coboundary_1(rep, sigma))
     psi = equivalence_map_psi(t1, t2, sigma)
-    omega = frozen_standard_omega(4)
+    omega = RatMatrix(reference.standard_omega(4))
     assert (psi.transpose() @ omega @ psi).entries == omega.entries
 
 
@@ -749,7 +736,7 @@ def test_psi_compares_the_connection_tables_and_bases_only():
     assert renamed.base != t1.connection.base
     for other in (relabelled, renamed):
         psi = equivalence_map_psi(t1, ExtensionTriple(other, t1.cocycle), sigma)
-        assert psi.entries == RatMatrix.identity(8).entries
+        assert psi.entries == tuple(reference.units(8))
 
 
 def test_adjusted_form_equals_standard_when_sigmas_match():
@@ -761,7 +748,7 @@ def test_adjusted_form_equals_standard_when_sigmas_match():
             rows[i][k] = rows[k][i]
     sigma = OneCochain.from_rows(rows)  # symmetric, also usable as sigma_l
     omega = adjusted_symplectic_form(t, sigma, sigma)
-    assert omega.entries == frozen_standard_omega(4).entries
+    assert omega.entries == reference.standard_omega(4)
 
 
 def test_adjusted_form_unit_block_on_zero_connection():

@@ -12,9 +12,10 @@ rest.
 
 ``_echelon`` copies each incoming row as coprime ints; an all-int row is
 only divided by its content.  Int, Fraction and mixed rows must give the
-echelon rows of a frozen copy of the general intake, and rows a caller
-keeps (V's rows in ``_quotient_pivots``, a ``Subspace``'s shared rows) must
-be unchanged.
+int echelon rows pinned in ``reference.echelon_rows``, which takes every
+row through the general intake (``reference.integer_row``), and rows a
+caller keeps (V's rows in ``_quotient_pivots``, a ``Subspace``'s shared
+rows) must be unchanged.
 """
 
 import importlib
@@ -40,19 +41,17 @@ from lagext.extension import (
 from lagext.linalg import (
     RatMatrix,
     Subspace,
-    _cancel,
     _echelon,
     _integer_row,
     _integer_tables,
     _inverse_rows,
-    _primitive,
     _quotient_pivots,
     quotient_basis,
 )
 from lagext.sampling import random_rational, rng_for
-from test_extension import random_lagrangian_cocycle
-from test_int_flag import flat_catalog_samples
-from test_sparse_oracles import typed
+
+import reference
+from inputs import flat_samples, random_lagrangian_cocycle, typed
 
 # The modules that call the scaler; ``lagext.cohomology`` the attribute is the function.
 SCALING_MODULES = [
@@ -140,7 +139,7 @@ def exercise_extension(triple, rep, sigma):
 def test_every_scaling_of_the_flat_samples_matches_its_definition(recorded_scalings):
     rng = rng_for(251, "flat-scaling")
     checked = 0
-    for conn in flat_catalog_samples():
+    for conn in flat_samples():
         rep = dual_representation(conn)
         alpha = random_lagrangian_cocycle(conn, rng)
         sigma = OneCochain.from_rows(
@@ -225,39 +224,6 @@ def test_empty_tuples_come_back_as_they_went_in(table):
 # ---------------------------------------------------------------------------
 
 
-def frozen_integer_row(row):
-    """A frozen copy of the general intake, which the int rows now skip:
-    every row through its set of denominators and a new numerator dict."""
-    dens = {x.denominator for x in row.values()}
-    if len(dens) > 1 or 1 not in dens:
-        m = lcm(*dens)
-        out = {j: x.numerator * (m // x.denominator) for j, x in row.items()}
-    else:
-        out = {j: x.numerator for j, x in row.items()}
-    return _primitive(out)
-
-
-def frozen_echelon(rows, ints):
-    changed = set()
-    for row in rows:
-        if not row:
-            continue
-        row = frozen_integer_row(row)
-        for p in [j for j in row if j in ints]:
-            row = _cancel(row, p, ints[p])
-        if not row:
-            continue
-        row = _primitive(row)
-        c = min(row)
-        for p, prow in ints.items():
-            if c in prow:
-                ints[p] = _primitive(_cancel(prow, c, row))
-                changed.add(p)
-        ints[c] = row
-        changed.add(c)
-    return changed
-
-
 def typed_rows(ints):
     """Echelon rows {pivot: row} with each entry paired with its type."""
     return sorted((p, sorted((j, type(x), x) for j, x in row.items())) for p, row in ints.items())
@@ -280,12 +246,12 @@ def rows_of(entries):
 def test_int_fraction_and_mixed_rows_give_the_frozen_echelon_rows(rows):
     kept = deepcopy(rows)
     ints, expected = {}, {}
-    assert _echelon(rows, ints) == frozen_echelon(deepcopy(rows), expected)
+    assert _echelon(rows, ints) == reference.echelon_rows(deepcopy(rows), expected)
     assert typed_rows(ints) == typed_rows(expected)
     assert typed(rows) == typed(kept)
     for row in rows:
         if row:
-            assert _integer_row(row) == frozen_integer_row(row)
+            assert _integer_row(row) == reference.integer_row(row)
             assert _integer_row(row) is not row
 
 
@@ -296,14 +262,14 @@ def test_inverse_rows_of_mixed_rows_match_the_frozen_intake(entries):
     p = RatMatrix(tuple(tuple(row) for row in entries))
     rows = [{j: x for j, x in enumerate(row) if x} for row in p.entries]
     expected = {}
-    frozen_echelon([{**row, 4 + i: 1} for i, row in enumerate(rows)], expected)
+    reference.echelon_rows([{**row, 4 + i: 1} for i, row in enumerate(rows)], expected)
     if sorted(expected) != list(range(4)):
         with pytest.raises(ValueError, match="^matrix is singular$"):
             _inverse_rows(rows, 4)
         return
     inverse = _inverse_rows(rows, 4)
     assert typed_rows(dict(enumerate(inverse))) == typed_rows(expected)
-    assert (p @ p.inverse()).entries == RatMatrix.identity(4).entries
+    assert (p @ p.inverse()).entries == tuple(reference.units(4))
 
 
 def test_rows_a_caller_keeps_are_not_changed():

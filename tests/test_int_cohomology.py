@@ -25,12 +25,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from lagext.catalog import (
-    connection_for,
-    instantiate,
-    sample_parameters,
-    table1_entries,
-)
+from inputs import flat_samples
+from lagext.catalog import connection_for
 from lagext.cohomology import (
     OneCochain,
     _two_cochain_width,
@@ -42,7 +38,7 @@ from lagext.cohomology import (
     solve_coboundary,
     two_cochain_from_coefficients,
 )
-from lagext.connection import DualRep, FlatConnection, check_flat_torsion_free, dual_representation
+from lagext.connection import DualRep, FlatConnection, dual_representation
 from lagext.extension import (
     ExtensionTriple,
     build_extension,
@@ -60,16 +56,6 @@ linalg_module = importlib.import_module("lagext.linalg")
 # ---------------------------------------------------------------------------
 # the 134 inputs and their pinned digests
 # ---------------------------------------------------------------------------
-
-
-def flat_samples():
-    for entry in table1_entries():
-        if entry.suspect:
-            continue
-        for sample in sample_parameters(entry, 3):
-            conn = instantiate(entry, sample)
-            if check_flat_torsion_free(conn).ok:
-                yield conn
 
 
 def truncated_polynomial_connection(lambdas):

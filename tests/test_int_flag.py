@@ -2,10 +2,10 @@
 
 ``lie.descending_flag`` runs on operator tables scaled by a positive D to
 ints and returns each term as coprime int echelon rows {pivot: row}.  Here
-every flag the package reads is recomputed from its definition, on dense
-``RatMatrix`` operators of the unscaled Fractions: V_0 = Q^n and V_{r+1} the
-span of M v over the operators M and a basis v of V_r, down to 0 or to the
-first step that does not shrink.  Each int term, written out as Fraction
+every flag the package reads is recomputed from its definition by
+``reference.descending_flag``, on dense operators of the unscaled Fractions:
+V_0 = Q^n and V_{r+1} the span of M v over the operators M and a basis v of
+V_r, down to 0 or to the first step that does not shrink.  Each int term, written out as Fraction
 echelon rows, must equal that span (basis, pivots and types), and must
 itself be reduced: each row coprime, nonzero at its pivot, its lowest
 column, and zero at every other pivot.
@@ -17,7 +17,7 @@ each right multiplication R_{e_j} (both read off the connection's
 and a seeded Z2_L class extension of each, a table with denominators, and
 inputs whose flags stop above 0.  n = 0, no operators and zero operators
 are checked in ``tests/test_sparse_oracles.py``, and on random operator sets
-below.
+below.  The nilpotency of each R_{e_j} is also read off its n-th power.
 """
 
 from fractions import Fraction as F
@@ -25,9 +25,11 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+import reference
+from inputs import brackets, flat_samples, gamma, random_lagrangian_cocycle, typed
 from lagext import specfile
-from lagext.catalog import connection_for, instantiate, sample_parameters, table1_entries
-from lagext.connection import FlatConnection, _uniform_nilindex, check_flat_torsion_free
+from lagext.catalog import connection_for
+from lagext.connection import _uniform_nilindex
 from lagext.extension import ExtensionTriple, build_extension, extension_nilpotency
 from lagext.lie import (
     LieAlgebra,
@@ -40,28 +42,8 @@ from lagext.lie import (
 )
 from lagext.linalg import RatMatrix, Subspace, _integer_tables
 from lagext.sampling import rng_for
-from test_extension import random_lagrangian_cocycle
-from test_sparse_oracles import (
-    dense_ad_matrix,
-    dense_lower_central_series,
-    dense_nabla_matrix,
-    dense_right_mult_matrix,
-    frozen_uniform_nilindex,
-    typed,
-)
 
 AFF = "algebra aff dim 2\nbracket e1 e2 -> 1 e2\nconnection e1 e2 -> 1 e2\n"
-
-
-def dense_flag(matrices, n):
-    """The flag of dense Fraction matrices, from its definition."""
-    flag = [Subspace.full(n)]
-    while flag[-1].dim:
-        nxt = Subspace.from_vectors(n, [m.apply(v) for m in matrices for v in flag[-1].basis])
-        if nxt.dim == flag[-1].dim:
-            break
-        flag.append(nxt)
-    return tuple(flag)
 
 
 def written(flag, n):
@@ -79,11 +61,11 @@ def assert_reduced(flag, n):
 
 
 def assert_flag_matches_dense(operators, matrices, n):
-    """The int flag of ``operators`` is the dense flag of ``matrices``; returns
-    the flag's length when it reaches 0, else None."""
+    """The int flag of ``operators`` is the reference flag of ``matrices``;
+    returns the flag's length when it reaches 0, else None."""
     flag = descending_flag(operators, n)
     assert_reduced(flag, n)
-    assert typed(written(flag, n)) == typed(dense_flag(matrices, n))
+    assert typed(written(flag, n)) == typed(reference.descending_flag(matrices, n))
     return None if flag[-1] else len(flag) - 1
 
 
@@ -91,11 +73,12 @@ def assert_series_matches_dense(algebra):
     n = algebra.dim
     flag = algebra.integer_central_series
     assert_reduced(flag, n)
-    dense = dense_lower_central_series(algebra)
+    c = brackets(algebra)
+    dense = reference.lower_central_series(c)
     assert typed(written(flag, n)) == typed(dense)
-    ads = [dense_ad_matrix(algebra, unit) for unit in Subspace.full(n).basis]
+    ads = [reference.ad(c, unit) for unit in reference.units(n)]
     assert typed(written(descending_flag(algebra.integer_brackets[1], n), n)) == typed(
-        dense_flag(ads, n)
+        reference.descending_flag(ads, n)
     )
     dims = tuple(s.dim for s in dense)
     assert _lcs_dims(algebra) == dims
@@ -110,34 +93,26 @@ def assert_connection_flags_match_dense(conn):
     """The Engel flag of nabla and the flag of each R_{e_j}, on the scaled gamma."""
     n = conn.dim
     _, cols, _ = conn.integer_tables
-    nabla = [dense_nabla_matrix(conn, i) for i in range(n)]
+    g = gamma(conn)
+    nabla = [reference.nabla(g, e) for e in reference.units(n)]
     index = assert_flag_matches_dense(cols, nabla, n)
-    assert index == _uniform_nilindex(cols) == frozen_uniform_nilindex(nabla)
+    assert index == _uniform_nilindex(cols) == reference.nilindex(nabla, n)
     assert conn.completeness.nabla_nilindex == index
     right = tuple(zip(*cols))
     nilpotent = []
     for j, r in enumerate(right):
-        m = dense_right_mult_matrix(conn, j)
+        m = reference.right(g, reference.unit(n, j))
         index = assert_flag_matches_dense([r], [m], n)
-        assert index == frozen_uniform_nilindex([m])
+        assert index == reference.nilindex([m], n)
         nilpotent.append(index is not None)
-        assert (index is not None) == m.is_nilpotent()
+        assert (index is not None) == reference.is_nilpotent(m)
     assert conn.completeness.right_mult_nilpotent == tuple(nilpotent)
-
-
-def flat_catalog_samples():
-    """Every flat ``--samples 3`` catalog sample, as a fresh connection."""
-    for entry in table1_entries():
-        for sample in sample_parameters(entry, 3):
-            conn = instantiate(entry, sample)
-            if isinstance(conn, FlatConnection) and check_flat_torsion_free(conn).flat:
-                yield conn
 
 
 def test_every_flag_of_every_flat_sample_matches_its_definition():
     rng = rng_for(97, "int-flag")
     checked = 0
-    for conn in flat_catalog_samples():
+    for conn in flat_samples():
         assert_series_matches_dense(conn.base)
         assert_connection_flags_match_dense(conn)
         alpha = random_lagrangian_cocycle(conn, rng)
@@ -197,10 +172,11 @@ def test_flag_of_scaled_operators_is_the_rational_flag(case):
     """Scaling by the lcm D of the denominators changes no term and no stop."""
     n, matrices = case
     _, operators = _integer_tables(*(
-        tuple(tuple((k, x) for k, x in enumerate(m.col(c)) if x) for c in range(n))
+        tuple(tuple((k, x) for k, x in enumerate(col) if x) for col in zip(*m.entries))
         for m in matrices
     ))
     assert all(type(x) is int for op in operators for col in op for _, x in col)
+    matrices = [m.entries for m in matrices]
     index = assert_flag_matches_dense(operators, matrices, n)
     if matrices:
-        assert index == frozen_uniform_nilindex(matrices)
+        assert index == reference.nilindex(matrices, n)

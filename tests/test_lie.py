@@ -7,6 +7,7 @@ from lagext.catalog import base_algebra
 from lagext.cli import main
 from lagext.lie import (
     LieAlgebra,
+    bracket_of_subspaces,
     check_jacobi,
     derived_series,
     fingerprint,
@@ -175,6 +176,25 @@ def test_quotient_requires_ideal():
     not_ideal = Subspace.from_vectors(4, [unit_vector(4, 0)])
     with pytest.raises(ValueError):
         quotient_algebra(algebra, not_ideal)
+
+
+@pytest.mark.parametrize(
+    "other", [Subspace(1, ({0: 1},)), Subspace.full(5)], ids=["smaller", "larger"]
+)
+def test_a_subspace_of_another_ambient_dimension_is_refused(other):
+    h3 = LieAlgebra.from_brackets(3, {(0, 1): (0, 0, 1)}, "h3")
+    full = Subspace.full(3)
+    with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+        h3.is_ideal(other)
+    for a, b in ((other, full), (full, other)):
+        with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+            bracket_of_subspaces(h3, a, b)
+    with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+        quotient_algebra(h3, other)
+    # A zero subspace of any ambient dimension is an ideal, and brackets to 0.
+    zero = Subspace.zero(other.ambient_dim)
+    assert h3.is_ideal(zero)
+    assert bracket_of_subspaces(h3, zero, full) == Subspace.zero(3)
 
 
 def test_quotient_dimension_identity():

@@ -4,36 +4,20 @@ An algebra is stored as its nonzero bracket table (``LieAlgebra.pairs``),
 and every bracket the package computes is read from it or from the n x n
 view ``nonzero_brackets``.  The dense ``.bracket`` tensor is a view decoded
 for tests and the benchmark; a read of it in the package would bring back
-the n^3 scans that the table replaced.  The dense readers live on only as
-oracles in tests/test_sparse_oracles.py.
+the n^3 scans that the table replaced.  The dense tensor is read only by
+the tests, to compare it with tests/reference.py.
 """
 
-import ast
 from pathlib import Path
 
 import pytest
 
 import lagext
+from inputs import attribute_reads
 
 PACKAGE = Path(lagext.__file__).parent
 
 ALLOWED: set[str] = set()
-
-
-def attribute_reads(source: str, attr: str, allowed: set[str]) -> list[str]:
-    """Each ``.attr`` read outside the allowed functions, tagged with line and scope."""
-    found = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Attribute) and node.attr == attr and scope not in allowed:
-            found.append(f"line {node.lineno} in {scope or '<module>'}: .{attr}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(source), "")
-    return found
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))

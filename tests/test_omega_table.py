@@ -4,8 +4,8 @@ extension.py evaluates dw, both omega solves, the pullback and psi's checks
 on ints, through one scaled copy of the form's rows (``integer_omega``) and
 one table W[a][u] = D omega([e_a, e_u], .) per form
 (``integer_omega_brackets``).  Here each is computed again from its
-definition, on dense Fraction vectors and matrices built from the algebra's
-bracket pairs and the form's pair coordinates:
+definition by tests/reference.py, on dense Fraction vectors and matrices
+built from the algebra's bracket pairs and the form's pair coordinates:
 
 - dw(x, y, z) = w(x, [y, z]) + w(y, [z, x]) + w(z, [x, y]);
 - nabla solves omega(nabla_x y, u) = -omega(y, [x, u]) for every test vector u,
@@ -25,6 +25,8 @@ from itertools import combinations
 
 import pytest
 
+import reference
+from inputs import brackets, flat_samples, form, outcome, random_lagrangian_cocycle, typed
 from lagext import extension, linalg
 from lagext.catalog import connection_for
 from lagext.cohomology import OneCochain, TwoCochain, coboundary_1
@@ -49,153 +51,44 @@ from lagext.extension import (
 from lagext.lie import LieAlgebra, transform
 from lagext.linalg import RatMatrix, Subspace, _sparse
 from lagext.sampling import random_rational, rng_for
-from test_extension import random_lagrangian_cocycle
-from test_one_sweep_per_table import flat_samples
-from test_sparse_oracles import outcome, typed
 
 ZERO = F(0)
 
 
 # ---------------------------------------------------------------------------
-# the definitions, on dense Fractions
+# the definitions, from tests/reference.py
 # ---------------------------------------------------------------------------
 
 
-def form_matrix(s):
-    """omega(e_i, e_j) as a dense n x n list, from the pair coordinates."""
-    n = s.dim
-    om = [[ZERO] * n for _ in range(n)]
-    for (i, j), x in zip(combinations(range(n), 2), s.form):
-        om[i][j], om[j][i] = x, -x
-    return om
-
-
-def structure_constants(algebra):
-    """c[i][j][k], the coefficient of e_k in [e_i, e_j], from the bracket pairs."""
-    n = algebra.dim
-    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), terms in zip(combinations(range(n), 2), algebra.pairs):
-        for k, x in terms:
-            c[i][j][k], c[j][i][k] = x, -x
-    return c
-
-
-def dense(row, n):
-    out = [ZERO] * n
-    for j, x in row.items():
-        out[j] = x
-    return out
-
-
-def unit(n, i):
-    return dense({i: F(1)}, n)
-
-
-def omega_of(om, x, y):
-    total = ZERO
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                if b and om[i][j]:
-                    total += a * om[i][j] * b
-    return total
-
-
-def bracket_of(c, x, y):
-    n = len(x)
-    out = [ZERO] * n
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                if b:
-                    for k, v in enumerate(c[i][j]):
-                        if v:
-                            out[k] += a * b * v
-    return out
-
-
-def defined_d_omega(s):
-    n = s.dim
-    om, c = form_matrix(s), structure_constants(s.algebra)
-    e = [unit(n, i) for i in range(n)]
-    return tuple(
-        ((i + 1, j + 1, k + 1),
-         omega_of(om, e[i], c[j][k]) + omega_of(om, e[j], c[k][i]) + omega_of(om, e[k], c[i][j]))
-        for i, j, k in combinations(range(n), 3)
-    )
-
-
-def fraction_inverse(p):
-    """The inverse of the square Fraction matrix p by Gauss-Jordan elimination;
-    ValueError when p is singular."""
-    m = len(p)
-    rows = [list(row) + unit(m, i) for i, row in enumerate(p)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular pairing")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        rows[col] = [x / lead for x in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [row[m:] for row in rows]
+def vector_of(row, n):
+    """A sparse row {index: value} as a vector of Q^n."""
+    return tuple(row.get(i, ZERO) for i in range(n))
 
 
 def defined_solve(s, lifts, tests):
-    """Cell [a][b] lists the nonzero (t, x_t) of nabla_{e_{l_a}} e_{l_b} =
-    sum_t x_t e_{l_t}, solving omega(nabla_x y, u) = -omega(y, [x, u]) for
-    x = e_{l_a}, y = e_{l_b} and every test vector u."""
-    n = s.dim
-    om, c = form_matrix(s), structure_constants(s.algebra)
-    lifts = list(lifts)
-    tests = [dense(u, n) for u in tests]
-    basis = [unit(n, l) for l in lifts]
-    # row u of the system: sum_t x_t omega(e_{l_t}, u) = -omega(y, [x, u])
-    inverse = fraction_inverse([[omega_of(om, e, u) for e in basis] for u in tests])
-    gamma = []
-    for x in basis:
-        brackets = [bracket_of(c, x, u) for u in tests]
-        plane = []
-        for y in basis:
-            rhs = [-omega_of(om, y, b) for b in brackets]
-            solution = [sum((f * r for f, r in zip(row, rhs) if f and r), ZERO) for row in inverse]
-            plane.append(tuple((t, v) for t, v in enumerate(solution) if v))
-        gamma.append(tuple(plane))
-    return tuple(gamma)
+    """The omega solve's table from the reference, or None when its pairing is singular."""
+    gamma = reference.omega_solve(
+        brackets(s.algebra), form(s), tuple(lifts), [vector_of(u, s.dim) for u in tests]
+    )
+    return None if gamma is None else reference.table(gamma)
 
 
 def defined_pullback(s, columns):
-    om = form_matrix(s)
-    cols = [dense(col, s.dim) for col in columns]
-    return tuple(omega_of(om, cols[a], cols[b]) for a, b in combinations(range(len(cols)), 2))
+    vectors = [vector_of(col, s.dim) for col in columns]
+    return reference.pair_coordinates(reference.pullback(form(s), vectors))
 
 
 def defined_psi(g1, g2, sigma):
-    """psi's matrix, after its bracket check on every basis pair and, for
-    symmetric sigma, its pullback check, with the messages of extension.py."""
-    n = sigma.dim
-    m = 2 * n
-    # psi(e_a) = e_a + sum_k sigma[a][k] e^k, psi(e^k) = e^k
-    cols = [unit(m, a)[:n] + list(sigma.entries[a]) for a in range(n)]
-    cols += [unit(m, n + k) for k in range(n)]
-    c1, c2 = structure_constants(g1.algebra), structure_constants(g2.algebra)
-    for a, b in combinations(range(m), 2):
-        image = [ZERO] * m
-        for k, x in enumerate(c1[a][b]):
-            if x:
-                image = [u + x * v for u, v in zip(image, cols[k])]
-        if image != bracket_of(c2, cols[a], cols[b]):
-            raise IntegrityError(f"bracket preservation fails at basis pair ({a+1},{b+1})")
-    symmetric = all(sigma.entries[i][k] == sigma.entries[k][i] for i in range(n) for k in range(n))
-    if symmetric:
-        om1, om2 = form_matrix(g1), form_matrix(g2)
-        for a, b in combinations(range(m), 2):
-            if omega_of(om2, cols[a], cols[b]) != om1[a][b]:
-                raise IntegrityError("pullback of omega under a Lagrangian shift must be omega")
-    return tuple(tuple(cols[a][i] for a in range(m)) for i in range(m))
+    """psi's matrix, or the IntegrityError its bracket check or, for symmetric
+    sigma, its pullback check raises, with the messages of extension.py."""
+    psi = reference.psi_matrix(sigma.entries)
+    pair = reference.preserves_brackets(brackets(g1.algebra), brackets(g2.algebra), psi)
+    if pair:
+        return IntegrityError, "bracket preservation fails at basis pair ({},{})".format(*pair)
+    if reference.is_symmetric(sigma.entries):
+        if reference.pullback(form(g2), reference.transpose(psi)) != form(g1):
+            return IntegrityError, "pullback of omega under a Lagrangian shift must be omega"
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +100,15 @@ def units(n):
     return [{m: F(1)} for m in range(n)]
 
 
-def raised(value):
-    return isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], type)
-
-
 def assert_solves_match(s, j=None):
     """Both omega solves of s, called directly, j the kept Lagrangian ideal by
-    default; a singular pairing raises ValueError on both sides."""
+    default; a singular pairing raises ValueError."""
     j = s.lagrangian_ideal if j is None else j
     for args in ((s, j.complement_coordinates(), j.rows), (s, range(s.dim), units(s.dim))):
         live = outcome(lambda: _omega_solve(*args))
-        defined = outcome(lambda: defined_solve(*args))
-        if raised(live) or raised(defined):
-            assert live[0] is ValueError and defined[0] is ValueError
+        defined = defined_solve(*args)
+        if defined is None:
+            assert live == (ValueError, "matrix is singular")
         else:
             assert typed(live) == typed(defined)
 
@@ -235,7 +124,7 @@ def assert_extension_matches(triple, rng, seen):
     """dw, the induced and (when closed) canonical connections, and psi with
     a symmetric and a non-symmetric seeded sigma, with its pullback."""
     ext = build_extension(triple)
-    assert typed(d_omega(ext).residuals) == typed(defined_d_omega(ext))
+    assert typed(d_omega(ext).residuals) == typed(reference.d_omega(brackets(ext.algebra), form(ext)))
     j = ext.lagrangian_ideal
     recovered = induced_flat_connection(ext, j)
     assert typed(recovered.nonzero_gamma) == typed(
@@ -262,14 +151,15 @@ def assert_extension_matches(triple, rng, seen):
 def test_zero_extension_of_every_flat_sample_matches_the_definitions():
     rng = rng_for(211, "omega-table-zero")
     seen = Counter()
-    for _, conn in flat_samples(3):
+    for conn in flat_samples(3):
         assert_extension_matches(ExtensionTriple.with_zero_cocycle(conn), rng, seen)
     assert seen == {"canonical": 108, "psi": 216}
 
 
 def test_a_seeded_lagrangian_class_of_every_flat_row_matches_the_definitions():
     seen = Counter()
-    for label, conn in flat_samples(1):
+    for conn in flat_samples(1):
+        label = conn.label
         rng = rng_for(223, "omega-table-class", label)
         alpha = random_lagrangian_cocycle(conn, rng)
         assert any(alpha.values)
@@ -313,10 +203,12 @@ def test_forms_with_denominators_match_the_definitions():
         bar = build_extension(ExtensionTriple(conn, triple.cocycle - coboundary_1(rep, sigma)))
         adjusted_form = tuple(adjusted[i, j] for i, j in combinations(range(2 * n), 2))
         assert any(x.denominator > 1 for x in adjusted_form)
-        for form in (halves, block, adjusted_form):
-            algebra = bar.algebra if form is adjusted_form else ext.algebra
-            s = SymplecticLieAlgebra(algebra, form, dual_subspace(n))
-            assert typed(s.d_omega_result.residuals) == typed(defined_d_omega(s))
+        for coordinates in (halves, block, adjusted_form):
+            algebra = bar.algebra if coordinates is adjusted_form else ext.algebra
+            s = SymplecticLieAlgebra(algebra, coordinates, dual_subspace(n))
+            assert typed(s.d_omega_result.residuals) == typed(
+                reference.d_omega(brackets(s.algebra), form(s))
+            )
             assert_solves_match(s)
             columns = [_sparse(row) for row in adjusted.entries[:3]] + [{}, {0: F(2, 3)}]
             assert typed(s.pullback(columns)) == typed(defined_pullback(s, columns))
@@ -351,7 +243,7 @@ def test_a_lagrangian_ideal_with_non_unit_rows_matches_the_definitions():
             assert any(x != 1 for row in j.rows for x in row.values())
             s = SymplecticLieAlgebra(transform(ext.algebra, p, "sheared"), standard_form(n), j)
             assert is_lagrangian_ideal(s, j).is_lagrangian
-            assert typed(d_omega(s).residuals) == typed(defined_d_omega(s))
+            assert typed(d_omega(s).residuals) == typed(reference.d_omega(brackets(s.algebra), form(s)))
             assert typed(induced_flat_connection(s, j).nonzero_gamma) == typed(
                 defined_solve(s, j.complement_coordinates(), j.rows)
             )
@@ -384,14 +276,15 @@ def test_a_degenerate_pairing_still_raises():
     # On the abelian algebra every half-dimensional subspace is an ideal; with
     # omega = e1 ^ e2 the span of e3, e4 is isotropic, hence Lagrangian by the
     # dimension count, and it pairs with nothing.
-    form = tuple(F(1) if (i, j) == (0, 1) else ZERO for i, j in combinations(range(4), 2))
-    j = Subspace.from_vectors(4, [unit(4, 2), unit(4, 3)])
-    s = SymplecticLieAlgebra(LieAlgebra.abelian(4), form, j)
+    e12 = tuple(F(1) if (i, j) == (0, 1) else ZERO for i, j in combinations(range(4), 2))
+    j = Subspace.from_vectors(4, [reference.unit(4, 2), reference.unit(4, 3)])
+    s = SymplecticLieAlgebra(LieAlgebra.abelian(4), e12, j)
     with pytest.raises(ValueError, match="^pairing between quotient and ideal is degenerate$"):
         induced_flat_connection(s, j)
-    with pytest.raises(ValueError):
-        defined_solve(s, j.complement_coordinates(), j.rows)
-    zero = SymplecticLieAlgebra(LieAlgebra.abelian(2), (ZERO,), Subspace.from_vectors(2, [unit(2, 1)]))
+    assert defined_solve(s, j.complement_coordinates(), j.rows) is None
+    zero = SymplecticLieAlgebra(
+        LieAlgebra.abelian(2), (ZERO,), Subspace.from_vectors(2, [reference.unit(2, 1)])
+    )
     with pytest.raises(ValueError, match="^pairing between quotient and ideal is degenerate$"):
         induced_flat_connection(zero, zero.lagrangian_ideal)
 
@@ -501,7 +394,8 @@ def test_the_extend_pipeline_builds_w_once_and_reads_no_vector_evaluator(monkeyp
 
     monkeypatch.setattr(extension, "_omega_solve", watched_solve)
     checked = 0
-    for label, conn in flat_samples(1):
+    for conn in flat_samples(1):
+        label = conn.label
         rng = rng_for(251, "omega-table-pipeline", label)
         triple = ExtensionTriple(conn, random_lagrangian_cocycle(conn, rng))
         sigma = seeded_sigma(conn.dim, rng, symmetric=True)

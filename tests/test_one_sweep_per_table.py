@@ -7,18 +7,19 @@ source; with any cell moved it sweeps on its own and the same
 ``IntegrityError`` is raised.  The shared verdicts are checked here against
 ``_sweep`` and ``_completeness`` recomputed on a fresh connection of the
 recovered table.  ``coboundary_2`` of the zero 2-cochain is the zero
-residual, given without the d2 rows, and is checked against the frozen dense
-d2 of tests/test_sparse_oracles.py.
+residual, given without the d2 rows, and is checked against d2 in
+tests/reference.py.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
+import reference
+from inputs import brackets, flat_samples, random_lagrangian_cocycle, rho, typed
 from lagext import connection, extension
-from lagext.catalog import instantiate, sample_parameters, table1_entries
 from lagext.cohomology import TwoCochain, coboundary_2
-from lagext.connection import FlatConnection, check_flat_torsion_free, dual_representation
+from lagext.connection import FlatConnection, dual_representation
 from lagext.extension import (
     ExtensionTriple,
     IntegrityError,
@@ -28,19 +29,6 @@ from lagext.extension import (
 )
 from lagext.lie import LieAlgebra
 from lagext.sampling import rng_for
-from test_extension import random_lagrangian_cocycle
-from test_sparse_oracles import dense_coboundary_2, typed
-
-
-def flat_samples(samples):
-    """Each flat torsion-free non-suspect catalog sample, as a fresh connection."""
-    for entry in table1_entries():
-        if entry.suspect:
-            continue
-        for sample in sample_parameters(entry, samples):
-            conn = instantiate(entry, sample)
-            if check_flat_torsion_free(conn).ok:
-                yield entry.label, conn
 
 
 def assert_shares_the_recomputed_verdicts(recovered, source):
@@ -56,12 +44,13 @@ def assert_shares_the_recomputed_verdicts(recovered, source):
 
 def test_zero_extension_never_builds_the_d2_rows():
     checked = 0
-    for _, conn in flat_samples(3):
+    for conn in flat_samples(3):
         ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
         rep = conn.dual
         assert "coboundary_2_rows" not in rep.__dict__
         zero = TwoCochain.zero(conn.dim)
-        assert typed(coboundary_2(rep, zero).values) == typed(dense_coboundary_2(rep, zero).values)
+        expected = reference.d2(brackets(conn.base), rho(conn), zero.values)
+        assert typed(coboundary_2(rep, zero).values) == typed(expected)
         assert "coboundary_2_rows" not in rep.__dict__
         assert ext._built_from is conn
         checked += 1
@@ -70,15 +59,17 @@ def test_zero_extension_never_builds_the_d2_rows():
 
 @pytest.mark.parametrize("n", range(5))
 def test_zero_cochain_residual_on_the_zero_connection_is_the_frozen_one(n):
-    rep = dual_representation(FlatConnection.zero(LieAlgebra.abelian(n)))
+    conn = FlatConnection.zero(LieAlgebra.abelian(n))
+    rep = dual_representation(conn)
     zero = TwoCochain.zero(n)
-    assert typed(coboundary_2(rep, zero).values) == typed(dense_coboundary_2(rep, zero).values)
+    expected = reference.d2(brackets(conn.base), rho(conn), zero.values)
+    assert typed(coboundary_2(rep, zero).values) == typed(expected)
     assert "coboundary_2_rows" not in rep.__dict__
 
 
 def test_recovered_zero_class_shares_the_recomputed_verdicts_on_every_flat_sample():
     checked = 0
-    for _, conn in flat_samples(3):
+    for conn in flat_samples(3):
         ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
         assert_shares_the_recomputed_verdicts(
             induced_flat_connection(ext, ext.lagrangian_ideal), conn
@@ -89,7 +80,8 @@ def test_recovered_zero_class_shares_the_recomputed_verdicts_on_every_flat_sampl
 
 def test_named_extension_of_a_seeded_lagrangian_class_shares_the_recomputed_verdicts():
     checked = 0
-    for label, conn in flat_samples(1):
+    for conn in flat_samples(1):
+        label = conn.label
         alpha = random_lagrangian_cocycle(conn, rng_for(97, "one-sweep-per-table", label))
         assert any(alpha.values)
         triple = ExtensionTriple(conn, alpha)
@@ -121,7 +113,7 @@ def test_a_moved_cell_is_swept_on_its_own_and_raises(monkeypatch):
     sweep = connection._sweep
     monkeypatch.setattr(connection, "_sweep", lambda conn: swept.append(conn) or sweep(conn))
     checked = 0
-    for _, conn in flat_samples(1):
+    for conn in flat_samples(1):
         ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
         assert ext._built_from is conn
         del swept[:]

@@ -2,12 +2,10 @@
 
 Three kinds of check:
 
-- a differential test of the whole cohomology path against the dense
-  elimination it replaced: ``frozen_rref_rows`` is the old ``_rref_rows``
-  unchanged, and the other ``frozen_*`` functions are the old dense
-  subspace, kernel, cocycle, coboundary-image and quotient steps built on
-  it.  Results are compared by ``repr``, so values and scalar types must
-  both agree;
+- the whole cohomology path against tests/reference.py, which computes Z^2,
+  Z^2_L, B^2, B^2_L and the H^2 representatives from their definitions by
+  Gauss-Jordan elimination on Fractions.  Results are compared by
+  ``repr``, so values and scalar types must both agree;
 - an independent oracle for the kernel: sympy's ``Matrix.rref`` on
   mostly-zero matrices;
 - a guard that ``cohomology`` never builds the dense d2 matrix and that
@@ -22,21 +20,19 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from lagext.catalog import connection_for, instantiate, sample_parameters, table1_entries
+import reference
+from inputs import brackets, expected_cohomology, flat_samples, rho
+from lagext.catalog import connection_for
 from lagext.cohomology import (
-    CohomologySummary,
-    TwoCochain,
     _cyclic_sum_rows,
     cocycle_bases,
     cohomology,
-    cyclic_sum_matrix,
     matrix_of_coboundary_2,
 )
-from lagext.connection import FlatConnection, check_flat_torsion_free, dual_representation
+from lagext.connection import FlatConnection, dual_representation
 from lagext.extension import ExtensionTriple, build_extension, canonical_connection
 from lagext.lie import LieAlgebra
 from lagext.linalg import (
-    ONE,
     ZERO,
     RatMatrix,
     Subspace,
@@ -45,135 +41,13 @@ from lagext.linalg import (
     solve_linear,
     vec,
 )
-from test_sparse_oracles import DenseSubspace, frozen_d1_basis, frozen_matrix_of_coboundary_1
 
 # ``lagext.cohomology`` the attribute is the function; these are the modules.
 cohomology_module = importlib.import_module("lagext.cohomology")
 linalg_module = importlib.import_module("lagext.linalg")
 
 # ---------------------------------------------------------------------------
-# frozen dense implementations
-# ---------------------------------------------------------------------------
-
-
-def frozen_rref_rows(rows):
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        support = [j for j in range(c, n_cols) if prow[j]]
-        inv = ONE / prow[c]
-        if inv != 1:
-            for j in support:
-                prow[j] *= inv
-        entries = [(j, prow[j]) for j in support]
-        for i in range(n_rows):
-            row = rows[i]
-            f = row[c]
-            if f and i != r:
-                for j, b in entries:
-                    row[j] -= f * b
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
-
-
-def frozen_rref(rows):
-    work = [list(row) for row in rows]
-    reduced, pivots = frozen_rref_rows(work)
-    return [tuple(reduced[i]) for i in range(len(pivots))], pivots
-
-
-def frozen_from_vectors(ambient_dim, vectors):
-    basis, pivots = frozen_rref([vec(v) for v in vectors])
-    return DenseSubspace(ambient_dim, tuple(basis), tuple(pivots))
-
-
-def frozen_echelon_kernel(reduced, pivots, n_cols):
-    pivot_set = set(pivots)
-    vectors = []
-    for fc in (c for c in range(n_cols) if c not in pivot_set):
-        v = [ZERO] * n_cols
-        v[fc] = ONE
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[fc]
-        vectors.append(tuple(v))
-    return frozen_from_vectors(n_cols, vectors)
-
-
-def frozen_kernel_basis(m):
-    reduced, pivots = frozen_rref(m.entries)
-    return frozen_echelon_kernel(reduced, pivots, m.cols)
-
-
-def frozen_reduce(space, v):
-    w = list(v)
-    for row, p in zip(space.basis, space.pivots):
-        f = w[p]
-        if f:
-            for j, b in enumerate(row):
-                if b:
-                    w[j] -= f * b
-    return tuple(w)
-
-
-def frozen_quotient_basis(w, v):
-    assert all(not any(frozen_reduce(w, b)) for b in v.basis)
-    reduced = [frozen_reduce(v, b) for b in w.basis]
-    reps, _ = frozen_rref([r for r in reduced if any(x != 0 for x in r)])
-    return tuple(reps)
-
-
-def frozen_cocycle_bases(rep):
-    d2 = matrix_of_coboundary_2(rep)
-    reduced, pivots = frozen_rref(d2.entries)
-    z2 = frozen_echelon_kernel(reduced, pivots, d2.cols)
-    z2l = frozen_kernel_basis(RatMatrix(tuple(reduced) + cyclic_sum_matrix(rep.dim).entries))
-    return z2, z2l
-
-
-def frozen_coboundary_image(rep, lagrangian):
-    basis = frozen_d1_basis(rep.dim, lagrangian)
-    images = frozen_matrix_of_coboundary_1(rep, basis).transpose().entries
-    width = (rep.dim * (rep.dim - 1) // 2) * rep.dim
-    return frozen_from_vectors(width, images)
-
-
-def frozen_cohomology(rep):
-    n = rep.dim
-    z2, z2l = frozen_cocycle_bases(rep)
-    b2 = frozen_coboundary_image(rep, lagrangian=False)
-    b2l = frozen_coboundary_image(rep, lagrangian=True)
-    h2_reps = frozen_quotient_basis(z2, b2)
-    h2l_reps = frozen_quotient_basis(z2l, b2l)
-    natural_rank = frozen_from_vectors(z2l.ambient_dim, z2l.basis + b2.basis).dim - b2.dim
-    return CohomologySummary(
-        dim_c1=n * n,
-        dim_c1_lagrangian=n * (n + 1) // 2,
-        dim_z2=z2.dim,
-        dim_b2=b2.dim,
-        dim_b2_lagrangian=b2l.dim,
-        dim_z2_lagrangian=z2l.dim,
-        dim_h2=z2.dim - b2.dim,
-        dim_h2_lagrangian=z2l.dim - b2l.dim,
-        natural_map_rank=natural_rank,
-        h2_representatives=tuple(TwoCochain.unflatten(n, v) for v in h2_reps),
-        h2_lagrangian_representatives=tuple(TwoCochain.unflatten(n, v) for v in h2l_reps),
-    )
-
-
-# ---------------------------------------------------------------------------
-# the cohomology path against the frozen dense path
+# the cohomology path against the reference
 # ---------------------------------------------------------------------------
 
 
@@ -194,13 +68,12 @@ def canonical_rep(label):
     return dual_representation(canonical_connection(ext))
 
 
-def assert_cohomology_matches_frozen(rep):
-    summary = cohomology(rep)
-    assert repr(summary) == repr(frozen_cohomology(rep))
+def assert_cohomology_matches_reference(rep):
+    assert repr(cohomology(rep)) == repr(expected_cohomology(rep))
     z2, z2l = cocycle_bases(rep)
-    frozen_z2, frozen_z2l = frozen_cocycle_bases(rep)
-    assert spelled(z2) == spelled(frozen_z2)
-    assert spelled(z2l) == spelled(frozen_z2l)
+    expected_z2, expected_z2l = reference.cocycles(brackets(rep.connection.base), rho(rep.connection))
+    assert spelled(z2) == spelled(expected_z2)
+    assert spelled(z2l) == spelled(expected_z2l)
 
 
 def spelled(space):
@@ -211,22 +84,17 @@ def spelled(space):
 def test_cohomology_matches_frozen_dense_path_on_flat_catalog_rows():
     rows = set()
     checked = 0
-    for entry in table1_entries():
-        if entry.suspect:
-            continue
-        for sample in sample_parameters(entry, 2):
-            conn = instantiate(entry, sample)
-            if check_flat_torsion_free(conn).ok:
-                rows.add(entry.label)
-                assert_cohomology_matches_frozen(dual_representation(conn))
-                checked += 1
+    for conn in flat_samples(2):
+        rows.add(conn.label)
+        assert_cohomology_matches_reference(dual_representation(conn))
+        checked += 1
     assert len(rows) == 64
     assert checked > 64
 
 
 @pytest.mark.parametrize("label", ["l_26", "t_8"])
 def test_cohomology_matches_frozen_dense_path_in_dimension_eight(label):
-    assert_cohomology_matches_frozen(canonical_rep(label))
+    assert_cohomology_matches_reference(canonical_rep(label))
 
 
 @pytest.mark.parametrize(
@@ -241,7 +109,7 @@ def test_cohomology_matches_frozen_dense_path_in_dimension_eight(label):
 )
 def test_cohomology_matches_frozen_dense_path_below_three_dimensions(conn):
     rep = dual_representation(conn)
-    assert_cohomology_matches_frozen(rep)
+    assert_cohomology_matches_reference(rep)
     width = (conn.dim * (conn.dim - 1) // 2) * conn.dim
     assert matrix_of_coboundary_2(rep).entries == ((ZERO,) * width,)
 
@@ -388,7 +256,7 @@ def test_linalg_error_messages_are_unchanged():
     with pytest.raises(ValueError, match="^inverse of non-square matrix$"):
         RatMatrix.from_rows([[1, 2]]).inverse()
     with pytest.raises(ValueError, match="^right-hand side length does not match row count$"):
-        solve_linear(RatMatrix.identity(2), vec([1, 2, 3]))
+        solve_linear(RatMatrix.from_rows([[1, 0], [0, 1]]), vec([1, 2, 3]))
     with pytest.raises(ValueError, match="^vector length does not match ambient dimension$"):
         Subspace.from_vectors(3, [vec([1, 2])])
     with pytest.raises(TypeError, match=r"^cannot interpret 0\.5 as a rational$"):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from inputs import perturbed, random_lagrangian_cocycle, shifted
 from lagext import connection, extension, lie, linalg, verify
 from lagext.catalog import connection_for, entry_by_label, instantiate, sample_parameters
 from lagext.connection import CompletenessEvidence, FlatConnection
@@ -26,8 +27,6 @@ from lagext.verify import (
     run_verify_catalog,
     verify_entry,
 )
-from test_extension import random_lagrangian_cocycle
-from test_sparse_oracles import perturbed, shifted
 
 
 def test_fail_records_must_carry_witness():
