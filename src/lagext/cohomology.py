@@ -37,17 +37,19 @@ the cyclic-sum rows (``_cocycle_columns``, through
 and B^2 continues a copy of it with the unit images d(E_ik), i < k.
 ``cohomology`` keeps all four as coprime int echelon rows: the exact checks
 B^2 <= Z^2 and B^2_L <= Z^2_L and the rank of H^2_L -> H^2 reduce copies of
-them, and Fractions are written only for the H^2 and H^2_L representatives,
-the rows of Z^2 and Z^2_L at the pivots B^2 and B^2_L lack
-(``linalg._quotient_pivots``).  ``cocycle_bases`` and ``coboundary_image``
+them, and the summary keeps the int rows of Z^2 and Z^2_L with the pivots
+B^2 and B^2_L lack (``linalg._quotient_pivots``).  The H^2 and H^2_L
+representatives, the rows at those pivots, are decoded to Fraction
+2-cochains on first read.  ``cocycle_bases`` and ``coboundary_image``
 store the same int rows as ``Subspace``s, which write Fractions only when a
 caller reads their ``rows``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .connection import DualRep
@@ -461,7 +463,13 @@ def coboundary_image(rep: DualRep, lagrangian: bool) -> Subspace:
 
 @dataclass(frozen=True)
 class CohomologySummary:
-    """Dimensions and quotient representatives of the extension cohomologies."""
+    """Dimensions and quotient representatives of the extension cohomologies.
+
+    The representatives are views, decoded on first read from the coprime int
+    echelon rows of Z^2 and Z^2_L that ``cohomology`` keeps with the pivots
+    B^2 and B^2_L lack.  Those rows and pivots are private, and stay out of
+    ``==`` and ``repr``.
+    """
 
     dim_c1: int
     dim_c1_lagrangian: int
@@ -472,8 +480,29 @@ class CohomologySummary:
     dim_h2: int
     dim_h2_lagrangian: int
     natural_map_rank: int        # rank of H^2_L -> H^2
-    h2_representatives: tuple[TwoCochain, ...]
-    h2_lagrangian_representatives: tuple[TwoCochain, ...]
+    # (n, Z^2, the H^2 pivots, Z^2_L, the H^2_L pivots): Z^2 and Z^2_L as
+    # ``_echelon``'s int rows {pivot: row}, each with the pivots B^2 (or
+    # B^2_L) lacks.
+    _cocycles: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def h2_representatives(self) -> tuple[TwoCochain, ...]:
+        """A 2-cochain per basis class of H^2: the reduced echelon rows of Z^2
+        at the pivots B^2 lacks."""
+        n, z2, h2, _, _ = self._cocycles
+        return _representatives(n, z2, h2)
+
+    @cached_property
+    def h2_lagrangian_representatives(self) -> tuple[TwoCochain, ...]:
+        """A 2-cochain per basis class of H^2_L: the reduced echelon rows of
+        Z^2_L at the pivots B^2_L lacks."""
+        n, _, _, z2l, h2l = self._cocycles
+        return _representatives(n, z2l, h2l)
+
+
+def _representatives(n: int, z: dict, pivots: list[int]) -> tuple[TwoCochain, ...]:
+    """The int echelon rows of z at the pivots, each divided by its pivot entry, as 2-cochains."""
+    return tuple(_two_cochain_from_row(n, _normalised(z[p], p)) for p in pivots)
 
 
 def cohomology(rep: DualRep) -> CohomologySummary:
@@ -486,9 +515,9 @@ def cohomology(rep: DualRep) -> CohomologySummary:
     (``_coboundaries``).  B^2 <= Z^2 and B^2_L <= Z^2_L are checked exactly,
     as the certificates d o d = 0 and d(C^1_L) <= Z^2_L
     (``linalg._quotient_pivots``, which raises ValueError when one fails).
-    The rank is dim (Z^2_L + B^2) - dim B^2.  Fractions are made only for
-    the representatives: the reduced echelon rows of Z^2 (or Z^2_L) at the
-    pivots B^2 (or B^2_L) lacks.
+    The rank is dim (Z^2_L + B^2) - dim B^2.  No Fraction is made here: the
+    summary keeps the int rows of Z^2 and Z^2_L and the pivots B^2 and B^2_L
+    lack, and decodes the representatives from them on first read.
     """
     n = rep.dim
     z2, z2l = map(_kernel_ints, _cocycle_columns(rep))
@@ -507,10 +536,7 @@ def cohomology(rep: DualRep) -> CohomologySummary:
         dim_h2=len(h2),
         dim_h2_lagrangian=len(h2l),
         natural_map_rank=len(total) - len(b2),
-        h2_representatives=tuple(_two_cochain_from_row(n, _normalised(z2[p], p)) for p in h2),
-        h2_lagrangian_representatives=tuple(
-            _two_cochain_from_row(n, _normalised(z2l[p], p)) for p in h2l
-        ),
+        _cocycles=(n, z2, h2, z2l, h2l),
     )
 
 

@@ -439,7 +439,7 @@ def symplectic_orthogonal(s: SymplecticLieAlgebra, j: Subspace) -> Subspace:
     of J's int echelon rows u, read on ints.  A nonzero J of another ambient
     dimension raises."""
     if j.dim and j.ambient_dim != s.dim:
-        raise ValueError("vector length does not match column count")
+        raise ValueError("ambient dimension mismatch")
     return _kernel([_int_omega_row(s, u.items()) for u in j.ints], s.dim)
 
 

@@ -9,11 +9,11 @@ inputs it always did.
 
 import ast
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import reference
 from lagext.catalog import instantiate, sample_parameters, table1_entries
 from lagext.cohomology import (
-    CohomologySummary,
     OneCochain,
     TwoCochain,
     cocycle_bases,
@@ -151,22 +151,35 @@ def spanned(space):
     return reference.span(space.ambient_dim, space.basis)
 
 
+SUMMARY_FIELDS = (
+    "dim_c1", "dim_c1_lagrangian", "dim_z2", "dim_b2", "dim_b2_lagrangian",
+    "dim_z2_lagrangian", "dim_h2", "dim_h2_lagrangian", "natural_map_rank",
+    "h2_representatives", "h2_lagrangian_representatives",
+)
+
+
+def summary(*values):
+    """A plain record of the nine dimensions and the two representative
+    tuples of a cohomology summary, in the order of ``SUMMARY_FIELDS``."""
+    return SimpleNamespace(**dict(zip(SUMMARY_FIELDS, values, strict=True)))
+
+
 def expected_cohomology(rep):
-    """The reference's ``CohomologySummary`` of a dual representation."""
+    """The reference's cohomology summary of a dual representation, as a ``summary``."""
     n = rep.dim
     h = reference.cohomology(brackets(rep.connection.base), rho(rep.connection))
-    return CohomologySummary(
-        dim_c1=n * n,
-        dim_c1_lagrangian=n * (n + 1) // 2,
-        dim_z2=h.z2.dim,
-        dim_b2=h.b2.dim,
-        dim_b2_lagrangian=h.b2_lagrangian.dim,
-        dim_z2_lagrangian=h.z2_lagrangian.dim,
-        dim_h2=h.z2.dim - h.b2.dim,
-        dim_h2_lagrangian=h.z2_lagrangian.dim - h.b2_lagrangian.dim,
-        natural_map_rank=h.natural_map_rank,
-        h2_representatives=tuple(TwoCochain(n, v) for v in h.h2_representatives),
-        h2_lagrangian_representatives=tuple(TwoCochain(n, v) for v in h.h2_lagrangian_representatives),
+    return summary(
+        n * n,
+        n * (n + 1) // 2,
+        h.z2.dim,
+        h.b2.dim,
+        h.b2_lagrangian.dim,
+        h.z2_lagrangian.dim,
+        h.z2.dim - h.b2.dim,
+        h.z2_lagrangian.dim - h.b2_lagrangian.dim,
+        h.natural_map_rank,
+        tuple(TwoCochain(n, v) for v in h.h2_representatives),
+        tuple(TwoCochain(n, v) for v in h.h2_lagrangian_representatives),
     )
 
 
@@ -186,6 +199,16 @@ def typed(value):
     if kind is RatMatrix:
         return typed(value.entries)
     return (kind, value)
+
+
+def summary_text(s):
+    """The nine dimensions and both representative tuples of a cohomology
+    summary (or of a ``summary``), each spelled by ``repr``, so values and
+    scalar types must both agree: ``CohomologySummary(dim_c1=..., ...,
+    h2_lagrangian_representatives=...)``, the dataclass repr of the summary
+    while its representatives were fields."""
+    fields = ", ".join(f"{name}={getattr(s, name)!r}" for name in SUMMARY_FIELDS)
+    return f"CohomologySummary({fields})"
 
 
 def outcome(call):

@@ -331,7 +331,7 @@ def test_each_bracket_table_is_scaled_once(monkeypatch):
 def test_a_subspace_of_another_ambient_dimension_is_rejected(function, ambient):
     ext = build_extension(triple("l_26"))
     j = Subspace.from_vectors(ambient, [unit_vector(ambient, 0)])
-    with pytest.raises(ValueError, match="^vector length does not match column count$"):
+    with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
         function(ext, j)
 
 

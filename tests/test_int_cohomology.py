@@ -3,17 +3,20 @@
 ``cohomology`` keeps Z^2, Z^2_L, B^2_L and B^2 as the coprime int rows of
 ``linalg._echelon``: the two cocycle spaces read off one elimination by
 ``linalg._kernel_ints``, B^2 continuing a copy of B^2_L.  The checks
-B^2 <= Z^2 and B^2_L <= Z^2_L and the rank of H^2_L -> H^2 run on those rows,
-and only the representatives are written as Fractions.  Pinned here:
+B^2 <= Z^2 and B^2_L <= Z^2_L and the rank of H^2_L -> H^2 run on those rows.
+The summary keeps the rows of Z^2 and Z^2_L, and writes the representatives
+as Fractions only when they are read.  Pinned here:
 
-- every ``CohomologySummary`` field, and the rows of ``cocycle_bases``,
-  ``coboundary_image``, ``quotient_basis`` and ``symplectic_orthogonal``, on
-  134 inputs (the 108 flat ``--samples 3`` catalog samples, 24 seeded
-  truncated-polynomial structures for n = 3..6, and the canonical connections
-  of the zero-cocycle extensions of ``l_26`` and ``t_8``), as SHA-256 digests
-  of their reprs taken from the Fraction-subspace implementation;
-- the calls ``cohomology`` makes: seven eliminations, one ``_normalised``
-  write per representative, and no ``Subspace``;
+- every ``CohomologySummary`` dimension and both representative tuples, and
+  the rows of ``cocycle_bases``, ``coboundary_image``, ``quotient_basis`` and
+  ``symplectic_orthogonal``, on 134 inputs (the 108 flat ``--samples 3``
+  catalog samples, 24 seeded truncated-polynomial structures for n = 3..6,
+  and the canonical connections of the zero-cocycle extensions of ``l_26``
+  and ``t_8``), as SHA-256 digests of their reprs taken from the
+  Fraction-subspace implementation;
+- the calls ``cohomology`` makes: seven eliminations, no ``Subspace``, no
+  Fraction and no 2-cochain; and the representatives, decoded once on first
+  read, one ``_normalised`` write each, equal to the reference's;
 - that each exact check raises when its certificate fails;
 - the shape checks of ``two_cochain_from_coefficients`` and ``OneCochain``.
 """
@@ -25,7 +28,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from inputs import flat_samples
+import reference
+from inputs import brackets, flat_samples, rho, summary_text
 from lagext.catalog import connection_for
 from lagext.cohomology import (
     OneCochain,
@@ -93,8 +97,9 @@ GROUPS = {
 }
 
 # Taken from the implementation that wrote Z^2, Z^2_L, B^2 and B^2_L as
-# Fraction subspaces: count, then the digests of the summaries, of the
-# spaces and quotient bases, and of the symplectic orthogonals.
+# Fraction subspaces: count, then the digests of the summaries (their
+# ``summary_text``, which is the repr they had then), of the spaces and
+# quotient bases, and of the symplectic orthogonals.
 PINNED = {
     "flat": (
         108,
@@ -130,7 +135,7 @@ def test_summaries_and_spaces_are_those_of_the_fraction_subspace_path(group):
     summaries, spaces, orthogonals = [], [], []
     for conn in GROUPS[group]():
         rep = dual_representation(conn)
-        summaries.append(repr(cohomology(rep)))
+        summaries.append(summary_text(cohomology(rep)))
         z2, z2l = cocycle_bases(rep)
         b2, b2l = coboundary_image(rep, False), coboundary_image(rep, True)
         spaces.append(repr((rows_of(z2), rows_of(z2l), rows_of(b2), rows_of(b2l),
@@ -189,13 +194,53 @@ def test_cohomology_makes_seven_eliminations_and_writes_only_the_representatives
 
     monkeypatch.setattr(F, "__new__", counting_new)
     summary = cohomology(rep)
-    monkeypatch.undo()
-    reps = summary.h2_representatives + summary.h2_lagrangian_representatives
     # d2, cyclic sums, B^2_L, the B^2 continuation, the two checks, the rank
     assert calls["_echelon"] == 7
+    assert calls["_normalised"] == made[0] == 0
+    reps = summary.h2_representatives + summary.h2_lagrangian_representatives
+    monkeypatch.undo()
+    assert calls["_echelon"] == 7  # reading the representatives eliminates nothing
     assert calls["_normalised"] == summary.dim_h2 + summary.dim_h2_lagrangian == len(reps) > 0
     # One Fraction per off-pivot entry of a representative, at most.
     assert 0 < made[0] <= sum(sum(1 for x in r.values if x) - 1 for r in reps)
+
+
+def representative_inputs():
+    """The 108 flat ``--samples 3`` catalog samples, then the canonical
+    connections of the zero-class extensions of l_26 and t_8."""
+    yield from flat_samples()
+    yield from canonical_connections()
+
+
+def test_representatives_are_decoded_once_on_first_read_and_equal_the_reference(monkeypatch):
+    real = cohomology_module._two_cochain_from_row
+    decoded = [0]
+
+    def counted(*args):
+        decoded[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(cohomology_module, "_two_cochain_from_row", counted)
+    checked = eight = 0
+    for conn in representative_inputs():
+        rep = dual_representation(conn)
+        decoded[0] = 0  # building the canonical connections writes a zero cocycle
+        summary = cohomology(rep)
+        assert summary == cohomology(rep) and "representatives" not in repr(summary)
+        assert decoded[0] == 0
+        expected = reference.cohomology(brackets(rep.connection.base), rho(rep.connection))
+        for name, values in (
+            ("h2_representatives", expected.h2_representatives),
+            ("h2_lagrangian_representatives", expected.h2_lagrangian_representatives),
+        ):
+            reps = getattr(summary, name)
+            assert getattr(summary, name) is reps
+            assert decoded[0] == len(reps) == len(values)
+            assert repr(tuple(r.values for r in reps)) == repr(values)
+            decoded[0] = 0
+        checked += 1
+        eight += rep.dim == 8
+    assert (checked, eight) == (110, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Three kinds of check:
 - the whole cohomology path against tests/reference.py, which computes Z^2,
   Z^2_L, B^2, B^2_L and the H^2 representatives from their definitions by
   Gauss-Jordan elimination on Fractions.  Results are compared by
-  ``repr``, so values and scalar types must both agree;
+  ``repr`` (a summary by ``inputs.summary_text``: its nine dimensions and
+  both representative tuples), so values and scalar types must both agree;
 - an independent oracle for the kernel: sympy's ``Matrix.rref`` on
   mostly-zero matrices;
 - a guard that ``cohomology`` never builds the dense d2 matrix and that
@@ -21,7 +22,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import reference
-from inputs import brackets, expected_cohomology, flat_samples, rho
+from inputs import brackets, expected_cohomology, flat_samples, rho, summary_text
 from lagext.catalog import connection_for
 from lagext.cohomology import (
     _cyclic_sum_rows,
@@ -69,7 +70,7 @@ def canonical_rep(label):
 
 
 def assert_cohomology_matches_reference(rep):
-    assert repr(cohomology(rep)) == repr(expected_cohomology(rep))
+    assert summary_text(cohomology(rep)) == summary_text(expected_cohomology(rep))
     z2, z2l = cocycle_bases(rep)
     expected_z2, expected_z2l = reference.cocycles(brackets(rep.connection.base), rho(rep.connection))
     assert spelled(z2) == spelled(expected_z2)

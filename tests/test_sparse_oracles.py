@@ -36,6 +36,7 @@ from inputs import (
     seeded_one_cochains,
     seeded_unitriangular,
     spanned,
+    summary_text,
     typed,
     vector_text,
 )
@@ -105,12 +106,10 @@ linalg_module = importlib.import_module("lagext.linalg")
 
 
 def assert_connection_layer_matches_reference(conn):
-    """The sweep, the dual's law check and the completeness evidence, any connection."""
+    """The sweep (witness lines included), the dual's law check and the
+    completeness evidence, any connection."""
     c, g = brackets(conn.base), gamma(conn)
-    report = check_flat_torsion_free(conn)
-    assert typed((report.torsion, report.curvature, report.associator)) == typed(
-        (reference.torsion(c, g), reference.curvature(c, g), reference.associator(g))
-    )
+    report = assert_sweep_matches_reference(conn)
     evidence = _completeness(conn)
     complete, traces, nilindex, right_nilpotent = reference.completeness(g)
     assert (evidence.complete, typed(evidence.traces)) == (complete, typed(traces))
@@ -127,14 +126,38 @@ def assert_connection_layer_matches_reference(conn):
 
 
 def test_connection_layer_matches_dense_code_on_every_catalog_sample():
-    checked = flat = 0
+    """The sweep, with the witnesses of the defective rows byte for byte, the
+    completeness evidence and the dual's law check; Jacobi on each base and
+    on a seeded corruption of it; and Z2, Z2_L of each flat sample."""
+    rng = rng_for(151, "integer-kernels-catalog")
+    first_torsion = {}
+    checked = ok = flat = 0
     for entry in table1_entries():
         for sample in sample_parameters(entry, 3):
             conn = instantiate(entry, sample)
-            if isinstance(conn, FlatConnection):
-                flat += assert_connection_layer_matches_reference(conn).ok
-                checked += 1
-    assert (checked, flat) == (113, 108)
+            if not isinstance(conn, FlatConnection):
+                continue
+            report = assert_connection_layer_matches_reference(conn)
+            checked += 1
+            ok += report.ok
+            if report.torsion:
+                first_torsion.setdefault(entry.label, []).append(sweep_lines(
+                    (report.torsion, report.curvature, report.associator))[0])
+            base = conn.base
+            assert_jacobi_matches_reference(base)
+            if base.dim >= 3:
+                p = rng.randrange(len(base.pairs))
+                shifted_base = with_bracket_shifted(base, p, rng.randrange(base.dim), F(rng.choice([1, -2]), 3))
+                assert_jacobi_matches_reference(shifted_base)
+            if report.flat:
+                flat += 1
+                assert_elimination_matches_reference(conn.dual)
+    assert (checked, ok, flat) == (113, 108, 108)
+    assert first_torsion == {
+        "t_6": ["T(e2,e4) = (0, 0, -1/6, 0)"],
+        "t_7": ["T(e2,e4) = (0, 0, -1/6, 0)"],
+        "t_20": ["T(e2,e3) = (0, 0, -1, 0)", "T(e2,e3) = (0, 0, -2, 0)", "T(e2,e3) = (0, 0, -1/3, 0)"],
+    }
 
 
 def test_connection_layer_matches_dense_code_on_canonical_and_induced_connections():
@@ -830,7 +853,7 @@ def assert_d1_matches_reference(rep, rng):
     expected = expected_cohomology(rep)
     for lagrangian, space in ((False, h.b2), (True, h.b2_lagrangian)):
         assert typed(coboundary_image(rep, lagrangian)) == typed(space)
-    assert repr(cohomology(rep)) == repr(expected)
+    assert summary_text(cohomology(rep)) == summary_text(expected)
     seen = Counter()
     for alpha, beta in d1_targets(rep, rng):
         for flag in (False, True):
@@ -975,10 +998,8 @@ def subspace_battery(s, rng):
     return sets
 
 
-def assert_symplectic_layer_matches_reference(s, omega, sets, rng, seen):
-    """The form and its views, dw of the own and of explicit forms, and for each
-    spanning set: the echelon basis, the orthogonal, the verdict, the
-    quotient, the reduction and, for a Lagrangian ideal, the induced table."""
+def assert_form_matches_reference(s, omega, rng):
+    """The form and its views, and dw of the own and of explicit forms."""
     n = s.dim
     c = brackets(s.algebra)
     assert typed(s.omega) == typed(omega)
@@ -999,44 +1020,64 @@ def assert_symplectic_layer_matches_reference(s, omega, sets, rng, seen):
     assert outcome(lambda: d_omega(s, large)) == (
         ValueError, "omega shape does not match algebra dimension"
     )
+
+
+def spaces_of(s, omega, sets):
+    """Each spanning set as its Subspace J, checked against the reference's
+    echelon span of it, with that span and the reference's reduction by it."""
+    c = brackets(s.algebra)
+    spaces = []
     for vectors in sets:
-        # The reference gets the same J, whose echelon basis is checked first.
-        j = Subspace.from_vectors(n, vectors)
-        expected_j = reference.span(n, vectors)
+        j = Subspace.from_vectors(s.dim, vectors)
+        expected_j = reference.span(s.dim, vectors)
         assert typed(j) == typed(expected_j)
-        reduction = reference.reduction(c, omega, expected_j)
-        assert typed(symplectic_orthogonal(s, j)) == typed(reduction.orthogonal)
-        verdict = is_lagrangian_ideal(s, j)
-        assert (verdict.status, verdict.normal) == reduction.verdict
-        seen["verdict", verdict.status, verdict.normal] += 1
-        quotient = outcome(lambda: quotient_algebra(s.algebra, j, "q"))
-        if reduction.is_ideal:
-            tensor = reference.quotient_tensor(c, expected_j)
-            assert typed(algebra_value(quotient)) == typed((len(tensor), reference.pairs_of(tensor), "q"))
-        else:
-            assert quotient == (ValueError, "subspace is not an ideal")
-        reduced = outcome(lambda: symplectic_reduction(s, j))
-        expected = expected_reduction(reduction, s.algebra.name)
-        if isinstance(reduced, SymplecticLieAlgebra):
-            algebra, reduced_omega = expected
-            assert typed(algebra_value(reduced.algebra)) == typed(algebra)
-            assert typed(reduced.omega) == typed(reduced_omega)
-            assert typed(reduced.form) == typed(reference.pair_coordinates(reduced_omega))
-            seen["reduced", reduced.dim] += 1
-        else:
-            assert reduced == expected
-        if verdict.is_lagrangian:
-            assert typed(induced_flat_connection(s, j).gamma) == typed(
-                reference.induced_gamma(c, omega, expected_j)
-            )
+        spaces.append((j, expected_j, reference.reduction(c, omega, expected_j)))
+    return spaces
 
 
-def assert_extension_forms_match_reference(triple, rng, seen):
-    """The symplectic layer of the triple's extension, its canonical table, psi
-    for a symmetric and a non-symmetric sigma, and the adjusted form."""
-    ext = build_extension(triple)
-    omega = reference.standard_omega(triple.connection.dim)
-    assert_symplectic_layer_matches_reference(ext, omega, subspace_battery(ext, rng), rng, seen)
+def assert_subspace_forms_match_reference(s, c, omega, space, seen):
+    """The orthogonal of J, its verdict, the quotient, the reduction and, for
+    a Lagrangian ideal, the induced table; c is the bracket tensor of s."""
+    j, expected_j, reduction = space
+    assert typed(symplectic_orthogonal(s, j)) == typed(reduction.orthogonal)
+    verdict = is_lagrangian_ideal(s, j)
+    assert (verdict.status, verdict.normal) == reduction.verdict
+    seen["verdict", verdict.status, verdict.normal] += 1
+    quotient = outcome(lambda: quotient_algebra(s.algebra, j, "q"))
+    if reduction.is_ideal:
+        tensor = reference.quotient_tensor(c, expected_j)
+        assert typed(algebra_value(quotient)) == typed((len(tensor), reference.pairs_of(tensor), "q"))
+    else:
+        assert quotient == (ValueError, "subspace is not an ideal")
+    reduced = outcome(lambda: symplectic_reduction(s, j))
+    expected = expected_reduction(reduction, s.algebra.name)
+    if isinstance(reduced, SymplecticLieAlgebra):
+        algebra, reduced_omega = expected
+        assert typed(algebra_value(reduced.algebra)) == typed(algebra)
+        assert typed(reduced.omega) == typed(reduced_omega)
+        assert typed(reduced.form) == typed(reference.pair_coordinates(reduced_omega))
+        seen["reduced", reduced.dim] += 1
+    else:
+        assert reduced == expected
+    if verdict.is_lagrangian:
+        assert typed(induced_flat_connection(s, j).gamma) == typed(
+            reference.induced_gamma(c, omega, expected_j)
+        )
+
+
+def assert_symplectic_layer_matches_reference(s, omega, sets, rng, seen):
+    """The form and its views, dw of the own and of explicit forms, and for each
+    spanning set: the echelon basis, the orthogonal, the verdict, the
+    quotient, the reduction and, for a Lagrangian ideal, the induced table."""
+    assert_form_matches_reference(s, omega, rng)
+    c = brackets(s.algebra)
+    for space in spaces_of(s, omega, sets):
+        assert_subspace_forms_match_reference(s, c, omega, space, seen)
+
+
+def assert_lagrangian_tables_match_reference(triple, ext, omega, rng, seen):
+    """For a Lagrangian class: the canonical table, psi for a symmetric and a
+    non-symmetric sigma, and the adjusted form."""
     if triple.cocycle.is_lagrangian:
         assert typed(canonical_connection(ext).gamma) == typed(
             reference.canonical_gamma(brackets(ext.algebra), omega)
@@ -1048,22 +1089,60 @@ def assert_extension_forms_match_reference(triple, rng, seen):
         seen["lagrangian classes"] += 1
 
 
+def assert_extension_forms_match_reference(triple, rng, seen):
+    """The symplectic layer of the triple's extension, its canonical table, psi
+    for a symmetric and a non-symmetric sigma, and the adjusted form."""
+    ext = build_extension(triple)
+    omega = reference.standard_omega(triple.connection.dim)
+    assert_symplectic_layer_matches_reference(ext, omega, subspace_battery(ext, rng), rng, seen)
+    assert_lagrangian_tables_match_reference(triple, ext, omega, rng, seen)
+
+
+def assert_zero_class_matches_reference(conn, form_rng, maps_rng, form_seen, maps_seen):
+    """The zero-class extension of conn under both ``assert_extension_forms_match_reference``
+    (drawing from form_rng) and ``assert_sparse_maps_match_reference`` (drawing
+    from maps_rng), each stream drawn in the order those draw it.  The
+    subspaces of both batteries are checked once: all but their seeded lines
+    coincide."""
+    triple = ExtensionTriple(conn, TwoCochain.zero(conn.dim))
+    ext = build_extension(triple)
+    omega = reference.standard_omega(conn.dim)
+    form_sets = subspace_battery(ext, form_rng)
+    assert_form_matches_reference(ext, omega, form_rng)
+    assert_lagrangian_tables_match_reference(triple, ext, omega, form_rng, form_seen)
+    assert_solves_match_reference(triple, ext, maps_rng, maps_seen)
+    maps_sets = subspace_battery(ext, maps_rng)
+    spaces = spaces_of(ext, omega, form_sets + [v for v in maps_sets if v not in form_sets])
+    c = brackets(ext.algebra)
+    for space in spaces:
+        assert_subspace_forms_match_reference(ext, c, omega, space, form_seen)
+        assert_subspace_maps_match_reference(ext, c, space, spaces[1:3], maps_seen)
+
+
 def test_forms_and_subspaces_match_frozen_dense_code_on_every_flat_catalog_sample():
-    """Zero-class and seeded Z2_L-class extensions of every flat sample at 3 samples."""
-    rng = rng_for(113, "sparse-oracles-form")
-    seen = Counter()
+    """Every flat sample at 3 samples: its zero-class extension and two seeded
+    Z2_L-class ones, one under the symplectic layer and one under the linear
+    maps as sparse columns; the zero class under both."""
+    form_rng = rng_for(113, "sparse-oracles-form")
+    maps_rng = rng_for(173, "sparse-maps-catalog")
+    form_seen, maps_seen = Counter(), Counter()
     for conn in flat_samples(3):
-        for alpha in (TwoCochain.zero(conn.dim), random_lagrangian_cocycle(conn, rng)):
-            assert_extension_forms_match_reference(ExtensionTriple(conn, alpha), rng, seen)
-    assert seen["lagrangian classes"] == 216
+        form_class = random_lagrangian_cocycle(conn, form_rng)
+        maps_class = random_lagrangian_cocycle(conn, maps_rng)
+        assert_zero_class_matches_reference(conn, form_rng, maps_rng, form_seen, maps_seen)
+        assert_extension_forms_match_reference(ExtensionTriple(conn, form_class), form_rng, form_seen)
+        assert_sparse_maps_match_reference(ExtensionTriple(conn, maps_class), maps_rng, maps_seen)
+    assert form_seen["lagrangian classes"] == maps_seen["lagrangian classes"] == 216
     # Every status, with a normal and an abnormal orthogonal, and reductions
     # to 0 and to dimension 6.
-    verdicts = {key[1:] for key in seen if key[0] == "verdict"}
+    verdicts = {key[1:] for key in form_seen if key[0] == "verdict"}
     assert {status for status, _ in verdicts} == {
         "not_ideal", "not_isotropic", "isotropic", "lagrangian"
     }
     assert {normal for _, normal in verdicts} == {True, False}
-    assert seen["reduced", 0] and seen["reduced", 6]
+    assert form_seen["reduced", 0] and form_seen["reduced", 6]
+    # Refused reductions, and reductions to 0, to 6 and to the whole algebra.
+    assert all(maps_seen["reduced", dim] for dim in (None, 0, 6, 8))
 
 
 @pytest.mark.parametrize("label", ["l_26", "t_8"])
@@ -1218,39 +1297,6 @@ def assert_elimination_matches_reference(rep):
         typed_kept(sparse_rows(space.basis)) for space in expected
     ]
     return live
-
-
-def test_integer_kernels_match_the_fraction_kernels_on_every_catalog_sample():
-    """The sweep, with the witnesses of the defective rows byte for byte,
-    Jacobi on each base and on a seeded corruption of it, and Z2, Z2_L."""
-    rng = rng_for(151, "integer-kernels-catalog")
-    first_torsion = {}
-    checked = flat = 0
-    for entry in table1_entries():
-        for sample in sample_parameters(entry, 3):
-            conn = instantiate(entry, sample)
-            if not isinstance(conn, FlatConnection):
-                continue
-            report = assert_sweep_matches_reference(conn)
-            checked += 1
-            if report.torsion:
-                first_torsion.setdefault(entry.label, []).append(sweep_lines(
-                    (report.torsion, report.curvature, report.associator))[0])
-            base = conn.base
-            assert_jacobi_matches_reference(base)
-            if base.dim >= 3:
-                p = rng.randrange(len(base.pairs))
-                shifted_base = with_bracket_shifted(base, p, rng.randrange(base.dim), F(rng.choice([1, -2]), 3))
-                assert_jacobi_matches_reference(shifted_base)
-            if report.flat:
-                flat += 1
-                assert_elimination_matches_reference(conn.dual)
-    assert (checked, flat) == (113, 108)
-    assert first_torsion == {
-        "t_6": ["T(e2,e4) = (0, 0, -1/6, 0)"],
-        "t_7": ["T(e2,e4) = (0, 0, -1/6, 0)"],
-        "t_20": ["T(e2,e3) = (0, 0, -1, 0)", "T(e2,e3) = (0, 0, -2, 0)", "T(e2,e3) = (0, 0, -1/3, 0)"],
-    }
 
 
 def test_integer_kernels_match_the_fraction_kernels_on_perturbed_connections():
@@ -1438,11 +1484,9 @@ def reduction_value(result):
     return verdict, typed(algebra_value(reduced.algebra)), typed(reduced.form)
 
 
-def assert_sparse_maps_match_reference(triple, rng, seen):
-    """Both omega solves, psi for three sigmas, the adjusted form, and for a
-    battery of subspaces the orthogonal, the verdict and reduction, and the
-    brackets with each half of the extension."""
-    ext = build_extension(triple)
+def assert_solves_match_reference(triple, ext, rng, seen):
+    """Both omega solves, and for a Lagrangian class psi for three sigmas and
+    the adjusted form."""
     n2 = ext.dim
     c, omega = brackets(ext.algebra), form(ext)
     j = ext.lagrangian_ideal
@@ -1471,33 +1515,36 @@ def assert_sparse_maps_match_reference(triple, rng, seen):
             else:
                 assert adjusted == (ValueError, "sigma_l must be a symmetric (Lagrangian) 1-cochain")
         seen["lagrangian classes"] += 1
-    spaces = [Subspace.from_vectors(n2, vectors) for vectors in subspace_battery(ext, rng)]
+
+
+def assert_subspace_maps_match_reference(ext, c, space, halves, seen):
+    """The orthogonal of J, its verdict and reduction by ``classify_and_reduce``,
+    and its brackets with each of the halves (spaces as ``spaces_of`` gives
+    them); c is the bracket tensor of ext."""
+    j, expected_j, reduction = space
+    assert typed(symplectic_orthogonal(ext, j)) == typed(reduction.orthogonal)
+    live = outcome(lambda: reduction_value(classify_and_reduce(ext, j)))
+    assert live == expected_classify_and_reduce(reduction, ext.algebra.name)
+    if isinstance(live[0], type):
+        seen["raised", live] += 1
+    else:  # None, or the dimension of the reduction
+        seen["reduced", live[1] and live[1][0][1]] += 1
+    for half, expected_half, _ in halves:
+        assert typed(bracket_of_subspaces(ext.algebra, half, j)) == typed(
+            reference.bracket_span(c, expected_half, expected_j)
+        )
+
+
+def assert_sparse_maps_match_reference(triple, rng, seen):
+    """Both omega solves, psi for three sigmas, the adjusted form, and for a
+    battery of subspaces the orthogonal, the verdict and reduction, and the
+    brackets with each half of the extension."""
+    ext = build_extension(triple)
+    assert_solves_match_reference(triple, ext, rng, seen)
+    spaces = spaces_of(ext, form(ext), subspace_battery(ext, rng))
+    c = brackets(ext.algebra)
     for space in spaces:
-        expected_space = spanned(space)
-        reduction = reference.reduction(c, omega, expected_space)
-        assert typed(symplectic_orthogonal(ext, space)) == typed(reduction.orthogonal)
-        live = outcome(lambda: reduction_value(classify_and_reduce(ext, space)))
-        assert live == expected_classify_and_reduce(reduction, ext.algebra.name)
-        if isinstance(live[0], type):
-            seen["raised", live] += 1
-        else:  # None, or the dimension of the reduction
-            seen["reduced", live[1] and live[1][0][1]] += 1
-        for half in spaces[1:3]:
-            assert typed(bracket_of_subspaces(ext.algebra, half, space)) == typed(
-                reference.bracket_span(c, spanned(half), expected_space)
-            )
-
-
-def test_sparse_maps_match_the_dense_vector_code_on_every_flat_catalog_sample():
-    """The zero-class and a seeded Z2_L-class extension of every flat sample."""
-    rng = rng_for(173, "sparse-maps-catalog")
-    seen = Counter()
-    for conn in flat_samples(3):
-        for alpha in (TwoCochain.zero(conn.dim), random_lagrangian_cocycle(conn, rng)):
-            assert_sparse_maps_match_reference(ExtensionTriple(conn, alpha), rng, seen)
-    assert seen["lagrangian classes"] == 216
-    # Refused reductions, and reductions to 0, to 6 and to the whole algebra.
-    assert seen["reduced", None] and seen["reduced", 0] and seen["reduced", 6] and seen["reduced", 8]
+        assert_subspace_maps_match_reference(ext, c, space, spaces[1:3], seen)
 
 
 def test_sparse_maps_match_the_dense_vector_code_on_seeded_extensions():
