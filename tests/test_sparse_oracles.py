@@ -127,11 +127,11 @@ def assert_connection_layer_matches_reference(conn):
 
 def test_connection_layer_matches_dense_code_on_every_catalog_sample():
     """The sweep, with the witnesses of the defective rows byte for byte, the
-    completeness evidence and the dual's law check; Jacobi on each base and
-    on a seeded corruption of it; and Z2, Z2_L of each flat sample."""
-    rng = rng_for(151, "integer-kernels-catalog")
+    completeness evidence and the dual's law check.  Jacobi and Z2, Z2_L of
+    the same samples are checked by
+    ``test_integer_kernels_match_the_fraction_kernels_on_every_catalog_sample``."""
     first_torsion = {}
-    checked = ok = flat = 0
+    checked = ok = 0
     for entry in table1_entries():
         for sample in sample_parameters(entry, 3):
             conn = instantiate(entry, sample)
@@ -143,16 +143,7 @@ def test_connection_layer_matches_dense_code_on_every_catalog_sample():
             if report.torsion:
                 first_torsion.setdefault(entry.label, []).append(sweep_lines(
                     (report.torsion, report.curvature, report.associator))[0])
-            base = conn.base
-            assert_jacobi_matches_reference(base)
-            if base.dim >= 3:
-                p = rng.randrange(len(base.pairs))
-                shifted_base = with_bracket_shifted(base, p, rng.randrange(base.dim), F(rng.choice([1, -2]), 3))
-                assert_jacobi_matches_reference(shifted_base)
-            if report.flat:
-                flat += 1
-                assert_elimination_matches_reference(conn.dual)
-    assert (checked, ok, flat) == (113, 108, 108)
+    assert (checked, ok) == (113, 108)
     assert first_torsion == {
         "t_6": ["T(e2,e4) = (0, 0, -1/6, 0)"],
         "t_7": ["T(e2,e4) = (0, 0, -1/6, 0)"],
@@ -1120,19 +1111,20 @@ def assert_zero_class_matches_reference(conn, form_rng, maps_rng, form_seen, map
 
 
 def test_forms_and_subspaces_match_frozen_dense_code_on_every_flat_catalog_sample():
-    """Every flat sample at 3 samples: its zero-class extension and two seeded
-    Z2_L-class ones, one under the symplectic layer and one under the linear
-    maps as sparse columns; the zero class under both."""
+    """Every flat sample at 3 samples: its zero-class extension under the
+    symplectic layer and under the linear maps as sparse columns, and a seeded
+    Z2_L-class one under the symplectic layer.  The seeded classes under the
+    linear maps are checked by
+    ``test_sparse_maps_match_the_dense_vector_code_on_every_flat_catalog_sample``."""
     form_rng = rng_for(113, "sparse-oracles-form")
-    maps_rng = rng_for(173, "sparse-maps-catalog")
+    maps_rng = rng_for(173, "sparse-maps-catalog", "zero class")
     form_seen, maps_seen = Counter(), Counter()
     for conn in flat_samples(3):
         form_class = random_lagrangian_cocycle(conn, form_rng)
-        maps_class = random_lagrangian_cocycle(conn, maps_rng)
         assert_zero_class_matches_reference(conn, form_rng, maps_rng, form_seen, maps_seen)
         assert_extension_forms_match_reference(ExtensionTriple(conn, form_class), form_rng, form_seen)
-        assert_sparse_maps_match_reference(ExtensionTriple(conn, maps_class), maps_rng, maps_seen)
-    assert form_seen["lagrangian classes"] == maps_seen["lagrangian classes"] == 216
+    assert form_seen["lagrangian classes"] == 216
+    assert maps_seen["lagrangian classes"] == 108
     # Every status, with a normal and an abnormal orthogonal, and reductions
     # to 0 and to dimension 6.
     verdicts = {key[1:] for key in form_seen if key[0] == "verdict"}
@@ -1143,6 +1135,20 @@ def test_forms_and_subspaces_match_frozen_dense_code_on_every_flat_catalog_sampl
     assert form_seen["reduced", 0] and form_seen["reduced", 6]
     # Refused reductions, and reductions to 0, to 6 and to the whole algebra.
     assert all(maps_seen["reduced", dim] for dim in (None, 0, 6, 8))
+
+
+def test_sparse_maps_match_the_dense_vector_code_on_every_flat_catalog_sample():
+    """A seeded Z2_L-class extension of every flat sample at 3 samples under
+    the linear maps as sparse columns.  The zero-class ones are checked by
+    ``test_forms_and_subspaces_match_frozen_dense_code_on_every_flat_catalog_sample``."""
+    rng = rng_for(173, "sparse-maps-catalog")
+    seen = Counter()
+    for conn in flat_samples(3):
+        alpha = random_lagrangian_cocycle(conn, rng)
+        assert_sparse_maps_match_reference(ExtensionTriple(conn, alpha), rng, seen)
+    assert seen["lagrangian classes"] == 108
+    # Refused reductions, and reductions to 0, to 6 and to the whole algebra.
+    assert all(seen["reduced", dim] for dim in (None, 0, 6, 8))
 
 
 @pytest.mark.parametrize("label", ["l_26", "t_8"])
@@ -1297,6 +1303,30 @@ def assert_elimination_matches_reference(rep):
         typed_kept(sparse_rows(space.basis)) for space in expected
     ]
     return live
+
+
+def test_integer_kernels_match_the_fraction_kernels_on_every_catalog_sample():
+    """Jacobi on each base and on a seeded corruption of it, and Z2, Z2_L of
+    each flat sample.  The sweep of the same samples is compared by
+    ``test_connection_layer_matches_dense_code_on_every_catalog_sample``."""
+    rng = rng_for(151, "integer-kernels-catalog")
+    checked = flat = 0
+    for entry in table1_entries():
+        for sample in sample_parameters(entry, 3):
+            conn = instantiate(entry, sample)
+            if not isinstance(conn, FlatConnection):
+                continue
+            checked += 1
+            base = conn.base
+            assert_jacobi_matches_reference(base)
+            if base.dim >= 3:
+                p = rng.randrange(len(base.pairs))
+                shifted_base = with_bracket_shifted(base, p, rng.randrange(base.dim), F(rng.choice([1, -2]), 3))
+                assert_jacobi_matches_reference(shifted_base)
+            if check_flat_torsion_free(conn).flat:
+                flat += 1
+                assert_elimination_matches_reference(conn.dual)
+    assert (checked, flat) == (113, 108)
 
 
 def test_integer_kernels_match_the_fraction_kernels_on_perturbed_connections():
