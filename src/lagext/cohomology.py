@@ -14,7 +14,8 @@ antisymmetric in (i, j), is a view decoded from them.
 
 Each differential is written once, as sparse rows in those coordinates:
 ``_coboundary_1_images`` for d1 and ``_coboundary_2_rows`` for d2, each
-read off the nonzero entries of rho and of the bracket.  The evaluators
+visiting only the nonzero entries of rho and of the bracket; a d2 row that
+nothing lands in stays in place, empty.  The evaluators
 ``coboundary_1`` and ``coboundary_2`` apply those rows to a cochain's
 nonzero coordinates, and ``cocycle_bases``, ``coboundary_image``,
 ``cohomology`` and ``solve_coboundary`` eliminate them; no dense d1 or d2
@@ -36,13 +37,13 @@ the cyclic-sum rows (``_cocycle_columns``, through
 ``linalg._free_columns``); B^2_L is one elimination of the C^1_L images,
 and B^2 continues a copy of it with the unit images d(E_ik), i < k.
 ``cohomology`` keeps all four as coprime int echelon rows: the exact checks
-B^2 <= Z^2 and B^2_L <= Z^2_L and the rank of H^2_L -> H^2 reduce copies of
-them, and the summary keeps the int rows of Z^2 and Z^2_L with the pivots
-B^2 and B^2_L lack (``linalg._quotient_pivots``).  The H^2 and H^2_L
-representatives, the rows at those pivots, are decoded to Fraction
-2-cochains on first read.  ``cocycle_bases`` and ``coboundary_image``
-store the same int rows as ``Subspace``s, which write Fractions only when a
-caller reads their ``rows``.
+B^2 <= Z^2 and B^2_L <= Z^2_L only read them, the rank of H^2_L -> H^2
+continues a copy of Z^2_L's, and the summary keeps the int rows of Z^2
+and Z^2_L with the pivots B^2 and B^2_L lack (``linalg._quotient_pivots``).
+The H^2 and H^2_L representatives, the rows at those pivots, are decoded
+to Fraction 2-cochains on first read.  ``cocycle_bases`` and
+``coboundary_image`` store the same int rows as ``Subspace``s, which write
+Fractions only when a caller reads their ``rows``.
 """
 
 from __future__ import annotations
@@ -308,16 +309,25 @@ def _coboundary_1_images(rep: DualRep, rows: list[dict]) -> list[dict]:
     This is the one formula for d1, (d sigma)(x, y) = rho(x) sigma(y) -
     rho(y) sigma(x) - sigma([x, y]): an entry sigma(e_a)_b = v, coordinate
     a * n + b, adds, for every x != a, v * rho(x)[t][b] to (d sigma)(x, a)_t,
-    and -v * c[i][j][a] to (d sigma)(e_i, e_j)_b.  It is of degree 1 in rho
-    and the bracket, so over the tables scaled by D it gives D times the
-    rational image, in ints when sigma's coordinates are ints.
+    and -v * c[i][j][a] to (d sigma)(e_i, e_j)_b.  Only nonzero entries of rho
+    and the bracket are visited: for each b, only the x whose rho(x) has a
+    nonzero column b.  It is of degree 1 in rho and the bracket, so over the
+    tables scaled by D it gives D times the rational image, in ints when
+    sigma's coordinates are ints.
     """
     n = rep.dim
     pairs = pair_list(n)
     blocks = _pair_blocks(n)
     _, entries, table = rep.integer_tables
-    # rho_cols[x][b]: the nonzero rho(x)[t][b] as (t, value).
-    rho_cols = [[[(t, v) for t, c, v in plane if c == b] for b in range(n)] for plane in entries]
+    # rho_cols[b]: (x, the nonzero rho(x)[t][b] as (t, value)) for each x
+    # ascending whose rho(x) has a nonzero column b.
+    rho_cols = [[] for _ in range(n)]
+    for x, plane in enumerate(entries):
+        by_col = {}
+        for t, c, v in plane:
+            by_col.setdefault(c, []).append((t, v))
+        for b, terms in sorted(by_col.items()):
+            rho_cols[b].append((x, terms))
     # For each a, the nonzero c[i][j][a] over pairs i < j, in pair order.
     bracket_into = [[] for _ in range(n)]
     for p, (i, j) in enumerate(pairs):
@@ -328,11 +338,11 @@ def _coboundary_1_images(rep: DualRep, rows: list[dict]) -> list[dict]:
         col = {}
         for ab, v in sigma.items():
             a, b = divmod(ab, n)
-            for x in range(n):
+            for x, terms in rho_cols[b]:
                 if x == a:
                     continue
                 start, sign = blocks[(x, a)]
-                for t, value in rho_cols[x][b]:
+                for t, value in terms:
                     col[start + t] = col.get(start + t, 0) + sign * v * value
             for start, coeff in bracket_into[a]:
                 col[start + b] = col.get(start + b, 0) - v * coeff
@@ -358,15 +368,21 @@ def _basis_images(rep: DualRep, basis: list[dict]) -> list[dict[int, int]]:
 def _coboundary_2_rows(rep: DualRep) -> list[dict[int, int]]:
     """The one formula for d2: sparse rows, one per (triple, t), read off the
     scaled ``rep.integer_tables``, so D times the rational rows; see
-    ``matrix_of_coboundary_2``.  Built once per representation, as
-    ``rep.coboundary_2_rows``."""
+    ``matrix_of_coboundary_2``.  Only nonzero entries of rho and the bracket
+    are visited: a rotation (x, y, z) with rho(x) = 0 and [e_y, e_z] = 0 adds
+    nothing, and a triple to which no rotation adds has n empty rows, kept
+    in place.  Built once per representation, as ``rep.coboundary_2_rows``."""
     n = rep.dim
     blocks = _pair_blocks(n)
     _, entries, table = rep.integer_tables
     rows = []
     for i, j, k in triple_list(n):
-        out: list[dict[int, int]] = [{} for _ in range(n)]
+        out = None
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            if not entries[x] and not table[y][z]:
+                continue
+            if out is None:
+                out = [{} for _ in range(n)]
             start, sign = blocks[(y, z)]
             for t, s, value in entries[x]:
                 row = out[t]
@@ -376,7 +392,10 @@ def _coboundary_2_rows(rep: DualRep) -> list[dict[int, int]]:
                     start, sign = blocks[(x, m)]
                     for t, row in enumerate(out):
                         row[start + t] = row.get(start + t, 0) + sign * coeff
-        rows += ({col: v for col, v in row.items() if v} for row in out)
+        if out is None:
+            rows += ({} for _ in range(n))
+        else:
+            rows += ({col: v for col, v in row.items() if v} for row in out)
     return rows
 
 

@@ -24,8 +24,8 @@ The flag runs on tables scaled by a positive D to ints: D M v spans the
 same line as M v, so each step spans the same subspace as over the
 rationals.  Every verdict (nilpotency, class, fingerprint) reads only the
 step dimensions; ``lower_central_series`` stores the steps as ``Subspace``s
-when a caller asks for them.  ``is_ideal`` is one ``_echelon`` of the int
-images [e_j, v] against a copy of the subspace's int rows.
+when a caller asks for them.  ``is_ideal`` reduces the int images
+[e_j, v] against the subspace's int rows, only reading them (``_in_span``).
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .linalg import (
     Subspace,
     Vector,
     _add,
-    _copied,
     _dense,
     _echelon,
+    _in_span,
     _integer_tables,
     _kernel,
     _pair_value,
@@ -162,12 +162,12 @@ class LieAlgebra:
 
     def is_ideal(self, sub: Subspace) -> bool:
         """[g, sub] <= sub: every D [e_j, v], v in the basis of sub, reduces to 0
-        against a copy of sub's int rows, adding no pivot.  A nonzero sub of
-        another ambient dimension raises."""
+        against sub's int rows (``_in_span``, which only reads them).  A
+        nonzero sub of another ambient dimension raises."""
         if sub.dim and sub.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
-        kept = _copied(zip(sub.pivots, sub.ints))
-        return not _echelon(_images(self.integer_brackets[1], sub.ints), kept)
+        kept = dict(zip(sub.pivots, sub.ints))
+        return _in_span(_images(self.integer_brackets[1], sub.ints), kept)
 
     def rename(self, name: str) -> "LieAlgebra":
         """The same algebra under another name, reading ``nonzero_brackets``,

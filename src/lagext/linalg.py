@@ -6,17 +6,21 @@ in lowest terms, positive denominator).  Matrices are dense tuples, and a
 nonzero entries).  Every elimination runs through one kernel on sparse rows,
 ``_echelon``:
 incremental reduced row echelon form, which reduces each incoming row against
-the pivot rows kept so far and clears its leading column from the earlier
-pivot rows.  Every routine is pure and mutates only the rows it is handed to
-consume, so the whole module is safe to use from concurrent callers.
+the pivot rows kept so far and clears its leading column from the kept rows
+that hold it, found through an index from each column to those rows, so
+that an elimination costs per nonzero entry, not per kept row.  A check
+that rows lie in a span, ``_in_span``, reduces them the same way and keeps
+nothing.  Every routine is pure and mutates only the kept rows it is handed
+to extend, so the whole module is safe to use from concurrent callers.
 
 Inside the hot kernels the arithmetic runs on Python ints, and Fractions are
 made only where a result leaves them.  ``_echelon`` is fraction-free: each
 incoming row is copied as coprime ints, scaled by a positive rational (a row
 that is already all ints, as most rows handed to it are, is only divided by
 its content, the gcd of its entries); a row is reduced by r <- b r - a k and
-divided by its content.  A row and its positive multiples span the same
-line, so the reduced echelon form is the one over the rationals.
+divided by its content again where a kept row cancelled into it.  A row
+and its positive multiples span the same line, so the reduced echelon form
+is the one over the rationals.
 A ``Subspace`` stores the kept rows, each made positive at its pivot
 (``Subspace.of``); ``_normalised`` divides a row by its pivot entry where a
 caller reads Fractions (``Subspace.rows``, ``rref``, cohomology.py's H^2
@@ -28,7 +32,7 @@ row of the reduced echelon basis of the kernel.  ``_kernel_ints`` writes
 each vector as a coprime int row, so a kernel is itself a valid ``_echelon``
 form that a caller can check, extend, or store as a ``Subspace``
 (``_kernel``).  ``_quotient_pivots`` checks V <= W exactly on int rows
-(V's rows reduced against a copy of W's) and then reads W/V off W's pivots,
+(V's rows reduced against W's, ``_in_span``) and then reads W/V off W's pivots,
 with no further elimination; ``_quotient_rows`` and ``quotient_basis`` go
 through it.  ``_inverse_rows`` inverts P by one elimination of [P | I] and
 hands back its int rows, so a caller reads each entry of P^-1 as a
@@ -52,6 +56,7 @@ rows are found, and is the same on every platform.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -257,8 +262,12 @@ def _integer_row(row: dict) -> dict[int, int]:
     """A new row: row, of nonzero Fractions or ints, times the positive
     rational that makes its entries coprime ints.  An int row is only
     divided by its content, into a copy: callers may still hold row."""
-    if all(type(x) is int for x in row.values()):
-        return _primitive(dict(row))
+    for x in row.values():
+        if type(x) is not int:
+            break
+    else:
+        g = gcd(*row.values())
+        return dict(row) if g == 1 else {j: x // g for j, x in row.items()}
     dens = {x.denominator for x in row.values()}
     if len(dens) > 1 or 1 not in dens:
         m = lcm(*dens)
@@ -288,38 +297,73 @@ def _cancel(row: dict[int, int], c: int, other: dict[int, int]) -> dict[int, int
     return row
 
 
-def _echelon(rows, ints: dict) -> set[int]:
+def _in_span(rows, ints: dict) -> bool:
+    """Whether every row lies in the span of ints, ``_echelon``'s int rows
+    {pivot: row}; both are only read.  Each row is copied as coprime ints and
+    its entry at each pivot cancelled by that pivot's row.  The kept rows are
+    zero at each other's pivots, so what is left is zero at every pivot, and
+    empty exactly when the row lies in their span; the check stops at the
+    first row that leaves a nonzero rest."""
+    for row in rows:
+        if row:
+            row = _integer_row(row)
+            for p in [j for j in row if j in ints]:
+                row = _cancel(row, p, ints[p])
+            if row:
+                return False
+    return True
+
+
+def _echelon(rows, ints: dict) -> None:
     """Add the rows to ints, {pivot column: coprime int row}, in place.
 
     The rows may hold Fractions, ints or both, and are only read.  Each is
-    copied as coprime ints (``_integer_row``), reduced against the kept rows
-    (dropped if it reaches zero), and its leading column is then cleared
-    from the kept rows, so each kept row is nonzero at its own pivot, its
-    lowest column, and zero at every other pivot.  Returns the pivots of the
-    rows it added or changed.
+    copied as coprime ints and reduced against the kept rows, as in
+    ``_in_span`` (dropped if it reaches zero), and divided by its content
+    again only if a kept row cancelled into it.  Its leading column is then
+    cleared from the kept rows that hold it, so each kept row is nonzero at
+    its own pivot, its lowest column, and zero at every other pivot.
+
+    The kept rows that hold a column are found through an index, {column:
+    pivots of the kept rows that held it}, built from ints on the first row
+    the call adds (the one walk of the kept rows) and extended as rows gain
+    columns; a pivot whose row has since lost the column is skipped.  So a
+    new pivot visits only the rows that hold its column, and the work of a
+    call is paid per nonzero entry, not per kept row.
     """
-    changed = set()
+    holders = None
     for row in rows:
         if not row:
             continue
         row = _integer_row(row)
-        for p in [j for j in row if j in ints]:
+        cancelled = [j for j in row if j in ints]
+        for p in cancelled:
             row = _cancel(row, p, ints[p])
         if not row:
             continue
-        row = _primitive(row)
+        if cancelled:
+            row = _primitive(row)
         c = min(row)
-        for p, prow in ints.items():
+        if holders is None:
+            holders = defaultdict(list)
+            for p, prow in ints.items():
+                for j in prow:
+                    holders[j].append(p)
+        for p in holders.get(c, ()):
+            prow = ints[p]
             if c in prow:
-                ints[p] = _primitive(_cancel(prow, c, row))
-                changed.add(p)
+                gained = [j for j in row if j not in prow]
+                prow = ints[p] = _primitive(_cancel(prow, c, row))
+                for j in gained:
+                    if j in prow:
+                        holders[j].append(p)
         ints[c] = row
-        changed.add(c)
-    return changed
+        for j in row:
+            holders[j].append(c)
 
 
 def _inverse_rows(rows, m: int) -> list[dict[int, int]]:
-    """A matrix P, given as sparse rows (consumed) over the columns 0..m-1,
+    """A matrix P, given as sparse rows (only read) over the columns 0..m-1,
     inverted by one int elimination of [P | I].
 
     Row k of the result is the coprime int row of [P | I]'s echelon form with
@@ -348,7 +392,7 @@ def _normalised(row: dict[int, int], p: int) -> dict[int, Fraction]:
 
 
 def _free_columns(rows, width: int, ints: dict) -> dict[int, list[tuple[int, int, int]]]:
-    """Nullspace in Q^width of the rows (consumed), read off one elimination
+    """Nullspace in Q^width of the rows (only read), read off one elimination
     that continues ints in place: {free column c: the terms (p, x, d) of c's
     kernel vector}.
 
@@ -364,7 +408,7 @@ def _free_columns(rows, width: int, ints: dict) -> dict[int, list[tuple[int, int
     call, or {}.
     """
     last = width - 1
-    _echelon(({last - j: x for j, x in row.items()} for row in rows), ints)
+    _echelon(({last - j: x for j, x in row.items()} for row in rows if row), ints)
     columns = {c: [] for c in range(width) if last - c not in ints}
     for q, row in ints.items():
         p, d = last - q, row[q]
@@ -441,8 +485,8 @@ class Subspace:
     one such basis, so equal subspaces have equal ``ints``; the constructor
     rejects rows that are not in this form, and keeps their ``pivots``.  The
     Fraction ``rows`` (1 at their pivot) and the dense ``basis`` are views
-    decoded once.  The int rows are shared, so callers only ever eliminate
-    copies of them (``_copied``).
+    decoded once.  The int rows are shared, so callers only read them
+    (``_in_span``) or eliminate copies of them (``_copied``).
     """
 
     ambient_dim: int
@@ -546,14 +590,14 @@ def _quotient_pivots(w: dict, v: dict) -> list[int]:
 
     w holds W's echelon rows as ``_echelon``'s int rows {pivot: row}, and v
     V's, as int or Fraction rows; both are only read.  Each row of V is
-    reduced against a copy of W's rows; one that does not reach zero adds a
-    pivot, and is outside W.  Each nonzero vector of W leads at one of W's
-    pivots, so V <= W puts V's pivots among W's.  W's rows at the other pivots
-    are then dim W - dim V independent vectors of W that vanish at V's pivots
-    (each row of W is zero at every pivot but its own): the one reduced
-    echelon basis of that complement, once each is divided by its pivot entry.
+    reduced against W's rows (``_in_span``); one that does not reach zero is
+    outside W.  Each nonzero vector of W leads at one of W's pivots, so
+    V <= W puts V's pivots among W's.  W's rows at the other pivots are then
+    dim W - dim V independent vectors of W that vanish at V's pivots (each
+    row of W is zero at every pivot but its own): the one reduced echelon
+    basis of that complement, once each is divided by its pivot entry.
     """
-    if _echelon(v.values(), _copied(w.items())):
+    if not _in_span(v.values(), w):
         raise ValueError("V is not contained in W")
     return sorted(p for p in w if p not in v)
 

@@ -883,11 +883,10 @@ def integer_row(row):
 
 
 def echelon_rows(rows, ints):
-    """``linalg._echelon``'s int rows {pivot: row}, extended by rows in place,
-    and the pivots of the rows it added or changed.  Pinned: each kept row is
-    the coprime int row of its span line with the sign the elimination
-    leaves, b r - a k divided by its content, not a row made positive."""
-    changed = set()
+    """``linalg._echelon``'s int rows {pivot: row}, extended by rows in place.
+    Pinned: each kept row is the coprime int row of its span line with the
+    sign the elimination leaves, b r - a k divided by its content, not a row
+    made positive; a new pivot is cleared from every kept row, in key order."""
     for row in rows:
         if not row:
             continue
@@ -901,10 +900,15 @@ def echelon_rows(rows, ints):
         for p, prow in ints.items():
             if c in prow:
                 ints[p] = _content_free(_cancel(prow, c, row))
-                changed.add(p)
         ints[c] = row
-        changed.add(c)
-    return changed
+
+
+def in_span(rows, ints):
+    """Whether the rows lie in the span of the int rows {pivot: row}: an
+    elimination of the rows into a copy of them adds no pivot."""
+    kept = {p: dict(row) for p, row in ints.items()}
+    echelon_rows(rows, kept)
+    return len(kept) == len(ints)
 
 
 def _content_free(row):
@@ -925,3 +929,61 @@ def _cancel(row, c, other):
         else:
             out.pop(j, None)
     return out
+
+
+def _pair_starts(n):
+    """(i, j) -> (start, sign) for i != j: coordinate start + k of a 2-cochain
+    is sign * alpha(e_i, e_j)(e_k)."""
+    blocks = {}
+    for q, (i, j) in enumerate(combinations(range(n), 2)):
+        blocks[i, j], blocks[j, i] = (q * n, 1), (q * n, -1)
+    return blocks
+
+
+def d2_rows(n, entries, table):
+    """The sparse int rows of d2, one per (triple, t), over rho's nonzero
+    (row, column, value) entries and the bracket's nonzero (k, c) cells, as
+    int tables.  Pinned: each row's keys in the order every rotation (x, y,
+    z) of the triple and then each of rho(x)'s entries and [e_y, e_z]'s
+    cells first touches them; entries that cancel dropped; a triple with
+    nothing in it keeps its n empty rows."""
+    blocks = _pair_starts(n)
+    rows = []
+    for i, j, k in combinations(range(n), 3):
+        out = [{} for _ in range(n)]
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            start, sign = blocks[y, z]
+            for t, s, value in entries[x]:
+                out[t][start + s] = out[t].get(start + s, 0) + sign * value
+            for m, coeff in table[y][z]:
+                if m != x:
+                    start, sign = blocks[x, m]
+                    for t in range(n):
+                        out[t][start + t] = out[t].get(start + t, 0) + sign * coeff
+        rows += [{col: v for col, v in row.items() if v} for row in out]
+    return rows
+
+
+def d1_unit_images(n, entries, table):
+    """The sparse int rows of d1 on the n^2 unit 1-cochains E_ab, row-major,
+    over the same int tables as ``d2_rows``.  Pinned: each row's keys in the
+    order every x != a ascending, each of rho(x)'s entries in column b, and
+    then every pair i < j with a cell of [e_i, e_j] at a first touch them;
+    entries that cancel dropped."""
+    blocks = _pair_starts(n)
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            image = {}
+            for x in range(n):
+                if x != a:
+                    start, sign = blocks[x, a]
+                    for t, s, value in entries[x]:
+                        if s == b:
+                            image[start + t] = image.get(start + t, 0) + sign * value
+            for q, (i, j) in enumerate(combinations(range(n), 2)):
+                for m, coeff in table[i][j]:
+                    if m == a:
+                        image[q * n + b] = image.get(q * n + b, 0) - coeff
+            rows.append({col: v for col, v in image.items() if v})
+    return rows

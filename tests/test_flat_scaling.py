@@ -13,7 +13,8 @@ rest.
 ``_echelon`` copies each incoming row as coprime ints; an all-int row is
 only divided by its content.  Int, Fraction and mixed rows must give the
 int echelon rows pinned in ``reference.echelon_rows``, which takes every
-row through the general intake (``reference.integer_row``), and rows a
+row through the general intake (``reference.integer_row``), and the
+containment verdict of ``_in_span`` must be ``reference.in_span``'s.  Rows a
 caller keeps (V's rows in ``_quotient_pivots``, a ``Subspace``'s shared
 rows) must be unchanged.
 """
@@ -42,6 +43,7 @@ from lagext.linalg import (
     RatMatrix,
     Subspace,
     _echelon,
+    _in_span,
     _integer_row,
     _integer_tables,
     _inverse_rows,
@@ -246,9 +248,20 @@ def rows_of(entries):
 def test_int_fraction_and_mixed_rows_give_the_frozen_echelon_rows(rows):
     kept = deepcopy(rows)
     ints, expected = {}, {}
-    assert _echelon(rows, ints) == reference.echelon_rows(deepcopy(rows), expected)
+    _echelon(rows, ints)
+    reference.echelon_rows(deepcopy(rows), expected)
     assert typed_rows(ints) == typed_rows(expected)
+    assert list(ints) == list(expected)
     assert typed(rows) == typed(kept)
+    # The containment verdict of the rows after a cut, against the echelon
+    # rows of those before it, and of all the rows against their own span.
+    cut = len(rows) // 2
+    head = {}
+    _echelon(rows[:cut], head)
+    kept_head = deepcopy(head)
+    assert _in_span(rows[cut:], head) == reference.in_span(rows[cut:], head)
+    assert _in_span(rows, ints)
+    assert typed_rows(head) == typed_rows(kept_head) and typed(rows) == typed(kept)
     for row in rows:
         if row:
             assert _integer_row(row) == reference.integer_row(row)
