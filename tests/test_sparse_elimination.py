@@ -10,7 +10,7 @@ Three kinds of check:
 - an independent oracle for the kernel: sympy's ``Matrix.rref`` on
   mostly-zero matrices;
 - a guard that ``cohomology`` never builds the dense d2 matrix and that
-  ``cocycle_bases`` eliminates the d2 rows exactly once, then the
+  ``cocycle_bases`` eliminates the nonempty d2 rows exactly once, then the
   cyclic-sum rows once, and reads both kernels off that one elimination.
 """
 
