@@ -38,10 +38,11 @@ the cyclic-sum rows (``_cocycle_columns``, through
 and B^2 continues a copy of it with the unit images d(E_ik), i < k.
 ``cohomology`` keeps all four as coprime int echelon rows: the exact checks
 B^2 <= Z^2 and B^2_L <= Z^2_L only read them, the rank of H^2_L -> H^2
-continues a copy of Z^2_L's, and the summary keeps the int rows of Z^2
-and Z^2_L with the pivots B^2 and B^2_L lack (``linalg._quotient_pivots``).
-The H^2 and H^2_L representatives, the rows at those pivots, are decoded
-to Fraction 2-cochains on first read.  ``cocycle_bases`` and
+eliminates only the rests of the unit images d(E_ik) reduced against Z^2_L,
+and the summary keeps the int rows of Z^2 and Z^2_L with the pivots B^2 and
+B^2_L lack (``linalg._quotient_pivots``).  The H^2 and H^2_L
+representatives, the rows at those pivots, are decoded to Fraction
+2-cochains on first read.  ``cocycle_bases`` and
 ``coboundary_image`` store the same int rows as ``Subspace``s, which write
 Fractions only when a caller reads their ``rows``.
 """
@@ -70,6 +71,7 @@ from .linalg import (
     _normalised,
     _pair_value,
     _quotient_pivots,
+    _rests,
     fmt_vector,
     is_zero_vector,
     vec,
@@ -469,9 +471,15 @@ def _coboundaries(rep: DualRep) -> tuple[dict, dict]:
     b2l = {}
     _echelon(_basis_images(rep, _one_cochain_rows(n, lagrangian=True)), b2l)
     b2 = _copied(b2l.items())
-    units = rep.coboundary_1_units
-    _echelon((units[i * n + k] for i in range(n) for k in range(i + 1, n)), b2)
+    _echelon(_off_diagonal_units(rep), b2)
     return b2l, b2
+
+
+def _off_diagonal_units(rep: DualRep):
+    """The unit images d(E_ik), i < k, of ``rep.coboundary_1_units``."""
+    n = rep.dim
+    units = rep.coboundary_1_units
+    return (units[i * n + k] for i in range(n) for k in range(i + 1, n))
 
 
 def coboundary_image(rep: DualRep, lagrangian: bool) -> Subspace:
@@ -534,7 +542,12 @@ def cohomology(rep: DualRep) -> CohomologySummary:
     (``_coboundaries``).  B^2 <= Z^2 and B^2_L <= Z^2_L are checked exactly,
     as the certificates d o d = 0 and d(C^1_L) <= Z^2_L
     (``linalg._quotient_pivots``, which raises ValueError when one fails).
-    The rank is dim (Z^2_L + B^2) - dim B^2.  No Fraction is made here: the
+    The rank is dim (Z^2_L + B^2) - dim B^2.  B^2 is B^2_L plus the unit
+    images d(E_ik), i < k, and B^2_L <= Z^2_L, so Z^2_L + B^2 is Z^2_L plus
+    those images.  Each is reduced against Z^2_L's rows, only reading them
+    (``linalg._rests``); the nonzero rests vanish at Z^2_L's pivots, so they
+    meet Z^2_L in 0, and only they are eliminated: dim (Z^2_L + B^2) is dim
+    Z^2_L plus their rank.  No Fraction is made here: the
     summary keeps the int rows of Z^2 and Z^2_L and the pivots B^2 and B^2_L
     lack, and decodes the representatives from them on first read.
     """
@@ -543,8 +556,8 @@ def cohomology(rep: DualRep) -> CohomologySummary:
     b2l, b2 = _coboundaries(rep)
     h2 = _quotient_pivots(z2, b2)
     h2l = _quotient_pivots(z2l, b2l)
-    total = _copied(z2l.items())  # extended by B^2's rows to Z^2_L + B^2
-    _echelon(b2.values(), total)
+    rests = {}  # of the d(E_ik) reduced against Z^2_L: Z^2_L + B^2 = Z^2_L + rests
+    _echelon(_rests(_off_diagonal_units(rep), z2l), rests)
     return CohomologySummary(
         dim_c1=n * n,
         dim_c1_lagrangian=n * (n + 1) // 2,
@@ -554,7 +567,7 @@ def cohomology(rep: DualRep) -> CohomologySummary:
         dim_z2_lagrangian=len(z2l),
         dim_h2=len(h2),
         dim_h2_lagrangian=len(h2l),
-        natural_map_rank=len(total) - len(b2),
+        natural_map_rank=len(z2l) + len(rests) - len(b2),
         _cocycles=(n, z2, h2, z2l, h2l),
     )
 

@@ -19,7 +19,7 @@ and only their lengths are read.  No verdict depends on a seed.
 Each verdict on a connection (the sweep report, the completeness evidence
 and the dual representation) is computed once per ``FlatConnection`` and
 carried with it; the module functions below are accessors.  Every verdict
-is computed from the table and the base's ``nonzero_brackets``, never from
+is computed from the table and the base's bracket pairs, never from
 dense matrix products: a residual column is densified only when it is
 nonzero.  Keeping verdicts is sound because a connection is immutable, and
 the constructor rejects a table that is not canonical, so equal tables mean
@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 
-from .lie import LieAlgebra, NonzeroTable, _check_canonical, descending_flag
+from .lie import LieAlgebra, NonzeroTable, _check_canonical, _mirrored, descending_flag
 from .linalg import Vector, _add, _dense, _integer_tables, _pair_value
 
 GammaTensor = tuple[tuple[Vector, ...], ...]
@@ -130,10 +130,13 @@ class FlatConnection:
 
     @cached_property
     def integer_tables(self) -> tuple[int, NonzeroTable, NonzeroTable]:
-        """(D, ``nonzero_gamma``, the base's ``nonzero_brackets``), both tables
-        scaled by D, the lcm of their denominators, to ints."""
-        d, (cols, brackets) = _integer_tables(self.nonzero_gamma, self.base.nonzero_brackets)
-        return d, cols, brackets
+        """(D, ``nonzero_gamma``, the base's n x n bracket table), both scaled
+        by D, the lcm of the denominators of gamma and the base's ``pairs``, to
+        ints.  The bracket table is the base's pairs scaled, then mirrored on
+        ints (``lie._mirrored``): negation keeps denominators, so D and the
+        table are those of the base's ``nonzero_brackets``, which is not built."""
+        d, (cols, pairs) = _integer_tables(self.nonzero_gamma, self.base.pairs)
+        return d, cols, _mirrored(self.dim, pairs)
 
     @cached_property
     def report(self) -> "ConnectionReport":
@@ -350,7 +353,7 @@ class DualRep:
 
     @cached_property
     def integer_tables(self) -> tuple[int, tuple, NonzeroTable]:
-        """(D, ``nonzero_entries``, the base's ``nonzero_brackets``), both tables
+        """(D, ``nonzero_entries``, the base's n x n bracket table), both
         scaled by D, the lcm of their denominators, to ints: read off the
         connection's ``integer_tables``, as rho = -gamma^T has gamma's
         denominators."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class ExprError(ValueError):
@@ -196,7 +197,10 @@ class Expr:
         return Expr(text, _fold_constants(ast))
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def const(value: Fraction | int) -> "Expr":
+        """The expression of a number, made once per value and shared: an
+        ``Expr`` is immutable, and a serialized table repeats few values."""
         if type(value) is not Fraction:
             value = Fraction(value)
         return Expr(str(value), ("num", value))

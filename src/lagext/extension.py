@@ -19,7 +19,9 @@ basis of a reduction; a linear map (psi, the lifts of a reduction) is read
 as its columns in sparse rows: no dense vector is read here.
 
 The omega identities run on ints.  Each form keeps one copy of its rows
-scaled by the lcm D' of its denominators (``integer_omega``) and, built once
+scaled by the lcm D' of its denominators (``integer_omega``, mirrored on
+ints from the scaled pair coordinates, as the bracket's int table is from
+its pairs, so no Fraction row is built for it) and, built once
 from that copy and the bracket's ``integer_brackets``, one table
 W[a][u] = D omega([e_a, e_u], .) of sparse int rows
 (``integer_omega_brackets``).  dw is the cyclic sums of W; both omega solves
@@ -35,8 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
+from math import lcm
 
 from .cohomology import (
     OneCochain,
@@ -141,9 +144,17 @@ class SymplecticLieAlgebra:
     @cached_property
     def integer_omega(self) -> tuple[int, tuple[dict[int, int], ...]]:
         """D', the lcm of the denominators of the form, and ``omega_rows``
-        scaled by D' to ints: the one scaled copy every omega identity reads."""
-        d, (rows,) = _integer_tables(tuple(tuple(row.items()) for row in self.omega_rows))
-        return d, tuple(dict(row) for row in rows)
+        scaled by D' to ints: the one scaled copy every omega identity reads.
+        The nonzero pair coordinates are scaled and then mirrored on ints, so
+        ``omega_rows`` is not built; negation keeps denominators, so D' and
+        the rows are what scaling ``omega_rows`` gives."""
+        terms = [(ij, x) for ij, x in zip(combinations(range(self.dim), 2), self.form) if x]
+        d = lcm(*{x.denominator for _, x in terms})
+        rows = [{} for _ in range(self.dim)]
+        for (i, j), x in terms:
+            rows[i][j] = x = x.numerator * (d // x.denominator)
+            rows[j][i] = -x
+        return d, tuple(rows)
 
     @cached_property
     def integer_omega_brackets(self) -> tuple[int, tuple[tuple[dict[int, int], ...], ...]]:
@@ -212,13 +223,21 @@ class SymplecticLieAlgebra:
             raise ValueError(f"omega is not closed: {witness}")
 
 
+@lru_cache(maxsize=64)
 def standard_form(n: int) -> tuple[Fraction, ...]:
-    """[[0, -I], [I, 0]] on (e_1..e_n, e^1..e^n), as its pair coordinates."""
+    """[[0, -I], [I, 0]] on (e_1..e_n, e^1..e^n), as its pair coordinates.
+
+    Made once per n and shared by every caller (each built extension): the
+    tuple is immutable."""
     return tuple(-ONE if j == n + i else ZERO for i, j in combinations(range(2 * n), 2))
 
 
+@lru_cache(maxsize=64)
 def dual_subspace(n: int) -> Subspace:
-    """span(e^1..e^n) inside the 2n-dimensional extension."""
+    """span(e^1..e^n) inside the 2n-dimensional extension.
+
+    Made and validated once per n and shared by every caller (each built
+    extension): a ``Subspace`` is immutable, and its int rows are only read."""
     return Subspace(2 * n, tuple({n + i: 1} for i in range(n)))
 
 

@@ -8,15 +8,18 @@ reader rejects a diagonal cell or a mirror that disagrees.  The Jacobi
 identity is checked either explicitly via ``check_jacobi`` or by the
 constructors of derived algebras (quotients, extensions).
 
-Each algebra keeps the n x n view of its table (``nonzero_brackets``), which
-every routine here reads, that view scaled to ints (``integer_brackets``)
-and its lower central series as int echelon rows
-(``integer_central_series``), all computed on first use; the dense tensor
-``bracket`` is a view for tests and the benchmark.  Keeping them is sound
-because an algebra is immutable.  The constructor rejects a table that is
-not canonical (k out of order, or a c that is zero or not a Fraction), so
-equal tables mean equal brackets.  Brackets of vectors are read on sparse
-rows, by ``bracket_rows``.
+Each algebra keeps, computed on first use, its table scaled to ints and
+mirrored to the n x n table of every [e_i, e_j] (``integer_brackets``),
+which the Jacobi check, the lower central series and ``is_ideal`` read, and
+that series as int echelon rows (``integer_central_series``).  The Fraction
+n x n view ``nonzero_brackets`` is built only for the routines whose results
+are Fractions (``bracket_rows``, ``center``, ``derivation_space``) and for
+the dense tensor ``bracket``, a view for tests and the benchmark; both n x n
+tables are mirrored from the pairs by ``_mirrored``, and the quotient reads
+the pairs themselves.  Keeping them is sound because an algebra is
+immutable.  The constructor rejects a table that is not canonical (k out of
+order, or a c that is zero or not a Fraction), so equal tables mean equal
+brackets.  Brackets of vectors are read on sparse rows, by ``bracket_rows``.
 
 The lower central series is the ``descending_flag`` of the ad_{e_j}, the
 planes of ``integer_brackets``; connection.py reads the flag of nabla's.
@@ -110,13 +113,7 @@ class LieAlgebra:
         """The nonzero structure constants: [e_i, e_j] = sum of c e_k over (k, c) in [i][j]."""
         if self._renamed_from is not None:
             return self._renamed_from.nonzero_brackets
-        n = self.dim
-        table = [[()] * n for _ in range(n)]
-        for (i, j), terms in zip(combinations(range(n), 2), self.pairs):
-            if terms:
-                table[i][j] = terms
-                table[j][i] = tuple((k, -c) for k, c in terms)
-        return tuple(tuple(row) for row in table)
+        return _mirrored(self.dim, self.pairs)
 
     @cached_property
     def bracket(self) -> BracketTensor:
@@ -142,12 +139,15 @@ class LieAlgebra:
 
     @cached_property
     def integer_brackets(self) -> tuple[int, NonzeroTable]:
-        """D, the lcm of the denominators of ``nonzero_brackets``, and the table
-        scaled by D to ints; computed once per algebra and its renamed copies."""
+        """D, the lcm of the denominators of ``pairs``, and the n x n table
+        scaled by D to ints: ``pairs`` scaled, then mirrored on ints
+        (``_mirrored``), so no Fraction table is built.  Negation keeps
+        denominators, so D and the table are those of ``nonzero_brackets``.
+        Computed once per algebra and its renamed copies."""
         if self._renamed_from is not None:
             return self._renamed_from.integer_brackets
-        d, (table,) = _integer_tables(self.nonzero_brackets)
-        return d, table
+        d, (pairs,) = _integer_tables(self.pairs)
+        return d, _mirrored(self.dim, pairs)
 
     def bracket_rows(self, u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
         """[u, v] as a sparse row, for sparse rows u and v, summed over the
@@ -176,6 +176,17 @@ class LieAlgebra:
         renamed = LieAlgebra(self.dim, self.pairs, name)
         object.__setattr__(renamed, "_renamed_from", self)
         return renamed
+
+
+def _mirrored(n: int, pairs) -> NonzeroTable:
+    """The n x n table of a pair table of Fraction or int terms: cell [i][j]
+    the terms of the pair i < j, and cell [j][i] those terms negated."""
+    table = [[()] * n for _ in range(n)]
+    for (i, j), terms in zip(combinations(range(n), 2), pairs):
+        if terms:
+            table[i][j] = terms
+            table[j][i] = tuple([(k, -c) for k, c in terms])
+    return tuple(map(tuple, table))
 
 
 def _images(operators, rows):
@@ -376,16 +387,18 @@ def quotient_algebra(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> Li
 
 def _quotient(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> LieAlgebra:
     """``quotient_algebra`` for a caller that has already verified the ideal."""
+    n = algebra.dim
     keep = ideal.complement_coordinates()
     position = {k: t for t, k in enumerate(keep)}
     kept = dict(zip(ideal.pivots, ideal.rows))
-    table = algebra.nonzero_brackets
     pairs = []
     for a, b in combinations(keep, 2):
-        # The ideal's rows are 1 at their pivot and 0 at the others, so one
-        # pass over the cell's pivot entries leaves only non-pivot support.
-        cell = dict(table[a][b])
-        for p, x in table[a][b]:
+        # keep ascends, so a < b: the cell is the pair's own terms.  The
+        # ideal's rows are 1 at their pivot and 0 at the others, so one pass
+        # over the cell's pivot entries leaves only non-pivot support.
+        terms = algebra.pairs[a * (2 * n - a - 1) // 2 + b - a - 1]
+        cell = dict(terms)
+        for p, x in terms:
             for k, y in kept.get(p, {}).items():
                 _add(cell, k, -x * y)
         pairs.append(tuple(sorted((position[k], c) for k, c in cell.items())))

@@ -10,8 +10,9 @@ the pivot rows kept so far and clears its leading column from the kept rows
 that hold it, found through an index from each column to those rows, so
 that an elimination costs per nonzero entry, not per kept row.  A check
 that rows lie in a span, ``_in_span``, reduces them the same way and keeps
-nothing.  Every routine is pure and mutates only the kept rows it is handed
-to extend, so the whole module is safe to use from concurrent callers.
+nothing; ``_rests`` hands back what is left of each row.  Every routine is
+pure and mutates only the kept rows it is handed to extend, so the whole
+module is safe to use from concurrent callers.
 
 Inside the hot kernels the arithmetic runs on Python ints, and Fractions are
 made only where a result leaves them.  ``_echelon`` is fraction-free: each
@@ -297,21 +298,26 @@ def _cancel(row: dict[int, int], c: int, other: dict[int, int]) -> dict[int, int
     return row
 
 
-def _in_span(rows, ints: dict) -> bool:
-    """Whether every row lies in the span of ints, ``_echelon``'s int rows
-    {pivot: row}; both are only read.  Each row is copied as coprime ints and
-    its entry at each pivot cancelled by that pivot's row.  The kept rows are
-    zero at each other's pivots, so what is left is zero at every pivot, and
-    empty exactly when the row lies in their span; the check stops at the
-    first row that leaves a nonzero rest."""
+def _rests(rows, ints: dict):
+    """The nonzero rests of the rows reduced against ints, ``_echelon``'s int
+    rows {pivot: row}, as new int rows; both are only read.  Each row is
+    copied as coprime ints and its entry at each pivot cancelled by that
+    pivot's row.  The kept rows are zero at each other's pivots, so a rest is
+    zero at every pivot, and a row leaves none exactly when it lies in their
+    span.  The rests are yielded one by one, as each row is reduced."""
     for row in rows:
         if row:
             row = _integer_row(row)
             for p in [j for j in row if j in ints]:
                 row = _cancel(row, p, ints[p])
             if row:
-                return False
-    return True
+                yield row
+
+
+def _in_span(rows, ints: dict) -> bool:
+    """Whether every row lies in the span of ints (both only read): the check
+    stops at the first row that leaves a nonzero rest (``_rests``)."""
+    return next(_rests(rows, ints), None) is None
 
 
 def _echelon(rows, ints: dict) -> None:

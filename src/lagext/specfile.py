@@ -68,9 +68,10 @@ class BasisToken:
 
     @staticmethod
     def parse(text: str, line_no: int | None) -> "BasisToken":
-        if not _TOKEN_RE.match(text):
+        token = _valid_token(text)
+        if token is None:
             raise SpecParseError(line_no, f"bad basis token {text!r}")
-        return BasisToken(text)
+        return token
 
     def resolve(self, dim: int, line_no: int | None) -> int:
         """0-based ambient index under the extension convention."""
@@ -85,13 +86,23 @@ class BasisToken:
             raise SpecParseError(line_no, f"basis index out of range in {self.text!r}")
         return k - 1
 
+    # A token is immutable, so each one is made once and shared.
     @staticmethod
+    @lru_cache(maxsize=1024)
     def primal(k: int) -> "BasisToken":
         return BasisToken(f"e{k + 1}")
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def dual_token(k: int) -> "BasisToken":
         return BasisToken(f"e^{k + 1}")
+
+
+@lru_cache(maxsize=1024)
+def _valid_token(text: str) -> BasisToken | None:
+    """The token of text, or None when text is not a basis token: checked
+    once per distinct text, as ``_token_number`` reads it once."""
+    return BasisToken(text) if _TOKEN_RE.match(text) else None
 
 
 @dataclass(frozen=True)

@@ -320,7 +320,7 @@ def test_each_bracket_table_is_scaled_once(monkeypatch):
     named = build_extension(t, name="l_26_ext")
     assert ext.d_omega_result.is_zero() and named.d_omega_result.is_zero()
     assert check_jacobi(named.algebra) == ()
-    assert sum(table is ext.algebra.nonzero_brackets for table in scaled) == 1
+    assert sum(table is ext.algebra.pairs for table in scaled) == 1
 
 
 @pytest.mark.parametrize(

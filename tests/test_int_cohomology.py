@@ -3,7 +3,9 @@
 ``cohomology`` keeps Z^2, Z^2_L, B^2_L and B^2 as the coprime int rows of
 ``linalg._echelon``: the two cocycle spaces read off one elimination by
 ``linalg._kernel_ints``, B^2 continuing a copy of B^2_L.  The checks
-B^2 <= Z^2 and B^2_L <= Z^2_L and the rank of H^2_L -> H^2 run on those rows.
+B^2 <= Z^2 and B^2_L <= Z^2_L and the rank of H^2_L -> H^2 run on those rows;
+the rank eliminates only the rests of the unit images d(E_ik) reduced
+against Z^2_L, and equals the reference's on every input.
 The summary keeps the rows of Z^2 and Z^2_L, and writes the representatives
 as Fractions only when they are read.  Pinned here:
 
@@ -14,10 +16,11 @@ as Fractions only when they are read.  Pinned here:
   and the canonical connections of the zero-cocycle extensions of ``l_26``
   and ``t_8``), as SHA-256 digests of their reprs taken from the
   Fraction-subspace implementation;
-- the calls ``cohomology`` makes: seven passes over int rows (five
-  eliminations and the two checks, which only reduce), no ``Subspace``, no
-  Fraction and no 2-cochain; and the representatives, decoded once on first
-  read, one ``_normalised`` write each, equal to the reference's;
+- the calls ``cohomology`` makes: eight passes over int rows (five
+  eliminations, and the two checks and the rank's reduction, which only
+  reduce), no ``Subspace``, no Fraction and no 2-cochain; and the
+  representatives, decoded once on first read, one ``_normalised`` write
+  each, equal to the reference's;
 - that each exact check raises when its certificate fails;
 - the shape checks of ``two_cochain_from_coefficients`` and ``OneCochain``.
 """
@@ -166,7 +169,7 @@ def test_cohomology_makes_seven_eliminations_and_writes_only_the_representatives
 ):
     rep = dual_representation(COUNTING_INPUTS[label]())
     rep.coboundary_2_rows, rep.coboundary_1_units  # built once per representation, not counted
-    calls = {"_echelon": 0, "_in_span": 0, "_normalised": 0}
+    calls = {"_echelon": 0, "_in_span": 0, "_rests": 0, "_normalised": 0}
 
     def counting(name, real):
         def counted(*args):
@@ -196,14 +199,16 @@ def test_cohomology_makes_seven_eliminations_and_writes_only_the_representatives
 
     monkeypatch.setattr(F, "__new__", counting_new)
     summary = cohomology(rep)
-    # Seven passes over int rows: d2, cyclic sums, B^2_L, the B^2
-    # continuation and the rank eliminate; the two checks only reduce.
-    assert (calls["_echelon"], calls["_in_span"]) == (5, 2)
+    # Eight passes over int rows: d2, cyclic sums, B^2_L, the B^2
+    # continuation and the rests of the rank eliminate; the two checks and
+    # the rank's reduction of the unit images against Z^2_L only reduce
+    # (``_rests``, twice of them through ``_in_span``).
+    assert (calls["_echelon"], calls["_in_span"], calls["_rests"]) == (5, 2, 3)
     assert calls["_normalised"] == made[0] == 0
     reps = summary.h2_representatives + summary.h2_lagrangian_representatives
     monkeypatch.undo()
     # reading the representatives eliminates nothing
-    assert (calls["_echelon"], calls["_in_span"]) == (5, 2)
+    assert (calls["_echelon"], calls["_in_span"], calls["_rests"]) == (5, 2, 3)
     assert calls["_normalised"] == summary.dim_h2 + summary.dim_h2_lagrangian == len(reps) > 0
     # One Fraction per off-pivot entry of a representative, at most.
     assert 0 < made[0] <= sum(sum(1 for x in r.values if x) - 1 for r in reps)
@@ -326,3 +331,18 @@ def test_ragged_sigma_never_reaches_the_differential_or_psi():
     found = solve_coboundary(rep, alpha, alpha - alpha)
     assert found is not None and {len(row) for row in found.entries} == {4}
     assert coboundary_1(rep, found) == alpha
+
+
+@pytest.mark.parametrize("group", list(GROUPS))
+def test_the_natural_map_rank_equals_the_reference(group):
+    """rank(H^2_L -> H^2), read off the rests of the d(E_ik) reduced against
+    Z^2_L, is the reference's dim (Z^2_L + B^2) - dim B^2 on every input."""
+    ranks = []
+    for conn in GROUPS[group]():
+        rep = dual_representation(conn)
+        h = reference.cohomology(brackets(conn.base), rho(conn))
+        ranks.append(cohomology(rep).natural_map_rank)
+        assert ranks[-1] == h.natural_map_rank
+    assert len(ranks) == {"flat": 108, "truncated": 24, "canonical": 2}[group]
+    if group == "canonical":
+        assert ranks == [62, 28]

@@ -1,8 +1,10 @@
 """No module of the package reads the dense bracket tensor.
 
 An algebra is stored as its nonzero bracket table (``LieAlgebra.pairs``),
-and every bracket the package computes is read from it or from the n x n
-view ``nonzero_brackets``.  The dense ``.bracket`` tensor is a view decoded
+and every bracket the package computes is read from it: through the int
+n x n table ``integer_brackets`` on the checks, or, where the result is made
+of Fractions, through the n x n view ``nonzero_brackets``; both are mirrored
+from the pairs.  The dense ``.bracket`` tensor is a view decoded
 for tests and the benchmark; a read of it in the package would bring back
 the n^3 scans that the table replaced.  The dense tensor is read only by
 the tests, to compare it with tests/reference.py.
