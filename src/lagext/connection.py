@@ -19,13 +19,16 @@ and only their lengths are read.  No verdict depends on a seed.
 Each verdict on a connection (the sweep report, the completeness evidence
 and the dual representation) is computed once per ``FlatConnection`` and
 carried with it; the module functions below are accessors.  Every verdict
-is computed from the table and the base's bracket pairs, never from
-dense matrix products: a residual column is densified only when it is
-nonzero.  Keeping verdicts is sound because a connection is immutable, and
-the constructor rejects a table that is not canonical, so equal tables mean
-equal connections.  The report and the completeness evidence depend only
-on the base's pairs and the gamma table, so they are computed once per
-table: a connection recovered with the tables of its source
+is computed from the table and the base's bracket pairs, never from dense
+matrix products.  The sweep makes each product nabla_{e_a} nabla_{e_b} e_s
+once, into the commutator of its pair, and adds the images of the bracket
+and the skew product to it: its cost follows the nonzero products and
+entries, not the n^3 slots (i, j, s), and a residual is densified only
+when it is nonzero.  Keeping verdicts is sound because a connection is
+immutable, and the constructor rejects a table that is not canonical, so
+equal tables mean equal connections.  The report and the completeness
+evidence depend only on the base's pairs and the gamma table, so they are
+computed once per table: a connection recovered with the tables of its source
 (``FlatConnection.recovered``) reads them through it.
 
 The sweep, the Engel flags and the representation law run on Python ints:
@@ -46,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 
 from .lie import LieAlgebra, NonzeroTable, _check_canonical, _mirrored, descending_flag
 from .linalg import Vector, _add, _dense, _integer_tables, _pair_value
@@ -206,17 +209,13 @@ def _skew(cols: NonzeroTable, i: int, j: int) -> dict:
     return skew
 
 
-def _add_image(acc: dict, f: int, terms, columns) -> None:
-    """acc += f * sum of x * columns[k] over (k, x) in terms, each column a tuple of (t, v)."""
-    for k, x in terms:
-        fx = f * x
-        for t, v in columns[k]:
-            _add(acc, t, fx * v)
-
-
-def _witness(residual: dict, scale: int, n: int) -> Vector:
-    """A residual of the scaled tables, divided back by scale, as n Fractions."""
-    return _dense({k: Fraction(v, scale) for k, v in residual.items()}, n)
+def _witnesses(residuals: dict, scale: int, n: int) -> tuple:
+    """The nonzero residuals {key: {t: v}} of the scaled tables in key order,
+    each key 1-based and each residual divided back by scale as n Fractions."""
+    return tuple(
+        (tuple(x + 1 for x in key), _dense({t: Fraction(v, scale) for t, v in r.items()}, n))
+        for key, r in sorted(residuals.items()) if r
+    )
 
 
 def _sweep(conn: FlatConnection) -> ConnectionReport:
@@ -224,41 +223,40 @@ def _sweep(conn: FlatConnection) -> ConnectionReport:
     # gamma and the bracket scaled by one D to ints: torsion is of degree 1
     # in them, curvature and the associator of degree 2.
     d, cols, brackets = conn.integer_tables
-    right = tuple(zip(*cols))  # right[s][k] = cols[k][s], so nabla_x e_s sums x_k right[s][k]
-    # support[k]: the s with nabla_{e_k} e_s != 0; a column s outside the
-    # supports of nabla_{e_i}, nabla_{e_j} and the nabla_{e_k} that the pair
-    # feeds in below has every residual zero.
-    support = [{s for s, col in enumerate(plane) if col} for plane in cols]
-    torsion = []
-    curvature = []
-    associator = []
+    # Both residuals start as -[nabla_i, nabla_j] e_s by (i, j, s), i < j: each nonzero
+    # entry (b, s -> k, x) meets the columns nabla_{e_a} e_k != 0 in feeds[k], once.
+    feeds = [[(a, plane[k]) for a, plane in enumerate(cols) if plane[k]] for k in range(n)]
+    associator = {}
+    for b, plane in enumerate(cols):
+        for s, col in enumerate(plane):
+            for k, x in col:
+                for a, image in feeds[k]:
+                    if a != b:
+                        key, y = ((a, b, s), -x) if a < b else ((b, a, s), x)
+                        acc = associator.setdefault(key, {})
+                        for t, v in image:
+                            _add(acc, t, y * v)
+    curvature = {key: dict(image) for key, image in associator.items()}
+    columns = [[(s, col) for s, col in enumerate(plane) if col] for plane in cols]
+    torsion = {}
     for i, j in combinations(range(n), 2):
         skew = _skew(cols, i, j)
-        residual = dict(skew)
+        torsion[i, j] = residual = dict(skew)
         for k, c in brackets[i][j]:
             _add(residual, k, -c)
-        if residual:
-            torsion.append(((i + 1, j + 1), _witness(residual, d, n)))
-        touched = support[i] | support[j]
-        for k in chain(skew, (k for k, _ in brackets[i][j])):
-            touched |= support[k]
-        for s in sorted(touched):
-            commutator = {}  # [nabla_i, nabla_j] e_s
-            _add_image(commutator, 1, cols[j][s], cols[i])
-            _add_image(commutator, -1, cols[i][s], cols[j])
-            residual = dict(commutator)
-            _add_image(residual, -1, brackets[i][j], right[s])
-            if residual:
-                curvature.append(((i + 1, j + 1, s + 1), _witness(residual, d * d, n)))
-            # KV2 on e_s: (e_i,e_j,e_s) - (e_j,e_i,e_s) = nabla_{e_i.e_j - e_j.e_i} e_s
-            # - [nabla_i, nabla_j] e_s, from the products themselves and not from
-            # the curvature residual, so that the two verdicts cross-check.
-            residual = {k: -v for k, v in commutator.items()}
-            _add_image(residual, 1, skew.items(), right[s])
-            if residual:
-                associator.append(((i + 1, j + 1, s + 1), _witness(residual, d * d, n)))
+        # -R(e_i, e_j) e_s = nabla_{[e_i, e_j]} e_s - [nabla_i, nabla_j] e_s, and
+        # KV2 on e_s: (e_i,e_j,e_s) - (e_j,e_i,e_s) = nabla_{e_i.e_j - e_j.e_i} e_s
+        # - [nabla_i, nabla_j] e_s, from the products themselves and not from
+        # the curvature residual, so that the two verdicts cross-check.
+        for terms, acc in ((brackets[i][j], curvature), (skew.items(), associator)):
+            for k, c in terms:
+                for s, col in columns[k]:
+                    image = acc.setdefault((i, j, s), {})
+                    for t, v in col:
+                        _add(image, t, c * v)
 
-    report = ConnectionReport(tuple(torsion), tuple(curvature), tuple(associator))
+    scales = ((torsion, d), (curvature, -d * d), (associator, d * d))  # curvature built negated
+    report = ConnectionReport(*(_witnesses(r, scale, n) for r, scale in scales))
     if not report.kv_consistent:
         raise RuntimeError(
             "curvature/torsion checks disagree with the KV axiom checks; "
@@ -397,10 +395,7 @@ def _dual(conn: FlatConnection) -> DualRep:
     # Every term of the residual is of degree 2 in the scaled rho and bracket.
     _, entries, brackets = rep.integer_tables
     # rows[i][t]: the (column, value) of the nonzero entries in row t of rho(e_i)
-    rows = [[[] for _ in range(n)] for _ in range(n)]
-    for i, plane in enumerate(entries):
-        for r, c, value in plane:
-            rows[i][r].append((c, value))
+    rows = [[[(k, -v) for k, v in col] for col in plane] for plane in conn.integer_tables[1]]
     for i, j in combinations(range(n), 2):
         residual = {}  # rho([e_i, e_j]) - rho(e_i) rho(e_j) + rho(e_j) rho(e_i), by (row, column)
         for k, c in brackets[i][j]:

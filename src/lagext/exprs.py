@@ -30,6 +30,7 @@ class ExprError(ValueError):
 
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^]")
 _LITERAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+_MAX_EXPONENT = 1024  # x^k with a larger |k| is refused before the power is taken
 
 
 def _tokenize(text: str) -> list[str]:
@@ -136,6 +137,8 @@ def _eval(node, env: dict[str, Fraction]) -> Fraction:
     if kind == "^":
         if b.denominator != 1:
             raise ExprError("exponent must be an integer")
+        if abs(b) > _MAX_EXPONENT:
+            raise ExprError(f"exponent {b} exceeds the bound {_MAX_EXPONENT}")
         if a == 0 and b < 0:
             raise ExprError("division by zero while evaluating expression")
         return a ** int(b)

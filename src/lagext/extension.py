@@ -328,20 +328,21 @@ def _build(triple: ExtensionTriple) -> SymplecticLieAlgebra:
 
 @dataclass(frozen=True)
 class DOmegaResult:
-    """dw evaluated on every basis triple i<j<k (1-based indices in output)."""
+    """dw on every basis triple i<j<k (1-based in output); each residual is read by truthiness."""
 
     residuals: tuple[tuple[tuple[int, int, int], Fraction], ...]
 
     def is_zero(self) -> bool:
-        return all(v == 0 for _, v in self.residuals)
+        return not any(v for _, v in self.residuals)
 
     def witnesses(self) -> tuple[tuple[tuple[int, int, int], Fraction], ...]:
-        return tuple((t, v) for t, v in self.residuals if v != 0)
+        return tuple((t, v) for t, v in self.residuals if v)
 
     def first_witness(self) -> str:
         """The first nonzero residual as ``d_omega(i,j,k) = x``; "" if none."""
-        for (i, j, k), value in self.witnesses():
-            return f"d_omega({i},{j},{k}) = {format_rational(value)}"
+        for (i, j, k), value in self.residuals:
+            if value:
+                return f"d_omega({i},{j},{k}) = {format_rational(value)}"
         return ""
 
 

@@ -390,17 +390,18 @@ def _quotient(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> LieAlgebr
     n = algebra.dim
     keep = ideal.complement_coordinates()
     position = {k: t for t, k in enumerate(keep)}
-    kept = dict(zip(ideal.pivots, ideal.rows))
+    # Row p of the ideal is 1 at p and 0 at the other pivots: taking x row p
+    # off a cell deletes its entry at p and subtracts the row's other entries.
+    rows = zip(ideal.pivots, ideal.rows)
+    kept = {p: [(k, -y) for k, y in row.items() if k != p] for p, row in rows}
     pairs = []
     for a, b in combinations(keep, 2):
-        # keep ascends, so a < b: the cell is the pair's own terms.  The
-        # ideal's rows are 1 at their pivot and 0 at the others, so one pass
-        # over the cell's pivot entries leaves only non-pivot support.
+        # keep ascends, so a < b: the cell is the pair's own terms.
         terms = algebra.pairs[a * (2 * n - a - 1) // 2 + b - a - 1]
-        cell = dict(terms)
+        cell = {k: c for k, c in terms if k not in kept}
         for p, x in terms:
-            for k, y in kept.get(p, {}).items():
-                _add(cell, k, -x * y)
+            for k, y in kept.get(p, ()):
+                _add(cell, k, x * y)
         pairs.append(tuple(sorted((position[k], c) for k, c in cell.items())))
     return require_jacobi(LieAlgebra(len(keep), tuple(pairs), name))
 

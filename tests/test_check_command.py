@@ -213,10 +213,15 @@ def test_duplicate_bracket_cell_is_an_invalid_algebra_block(runner, tmp_path):
             ("--set", "mu=0"),
             "algebra block invalid: cell e1 e2: division by zero while evaluating expression",
         ),
+        (
+            "algebra a dim 4\nparam mu\nbracket e1 e2 -> 7^mu e3\n",
+            ("--set", "mu=10000000"),
+            "algebra block invalid: cell e1 e2: exponent 10000000 exceeds the bound 1024",
+        ),
     ],
     ids=[
         "jacobi-residual", "connection-pole", "omega-pole", "cocycle-pole", "bracket-pole",
-        "bracket-pole-power",
+        "bracket-pole-power", "bracket-exponent-bound",
     ],
 )
 def test_a_block_that_does_not_build_is_named_in_plain_numbers(
@@ -318,3 +323,15 @@ def test_completeness_needs_nilpotent_nabla(runner, tmp_path):
         ("extension-nilpotent", "-", "fail", "lcs dims (4, 2)"),
     ]
     assert [row[1] for row in rows] == ["jacobi", *CHECK_NAMES]
+
+
+@pytest.mark.parametrize(
+    "cell, exponent", [("7^1000000", 1000000), ("9^9^9", 387420489)], ids=["power", "tower"]
+)
+def test_a_literal_exponent_beyond_the_bound_is_named_by_its_line(runner, tmp_path, cell, exponent):
+    path = tmp_path / "big.spec"
+    path.write_text(f"algebra a dim 4\nbracket e1 e2 -> {cell} e3\n")
+    result = runner.invoke(main, ["check", str(path)])
+    assert (result.exit_code, result.output) == (
+        1, f"Error: {path}: line 2: exponent {exponent} exceeds the bound 1024\n"
+    )

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -98,3 +99,43 @@ def test_digit_tokens_read_as_fraction_literals(text, value):
     expr = Expr.parse(text)
     assert expr.ast == ("num", value) and type(expr.ast[1]) is F
     assert type(expr.evaluate()) is F
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("7^1000000", "exponent 1000000 exceeds the bound 1024"),
+        ("9^9^9", "exponent 387420489 exceeds the bound 1024"),
+        ("2^-1025", "exponent -1025 exceeds the bound 1024"),
+    ],
+)
+def test_a_constant_exponent_beyond_the_bound_is_refused_before_the_power(text, message):
+    # The message comes from the check made before the power is taken: the
+    # power 7^1000000 alone takes about 0.1 s, and 9^(9^9) would not finish.
+    start = time.perf_counter()
+    with pytest.raises(ExprError) as caught:
+        Expr.parse(text)
+    assert time.perf_counter() - start < 0.5
+    assert str(caught.value) == message
+
+
+def test_a_parameter_exponent_beyond_the_bound_is_refused_on_evaluation():
+    expr = Expr.parse("t^mu")
+    start = time.perf_counter()
+    with pytest.raises(ExprError, match="^exponent 10000000 exceeds the bound 1024$"):
+        expr.evaluate({"t": F(7), "mu": F(10000000)})
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "text,env,expected",
+    [
+        ("2^1024", {}, F(2 ** 1024)),
+        ("2^-1024", {}, F(1, 2 ** 1024)),
+        ("t^mu", {"t": F(-1), "mu": F(1024)}, F(1)),
+        ("t^2", {"t": F(3, 2)}, F(9, 4)),
+        ("mu^3", {"mu": F(-2)}, F(-8)),
+    ],
+)
+def test_exponents_up_to_the_bound_are_evaluated(text, env, expected):
+    assert Expr.parse(text).evaluate(env) == expected

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from inputs import brackets, flat_samples, spanned, typed
+from inputs import brackets, flat_samples, random_lagrangian_cocycle, spanned, typed
 from lagext.catalog import connection_for, instantiate, sample_parameters, table1_entries
 from lagext.connection import FlatConnection
 from lagext.exprs import Expr
@@ -41,8 +41,9 @@ from lagext.extension import (
     dual_subspace,
     standard_form,
 )
-from lagext.lie import LieAlgebra, _quotient
-from lagext.linalg import _add, _integer_tables
+from lagext.lie import LieAlgebra, _quotient, lower_central_series, transform
+from lagext.linalg import RatMatrix, Subspace, _add, _integer_tables
+from lagext.sampling import random_rational, rng_for
 from lagext.specfile import (
     BasisToken,
     SpecParseError,
@@ -177,6 +178,35 @@ def test_int_tables_match_the_fraction_view_on_the_canonical_connections(label):
     assert_algebra_tables(conn.base)
     assert_connection_tables(conn)
     assert_quotient(ext.algebra, ext.lagrangian_ideal)
+
+
+def test_quotient_by_ideals_whose_rows_leave_their_pivots():
+    """_quotient deletes a cell's entry at each pivot and subtracts only the
+    row's other entries.  Here the rows are not unit vectors: lower central
+    series terms of seeded 8-dim extensions, and the Lagrangian ideal h*
+    moved by the change of basis P = [[I, S], [0, I]], which takes (0, y) to
+    (-S y, y) in the new coordinates."""
+    rng = rng_for(67, "quotient-off-pivot")
+    off_pivot = 0
+    for label in ("l_26", "t_8", "a_3", "t_18", "a_10", "l_38"):
+        conn = connection_for(label)
+        ext = build_extension(ExtensionTriple(conn, random_lagrangian_cocycle(conn, rng)))
+        for term in lower_central_series(ext.algebra)[1:-1]:
+            assert_quotient(ext.algebra, term)
+            off_pivot += sum(len(row) > 1 for row in term.rows)
+        n = conn.dim
+        p = RatMatrix.from_rows([
+            [F(a == b) if (a < n) == (b < n) else random_rational(rng) if a < n else F(0)
+             for b in range(2 * n)]
+            for a in range(2 * n)
+        ])
+        moved = transform(ext.algebra, p)
+        p_inv = p.inverse()
+        ideal = Subspace.from_vectors(2 * n, [p_inv.apply(v) for v in ext.lagrangian_ideal.basis])
+        assert moved.is_ideal(ideal)
+        assert_quotient(moved, ideal)
+        off_pivot += sum(len(row) > 1 for row in ideal.rows)
+    assert off_pivot > 12
 
 
 nonzero = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 8))

@@ -417,3 +417,27 @@ def test_the_extend_pipeline_builds_w_once_and_reads_no_vector_evaluator(monkeyp
         assert len(tables) == 1
         checked += 1
     assert checked == 64
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+def test_d_omega_answers_by_truthiness_without_fraction_comparisons(monkeypatch, closed):
+    """is_zero, witnesses and first_witness read each residual's truthiness:
+    no Fraction.__eq__ or __ne__ per basis triple, on a closed form and on a
+    form whose dw has witnesses."""
+    conn = connection_for("t_8")
+    ext = build_extension(ExtensionTriple(conn, random_lagrangian_cocycle(conn, rng_for(7, "t_8"))))
+    s = ext if closed else SymplecticLieAlgebra(ext.algebra, tuple(F(p + 1) for p in range(28)))
+    result = s.d_omega_result
+    expected = reference.d_omega(brackets(s.algebra), form(s))
+    compared = Counter()
+    for name in ("__eq__", "__ne__"):
+        real = getattr(F, name)
+        monkeypatch.setattr(F, name, lambda a, b, _r=real, _n=name: compared.update([_n]) or _r(a, b))
+    answers = (result.is_zero(), result.witnesses(), result.first_witness())
+    monkeypatch.undo()
+    assert not compared
+    witnesses = tuple((t, v) for t, v in expected if v)
+    first = [f"d_omega({i},{j},{k}) = {v}" for (i, j, k), v in witnesses][:1]
+    assert answers[0] == (not witnesses) == closed
+    assert typed(answers[1]) == typed(witnesses)
+    assert answers[2] == "".join(first)

@@ -17,7 +17,7 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference
 from inputs import (
@@ -179,6 +179,47 @@ def test_connection_layer_matches_dense_code_on_single_cell_perturbations():
             seen["associator"] += bool(report.associator)
             seen["curvature only"] += bool(report.curvature and not report.torsion)
     assert all(seen.values()), seen
+
+
+def test_sweep_matches_the_reference_on_canonical_connections_of_nonzero_classes():
+    """The sweep builds its commutators from the table of operator products;
+    here on the 8-dim canonical connections of extensions by seeded nonzero
+    classes of H2_L, whose gamma tables are not those of a zero extension.
+    Each class is a combination of the H2_L representatives with nonzero
+    seeded coefficients: they are independent modulo B2_L."""
+    rng = rng_for(59, "sweep-nonzero-classes")
+    checked = 0
+    for conn in list(flat_samples(1))[::4]:
+        representatives = cohomology(conn.dual).h2_lagrangian_representatives
+        if not representatives:
+            continue
+        coefficients = [F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3))) for _ in representatives]
+        values = tuple(
+            sum((c * r.values[t] for c, r in zip(coefficients, representatives)), F(0))
+            for t in range(len(representatives[0].values))
+        )
+        ext = build_extension(ExtensionTriple(conn, TwoCochain(conn.dim, values)))
+        canonical = canonical_connection(ext)
+        assert canonical.dim == 8
+        assert assert_sweep_matches_reference(canonical).ok
+        checked += 1
+    assert checked == 16
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_sweep_matches_the_reference_on_tables_neither_flat_nor_torsion_free(data):
+    """Drawn sparse bracket and gamma tables, kept when the reference finds
+    both torsion and curvature: every witness, in its (i, j, s) order."""
+    n = data.draw(st.integers(min_value=3, max_value=6))
+    pairs = {(i, j): data.draw(sparse_vector(n)) for i, j in combinations(range(n), 2)}
+    base = LieAlgebra.from_brackets(n, pairs, "drawn")
+    cells = {(i, j): data.draw(sparse_vector(n)) for i in range(n) for j in range(n)}
+    conn = FlatConnection.from_entries(base, cells, label="drawn")
+    c, g = brackets(base), gamma(conn)
+    assume(reference.torsion(c, g) and reference.curvature(c, g))
+    report = assert_sweep_matches_reference(conn)
+    assert not (report.torsion_free or report.flat)
 
 
 def test_engel_flag_evidence_matches_frozen_seeded_evidence():
