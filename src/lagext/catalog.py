@@ -21,7 +21,7 @@ machine-readable, with R+ read as strictly positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
 
@@ -55,15 +55,12 @@ _BASES = {code: build_algebra(spec) for code, spec in _BASE_SPECS.items()}
 
 
 def base_algebra(code: str) -> LieAlgebra:
-    """The base algebra of code a, l or t.
-
-    Its bracket is built and checked once per code.  Each call gets a fresh
-    object, so the verdicts an algebra caches (its lower central series)
-    belong to one connection and no call sees another's.
-    """
+    """The base algebra of code a, l or t, built and checked once per code
+    and shared by every caller, with the verdicts it caches: an algebra is
+    immutable."""
     if code not in _BASES:
         raise ValueError(f"unknown base code {code!r}")
-    return replace(_BASES[code])
+    return _BASES[code]
 
 
 @dataclass(frozen=True)

@@ -264,7 +264,7 @@ def coboundary_1(rep: DualRep, sigma: OneCochain) -> TwoCochain:
     """
     if sigma.dim != rep.dim:
         raise ValueError("cochain dimension does not match the representation")
-    d, (terms,) = _integer_tables(tuple((c, x) for c, x in enumerate(sigma.flatten()) if x))
+    d, (terms,) = _integer_tables([[(c, x) for c, x in enumerate(sigma.flatten()) if x]])
     image = _coboundary_1_images(rep, [dict(terms)])[0]
     scale = rep.integer_tables[0] * d
     return _two_cochain_from_row(rep.dim, {c: Fraction(x, scale) for c, x in image.items()})
@@ -285,7 +285,7 @@ def coboundary_2(rep: DualRep, alpha: TwoCochain) -> ThreeCochain:
         raise ValueError("cochain dimension does not match the representation")
     if not any(alpha.values):
         return ThreeCochain(n, ((ZERO,) * n,) * len(triple_list(n)))
-    d, (terms,) = _integer_tables(tuple((col, x) for col, x in enumerate(alpha.values) if x))
+    d, (terms,) = _integer_tables([[(col, x) for col, x in enumerate(alpha.values) if x]])
     coords = dict(terms)
     scale = rep.integer_tables[0] * d
     values = []

@@ -33,12 +33,14 @@ computed once per table: a connection recovered with the tables of its source
 
 The sweep, the Engel flags and the representation law run on Python ints:
 gamma and the bracket are scaled once per connection by one D, the lcm of
-their denominators (``FlatConnection.integer_tables``), and rho = -gamma^T
-is read off the scaled gamma.  Torsion is of degree 1 in the scaled tables,
-and curvature, the associator and every term of the law of degree 2, so
-each scaled residual is D or D^2 times the rational one: it is zero exactly
-when that one is, and a nonzero witness is divided back to the same
-Fractions.  D is positive, so a flag step of the scaled nabla spans the
+their denominators (``FlatConnection.integer_tables``, gamma's cells and
+the base's pairs scaled as one flat sequence and regrouped), and rho =
+-gamma^T is read off the scaled gamma, as its one int table
+(``DualRep.integer_tables``); no Fraction copy of rho is kept.  Torsion is
+of degree 1 in the scaled tables, and curvature, the associator and every
+term of the law of degree 2, so each scaled residual is D or D^2 times the
+rational one: it is zero exactly when that one is, and a nonzero witness
+is divided back to the same Fractions.  D is positive, so a flag step of the scaled nabla spans the
 same subspace as the rational one, and an r-fold product of scaled
 operators, D^r times the rational product, is zero exactly when that one
 is: the flag stops at the same step, with the same dimensions.
@@ -49,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 from .lie import LieAlgebra, NonzeroTable, _check_canonical, _mirrored, descending_flag
 from .linalg import Vector, _add, _dense, _integer_tables, _pair_value
@@ -135,11 +137,14 @@ class FlatConnection:
     def integer_tables(self) -> tuple[int, NonzeroTable, NonzeroTable]:
         """(D, ``nonzero_gamma``, the base's n x n bracket table), both scaled
         by D, the lcm of the denominators of gamma and the base's ``pairs``, to
-        ints.  The bracket table is the base's pairs scaled, then mirrored on
-        ints (``lie._mirrored``): negation keeps denominators, so D and the
-        table are those of the base's ``nonzero_brackets``, which is not built."""
-        d, (cols, pairs) = _integer_tables(self.nonzero_gamma, self.base.pairs)
-        return d, cols, _mirrored(self.dim, pairs)
+        ints.  Gamma's planes and then the pairs are scaled as one flat
+        sequence of cells; gamma's n^2 cells are regrouped into planes, and
+        the pairs mirrored on ints (``lie._mirrored``), as negation keeps
+        denominators."""
+        n = self.dim
+        d, cells = _integer_tables([*chain.from_iterable(self.nonzero_gamma), *self.base.pairs])
+        cols = tuple([cells[i * n:i * n + n] for i in range(n)])
+        return d, cols, _mirrored(n, cells[n * n:])
 
     @cached_property
     def report(self) -> "ConnectionReport":
@@ -339,22 +344,13 @@ class DualRep:
         return self.connection.dim
 
     @cached_property
-    def nonzero_entries(self) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
-        """The (row, column, value) of each nonzero entry of each rho(e_i), row-major.
-
-        rho(e_i) = -transpose(nabla_{e_i}), so row j of rho(e_i) is -nabla_{e_i} e_j.
-        """
-        return tuple(
-            tuple((j, k, -v) for j, col in enumerate(plane) for k, v in col)
-            for plane in self.connection.nonzero_gamma
-        )
-
-    @cached_property
     def integer_tables(self) -> tuple[int, tuple, NonzeroTable]:
-        """(D, ``nonzero_entries``, the base's n x n bracket table), both
-        scaled by D, the lcm of their denominators, to ints: read off the
-        connection's ``integer_tables``, as rho = -gamma^T has gamma's
-        denominators."""
+        """(D, the entries of rho, the base's n x n bracket table), both scaled
+        by D, the lcm of their denominators, to ints: rho's one int table.
+        Entry plane i lists the (row, column, value) of each nonzero entry of
+        rho(e_i), row-major; rho(e_i) = -transpose(nabla_{e_i}), so row j of
+        rho(e_i) is -nabla_{e_i} e_j.  Read off the connection's
+        ``integer_tables``, as rho has gamma's denominators."""
         d, cols, brackets = self.connection.integer_tables
         entries = tuple(
             tuple((j, k, -v) for j, col in enumerate(plane) for k, v in col) for plane in cols

@@ -31,6 +31,9 @@ class ExprError(ValueError):
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^]")
 _LITERAL = re.compile(r"(-?\d+)(?:/(\d+))?")
 _MAX_EXPONENT = 1024  # x^k with a larger |k| is refused before the power is taken
+# x^k is also refused when |k| times the larger bit length of x's numerator
+# and denominator, a bound on the bit length of the result, exceeds this.
+_MAX_POWER_BITS = 65536
 
 
 def _tokenize(text: str) -> list[str]:
@@ -139,6 +142,9 @@ def _eval(node, env: dict[str, Fraction]) -> Fraction:
             raise ExprError("exponent must be an integer")
         if abs(b) > _MAX_EXPONENT:
             raise ExprError(f"exponent {b} exceeds the bound {_MAX_EXPONENT}")
+        bits = abs(b.numerator) * max(a.numerator.bit_length(), a.denominator.bit_length())
+        if bits > _MAX_POWER_BITS:
+            raise ExprError(f"power with exponent {b} exceeds the bound of {_MAX_POWER_BITS} bits")
         if a == 0 and b < 0:
             raise ExprError("division by zero while evaluating expression")
         return a ** int(b)

@@ -13,16 +13,18 @@ The dual copy h* is always an abelian ideal; it is Lagrangian and normal,
 and quotienting by it recovers the connection exactly.
 
 A form is stored as its coordinates over the pairs i < j and read through
-its sparse rows; subspaces (J, its orthogonal) are read through their int
+its one int table; subspaces (J, its orthogonal) are read through their int
 echelon rows, and the orthogonal's Fraction rows only where they become the
 basis of a reduction; a linear map (psi, the lifts of a reduction) is read
-as its columns in sparse rows: no dense vector is read here.
+as its columns in sparse rows: no dense vector is read here.  The built
+extension's bracket is read straight off the pair table of the base and
+the connection's gamma table, rho(e_i)[t][m] = -gamma_i(e_t)_m.
 
-The omega identities run on ints.  Each form keeps one copy of its rows
-scaled by the lcm D' of its denominators (``integer_omega``, mirrored on
-ints from the scaled pair coordinates, as the bracket's int table is from
-its pairs, so no Fraction row is built for it) and, built once
-from that copy and the bracket's ``integer_brackets``, one table
+The omega identities run on ints.  Each form keeps one table: its rows
+scaled by the lcm D' of its denominators (``integer_omega``, the pair
+coordinates scaled by ``linalg._integer_tables`` as one cell and mirrored
+on ints, as the bracket's int table is from its pairs) and, built once from
+that table and the bracket's ``integer_brackets``, the table
 W[a][u] = D omega([e_a, e_u], .) of sparse int rows
 (``integer_omega_brackets``).  dw is the cyclic sums of W; both omega solves
 (the canonical and the induced connection) read their right-hand sides off
@@ -30,7 +32,14 @@ W and invert their pairing by one int elimination; ``omega_row``, the
 pullback and the orthogonal read the scaled rows on vectors scaled to ints;
 and psi's bracket check reads the two extensions' ``integer_brackets``.
 Each value that leaves these kernels is made as one Fraction, divided back
-by its scale.
+by its scale.  The dense ``omega`` is a view decoded from the pair
+coordinates, for callers that print or compare a matrix.
+
+A quotient is checked for the Jacobi identity only where nothing else
+certifies it: ``classify_and_reduce`` runs ``require_jacobi`` on its
+reduction, while ``induced_flat_connection`` relies on the flat torsion-free
+sweep of the induced connection over the quotient, which makes the
+quotient's bracket the commutator of a left-symmetric product.
 """
 
 from __future__ import annotations
@@ -39,7 +48,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import lcm
 
 from .cohomology import (
     OneCochain,
@@ -101,9 +109,9 @@ class SymplecticLieAlgebra:
     ``form`` lists omega(e_i, e_j) for the pairs i < j of
     ``combinations(range(dim), 2)``, the order of ``LieAlgebra.pairs``.
     Construction does not assert closedness; use ``d_omega`` /
-    ``validate`` to check dw = 0 and non-degeneracy.  The sparse rows of the
-    form (``omega_rows``), its dense matrix (``omega``, a view), the rows
-    scaled to ints (``integer_omega``), the table W of omega on brackets
+    ``validate`` to check dw = 0 and non-degeneracy.  The form's rows scaled
+    to ints (``integer_omega``), its dense matrix (``omega``, a view decoded
+    from ``form``), the table W of omega on brackets
     (``integer_omega_brackets``), dw of the form (``d_omega_result``) and the
     classification of ``lagrangian_ideal`` (``ideal_verdict``) are computed on
     first use and kept, as the algebra and the form are immutable.
@@ -127,32 +135,27 @@ class SymplecticLieAlgebra:
         return self.algebra.dim
 
     @cached_property
-    def omega_rows(self) -> tuple[dict[int, Fraction], ...]:
-        """Row p of omega as {q: omega(e_p, e_q)} over its nonzero entries, q ascending."""
-        rows = [{} for _ in range(self.dim)]
-        for (i, j), x in zip(combinations(range(self.dim), 2), self.form):
-            if x:
-                rows[i][j] = x
-                rows[j][i] = -x
-        return tuple(rows)
-
-    @cached_property
     def omega(self) -> RatMatrix:
-        """The dense matrix of the form, a read-only view decoded once."""
-        return RatMatrix(tuple(_dense(row, self.dim) for row in self.omega_rows))
+        """The dense matrix of the form, a read-only view decoded from ``form`` once."""
+        n = self.dim
+        rows = [[ZERO] * n for _ in range(n)]
+        for (i, j), x in zip(combinations(range(n), 2), self.form):
+            if x:
+                rows[i][j], rows[j][i] = x, -x
+        return RatMatrix(tuple(map(tuple, rows)))
 
     @cached_property
     def integer_omega(self) -> tuple[int, tuple[dict[int, int], ...]]:
-        """D', the lcm of the denominators of the form, and ``omega_rows``
-        scaled by D' to ints: the one scaled copy every omega identity reads.
-        The nonzero pair coordinates are scaled and then mirrored on ints, so
-        ``omega_rows`` is not built; negation keeps denominators, so D' and
-        the rows are what scaling ``omega_rows`` gives."""
-        terms = [(ij, x) for ij, x in zip(combinations(range(self.dim), 2), self.form) if x]
-        d = lcm(*{x.denominator for _, x in terms})
+        """D', the lcm of the denominators of the form, and its rows scaled by
+        D' to ints, row p as {q: D' omega(e_p, e_q)} over the nonzero entries,
+        q ascending: the one scaled copy every omega identity reads.  The
+        nonzero pair coordinates are scaled as one cell and mirrored on ints;
+        negation keeps denominators."""
+        pairs = zip(combinations(range(self.dim), 2), self.form)
+        d, (terms,) = _integer_tables([[(ij, x) for ij, x in pairs if x]])
         rows = [{} for _ in range(self.dim)]
         for (i, j), x in terms:
-            rows[i][j] = x = x.numerator * (d // x.denominator)
+            rows[i][j] = x
             rows[j][i] = -x
         return d, tuple(rows)
 
@@ -165,7 +168,7 @@ class SymplecticLieAlgebra:
 
     def omega_row(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
         """omega(v, .) as a sparse row {q: omega(v, e_q)}, for a sparse row v."""
-        d, (row,) = _integer_tables(tuple(v.items()))
+        d, (row,) = _integer_tables([v.items()])
         out = _int_omega_row(self, row)
         d *= self.integer_omega[0]
         return {q: Fraction(x, d) for q, x in out.items()}
@@ -177,7 +180,7 @@ class SymplecticLieAlgebra:
         omega(c_a, .) is read once per column on the scaled rows of omega, and
         each coordinate is one Fraction, divided back by D' D''^2.
         """
-        d, (cols,) = _integer_tables(tuple(tuple(c.items()) for c in columns))
+        d, cols = _integer_tables([c.items() for c in columns])
         d = d * d * self.integer_omega[0]
         out = []
         for a, b in combinations(range(len(cols)), 2):
@@ -295,19 +298,19 @@ def _build(triple: ExtensionTriple) -> SymplecticLieAlgebra:
     report = check_flat_torsion_free(conn)
     if not report.ok:
         raise ValueError("extension requires a flat torsion-free connection")
-    rep = dual_representation(conn)
-    residual = coboundary_2(rep, triple.cocycle)
+    residual = coboundary_2(dual_representation(conn), triple.cocycle)
     if not residual.is_zero():
         raise CocycleError(residual)
 
     n = conn.dim
     alpha = triple.cocycle.values
     # rho_terms[i][m]: [e_i, e^m] = rho(e_i) e^m = sum of rho(e_i)[t][m] e^t,
-    # t ascending since the entries of rho(e_i) are listed row-major
+    # with rho(e_i)[t][m] = -gamma_i(e_t)_m, read off gamma's cells with t ascending
     rho_terms = [[[] for _ in range(n)] for _ in range(n)]
-    for i, entries in enumerate(rep.nonzero_entries):
-        for t, m, value in entries:
-            rho_terms[i][m].append((n + t, value))
+    for i, plane in enumerate(conn.nonzero_gamma):
+        for t, cell in enumerate(plane):
+            for m, v in cell:
+                rho_terms[i][m].append((n + t, -v))
     pairs = []
     p = 0
     for i in range(n):
@@ -511,8 +514,9 @@ def classify_and_reduce(
     pairs = tuple(inside(s.algebra.bracket_rows(rows[a], rows[b])) for a, b in combinations(range(r), 2))
     perp_algebra = LieAlgebra(r, pairs, f"{s.algebra.name}|perp")
     j_inside = _subspace(r, [dict(inside(u)) for u in j.ints])
-    # J is an ideal of g inside the orthogonal, so it is one of the orthogonal.
-    reduced = _quotient(perp_algebra, j_inside, name=f"{s.algebra.name}/red")
+    # J is an ideal of g inside the orthogonal, so it is one of the orthogonal;
+    # nothing else certifies the quotient, so Jacobi is checked on it.
+    reduced = require_jacobi(_quotient(perp_algebra, j_inside, name=f"{s.algebra.name}/red"))
     result = SymplecticLieAlgebra(
         reduced, s.pullback([rows[t] for t in j_inside.complement_coordinates()])
     )
@@ -547,7 +551,9 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
         raise ValueError(f"induced connection requires a Lagrangian ideal, got {verdict.status}")
     if j.ambient_dim != s.dim:  # a zero J of another size, Lagrangian when s is 0
         raise ValueError("ambient dimension mismatch")
-    # The verdict has checked J an ideal.
+    # The verdict has checked J an ideal.  The flat torsion-free check below
+    # certifies the quotient's Jacobi identity: its bracket is then the
+    # commutator of the left-symmetric product x.y = nabla_x y.
     quotient = _quotient(s.algebra, j, name=f"{s.algebra.name}/ideal")
     try:
         gamma = _omega_solve(s, j.complement_coordinates(), j.ints)
@@ -686,7 +692,7 @@ def equivalence_map_psi(
     # C = D_sigma psi and T_i = D_i [., .]_i, so sum_k T_1[a][b][k] C_k is
     # D_1 D_sigma psi([e_a, e_b]_1) and sum T_2[p][q] C_a[p] C_b[q] is
     # D_2 D_sigma^2 [psi e_a, psi e_b]_2; f1 and f2 bring both to one scale.
-    d_sigma, (ints,) = _integer_tables(tuple(tuple(col.items()) for col in cols))
+    d_sigma, ints = _integer_tables([col.items() for col in cols])
     d1, table1 = g1.algebra.integer_brackets
     d2, table2 = g2.algebra.integer_brackets
     f1, f2 = d2 * d_sigma, d1

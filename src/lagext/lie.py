@@ -6,20 +6,24 @@ of ``combinations(range(dim), 2)`` (0-based), the order of a ``TwoCochain``'s
 coordinates.  So an algebra is antisymmetric by construction; the spec-file
 reader rejects a diagonal cell or a mirror that disagrees.  The Jacobi
 identity is checked either explicitly via ``check_jacobi`` or by the
-constructors of derived algebras (quotients, extensions).
+constructors of derived algebras (``quotient_algebra``, extensions); the
+private ``_quotient`` leaves the check to its caller, which may hold
+another certificate of the quotient.
 
-Each algebra keeps, computed on first use, its table scaled to ints and
-mirrored to the n x n table of every [e_i, e_j] (``integer_brackets``),
-which the Jacobi check, the lower central series and ``is_ideal`` read, and
-that series as int echelon rows (``integer_central_series``).  The Fraction
-n x n view ``nonzero_brackets`` is built only for the routines whose results
-are Fractions (``bracket_rows``, ``center``, ``derivation_space``) and for
-the dense tensor ``bracket``, a view for tests and the benchmark; both n x n
-tables are mirrored from the pairs by ``_mirrored``, and the quotient reads
-the pairs themselves.  Keeping them is sound because an algebra is
-immutable.  The constructor rejects a table that is not canonical (k out of
-order, or a c that is zero or not a Fraction), so equal tables mean equal
-brackets.  Brackets of vectors are read on sparse rows, by ``bracket_rows``.
+Each algebra keeps, computed on first use, one int table: ``pairs`` scaled
+by the lcm D of their denominators and mirrored to the n x n table of every
+[e_i, e_j] (``integer_brackets``, by ``_mirrored``), and its lower central
+series as int echelon rows (``integer_central_series``).  Every bracket the
+module computes is read through that table: the Jacobi check, the series
+and ``is_ideal`` on ints; ``center`` and ``derivation_space`` take their
+kernel rows from it, as their equations are homogeneous and so keep their
+kernel when scaled by D; and ``bracket_rows``, the bracket of two sparse
+rows, divides each entry of its sum back by D once.  The quotient reads the
+pairs themselves, and the dense tensor ``bracket``, a view for tests and
+the benchmark, decodes them on first read.  Keeping these is sound because
+an algebra is immutable.  The constructor rejects a table that is not
+canonical (k out of order, or a c that is zero or not a Fraction), so equal
+tables mean equal brackets.
 
 The lower central series is the ``descending_flag`` of the ad_{e_j}, the
 planes of ``integer_brackets``; connection.py reads the flag of nabla's.
@@ -109,17 +113,10 @@ class LieAlgebra:
     _renamed_from = None
 
     @cached_property
-    def nonzero_brackets(self) -> NonzeroTable:
-        """The nonzero structure constants: [e_i, e_j] = sum of c e_k over (k, c) in [i][j]."""
-        if self._renamed_from is not None:
-            return self._renamed_from.nonzero_brackets
-        return _mirrored(self.dim, self.pairs)
-
-    @cached_property
     def bracket(self) -> BracketTensor:
-        """The dense tensor c[i][j][k], a read-only view decoded from the table once."""
+        """The dense tensor c[i][j][k], a read-only view decoded from ``pairs`` once."""
         n = self.dim
-        return tuple(tuple(_dense(dict(t), n) for t in plane) for plane in self.nonzero_brackets)
+        return tuple(tuple(_dense(dict(t), n) for t in plane) for plane in _mirrored(n, self.pairs))
 
     @cached_property
     def integer_central_series(self) -> tuple[dict[int, dict[int, int]], ...]:
@@ -140,25 +137,26 @@ class LieAlgebra:
     @cached_property
     def integer_brackets(self) -> tuple[int, NonzeroTable]:
         """D, the lcm of the denominators of ``pairs``, and the n x n table
-        scaled by D to ints: ``pairs`` scaled, then mirrored on ints
-        (``_mirrored``), so no Fraction table is built.  Negation keeps
-        denominators, so D and the table are those of ``nonzero_brackets``.
-        Computed once per algebra and its renamed copies."""
+        scaled by D to ints: the cells of ``pairs`` scaled, then mirrored on
+        ints (``_mirrored``); negation keeps denominators.  Computed once per
+        algebra and its renamed copies."""
         if self._renamed_from is not None:
             return self._renamed_from.integer_brackets
-        d, (pairs,) = _integer_tables(self.pairs)
+        d, pairs = _integer_tables(self.pairs)
         return d, _mirrored(self.dim, pairs)
 
-    def bracket_rows(self, u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
-        """[u, v] as a sparse row, for sparse rows u and v, summed over the
-        nonzero structure constants."""
+    def bracket_rows(self, u: dict, v: dict) -> dict[int, Fraction]:
+        """[u, v] as a sparse Fraction row, for sparse rows u and v of ints or
+        Fractions: summed over the int table, D times the structure
+        constants, and each entry divided back by D once."""
+        d, table = self.integer_brackets
         out = {}
         for i, x in u.items():
-            plane = self.nonzero_brackets[i]
+            plane = table[i]
             for j, y in v.items():
                 for k, c in plane[j]:
                     _add(out, k, x * y * c)
-        return out
+        return {k: Fraction(x, d) for k, x in out.items()}
 
     def is_ideal(self, sub: Subspace) -> bool:
         """[g, sub] <= sub: every D [e_j, v], v in the basis of sub, reduces to 0
@@ -170,9 +168,9 @@ class LieAlgebra:
         return _in_span(_images(self.integer_brackets[1], sub.ints), kept)
 
     def rename(self, name: str) -> "LieAlgebra":
-        """The same algebra under another name, reading ``nonzero_brackets``,
-        ``integer_brackets`` and both lower central series through this one:
-        each depends only on the bracket."""
+        """The same algebra under another name, reading ``integer_brackets``
+        and both lower central series through this one: each depends only on
+        the bracket."""
         renamed = LieAlgebra(self.dim, self.pairs, name)
         object.__setattr__(renamed, "_renamed_from", self)
         return renamed
@@ -313,10 +311,12 @@ def nilpotency_class(algebra: LieAlgebra) -> int | None:
 
 
 def center(algebra: LieAlgebra) -> Subspace:
-    """{x : [x, e_j] = 0 for all j}: the kernel of the rows x -> [x, e_j]_k."""
+    """{x : [x, e_j] = 0 for all j}: the kernel of the rows x -> [x, e_j]_k,
+    read off the int table; the rows are D times the rational ones, so they
+    have the same kernel."""
     n = algebra.dim
     rows = [{} for _ in range(n * n)]
-    for i, plane in enumerate(algebra.nonzero_brackets):
+    for i, plane in enumerate(algebra.integer_brackets[1]):
         for j, terms in enumerate(plane):
             for k, c in terms:
                 rows[j * n + k][i] = c  # x_i contributes c[i][j][k] to [x, e_j]_k
@@ -324,9 +324,12 @@ def center(algebra: LieAlgebra) -> Subspace:
 
 
 def derivation_space(algebra: LieAlgebra) -> Subspace:
-    """Kernel of D[x,y] = [Dx,y] + [x,Dy], D flattened row-major (n^2 unknowns)."""
+    """Kernel of D[x,y] = [Dx,y] + [x,Dy], D flattened row-major (n^2 unknowns).
+
+    The equations are homogeneous, so their rows are read off the int table:
+    scaled by the table's D they keep their kernel."""
     n = algebra.dim
-    table = algebra.nonzero_brackets
+    table = algebra.integer_brackets[1]
     rows = []
     for i, j in combinations(range(n), 2):
         # block[k]: coefficient of D[a][b] in (D[e_i,e_j] - [De_i,e_j] - [e_i,De_j])_k
@@ -376,17 +379,20 @@ def fingerprint(algebra: LieAlgebra) -> Fingerprint:
 def quotient_algebra(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> LieAlgebra:
     """Quotient by an ideal, in the complement basis of the ideal's non-pivot coordinates.
 
-    Raises ValueError if the subspace is not an ideal.
+    Raises ValueError if the subspace is not an ideal; the quotient is
+    checked for the Jacobi identity.
     """
     if ideal.ambient_dim != algebra.dim:
         raise ValueError("ambient dimension mismatch")
     if not algebra.is_ideal(ideal):
         raise ValueError("subspace is not an ideal")
-    return _quotient(algebra, ideal, name)
+    return require_jacobi(_quotient(algebra, ideal, name))
 
 
 def _quotient(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> LieAlgebra:
-    """``quotient_algebra`` for a caller that has already verified the ideal."""
+    """``quotient_algebra`` for a caller that has already verified the ideal,
+    with no Jacobi check: a caller without another certificate of the
+    quotient runs ``require_jacobi`` on it."""
     n = algebra.dim
     keep = ideal.complement_coordinates()
     position = {k: t for t, k in enumerate(keep)}
@@ -403,7 +409,7 @@ def _quotient(algebra: LieAlgebra, ideal: Subspace, name: str = "") -> LieAlgebr
             for k, y in kept.get(p, ()):
                 _add(cell, k, x * y)
         pairs.append(tuple(sorted((position[k], c) for k, c in cell.items())))
-    return require_jacobi(LieAlgebra(len(keep), tuple(pairs), name))
+    return LieAlgebra(len(keep), tuple(pairs), name)
 
 
 def transform(algebra: LieAlgebra, p: RatMatrix, name: str = "") -> LieAlgebra:

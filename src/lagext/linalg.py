@@ -40,14 +40,15 @@ hands back its int rows, so a caller reads each entry of P^-1 as a
 numerator over its row's pivot entry (``RatMatrix.inverse`` makes those
 Fractions; the omega solves of extension.py keep the ints).
 
-``_integer_tables`` scales the nonzero tables that the zero-residual sweeps
-read (connection, bracket, omega, and the sparse rows and columns of
-cochains, pullbacks and psi) by the lcm D of their denominators, in one
-pass over their cells of (index, value) terms that gathers the denominators
-and one that rebuilds the cells.  A residual that is homogeneous of degree k
-in those tables is D^k times the rational residual, so it is zero exactly
-when the rational one is, and a nonzero one is divided back as
-``Fraction(v, D**k)``.  No float is used anywhere.
+``_integer_tables`` is the one scaler of the tables that the zero-residual
+sweeps read (connection, bracket, omega, and the sparse rows and columns of
+cochains, pullbacks and psi): it takes one flat sequence of cells of
+(index, value) terms, so each caller states its own table's shape, and
+scales them by the lcm D of their denominators, in one pass that gathers
+the denominators and one that rebuilds the cells.  A residual that is
+homogeneous of degree k in those tables is D^k times the rational residual,
+so it is zero exactly when the rational one is, and a nonzero one is
+divided back as ``Fraction(v, D**k)``.  No float is used anywhere.
 
 Echelon convention used throughout: reduced row echelon form, pivots
 ascending.  A matrix has exactly one, so every basis, pivot list and
@@ -220,36 +221,17 @@ def _add(acc: dict, key, value) -> None:
         del acc[key]
 
 
-def _integer_tables(*tables) -> tuple[int, tuple]:
-    """D, the lcm of the denominators in the tables, and each table scaled by D to ints.
+def _integer_tables(cells) -> tuple[int, tuple]:
+    """D, the lcm of the denominators in the cells, and the cells scaled by D to ints.
 
-    A cell is a tuple of (index, value) terms, each value a nonzero Fraction
-    or int.  A table is one cell (a sparse row), a tuple of cells (sparse rows
-    or columns), or a tuple of planes of cells (the nonzero tables of
-    brackets and connections).  Its shape is read off its first non-empty
-    entry: its first entry may be an empty cell or a plane of empty cells.
-    Only the values are scaled; empty tuples are kept as they are.
+    ``cells`` is a sequence of cells, each a sequence of (index, value)
+    terms with every value a nonzero Fraction or int; each cell comes back
+    as a tuple of its terms with only the values scaled, in the order given.
+    A caller flattens its own table into cells and regroups the result.
     """
-    shapes, cells = [], []
-    for t in tables:
-        # t's first index if t is a cell; else the first entry of t's first
-        # non-empty entry: a term for a tuple of cells, a cell for planes.
-        head = next((c for c in t if c), ((),))[0]
-        shape = 1 if type(head) is int else 2 if head and type(head[0]) is int else 3
-        shapes.append(shape)
-        cells.extend((t,) if shape == 1 else t if shape == 2 else [c for p in t for c in p])
-    dens = {x.denominator for cell in cells for _, x in cell}
-    dens.discard(1)
-    d = lcm(*dens) if dens else 1
-
-    def scaled(cell):
-        return tuple([(j, x.numerator * (d // x.denominator)) for j, x in cell])
-
+    d = lcm(*{x.denominator for cell in cells for _, x in cell})
     return d, tuple([
-        scaled(t) if shape == 1
-        else tuple([scaled(c) if c else c for c in t]) if shape == 2
-        else tuple([tuple([scaled(c) if c else c for c in plane]) for plane in t])
-        for t, shape in zip(tables, shapes)
+        tuple([(j, x.numerator * (d // x.denominator)) for j, x in cell]) for cell in cells
     ])
 
 

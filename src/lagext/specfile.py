@@ -267,7 +267,14 @@ def _split_arrow(rest: str, line_no: int) -> tuple[list[str], str]:
     return lhs.split(), rhs.strip()
 
 
+def _names_of(exprs) -> frozenset[str]:
+    return frozenset().union(*(e.names for e in exprs))
+
+
 def parse_spec(text: str) -> SpecFile:
+    """The spec file of the text.  Each line is checked as it is read; a
+    parameter name that no ``param`` line declares is refused at the first
+    line that reads it, after every line has been read."""
     name = None
     dim = None
     brackets: list[CellLine] = []
@@ -277,6 +284,7 @@ def parse_spec(text: str) -> SpecFile:
     params: list[ParamSpec] = []
 
     pending: list[tuple[int, str, str]] = []
+    uses: list[tuple[int, frozenset[str]]] = []  # the parameter names each line reads
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -301,7 +309,9 @@ def parse_spec(text: str) -> SpecFile:
 
     for line_no, keyword, rest in pending:
         if keyword == "param":
-            params.append(ParamSpec.parse(rest.split(), line_no))
+            param = ParamSpec.parse(rest.split(), line_no)
+            params.append(param)
+            uses.append((line_no, _names_of(param.excluded) - {param.name}))
             continue
         lhs, rhs = _split_arrow(rest, line_no)
         if len(lhs) != 2:
@@ -316,8 +326,10 @@ def parse_spec(text: str) -> SpecFile:
             except ExprError as exc:
                 raise SpecParseError(line_no, str(exc)) from None
             omega.append(OmegaLine(left, right, value))
+            uses.append((line_no, value.names))
             continue
         terms = parse_rhs(rhs, line_no)
+        uses.append((line_no, _names_of(term.coeff for term in terms)))
         for term in terms:
             if keyword == "cocycle":
                 if not term.token.dual:
@@ -334,7 +346,11 @@ def parse_spec(text: str) -> SpecFile:
         else:
             cocycle.append(cell)
 
-    spec = SpecFile(
+    declared = {p.name for p in params}
+    for line_no, names in uses:
+        if undeclared := sorted(names - declared):
+            raise SpecParseError(line_no, f"undeclared parameters: {', '.join(undeclared)}")
+    return SpecFile(
         name,
         dim,
         tuple(brackets),
@@ -343,24 +359,6 @@ def parse_spec(text: str) -> SpecFile:
         tuple(cocycle),
         tuple(params),
     )
-    _check_declared_params(spec)
-    return spec
-
-
-def _check_declared_params(spec: SpecFile):
-    declared = spec.param_names
-    used: set[str] = set()
-    for cell in spec.brackets + spec.connection + spec.cocycle:
-        for term in cell.terms:
-            used |= term.coeff.names
-    for line in spec.omega:
-        used |= line.value.names
-    for p in spec.params:
-        for expr in p.excluded:
-            used |= expr.names - {p.name}
-    undeclared = sorted(used - declared)
-    if undeclared:
-        raise SpecParseError(None, f"undeclared parameters: {', '.join(undeclared)}")
 
 
 def serialize_spec(spec: SpecFile) -> str:

@@ -11,6 +11,10 @@ import ast
 from fractions import Fraction as F
 from types import SimpleNamespace
 
+import pytest
+from click.testing import CliRunner
+from hypothesis import strategies as st
+
 import reference
 from lagext.catalog import instantiate, sample_parameters, table1_entries
 from lagext.cohomology import (
@@ -21,7 +25,8 @@ from lagext.cohomology import (
 )
 from lagext.connection import FlatConnection, check_flat_torsion_free, dual_representation
 from lagext.extension import ExtensionTriple, IntegrityError, build_extension
-from lagext.linalg import RatMatrix, Subspace
+from lagext.lie import LieAlgebra
+from lagext.linalg import RatMatrix, Subspace, _integer_tables
 from lagext.sampling import random_rational, rng_for
 
 L26_TEXT = """algebra l_26 dim 4
@@ -54,9 +59,32 @@ def flat_row_extensions():
         yield build_extension(ExtensionTriple.with_zero_cocycle(conn))
 
 
+def truncated_polynomial_connection(lambdas):
+    """b_i . b_j = l_i l_j / l_(i+j) b_(i+j) on abelian R^n: flat, torsion-free, complete."""
+    n = len(lambdas)
+    entries = {}
+    for i in range(1, n):
+        for j in range(1, n + 1 - i):
+            v = [F(0)] * n
+            v[i + j - 1] = lambdas[i - 1] * lambdas[j - 1] / lambdas[i + j - 1]
+            entries[(i - 1, j - 1)] = tuple(v)
+    return FlatConnection.from_entries(LieAlgebra.abelian(n), entries, label=f"trunc{n}")
+
+
+@pytest.fixture
+def runner():
+    """A click test runner for the ``lagext`` command line."""
+    return CliRunner()
+
+
 # ---------------------------------------------------------------------------
-# seeded draws
+# seeded and drawn inputs
 # ---------------------------------------------------------------------------
+
+
+def sparse_vector(n, entries):
+    """A hypothesis strategy of vectors of n entries, each drawn from ``entries``."""
+    return st.lists(entries, min_size=n, max_size=n).map(tuple)
 
 
 def random_lagrangian_cocycle(conn, rng):
@@ -124,6 +152,20 @@ def shifted(conn, shifts, label="shifted"):
 # ---------------------------------------------------------------------------
 # the plain data the reference takes
 # ---------------------------------------------------------------------------
+
+
+def scaled_operators(matrices):
+    """Square dense matrices as the int operators ``descending_flag`` reads:
+    each the tuple of its sparse columns, all scaled by one D to ints, as the
+    connection's tables are."""
+    columns = [
+        tuple((k, x) for k, x in enumerate(col) if x) for m in matrices for col in zip(*m.entries)
+    ]
+    _, cells = _integer_tables(columns)
+    starts = [0]
+    for m in matrices:
+        starts.append(starts[-1] + m.cols)
+    return tuple(cells[a:b] for a, b in zip(starts, starts[1:]))
 
 
 def brackets(algebra):

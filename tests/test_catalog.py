@@ -49,6 +49,18 @@ def test_base_algebras_satisfy_jacobi():
         assert check_jacobi(algebra) == ()
 
 
+def test_each_base_is_built_once_and_shared_by_its_rows():
+    for code in ("a", "l", "t"):
+        base = base_algebra(code)
+        assert base_algebra(code) is base
+        for entry in table1_entries():
+            if entry.base == code and not entry.suspect:
+                sample = sample_parameters(entry, 1)[0]
+                assert instantiate(entry, sample).base is base
+    with pytest.raises(ValueError, match="^unknown base code 'x'$"):
+        base_algebra("x")
+
+
 def test_l26_cells():
     entry = entry_by_label("l_26")
     assert entry.base == "l"

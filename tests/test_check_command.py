@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from lagext.catalog import entry_by_label, sample_parameters, table1_entries
 from lagext.cli import main
 from lagext.specfile import parse_spec
-from inputs import L26_TEXT
+from inputs import L26_TEXT, runner  # noqa: F401 (runner is a fixture)
 from lagext.verify import CHECK_NAMES
 
 T8_NON_COCYCLE = (
@@ -19,11 +19,6 @@ T8_NON_COCYCLE = (
     "connection e1 e1 -> 1 e4\nconnection e4 e1 -> 1 e2\nconnection e4 e2 -> 1 e3\n"
     "cocycle e1 e2 -> 1 e^2\n"
 )
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def check_tsv(runner, tmp_path, text, *args):
@@ -218,10 +213,16 @@ def test_duplicate_bracket_cell_is_an_invalid_algebra_block(runner, tmp_path):
             ("--set", "mu=10000000"),
             "algebra block invalid: cell e1 e2: exponent 10000000 exceeds the bound 1024",
         ),
+        (
+            "algebra a dim 4\nparam mu\nbracket e1 e2 -> (7^1024)^mu e3\n",
+            ("--set", "mu=1024"),
+            "algebra block invalid: cell e1 e2: power with exponent 1024 exceeds the bound of"
+            " 65536 bits",
+        ),
     ],
     ids=[
         "jacobi-residual", "connection-pole", "omega-pole", "cocycle-pole", "bracket-pole",
-        "bracket-pole-power", "bracket-exponent-bound",
+        "bracket-pole-power", "bracket-exponent-bound", "bracket-power-size-bound",
     ],
 )
 def test_a_block_that_does_not_build_is_named_in_plain_numbers(
@@ -326,12 +327,17 @@ def test_completeness_needs_nilpotent_nabla(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "cell, exponent", [("7^1000000", 1000000), ("9^9^9", 387420489)], ids=["power", "tower"]
+    "cell, message",
+    [
+        ("7^1000000", "exponent 1000000 exceeds the bound 1024"),
+        ("9^9^9", "exponent 387420489 exceeds the bound 1024"),
+        ("(7^1024)^1024", "power with exponent 1024 exceeds the bound of 65536 bits"),
+    ],
+    ids=["power", "tower", "size"],
 )
-def test_a_literal_exponent_beyond_the_bound_is_named_by_its_line(runner, tmp_path, cell, exponent):
+def test_a_literal_exponent_beyond_the_bound_is_named_by_its_line(runner, tmp_path, cell, message):
     path = tmp_path / "big.spec"
     path.write_text(f"algebra a dim 4\nbracket e1 e2 -> {cell} e3\n")
     result = runner.invoke(main, ["check", str(path)])
-    assert (result.exit_code, result.output) == (
-        1, f"Error: {path}: line 2: exponent {exponent} exceeds the bound 1024\n"
-    )
+    assert (result.exit_code, result.output) == (1, f"Error: {path}: line 2: {message}\n")
+

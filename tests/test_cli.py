@@ -1,18 +1,12 @@
 import hashlib
 
 import pytest
-from click.testing import CliRunner
 
 from lagext import extension
 from lagext.cli import main
 from lagext.specfile import parse_spec
 from lagext.verify import run_verify_catalog
-from inputs import L26_TEXT, counting
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from inputs import L26_TEXT, counting, runner  # noqa: F401 (runner is a fixture)
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 import reference
-from inputs import brackets, flat_samples, rho
+from inputs import brackets, flat_samples, rho, truncated_polynomial_connection
 from lagext.catalog import connection_for
 from lagext.cohomology import (
     OneCochain,
@@ -278,18 +278,6 @@ def test_two_cochain_from_coefficients_roundtrip():
     coeffs = tuple(random_rational(rng) for _ in range(z2.dim))
     alpha = two_cochain_from_coefficients(z2, coeffs, 4)
     assert coboundary_2(rep, alpha).is_zero()
-
-
-def truncated_polynomial_connection(lambdas):
-    """b_i . b_j = l_i l_j / l_(i+j) b_(i+j) on abelian R^n: flat, torsion-free, complete."""
-    n = len(lambdas)
-    entries = {}
-    for i in range(1, n):
-        for j in range(1, n + 1 - i):
-            v = [F(0)] * n
-            v[i + j - 1] = lambdas[i - 1] * lambdas[j - 1] / lambdas[i + j - 1]
-            entries[(i - 1, j - 1)] = tuple(v)
-    return FlatConnection.from_entries(LieAlgebra.abelian(n), entries, label=f"trunc{n}")
 
 
 def canonical_rep(label):

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 import reference
-from inputs import brackets, flat_samples, gamma
+from inputs import brackets, flat_samples, gamma, scaled_operators
 from lagext.catalog import base_algebra, connection_for
 from lagext.cohomology import TwoCochain
 from lagext.connection import (
@@ -17,7 +17,7 @@ from lagext.connection import (
     _uniform_nilindex,
 )
 from lagext.lie import LieAlgebra
-from lagext.linalg import RatMatrix, _integer_tables, vec
+from lagext.linalg import RatMatrix, vec
 from lagext.sampling import random_rational, rng_for
 
 
@@ -82,11 +82,7 @@ def unit_matrix(n, r, c):
 def nilindex(matrices):
     """``_uniform_nilindex`` of dense matrices, each passed as its sparse
     columns, scaled to ints as the connection's tables are."""
-    _, operators = _integer_tables(*(
-        tuple(tuple((k, x) for k, x in enumerate(col) if x) for col in zip(*m.entries))
-        for m in matrices
-    ))
-    return _uniform_nilindex(operators)
+    return _uniform_nilindex(scaled_operators(matrices))
 
 
 def test_engel_flag_needs_every_product_not_every_generator():
@@ -162,12 +158,14 @@ def test_completeness_requires_flat_torsion_free():
 
 
 def rho_columns(rep):
-    """The columns of each rho(e_i), read off the representation's nonzero entries."""
+    """The columns of each rho(e_i), read off the representation's int table
+    and divided back by its D."""
     n = rep.dim
+    d, planes, _ = rep.integer_tables
     mats = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    for m, entries in zip(mats, rep.nonzero_entries):
+    for m, entries in zip(mats, planes):
         for r, c, value in entries:
-            m[c][r] = value
+            m[c][r] = F(value, d)
     return [[tuple(col) for col in m] for m in mats]
 
 

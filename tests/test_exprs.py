@@ -107,11 +107,16 @@ def test_digit_tokens_read_as_fraction_literals(text, value):
         ("7^1000000", "exponent 1000000 exceeds the bound 1024"),
         ("9^9^9", "exponent 387420489 exceeds the bound 1024"),
         ("2^-1025", "exponent -1025 exceeds the bound 1024"),
+        ("(7^1024)^1024", "power with exponent 1024 exceeds the bound of 65536 bits"),
+        ("((7^1024)^1024)^16", "power with exponent 1024 exceeds the bound of 65536 bits"),
+        ("(2^1024)^-64", "power with exponent -64 exceeds the bound of 65536 bits"),
     ],
 )
 def test_a_constant_exponent_beyond_the_bound_is_refused_before_the_power(text, message):
     # The message comes from the check made before the power is taken: the
     # power 7^1000000 alone takes about 0.1 s, and 9^(9^9) would not finish.
+    # An exponent within the bound is refused when the result would pass
+    # 65536 bits: (7^1024)^1024 alone has about 2.9 million.
     start = time.perf_counter()
     with pytest.raises(ExprError) as caught:
         Expr.parse(text)
@@ -135,7 +140,16 @@ def test_a_parameter_exponent_beyond_the_bound_is_refused_on_evaluation():
         ("t^mu", {"t": F(-1), "mu": F(1024)}, F(1)),
         ("t^2", {"t": F(3, 2)}, F(9, 4)),
         ("mu^3", {"mu": F(-2)}, F(-8)),
+        ("(t^1024)^mu", {"t": F(2), "mu": F(63)}, F(2 ** (1024 * 63))),
     ],
 )
 def test_exponents_up_to_the_bound_are_evaluated(text, env, expected):
     assert Expr.parse(text).evaluate(env) == expected
+
+
+def test_a_parameter_power_beyond_the_size_bound_is_refused_on_evaluation():
+    expr = Expr.parse("(t^1024)^mu")
+    start = time.perf_counter()
+    with pytest.raises(ExprError, match="^power with exponent 1024 exceeds the bound of 65536 bits$"):
+        expr.evaluate({"t": F(7), "mu": F(1024)})
+    assert time.perf_counter() - start < 0.5

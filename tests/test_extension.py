@@ -310,9 +310,9 @@ def test_each_bracket_table_is_scaled_once(monkeypatch):
     # and Jacobi of the copy all read one scaling of the extension's table.
     scaled = []
     for module in (lie, extension):
-        def recording(*tables, _real=module._integer_tables):
-            scaled.extend(tables)
-            return _real(*tables)
+        def recording(cells, _real=module._integer_tables):
+            scaled.append(cells)
+            return _real(cells)
 
         monkeypatch.setattr(module, "_integer_tables", recording)
     t = triple("l_26")
@@ -321,6 +321,25 @@ def test_each_bracket_table_is_scaled_once(monkeypatch):
     assert ext.d_omega_result.is_zero() and named.d_omega_result.is_zero()
     assert check_jacobi(named.algebra) == ()
     assert sum(table is ext.algebra.pairs for table in scaled) == 1
+
+
+@pytest.mark.parametrize("label", ["l_26", "t_8", "a_3"])
+def test_the_flat_sweep_certifies_the_quotient_of_the_induced_connection(monkeypatch, label):
+    """No Jacobi check is made on the quotient: the flat torsion-free sweep of
+    the induced connection over it is its certificate, so a quotient with one
+    corrupted cell is refused."""
+    def corrupted(algebra, ideal, name="", _real=extension._quotient):
+        q = _real(algebra, ideal, name)
+        first = q.pairs[0]
+        cell = ((first[0][0], 2 * first[0][1]), *first[1:]) if first else ((q.dim - 1, F(1)),)
+        return LieAlgebra(q.dim, (cell, *q.pairs[1:]), q.name)
+
+    monkeypatch.setattr(extension, "_quotient", corrupted)
+    ext = build_extension(triple(label))
+    with pytest.raises(
+        IntegrityError, match="^induced connection failed the flat torsion-free check$"
+    ):
+        induced_flat_connection(ext, ext.lagrangian_ideal)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,14 @@
 """The flat table scaler and the int-row intake of ``_echelon``, against their definitions.
 
-``linalg._integer_tables`` scales tables of (index, value) terms by D, the
-lcm of all their denominators, in one flat pass per shape.  Here every call
-the package makes while checking, extending and reducing the flat
-``--samples 3`` catalog samples is recorded and compared with the
-definition read straight off the nested tuples, on Fractions: D = lcm of
-the denominators and each value ``int(x * D)``, each entry an ``int``, and
-empty tuples (empty cells, all-empty planes, an all-empty first plane as in
-``a_3``) kept as they are.  Hypothesis-made tables of every shape cover the
-rest.
+``linalg._integer_tables`` takes one flat sequence of cells of (index,
+value) terms and scales them by D, the lcm of all their denominators; each
+caller flattens its own table and regroups the result, so the scaler reads
+no shape.  Here every call the package makes while checking, extending and
+reducing the flat ``--samples 3`` catalog samples is recorded and compared
+with the definition, on Fractions: D = lcm of the denominators and each
+value ``int(x * D)``, each entry an ``int``, and empty cells (an all-empty
+first plane of gamma, as in ``a_3``) kept as empty tuples.  Hypothesis-made
+sequences of cells cover the rest.
 
 ``_echelon`` copies each incoming row as coprime ints; an all-int row is
 only divided by its content.  Int, Fraction and mixed rows must give the
@@ -22,6 +22,7 @@ rows) must be unchanged.
 import importlib
 from copy import deepcopy
 from fractions import Fraction as F
+from itertools import chain
 from math import lcm
 
 import pytest
@@ -29,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from lagext.catalog import connection_for, entry_by_label, instantiate, sample_parameters
 from lagext.cohomology import OneCochain, coboundary_1, coboundary_2
-from lagext.connection import dual_representation
+from lagext.connection import FlatConnection, dual_representation
 from lagext.extension import (
     ExtensionTriple,
     build_extension,
@@ -39,6 +40,7 @@ from lagext.extension import (
     induced_flat_connection,
     is_lagrangian_ideal,
 )
+from lagext.lie import _mirrored
 from lagext.linalg import (
     RatMatrix,
     Subspace,
@@ -66,62 +68,33 @@ SCALING_MODULES = [
 # ---------------------------------------------------------------------------
 
 
-def is_term(node):
-    """An (index, value) term; every other node is a tuple of nodes."""
-    return bool(node) and type(node[0]) is int
+def defined_scaling(cells):
+    """(D, cells) from the definition: D the lcm of every denominator and
+    each value x replaced by int(x * D)."""
+    d = lcm(*(F(x).denominator for cell in cells for _, x in cell))
+    return d, tuple(tuple((j, int(x * d)) for j, x in cell) for cell in cells)
 
 
-def terms(node):
-    if is_term(node):
-        yield node
-    else:
-        for child in node:
-            yield from terms(child)
-
-
-def defined_scaling(tables):
-    """(D, tables) from the definition: D the lcm of every denominator and
-    each value x replaced by int(x * D), whatever the nesting."""
-    d = lcm(*(F(x).denominator for t in tables for _, x in terms(t)))
-
-    def scaled(node):
-        if is_term(node):
-            return (node[0], int(node[1] * d))
-        return tuple(scaled(child) for child in node)
-
-    return d, tuple(scaled(t) for t in tables)
-
-
-def assert_scaled_by_definition(tables, result):
+def assert_scaled_by_definition(cells, result):
     d, out = result
-    expected_d, expected = defined_scaling(tables)
+    expected_d, expected = defined_scaling(cells)
     assert d == expected_d
     assert typed(out) == typed(expected)
-    assert all(type(x) is int for t in out for _, x in terms(t))
+    assert all(type(x) is int for cell in out for _, x in cell)
 
 
 @pytest.fixture
 def recorded_scalings(monkeypatch):
-    """Every (tables, result) of ``_integer_tables`` called from the package."""
+    """Every (cells, result) of ``_integer_tables`` called from the package."""
     calls = []
     for module in SCALING_MODULES:
-        def recording(*tables, _real=module._integer_tables):
-            result = _real(*tables)
-            calls.append((tables, result))
+        def recording(cells, _real=module._integer_tables):
+            result = _real(cells)
+            calls.append((cells, result))
             return result
 
         monkeypatch.setattr(module, "_integer_tables", recording)
     return calls
-
-
-def shape(table):
-    """1 for a cell, 2 for a tuple of cells, 3 for a tuple of planes; read
-    off the nesting depth of the table's first term."""
-    depth, node = 0, table
-    while not is_term(node):
-        node = next(child for child in node if any(True for _ in terms(child)))
-        depth += 1
-    return depth
 
 
 def exercise_extension(triple, rep, sigma):
@@ -155,16 +128,18 @@ def test_every_scaling_of_the_flat_samples_matches_its_definition(recorded_scali
     for label in ("l_26", "t_8"):
         ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
         canonical_connection(ext).integer_tables
-    shapes = set()
-    for tables, result in recorded_scalings:
-        assert_scaled_by_definition(tables, result)
-        shapes.update(shape(t) for t in tables if any(True for _ in terms(t)))
-    assert shapes == {1, 2, 3}
+    for cells, result in recorded_scalings:
+        assert_scaled_by_definition(cells, result)
+    # One cell and many cells, of int and of pair indices (omega's), went through.
+    sizes = {len(cells) > 1 for cells, _ in recorded_scalings}
+    indices = {type(j) for cells, _ in recorded_scalings for cell in cells for j, _ in cell}
+    assert (sizes, indices) == ({False, True}, {int, tuple})
     # a_3's gamma, first plane all empty, went through a recorded call.
     a_3 = entry_by_label("a_3")
     gamma = instantiate(a_3, sample_parameters(a_3, 1)[0]).nonzero_gamma
     assert gamma[0] == ((),) * 4
-    assert any(gamma in tables for tables, _ in recorded_scalings)
+    flat = list(chain.from_iterable(gamma))
+    assert any(list(cells[:16]) == flat for cells, _ in recorded_scalings)
 
 
 def test_a_table_with_an_all_empty_first_plane_is_scaled():
@@ -175,9 +150,12 @@ def test_a_table_with_an_all_empty_first_plane_is_scaled():
         for plane in conn.nonzero_gamma
     )
     assert gamma[0] == ((),) * 4
-    result = _integer_tables(gamma, conn.base.nonzero_brackets)
-    assert result[0] == 3
-    assert_scaled_by_definition((gamma, conn.base.nonzero_brackets), result)
+    d, cols, table = FlatConnection(conn.base, gamma).integer_tables
+    assert d == 3 and cols[0] == ((),) * 4
+    planes = (*gamma, *_mirrored(4, conn.base.pairs))
+    assert_scaled_by_definition(
+        list(chain.from_iterable(planes)), (d, tuple(chain.from_iterable((*cols, *table))))
+    )
 
 
 nonzero = st.one_of(
@@ -185,40 +163,22 @@ nonzero = st.one_of(
     st.builds(F, st.integers(-7, 7).filter(bool), st.integers(1, 12)),
 )
 cells = st.lists(st.tuples(st.integers(0, 5), nonzero), max_size=3).map(tuple)
-cell_tuples = st.lists(cells, max_size=4).map(tuple)
-plane_tuples = st.lists(cell_tuples, max_size=4).map(tuple)
-empty_planes = st.lists(st.just(()), min_size=1, max_size=4).map(tuple)
 
 
-@st.composite
-def tables(draw):
-    """A cell, a tuple of cells, or a tuple of planes, some with empty first planes."""
-    kind = draw(st.sampled_from(["cell", "cells", "planes", "empty-first-plane", "empty"]))
-    if kind == "cell":
-        return draw(cells)
-    if kind == "cells":
-        return draw(cell_tuples)
-    if kind == "planes":
-        return draw(plane_tuples)
-    if kind == "empty-first-plane":
-        return (draw(empty_planes), *draw(plane_tuples))
-    return ()
-
-
-@given(st.lists(tables(), max_size=3))
+@given(st.lists(st.one_of(cells, st.just(())), max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_scaled_tables_match_their_definition(drawn):
-    assert_scaled_by_definition(tuple(drawn), _integer_tables(*drawn))
+    assert_scaled_by_definition(drawn, _integer_tables(drawn))
 
 
 @pytest.mark.parametrize(
     "table",
-    [(), ((), ()), (((), ()), ((), ())), ((), ((), ((1, F(1, 2)),)))],
+    [(), ((),), ((), ()), ((), ((1, F(1, 2)),), ())],
 )
 def test_empty_tuples_come_back_as_they_went_in(table):
-    d, (out,) = _integer_tables(table)
-    assert typed(out) == typed(defined_scaling((table,))[1][0])
-    assert d == (2 if any(True for _ in terms(table)) else 1)
+    d, out = _integer_tables(table)
+    assert typed(out) == typed(defined_scaling(table)[1])
+    assert d == (2 if any(table) else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from fractions import Fraction as F
 import pytest
 
 import reference
-from inputs import brackets, flat_samples, rho, summary_text
+from inputs import brackets, flat_samples, rho, summary_text, truncated_polynomial_connection
 from lagext.catalog import connection_for
 from lagext.cohomology import (
     OneCochain,
@@ -64,18 +64,6 @@ linalg_module = importlib.import_module("lagext.linalg")
 # ---------------------------------------------------------------------------
 # the 134 inputs and their pinned digests
 # ---------------------------------------------------------------------------
-
-
-def truncated_polynomial_connection(lambdas):
-    """b_i . b_j = l_i l_j / l_(i+j) b_(i+j) on abelian R^n: flat, torsion-free, complete."""
-    n = len(lambdas)
-    entries = {}
-    for i in range(1, n):
-        for j in range(1, n + 1 - i):
-            v = [F(0)] * n
-            v[i + j - 1] = lambdas[i - 1] * lambdas[j - 1] / lambdas[i + j - 1]
-            entries[(i - 1, j - 1)] = tuple(v)
-    return FlatConnection.from_entries(LieAlgebra.abelian(n), entries, label=f"trunc{n}")
 
 
 def truncated_structures():

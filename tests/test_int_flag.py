@@ -26,7 +26,14 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 import reference
-from inputs import brackets, flat_samples, gamma, random_lagrangian_cocycle, typed
+from inputs import (
+    brackets,
+    flat_samples,
+    gamma,
+    random_lagrangian_cocycle,
+    scaled_operators,
+    typed,
+)
 from lagext import specfile
 from lagext.catalog import connection_for
 from lagext.connection import _uniform_nilindex
@@ -40,7 +47,7 @@ from lagext.lie import (
     lower_central_series,
     nilpotency_class,
 )
-from lagext.linalg import RatMatrix, Subspace, _integer_tables
+from lagext.linalg import RatMatrix, Subspace
 from lagext.sampling import rng_for
 
 AFF = "algebra aff dim 2\nbracket e1 e2 -> 1 e2\nconnection e1 e2 -> 1 e2\n"
@@ -171,10 +178,7 @@ def operator_sets(draw):
 def test_flag_of_scaled_operators_is_the_rational_flag(case):
     """Scaling by the lcm D of the denominators changes no term and no stop."""
     n, matrices = case
-    _, operators = _integer_tables(*(
-        tuple(tuple((k, x) for k, x in enumerate(col) if x) for col in zip(*m.entries))
-        for m in matrices
-    ))
+    operators = scaled_operators(matrices)
     assert all(type(x) is int for op in operators for col in op for _, x in col)
     matrices = [m.entries for m in matrices]
     index = assert_flag_matches_dense(operators, matrices, n)

@@ -1,16 +1,17 @@
-"""The int bracket tables are built from the pair table, never from the
-Fraction n x n view, and the per-build constants are made once.
+"""The int bracket tables are built from the pair table, never from a
+Fraction n x n table, and the per-build constants are made once.
 
 ``LieAlgebra.integer_brackets`` and ``FlatConnection.integer_tables`` scale
 ``pairs`` and mirror the scaled pairs on ints (``lie._mirrored``), and
 ``lie._quotient`` reads its cells from ``pairs``; likewise
 ``SymplecticLieAlgebra.integer_omega`` scales the form's pair coordinates
-and mirrors them on ints.  Each must equal what the Fraction views gave,
-``linalg._integer_tables(nonzero_brackets)`` (or of ``omega_rows``), and the
-reference tensors of tests/reference.py, on every catalog sample, each
-zero-class extension and its quotient, the canonical connections of the
-``l_26`` and ``t_8`` extensions, and hypothesis pair tables and forms.  A
-``verify-catalog --samples 3`` sweep builds no ``nonzero_brackets``.
+and mirrors them on ints.  Each must equal the parent formula, computed
+here as a differential oracle: the pairs (or the form) mirrored to a
+Fraction table first and scaled after; and the reference tensors of
+tests/reference.py, on every catalog sample, each zero-class extension and
+its quotient, the canonical connections of the ``l_26`` and ``t_8``
+extensions, and hypothesis pair tables and forms.  A ``verify-catalog
+--samples 3`` sweep builds no Fraction n x n table.
 
 ``standard_form``, ``dual_subspace``, ``BasisToken.primal``/``dual_token``,
 the validated-token lookup behind ``BasisToken.parse`` and ``Expr.const`` are
@@ -23,6 +24,7 @@ import hashlib
 import re
 from fractions import Fraction as F
 from functools import cached_property
+from itertools import chain, combinations
 from math import lcm
 
 import pytest
@@ -41,7 +43,8 @@ from lagext.extension import (
     dual_subspace,
     standard_form,
 )
-from lagext.lie import LieAlgebra, _quotient, lower_central_series, transform
+from lagext import connection as connection_module, lie
+from lagext.lie import LieAlgebra, _mirrored, _quotient, lower_central_series, transform
 from lagext.linalg import RatMatrix, Subspace, _add, _integer_tables
 from lagext.sampling import random_rational, rng_for
 from lagext.specfile import (
@@ -77,10 +80,20 @@ def assert_brackets_scaled(d, table, pairs, n, expected_d=None):
             assert [dense.get(k, 0) for k in range(n)] == [x * d for x in c[i][j]]
 
 
+def parent_scaling(*tables):
+    """The parent's scaling of n x n tables of Fraction cells: one D over all
+    their cells, and each table scaled plane by plane."""
+    d, cells = _integer_tables([cell for table in tables for plane in table for cell in plane])
+    cells = iter(cells)
+    return d, tuple(
+        tuple(tuple(next(cells) for _ in plane) for plane in table) for table in tables
+    )
+
+
 def assert_algebra_tables(algebra):
     """integer_brackets equals the parent formula and the reference."""
     d, table = algebra.integer_brackets
-    parent_d, (parent_table,) = _integer_tables(algebra.nonzero_brackets)
+    parent_d, (parent_table,) = parent_scaling(_mirrored(algebra.dim, algebra.pairs))
     assert typed((d, table)) == typed((parent_d, parent_table))
     assert_brackets_scaled(d, table, algebra.pairs, algebra.dim)
 
@@ -88,7 +101,7 @@ def assert_algebra_tables(algebra):
 def assert_connection_tables(conn):
     """FlatConnection.integer_tables equals the parent formula and the reference."""
     d, cols, table = conn.integer_tables
-    parent = _integer_tables(conn.nonzero_gamma, conn.base.nonzero_brackets)
+    parent = parent_scaling(conn.nonzero_gamma, _mirrored(conn.dim, conn.base.pairs))
     assert typed((d, cols, table)) == typed((parent[0], *parent[1]))
     n = conn.dim
     g = reference.gamma_tensor(n, conn.nonzero_gamma)
@@ -105,10 +118,15 @@ def assert_connection_tables(conn):
 
 
 def assert_form_tables(s):
-    """integer_omega equals the parent formula, ``omega_rows`` scaled, and
-    the reference form matrix scaled by the lcm of its denominators."""
+    """integer_omega equals the parent formula, the Fraction rows of the form
+    scaled, and the reference form matrix scaled by the lcm of its
+    denominators."""
     d, rows = s.integer_omega
-    parent_d, (parent_rows,) = _integer_tables(tuple(tuple(r.items()) for r in s.omega_rows))
+    fraction_rows = [{} for _ in range(s.dim)]
+    for (i, j), x in zip(combinations(range(s.dim), 2), s.form):
+        if x:
+            fraction_rows[i][j], fraction_rows[j][i] = x, -x
+    parent_d, parent_rows = _integer_tables([row.items() for row in fraction_rows])
     # the same entries, in the same key order
     assert typed(d) == typed(parent_d)
     assert [typed(tuple(r.items())) for r in rows] == [typed(r) for r in parent_rows]
@@ -121,11 +139,11 @@ def assert_form_tables(s):
 
 def parent_quotient_pairs(algebra, ideal):
     """The quotient's pair table as the parent read it, from the n x n
-    Fraction view ``nonzero_brackets``."""
+    Fraction table mirrored from the pairs."""
     keep = ideal.complement_coordinates()
     position = {k: t for t, k in enumerate(keep)}
     kept = dict(zip(ideal.pivots, ideal.rows))
-    table = algebra.nonzero_brackets
+    table = _mirrored(algebra.dim, algebra.pairs)
     pairs = []
     for t, a in enumerate(keep):
         for b in keep[t + 1:]:
@@ -260,19 +278,29 @@ def test_all_empty_tables_of_small_dimension_scale_to_empty_cells(n):
 
 
 def test_a_catalog_sweep_builds_no_fraction_bracket_view(monkeypatch):
-    real = LieAlgebra.__dict__["nonzero_brackets"].func
-    built = []
+    """Every n x n table the sweep mirrors holds ints, and neither dense view
+    (the bracket tensor, the omega matrix) is decoded."""
+    mirrored = []
+    for module in (lie, connection_module):
+        def recording(n, pairs, _real=module._mirrored):
+            table = _real(n, pairs)
+            mirrored.append({type(c) for _, c in chain.from_iterable(chain.from_iterable(table))})
+            return table
 
-    def counted(algebra):
-        built.append(algebra.name)
-        return real(algebra)
+        monkeypatch.setattr(module, "_mirrored", recording)
+    decoded = []
+    for cls, name in ((LieAlgebra, "bracket"), (SymplecticLieAlgebra, "omega")):
+        def counted(obj, _real=cls.__dict__[name].func, _name=name):
+            decoded.append(_name)
+            return _real(obj)
 
-    view = cached_property(counted)
-    view.__set_name__(LieAlgebra, "nonzero_brackets")
-    monkeypatch.setattr(LieAlgebra, "nonzero_brackets", view)
+        view = cached_property(counted)
+        view.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, view)
     records, code = run_verify_catalog(3)
     assert (len(records), code) == (1062, 1)
-    assert built == []
+    assert mirrored and all(types <= {int} for types in mirrored)
+    assert decoded == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """No module of the package reads the dense bracket tensor.
 
 An algebra is stored as its nonzero bracket table (``LieAlgebra.pairs``),
-and every bracket the package computes is read from it: through the int
-n x n table ``integer_brackets`` on the checks, or, where the result is made
-of Fractions, through the n x n view ``nonzero_brackets``; both are mirrored
-from the pairs.  The dense ``.bracket`` tensor is a view decoded
-for tests and the benchmark; a read of it in the package would bring back
-the n^3 scans that the table replaced.  The dense tensor is read only by
-the tests, to compare it with tests/reference.py.
+and every bracket the package computes is read from it or from its one int
+n x n table ``integer_brackets``, mirrored from the scaled pairs; a result
+made of Fractions is divided back by the table's D.  The dense ``.bracket``
+tensor is a view decoded from the pairs for tests and the benchmark; a
+read of it in the package would bring back the n^3 scans that the table
+replaced.  The dense tensor is read only by the tests, to compare it with
+tests/reference.py.
 """
 
 from pathlib import Path
@@ -39,8 +39,8 @@ def test_guard_sees_every_dense_read():
         assert attribute_reads(line, "bracket", ALLOWED), line
     allowed = (
         "class LieAlgebra:\n    pairs: tuple\n"
-        "    def bracket(self):\n        return self.nonzero_brackets\n"
+        "    def bracket(self):\n        return self.integer_brackets\n"
         "    def rename(self, name):\n        return LieAlgebra(self.dim, self.pairs, name)\n"
-        "def f(algebra, x, y):\n    return algebra.bracket_vectors(x, y), algebra.nonzero_brackets"
+        "def f(algebra, x, y):\n    return algebra.bracket_vectors(x, y), algebra.integer_brackets"
     )
     assert attribute_reads(allowed, "bracket", ALLOWED) == []

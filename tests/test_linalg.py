@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from inputs import typed
+from inputs import sparse_vector, typed
 from lagext.connection import _uniform_nilindex
 from lagext.linalg import (
     RatMatrix,
@@ -167,14 +167,11 @@ NONZERO_ENTRIES = [F(p, q) for p in range(-3, 4) if p for q in (1, 2, 3)]
 sparse_entries = st.sampled_from([F(0)] * (3 * len(NONZERO_ENTRIES)) + NONZERO_ENTRIES)
 
 
-def sparse_vector(n):
-    return st.lists(sparse_entries, min_size=n, max_size=n).map(tuple)
-
-
 def sparse_matrix(data, max_rows=8, max_cols=12, square=False):
     rows = data.draw(st.integers(min_value=1, max_value=max_rows))
     cols = rows if square else data.draw(st.integers(min_value=1, max_value=max_cols))
-    return RatMatrix(tuple(data.draw(st.lists(sparse_vector(cols), min_size=rows, max_size=rows))))
+    vectors = st.lists(sparse_vector(cols, sparse_entries), min_size=rows, max_size=rows)
+    return RatMatrix(tuple(data.draw(vectors)))
 
 
 @given(st.data())
@@ -183,7 +180,7 @@ def test_rref_kernel_and_solve_match_dense_elimination(data):
     m = sparse_matrix(data)
     assert typed(rref(m.entries)) == typed(reference.rref(m.entries, m.cols))
     assert typed(kernel_basis(m)) == typed(reference.kernel(m.entries, m.cols))
-    b = data.draw(sparse_vector(m.rows))
+    b = data.draw(sparse_vector(m.rows, sparse_entries))
     assert typed(solve_linear(m, b)) == typed(reference.solve(m.entries, b, m.cols))
 
 
@@ -194,7 +191,7 @@ def test_subspace_reduce_matches_dense_elimination(data):
     space = Subspace.from_vectors(m.cols, m.entries)
     expected = reference.span(m.cols, m.entries)
     assert typed(space) == typed(expected)
-    for v in data.draw(st.lists(sparse_vector(m.cols), min_size=1, max_size=3)):
+    for v in data.draw(st.lists(sparse_vector(m.cols, sparse_entries), min_size=1, max_size=3)):
         assert typed(space.reduce(v)) == typed(reference.reduce(expected, v))
 
 

@@ -10,6 +10,11 @@ extension.py the orthogonal of J is the kernel of omega read on J's sparse
 rows, with no ``kernel_basis`` of dense ``.apply`` images, and the standard
 form is ``standard_form``; the dense versions live on only as oracles in
 tests/test_sparse_oracles.py.
+
+A bracket, omega and rho each have one table and one int table scaled by
+one D: no module defines a Fraction mirror beside them (``nonzero_brackets``,
+``omega_rows``, ``nonzero_entries``), and ``linalg._integer_tables`` takes
+one flat sequence of cells, so it guesses no table's shape.
 """
 
 import ast
@@ -22,6 +27,7 @@ import lagext
 PACKAGE = Path(lagext.__file__).parent
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
 DENSE_NAMES = {"kernel_basis", "standard_omega"}
+MIRRORS = {"nonzero_brackets", "omega_rows", "nonzero_entries"}
 
 
 def second_stores(source: str) -> list[str]:
@@ -73,9 +79,38 @@ def dense_omega_paths(source: str) -> list[str]:
     return found
 
 
+def second_tables(source: str) -> list[str]:
+    """Each definition of a Fraction mirror, and a ``_integer_tables`` that
+    takes other than one positional argument, line-tagged."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in MIRRORS:
+                found.append(f"line {node.lineno}: def {node.name}")
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            if node.name == "_integer_tables" and (len(params) != 1 or args.vararg or args.kwarg):
+                found.append(f"line {node.lineno}: _integer_tables takes other than one argument")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                if name in MIRRORS:
+                    found.append(f"line {node.lineno}: {name} =")
+    return found
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_keeps_one_store_per_object(name):
     assert second_stores((PACKAGE / name).read_text()) == []
+
+
+def test_each_structure_has_one_table_and_one_scaler():
+    found = {
+        path.name: hits for path in sorted(PACKAGE.glob("*.py"))
+        if (hits := second_tables(path.read_text()))
+    }
+    assert found == {}
 
 
 def test_symplectic_constructor_scans_nothing():
@@ -121,8 +156,20 @@ def test_guards_see_the_dense_stores():
     assert post_init_loops(
         "class SymplecticLieAlgebra:\n    def __post_init__(self):\n"
         "        if len(self.form) != n * (n - 1) // 2:\n            raise ValueError\n"
-        "    def omega_rows(self):\n        for i in range(n):\n            pass"
+        "    def integer_omega(self):\n        for i in range(n):\n            pass"
     ) == []
     assert dense_omega_paths(
         "return _kernel(_eliminate(rows), s.dim)\nform = standard_form(n)\npsi.col(a)"
+    ) == []
+    # the Fraction mirrors and the shape-guessing scaler
+    for source in (
+        "class LieAlgebra:\n    @cached_property\n    def nonzero_brackets(self):\n        pass",
+        "class SymplecticLieAlgebra:\n    def omega_rows(self):\n        pass",
+        "class DualRep:\n    nonzero_entries = cached_property(entries)",
+        "def _integer_tables(*tables):\n    pass",
+        "def _integer_tables(cells, shape):\n    pass",
+    ):
+        assert second_tables(source), source
+    assert second_tables(
+        "def _integer_tables(cells):\n    pass\nd, cells = _integer_tables(algebra.pairs)"
     ) == []

@@ -36,6 +36,7 @@ from inputs import (
     seeded_one_cochains,
     seeded_unitriangular,
     spanned,
+    sparse_vector,
     summary_text,
     typed,
     vector_text,
@@ -116,7 +117,8 @@ def assert_connection_layer_matches_reference(conn):
     assert (evidence.nabla_nilindex, evidence.right_mult_nilpotent) == (nilindex, right_nilpotent)
     rhos = reference.rho(g)
     if reference.representation_law(c, rhos):
-        assert typed(_dual(conn).nonzero_entries) == typed(tuple(
+        d, entries, _ = _dual(conn).integer_tables
+        assert typed(tuple(tuple((r, s, F(x, d)) for r, s, x in m) for m in entries)) == typed(tuple(
             tuple((r, s, x) for r, row in enumerate(m) for s, x in enumerate(row) if x) for m in rhos
         ))
     else:
@@ -212,9 +214,10 @@ def test_sweep_matches_the_reference_on_tables_neither_flat_nor_torsion_free(dat
     """Drawn sparse bracket and gamma tables, kept when the reference finds
     both torsion and curvature: every witness, in its (i, j, s) order."""
     n = data.draw(st.integers(min_value=3, max_value=6))
-    pairs = {(i, j): data.draw(sparse_vector(n)) for i, j in combinations(range(n), 2)}
+    vector = sparse_vector(n, sparse_entries)
+    pairs = {(i, j): data.draw(vector) for i, j in combinations(range(n), 2)}
     base = LieAlgebra.from_brackets(n, pairs, "drawn")
-    cells = {(i, j): data.draw(sparse_vector(n)) for i in range(n) for j in range(n)}
+    cells = {(i, j): data.draw(vector) for i in range(n) for j in range(n)}
     conn = FlatConnection.from_entries(base, cells, label="drawn")
     c, g = brackets(base), gamma(conn)
     assume(reference.torsion(c, g) and reference.curvature(c, g))
@@ -299,19 +302,15 @@ NONZERO_ENTRIES = [F(p, q) for p in range(-3, 4) if p for q in (1, 2, 3)]
 sparse_entries = st.sampled_from([F(0)] * (7 * len(NONZERO_ENTRIES)) + NONZERO_ENTRIES)
 
 
-def sparse_vector(n):
-    return st.lists(sparse_entries, min_size=n, max_size=n).map(tuple)
-
-
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_lie_layer_matches_dense_code_on_sparse_tensors(data):
     n = data.draw(st.integers(min_value=1, max_value=8))
     entries = {
-        (i, j): data.draw(sparse_vector(n)) for i, j in combinations(range(n), 2)
+        (i, j): data.draw(sparse_vector(n, sparse_entries)) for i, j in combinations(range(n), 2)
     }
     algebra = LieAlgebra.from_brackets(n, entries, "sparse")
-    vectors = data.draw(st.lists(sparse_vector(n), min_size=1, max_size=3))
+    vectors = data.draw(st.lists(sparse_vector(n, sparse_entries), min_size=1, max_size=3))
     coordinates = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
     subspaces = [
         Subspace.from_vectors(n, vectors),
@@ -390,7 +389,7 @@ def test_lower_central_series_is_kept_per_algebra():
 @settings(max_examples=100, deadline=None)
 def test_vec_sub_matches_entrywise_arithmetic(data):
     n = data.draw(st.integers(min_value=0, max_value=8))
-    a, b = data.draw(sparse_vector(n)), data.draw(sparse_vector(n))
+    a, b = (data.draw(sparse_vector(n, sparse_entries)) for _ in range(2))
     assert typed(vec_sub(a, b)) == typed(tuple(x - y for x, y in zip(a, b)))
 
 
@@ -627,14 +626,16 @@ def assert_fraction_tensor(tensor):
 
 def assert_algebras_match_reference(twins):
     """Each LieAlgebra against its (dim, bracket tensor, name) from the
-    reference: the dense view, the n x n table and the name, with Fraction
-    types; equality and hashes."""
+    reference: the dense view, the int n x n table divided back by its D,
+    and the name, with Fraction types; equality and hashes."""
     for algebra, (dim, tensor, name) in twins:
         assert (algebra.dim, algebra.name) == (dim, name)
         assert algebra.bracket == tensor
         assert_fraction_tensor(algebra.bracket)
         assert_fraction_tensor(tensor)
-        assert typed(algebra.nonzero_brackets) == typed(reference.table(tensor))
+        d, table = algebra.integer_brackets
+        divided = tuple(tuple(tuple((k, F(c, d)) for k, c in cell) for cell in row) for row in table)
+        assert typed(divided) == typed(reference.table(tensor))
         # A canonical table (k ascending, no zero c) makes table equality
         # the same as tensor equality.
         for terms in algebra.pairs:
@@ -1267,8 +1268,8 @@ def test_build_omega_matches_the_frozen_dense_matrix():
 def test_subspaces_match_the_frozen_dense_construction(data):
     """from_vectors and reduce, by basis, pivots and type."""
     n = data.draw(st.integers(min_value=0, max_value=8))
-    vectors = data.draw(st.lists(sparse_vector(n), max_size=5))
-    others = data.draw(st.lists(sparse_vector(n), max_size=3))
+    vectors = data.draw(st.lists(sparse_vector(n, sparse_entries), max_size=5))
+    others = data.draw(st.lists(sparse_vector(n, sparse_entries), max_size=3))
     space, expected = Subspace.from_vectors(n, vectors), reference.span(n, vectors)
     assert typed(space) == typed(expected) and space.dim == expected.dim
     for v in others:
@@ -1649,12 +1650,13 @@ def test_bracket_rows_and_pullback_match_the_dense_formulas(data):
     bracket_rows, omega_row and pullback on sparse rows against the reference's
     bilinear maps."""
     n = data.draw(st.integers(min_value=0, max_value=8))
-    entries = {(i, j): data.draw(sparse_vector(n)) for i, j in combinations(range(n), 2)}
+    vector = sparse_vector(n, sparse_entries)
+    entries = {(i, j): data.draw(vector) for i, j in combinations(range(n), 2)}
     algebra = LieAlgebra.from_brackets(n, entries, "sparse")
     form_values = data.draw(st.lists(sparse_entries, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
     s = SymplecticLieAlgebra(algebra, tuple(form_values))
     c, omega = brackets(algebra), reference.form_matrix(n, form_values)
-    vectors = data.draw(st.lists(sparse_vector(n), max_size=4))
+    vectors = data.draw(st.lists(vector, max_size=4))
     rows = [_sparse(v) for v in vectors]
     for x, u in zip(vectors, rows):
         row = s.omega_row(u)

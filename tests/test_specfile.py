@@ -66,6 +66,24 @@ def test_undeclared_parameter_rejected():
     assert "undeclared" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, line, names",
+    [
+        ("algebra x dim 4\nparam t\n# mu is not declared\nconnection e1 e1 -> t e3 + mu e4\n"
+         "omega e1 e2 -> nu\n", 4, "mu"),
+        ("algebra x dim 4\nomega e1 e2 -> a*b + c\nparam c\n", 2, "a, b"),
+        ("algebra x dim 4\nparam t exclude mu,t\nconnection e1 e1 -> t e3\n", 2, "mu"),
+        ("algebra x dim 4\nparam mu\ncocycle e1 e2 -> mu e^1\nbracket e1 e2 -> nu e3\n", 4, "nu"),
+    ],
+    ids=["connection", "omega", "exclude", "bracket"],
+)
+def test_an_undeclared_parameter_is_named_by_the_first_line_that_reads_it(text, line, names):
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(text)
+    assert err.value.line_no == line
+    assert str(err.value) == f"line {line}: undeclared parameters: {names}"
+
+
 def test_param_constraints_parse_and_serialize():
     text = (
         "algebra x dim 4\n"
