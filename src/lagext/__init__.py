@@ -46,7 +46,6 @@ from .extension import (
     induced_flat_connection,
     is_lagrangian_ideal,
     symplectic_orthogonal,
-    symplectic_reduction,
 )
 from .lie import (
     Fingerprint,
@@ -62,7 +61,6 @@ from .linalg import (
     RatMatrix,
     Subspace,
     kernel_basis,
-    quotient_basis,
     solve_linear,
 )
 from .verify import ReportRecord, run_verify_catalog

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, product
+from itertools import count, islice, product
+from math import prod
 
 from .connection import FlatConnection
 from .exprs import Expr
@@ -271,8 +272,8 @@ def entry_by_label(label: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry labeled {label!r}")
 
 
-# Default witness pool for parameter sampling; extended by successive
-# integers when constraints reject everything in it.
+# Witness pool for parameter sampling: these values first, then the
+# successive integers, up to _POOL_EXTENSION_LIMIT values in all.
 SAMPLE_POOL = (
     Fraction(1),
     Fraction(2),
@@ -293,8 +294,14 @@ def _candidate_pool():
 def sample_parameters(entry: CatalogEntry, k: int) -> tuple[ParameterSample, ...]:
     """k distinct constraint-satisfying assignments, always the same ones.
 
-    Entries without parameters yield the single empty assignment regardless
-    of k.  Cross-parameter exclusions (as in t_17) are honoured.
+    The pool grows one value at a time; at each size the assignments are
+    the first k admissible ones of the product of the values each parameter
+    admits on its own, which is skipped while it has fewer than k elements.
+    Pool values are distinct, so the product repeats no assignment; its
+    combinations are re-checked against the cross-parameter exclusions (as
+    in t_17).  Entries without parameters yield the single empty assignment
+    regardless of k; raises ValueError when the first
+    ``_POOL_EXTENSION_LIMIT`` pool values give fewer than k.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -302,39 +309,24 @@ def sample_parameters(entry: CatalogEntry, k: int) -> tuple[ParameterSample, ...
         return (ParameterSample(()),)
 
     names = tuple(p.name for p in entry.params)
-    pool = []
-    samples: list[ParameterSample] = []
-    seen: set[tuple] = set()
-    candidates = _candidate_pool()
-    while len(samples) < k:
-        if len(pool) >= _POOL_EXTENSION_LIMIT:
-            raise ValueError(
-                f"constraints of {entry.label} unsatisfiable from the sample pool"
-            )
-        pool.append(next(candidates))
-        # Per-parameter filtering that ignores cross-parameter exclusions;
-        # those are re-checked on the joint assignment below.
-        per_param = []
-        for p in entry.params:
-            solo = [v for v in pool if _admits_solo(p, v)]
-            if not solo:
-                per_param = None
-                break
-            per_param.append(solo)
-        if per_param is None:
+    per_param = [[] for _ in entry.params]
+    for value in islice(_candidate_pool(), _POOL_EXTENSION_LIMIT):
+        for p, solo in zip(entry.params, per_param):
+            if _admits_solo(p, value):
+                solo.append(value)
+        if prod(map(len, per_param)) < k:
             continue
         samples = []
-        seen = set()
         for combo in product(*per_param):
             env = dict(zip(names, combo))
-            if combo in seen:
-                continue
             if all(p.admits(env[p.name], env) for p in entry.params):
-                seen.add(combo)
                 samples.append(ParameterSample(tuple(zip(names, combo))))
                 if len(samples) == k:
-                    break
-    return tuple(samples[:k])
+                    return tuple(samples)
+    raise ValueError(
+        f"{entry.label} has fewer than {k} admissible samples among the first "
+        f"{_POOL_EXTENSION_LIMIT} pool values"
+    )
 
 
 def _admits_solo(p: ParamSpec, value: Fraction) -> bool:

@@ -126,16 +126,6 @@ class OneCochain:
     def from_rows(rows) -> "OneCochain":
         return OneCochain(tuple(vec(r) for r in rows))
 
-    @staticmethod
-    def unit(n: int, i: int, k: int, value: Fraction = Fraction(1)) -> "OneCochain":
-        rows = [[ZERO] * n for _ in range(n)]
-        rows[i][k] = value
-        return OneCochain.from_rows(rows)
-
-    def value(self, i: int) -> Vector:
-        """sigma(e_i) as a dual-coordinate vector."""
-        return self.entries[i]
-
     @property
     def is_symmetric(self) -> bool:
         n = self.dim
@@ -197,14 +187,6 @@ class TwoCochain:
                 (i, j), k = pairs[col // n], col % n
                 t[i][j][k], t[j][i][k] = x, -x
         return tuple(tuple(tuple(r) for r in plane) for plane in t)
-
-    def value(self, i: int, j: int) -> Vector:
-        """alpha(e_i, e_j), read off the block of the pair {i, j}."""
-        if i == j:
-            return zero_vector(self.dim)
-        start, sign = _pair_blocks(self.dim)[i, j]
-        block = self.values[start:start + self.dim]
-        return block if sign > 0 else tuple(-x for x in block)
 
     def is_zero(self) -> bool:
         return is_zero_vector(self.values)

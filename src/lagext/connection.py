@@ -292,7 +292,7 @@ class CompletenessEvidence:
 
 
 def is_geodesically_complete(conn: FlatConnection) -> CompletenessEvidence:
-    """Completeness via tr(rho_x) = 0 on the basis (sufficient by linearity).
+    """Completeness via tr(R_x) = 0 on the basis (sufficient by linearity).
 
     Raises ValueError when the connection is not flat torsion-free, since the
     criterion is only meaningful for flat Lie algebras.  Computed once per

@@ -57,7 +57,6 @@ from .cohomology import (
     coboundary_2,
 )
 from .connection import (
-    DualRep,
     FlatConnection,
     check_flat_torsion_free,
     dual_representation,
@@ -265,9 +264,6 @@ class ExtensionTriple:
     @staticmethod
     def with_zero_cocycle(connection: FlatConnection) -> "ExtensionTriple":
         return ExtensionTriple(connection, TwoCochain.zero(connection.dim))
-
-    def dual_rep(self) -> DualRep:
-        return dual_representation(self.connection)
 
     @cached_property
     def extension(self) -> "SymplecticLieAlgebra":
@@ -525,19 +521,6 @@ def classify_and_reduce(
     return verdict, result
 
 
-def symplectic_reduction(s: SymplecticLieAlgebra, j: Subspace) -> SymplecticLieAlgebra:
-    """Quotient orth(J)/J with the induced form, for a normal isotropic ideal J.
-
-    For Lagrangian J the result is the zero algebra; for J = 0 it is s itself.
-    """
-    verdict, result = classify_and_reduce(s, j)
-    if verdict.status in ("not_ideal", "not_isotropic"):
-        raise ValueError(f"reduction requires an isotropic ideal, got {verdict.status}")
-    if result is None:
-        raise ValueError("reduction requires a normal ideal (orthogonal must be an ideal)")
-    return result
-
-
 def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnection:
     """The connection on g/J defined by omega_h(nabla_x y, u) = -omega(y, [x, u]).
 
@@ -738,7 +721,7 @@ def adjusted_symplectic_form(
         raise ValueError("sigma_l must be a symmetric (Lagrangian) 1-cochain")
     if not triple.cocycle.is_lagrangian:
         raise ValueError("base cocycle must satisfy the cyclic-sum condition")
-    rep = triple.dual_rep()
+    rep = dual_representation(triple.connection)
     alpha_bar = triple.cocycle - coboundary_1(rep, sigma)
     alpha_hat = triple.cocycle - coboundary_1(rep, sigma_l)
     t_bar = ExtensionTriple(triple.connection, alpha_bar)

@@ -30,7 +30,7 @@ planes of ``integer_brackets``; connection.py reads the flag of nabla's.
 The flag runs on tables scaled by a positive D to ints: D M v spans the
 same line as M v, so each step spans the same subspace as over the
 rationals.  Every verdict (nilpotency, class, fingerprint) reads only the
-step dimensions; ``lower_central_series`` stores the steps as ``Subspace``s
+step dimensions; ``lower_central_series`` makes the steps into ``Subspace``s
 when a caller asks for them.  ``is_ideal`` reduces the int images
 [e_j, v] against the subspace's int rows, only reading them (``_in_span``).
 """
@@ -127,14 +127,6 @@ class LieAlgebra:
         return _lower_central_series(self)
 
     @cached_property
-    def central_series(self) -> tuple[Subspace, ...]:
-        """The lower central series as subspaces, made once from
-        ``integer_central_series``."""
-        if self._renamed_from is not None:
-            return self._renamed_from.central_series
-        return tuple(Subspace.of(self.dim, step) for step in self.integer_central_series)
-
-    @cached_property
     def integer_brackets(self) -> tuple[int, NonzeroTable]:
         """D, the lcm of the denominators of ``pairs``, and the n x n table
         scaled by D to ints: the cells of ``pairs`` scaled, then mirrored on
@@ -169,7 +161,7 @@ class LieAlgebra:
 
     def rename(self, name: str) -> "LieAlgebra":
         """The same algebra under another name, reading ``integer_brackets``
-        and both lower central series through this one: each depends only on
+        and ``integer_central_series`` through this one: each depends only on
         the bracket."""
         renamed = LieAlgebra(self.dim, self.pairs, name)
         object.__setattr__(renamed, "_renamed_from", self)
@@ -272,10 +264,10 @@ def bracket_of_subspaces(algebra: LieAlgebra, a: Subspace, b: Subspace) -> Subsp
 def lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
     """C^0 = g, C^{p+1} = [g, C^p], listed down to the first stable term.
 
-    Made as subspaces from the int flag on first request and kept as
-    ``algebra.central_series``; verdicts read ``_lcs_dims``.
+    Made as subspaces from the int flag, ``algebra.integer_central_series``,
+    which the algebra keeps; verdicts read only its dimensions (``_lcs_dims``).
     """
-    return algebra.central_series
+    return tuple(Subspace.of(algebra.dim, step) for step in algebra.integer_central_series)
 
 
 def _lower_central_series(algebra: LieAlgebra) -> tuple[dict[int, dict[int, int]], ...]:

@@ -34,11 +34,11 @@ each vector as a coprime int row, so a kernel is itself a valid ``_echelon``
 form that a caller can check, extend, or store as a ``Subspace``
 (``_kernel``).  ``_quotient_pivots`` checks V <= W exactly on int rows
 (V's rows reduced against W's, ``_in_span``) and then reads W/V off W's pivots,
-with no further elimination; ``_quotient_rows`` and ``quotient_basis`` go
-through it.  ``_inverse_rows`` inverts P by one elimination of [P | I] and
-hands back its int rows, so a caller reads each entry of P^-1 as a
-numerator over its row's pivot entry (``RatMatrix.inverse`` makes those
-Fractions; the omega solves of extension.py keep the ints).
+with no further elimination (cohomology.py's H^2 representatives are W's
+rows at those pivots).  ``_inverse_rows`` inverts P by one elimination of
+[P | I] and hands back its int rows, so a caller reads each entry of P^-1
+as a numerator over its row's pivot entry (``RatMatrix.inverse`` makes
+those Fractions; the omega solves of extension.py keep the ints).
 
 ``_integer_tables`` is the one scaler of the tables that the zero-residual
 sweeps read (connection, bracket, omega, and the sparse rows and columns of
@@ -420,12 +420,10 @@ def _kernel_ints(columns: dict) -> dict[int, dict[int, int]]:
     return kernel
 
 
-def _kernel(rows, width: int, ints: dict | None = None) -> "Subspace":
+def _kernel(rows, width: int) -> "Subspace":
     """Nullspace in Q^width of the sparse rows (only read), read off by
-    ``_free_columns``.  A caller that passes ints, the relabelled int rows of
-    an earlier call, continues that elimination."""
-    columns = _free_columns(rows, width, {} if ints is None else ints)
-    return Subspace.of(width, _kernel_ints(columns))
+    ``_free_columns``."""
+    return Subspace.of(width, _kernel_ints(_free_columns(rows, width, {})))
 
 
 def _subspace(ambient_dim: int, rows) -> "Subspace":
@@ -523,24 +521,12 @@ class Subspace:
         """The basis as dense vectors, a read-only view decoded from ``rows``."""
         return tuple(_dense(row, self.ambient_dim) for row in self.rows)
 
-    def reduce(self, v: Vector) -> Vector:
-        """Eliminate this subspace's pivot coordinates from v."""
-        w = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            f = w[p]
-            if f:
-                for j, b in row.items():
-                    w[j] -= f * b
-        return tuple(w)
-
     def contains(self, v: Vector) -> bool:
-        return is_zero_vector(self.reduce(v))
-
-    def coordinates(self, v: Vector) -> Vector:
-        """Coefficients of v in this basis; raises if v is outside the subspace."""
-        if not self.contains(v):
-            raise ValueError("vector not in subspace")
-        return tuple(v[p] for p in self.pivots)
+        """Whether v lies in this subspace: its rest against ``ints`` is zero
+        (``_in_span``)."""
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        return _in_span([_sparse(v)], dict(zip(self.pivots, self.ints)))
 
     def complement_coordinates(self) -> tuple[int, ...]:
         """Ambient coordinates not used as pivots, ascending."""
@@ -588,21 +574,3 @@ def _quotient_pivots(w: dict, v: dict) -> list[int]:
     if not _in_span(v.values(), w):
         raise ValueError("V is not contained in W")
     return sorted(p for p in w if p not in v)
-
-
-def _quotient_rows(w: Subspace, v: Subspace) -> list[dict[int, Fraction]]:
-    """``quotient_basis`` as sparse rows: W's echelon rows at ``_quotient_pivots``."""
-    if w.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    kept = dict(zip(w.pivots, w.ints))
-    return [_normalised(kept[p], p) for p in _quotient_pivots(kept, dict(zip(v.pivots, v.ints)))]
-
-
-def quotient_basis(w: Subspace, v: Subspace) -> tuple[Vector, ...]:
-    """Representatives of a basis of W/V: the reduced echelon basis of
-    {w in W : w vanishes at V's pivots}, read off W's echelon rows.
-
-    Requires V <= W; raises ValueError otherwise.  Joined with V's basis the
-    representatives span W, and len(result) = dim W - dim V.
-    """
-    return tuple(_dense(row, w.ambient_dim) for row in _quotient_rows(w, v))

@@ -96,7 +96,7 @@ def exit_code_for(records: list[ReportRecord]) -> int:
 def _completeness_witness(evidence: CompletenessEvidence) -> str:
     if not evidence.complete:
         j = next(i for i, t in enumerate(evidence.traces) if t != 0)
-        return f"tr rho(e{j+1}) = {format_rational(evidence.traces[j])}"
+        return f"tr R(e{j+1}) = {format_rational(evidence.traces[j])}"
     if evidence.nabla_nilindex is None:
         return "Engel flag of nabla stops above 0: some nabla_x is not nilpotent"
     if not evidence.all_nilpotent:

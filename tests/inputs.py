@@ -26,7 +26,7 @@ from lagext.cohomology import (
 from lagext.connection import FlatConnection, check_flat_torsion_free, dual_representation
 from lagext.extension import ExtensionTriple, IntegrityError, build_extension
 from lagext.lie import LieAlgebra
-from lagext.linalg import RatMatrix, Subspace, _integer_tables
+from lagext.linalg import RatMatrix, Subspace, _dense, _integer_tables, _normalised, _quotient_pivots
 from lagext.sampling import random_rational, rng_for
 
 L26_TEXT = """algebra l_26 dim 4
@@ -105,8 +105,13 @@ def seeded_one_cochains(n, rng):
     """A seeded 1-cochain, its symmetric part, and one matrix unit."""
     rows = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
     symmetric = [[rows[i][k] + rows[k][i] for k in range(n)] for i in range(n)]
-    unit = OneCochain.unit(n, rng.randrange(n), rng.randrange(n))
+    unit = unit_cochain(n, rng.randrange(n), rng.randrange(n))
     return [OneCochain.from_rows(rows), OneCochain.from_rows(symmetric), unit]
+
+
+def unit_cochain(n, i, k):
+    """The matrix unit E_ik as a 1-cochain: sigma(e_i) = e^k, zero elsewhere."""
+    return OneCochain.from_rows([[int((a, b) == (i, k)) for b in range(n)] for a in range(n)])
 
 
 def seeded_unitriangular(n, rng):
@@ -191,6 +196,14 @@ def form(s):
 def spanned(space):
     """A Subspace as the reference's echelon span of its basis vectors."""
     return reference.span(space.ambient_dim, space.basis)
+
+
+def quotient_rows(w, v):
+    """Representatives of W/V as cohomology() reads them: W's echelon rows at
+    ``_quotient_pivots``, each divided by its pivot entry, as dense vectors."""
+    kept = dict(zip(w.pivots, w.ints))
+    pivots = _quotient_pivots(kept, dict(zip(v.pivots, v.ints)))
+    return tuple(_dense(_normalised(kept[p], p), w.ambient_dim) for p in pivots)
 
 
 SUMMARY_FIELDS = (

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -121,6 +122,24 @@ def test_sample_parameters_distinct_and_deterministic():
     b = sample_parameters(entry, 5)
     assert a == b
     assert len({s.values for s in a}) == 5
+
+
+def test_sample_parameters_refuses_a_count_beyond_the_admissible_pool_values():
+    # t > 0 admits 198 of the first 200 pool values, so 300 samples cannot be met.
+    assert len(sample_parameters(entry_by_label("l_3"), 198)) == 198
+    with pytest.raises(
+        ValueError, match="^l_3 has fewer than 300 admissible samples among the first 200 pool values$"
+    ):
+        sample_parameters(entry_by_label("l_3"), 300)
+
+
+def test_sample_parameters_refuses_a_large_count_without_enumerating_the_pool():
+    # Each pool size whose per-parameter product is below k is skipped, so
+    # the refusal costs no enumeration of combinations.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^t_5 has fewer than 100000 admissible samples"):
+        sample_parameters(entry_by_label("t_5"), 100000)
+    assert time.perf_counter() - start < 5
 
 
 def test_instantiate_suspect_returns_conflict_report():

@@ -326,6 +326,18 @@ def test_completeness_needs_nilpotent_nabla(runner, tmp_path):
     assert [row[1] for row in rows] == ["jacobi", *CHECK_NAMES]
 
 
+def test_completeness_witness_names_the_trace_of_the_right_multiplication(runner, tmp_path):
+    # nabla_{e1} e1 = e1: R(e1) = (1), while rho(e1) = -(nabla_{e1})^T = (-1).
+    # The trace criterion reads tr R, so the witness names R, as the
+    # nilpotency witness "R(e{j}) is not nilpotent" does.
+    code, rows = check_tsv(runner, tmp_path, "algebra r1 dim 1\nconnection e1 e1 -> e1\n")
+    assert code == 1
+    assert [row[1:] for row in rows if row[3] != "pass"] == [
+        ("completeness", "-", "fail", "tr R(e1) = 1"),
+        ("extension-nilpotent", "-", "fail", "lcs dims (2, 1)"),
+    ]
+
+
 @pytest.mark.parametrize(
     "cell, message",
     [

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 import reference
-from inputs import brackets, flat_samples, rho, truncated_polynomial_connection
+from inputs import brackets, flat_samples, rho, truncated_polynomial_connection, unit_cochain
 from lagext.catalog import connection_for
 from lagext.cohomology import (
     OneCochain,
@@ -50,18 +50,18 @@ def test_coboundary_1_vanishes_for_trivial_representation():
 
 def test_coboundary_1_unit_e33_on_l26():
     rep = dual_representation(connection_for("l_26"))
-    d = coboundary_1(rep, OneCochain.unit(4, 2, 2))
-    assert d.value(0, 1) == (0, 0, F(-1), 0)
-    assert d.value(0, 2) == (0, F(-1, 2), 0, 0)
-    assert d.value(1, 2) == (F(1, 2), 0, 0, 0)
-    assert d.value(0, 3) == (0, 0, 0, 0)
-    assert d.value(1, 3) == (0, 0, 0, 0)
-    assert d.value(2, 3) == (0, 0, 0, 0)
+    d = coboundary_1(rep, unit_cochain(4, 2, 2))
+    assert d.tensor[0][1] == (0, 0, F(-1), 0)
+    assert d.tensor[0][2] == (0, F(-1, 2), 0, 0)
+    assert d.tensor[1][2] == (F(1, 2), 0, 0, 0)
+    assert d.tensor[0][3] == (0, 0, 0, 0)
+    assert d.tensor[1][3] == (0, 0, 0, 0)
+    assert d.tensor[2][3] == (0, 0, 0, 0)
 
 
 def test_coboundary_1_unit_e12_on_l26_vanishes():
     rep = dual_representation(connection_for("l_26"))
-    assert coboundary_1(rep, OneCochain.unit(4, 0, 1)).is_zero()
+    assert coboundary_1(rep, unit_cochain(4, 0, 1)).is_zero()
 
 
 def test_coboundary_2_trivial_representation():

@@ -15,6 +15,7 @@ from inputs import (
     random_lagrangian_cocycle,
     rho,
     seeded_directions,
+    unit_cochain,
 )
 from lagext.catalog import base_algebra, connection_for
 from lagext.cohomology import (
@@ -36,6 +37,7 @@ from lagext.extension import (
     adjusted_symplectic_form,
     build_extension,
     canonical_connection,
+    classify_and_reduce,
     d_omega,
     dual_subspace,
     equivalence_map_psi,
@@ -44,7 +46,6 @@ from lagext.extension import (
     is_lagrangian_ideal,
     standard_form,
     symplectic_orthogonal,
-    symplectic_reduction,
 )
 from lagext.lie import LieAlgebra, check_jacobi, lower_central_series
 from lagext.linalg import RatMatrix, Subspace, unit_vector, vec
@@ -237,13 +238,14 @@ def test_symplectic_orthogonal_basics():
 
 def test_reduction_by_lagrangian_ideal_is_zero_algebra():
     ext = build_extension(triple("l_26"))
-    reduced = symplectic_reduction(ext, ext.lagrangian_ideal)
+    verdict, reduced = classify_and_reduce(ext, ext.lagrangian_ideal)
+    assert (verdict.status, verdict.normal) == ("lagrangian", True)
     assert reduced.dim == 0
 
 
 def test_reduction_by_zero_ideal_returns_same_structure():
     ext = build_extension(triple("a_10"))
-    reduced = symplectic_reduction(ext, Subspace.zero(8))
+    _, reduced = classify_and_reduce(ext, Subspace.zero(8))
     assert reduced.algebra.bracket == ext.algebra.bracket
     assert reduced.omega.entries == ext.omega.entries
 
@@ -253,7 +255,7 @@ def test_reduction_by_central_isotropic_line():
     line = Subspace.from_vectors(8, [unit_vector(8, 4)])  # e^1, central
     verdict = is_lagrangian_ideal(ext, line)
     assert verdict.status == "isotropic" and verdict.normal
-    reduced = symplectic_reduction(ext, line)
+    _, reduced = classify_and_reduce(ext, line)
     assert reduced.dim == 6
     assert d_omega(reduced).is_zero()
     assert reduced.omega.is_invertible()
@@ -262,8 +264,8 @@ def test_reduction_by_central_isotropic_line():
 def test_reduction_rejects_non_isotropic():
     ext = build_extension(triple("l_26"))
     j = Subspace.from_vectors(8, [unit_vector(8, 0), unit_vector(8, 4)])
-    with pytest.raises(ValueError):
-        symplectic_reduction(ext, j)
+    verdict, reduced = classify_and_reduce(ext, j)
+    assert (verdict.status, reduced) == ("not_isotropic", None)
 
 
 @pytest.mark.parametrize("k, dim", [(0, 6), (3, 6), (None, 0)])  # span(e^1), span(e^4), the dual half
@@ -271,7 +273,7 @@ def test_reduction_computes_one_orthogonal_and_one_classification(monkeypatch, k
     ext = build_extension(triple("l_26"))
     j = ext.lagrangian_ideal if k is None else Subspace.from_vectors(8, [unit_vector(8, 4 + k)])
     calls = counting(monkeypatch, extension, ["symplectic_orthogonal", "_classify_ideal"])
-    assert symplectic_reduction(ext, j).dim == dim
+    assert classify_and_reduce(ext, j)[1].dim == dim
     assert calls == {"symplectic_orthogonal": 1, "_classify_ideal": 1}
 
 
@@ -279,8 +281,8 @@ def test_a_refused_reduction_classifies_once_and_keeps_its_message(monkeypatch):
     ext = build_extension(triple("l_26"))
     calls = counting(monkeypatch, extension, ["symplectic_orthogonal", "_classify_ideal"])
     j = Subspace.from_vectors(8, [unit_vector(8, 0), unit_vector(8, 4)])
-    with pytest.raises(ValueError, match="^reduction requires an isotropic ideal, got not_isotropic$"):
-        symplectic_reduction(ext, j)
+    verdict, reduced = classify_and_reduce(ext, j)
+    assert (verdict.status, reduced) == ("not_isotropic", None)
     assert calls == {"symplectic_orthogonal": 1, "_classify_ideal": 1}
 
 
@@ -301,7 +303,7 @@ def test_the_ideal_is_checked_once_per_round_trip_and_reduction(monkeypatch):
     assert induced_flat_connection(ext, ext.lagrangian_ideal).nonzero_gamma == t.connection.nonzero_gamma
     assert calls == [4]
     calls.clear()
-    assert symplectic_reduction(ext, Subspace.from_vectors(8, [unit_vector(8, 7)])).dim == 6
+    assert classify_and_reduce(ext, Subspace.from_vectors(8, [unit_vector(8, 7)]))[1].dim == 6
     assert calls == [7, 1]
 
 
@@ -344,7 +346,7 @@ def test_the_flat_sweep_certifies_the_quotient_of_the_induced_connection(monkeyp
 
 @pytest.mark.parametrize(
     "function",
-    [symplectic_orthogonal, is_lagrangian_ideal, induced_flat_connection, symplectic_reduction],
+    [symplectic_orthogonal, is_lagrangian_ideal, induced_flat_connection, classify_and_reduce],
 )
 @pytest.mark.parametrize("ambient", [4, 10])
 def test_a_subspace_of_another_ambient_dimension_is_rejected(function, ambient):
@@ -368,7 +370,7 @@ def test_the_zero_subspace_of_any_ambient_dimension_has_the_full_orthogonal(ambi
     assert symplectic_orthogonal(ext, zero) == Subspace.full(8)
     verdict = is_lagrangian_ideal(ext, zero)
     assert (verdict.status, verdict.normal) == ("isotropic", True)
-    assert symplectic_reduction(ext, zero).algebra.pairs == ext.algebra.pairs
+    assert classify_and_reduce(ext, zero)[1].algebra.pairs == ext.algebra.pairs
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +498,7 @@ def test_skewed_reduction_by_isotropic_line():
     line = Subspace.from_vectors(8, list(zip(*p_inv.entries))[4:5])  # image of e^1, central
     verdict = is_lagrangian_ideal(sympl, line)
     assert verdict.status == "isotropic" and verdict.normal
-    reduced = symplectic_reduction(sympl, line)
+    _, reduced = classify_and_reduce(sympl, line)
     assert reduced.dim == 6
     assert d_omega(reduced).is_zero() and reduced.omega.is_invertible()
 
@@ -720,7 +722,7 @@ def test_psi_rejects_a_shift_that_does_not_pull_omega_back(monkeypatch):
         equivalence_map_psi(t1, t2, symmetric)
     # A sigma that is not symmetric is not held to the pullback identity.
     rep = dual_representation(t1.connection)
-    sigma = OneCochain.unit(4, 0, 1)
+    sigma = unit_cochain(4, 0, 1)
     shifted = ExtensionTriple(t1.connection, t1.cocycle - coboundary_1(rep, sigma))
     targets.append(shifted)
     assert equivalence_map_psi(t1, shifted, sigma).rows == 8
@@ -773,7 +775,7 @@ def test_adjusted_form_equals_standard_when_sigmas_match():
 def test_adjusted_form_unit_block_on_zero_connection():
     conn = FlatConnection.zero(LieAlgebra.abelian(4))
     t = ExtensionTriple(conn, TwoCochain.zero(4))
-    sigma = OneCochain.unit(4, 0, 1)  # sigma(e1) = e^2
+    sigma = unit_cochain(4, 0, 1)  # sigma(e1) = e^2
     omega = adjusted_symplectic_form(t, sigma, OneCochain.zero(4))
     # h x h block is the alternating part of (sigma_l - sigma): antisymmetric,
     # with the (e1, e2) entry equal to -1 under the pullback convention.
@@ -810,4 +812,4 @@ def test_adjusted_form_closed_on_shifted_extension():
 def test_adjusted_form_requires_symmetric_sigma_l():
     t = triple("l_26")
     with pytest.raises(ValueError):
-        adjusted_symplectic_form(t, OneCochain.zero(4), OneCochain.unit(4, 0, 1))
+        adjusted_symplectic_form(t, OneCochain.zero(4), unit_cochain(4, 0, 1))

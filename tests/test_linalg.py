@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from inputs import sparse_vector, typed
+from inputs import quotient_rows, sparse_vector, typed
 from lagext.connection import _uniform_nilindex
 from lagext.linalg import (
     RatMatrix,
     Subspace,
     kernel_basis,
-    quotient_basis,
     rat,
     rref,
     solve_linear,
@@ -67,24 +66,35 @@ def test_rref_pivots_ascending():
 def test_quotient_basis_trivial_and_line():
     w = Subspace.full(2)
     v = Subspace.from_vectors(2, [vec([1, 0])])
-    reps = quotient_basis(w, v)
-    assert reps == (vec([0, 1]),)
-    assert quotient_basis(v, v) == ()
+    reps = quotient_rows(w, v)
+    assert reps == (vec([0, 1]),) == reference.quotient(w, v)
+    assert quotient_rows(v, v) == () == reference.quotient(v, v)
 
 
 def test_quotient_basis_requires_containment():
     w = Subspace.from_vectors(3, [vec([1, 0, 0])])
     v = Subspace.from_vectors(3, [vec([0, 1, 0])])
+    assert reference.quotient(w, v) is None
     with pytest.raises(ValueError):
-        quotient_basis(w, v)
+        quotient_rows(w, v)
 
 
 def test_subspace_reduce_clears_pivots():
     v = Subspace.from_vectors(3, [vec([1, 2, 0]), vec([0, 0, 1])])
-    reduced = v.reduce(vec([3, 6, 5]))
-    assert reduced == vec([0, 0, 0])
+    assert reference.reduce(v, vec([3, 6, 5])) == vec([0, 0, 0])
+    assert v.contains(vec([3, 6, 5]))
     assert v.contains(vec([2, 4, 7]))
     assert not v.contains(vec([0, 1, 0]))
+
+
+@pytest.mark.parametrize("space, v", [
+    (Subspace.full(2), (1, 0, 0)),
+    (Subspace.full(3), (1,)),
+    (Subspace.zero(2), (0, 0, 0)),
+])
+def test_subspace_contains_refuses_a_vector_of_another_length(space, v):
+    with pytest.raises(ValueError, match="^vector length does not match ambient dimension$"):
+        space.contains(vec(v))
 
 
 def test_matrix_inverse_and_nilpotent():
@@ -152,7 +162,8 @@ def test_quotient_representatives_span_with_v(ambient, data):
     ]
     v = Subspace.from_vectors(ambient, vectors)
     w = Subspace.from_vectors(ambient, list(v.basis) + w_extra)
-    reps = quotient_basis(w, v)
+    reps = quotient_rows(w, v)
+    assert reps == reference.quotient(w, v)
     assert len(reps) == w.dim - v.dim
     joined = Subspace.from_vectors(ambient, list(reps) + list(v.basis))
     assert joined.dim == w.dim
@@ -192,7 +203,9 @@ def test_subspace_reduce_matches_dense_elimination(data):
     expected = reference.span(m.cols, m.entries)
     assert typed(space) == typed(expected)
     for v in data.draw(st.lists(sparse_vector(m.cols, sparse_entries), min_size=1, max_size=3)):
-        assert typed(space.reduce(v)) == typed(reference.reduce(expected, v))
+        rest = reference.reduce(expected, v)
+        assert space.contains(v) == (not any(rest))
+        assert space.contains(tuple(x - y for x, y in zip(v, rest)))
 
 
 @given(st.data())

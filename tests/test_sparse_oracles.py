@@ -68,6 +68,7 @@ from lagext.connection import (
 from lagext.extension import (
     CocycleError,
     ExtensionTriple,
+    IdealVerdict,
     SymplecticLieAlgebra,
     _omega_solve,
     adjusted_symplectic_form,
@@ -81,7 +82,6 @@ from lagext.extension import (
     is_lagrangian_ideal,
     standard_form,
     symplectic_orthogonal,
-    symplectic_reduction,
 )
 from lagext.lie import (
     LieAlgebra,
@@ -382,7 +382,11 @@ def test_induced_connection_rejects_a_degenerate_pairing():
 
 def test_lower_central_series_is_kept_per_algebra():
     ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for("t_8")))
-    assert lower_central_series(ext.algebra) is lower_central_series(ext.algebra)
+    algebra = ext.algebra
+    assert algebra.integer_central_series is algebra.integer_central_series
+    renamed = algebra.rename("renamed")
+    assert renamed.integer_central_series is algebra.integer_central_series
+    assert lower_central_series(algebra) == lower_central_series(renamed)
 
 
 @given(st.data())
@@ -533,15 +537,13 @@ def test_nonzero_table_readers_match_frozen_code_on_every_flat_row():
 
 def assert_two_cochains_match_reference(twins):
     """Each TwoCochain against the reference's decoding of its coordinates:
-    the tensor, every value, the coordinates, the predicates, differences and
+    the tensor, the coordinates, the predicates, differences and
     equality, with Fraction types."""
     for alpha, values in twins:
         n = alpha.dim
         tensor = reference.cochain_tensor(n, values)
         assert typed(alpha.tensor) == typed(tensor)
         assert typed(alpha.flatten()) == typed(reference.cochain_values(n, tensor))
-        for i, j in product(range(n), repeat=2):
-            assert typed(alpha.value(i, j)) == typed(tensor[i][j])
         assert (alpha.is_lagrangian, alpha.is_zero()) == (
             not any(reference.cyclic_sums(n, values)), not any(values)
         )
@@ -1000,14 +1002,12 @@ def algebra_value(value):
 
 
 def expected_reduction(reduction, name):
-    """symplectic_reduction of J as the reference's ``reduction`` gives it:
-    ((dim, pairs, name) of orth(J)/J, its form's matrix), or the type and
-    message it raises."""
+    """The reduction by J as the reference's ``reduction`` gives it:
+    ((dim, pairs, name) of orth(J)/J, its form's matrix), None when J is not
+    a normal isotropic ideal, or the type and message it raises."""
     kind, *rest = reduction.outcome
-    if kind == "refused":
-        return ValueError, f"reduction requires an isotropic ideal, got {rest[0]}"
-    if kind == "abnormal":
-        return ValueError, "reduction requires a normal ideal (orthogonal must be an ideal)"
+    if kind in ("refused", "abnormal"):
+        return None
     if kind == "degenerate":
         return ValueError, "omega is degenerate"
     if kind == "open":
@@ -1082,7 +1082,10 @@ def assert_subspace_forms_match_reference(s, c, omega, space, seen):
         assert typed(algebra_value(quotient)) == typed((len(tensor), reference.pairs_of(tensor), "q"))
     else:
         assert quotient == (ValueError, "subspace is not an ideal")
-    reduced = outcome(lambda: symplectic_reduction(s, j))
+    reduced = outcome(lambda: classify_and_reduce(s, j))
+    if isinstance(reduced[0], IdealVerdict):
+        assert (reduced[0].status, reduced[0].normal) == reduction.verdict
+        reduced = reduced[1]
     expected = expected_reduction(reduction, s.algebra.name)
     if isinstance(reduced, SymplecticLieAlgebra):
         algebra, reduced_omega = expected
@@ -1266,14 +1269,17 @@ def test_build_omega_matches_the_frozen_dense_matrix():
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_subspaces_match_the_frozen_dense_construction(data):
-    """from_vectors and reduce, by basis, pivots and type."""
+    """from_vectors by basis, pivots and type, and contains against the
+    reference's reduction."""
     n = data.draw(st.integers(min_value=0, max_value=8))
     vectors = data.draw(st.lists(sparse_vector(n, sparse_entries), max_size=5))
     others = data.draw(st.lists(sparse_vector(n, sparse_entries), max_size=3))
     space, expected = Subspace.from_vectors(n, vectors), reference.span(n, vectors)
     assert typed(space) == typed(expected) and space.dim == expected.dim
     for v in others:
-        assert typed(space.reduce(v)) == typed(reference.reduce(expected, v))
+        rest = reference.reduce(expected, v)
+        assert space.contains(v) == reference.contains(expected, v)
+        assert space.contains(tuple(x - y for x, y in zip(v, rest)))
 
 
 # ---------------------------------------------------------------------------
@@ -1539,9 +1545,9 @@ def expected_classify_and_reduce(reduction, name):
     """classify_and_reduce of J as the reference's ``reduction`` gives it, in
     the form of ``reduction_value``, or the type and message it raises."""
     expected = expected_reduction(reduction, name)
+    if expected is None:
+        return reduction.verdict, None
     if expected[0] is ValueError:
-        if reduction.outcome[0] in ("refused", "abnormal"):
-            return reduction.verdict, None
         return expected
     algebra, reduced_omega = expected
     return reduction.verdict, typed(algebra), typed(reference.pair_coordinates(reduced_omega))

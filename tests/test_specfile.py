@@ -159,8 +159,8 @@ def test_cocycle_block_values_in_dual_coordinates():
     )
     spec = parse_spec(text)
     alpha = build_cocycle(spec)
-    assert alpha.value(0, 1) == (0, 0, F(1), F(-1, 2))
-    assert alpha.value(1, 0) == (0, 0, F(-1), F(1, 2))
+    assert alpha.tensor[0][1] == (0, 0, F(1), F(-1, 2))
+    assert alpha.tensor[1][0] == (0, 0, F(-1), F(1, 2))
 
 
 def test_cocycle_rhs_must_be_dual():
