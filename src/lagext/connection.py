@@ -27,9 +27,10 @@ entries, not the n^3 slots (i, j, s), and a residual is densified only
 when it is nonzero.  Keeping verdicts is sound because a connection is
 immutable, and the constructor rejects a table that is not canonical, so
 equal tables mean equal connections.  The report and the completeness
-evidence depend only on the base's pairs and the gamma table, so they are
-computed once per table: a connection recovered with the tables of its source
-(``FlatConnection.recovered``) reads them through it.
+evidence depend only on the base's pairs and the gamma table, and a
+connection's verdicts are always its own: a caller holding a connection with
+an equal table reads them from that one (``extension.induced_flat_connection``
+does, on the connection an extension was built from).
 
 The sweep, the Engel flags and the representation law run on Python ints:
 gamma and the bracket are scaled once per connection by one D, the lcm of
@@ -65,9 +66,8 @@ class FlatConnection:
     with any instantiated parameters.
 
     ``gamma``, ``integer_tables``, ``report``, ``completeness`` and ``dual``
-    are computed on first use and kept on the instance (``report`` and
-    ``completeness`` may be read through a source, see ``recovered``).  A
-    verdict that raises is not kept: every access raises again.
+    are computed on first use and kept on the instance.  A verdict that
+    raises is not kept: every access raises again.
     """
 
     base: LieAlgebra
@@ -103,26 +103,6 @@ class FlatConnection:
     def zero(base: LieAlgebra, label: str = "") -> "FlatConnection":
         return FlatConnection.from_entries(base, {}, label=label)
 
-    @staticmethod
-    def recovered(
-        base: LieAlgebra,
-        nonzero_gamma: NonzeroTable,
-        source: "FlatConnection | None",
-        label: str = "",
-    ) -> "FlatConnection":
-        """The connection (base, nonzero_gamma), reading ``report`` and
-        ``completeness`` through ``source`` when its base pairs and gamma table
-        equal the source's.  ``dual`` is never shared: it names its connection."""
-        conn = FlatConnection(base, nonzero_gamma, label=label)
-        if source is not None and (base.pairs, nonzero_gamma) == (
-            source.base.pairs, source.nonzero_gamma
-        ):
-            object.__setattr__(conn, "_verdicts_from", source)
-        return conn
-
-    # Set by ``recovered``; a class attribute, so not a dataclass field.
-    _verdicts_from = None
-
     @property
     def dim(self) -> int:
         return self.base.dim
@@ -149,15 +129,11 @@ class FlatConnection:
     @cached_property
     def report(self) -> "ConnectionReport":
         """The torsion, curvature and associator sweep."""
-        if self._verdicts_from is not None:
-            return self._verdicts_from.report
         return _sweep(self)
 
     @cached_property
     def completeness(self) -> "CompletenessEvidence":
         """Trace criterion and the Engel flag of nabla; requires flat torsion-free."""
-        if self._verdicts_from is not None:
-            return self._verdicts_from.completeness
         if not self.report.ok:
             raise ValueError("connection is not flat and torsion-free")
         return _completeness(self)

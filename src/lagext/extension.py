@@ -126,7 +126,8 @@ class SymplecticLieAlgebra:
             raise ValueError("omega shape does not match algebra dimension")
 
     # The connection the extension was built from, set by ``_build`` and
-    # ``build_extension``; a class attribute, so not a dataclass field.
+    # ``build_extension`` and read by ``induced_flat_connection``; a class
+    # attribute, so not a dataclass field.
     _built_from = None
 
     @property
@@ -527,7 +528,8 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
     J must be a Lagrangian ideal.  The result is verified flat torsion-free,
     and geodesically complete whenever the ambient algebra is nilpotent.
     When the quotient's pairs and the solved gamma table equal those of the
-    connection s was built from, the result reads both verdicts through it.
+    connection s was built from, the checks read that connection's kept
+    verdicts, which are the same; the result's own are computed on first use.
     """
     verdict = is_lagrangian_ideal(s, j)
     if not verdict.is_lagrangian:
@@ -542,14 +544,15 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
         gamma = _omega_solve(s, j.complement_coordinates(), j.ints)
     except ValueError:
         raise ValueError("pairing between quotient and ideal is degenerate") from None
-    conn = FlatConnection.recovered(
-        quotient, gamma, s._built_from, label=f"induced({s.algebra.name})"
-    )
-    report = check_flat_torsion_free(conn)
+    conn = FlatConnection(quotient, gamma, label=f"induced({s.algebra.name})")
+    source = s._built_from
+    if source is None or (quotient.pairs, gamma) != (source.base.pairs, source.nonzero_gamma):
+        source = conn
+    report = check_flat_torsion_free(source)
     if not report.ok:
         raise IntegrityError("induced connection failed the flat torsion-free check")
     if is_nilpotent(s.algebra):
-        if not is_geodesically_complete(conn).complete:
+        if not is_geodesically_complete(source).complete:
             raise IntegrityError(
                 "induced connection of a nilpotent symplectic algebra must be complete"
             )

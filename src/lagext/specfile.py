@@ -384,8 +384,9 @@ def serialize_spec(spec: SpecFile) -> str:
 def bind_params(spec: SpecFile, values: dict[str, Fraction]) -> dict[str, Fraction]:
     """The value of each declared parameter, checked against its ``param`` line.
 
-    Raises ValueError when a declared parameter has no value or a value its
-    constraint rules out; values of undeclared names are dropped.
+    Raises ValueError when a declared parameter has no value, a value its
+    constraint rules out, or an exclusion that cannot be evaluated at the
+    values given; values of undeclared names are dropped.
     """
     missing = sorted(spec.param_names - set(values))
     if missing:
@@ -394,8 +395,12 @@ def bind_params(spec: SpecFile, values: dict[str, Fraction]) -> dict[str, Fracti
         )
     env = {p.name: values[p.name] for p in spec.params}
     for p in spec.params:
-        if not p.admits(env[p.name], env):
-            raise ValueError(f"{p.name}={env[p.name]} violates 'param {p.describe()}'")
+        given, line = f"{p.name}={env[p.name]}", f"'param {p.describe()}'"
+        try:
+            if not p.admits(env[p.name], env):
+                raise ValueError(f"{given} violates {line}")
+        except ExprError as exc:
+            raise ValueError(f"{given}: cannot check {line}: {exc}") from None
     return env
 
 

@@ -2,10 +2,13 @@
 
 ``verify_entry`` checks each parameter sample of a catalog row and
 ``verify_spec`` each block of a parsed spec file.  A connection from either
-source goes through the same nine checks (``CHECK_NAMES``), so a row written
-out by ``lagext catalog export`` and read back gets the records
-``verify-catalog`` gives it.  A check fails exactly when it has a witness,
-and a run exits 1 exactly when some record fails (``exit_code_for``).
+source goes through the same nine checks (``CHECK_NAMES``), and a connection
+that assigns a cell twice gets nine ``conflict`` records from either, so a
+row written out by ``lagext catalog export`` and read back gets the records
+``verify-catalog`` gives it.  The round trip recovers each connection from
+its extension's Lagrangian ideal (``extension.induced_flat_connection``).  A
+check fails exactly when it has a witness, and a run exits 1 exactly when
+some record fails (``exit_code_for``).
 """
 
 from __future__ import annotations
@@ -105,6 +108,12 @@ def _completeness_witness(evidence: CompletenessEvidence) -> str:
     return ""
 
 
+def _conflict_records(conflict: ConflictReport, sample_id: str) -> list[ReportRecord]:
+    """One ``conflict`` record per check, each witnessed by the conflicting cells."""
+    witness = conflict.describe()
+    return [ReportRecord(conflict.label, c, sample_id, CONFLICT, witness) for c in CHECK_NAMES]
+
+
 def _connection_records(label: str, sample_id: str, conn: FlatConnection) -> list[ReportRecord]:
     records: list[ReportRecord] = []
 
@@ -180,10 +189,7 @@ def verify_entry(entry: CatalogEntry, samples: int, seed: int = 0) -> list[Repor
         sample_id = f"s{idx}[{sample.describe()}]"
         result = instantiate(entry, sample)
         if isinstance(result, ConflictReport):
-            for name in CHECK_NAMES:
-                records.append(
-                    ReportRecord(entry.label, name, sample_id, CONFLICT, result.describe())
-                )
+            records.extend(_conflict_records(result, sample_id))
         else:
             records.extend(_connection_records(entry.label, sample_id, result))
     return records
@@ -193,10 +199,11 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
     """Records for each block of a parsed spec file, in block order.
 
     The algebra block gives ``jacobi``; a connection block the nine
-    ``CHECK_NAMES`` records, or one ``conflict`` record when it assigns a
-    cell twice; an omega block ``omega-nondegenerate`` and ``omega-closed``;
-    a cocycle block ``cocycle-closed`` and ``cocycle-bianchi``, or a skipped
-    ``cocycle`` record without a flat torsion-free connection.  Raises
+    ``CHECK_NAMES`` records, all ``conflict`` when it assigns a cell twice,
+    as a suspect catalog row's are; an omega block ``omega-nondegenerate``
+    and ``omega-closed``; a cocycle block ``cocycle-closed`` and
+    ``cocycle-bianchi``, or a skipped ``cocycle`` record without a flat
+    torsion-free connection.  Raises
     BlockError when the algebra, omega or cocycle block, or the connection
     block for any reason but a cell assigned twice, does not build.
     """
@@ -211,7 +218,7 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
         except BlockError as exc:
             if not isinstance(exc.__cause__, DuplicateCellError):
                 raise
-            records.append(ReportRecord(label, "connection", "-", CONFLICT, str(exc.__cause__)))
+            records.extend(_conflict_records(ConflictReport(label, exc.__cause__.conflicts), "-"))
         else:
             records.extend(_connection_records(label, "-", conn))
 

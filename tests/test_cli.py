@@ -111,6 +111,19 @@ def test_declared_parameter_constraints_hold(runner, tmp_path, command):
     assert "supply them with --set" in result.output
 
 
+def test_an_exclusion_that_cannot_be_evaluated_names_its_parameter(runner, tmp_path):
+    path = tmp_path / "param.spec"
+    path.write_text(
+        "algebra a dim 2\nparam mu\nparam t exclude 1/mu\nconnection e1 e1 -> t e2\n"
+    )
+    result = runner.invoke(main, ["check", str(path), "--set", "mu=0", "--set", "t=1"])
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: t=1: cannot check 'param t exclude 1/mu': "
+        "division by zero while evaluating expression\n"
+    )
+
+
 NON_JACOBI_TEXT = (
     "algebra j dim 4\nbracket e1 e2 -> 1 e3\nbracket e3 e4 -> 1 e1\nconnection e1 e1 -> 1 e1\n"
 )

@@ -27,7 +27,6 @@ as Fractions only when they are read.  Pinned here:
 """
 
 import hashlib
-import importlib
 import random
 from fractions import Fraction as F
 
@@ -42,6 +41,8 @@ from inputs import (
     summary_text,
     truncated_polynomial_connection,
 )
+import lagext.cohomology as cohomology_module
+import lagext.linalg as linalg_module
 from lagext.catalog import connection_for
 from lagext.cohomology import (
     OneCochain,
@@ -64,9 +65,6 @@ from lagext.extension import (
 )
 from lagext.lie import LieAlgebra
 from lagext.linalg import Subspace
-
-cohomology_module = importlib.import_module("lagext.cohomology")
-linalg_module = importlib.import_module("lagext.linalg")
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 An extension keeps the connection it was built from.  When the round trip
 (``induced_flat_connection``) recovers the same base pairs and gamma table,
-the recovered connection reads ``report`` and ``completeness`` through that
-source; with any cell moved it sweeps on its own and the same
-``IntegrityError`` is raised.  The shared verdicts are checked here against
-``_sweep`` and ``_completeness`` recomputed on a fresh connection of the
-recovered table.  ``coboundary_2`` of the zero 2-cochain is the zero
-residual, given without the d2 rows, and is checked against d2 in
-tests/reference.py.
+its flat torsion-free and completeness checks read that source's kept
+verdicts, so recovering makes no ``_sweep`` or ``_completeness`` call; with
+any cell moved it sweeps the recovered table and the same ``IntegrityError``
+is raised.  The recovered connection's verdicts are its own: read after the
+round trip, they are computed on it and equal the source's.
+``coboundary_2`` of the zero 2-cochain is the zero residual, given without
+the d2 rows, and is checked against d2 in tests/reference.py.
 """
 
 from fractions import Fraction as F
@@ -31,14 +31,29 @@ from lagext.lie import LieAlgebra
 from lagext.sampling import rng_for
 
 
-def assert_shares_the_recomputed_verdicts(recovered, source):
+@pytest.fixture
+def computed(monkeypatch):
+    """(name, connection) of each ``_sweep`` and ``_completeness`` call."""
+    calls = []
+    for name in ("_sweep", "_completeness"):
+        def counted(conn, _name=name, _original=getattr(connection, name)):
+            calls.append((_name, conn))
+            return _original(conn)
+
+        monkeypatch.setattr(connection, name, counted)
+    return calls
+
+
+def assert_recovers_without_recomputing(ext, source, computed):
+    source.report, source.completeness  # kept on the source before counting
+    del computed[:]
+    recovered = induced_flat_connection(ext, ext.lagrangian_ideal)
     assert recovered.nonzero_gamma == source.nonzero_gamma
-    assert recovered._verdicts_from is source
-    fresh = FlatConnection(recovered.base, recovered.nonzero_gamma, label="fresh")
-    assert fresh._verdicts_from is None
-    assert recovered.report == connection._sweep(fresh)
-    assert recovered.completeness == connection._completeness(fresh)
-    # The dual is the recovered connection's own.
+    assert computed == []
+    # Read afterwards, the recovered connection's verdicts are its own.
+    assert recovered.report == source.report
+    assert recovered.completeness == source.completeness
+    assert computed == [("_sweep", recovered), ("_completeness", recovered)]
     assert recovered.dual.connection is recovered
 
 
@@ -67,18 +82,16 @@ def test_zero_cochain_residual_on_the_zero_connection_is_the_frozen_one(n):
     assert "coboundary_2_rows" not in rep.__dict__
 
 
-def test_recovered_zero_class_shares_the_recomputed_verdicts_on_every_flat_sample():
+def test_recovered_zero_class_shares_the_recomputed_verdicts_on_every_flat_sample(computed):
     checked = 0
     for conn in flat_samples(3):
         ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
-        assert_shares_the_recomputed_verdicts(
-            induced_flat_connection(ext, ext.lagrangian_ideal), conn
-        )
+        assert_recovers_without_recomputing(ext, conn, computed)
         checked += 1
     assert checked == 108
 
 
-def test_named_extension_of_a_seeded_lagrangian_class_shares_the_recomputed_verdicts():
+def test_named_extension_of_a_seeded_lagrangian_class_shares_the_recomputed_verdicts(computed):
     checked = 0
     for conn in flat_samples(1):
         label = conn.label
@@ -88,9 +101,7 @@ def test_named_extension_of_a_seeded_lagrangian_class_shares_the_recomputed_verd
         named = build_extension(triple, name=f"{label}_ext")
         assert named._built_from is conn
         extension_nilpotency(triple)
-        assert_shares_the_recomputed_verdicts(
-            induced_flat_connection(named, named.lagrangian_ideal), conn
-        )
+        assert_recovers_without_recomputing(named, conn, computed)
         checked += 1
     assert checked == 64
 
@@ -122,7 +133,6 @@ def test_a_moved_cell_is_swept_on_its_own_and_raises(monkeypatch):
         # One sweep, on the moved table, whose verdicts are its own.
         [recovered] = swept
         assert recovered.nonzero_gamma == moved_cell(conn.nonzero_gamma, 0, 1, 0, F(1))
-        assert recovered._verdicts_from is None
         assert not recovered.report.torsion_free
         checked += 1
     assert checked == 64

@@ -14,7 +14,6 @@ Three kinds of check:
   cyclic-sum rows once, and reads both kernels off that one elimination.
 """
 
-import importlib
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +29,8 @@ from inputs import (
     summary_text,
     truncated_polynomial_connection,
 )
+import lagext.cohomology as cohomology_module
+import lagext.linalg as linalg_module
 from lagext.catalog import connection_for
 from lagext.cohomology import (
     _cyclic_sum_rows,
@@ -49,10 +50,6 @@ from lagext.linalg import (
     solve_linear,
     vec,
 )
-
-# ``lagext.cohomology`` the attribute is the function; these are the modules.
-cohomology_module = importlib.import_module("lagext.cohomology")
-linalg_module = importlib.import_module("lagext.linalg")
 
 # ---------------------------------------------------------------------------
 # the cohomology path against the reference

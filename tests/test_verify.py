@@ -1,6 +1,5 @@
 """Report machinery: record structure, witnesses, skip cascades, formats."""
 
-import importlib
 from collections import Counter
 from fractions import Fraction as F
 from itertools import chain
@@ -8,7 +7,7 @@ from itertools import chain
 import pytest
 
 from inputs import perturbed, random_lagrangian_cocycle, shifted
-from lagext import connection, extension, lie, linalg, verify
+from lagext import cohomology, connection, extension, lie, linalg, verify
 from lagext.catalog import (
     base_algebra,
     connection_for,
@@ -159,12 +158,10 @@ def verdict_counts(monkeypatch):
         (lie, "_lower_central_series"),
         (extension, "_classify_ideal"),
     ]
-    # solve_linear is imported by name, so rebind it wherever it is held
-    # (``lagext.cohomology`` the package attribute is the function, not the module).
-    cochains = importlib.import_module("lagext.cohomology")
+    # solve_linear is imported by name, so rebind it wherever it is held.
     patched += [
         (module, "solve_linear")
-        for module in (linalg, lie, connection, cochains, extension)
+        for module in (linalg, lie, connection, cohomology, extension)
         if getattr(module, "solve_linear", None) is linalg.solve_linear
     ]
     for module, name in patched:
@@ -241,8 +238,7 @@ def test_passing_row_computes_each_verdict_once(label, verdict_counts, flag_coun
     records, conn = _first_sample_records(label)
     assert [r.status for r in records] == ["pass"] * len(CHECK_NAMES)
     # One sweep and one completeness check: the connection recovered from the
-    # extension has the row's table and reads both through the row's
-    # connection.  One dual and one build.  One lower central series, the
+    # extension has the row's table, so its checks read the row's connection.  One dual and one build.  One lower central series, the
     # extension's, shared by extension_nilpotency and induced_flat_connection
     # (the shared base's is computed before counting).  One classification of
     # the Lagrangian ideal, shared by the lagrangian-ideal check and
@@ -291,7 +287,6 @@ def test_named_extension_of_a_nonzero_class_computes_each_verdict_once(
     extension_nilpotency(triple)
     recovered = induced_flat_connection(named, named.lagrangian_ideal)
     assert recovered.nonzero_gamma == conn.nonzero_gamma
-    assert recovered.completeness.complete
     assert verdict_counts == {
         "_sweep": 1,
         "_dual": 1,
@@ -301,6 +296,8 @@ def test_named_extension_of_a_nonzero_class_computes_each_verdict_once(
         "_classify_ideal": 1,
     }
     assert_flags_on_ints(flag_counts, conn)
+    # Read after counting: the recovered connection's verdicts are its own.
+    assert recovered.completeness.complete
 
 
 def test_defective_row_sweeps_once(verdict_counts):
