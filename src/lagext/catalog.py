@@ -84,7 +84,7 @@ class CatalogEntry:
         return bool(self.duplicate_slots())
 
     def duplicate_slots(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i, j, _ in duplicate_cells(self.spec.connection, self.spec.dim))
+        return tuple(slot for slot, _ in duplicate_cells(self.spec.connection, self.spec.dim))
 
 
 @dataclass(frozen=True)

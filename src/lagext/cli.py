@@ -46,13 +46,17 @@ from .verify import (
 
 
 def _parse_assignments(pairs) -> dict[str, Fraction]:
-    env = {}
+    env, given = {}, {}
     for pair in pairs:
         if "=" not in pair:
             raise click.ClickException(f"--set expects NAME=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
+        name = name.strip()
+        if name in given:
+            raise click.ClickException(f"--set assigns {name} twice: {given[name]!r} and {pair!r}")
+        given[name] = pair
         try:
-            env[name.strip()] = Fraction(value.strip())
+            env[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise click.ClickException(f"bad rational value in {pair!r}") from None
     return env

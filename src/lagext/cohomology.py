@@ -1,5 +1,11 @@
 """Cochain complexes C^1 -> C^2 -> C^3 for a flat Lie algebra acting on its dual.
 
+The action is a ``DualRep``, rho(x) xi = -xi o nabla_x, defined here with
+the caches its differentials fill; ``connection.dual_representation`` makes
+it, once per connection, after checking the representation law.  This
+module reads a connection only through a ``DualRep`` and imports nothing
+from connection.py, which imports it.
+
 Cochains take values in the dual space; a 1-cochain is an n x n matrix
 s[i][k] = sigma(e_i)(e_k), a 2-cochain an alternating map with values
 alpha(e_i, e_j)(e_k).  The Lagrangian subcomplex consists of symmetric
@@ -54,7 +60,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .connection import DualRep
+from .lie import NonzeroTable
 from .linalg import (
     ONE,
     RatMatrix,
@@ -235,6 +241,43 @@ class ThreeCochain:
         for (i, j, k), v in self.witnesses():
             return f"d2 residual({i},{j},{k}) = {fmt_vector(v)}"
         return ""
+
+
+@dataclass(frozen=True)
+class DualRep:
+    """Action of the base algebra on its dual: rho(x) xi = -xi o nabla_x."""
+
+    connection: FlatConnection  # not imported: connection.py imports this module
+
+    @property
+    def dim(self) -> int:
+        return self.connection.dim
+
+    @cached_property
+    def integer_tables(self) -> tuple[int, tuple, NonzeroTable]:
+        """(D, the entries of rho, the base's n x n bracket table), both scaled
+        by D, the lcm of their denominators, to ints: rho's one int table.
+        Entry plane i lists the (row, column, value) of each nonzero entry of
+        rho(e_i), row-major; rho(e_i) = -transpose(nabla_{e_i}), so row j of
+        rho(e_i) is -nabla_{e_i} e_j.  Read off the connection's
+        ``integer_tables``, as rho has gamma's denominators."""
+        d, cols, brackets = self.connection.integer_tables
+        entries = tuple(
+            tuple((j, k, -v) for j, col in enumerate(plane) for k, v in col) for plane in cols
+        )
+        return d, entries, brackets
+
+    @cached_property
+    def coboundary_1_units(self) -> list[dict[int, int]]:
+        """d1 of the n^2 unit 1-cochains over ``integer_tables``, D times the
+        rational images, evaluated once per representation; callers only read them."""
+        return _coboundary_1_images(self, [{c: 1} for c in range(self.dim ** 2)])
+
+    @cached_property
+    def coboundary_2_rows(self) -> list[dict[int, int]]:
+        """The sparse rows of d2 over ``integer_tables``, D times the rational
+        rows, built once per representation; callers only read them."""
+        return _coboundary_2_rows(self)
 
 
 def coboundary_1(rep: DualRep, sigma: OneCochain) -> TwoCochain:

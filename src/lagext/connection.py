@@ -17,7 +17,8 @@ R_{e_j} is nilpotent.  Both flags run on the int gamma table of the sweep
 and only their lengths are read.  No verdict depends on a seed.
 
 Each verdict on a connection (the sweep report, the completeness evidence
-and the dual representation) is computed once per ``FlatConnection`` and
+and the dual representation, a ``cohomology.DualRep`` checked here against
+the representation law) is computed once per ``FlatConnection`` and
 carried with it; the module functions below are accessors.  Every verdict
 is computed from the table and the base's bracket pairs, never from dense
 matrix products.  The sweep makes each product nabla_{e_a} nabla_{e_b} e_s
@@ -30,14 +31,15 @@ equal tables mean equal connections.  The report and the completeness
 evidence depend only on the base's pairs and the gamma table, and a
 connection's verdicts are always its own: a caller holding a connection with
 an equal table reads them from that one (``extension.induced_flat_connection``
-does, on the connection an extension was built from).
+does, on the ``source`` an extension was built from).
 
 The sweep, the Engel flags and the representation law run on Python ints:
 gamma and the bracket are scaled once per connection by one D, the lcm of
 their denominators (``FlatConnection.integer_tables``, gamma's cells and
 the base's pairs scaled as one flat sequence and regrouped), and rho =
 -gamma^T is read off the scaled gamma, as its one int table
-(``DualRep.integer_tables``); no Fraction copy of rho is kept.  Torsion is
+(``cohomology.DualRep.integer_tables``, which the law reads here and the
+differentials there); no Fraction copy of rho is kept.  Torsion is
 of degree 1 in the scaled tables, and curvature, the associator and every
 term of the law of degree 2, so each scaled residual is D or D^2 times the
 rational one: it is zero exactly when that one is, and a nonzero witness
@@ -54,6 +56,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 
+from .cohomology import DualRep
 from .lie import LieAlgebra, NonzeroTable, _check_canonical, _mirrored, descending_flag
 from .linalg import Vector, _add, _dense, _integer_tables, _pair_value
 
@@ -62,8 +65,7 @@ GammaTensor = tuple[tuple[Vector, ...], ...]
 
 @dataclass(frozen=True)
 class FlatConnection:
-    """A connection over a base Lie algebra, stored as its nonzero gamma table,
-    with any instantiated parameters.
+    """A connection over a base Lie algebra, stored as its nonzero gamma table.
 
     ``gamma``, ``integer_tables``, ``report``, ``completeness`` and ``dual``
     are computed on first use and kept on the instance.  A verdict that
@@ -72,7 +74,6 @@ class FlatConnection:
 
     base: LieAlgebra
     nonzero_gamma: NonzeroTable
-    params: tuple[tuple[str, Fraction], ...] = ()
     label: str = ""
 
     def __post_init__(self):
@@ -87,7 +88,6 @@ class FlatConnection:
     def from_entries(
         base: LieAlgebra,
         entries: dict[tuple[int, int], Vector],
-        params: tuple[tuple[str, Fraction], ...] = (),
         label: str = "",
     ) -> "FlatConnection":
         """Build from 0-based {(i, j): nabla_{e_i} e_j}; unlisted pairs are zero."""
@@ -97,7 +97,7 @@ class FlatConnection:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad connection index pair ({i}, {j})")
             table[i][j] = tuple((k, x) for k, x in enumerate(_pair_value(i, j, v, n)) if x)
-        return FlatConnection(base, tuple(map(tuple, table)), params, label)
+        return FlatConnection(base, tuple(map(tuple, table)), label)
 
     @staticmethod
     def zero(base: LieAlgebra, label: str = "") -> "FlatConnection":
@@ -307,47 +307,6 @@ def _completeness(conn: FlatConnection) -> CompletenessEvidence:
         nabla_nilindex=_uniform_nilindex(cols),
         right_mult_nilpotent=tuple(_uniform_nilindex([r]) is not None for r in right),
     )
-
-
-@dataclass(frozen=True)
-class DualRep:
-    """Action of the base algebra on its dual: rho(x) xi = -xi o nabla_x."""
-
-    connection: FlatConnection
-
-    @property
-    def dim(self) -> int:
-        return self.connection.dim
-
-    @cached_property
-    def integer_tables(self) -> tuple[int, tuple, NonzeroTable]:
-        """(D, the entries of rho, the base's n x n bracket table), both scaled
-        by D, the lcm of their denominators, to ints: rho's one int table.
-        Entry plane i lists the (row, column, value) of each nonzero entry of
-        rho(e_i), row-major; rho(e_i) = -transpose(nabla_{e_i}), so row j of
-        rho(e_i) is -nabla_{e_i} e_j.  Read off the connection's
-        ``integer_tables``, as rho has gamma's denominators."""
-        d, cols, brackets = self.connection.integer_tables
-        entries = tuple(
-            tuple((j, k, -v) for j, col in enumerate(plane) for k, v in col) for plane in cols
-        )
-        return d, entries, brackets
-
-    @cached_property
-    def coboundary_1_units(self) -> list[dict[int, int]]:
-        """d1 of the n^2 unit 1-cochains over ``integer_tables``, D times the
-        rational images, evaluated once per representation; callers only read them."""
-        from .cohomology import _coboundary_1_images  # cohomology.py imports this module
-
-        return _coboundary_1_images(self, [{c: 1} for c in range(self.dim ** 2)])
-
-    @cached_property
-    def coboundary_2_rows(self) -> list[dict[int, int]]:
-        """The sparse rows of d2 over ``integer_tables``, D times the rational
-        rows, built once per representation; callers only read them."""
-        from .cohomology import _coboundary_2_rows  # cohomology.py imports this module
-
-        return _coboundary_2_rows(self)
 
 
 def dual_representation(conn: FlatConnection) -> DualRep:

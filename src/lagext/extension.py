@@ -44,7 +44,7 @@ quotient's bracket the commutator of a left-symmetric product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -114,25 +114,32 @@ class SymplecticLieAlgebra:
     (``integer_omega_brackets``), dw of the form (``d_omega_result``) and the
     classification of ``lagrangian_ideal`` (``ideal_verdict``) are computed on
     first use and kept, as the algebra and the form are immutable.
+
+    ``name`` labels what is derived from it (``label``); ``source`` is the
+    connection a built extension came from, which ``induced_flat_connection``
+    reads.  A named copy, ``replace(s, name=...)``, holds the same algebra
+    object and source, so the algebra's int tables are computed once.
     """
 
     algebra: LieAlgebra
     form: tuple[Fraction, ...]
     lagrangian_ideal: Subspace | None = None
+    name: str = ""
+    source: FlatConnection | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.algebra.dim
         if len(self.form) != n * (n - 1) // 2:
             raise ValueError("omega shape does not match algebra dimension")
 
-    # The connection the extension was built from, set by ``_build`` and
-    # ``build_extension`` and read by ``induced_flat_connection``; a class
-    # attribute, so not a dataclass field.
-    _built_from = None
-
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @property
+    def label(self) -> str:
+        """``name``, or the algebra's name when it has none."""
+        return self.name or self.algebra.name
 
     @cached_property
     def omega(self) -> RatMatrix:
@@ -277,17 +284,12 @@ def build_extension(triple: ExtensionTriple, name: str = "") -> SymplecticLieAlg
 
     Raises CocycleError when the cochain fails the cocycle condition (the
     Jacobi identity of the result is equivalent to it), and ValueError when
-    the connection is not flat torsion-free.  The algebra is named ``name``,
-    or ext(<connection label>) by default.
+    the connection is not flat torsion-free.  The extension is the triple's
+    kept one, labelled ext(<connection label>) by its algebra; with a
+    ``name``, a copy of it under that name, sharing its algebra and source.
     """
     extension = triple.extension
-    if not name:
-        return extension
-    named = SymplecticLieAlgebra(
-        extension.algebra.rename(name), extension.form, extension.lagrangian_ideal
-    )
-    object.__setattr__(named, "_built_from", extension._built_from)
-    return named
+    return replace(extension, name=name) if name else extension
 
 
 def _build(triple: ExtensionTriple) -> SymplecticLieAlgebra:
@@ -321,9 +323,7 @@ def _build(triple: ExtensionTriple) -> SymplecticLieAlgebra:
     algebra = require_jacobi(
         LieAlgebra(2 * n, tuple(pairs), f"ext({conn.label or 'conn'})")
     )
-    extension = SymplecticLieAlgebra(algebra, standard_form(n), dual_subspace(n))
-    object.__setattr__(extension, "_built_from", conn)
-    return extension
+    return SymplecticLieAlgebra(algebra, standard_form(n), dual_subspace(n), source=conn)
 
 
 @dataclass(frozen=True)
@@ -509,11 +509,11 @@ def classify_and_reduce(
 
     rows, r = perp.rows, perp.dim
     pairs = tuple(inside(s.algebra.bracket_rows(rows[a], rows[b])) for a, b in combinations(range(r), 2))
-    perp_algebra = LieAlgebra(r, pairs, f"{s.algebra.name}|perp")
+    perp_algebra = LieAlgebra(r, pairs, f"{s.label}|perp")
     j_inside = _subspace(r, [dict(inside(u)) for u in j.ints])
     # J is an ideal of g inside the orthogonal, so it is one of the orthogonal;
     # nothing else certifies the quotient, so Jacobi is checked on it.
-    reduced = require_jacobi(_quotient(perp_algebra, j_inside, name=f"{s.algebra.name}/red"))
+    reduced = require_jacobi(_quotient(perp_algebra, j_inside, name=f"{s.label}/red"))
     result = SymplecticLieAlgebra(
         reduced, s.pullback([rows[t] for t in j_inside.complement_coordinates()])
     )
@@ -527,9 +527,10 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
 
     J must be a Lagrangian ideal.  The result is verified flat torsion-free,
     and geodesically complete whenever the ambient algebra is nilpotent.
-    When the quotient's pairs and the solved gamma table equal those of the
-    connection s was built from, the checks read that connection's kept
-    verdicts, which are the same; the result's own are computed on first use.
+    When the quotient's pairs and the solved gamma table equal those of
+    ``s.source``, the connection s was built from, the checks read that
+    connection's kept verdicts, which are the same; the result's own are
+    computed on first use.
     """
     verdict = is_lagrangian_ideal(s, j)
     if not verdict.is_lagrangian:
@@ -539,13 +540,13 @@ def induced_flat_connection(s: SymplecticLieAlgebra, j: Subspace) -> FlatConnect
     # The verdict has checked J an ideal.  The flat torsion-free check below
     # certifies the quotient's Jacobi identity: its bracket is then the
     # commutator of the left-symmetric product x.y = nabla_x y.
-    quotient = _quotient(s.algebra, j, name=f"{s.algebra.name}/ideal")
+    quotient = _quotient(s.algebra, j, name=f"{s.label}/ideal")
     try:
         gamma = _omega_solve(s, j.complement_coordinates(), j.ints)
     except ValueError:
         raise ValueError("pairing between quotient and ideal is degenerate") from None
-    conn = FlatConnection(quotient, gamma, label=f"induced({s.algebra.name})")
-    source = s._built_from
+    conn = FlatConnection(quotient, gamma, label=f"induced({s.label})")
+    source = s.source
     if source is None or (quotient.pairs, gamma) != (source.base.pairs, source.nonzero_gamma):
         source = conn
     report = check_flat_torsion_free(source)
@@ -571,7 +572,7 @@ def canonical_connection(s: SymplecticLieAlgebra) -> FlatConnection:
     # vectors, which is omega itself, is too.
     units = [{m: 1} for m in range(s.dim)]
     gamma = _omega_solve(s, range(s.dim), units)
-    conn = FlatConnection(s.algebra, gamma, label=f"canonical({s.algebra.name})")
+    conn = FlatConnection(s.algebra, gamma, label=f"canonical({s.label})")
     report = check_flat_torsion_free(conn)
     if not report.ok:
         raise IntegrityError("canonical connection failed the flat torsion-free check")

@@ -109,9 +109,6 @@ class LieAlgebra:
     def abelian(dim: int, name: str = "") -> "LieAlgebra":
         return LieAlgebra.from_brackets(dim, {}, name)
 
-    # Set by ``rename``; a class attribute, so not a dataclass field.
-    _renamed_from = None
-
     @cached_property
     def bracket(self) -> BracketTensor:
         """The dense tensor c[i][j][k], a read-only view decoded from ``pairs`` once."""
@@ -121,19 +118,14 @@ class LieAlgebra:
     @cached_property
     def integer_central_series(self) -> tuple[dict[int, dict[int, int]], ...]:
         """The lower central series as int echelon rows, one {pivot: row} per
-        term, computed once per algebra and its renamed copies."""
-        if self._renamed_from is not None:
-            return self._renamed_from.integer_central_series
+        term, computed once per algebra."""
         return _lower_central_series(self)
 
     @cached_property
     def integer_brackets(self) -> tuple[int, NonzeroTable]:
         """D, the lcm of the denominators of ``pairs``, and the n x n table
         scaled by D to ints: the cells of ``pairs`` scaled, then mirrored on
-        ints (``_mirrored``); negation keeps denominators.  Computed once per
-        algebra and its renamed copies."""
-        if self._renamed_from is not None:
-            return self._renamed_from.integer_brackets
+        ints (``_mirrored``); negation keeps denominators."""
         d, pairs = _integer_tables(self.pairs)
         return d, _mirrored(self.dim, pairs)
 
@@ -158,14 +150,6 @@ class LieAlgebra:
             raise ValueError("ambient dimension mismatch")
         kept = dict(zip(sub.pivots, sub.ints))
         return _in_span(_images(self.integer_brackets[1], sub.ints), kept)
-
-    def rename(self, name: str) -> "LieAlgebra":
-        """The same algebra under another name, reading ``integer_brackets``
-        and ``integer_central_series`` through this one: each depends only on
-        the bracket."""
-        renamed = LieAlgebra(self.dim, self.pairs, name)
-        object.__setattr__(renamed, "_renamed_from", self)
-        return renamed
 
 
 def _mirrored(n: int, pairs) -> NonzeroTable:

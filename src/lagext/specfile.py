@@ -20,7 +20,7 @@ parameters, written without internal whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -223,11 +223,13 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class CellLine:
-    """One "keyword TOK TOK -> RHS" data line (bracket/connection/cocycle)."""
+    """One "keyword TOK TOK -> RHS" data line (bracket/connection/cocycle);
+    ``line_no`` is its line in the file, None for a line made in code."""
 
     left: BasisToken
     right: BasisToken
     terms: tuple[Term, ...]
+    line_no: int | None = field(default=None, compare=False)
 
     @property
     def rhs(self) -> str:
@@ -239,6 +241,7 @@ class OmegaLine:
     left: BasisToken
     right: BasisToken
     value: Expr
+    line_no: int | None = field(default=None, compare=False)
 
     @property
     def rhs(self) -> str:
@@ -325,7 +328,7 @@ def parse_spec(text: str) -> SpecFile:
                 value = Expr.parse(rhs)
             except ExprError as exc:
                 raise SpecParseError(line_no, str(exc)) from None
-            omega.append(OmegaLine(left, right, value))
+            omega.append(OmegaLine(left, right, value, line_no))
             uses.append((line_no, value.names))
             continue
         terms = parse_rhs(rhs, line_no)
@@ -338,7 +341,7 @@ def parse_spec(text: str) -> SpecFile:
                     raise SpecParseError(line_no, f"dual index out of range in {term.token.text!r}")
             else:
                 term.token.resolve(dim, line_no)
-        cell = CellLine(left, right, terms)
+        cell = CellLine(left, right, terms, line_no)
         if keyword == "bracket":
             brackets.append(cell)
         elif keyword == "connection":
@@ -407,37 +410,42 @@ def bind_params(spec: SpecFile, values: dict[str, Fraction]) -> dict[str, Fracti
 class DuplicateCellError(ValueError):
     """The same (i, j) slot is assigned twice; never resolved silently.
 
-    ``conflicts`` holds one (i, j, rhs texts) per slot, 1-based, with every
-    claimed value; ``duplicates`` the slots alone.
+    Made from ((i, j), lines) per slot, 1-based.  ``conflicts`` holds one
+    (i, j, rhs texts) per slot, with every claimed value; ``duplicates`` the
+    slots alone.  The message names the file lines of a slot whose lines all
+    come from a file.
     """
 
-    def __init__(self, kind: str, conflicts):
+    def __init__(self, kind: str, groups):
         self.kind = kind
-        self.conflicts = conflicts
-        self.duplicates = tuple((i, j) for i, j, _ in conflicts)
-        slots = ", ".join(f"({i},{j})" for i, j in self.duplicates)
+        self.conflicts = tuple((i, j, tuple(line.rhs for line in lines)) for (i, j), lines in groups)
+        self.duplicates = tuple((i, j) for i, j, _ in self.conflicts)
+        slots = ", ".join(f"({i},{j}){_on_lines(lines)}" for (i, j), lines in groups)
         super().__init__(f"conflicting duplicate {kind} assignments at {slots}")
 
 
-def duplicate_cells(lines, dim: int) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
-    """(i, j, rhs texts) of each slot that more than one line assigns, 1-based."""
+def _on_lines(lines) -> str:
+    """" on lines 2 and 3" for lines read from a file; "" if any was not."""
+    *head, last = numbers = [line.line_no for line in lines]
+    if None in numbers:
+        return ""
+    return f" on lines {', '.join(map(str, head))} and {last}"
+
+
+def duplicate_cells(lines, dim: int) -> tuple[tuple[tuple[int, int], list], ...]:
+    """((i, j), lines) of each slot that more than one line assigns, 1-based."""
     slots: dict[tuple[int, int], list] = {}
     for line in lines:
         slot = (line.left.resolve(dim, None) + 1, line.right.resolve(dim, None) + 1)
         slots.setdefault(slot, []).append(line)
-    return tuple(
-        (i, j, tuple(line.rhs for line in group))
-        for (i, j), group in slots.items()
-        if len(group) > 1
-    )
+    return tuple((slot, group) for slot, group in slots.items() if len(group) > 1)
 
 
 def _cells(lines, dim: int, kind: str, value) -> dict[tuple[int, int], tuple]:
     """Map the 0-based (i, j) slot of each line to (line, value(line)); a repeated
     slot raises, and so does a value that fails to evaluate, naming its cell."""
-    conflicts = duplicate_cells(lines, dim)
-    if conflicts:
-        raise DuplicateCellError(kind, conflicts)
+    if groups := duplicate_cells(lines, dim):
+        raise DuplicateCellError(kind, groups)
     cells = {}
     for line in lines:
         try:
@@ -474,7 +482,7 @@ def _antisymmetric_cells(lines, dim: int, kind: str, value) -> dict[tuple[int, i
             v = tuple(-x for x in v)
         first = given.setdefault(key, line)
         if out.setdefault(key, v) != v:
-            raise DuplicateCellError(kind, ((key[0] + 1, key[1] + 1, (first.rhs, line.rhs)),))
+            raise DuplicateCellError(kind, (((key[0] + 1, key[1] + 1), (first, line)),))
     return out
 
 
@@ -508,12 +516,8 @@ def build_connection(
         raise ValueError("spec file has no connection block")
     cells = _cells(spec.connection, spec.dim, "connection",
                    lambda line: _vector(line.terms, spec.dim, env))
-    return FlatConnection.from_entries(
-        algebra,
-        {slot: v for slot, (_, v) in cells.items()},
-        params=tuple(sorted(env.items())),
-        label=spec.name,
-    )
+    entries = {slot: v for slot, (_, v) in cells.items()}
+    return FlatConnection.from_entries(algebra, entries, label=spec.name)
 
 
 def build_omega(spec: SpecFile, env: dict[str, Fraction] | None = None) -> tuple[Fraction, ...]:

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from lagext.catalog import entry_by_label, sample_parameters, table1_entries
 from lagext.cli import main
-from lagext.specfile import parse_spec
+from lagext.specfile import DuplicateCellError, build_algebra, build_connection, parse_spec
 from inputs import L26_TEXT, runner  # noqa: F401 (runner is a fixture)
 from lagext.verify import CHECK_NAMES
 
@@ -171,7 +171,8 @@ def test_duplicate_bracket_cell_is_an_invalid_algebra_block(runner, tmp_path):
     result = runner.invoke(main, ["check", str(path)])
     assert result.exit_code == 1
     assert result.output == (
-        "Error: algebra block invalid: conflicting duplicate bracket assignments at (1,2)\n"
+        "Error: algebra block invalid: conflicting duplicate bracket assignments"
+        " at (1,2) on lines 2 and 3\n"
     )
 
 
@@ -271,9 +272,46 @@ def test_duplicate_omega_or_cocycle_cell_names_its_block(runner, tmp_path, comma
     args = [command, str(path)] + (["--ideal", "e3"] if command == "reduce" else [])
     result = runner.invoke(main, args)
     assert result.exit_code == 1
+    last = text.count("\n")  # the two duplicate lines end the file
     assert result.output == (
-        f"Error: {block} block invalid: conflicting duplicate {block} assignments at (1,2)\n"
+        f"Error: {block} block invalid: conflicting duplicate {block} assignments"
+        f" at (1,2) on lines {last - 1} and {last}\n"
     )
+
+
+DUPLICATE = "conflicting duplicate {0} assignments at ({1}) on lines {2}"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("check", "algebra h dim 4\nbracket e1 e2 -> 1 e1\nbracket e1 e2 -> 1 e1\n",
+         "algebra block invalid: " + DUPLICATE.format("bracket", "1,2", "2 and 3")),
+        ("cohomology",
+         "algebra h dim 4\n# a comment\nconnection e2 e2 -> -1/2 e3\n\nconnection e2 e2 -> 1 e4\n",
+         "connection block invalid: " + DUPLICATE.format("connection", "2,2", "3 and 5")),
+        ("check", "algebra h dim 4\nomega e1 e2 -> 1\nomega e3 e4 -> 1\nomega e1 e2 -> 1\n",
+         "omega block invalid: " + DUPLICATE.format("omega", "1,2", "2 and 4")),
+        ("check", L26_TEXT + "cocycle e1 e2 -> 1 e^1\ncocycle e1 e2 -> 1 e^1\ncocycle e1 e2 -> 1 e^2\n",
+         "cocycle block invalid: " + DUPLICATE.format("cocycle", "1,2", "5, 6 and 7")),
+        ("check", "algebra h dim 4\nbracket e1 e2 -> 1 e3\nomega e1 e2 -> 1\nomega e2 e1 -> 1\n",
+         "omega block invalid: " + DUPLICATE.format("omega", "1,2", "3 and 4")),
+    ],
+    ids=["bracket", "connection", "omega", "cocycle", "omega-mirror"],
+)
+def test_a_duplicate_cell_names_its_file_lines(runner, tmp_path, command, text, message):
+    path = tmp_path / "dup.spec"
+    path.write_text(text)
+    result = runner.invoke(main, [command, str(path)])
+    assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
+
+
+def test_a_duplicate_cell_built_without_a_file_names_no_lines():
+    # A catalog row's lines come from no file, so its message is the slot alone.
+    spec = entry_by_label("l_29").spec
+    with pytest.raises(DuplicateCellError) as err:
+        build_connection(spec, build_algebra(spec))
+    assert str(err.value) == "conflicting duplicate connection assignments at (2,2)"
 
 
 @pytest.fixture(scope="module")

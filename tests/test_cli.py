@@ -124,6 +124,14 @@ def test_an_exclusion_that_cannot_be_evaluated_names_its_parameter(runner, tmp_p
     )
 
 
+@pytest.mark.parametrize("command", ["check", "extend", "cohomology"])
+def test_a_parameter_set_twice_is_refused(runner, tmp_path, command):
+    path = tmp_path / "param.spec"
+    path.write_text("algebra p dim 4\nparam t positive\nconnection e1 e1 -> t e3\n")
+    result = runner.invoke(main, [command, str(path), "--set", "t=2", "--set", "t=3"])
+    assert (result.exit_code, result.output) == (1, "Error: --set assigns t twice: 't=2' and 't=3'\n")
+
+
 NON_JACOBI_TEXT = (
     "algebra j dim 4\nbracket e1 e2 -> 1 e3\nbracket e3 e4 -> 1 e1\nconnection e1 e1 -> 1 e1\n"
 )

@@ -140,9 +140,14 @@ def test_build_is_kept_per_triple_and_renamed_on_request():
     assert build_extension(t) is ext
     assert ext.algebra.name == "ext(l_26)"
     named = build_extension(t, name="l_26_ext")
-    assert named.algebra.name == "l_26_ext"
-    assert named.algebra.bracket == ext.algebra.bracket
+    assert named.name == "l_26_ext"
+    assert named.algebra is ext.algebra
+    assert named.source is t.connection
     assert (named.omega, named.lagrangian_ideal) == (ext.omega, ext.lagrangian_ideal)
+    # Derived labels read the extension's name, or its algebra's without one.
+    for s, label in ((ext, "ext(l_26)"), (named, "l_26_ext")):
+        assert induced_flat_connection(s, s.lagrangian_ideal).label == f"induced({label})"
+        assert canonical_connection(s).label == f"canonical({label})"
     assert build_extension(t) is ext
 
 
@@ -750,10 +755,9 @@ def test_psi_compares_the_connection_tables_and_bases_only():
     assert moved.base == t1.connection.base
     with pytest.raises(ValueError, match=r"^triples must share the same connection$"):
         equivalence_map_psi(t1, ExtensionTriple(moved, t1.cocycle), sigma)
-    # The label, the parameters and the base's name are not part of the
-    # connection's value.
-    relabelled = replace(t1.connection, params=(("mu", F(2)),), label="relabelled")
-    renamed = replace(t1.connection, base=t1.connection.base.rename("other"))
+    # The label and the base's name are not part of the connection's value.
+    relabelled = replace(t1.connection, label="relabelled")
+    renamed = replace(t1.connection, base=replace(t1.connection.base, name="other"))
     assert renamed.base != t1.connection.base
     for other in (relabelled, renamed):
         psi = equivalence_map_psi(t1, ExtensionTriple(other, t1.cocycle), sigma)

@@ -45,6 +45,7 @@ import lagext.cohomology as cohomology_module
 import lagext.linalg as linalg_module
 from lagext.catalog import connection_for
 from lagext.cohomology import (
+    DualRep,
     OneCochain,
     _two_cochain_width,
     coboundary_1,
@@ -55,7 +56,7 @@ from lagext.cohomology import (
     solve_coboundary,
     two_cochain_from_coefficients,
 )
-from lagext.connection import DualRep, FlatConnection, dual_representation
+from lagext.connection import FlatConnection, dual_representation
 from lagext.extension import (
     ExtensionTriple,
     build_extension,

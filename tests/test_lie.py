@@ -59,7 +59,8 @@ def test_bracket_table_that_is_not_canonical_is_rejected(dim, pairs, message):
         ),
         (
             ("e1 e2 -> 1 e3", "e2 e1 -> 1 e3"),
-            "algebra block invalid: conflicting duplicate bracket assignments at (1,2)",
+            "algebra block invalid: conflicting duplicate bracket assignments at (1,2)"
+            " on lines 2 and 3",
         ),
         (("e1 e2 -> 1 e3", "e2 e1 -> -1 e3"), None),
     ],

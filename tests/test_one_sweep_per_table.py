@@ -67,7 +67,7 @@ def test_zero_extension_never_builds_the_d2_rows():
         expected = reference.d2(brackets(conn.base), rho(conn), zero.values)
         assert typed(coboundary_2(rep, zero).values) == typed(expected)
         assert "coboundary_2_rows" not in rep.__dict__
-        assert ext._built_from is conn
+        assert ext.source is conn
         checked += 1
     assert checked == 108
 
@@ -99,7 +99,7 @@ def test_named_extension_of_a_seeded_lagrangian_class_shares_the_recomputed_verd
         assert any(alpha.values)
         triple = ExtensionTriple(conn, alpha)
         named = build_extension(triple, name=f"{label}_ext")
-        assert named._built_from is conn
+        assert named.source is conn
         extension_nilpotency(triple)
         assert_recovers_without_recomputing(named, conn, computed)
         checked += 1
@@ -126,7 +126,7 @@ def test_a_moved_cell_is_swept_on_its_own_and_raises(monkeypatch):
     checked = 0
     for conn in flat_samples(1):
         ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
-        assert ext._built_from is conn
+        assert ext.source is conn
         del swept[:]
         with pytest.raises(IntegrityError, match="failed the flat torsion-free check"):
             induced_flat_connection(ext, ext.lagrangian_ideal)
