@@ -52,6 +52,8 @@ def _parse_assignments(pairs) -> dict[str, Fraction]:
             raise click.ClickException(f"--set expects NAME=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
         name = name.strip()
+        if not name:
+            raise click.ClickException(f"--set assigns an empty name: {pair!r}")
         if name in given:
             raise click.ClickException(f"--set assigns {name} twice: {given[name]!r} and {pair!r}")
         given[name] = pair

@@ -12,28 +12,28 @@ omega(e_i, e^j) = -delta_ij, i.e. the block matrix [[0, -I], [I, 0]].
 The dual copy h* is always an abelian ideal; it is Lagrangian and normal,
 and quotienting by it recovers the connection exactly.
 
-A form is stored as its coordinates over the pairs i < j and read through
-its one int table; subspaces (J, its orthogonal) are read through their int
-echelon rows, and the orthogonal's Fraction rows only where they become the
-basis of a reduction; a linear map (psi, the lifts of a reduction) is read
-as its columns in sparse rows: no dense vector is read here.  The built
-extension's bracket is read straight off the pair table of the base and
-the connection's gamma table, rho(e_i)[t][m] = -gamma_i(e_t)_m.
+A form is a ``SymplecticForm``: its dimension and its coordinates over the
+pairs i < j, read through its one int table.  Subspaces (J, its orthogonal)
+are read through their int echelon rows, and the orthogonal's Fraction rows
+only where they become the basis of a reduction; a linear map (psi, the
+lifts of a reduction) is read as its columns in sparse rows: no dense vector
+is read here.  The built extension's bracket is read straight off the pair
+table of the base and the connection's gamma table,
+rho(e_i)[t][m] = -gamma_i(e_t)_m.
 
-The omega identities run on ints.  Each form keeps one table: its rows
-scaled by the lcm D' of its denominators (``integer_omega``, the pair
-coordinates scaled by ``linalg._integer_tables`` as one cell and mirrored
-on ints, as the bracket's int table is from its pairs) and, built once from
-that table and the bracket's ``integer_brackets``, the table
-W[a][u] = D omega([e_a, e_u], .) of sparse int rows
-(``integer_omega_brackets``).  dw is the cyclic sums of W; both omega solves
-(the canonical and the induced connection) read their right-hand sides off
-W and invert their pairing by one int elimination; ``omega_row``, the
-pullback and the orthogonal read the scaled rows on vectors scaled to ints;
-and psi's bracket check reads the two extensions' ``integer_brackets``.
-Each value that leaves these kernels is made as one Fraction, divided back
-by its scale.  The dense ``omega`` is a view decoded from the pair
-coordinates, for callers that print or compare a matrix.
+The omega identities run on ints.  The form keeps what reads omega alone:
+its rows scaled by the lcm D' of its denominators (``integer_omega``), its
+rank, J's orthogonal and isotropy, and a solve's inverted pairing.  Every
+built extension of an n-dimensional base holds the one ``standard_form(n)``,
+so that work is done once per form, not once per extension.  The algebra
+keeps what reads its bracket: the table W[a][u] = D omega([e_a, e_u], .) of
+sparse int rows (``integer_omega_brackets``), built once from
+``integer_omega`` and ``integer_brackets``; dw is the cyclic sums of W, and
+both omega solves (the canonical and the induced connection) read their
+right-hand sides off W.  psi's bracket check reads the two extensions'
+``integer_brackets``.  Each value that leaves these kernels is made as one
+Fraction, divided back by its scale.  The dense ``omega`` is a view decoded
+from the pair coordinates, for callers that print or compare a matrix.
 
 A quotient is checked for the Jacobi identity only where nothing else
 certifies it: ``classify_and_reduce`` runs ``require_jacobi`` on its
@@ -102,51 +102,36 @@ class IntegrityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SymplecticLieAlgebra:
-    """A Lie algebra with a candidate symplectic form, stored as ``form``.
+class SymplecticForm:
+    """A candidate symplectic form on Q^dim, stored as its pair coordinates.
 
-    ``form`` lists omega(e_i, e_j) for the pairs i < j of
-    ``combinations(range(dim), 2)``, the order of ``LieAlgebra.pairs``.
-    Construction does not assert closedness; use ``d_omega`` /
-    ``validate`` to check dw = 0 and non-degeneracy.  The form's rows scaled
-    to ints (``integer_omega``), its dense matrix (``omega``, a view decoded
-    from ``form``), the table W of omega on brackets
-    (``integer_omega_brackets``), dw of the form (``d_omega_result``) and the
-    classification of ``lagrangian_ideal`` (``ideal_verdict``) are computed on
-    first use and kept, as the algebra and the form are immutable.
+    ``values`` lists omega(e_i, e_j) for the pairs i < j of
+    ``combinations(range(dim), 2)``, the order of ``LieAlgebra.pairs``; the
+    dimension is kept too, as () is the form of both dim 0 and dim 1.
 
-    ``name`` labels what is derived from it (``label``); ``source`` is the
-    connection a built extension came from, which ``induced_flat_connection``
-    reads.  A named copy, ``replace(s, name=...)``, holds the same algebra
-    object and source, so the algebra's int tables are computed once.
+    What reads omega alone is computed on first use and kept, as a form is
+    immutable: ``integer_omega``, ``omega``, ``is_nondegenerate``, and per
+    subspace J (keyed by J's int rows, as a ``Subspace`` is unhashable)
+    ``orthogonal`` and ``is_isotropic``, and per lift set and test rows
+    ``solve_pairing``.
     """
 
-    algebra: LieAlgebra
-    form: tuple[Fraction, ...]
-    lagrangian_ideal: Subspace | None = None
-    name: str = ""
-    source: FlatConnection | None = field(default=None, repr=False, compare=False)
+    dim: int
+    values: tuple[Fraction, ...]
+    _orthogonals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _isotropic: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.algebra.dim
-        if len(self.form) != n * (n - 1) // 2:
+        if len(self.values) != self.dim * (self.dim - 1) // 2:
             raise ValueError("omega shape does not match algebra dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-    @property
-    def label(self) -> str:
-        """``name``, or the algebra's name when it has none."""
-        return self.name or self.algebra.name
 
     @cached_property
     def omega(self) -> RatMatrix:
-        """The dense matrix of the form, a read-only view decoded from ``form`` once."""
+        """The dense matrix of the form, a read-only view decoded from ``values`` once."""
         n = self.dim
         rows = [[ZERO] * n for _ in range(n)]
-        for (i, j), x in zip(combinations(range(n), 2), self.form):
+        for (i, j), x in zip(combinations(range(n), 2), self.values):
             if x:
                 rows[i][j], rows[j][i] = x, -x
         return RatMatrix(tuple(map(tuple, rows)))
@@ -158,7 +143,7 @@ class SymplecticLieAlgebra:
         q ascending: the one scaled copy every omega identity reads.  The
         nonzero pair coordinates are scaled as one cell and mirrored on ints;
         negation keeps denominators."""
-        pairs = zip(combinations(range(self.dim), 2), self.form)
+        pairs = zip(combinations(range(self.dim), 2), self.values)
         d, (terms,) = _integer_tables([[(ij, x) for ij, x in pairs if x]])
         rows = [{} for _ in range(self.dim)]
         for (i, j), x in terms:
@@ -167,11 +152,11 @@ class SymplecticLieAlgebra:
         return d, tuple(rows)
 
     @cached_property
-    def integer_omega_brackets(self) -> tuple[int, tuple[tuple[dict[int, int], ...], ...]]:
-        """D and W, W[a][u] = D omega([e_a, e_u], .) as sparse int rows, with D
-        the bracket's D times the form's D'; built once per form from
-        ``algebra.integer_brackets`` and ``integer_omega``."""
-        return _omega_table(self)
+    def is_nondegenerate(self) -> bool:
+        """omega has full rank, decided by one elimination of its int rows."""
+        ints = {}
+        _echelon(self.integer_omega[1], ints)
+        return len(ints) == self.dim
 
     def omega_row(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
         """omega(v, .) as a sparse row {q: omega(v, e_q)}, for a sparse row v."""
@@ -197,6 +182,116 @@ class SymplecticLieAlgebra:
             out.append(Fraction(x, d) if x else ZERO)
         return tuple(out)
 
+    def orthogonal(self, j: Subspace) -> Subspace:
+        """{v : omega(u, v) = 0 for all u in J}: the kernel of the rows omega(u, .)
+        of J's int echelon rows u, read on ints and kept per J.  A nonzero J of
+        another ambient dimension raises."""
+        key = self._key(j)
+        perp = self._orthogonals.get(key)
+        if perp is None:
+            rows = [_int_omega_row(self, u.items()) for u in j.ints]
+            perp = self._orthogonals[key] = _kernel(rows, self.dim)
+        return perp
+
+    def is_isotropic(self, j: Subspace) -> bool:
+        """omega vanishes on every pair of J's echelon rows; kept per J.  A
+        nonzero J of another ambient dimension raises."""
+        key = self._key(j)
+        isotropic = self._isotropic.get(key)
+        if isotropic is None:
+            isotropic = self._isotropic[key] = not any(self.pullback(j.ints))
+        return isotropic
+
+    def _key(self, j: Subspace) -> tuple:
+        """J's int rows as the key of what is kept per J, once J is checked
+        to be a subspace of this form's space (or zero)."""
+        if j.dim and j.ambient_dim != self.dim:
+            raise ValueError("ambient dimension mismatch")
+        return _rows_key(j.ints)
+
+    def solve_pairing(self, lifts, tests):
+        """The form-only half of an omega solve (``_omega_solve``), kept per
+        (lifts, tests): the position of each lift l_t, the tests as coprime
+        int rows u, and the pairing P[u][t] = D' omega(u, e_{l_t}) inverted by
+        one int elimination of [P | I] (ValueError when singular), as
+        ``columns[u]``, the nonzero (t, numerator) of P^-1[t][u], and the
+        common denominators ``pivots[t]``."""
+        key = (tuple(lifts), _rows_key(tests))
+        kept = self._pairings.get(key)
+        if kept is None:
+            position = {l: t for t, l in enumerate(key[0])}
+            m = len(position)
+            ints = tuple(_integer_row(u) for u in tests)
+            pairing = [_int_omega_row(self, u.items()) for u in ints]
+            inverse = _inverse_rows([
+                {position[q]: x for q, x in row.items() if q in position} for row in pairing
+            ], m)
+            # P^-1[t][u] = inverse[t][m + u] / inverse[t][t]
+            columns = [[] for _ in ints]
+            for t, row in enumerate(inverse):
+                for j, x in row.items():
+                    if j >= m:
+                        columns[j - m].append((t, x))
+            pivots = tuple(row[t] for t, row in enumerate(inverse))
+            kept = self._pairings[key] = (position, ints, tuple(map(tuple, columns)), pivots)
+        return kept
+
+
+def _rows_key(rows) -> tuple:
+    """Sparse rows as a hashable key: each row's (index, value) items."""
+    return tuple(tuple(row.items()) for row in rows)
+
+
+@dataclass(frozen=True)
+class SymplecticLieAlgebra:
+    """A Lie algebra with a candidate symplectic form ``form`` of its dimension.
+
+    Construction does not assert closedness; use ``d_omega`` / ``validate``
+    to check dw = 0 and non-degeneracy.  What reads the bracket is computed
+    on first use and kept here: the table W of omega on brackets
+    (``integer_omega_brackets``), off which the omega solves read their
+    right-hand sides, dw of the form (``d_omega_result``) and the
+    classification of ``lagrangian_ideal`` (``ideal_verdict``).  What reads
+    omega alone is kept on ``form``, which every built extension of an
+    n-dimensional base shares as ``standard_form(n)``.
+
+    ``name`` labels what is derived from it (``label``); ``source`` is the
+    connection a built extension came from, which ``induced_flat_connection``
+    reads.  A named copy, ``replace(s, name=...)``, holds the same algebra,
+    form and source, so the algebra's int tables are computed once.
+    """
+
+    algebra: LieAlgebra
+    form: SymplecticForm
+    lagrangian_ideal: Subspace | None = None
+    name: str = ""
+    source: FlatConnection | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.form.dim != self.algebra.dim:
+            raise ValueError("omega shape does not match algebra dimension")
+
+    @property
+    def dim(self) -> int:
+        return self.algebra.dim
+
+    @property
+    def label(self) -> str:
+        """``name``, or the algebra's name when it has none."""
+        return self.name or self.algebra.name
+
+    @property
+    def omega(self) -> RatMatrix:
+        """The dense matrix of the form, ``form.omega``."""
+        return self.form.omega
+
+    @cached_property
+    def integer_omega_brackets(self) -> tuple[int, tuple[tuple[dict[int, int], ...], ...]]:
+        """D and W, W[a][u] = D omega([e_a, e_u], .) as sparse int rows, with D
+        the bracket's D times the form's D'; built once per algebra from
+        ``algebra.integer_brackets`` and ``form.integer_omega``."""
+        return _omega_table(self)
+
     @cached_property
     def d_omega_result(self) -> "DOmegaResult":
         """dw of the form on every basis triple, computed once per instance.
@@ -218,15 +313,9 @@ class SymplecticLieAlgebra:
         j = self.lagrangian_ideal
         return _classify_ideal(self, j, symplectic_orthogonal(self, j))
 
-    def is_nondegenerate(self) -> bool:
-        """omega has full rank, decided by one elimination of its int rows."""
-        ints = {}
-        _echelon(self.integer_omega[1], ints)
-        return len(ints) == self.dim
-
     def validate(self) -> None:
         """Raise ValueError unless omega is invertible and closed."""
-        if not self.is_nondegenerate():
+        if not self.form.is_nondegenerate:
             raise ValueError("omega is degenerate")
         witness = self.d_omega_result.first_witness()
         if witness:
@@ -234,12 +323,13 @@ class SymplecticLieAlgebra:
 
 
 @lru_cache(maxsize=64)
-def standard_form(n: int) -> tuple[Fraction, ...]:
-    """[[0, -I], [I, 0]] on (e_1..e_n, e^1..e^n), as its pair coordinates.
+def standard_form(n: int) -> SymplecticForm:
+    """[[0, -I], [I, 0]] on (e_1..e_n, e^1..e^n), as a form of dimension 2n.
 
-    Made once per n and shared by every caller (each built extension): the
-    tuple is immutable."""
-    return tuple(-ONE if j == n + i else ZERO for i, j in combinations(range(2 * n), 2))
+    Made once per n and shared by every caller (each built extension), so
+    what the form keeps is computed once per n: the form is immutable."""
+    values = tuple(-ONE if j == n + i else ZERO for i, j in combinations(range(2 * n), 2))
+    return SymplecticForm(2 * n, values)
 
 
 @lru_cache(maxsize=64)
@@ -358,21 +448,21 @@ def d_omega(s: SymplecticLieAlgebra, omega: RatMatrix | None = None) -> DOmegaRe
     return SymplecticLieAlgebra(s.algebra, _form_of(omega, s.dim)).d_omega_result
 
 
-def _form_of(omega: RatMatrix, n: int) -> tuple[Fraction, ...]:
-    """The pair coordinates of a dense n x n antisymmetric omega."""
+def _form_of(omega: RatMatrix, n: int) -> SymplecticForm:
+    """The form of a dense n x n antisymmetric omega."""
     if omega.rows != n or omega.cols != n:
         raise ValueError("omega shape does not match algebra dimension")
     for i in range(n):
         for j in range(i, n):
             if omega[i, j] != -omega[j, i]:
                 raise ValueError("omega is not antisymmetric")
-    return tuple(omega[i, j] for i, j in combinations(range(n), 2))
+    return SymplecticForm(n, tuple(omega[i, j] for i, j in combinations(range(n), 2)))
 
 
-def _int_omega_row(s: SymplecticLieAlgebra, terms) -> dict[int, int]:
+def _int_omega_row(form: SymplecticForm, terms) -> dict[int, int]:
     """D' omega(v, .) as a sparse int row, for v the sum of x e_p over the
-    (p, x) in terms, read on the scaled rows ``s.integer_omega``."""
-    rows = s.integer_omega[1]
+    (p, x) in terms, read on the scaled rows ``form.integer_omega``."""
+    rows = form.integer_omega[1]
     out = {}
     for p, x in terms:
         for q, y in rows[p].items():
@@ -387,10 +477,10 @@ def _omega_table(s: SymplecticLieAlgebra):
     n = s.dim
     w = [[{} for _ in range(n)] for _ in range(n)]
     for a, u in combinations(range(n), 2):
-        if row := _int_omega_row(s, table[a][u]):
+        if row := _int_omega_row(s.form, table[a][u]):
             w[a][u] = row
             w[u][a] = {q: -x for q, x in row.items()}
-    return d * s.integer_omega[0], tuple(map(tuple, w))
+    return d * s.form.integer_omega[0], tuple(map(tuple, w))
 
 
 def _omega_solve(s: SymplecticLieAlgebra, lifts, tests) -> NonzeroTable:
@@ -405,29 +495,19 @@ def _omega_solve(s: SymplecticLieAlgebra, lifts, tests) -> NonzeroTable:
 
     It runs on ints.  Each equation is linear in u, so u is scaled to coprime
     ints (the rows of a ``Subspace`` already are), which leaves the solution
-    as it is.  The pairing P[u][t] =
-    D' omega(u, e_{l_t}) is inverted once, by one int elimination of [P | I]
-    (ValueError when singular), and the right-hand sides D omega([e_a, u], .)
-    are sums of rows of the kept table W.  So
-    x_t = -sum_u P^-1[t][u] D omega([e_a, u], e_b) / D_bracket, summed over the
-    nonzero entries only, and each x_t is made as one Fraction.
+    as it is.  The pairing P[u][t] = D' omega(u, e_{l_t}) reads the form
+    alone, so it is inverted once per form and lift set
+    (``s.form.solve_pairing``, ValueError when singular); the right-hand
+    sides D omega([e_a, u], .) are sums of rows of the algebra's kept table
+    W.  So x_t = -sum_u P^-1[t][u] D omega([e_a, u], e_b) / D_bracket, summed
+    over the nonzero entries only, and each x_t is made as one Fraction.
     """
     d, w = s.algebra.integer_brackets[0], s.integer_omega_brackets[1]
-    position = {l: t for t, l in enumerate(lifts)}
+    position, tests, columns, pivots = s.form.solve_pairing(lifts, tests)
     m = len(position)
-    tests = [_integer_row(u) for u in tests]
-    inverse = _inverse_rows([
-        {position[q]: x for q, x in _int_omega_row(s, u.items()).items() if q in position}
-        for u in tests
-    ], m)
-    # P^-1[t][u] = inverse[t][m + u] / inverse[t][t]; columns[u] lists the
-    # nonzero (t, numerator), and x_t is divided by -inverse[t][t] D_bracket.
-    columns = [[] for _ in tests]
-    for t, row in enumerate(inverse):
-        for j, x in row.items():
-            if j >= m:
-                columns[j - m].append((t, x))
-    scale = [-row[t] * d for t, row in enumerate(inverse)]
+    # P^-1[t][u] = columns[u]'s numerator for t / pivots[t], and x_t is
+    # divided by -pivots[t] D_bracket.
+    scale = [-x * d for x in pivots]
     gamma = []
     for a in position:
         cells = [{} for _ in range(m)]
@@ -455,12 +535,10 @@ class IdealVerdict:
 
 
 def symplectic_orthogonal(s: SymplecticLieAlgebra, j: Subspace) -> Subspace:
-    """{v : omega(u, v) = 0 for all u in J}: the kernel of the rows omega(u, .)
-    of J's int echelon rows u, read on ints.  A nonzero J of another ambient
+    """{v : omega(u, v) = 0 for all u in J}, kept per J by the form
+    (``SymplecticForm.orthogonal``).  A nonzero J of another ambient
     dimension raises."""
-    if j.dim and j.ambient_dim != s.dim:
-        raise ValueError("ambient dimension mismatch")
-    return _kernel([_int_omega_row(s, u.items()) for u in j.ints], s.dim)
+    return s.form.orthogonal(j)
 
 
 def is_lagrangian_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
@@ -478,8 +556,7 @@ def is_lagrangian_ideal(s: SymplecticLieAlgebra, j: Subspace) -> IdealVerdict:
 def _classify_ideal(s: SymplecticLieAlgebra, j: Subspace, perp: Subspace) -> IdealVerdict:
     """The verdict on J, given its symplectic orthogonal."""
     normal = s.algebra.is_ideal(perp)
-    # J is isotropic iff omega vanishes on every pair of its echelon rows.
-    if any(s.pullback(j.ints)):
+    if not s.form.is_isotropic(j):
         return IdealVerdict("not_isotropic", normal)
     # A Lagrangian J is its own orthogonal, whose ideal check is just made.
     if not (normal if perp == j else s.algebra.is_ideal(j)):
@@ -514,9 +591,8 @@ def classify_and_reduce(
     # J is an ideal of g inside the orthogonal, so it is one of the orthogonal;
     # nothing else certifies the quotient, so Jacobi is checked on it.
     reduced = require_jacobi(_quotient(perp_algebra, j_inside, name=f"{s.label}/red"))
-    result = SymplecticLieAlgebra(
-        reduced, s.pullback([rows[t] for t in j_inside.complement_coordinates()])
-    )
+    form = s.form.pullback([rows[t] for t in j_inside.complement_coordinates()])
+    result = SymplecticLieAlgebra(reduced, SymplecticForm(reduced.dim, form))
     if reduced.dim:
         result.validate()
     return verdict, result
@@ -698,7 +774,7 @@ def equivalence_map_psi(
         if image != bracket:
             raise IntegrityError(f"bracket preservation fails at basis pair ({a+1},{b+1})")
     # Psi^T omega Psi is alternating, so it is decided on its pair coordinates.
-    if sigma.is_symmetric and g2.pullback(cols) != g1.form:
+    if sigma.is_symmetric and g2.form.pullback(cols) != g1.form.values:
         raise IntegrityError("pullback of omega under a Lagrangian shift must be omega")
     return RatMatrix(tuple(_dense(col, len(cols)) for col in cols)).transpose()
 
@@ -733,9 +809,10 @@ def adjusted_symplectic_form(
     tau = sigma_l - sigma
     equivalence_map_psi(t_bar, t_hat, tau)
     # Psi^T omega Psi, omega the standard pairing form of the extension by alpha_hat.
-    form = build_extension(t_hat).pullback(_psi_columns(tau))
+    pulled = build_extension(t_hat).form.pullback(_psi_columns(tau))
+    form = SymplecticForm(2 * triple.connection.dim, pulled)
     adjusted = SymplecticLieAlgebra(build_extension(t_bar).algebra, form)
-    if not adjusted.is_nondegenerate():
+    if not form.is_nondegenerate:
         raise ValueError("adjusted form is degenerate")
     witness = adjusted.d_omega_result.first_witness()
     if witness:

@@ -28,6 +28,7 @@ from itertools import combinations
 from .cohomology import TwoCochain
 from .connection import FlatConnection
 from .exprs import Expr, ExprError
+from .extension import SymplecticForm
 from .lie import LieAlgebra, require_jacobi
 from .linalg import ZERO
 
@@ -387,10 +388,13 @@ def serialize_spec(spec: SpecFile) -> str:
 def bind_params(spec: SpecFile, values: dict[str, Fraction]) -> dict[str, Fraction]:
     """The value of each declared parameter, checked against its ``param`` line.
 
-    Raises ValueError when a declared parameter has no value, a value its
-    constraint rules out, or an exclusion that cannot be evaluated at the
-    values given; values of undeclared names are dropped.
+    Raises ValueError when a name the file does not declare has a value, a
+    declared parameter has none, a value is one its constraint rules out, or
+    an exclusion cannot be evaluated at the values given.
     """
+    undeclared = sorted(set(values) - spec.param_names)
+    if undeclared:
+        raise ValueError(f"--set assigns {', '.join(undeclared)}, which the file does not declare")
     missing = sorted(spec.param_names - set(values))
     if missing:
         raise ValueError(
@@ -520,15 +524,17 @@ def build_connection(
     return FlatConnection.from_entries(algebra, entries, label=spec.name)
 
 
-def build_omega(spec: SpecFile, env: dict[str, Fraction] | None = None) -> tuple[Fraction, ...]:
-    """omega(e_i, e_j) over the pairs i < j, from the omega block (a mirrored line negated)."""
+def build_omega(spec: SpecFile, env: dict[str, Fraction] | None = None) -> SymplecticForm:
+    """The form of the omega block: omega(e_i, e_j) over the pairs i < j, a
+    mirrored line negated."""
     env = env or {}
     if not spec.omega:
         raise ValueError("spec file has no omega block")
     cells = _antisymmetric_cells(
         spec.omega, spec.dim, "omega", lambda line: (line.value.evaluate(env),)
     )
-    return tuple(cells.get(pair, (ZERO,))[0] for pair in combinations(range(spec.dim), 2))
+    pairs = combinations(range(spec.dim), 2)
+    return SymplecticForm(spec.dim, tuple(cells.get(pair, (ZERO,))[0] for pair in pairs))
 
 
 def build_cocycle(spec: SpecFile, env: dict[str, Fraction] | None = None) -> TwoCochain:

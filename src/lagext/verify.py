@@ -225,7 +225,7 @@ def verify_spec(spec: SpecFile, env: dict[str, Fraction]) -> list[ReportRecord]:
     if spec.omega:
         sympl = SymplecticLieAlgebra(algebra, build_block("omega", build_omega, spec, env))
         records.append(_verdict(label, "omega-nondegenerate", "-",
-                                "" if sympl.is_nondegenerate() else "omega is singular"))
+                                "" if sympl.form.is_nondegenerate else "omega is singular"))
         records.append(_verdict(label, "omega-closed", "-", sympl.d_omega_result.first_witness()))
 
     if spec.cocycle:

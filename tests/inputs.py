@@ -8,7 +8,9 @@ inputs it always did.
 """
 
 import ast
+from dataclasses import replace
 from fractions import Fraction as F
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +26,8 @@ from lagext.cohomology import (
     two_cochain_from_coefficients,
 )
 from lagext.connection import FlatConnection, check_flat_torsion_free, dual_representation
-from lagext.extension import ExtensionTriple, IntegrityError, build_extension
+from lagext import extension
+from lagext.extension import ExtensionTriple, IntegrityError, SymplecticForm, build_extension
 from lagext.lie import LieAlgebra
 from lagext.linalg import RatMatrix, Subspace, _dense, _integer_tables, _normalised, _quotient_pivots
 from lagext.sampling import random_rational, rng_for
@@ -190,7 +193,23 @@ def rho(conn):
 
 def form(s):
     """The matrix of a SymplecticLieAlgebra's form, from its pair coordinates."""
-    return reference.form_matrix(s.dim, s.form)
+    return reference.form_matrix(s.dim, s.form.values)
+
+
+def with_separate_form(s):
+    """s holding a form built apart from its own, from equal pair coordinates:
+    an equal form that has kept nothing yet."""
+    form = SymplecticForm(s.dim, tuple(s.form.values))
+    assert form == s.form and form is not s.form
+    return replace(s, form=form)
+
+
+def fresh_standard_forms(monkeypatch):
+    """For the rest of the test, ``standard_form`` makes new forms, which
+    have kept nothing yet, once per n."""
+    monkeypatch.setattr(
+        extension, "standard_form", lru_cache(maxsize=64)(extension.standard_form.__wrapped__)
+    )
 
 
 def spanned(space):
@@ -245,7 +264,8 @@ def expected_cohomology(rep):
 
 def typed(value):
     """Nested tuples with each scalar paired with its type, so 0 != Fraction(0);
-    a subspace as its ambient dimension, basis and pivots."""
+    a subspace as its ambient dimension, basis and pivots; a form as its
+    dimension and pair coordinates."""
     kind = type(value)
     if kind is tuple or kind is list:
         return tuple(map(typed, value))
@@ -253,6 +273,8 @@ def typed(value):
         return (value.ambient_dim, typed(value.basis), tuple(value.pivots))
     if kind is RatMatrix:
         return typed(value.entries)
+    if kind is SymplecticForm:
+        return (value.dim, typed(value.values))
     return (kind, value)
 
 

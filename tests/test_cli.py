@@ -103,9 +103,9 @@ def test_check_command_flags_missing_parameters(runner, tmp_path):
 def test_declared_parameter_constraints_hold(runner, tmp_path, command):
     path = tmp_path / "param.spec"
     path.write_text("algebra p dim 4\nparam t positive\nconnection e1 e1 -> t e3\n")
-    result = runner.invoke(main, [command, str(path), "--set", "t=-1"])
-    assert result.exit_code == 1
-    assert result.output == "Error: t=-1 violates 'param t positive'\n"
+    for value in ("-1", "0"):
+        result = runner.invoke(main, [command, str(path), "--set", f"t={value}"])
+        assert (result.exit_code, result.output) == (1, f"Error: t={value} violates 'param t positive'\n")
     result = runner.invoke(main, [command, str(path)])
     assert result.exit_code == 1
     assert "supply them with --set" in result.output
@@ -130,6 +130,37 @@ def test_a_parameter_set_twice_is_refused(runner, tmp_path, command):
     path.write_text("algebra p dim 4\nparam t positive\nconnection e1 e1 -> t e3\n")
     result = runner.invoke(main, [command, str(path), "--set", "t=2", "--set", "t=3"])
     assert (result.exit_code, result.output) == (1, "Error: --set assigns t twice: 't=2' and 't=3'\n")
+
+
+@pytest.mark.parametrize("command", ["check", "extend", "cohomology"])
+def test_a_strict_upper_bound_refuses_the_bound_itself(runner, tmp_path, command):
+    path = tmp_path / "param.spec"
+    path.write_text("algebra p dim 4\nparam s lt 1/2\nconnection e1 e1 -> s e3\n")
+    result = runner.invoke(main, [command, str(path), "--set", "s=1/2"])
+    assert (result.exit_code, result.output) == (1, "Error: s=1/2 violates 'param s lt 1/2'\n")
+    assert runner.invoke(main, [command, str(path), "--set", "s=1/3"]).exit_code == 0
+
+
+@pytest.mark.parametrize("command", ["check", "extend", "cohomology"])
+def test_a_name_the_file_does_not_declare_is_refused(runner, l26_path, tmp_path, command):
+    result = runner.invoke(main, [command, l26_path, "--set", "foo=1"])
+    assert (result.exit_code, result.output) == (
+        1, "Error: --set assigns foo, which the file does not declare\n"
+    )
+    # beside a declared one, every undeclared name is named
+    path = tmp_path / "param.spec"
+    path.write_text("algebra p dim 4\nparam t positive\nconnection e1 e1 -> t e3\n")
+    result = runner.invoke(main, [command, str(path), "--set", "t=1", "--set", "u=2", "--set", "b=3"])
+    assert (result.exit_code, result.output) == (
+        1, "Error: --set assigns b, u, which the file does not declare\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "extend", "cohomology"])
+@pytest.mark.parametrize("pair", ["=1", " =1"])
+def test_an_empty_parameter_name_is_refused(runner, l26_path, command, pair):
+    result = runner.invoke(main, [command, l26_path, "--set", pair])
+    assert (result.exit_code, result.output) == (1, f"Error: --set assigns an empty name: {pair!r}\n")
 
 
 NON_JACOBI_TEXT = (

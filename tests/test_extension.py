@@ -9,13 +9,16 @@ from inputs import (
     brackets,
     counting,
     flat_samples,
+    fresh_standard_forms,
     gamma,
     perturbed,
     random_cocycle,
     random_lagrangian_cocycle,
     rho,
     seeded_directions,
+    typed,
     unit_cochain,
+    with_separate_form,
 )
 from lagext.catalog import base_algebra, connection_for
 from lagext.cohomology import (
@@ -33,6 +36,7 @@ from lagext.extension import (
     ExtensionTriple,
     IntegrityError,
     NilpotencyCertificate,
+    SymplecticForm,
     SymplecticLieAlgebra,
     adjusted_symplectic_form,
     build_extension,
@@ -47,9 +51,10 @@ from lagext.extension import (
     standard_form,
     symplectic_orthogonal,
 )
-from lagext.lie import LieAlgebra, check_jacobi, lower_central_series
+from lagext.lie import LieAlgebra, center, check_jacobi, lower_central_series
 from lagext.linalg import RatMatrix, Subspace, unit_vector, vec
 from lagext.sampling import random_rational, rng_for
+from lagext.verify import run_verify_catalog
 
 # The seeded directions of the reference condition sum.
 NILPOTENCY_DIRECTION_COUNT = 8
@@ -98,7 +103,7 @@ def test_extension_of_the_zero_dimensional_connection_is_the_zero_algebra():
     assert coboundary_2(dual_representation(conn), TwoCochain.zero(0)) == ThreeCochain(0, ())
     ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
     assert (ext.dim, ext.algebra.pairs) == (0, ())
-    assert ext.form == standard_form(0) == ()
+    assert ext.form == standard_form(0) == SymplecticForm(0, ())
     assert ext.lagrangian_ideal == Subspace.zero(0)
 
 
@@ -241,6 +246,72 @@ def test_symplectic_orthogonal_basics():
     assert not perp.contains(unit_vector(8, 4))  # e^1 pairs with e1
 
 
+def test_the_shared_form_answers_as_a_separately_built_one_on_every_flat_sample():
+    """Every zero-class extension holds standard_form(4), which keeps J's
+    orthogonal and isotropy across the samples, keyed by J's int rows; a form
+    built apart from equal coordinates, which has kept nothing, gives the
+    same orthogonal, isotropy and verdict on the dual half, the primal half,
+    the center, the derived algebra and a seeded line of each extension."""
+    rng = rng_for(263, "shared-form")
+    primal = Subspace.from_vectors(8, [unit_vector(8, i) for i in range(4)])
+    checked = 0
+    for conn in flat_samples(3):
+        ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
+        assert ext.form is standard_form(4)
+        apart = with_separate_form(ext)
+        line = Subspace.from_vectors(8, [tuple(random_rational(rng) for _ in range(8))])
+        derived = lower_central_series(ext.algebra)[1]
+        for j in (ext.lagrangian_ideal, primal, center(ext.algebra), derived, line):
+            assert typed(symplectic_orthogonal(ext, j)) == typed(symplectic_orthogonal(apart, j))
+            assert ext.form.is_isotropic(j) == apart.form.is_isotropic(j)
+            assert is_lagrangian_ideal(ext, j) == is_lagrangian_ideal(apart, j)
+        checked += 1
+    assert checked == 108
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_the_empty_forms_of_dimension_0_and_1_share_no_state(first):
+    """() is the pair tuple of both forms; each carries its dimension, so the
+    two are unequal and keep their own results, whichever is asked first."""
+    forms = {n: SymplecticForm(n, ()) for n in (0, 1)}
+    assert forms[0] != forms[1] and len(set(forms.values())) == 2
+    assert standard_form(0) == forms[0] != forms[1]
+    for n in (first, 1 - first):
+        form = forms[n]
+        # a zero J has no int rows, the same key in either form
+        assert form.orthogonal(Subspace.zero(n)) == Subspace.full(n)
+        assert form.is_isotropic(Subspace.zero(n))
+        assert form.is_nondegenerate == (n == 0)
+        assert form.omega.rows == n
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="^omega shape does not match algebra dimension$"):
+            SymplecticLieAlgebra(LieAlgebra.abelian(1 - n), forms[n])
+    assert canonical_connection(SymplecticLieAlgebra(LieAlgebra.abelian(0), forms[0])).dim == 0
+    with pytest.raises(ValueError, match="^omega is degenerate$"):
+        canonical_connection(SymplecticLieAlgebra(LieAlgebra.abelian(1), forms[1]))
+
+
+def test_a_sweep_computes_each_orthogonal_once_per_form_and_subspace(monkeypatch):
+    """Over the ``verify-catalog --samples 3`` sweep, the ideal verdict of
+    each of the 108 zero-class extensions asks for the orthogonal of h* in
+    one fresh standard form, which computes it once."""
+    fresh_standard_forms(monkeypatch)
+    calls = counting(monkeypatch, extension, ["_kernel"])
+    asked, forms = set(), []
+    orthogonal = extension.symplectic_orthogonal
+
+    def watched_orthogonal(s, j):
+        forms.append(s.form)
+        asked.add((id(s.form), tuple(tuple(u.items()) for u in j.ints)))
+        return orthogonal(s, j)
+
+    monkeypatch.setattr(extension, "symplectic_orthogonal", watched_orthogonal)
+    records, code = run_verify_catalog(3)
+    assert (len(records), code) == (1062, 1)
+    assert len(forms) == 108
+    assert calls["_kernel"] == len(asked) == 1
+
+
 def test_reduction_by_lagrangian_ideal_is_zero_algebra():
     ext = build_extension(triple("l_26"))
     verdict, reduced = classify_and_reduce(ext, ext.lagrangian_ideal)
@@ -349,9 +420,13 @@ def test_the_flat_sweep_certifies_the_quotient_of_the_induced_connection(monkeyp
         induced_flat_connection(ext, ext.lagrangian_ideal)
 
 
+def isotropy(s, j):
+    return s.form.is_isotropic(j)
+
+
 @pytest.mark.parametrize(
     "function",
-    [symplectic_orthogonal, is_lagrangian_ideal, induced_flat_connection, classify_and_reduce],
+    [symplectic_orthogonal, is_lagrangian_ideal, induced_flat_connection, classify_and_reduce, isotropy],
 )
 @pytest.mark.parametrize("ambient", [4, 10])
 def test_a_subspace_of_another_ambient_dimension_is_rejected(function, ambient):
@@ -362,7 +437,7 @@ def test_a_subspace_of_another_ambient_dimension_is_rejected(function, ambient):
 
 
 def test_the_induced_connection_rejects_a_zero_ideal_of_another_size_on_the_zero_algebra():
-    s = SymplecticLieAlgebra(LieAlgebra.abelian(0), ())
+    s = SymplecticLieAlgebra(LieAlgebra.abelian(0), SymplecticForm(0, ()))
     assert induced_flat_connection(s, Subspace.zero(0)).dim == 0
     with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
         induced_flat_connection(s, Subspace.zero(2))
@@ -477,7 +552,7 @@ def _transformed_extension(label, seed):
     p_inv = p.inverse()
     ideal = Subspace.from_vectors(8, list(zip(*p_inv.entries))[4:])
     form = tuple(omega[i, j] for i, j in combinations(range(8), 2))
-    return SymplecticLieAlgebra(algebra, form), ideal, p
+    return SymplecticLieAlgebra(algebra, SymplecticForm(8, form)), ideal, p
 
 
 def test_skewed_lagrangian_ideal_detected_and_quotient_matches_base():
@@ -717,7 +792,8 @@ def test_psi_rejects_a_shift_that_does_not_pull_omega_back(monkeypatch):
         s = built(t, name)
         if not any(t is target for target in targets):
             return s
-        return SymplecticLieAlgebra(s.algebra, tuple(2 * x for x in s.form), s.lagrangian_ideal)
+        doubled_form = SymplecticForm(s.dim, tuple(2 * x for x in s.form.values))
+        return SymplecticLieAlgebra(s.algebra, doubled_form, s.lagrangian_ideal)
 
     monkeypatch.setattr(extension, "build_extension", doubled)
     symmetric = OneCochain.zero(4)

@@ -54,7 +54,7 @@ from lagext.linalg import (
 from lagext.sampling import random_rational, rng_for
 
 import reference
-from inputs import flat_samples, quotient_rows, random_lagrangian_cocycle, typed
+from inputs import fresh_standard_forms, flat_samples, quotient_rows, random_lagrangian_cocycle, typed
 
 # The modules that call the scaler; ``lagext.cohomology`` the attribute is the function.
 SCALING_MODULES = [
@@ -101,8 +101,8 @@ def exercise_extension(triple, rep, sigma):
     assert ext.d_omega_result.is_zero()
     assert is_lagrangian_ideal(ext, ext.lagrangian_ideal).is_lagrangian
     for row in ext.lagrangian_ideal.rows:
-        ext.omega_row(row)
-    ext.pullback(list(ext.lagrangian_ideal.rows))
+        ext.form.omega_row(row)
+    ext.form.pullback(list(ext.lagrangian_ideal.rows))
     extension_nilpotency(triple)
     induced_flat_connection(ext, ext.lagrangian_ideal)
     shifted = ExtensionTriple(triple.connection, triple.cocycle - coboundary_1(rep, sigma))
@@ -110,7 +110,10 @@ def exercise_extension(triple, rep, sigma):
     return ext
 
 
-def test_every_scaling_of_the_flat_samples_matches_its_definition(recorded_scalings):
+def test_every_scaling_of_the_flat_samples_matches_its_definition(recorded_scalings, monkeypatch):
+    # A fresh standard form, so that its pair coordinates, scaled once per
+    # form, are scaled inside the recorded run.
+    fresh_standard_forms(monkeypatch)
     rng = rng_for(251, "flat-scaling")
     checked = 0
     for conn in flat_samples():
@@ -133,6 +136,11 @@ def test_every_scaling_of_the_flat_samples_matches_its_definition(recorded_scali
     sizes = {len(cells) > 1 for cells, _ in recorded_scalings}
     indices = {type(j) for cells, _ in recorded_scalings for cell in cells for j, _ in cell}
     assert (sizes, indices) == ({False, True}, {int, tuple})
+    # The form's pair coordinates were scaled once, for the one form that
+    # every extension of the sweep holds.
+    pair_scalings = [cells for cells, _ in recorded_scalings
+                     if any(type(j) is tuple for cell in cells for j, _ in cell)]
+    assert len(pair_scalings) == 1
     # a_3's gamma, first plane all empty, went through a recorded call.
     a_3 = entry_by_label("a_3")
     gamma = instantiate(a_3, sample_parameters(a_3, 1)[0]).nonzero_gamma

@@ -4,7 +4,7 @@ Fraction n x n table, and the per-build constants are made once.
 ``LieAlgebra.integer_brackets`` and ``FlatConnection.integer_tables`` scale
 ``pairs`` and mirror the scaled pairs on ints (``lie._mirrored``), and
 ``lie._quotient`` reads its cells from ``pairs``; likewise
-``SymplecticLieAlgebra.integer_omega`` scales the form's pair coordinates
+``SymplecticForm.integer_omega`` scales the form's pair coordinates
 and mirrors them on ints.  Each must equal the parent formula, computed
 here as a differential oracle: the pairs (or the form) mirrored to a
 Fraction table first and scaled after; and the reference tensors of
@@ -37,6 +37,7 @@ from lagext.connection import FlatConnection
 from lagext.exprs import Expr
 from lagext.extension import (
     ExtensionTriple,
+    SymplecticForm,
     SymplecticLieAlgebra,
     build_extension,
     canonical_connection,
@@ -121,17 +122,17 @@ def assert_form_tables(s):
     """integer_omega equals the parent formula, the Fraction rows of the form
     scaled, and the reference form matrix scaled by the lcm of its
     denominators."""
-    d, rows = s.integer_omega
+    d, rows = s.form.integer_omega
     fraction_rows = [{} for _ in range(s.dim)]
-    for (i, j), x in zip(combinations(range(s.dim), 2), s.form):
+    for (i, j), x in zip(combinations(range(s.dim), 2), s.form.values):
         if x:
             fraction_rows[i][j], fraction_rows[j][i] = x, -x
     parent_d, parent_rows = _integer_tables([row.items() for row in fraction_rows])
     # the same entries, in the same key order
     assert typed(d) == typed(parent_d)
     assert [typed(tuple(r.items())) for r in rows] == [typed(r) for r in parent_rows]
-    omega = reference.form_matrix(s.dim, s.form)
-    assert d == lcm(*(x.denominator for x in s.form))
+    omega = reference.form_matrix(s.dim, s.form.values)
+    assert d == lcm(*(x.denominator for x in s.form.values))
     for p, row in enumerate(rows):
         assert all(type(x) is int and x for x in row.values())
         assert [row.get(q, 0) for q in range(s.dim)] == [x * d for x in omega[p]]
@@ -260,7 +261,7 @@ def forms(draw, max_dim=6):
     n = draw(st.integers(0, max_dim))
     values = st.one_of(st.just(F(0)), nonzero) if draw(st.booleans()) else st.just(F(0))
     form = tuple(draw(values) for _ in range(n * (n - 1) // 2))
-    return SymplecticLieAlgebra(LieAlgebra.abelian(n), form)
+    return SymplecticLieAlgebra(LieAlgebra.abelian(n), SymplecticForm(n, form))
 
 
 @given(forms())
@@ -289,7 +290,7 @@ def test_a_catalog_sweep_builds_no_fraction_bracket_view(monkeypatch):
 
         monkeypatch.setattr(module, "_mirrored", recording)
     decoded = []
-    for cls, name in ((LieAlgebra, "bracket"), (SymplecticLieAlgebra, "omega")):
+    for cls, name in ((LieAlgebra, "bracket"), (SymplecticForm, "omega")):
         def counted(obj, _real=cls.__dict__[name].func, _name=name):
             decoded.append(_name)
             return _real(obj)
@@ -313,7 +314,8 @@ def test_standard_form_and_dual_subspace_equal_fresh_builds_and_are_shared(n):
     form, dual = standard_form(n), dual_subspace(n)
     assert form is standard_form(n) and dual is dual_subspace(n)
     assert typed(form) == typed(standard_form.__wrapped__(n))
-    assert typed(form) == typed(reference.pair_coordinates(reference.standard_omega(n)))
+    assert form.dim == 2 * n
+    assert typed(form.values) == typed(reference.pair_coordinates(reference.standard_omega(n)))
     fresh = dual_subspace.__wrapped__(n)
     assert dual == fresh and typed(dual) == typed(fresh)
     assert dual.ints == tuple({n + i: 1} for i in range(n))

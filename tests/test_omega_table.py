@@ -1,11 +1,12 @@
 """The omega identities of extension.py against their definitions.
 
 extension.py evaluates dw, both omega solves, the pullback and psi's checks
-on ints, through one scaled copy of the form's rows (``integer_omega``) and
-one table W[a][u] = D omega([e_a, e_u], .) per form
-(``integer_omega_brackets``).  Here each is computed again from its
-definition by tests/reference.py, on dense Fraction vectors and matrices
-built from the algebra's bracket pairs and the form's pair coordinates:
+on ints, through one scaled copy of the form's rows (``integer_omega``),
+kept by the form, and one table W[a][u] = D omega([e_a, e_u], .) per
+algebra and form (``integer_omega_brackets``).  Here each is computed again
+from its definition by tests/reference.py, on dense Fraction vectors and
+matrices built from the algebra's bracket pairs and the form's pair
+coordinates:
 
 - dw(x, y, z) = w(x, [y, z]) + w(y, [z, x]) + w(z, [x, y]);
 - nabla solves omega(nabla_x y, u) = -omega(y, [x, u]) for every test vector u,
@@ -15,8 +16,9 @@ built from the algebra's bracket pairs and the form's pair coordinates:
   on every basis pair, and for symmetric sigma omega(psi x, psi y) = omega(x, y).
 
 Values are compared with their types, so a 0 that is not a Fraction, or an
-int where a Fraction belongs, fails.  The last test pins the counts: W is
-built once per form, and the solves and psi read no vector evaluator.
+int where a Fraction belongs, fails.  The counting pins: W is built once
+per extension, each solve's pairing is inverted once per form and lift
+set, and the solves and psi read no vector evaluator.
 """
 
 from collections import Counter
@@ -26,7 +28,17 @@ from itertools import combinations
 import pytest
 
 import reference
-from inputs import brackets, flat_samples, form, outcome, random_lagrangian_cocycle, typed
+from inputs import (
+    brackets,
+    counting,
+    flat_samples,
+    form,
+    fresh_standard_forms,
+    outcome,
+    random_lagrangian_cocycle,
+    typed,
+    with_separate_form,
+)
 from lagext import extension, linalg
 from lagext.catalog import connection_for
 from lagext.cohomology import OneCochain, TwoCochain, coboundary_1
@@ -34,6 +46,7 @@ from lagext.connection import FlatConnection, dual_representation
 from lagext.extension import (
     ExtensionTriple,
     IntegrityError,
+    SymplecticForm,
     SymplecticLieAlgebra,
     _omega_solve,
     _psi_columns,
@@ -51,6 +64,7 @@ from lagext.extension import (
 from lagext.lie import LieAlgebra, transform
 from lagext.linalg import RatMatrix, Subspace, _sparse
 from lagext.sampling import random_rational, rng_for
+from lagext.verify import run_verify_catalog
 
 ZERO = F(0)
 
@@ -144,7 +158,7 @@ def assert_extension_matches(triple, rng, seen):
         g2 = build_extension(shifted)
         assert typed(psi.entries) == typed(defined_psi(ext, g2, sigma))
         columns = _psi_columns(sigma)
-        assert typed(g2.pullback(columns)) == typed(defined_pullback(g2, columns))
+        assert typed(g2.form.pullback(columns)) == typed(defined_pullback(g2, columns))
         seen["psi"] += 1
 
 
@@ -188,7 +202,7 @@ def test_forms_with_denominators_match_the_definitions():
     for label in ("l_26", "t_8", "a_3", "t_18", "l_38"):
         ext = build_extension(ExtensionTriple.with_zero_cocycle(connection_for(label)))
         n = ext.dim // 2
-        halves = tuple(F(-1, 2) if x else x for x in ext.form)
+        halves = tuple(F(-1, 2) if x else x for x in ext.form.values)
         block = tuple(
             (F(-1, 2) if i % 2 else F(-1, 3)) if j == n + i else ZERO
             for i, j in combinations(range(2 * n), 2)
@@ -205,13 +219,13 @@ def test_forms_with_denominators_match_the_definitions():
         assert any(x.denominator > 1 for x in adjusted_form)
         for coordinates in (halves, block, adjusted_form):
             algebra = bar.algebra if coordinates is adjusted_form else ext.algebra
-            s = SymplecticLieAlgebra(algebra, coordinates, dual_subspace(n))
+            s = SymplecticLieAlgebra(algebra, SymplecticForm(2 * n, coordinates), dual_subspace(n))
             assert typed(s.d_omega_result.residuals) == typed(
                 reference.d_omega(brackets(s.algebra), form(s))
             )
             assert_solves_match(s)
             columns = [_sparse(row) for row in adjusted.entries[:3]] + [{}, {0: F(2, 3)}]
-            assert typed(s.pullback(columns)) == typed(defined_pullback(s, columns))
+            assert typed(s.form.pullback(columns)) == typed(defined_pullback(s, columns))
             if s.d_omega_result.is_zero():
                 assert typed(canonical_connection(s).nonzero_gamma) == typed(
                     defined_solve(s, range(s.dim), units(s.dim))
@@ -264,10 +278,10 @@ def test_the_smallest_extensions_match_the_definitions(n):
     assert seen == {"canonical": 1, "psi": 2}
     ext = build_extension(triple)
     assert_solves_match(ext)
-    assert ext.pullback([]) == ()
-    assert typed(ext.pullback([{}])) == ()
+    assert ext.form.pullback([]) == ()
+    assert typed(ext.form.pullback([{}])) == ()
     if n:
-        assert typed(ext.pullback([{}, {0: F(3, 2)}, {1: F(-1, 2)}])) == typed(
+        assert typed(ext.form.pullback([{}, {0: F(3, 2)}, {1: F(-1, 2)}])) == typed(
             (ZERO, ZERO, F(3, 4))
         )
 
@@ -278,12 +292,12 @@ def test_a_degenerate_pairing_still_raises():
     # dimension count, and it pairs with nothing.
     e12 = tuple(F(1) if (i, j) == (0, 1) else ZERO for i, j in combinations(range(4), 2))
     j = Subspace.from_vectors(4, [reference.unit(4, 2), reference.unit(4, 3)])
-    s = SymplecticLieAlgebra(LieAlgebra.abelian(4), e12, j)
+    s = SymplecticLieAlgebra(LieAlgebra.abelian(4), SymplecticForm(4, e12), j)
     with pytest.raises(ValueError, match="^pairing between quotient and ideal is degenerate$"):
         induced_flat_connection(s, j)
     assert defined_solve(s, j.complement_coordinates(), j.rows) is None
     zero = SymplecticLieAlgebra(
-        LieAlgebra.abelian(2), (ZERO,), Subspace.from_vectors(2, [reference.unit(2, 1)])
+        LieAlgebra.abelian(2), SymplecticForm(2, (ZERO,)), Subspace.from_vectors(2, [reference.unit(2, 1)])
     )
     with pytest.raises(ValueError, match="^pairing between quotient and ideal is degenerate$"):
         induced_flat_connection(zero, zero.lagrangian_ideal)
@@ -363,9 +377,12 @@ def test_a_second_extension_with_one_moved_bracket_fails_at_that_pair(monkeypatc
 def test_the_extend_pipeline_builds_w_once_and_reads_no_vector_evaluator(monkeypatch):
     """name, dw, nilpotency, induced, canonical and psi, as ``lagext extend``
     runs them: W is built once, for the named form, and neither omega solve
-    nor psi calls ``bracket_rows`` or ``omega_row``; each solve inverts its
-    pairing by one elimination."""
+    nor psi calls ``bracket_rows`` or ``omega_row``.  Each solve's pairing
+    reads the form alone, so it is inverted by one elimination once per form
+    and lift set: on the first row, whose extension is the first to hold a
+    fresh ``standard_form(4)``, and never on the 63 rows after it."""
     calls = Counter()
+    fresh_standard_forms(monkeypatch)
 
     def counted(owner, name, key=None):
         original = getattr(owner, name)
@@ -380,7 +397,7 @@ def test_the_extend_pipeline_builds_w_once_and_reads_no_vector_evaluator(monkeyp
     omega_table = extension._omega_table
     monkeypatch.setattr(extension, "_omega_table", lambda s: tables.append(s) or omega_table(s))
     counted(LieAlgebra, "bracket_rows")
-    counted(SymplecticLieAlgebra, "omega_row")
+    counted(SymplecticForm, "omega_row")
     counted(extension, "_inverse_rows")
     counted(linalg, "_echelon")
     solve = extension._omega_solve
@@ -409,7 +426,8 @@ def test_the_extend_pipeline_builds_w_once_and_reads_no_vector_evaluator(monkeyp
         induced_flat_connection(ext, ext.lagrangian_ideal)
         canonical_connection(ext)
         assert len(tables) == 1 and tables[0] is ext
-        assert solves == [Counter(_inverse_rows=1, _echelon=1)] * 2
+        assert ext.form is extension.standard_form(4)
+        assert solves == [Counter(_inverse_rows=1, _echelon=1) if not checked else Counter()] * 2
         before = Counter(calls)
         equivalence_map_psi(triple, shifted, sigma)
         assert not (Counter(calls) - before)["bracket_rows"]
@@ -419,6 +437,52 @@ def test_the_extend_pipeline_builds_w_once_and_reads_no_vector_evaluator(monkeyp
     assert checked == 64
 
 
+def test_the_shared_form_solves_as_a_separately_built_one_on_every_flat_sample():
+    """Every zero-class extension holds standard_form(4), which keeps each
+    solve's inverted pairing across the samples; a form built apart from
+    equal coordinates, which has kept nothing, gives the same induced and
+    canonical connections."""
+    checked = 0
+    for conn in flat_samples(3):
+        ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
+        assert ext.form is standard_form(4)
+        apart = with_separate_form(ext)
+        j = ext.lagrangian_ideal
+        assert typed(induced_flat_connection(ext, j).nonzero_gamma) == typed(
+            induced_flat_connection(apart, j).nonzero_gamma
+        )
+        assert typed(canonical_connection(ext).nonzero_gamma) == typed(
+            canonical_connection(apart).nonzero_gamma
+        )
+        checked += 1
+    assert checked == 108
+
+
+def test_a_sweep_inverts_each_pairing_once_per_form_and_lift_set(monkeypatch):
+    """Over the ``verify-catalog --samples 3`` sweep and the canonical
+    connection of the zero-class extension of each flat sample, every solve
+    reads one fresh standard form: the induced solves share one lift set and
+    test rows (those of h*), the canonical ones another (the unit vectors),
+    so the pairing is inverted twice in all."""
+    fresh_standard_forms(monkeypatch)
+    calls = counting(monkeypatch, extension, ["_inverse_rows"])
+    asked, forms = set(), []
+    solve = extension._omega_solve
+
+    def watched_solve(s, lifts, tests):
+        forms.append(s.form)
+        asked.add((id(s.form), tuple(lifts), tuple(tuple(u.items()) for u in tests)))
+        return solve(s, lifts, tests)
+
+    monkeypatch.setattr(extension, "_omega_solve", watched_solve)
+    records, code = run_verify_catalog(3)
+    assert (len(records), code) == (1062, 1)
+    for conn in flat_samples(3):
+        canonical_connection(build_extension(ExtensionTriple.with_zero_cocycle(conn)))
+    assert len(forms) == 2 * 108
+    assert calls["_inverse_rows"] == len(asked) == 2
+
+
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
 def test_d_omega_answers_by_truthiness_without_fraction_comparisons(monkeypatch, closed):
     """is_zero, witnesses and first_witness read each residual's truthiness:
@@ -426,7 +490,8 @@ def test_d_omega_answers_by_truthiness_without_fraction_comparisons(monkeypatch,
     form whose dw has witnesses."""
     conn = connection_for("t_8")
     ext = build_extension(ExtensionTriple(conn, random_lagrangian_cocycle(conn, rng_for(7, "t_8"))))
-    s = ext if closed else SymplecticLieAlgebra(ext.algebra, tuple(F(p + 1) for p in range(28)))
+    open_form = SymplecticForm(8, tuple(F(p + 1) for p in range(28)))
+    s = ext if closed else SymplecticLieAlgebra(ext.algebra, open_form)
     result = s.d_omega_result
     expected = reference.d_omega(brackets(s.algebra), form(s))
     compared = Counter()

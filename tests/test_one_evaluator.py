@@ -1,5 +1,5 @@
 """omega on vectors is read through one scaled copy of the form,
-``SymplecticLieAlgebra.integer_omega`` (its rows times the lcm of their
+``SymplecticForm.integer_omega`` (its rows times the lcm of their
 denominators, as ints), and the table W of omega on brackets built once from
 it; ``omega_row`` and ``pullback`` read that copy and write Fractions.
 Brackets of vectors have one evaluator, ``bracket_rows``, beside the integer

@@ -4,8 +4,10 @@ pair coordinates.
 ``Subspace`` keeps only ``rows``; its pivots and dense basis are views.  A
 write into an instance's ``__dict__`` would bring back a second store set
 beside the dataclass fields, and a read of ``._rows`` the cached copy that
-store fed.  ``SymplecticLieAlgebra`` keeps only ``form``, antisymmetric by
-construction, so its constructor checks the length and scans nothing.  In
+store fed.  ``SymplecticForm`` keeps only its dimension and its pair
+coordinates, antisymmetric by construction, so its constructor checks their
+length and scans nothing, as ``SymplecticLieAlgebra``'s checks only the
+form's dimension.  In
 extension.py the orthogonal of J is the kernel of omega read on J's sparse
 rows, with no ``kernel_basis`` of dense ``.apply`` images, and the standard
 form is ``standard_form``; the dense versions live on only as oracles in
@@ -48,10 +50,11 @@ def second_stores(source: str) -> list[str]:
 
 
 def post_init_loops(source: str) -> list[str]:
-    """Each loop or comprehension in ``SymplecticLieAlgebra.__post_init__``."""
+    """Each loop or comprehension in the ``__post_init__`` of
+    ``SymplecticLieAlgebra`` or ``SymplecticForm``."""
     found = []
     for cls in ast.walk(ast.parse(source)):
-        if isinstance(cls, ast.ClassDef) and cls.name == "SymplecticLieAlgebra":
+        if isinstance(cls, ast.ClassDef) and cls.name in ("SymplecticLieAlgebra", "SymplecticForm"):
             for fn in cls.body:
                 if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
                     found += [
@@ -143,6 +146,10 @@ def test_guards_see_the_dense_stores():
     assert post_init_loops(
         "class SymplecticLieAlgebra:\n    def __post_init__(self):\n"
         "        if any(x != 0 for x in self.form[:0]):\n            raise ValueError"
+    )
+    assert post_init_loops(
+        "class SymplecticForm:\n    def __post_init__(self):\n"
+        "        if not all(isinstance(x, Fraction) for x in self.values):\n            raise ValueError"
     )
     for line in (
         "rows = [s.omega.apply(u) for u in j.basis]\nreturn kernel_basis(RatMatrix(tuple(rows)))",

@@ -69,6 +69,7 @@ from lagext.extension import (
     CocycleError,
     ExtensionTriple,
     IdealVerdict,
+    SymplecticForm,
     SymplecticLieAlgebra,
     _omega_solve,
     adjusted_symplectic_form,
@@ -374,7 +375,7 @@ def test_induced_connection_rejects_a_degenerate_pairing():
     # With omega = 0 every half-dimensional subspace of an abelian algebra is
     # a Lagrangian ideal by the dimension count, and the pairing is singular.
     s = SymplecticLieAlgebra(
-        LieAlgebra.abelian(2), (F(0),), Subspace.from_vectors(2, [unit_vector(2, 1)])
+        LieAlgebra.abelian(2), SymplecticForm(2, (F(0),)), Subspace.from_vectors(2, [unit_vector(2, 1)])
     )
     with pytest.raises(ValueError, match="^pairing between quotient and ideal is degenerate$"):
         induced_flat_connection(s, s.lagrangian_ideal)
@@ -1035,7 +1036,7 @@ def assert_form_matches_reference(s, omega, rng):
     n = s.dim
     c = brackets(s.algebra)
     assert typed(s.omega) == typed(omega)
-    assert typed(s.form) == typed(reference.pair_coordinates(omega))
+    assert typed(s.form.values) == typed(reference.pair_coordinates(omega))
     assert typed(d_omega(s).residuals) == typed(reference.d_omega(c, omega))
     seeded = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
     skew = tuple(tuple(seeded[i][j] - seeded[j][i] for j in range(n)) for i in range(n))
@@ -1090,7 +1091,7 @@ def assert_subspace_forms_match_reference(s, c, omega, space, seen):
         algebra, reduced_omega = expected
         assert typed(algebra_value(reduced.algebra)) == typed(algebra)
         assert typed(reduced.omega) == typed(reduced_omega)
-        assert typed(reduced.form) == typed(reference.pair_coordinates(reduced_omega))
+        assert typed(reduced.form.values) == typed(reference.pair_coordinates(reduced_omega))
         seen["reduced", reduced.dim] += 1
     else:
         assert reduced == expected
@@ -1217,7 +1218,8 @@ def test_forms_match_frozen_dense_code_in_a_seeded_basis():
         p = seeded_unitriangular(8, rng)
         pm = p.entries
         omega = reference.matmul(reference.matmul(reference.transpose(pm), reference.standard_omega(4)), pm)
-        s = SymplecticLieAlgebra(transform(ext.algebra, p), reference.pair_coordinates(omega))
+        moved_form = SymplecticForm(8, reference.pair_coordinates(omega))
+        s = SymplecticLieAlgebra(transform(ext.algebra, p), moved_form)
         moved = list(reference.transpose(reference.inverse(pm))[4:])
         assert_symplectic_layer_matches_reference(s, omega, subspace_battery(s, rng) + [moved], rng, seen)
     assert seen["verdict", "lagrangian", True] >= 4
@@ -1226,8 +1228,10 @@ def test_forms_match_frozen_dense_code_in_a_seeded_basis():
 @pytest.mark.parametrize("n", range(4))
 def test_forms_and_subspaces_match_frozen_dense_code_in_low_dimension(n):
     rng = rng_for(137, "sparse-oracles-form-low", str(n))
-    assert typed(standard_form(n)) == typed(reference.pair_coordinates(reference.standard_omega(n)))
-    assert standard_form(0) == ()
+    assert typed(standard_form(n)) == typed(
+        SymplecticForm(2 * n, reference.pair_coordinates(reference.standard_omega(n)))
+    )
+    assert standard_form(0) == SymplecticForm(0, ())
     for space, expected in (
         (Subspace.full(n), reference.full(n)),
         (Subspace.zero(n), reference.Span(n)),
@@ -1254,13 +1258,13 @@ def test_build_omega_matches_the_frozen_dense_matrix():
         ext = build_extension(ExtensionTriple.with_zero_cocycle(conn))
         text = specfile.serialize_spec(specfile.spec_from_symplectic("x", ext.algebra, ext.omega))
         spec = specfile.parse_spec(text)
-        assert typed(specfile.build_omega(spec)) == typed(standard)
+        assert typed(specfile.build_omega(spec)) == typed(SymplecticForm(8, standard))
         checked += 1
     assert checked == 64
     # omega(e^1, e1) = 2 in dimension 4, e^1 the third basis vector: omega(e1, e^1) = -2.
     spec = specfile.parse_spec("algebra s dim 4\nomega e^1 e1 -> 2\nomega e2 e2 -> 0\n")
     expected = reference.pair_coordinates(reference.form_matrix(4, (0, -2, 0, 0, 0, 0)))
-    assert typed(specfile.build_omega(spec)) == typed(expected)
+    assert typed(specfile.build_omega(spec)) == typed(SymplecticForm(4, expected))
     bare = specfile.parse_spec("algebra s dim 2\n")
     assert outcome(lambda: specfile.build_omega(bare)) == (ValueError, "spec file has no omega block")
 
@@ -1558,7 +1562,7 @@ def reduction_value(result):
     verdict = (verdict.status, verdict.normal)
     if reduced is None:
         return verdict, None
-    return verdict, typed(algebra_value(reduced.algebra)), typed(reduced.form)
+    return verdict, typed(algebra_value(reduced.algebra)), typed(reduced.form.values)
 
 
 def assert_solves_match_reference(triple, ext, rng, seen):
@@ -1659,12 +1663,12 @@ def test_bracket_rows_and_pullback_match_the_dense_formulas(data):
     entries = {(i, j): data.draw(vector) for i, j in combinations(range(n), 2)}
     algebra = LieAlgebra.from_brackets(n, entries, "sparse")
     form_values = data.draw(st.lists(sparse_entries, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-    s = SymplecticLieAlgebra(algebra, tuple(form_values))
+    s = SymplecticLieAlgebra(algebra, SymplecticForm(n, tuple(form_values)))
     c, omega = brackets(algebra), reference.form_matrix(n, form_values)
     vectors = data.draw(st.lists(vector, max_size=4))
     rows = [_sparse(v) for v in vectors]
     for x, u in zip(vectors, rows):
-        row = s.omega_row(u)
+        row = s.form.omega_row(u)
         assert all(row.values())
         assert typed(_dense(row, n)) == typed(
             tuple(reference.omega_value(omega, x, e) for e in reference.units(n))
@@ -1673,7 +1677,7 @@ def test_bracket_rows_and_pullback_match_the_dense_formulas(data):
             bracket = algebra.bracket_rows(u, v)
             assert all(bracket.values())
             assert typed(_dense(bracket, n)) == typed(reference.bilinear(c, x, y))
-    assert typed(s.pullback(rows)) == typed(
+    assert typed(s.form.pullback(rows)) == typed(
         reference.pair_coordinates(reference.pullback(omega, vectors))
     )
     assert rows == [_sparse(v) for v in vectors]  # the rows are only read

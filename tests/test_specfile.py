@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from lagext.catalog import base_algebra
-from lagext.extension import SymplecticLieAlgebra
+from lagext.extension import SymplecticForm, SymplecticLieAlgebra
 from lagext.specfile import (
     DuplicateCellError,
     SpecParseError,
@@ -140,10 +140,17 @@ def test_omega_block_builds_antisymmetric_matrix():
     )
     spec = parse_spec(text)
     # omega(e_i, e_j) over the pairs (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
-    assert build_omega(spec) == (0, F(-1), 0, 0, F(-1), 0)
+    assert build_omega(spec) == SymplecticForm(4, (0, F(-1), 0, 0, F(-1), 0))
     omega = SymplecticLieAlgebra(build_algebra(spec), build_omega(spec)).omega
     assert omega[0, 2] == F(-1) and omega[2, 0] == F(1)
     assert omega[1, 3] == F(-1) and omega[3, 1] == F(1)
+
+
+@pytest.mark.parametrize("text", ["", "# a comment only\n", "bracket e1 e2 -> 1 e3\n"])
+def test_text_without_an_algebra_line_is_refused_at_line_1(text):
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(text)
+    assert str(err.value) == "line 1: missing 'algebra NAME dim N' line"
 
 
 def test_dual_tokens_require_even_dimension():
